@@ -131,27 +131,21 @@ class ParamCurve:
     def segments(self) -> tuple[np.ndarray, np.ndarray]:
         return self.z[:-1], self.z[1:]
 
-    def distance_to_point(self, p: complex) -> float:
-        a, b = self.segments()
-        return float(np.min(_point_segment_distance(p, a, b)))
+    def distance_to_point(self, p: complex | np.ndarray) -> float:
+        """Distance from p to the polyline.
 
-    def min_gap_to_curve(self, other: "ParamCurve") -> float:
-        """Minimum distance between sample points of self and segments of other."""
-        a, b = other.segments()
-        best = np.inf
-        for p in self.z:
-            best = min(best, float(np.min(_point_segment_distance(p, a, b))))
-        return best
+        p may also be an array of points; the result is then the minimum
+        distance over all of them.
+        """
+        a, b = self.segments()
+        p = np.asarray(p, dtype=complex)[..., None]
+        return float(np.min(_point_segment_distance(p, a, b)))
 
     def value_at(self, t: float) -> complex:
         """Linear interpolation at parameter t (clamped to range)."""
         re = np.interp(t, self.t, self.z.real)
         im = np.interp(t, self.t, self.z.imag)
         return complex(re, im)
-
-    def reversed(self) -> "ParamCurve":
-        t = -self.t[::-1]
-        return ParamCurve(t, self.z[::-1], self.closed)
 
     def length(self) -> float:
         return float(np.sum(np.abs(np.diff(self.z))))
@@ -167,8 +161,9 @@ def concat(first: ParamCurve, second: ParamCurve, close: bool = False) -> ParamC
     return ParamCurve(t, z, closed=close)
 
 
-def _point_segment_distance(p: complex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Distance from point p to each segment [a_i, b_i]."""
+def _point_segment_distance(p: complex | np.ndarray, a: np.ndarray,
+                            b: np.ndarray) -> np.ndarray:
+    """Distance from point p to each segment [a_i, b_i]; broadcasts over p."""
     d = b - a
     L2 = (d * d.conjugate()).real
     L2 = np.where(L2 == 0.0, 1.0, L2)

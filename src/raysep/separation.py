@@ -109,7 +109,8 @@ class RegionGeometry:
     def __init__(self, pairs: list[RayPair], bbox: Rect):
         self.bbox = bbox
         reach = bbox.x1 + 3.0 * bbox.diagonal
-        self.polylines = [pair_polyline(p, reach) for p in pairs]
+        self.polylines = [ParamCurve.from_points(pair_polyline(p, reach))
+                          for p in pairs]
         self.pairs = pairs
         d = bbox.diagonal
         self._far = complex(bbox.x0 - 3.71 * d, bbox.y0 - 2.39 * d)
@@ -120,7 +121,7 @@ class RegionGeometry:
             bits = []
             ok = True
             for poly in self.polylines:
-                c = _crossing_parity(z, far, poly)
+                c = _crossing_parity(z, far, poly.z)
                 if c is None:
                     ok = False
                     break
@@ -130,19 +131,8 @@ class RegionGeometry:
         raise ResolutionTooCoarse(f"cannot resolve the region of {z}")
 
     def min_distance(self, z: complex) -> float:
-        best = math.inf
-        for poly in self.polylines:
-            a, b = poly[:-1], poly[1:]
-            best = min(best, float(np.min(_seg_dist(z, a, b))))
-        return best
-
-
-def _seg_dist(p: complex, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    d = b - a
-    L2 = (d * d.conjugate()).real
-    L2 = np.where(L2 == 0.0, 1.0, L2)
-    s = np.clip(((p - a) * d.conjugate()).real / L2, 0.0, 1.0)
-    return np.abs(p - (a + s * d))
+        return min((poly.distance_to_point(z) for poly in self.polylines),
+                   default=math.inf)
 
 
 def _crossing_parity(z: complex, far: complex, poly: np.ndarray) -> int | None:
@@ -248,8 +238,9 @@ def _probe_points(graph: RayGraph, bbox: Rect, resolution: float,
     pts = [complex(x, y) for x in xs for y in ys]
     # straddle every pair curve so thin regions next to rays are found
     for poly in geometry.polylines:
-        seg = poly[1:] - poly[:-1]
-        mids = 0.5 * (poly[1:] + poly[:-1])
+        a, b = poly.segments()
+        seg = b - a
+        mids = 0.5 * (b + a)
         with np.errstate(invalid="ignore", divide="ignore"):
             normals = 1j * seg / np.abs(seg)
         for off in (0.35 * resolution, 0.05 * resolution):

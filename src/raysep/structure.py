@@ -3,9 +3,10 @@
 The construction: pick a round disk D about 0 containing the singular values,
 0 and f(0); the preimage of the complement of D is the tract set; a radial
 cut curve delta from D to infinity, pulled back through the inverse branches,
-slices each tract into fundamental domains labeled by log-bands.  The grid
-extractor works for any member of the family, while the fundamental-domain
-cutting uses the closed-form inverse branches of a single factor.
+slices each tract into fundamental domains labeled by log-bands.  Only
+single-factor maps a e^z + b are supported here, so both the tract
+boundaries (logs of the circle |e^z + b/a| = r/|a|) and the fundamental-domain
+cuts (the inverse branches of that factor) are closed forms.
 """
 
 from __future__ import annotations
@@ -14,7 +15,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import ndimage
 
 from .curves import ParamCurve
 from .errors import (
@@ -27,7 +27,6 @@ from .errors import (
 from .maps import BranchContext, BranchLabel, CutGeometry, ExpAffine, MapSpec, branch_log
 
 DISK_SCALE = 1.25
-BOUNDARY_TOL = 1e-8
 EXPANSION_CAP = 1e6
 
 
@@ -136,160 +135,38 @@ class StructuralSetup:
         return self.in_tract(z) and self.band_index(z) == label.j
 
 
-# -- grid tract extraction -----------------------------------------------------
-
-
-def _modulus_mask(spec: MapSpec, xs: np.ndarray, ys: np.ndarray, radius: float):
-    zz = xs[None, :] + 1j * ys[:, None]
-    w = spec.evaluate_array(zz, 1)
-    mod = np.abs(w)
-    mod = np.where(np.isfinite(mod), mod, np.inf)
-    return mod > radius, mod
-
-
-def _trace_level_segments(xs, ys, h):
-    """Marching-squares segments of the level set h = 0 (h sampled on grid)."""
-    segs = []
-    ny, nx = h.shape
-    for iy in range(ny - 1):
-        for ix in range(nx - 1):
-            corners = [h[iy, ix], h[iy, ix + 1], h[iy + 1, ix + 1], h[iy + 1, ix]]
-            pts = []
-            edges = [
-                (complex(xs[ix], ys[iy]), complex(xs[ix + 1], ys[iy]), corners[0], corners[1]),
-                (complex(xs[ix + 1], ys[iy]), complex(xs[ix + 1], ys[iy + 1]), corners[1], corners[2]),
-                (complex(xs[ix + 1], ys[iy + 1]), complex(xs[ix], ys[iy + 1]), corners[2], corners[3]),
-                (complex(xs[ix], ys[iy + 1]), complex(xs[ix], ys[iy]), corners[3], corners[0]),
-            ]
-            for a, b, ha, hb in edges:
-                if (ha > 0) != (hb > 0):
-                    s = ha / (ha - hb)
-                    pts.append(a + s * (b - a))
-            if len(pts) >= 2:
-                segs.append((pts[0], pts[1]))
-                if len(pts) == 4:
-                    segs.append((pts[2], pts[3]))
-    return segs
-
-
-def _chain_segments(segs, tol):
-    """Join segments into polylines by endpoint proximity."""
-    if not segs:
-        return []
-    # quantized endpoint index
-    def key(p):
-        return (round(p.real / tol), round(p.imag / tol))
-
-    adj: dict[tuple[int, int], list[int]] = {}
-    for i, (a, b) in enumerate(segs):
-        adj.setdefault(key(a), []).append(i)
-        adj.setdefault(key(b), []).append(i)
-    used = [False] * len(segs)
-    polylines = []
-    for start in range(len(segs)):
-        if used[start]:
-            continue
-        used[start] = True
-        a, b = segs[start]
-        chain = [a, b]
-        for _ in range(2):  # extend forward then backward
-            extended = True
-            while extended:
-                extended = False
-                tail = chain[-1]
-                for i in adj.get(key(tail), []):
-                    if used[i]:
-                        continue
-                    c, d = segs[i]
-                    if abs(c - tail) < tol:
-                        chain.append(d)
-                    elif abs(d - tail) < tol:
-                        chain.append(c)
-                    else:
-                        continue
-                    used[i] = True
-                    extended = True
-                    break
-            chain.reverse()
-        polylines.append(chain)
-    return polylines
-
-
-def _refine_boundary(spec: MapSpec, points, radius: float, step: float):
-    """Move each vertex onto |f| = radius by bisection along the gradient."""
-    out = []
-    for z in points:
-        g = _mod_minus_r(spec, z, radius)
-        # pick a short probe direction along which the sign flips
-        direction = None
-        for d in (1, -1, 1j, -1j, 1 + 1j, -1 - 1j):
-            zz = z + 0.75 * step * d / abs(d)
-            if _mod_minus_r(spec, zz, radius) * g < 0:
-                direction = zz
-                break
-        if direction is None:
-            out.append(z)
-            continue
-        lo, hi = z, direction
-        for _ in range(60):
-            mid = 0.5 * (lo + hi)
-            if _mod_minus_r(spec, mid, radius) * g >= 0:
-                lo = mid
-            else:
-                hi = mid
-            if abs(hi - lo) < BOUNDARY_TOL * 0.01:
-                break
-        out.append(0.5 * (lo + hi))
-    return out
-
-
-def _mod_minus_r(spec: MapSpec, z: complex, radius: float) -> float:
-    try:
-        w, _ = spec.evaluate(z, 1)
-    except Overflow:
-        return math.inf
-    return abs(w) - radius
+# -- tract extraction ---------------------------------------------------------
 
 
 def extract_tracts(spec: MapSpec, bbox: Rect, resolution: float,
                    radius: float) -> list[Tract]:
-    """Connected components of {|f| > radius} in the box, with boundaries."""
-    nx = max(int(round((bbox.x1 - bbox.x0) / resolution)) + 1, 8)
-    ny = max(int(round((bbox.y1 - bbox.y0) / resolution)) + 1, 8)
-    xs = np.linspace(bbox.x0, bbox.x1, nx)
-    ys = np.linspace(bbox.y0, bbox.y1, ny)
-    mask, mod = _modulus_mask(spec, xs, ys, radius)
-    labels, count = ndimage.label(mask)
-    with np.errstate(divide="ignore"):
-        h = np.log(np.clip(mod, 1e-300, 1e300)) - math.log(radius)
-    h = np.clip(h, -50.0, 50.0)
+    """Connected components of {|f| > radius} in the box, in closed form.
 
+    For f = a e^z + b put c = b/a, R = radius/|a| and q(y) = c e^(-iy).  The
+    level set |f| = radius is the log of the circle |u + c| = R.  Premise:
+    radius > |b|, so the circle encloses 0 and each height y meets it once,
+    at Re z = x(y) = log(sqrt(R^2 - Im q^2) - Re q); the tract set is
+    {Re z > x(Im z)}.  Heights are sampled about `resolution` apart.  Each
+    maximal run of heights with x(y) < x1 is one tract reaching the right
+    edge of the box: its boundary is x(y) + iy over the run, alpha counts
+    the runs from the bottom, and the anchor is x1 + iy where x(y) is least.
+    """
+    factor = spec.outer
+    c = factor.b / factor.a
+    R = radius / abs(factor.a)
+    ny = max(int(round((bbox.y1 - bbox.y0) / resolution)) + 1, 8)
+    ys = np.linspace(bbox.y0, bbox.y1, ny)
+    q = c * np.exp(-1j * ys)
+    xs = np.log(np.sqrt(R * R - q.imag ** 2) - q.real)
+    flips = np.flatnonzero(np.diff(np.concatenate(([0], xs < bbox.x1, [0]))))
     tracts = []
-    order = []
-    for lab in range(1, count + 1):
-        comp = labels == lab
-        iy, ix = np.nonzero(comp)
-        touches = bool(np.any(ix == 0) or np.any(ix == nx - 1)
-                       or np.any(iy == 0) or np.any(iy == ny - 1))
-        # anchor: rightmost grid point of the component (deep in the tract)
-        k = int(np.argmax(xs[ix] + 1e-9 * np.abs(ys[iy])))
-        anchor = complex(xs[ix[k]], ys[iy[k]])
-        hmasked = np.where(comp | ~mask, h, -1.0)  # suppress other components
-        segs = _trace_level_segments(xs, ys, hmasked)
-        polys = _chain_segments(segs, tol=resolution * 1e-3)
-        if polys:
-            pts = max(polys, key=len)
-            pts = _refine_boundary(spec, pts, radius, resolution)
-            boundary = ParamCurve.from_points(pts)
-        else:
-            boundary = ParamCurve.segment(anchor, anchor + resolution, n=2)
-        order.append((np.median(ys[iy]), lab))
-        tracts.append(Tract(alpha=0, boundary=boundary, anchor=anchor,
-                            touches_box=touches))
-    # label tracts by vertical order of their grid mass
-    for alpha, (_, lab) in enumerate(sorted(order)):
-        tracts[lab - 1].alpha = alpha
-    tracts.sort(key=lambda t: t.alpha)
+    for alpha, (lo, hi) in enumerate(zip(flips[::2], flips[1::2])):
+        pts = xs[lo:hi] + 1j * ys[lo:hi]
+        if len(pts) == 1:  # a run of one height: a degenerate one-point curve
+            pts = np.repeat(pts, 2)
+        k = lo + int(np.argmin(xs[lo:hi]))
+        tracts.append(Tract(alpha=alpha, boundary=ParamCurve.from_points(pts),
+                            anchor=complex(bbox.x1, ys[k]), touches_box=True))
     return tracts
 
 
@@ -317,9 +194,8 @@ def choose_delta(spec: MapSpec, bbox: Rect, resolution: float, radius: float,
         elif not boundaries:
             clear = math.inf
         else:
-            clear = min(
-                float(np.min([b.distance_to_point(p) for b in boundaries]))
-                for p in pts[:: max(len(pts) // 64, 1)])
+            probes = pts[:: max(len(pts) // 64, 1)]
+            clear = min(b.distance_to_point(probes) for b in boundaries)
         if clear > best_clear + 1e-12:
             best_clear, best_theta = clear, theta
     if best_theta is None or best_clear < resolution:
@@ -370,15 +246,25 @@ def extended_delta(delta: ParamCurve, reach: float, n_extra: int = 64) -> ParamC
 
 
 def auto_disk(spec: MapSpec, radius: float | None = None) -> DomainDisk:
+    """Disk about 0 holding the singular values, 0 and f(0) in its interior.
+
+    Without a radius it is DISK_SCALE times the largest of their moduli; an
+    explicit radius must exceed that largest modulus.
+    """
+    pts = list(spec.singular_values()) + [0.0 + 0.0j]
+    try:
+        pts.append(spec.evaluate(0.0, 1)[0])
+    except Overflow:
+        pass
+    required = max(abs(p) for p in pts)
     if radius is None:
-        pts = list(spec.singular_values()) + [0.0 + 0.0j]
-        try:
-            pts.append(spec.evaluate(0.0, 1)[0])
-        except Overflow:
-            pass
-        radius = DISK_SCALE * max(abs(p) for p in pts)
+        radius = DISK_SCALE * required
         if radius == 0.0:
             radius = 0.01
+    elif not radius > required:
+        raise ValueError(
+            f"disk_radius {radius} must exceed {required:.6g}, the largest "
+            "modulus of the singular values, 0 and f(0)")
     return DomainDisk(0.0 + 0.0j, float(radius))
 
 
@@ -389,7 +275,9 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
 
     Fundamental-domain cutting relies on the closed-form inverse branch of a
     single exponential-affine factor; compositions are rejected here (their
-    evaluation and inverse branches still work at the map level).
+    evaluation and inverse branches still work at the map level).  An
+    explicit disk_radius must exceed the moduli of the singular value b,
+    of 0 and of f(0); otherwise ValueError is raised before any tract work.
     """
     if not isinstance(bbox, Rect):
         bbox = Rect(*bbox)

@@ -124,7 +124,7 @@ def test_criterion_3_subtraction_index_against_loops():
                 pts = base + rng.uniform(-spread, spread, 7) + \
                     1j * rng.uniform(-spread, spread, 7)
                 gamma = ParamCurve(np.arange(7, dtype=float), pts)
-                if gamma.min_gap_to_curve(sigma) < 0.05 or \
+                if sigma.distance_to_point(gamma.z) < 0.05 or \
                    gamma.distance_to_point(p) < 0.05:
                     continue
                 lhs = subtraction_index(gamma, sigma).value

@@ -41,6 +41,15 @@ class TestExitCodes:
         code, _, err = run_cli(["setup", "--map", "tan(1)"], capsys)
         assert code == EXIT_CONFIG
 
+    def test_disk_radius_excluding_singular_value(self, capsys):
+        code, _, err = run_cli(
+            ["setup", "--map", "exp(0.5,2)", "--disk-radius", "1"], capsys)
+        assert code == EXIT_CONFIG
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "config"
+        assert "disk_radius" in payload["message"]
+
     def test_unwritable_out_dir(self, capsys, tmp_path):
         bogus = tmp_path / "missing" / "dir"
         code, _, err = run_cli(

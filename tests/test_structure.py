@@ -1,9 +1,12 @@
 """Structural decomposition: disk, delta, tracts, domains, lift, expansion."""
 
+import cmath
 import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from raysep.errors import OrbitLeftTracts, OutsideTract, UnsupportedMap
 from raysep.maps import exp_map, parse_map
@@ -11,6 +14,7 @@ from raysep.structure import (
     Rect,
     address_of_orbit,
     auto_disk,
+    extract_tracts,
     lift_evaluate,
     structural_setup,
     validate_expansion_radius,
@@ -38,6 +42,15 @@ class TestDiskAndDelta:
 
     def test_disk_override(self, setup03_disk1):
         assert setup03_disk1.disk.radius == 1.0
+
+    @pytest.mark.parametrize("a, b, radius", [
+        (0.5, 2.0, 1.0),   # excludes the singular value b = 2
+        (0.5, 0.5, 0.9),   # excludes f(0) = 1
+    ])
+    def test_disk_override_must_contain_required_points(self, a, b, radius):
+        with pytest.raises(ValueError, match="disk_radius"):
+            structural_setup(exp_map(a, b), Rect(-4, 10, -12, 12), 0.1,
+                             disk_radius=radius)
 
     def test_delta_starts_on_disk_and_leaves_box(self, setup03):
         delta = setup03.delta
@@ -77,6 +90,34 @@ class TestTracts:
     def test_anchor_maps_outside_disk(self, setup03):
         tract = setup03.tracts[0]
         assert setup03.image_modulus(tract.anchor) > setup03.disk.radius
+
+    @settings(max_examples=80, deadline=None)
+    @given(a=st.builds(cmath.rect,
+                       st.floats(math.log(0.05), math.log(5)).map(math.exp),
+                       st.floats(-math.pi, math.pi)),
+           b=st.builds(cmath.rect, st.floats(0, 2), st.floats(-math.pi, math.pi)),
+           x1=st.sampled_from([3.0, 5.0]))
+    @example(a=0.01, b=1.0, x1=5.0)  # five tracts split by the offset
+    @example(a=0.01, b=1.0, x1=3.27)  # tracts one sample height wide
+    def test_closed_form_tracts(self, a, b, x1):
+        spec = exp_map(a, b)
+        radius = auto_disk(spec).radius
+        bbox = Rect(-4, x1, -12, 12)
+        tracts = extract_tracts(spec, bbox, 0.1, radius)
+
+        def modulus(z):
+            return np.abs(spec.evaluate_array(z, 1))
+
+        for tract in tracts:
+            z = tract.boundary.z
+            assert np.all(np.abs(modulus(z) - radius) <= 1e-9 * radius)
+            assert np.all(modulus(z + 1e-3) > radius)
+            assert np.all(modulus(z - 1e-3) <= radius)
+            assert np.all(modulus(x1 + 1j * z.imag) > radius)
+        edge = modulus(x1 + 1j * np.linspace(-12, 12, 241)) > radius
+        runs = int(np.count_nonzero(np.diff(edge.astype(int)) == 1)) + int(edge[0])
+        assert len(tracts) == runs
+        assert [t.alpha for t in tracts] == list(range(runs))
 
     def test_composition_rejected(self):
         with pytest.raises(UnsupportedMap):
