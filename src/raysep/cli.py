@@ -242,6 +242,9 @@ def run(command: str, config: ScenarioConfig) -> int:
         if report.has_violation:
             bad = [v.verdict for v in report.verdicts
                    if v.verdict.startswith("VIOLATION")]
+            if report.global_counts is not None and not report.global_counts[2]:
+                expected, measured, _ = report.global_counts
+                bad.append(f"expected {expected} fixed points, measured {measured}")
             _error("VIOLATION", ValueError("; ".join(bad)))
             return EXIT_VIOLATION
         if report.is_incomplete:

@@ -172,6 +172,15 @@ def _point_segment_distance(p: complex | np.ndarray, a: np.ndarray,
     return np.abs(p - (a + s * d))
 
 
+def dedup_points(points, tol: float) -> list[complex]:
+    """Keep each point, in order, unless it lies within `tol` of one already kept."""
+    kept: list[complex] = []
+    for z in map(complex, np.ravel(points)):
+        if not any(abs(z - u) < tol for u in kept):
+            kept.append(z)
+    return kept
+
+
 def _turn_sum(w: np.ndarray) -> float:
     """Continuous argument change along the polyline of values w, in radians."""
     return float(np.sum(np.angle(w[1:] / w[:-1])))
@@ -307,6 +316,7 @@ def is_simple(curve: ParamCurve, tol: float = COLLISION_TOL) -> bool:
     if not pairs:
         return True
     idx = np.array(sorted(pairs))
+    del pairs   # large on long contours; release it before the batched test
     return not _any_segments_intersect(a[idx[:, 0]], b[idx[:, 0]],
                                        a[idx[:, 1]], b[idx[:, 1]], tol)
 
@@ -315,26 +325,21 @@ def _any_segments_intersect(p1, p2, q1, q2, tol: float) -> bool:
     d1 = p2 - p1
     d2 = q2 - q1
     denom = (d1 * d2.conjugate()).imag
-    q = q1 - p1
     # scale-relative: collinear resampled polylines give denominators at
     # rounding level, far above any absolute epsilon
     scale = np.maximum(np.abs(d1) * np.abs(d2), 1e-300)
     parallel = np.abs(denom) < 1e-12 * scale
-    hit = np.zeros(len(p1), dtype=bool)
-    general = ~parallel
-    if np.any(general):
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (q * d2.conjugate()).imag / denom
-            u = (q * d1.conjugate()).imag / denom
-        eps = tol / (np.abs(d1) + 1e-300)
-        epu = tol / (np.abs(d2) + 1e-300)
-        hit = general & (s >= -eps) & (s <= 1 + eps) & (u >= -epu) & (u <= 1 + epu)
-    for k in np.nonzero(parallel)[0]:
-        near1 = _point_segment_distance(complex(q1[k]),
-                                        p1[k:k + 1], p2[k:k + 1])[0] <= tol
-        near2 = _point_segment_distance(complex(q2[k]),
-                                        p1[k:k + 1], p2[k:k + 1])[0] <= tol
-        hit[k] = bool(near1 or near2)
+    a, b = p1[parallel], p2[parallel]
+    if np.any((_point_segment_distance(q1[parallel], a, b) <= tol)
+              | (_point_segment_distance(q2[parallel], a, b) <= tol)):
+        return True
+    q = q1 - p1
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (q * d2.conjugate()).imag / denom
+        u = (q * d1.conjugate()).imag / denom
+    eps = tol / (np.abs(d1) + 1e-300)
+    epu = tol / (np.abs(d2) + 1e-300)
+    hit = ~parallel & (s >= -eps) & (s <= 1 + eps) & (u >= -epu) & (u <= 1 + epu)
     return bool(np.any(hit))
 
 

@@ -71,9 +71,8 @@ class InconsistentRadius(RaysepError):
 class Overflow(RaysepError):
     """Orbit left the representable range; expected for escaping points."""
 
-    def __init__(self, iterate: int = 0):
-        self.iterate = iterate
-        super().__init__(f"magnitude overflow at iterate {iterate}")
+    def __init__(self):
+        super().__init__("magnitude overflow")
 
 
 class OnCut(RaysepError):

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import ParamCurve, argument_principle_count, ensure_vectorized, multiplicity_at
+from .curves import (ParamCurve, argument_principle_count, dedup_points, ensure_vectorized,
+                     multiplicity_at)
 from .errors import (
     BoundaryRoot,
     DegenerateExpansion,
@@ -133,11 +134,9 @@ def _polish_parabolic(mapobj, z0: complex, period: int) -> complex:
     z = complex(z0)
     h = 1e-6
     for _ in range(50):
-        _, d0 = evaluator(np.array([z]))
-        g = complex(d0[0]) - 1.0
-        _, dp = evaluator(np.array([z + h]))
-        _, dm = evaluator(np.array([z - h]))
-        gprime = (complex(dp[0]) - complex(dm[0])) / (2.0 * h)
+        _, d = evaluator(np.array([z, z + h, z - h]))
+        g = complex(d[0]) - 1.0
+        gprime = (complex(d[1]) - complex(d[2])) / (2.0 * h)
         if abs(gprime) < 1e-14:
             break
         step = g / gprime
@@ -234,25 +233,16 @@ def _collect_records(mapobj, evaluator, roots: np.ndarray, region: Rect,
     w, _ = evaluator(roots)
     residual = np.abs(w - roots)
     ok = np.isfinite(residual) & (residual < RESIDUAL_TOL * (1.0 + np.abs(roots)))
-    candidates = roots[ok]
-    unique: list[complex] = []
-    for z in candidates:
-        z = complex(z)
-        if not any(abs(z - u) < DEDUP_TOL for u in unique):
-            unique.append(z)
+    unique = dedup_points(roots[ok], DEDUP_TOL)
     # a multiple root shatters Newton limits into a cloud of near-solutions;
     # pull near-parabolic candidates onto the derivative-1 locus and merge
-    merged: list[complex] = []
-    for z in unique:
-        _, d = evaluator(np.array([z]))
-        if abs(complex(d[0]) - 1.0) < 1e-4:
-            zp = _polish_parabolic(mapobj, z, period)
-            wp, _ = evaluator(np.array([zp]))
-            if abs(complex(wp[0]) - zp) < RESIDUAL_TOL * (1.0 + abs(zp)):
-                z = zp
-        if not any(abs(z - u) < DEDUP_TOL for u in merged):
-            merged.append(z)
-    unique = [z for z in merged if region.contains(z)]
+    _, d = evaluator(np.array(unique, dtype=complex))
+    for i in np.nonzero(np.abs(d - 1.0) < 1e-4)[0]:
+        zp = _polish_parabolic(mapobj, unique[i], period)
+        wp, _ = evaluator(np.array([zp]))
+        if abs(complex(wp[0]) - zp) < RESIDUAL_TOL * (1.0 + abs(zp)):
+            unique[i] = zp
+    unique = [z for z in dedup_points(unique, DEDUP_TOL) if region.contains(z)]
     unique.sort(key=lambda z: (z.real, z.imag))
 
     spacing = math.inf

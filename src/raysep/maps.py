@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import ParamCurve
+from .curves import ParamCurve, dedup_points
 from .errors import BranchResolutionFailure, OnCut, Overflow
 
 OVERFLOW_RE = 690.0          # exp argument guard
@@ -66,7 +66,6 @@ class MapSpec:
     """
 
     factors: tuple[ExpAffine, ...]
-    period_hint: int = 1
 
     def __post_init__(self):
         if not self.factors:
@@ -80,49 +79,37 @@ class MapSpec:
     # -- evaluation -----------------------------------------------------
 
     def evaluate(self, z: complex, period: int = 1) -> tuple[complex, complex]:
-        """(f^period(z), (f^period)'(z)) by the chain rule across factors."""
-        if period < 1:
-            raise ValueError("period must be >= 1")
-        w = complex(z)
-        deriv = 1.0 + 0.0j
-        step = 0
-        for _ in range(period):
-            for factor in reversed(self.factors):
-                if w.real > OVERFLOW_RE or abs(w) > OVERFLOW_MAG:
-                    raise Overflow(step)
-                ew = factor.a * cmath.exp(w)
-                deriv *= ew
-                w = ew + factor.b
-                if abs(deriv) > OVERFLOW_MAG:
-                    raise Overflow(step)
-            step += 1
-        return w, deriv
+        """(f^period(z), (f^period)'(z)) for one point.
 
-    def __call__(self, z):
-        if isinstance(z, np.ndarray):
-            return self.evaluate_array(z, 1)
-        return self.evaluate(z, 1)[0]
+        A batch of size 1 through `derivative_array`.  Raises Overflow when
+        the value is not finite, or when the value or the derivative exceeds
+        OVERFLOW_MAG in modulus.
+        """
+        w, deriv = self.derivative_array(np.array([z], dtype=complex), period)
+        w, deriv = complex(w[0]), complex(deriv[0])
+        if not (cmath.isfinite(w) and abs(w) <= OVERFLOW_MAG
+                and abs(deriv) <= OVERFLOW_MAG):
+            raise Overflow()
+        return w, deriv
 
     def evaluate_array(self, z: np.ndarray, period: int = 1) -> np.ndarray:
         """Vectorized f^period; overflowed entries become inf/nan, not errors."""
-        w = np.asarray(z, dtype=complex).copy()
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(period):
-                for factor in reversed(self.factors):
-                    safe = w.real < OVERFLOW_RE
-                    w = np.where(safe, w, np.inf + 0j)
-                    ew = np.exp(np.where(safe, w, 0))
-                    w = np.where(safe, factor.a * ew + factor.b, np.inf + 0j)
-        return w
+        return self.derivative_array(z, period)[0]
 
     def derivative_array(self, z: np.ndarray, period: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (f^period, (f^period)'); overflow yields inf entries."""
+        """Vectorized (f^period, (f^period)') by the chain rule across factors.
+
+        A lane becomes inf as soon as an iterate has Re w >= OVERFLOW_RE or
+        |w| > OVERFLOW_MAG; overflow yields inf/nan entries, not errors.
+        """
+        if period < 1:
+            raise ValueError("period must be >= 1")
         w = np.asarray(z, dtype=complex).copy()
         deriv = np.ones_like(w)
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(period):
                 for factor in reversed(self.factors):
-                    safe = w.real < OVERFLOW_RE
+                    safe = (w.real < OVERFLOW_RE) & (np.abs(w) <= OVERFLOW_MAG)
                     ew = np.exp(np.where(safe, w, 0))
                     ew = np.where(safe, factor.a * ew, np.inf + 0j)
                     deriv = deriv * ew
@@ -141,11 +128,7 @@ class MapSpec:
         for factor in reversed(self.factors[:-1]):
             values = [factor(v) for v in values]
             values.append(factor.b)
-        out: list[complex] = []
-        for v in values:
-            if not any(abs(v - u) < 1e-12 for u in out):
-                out.append(v)
-        return sorted(out, key=lambda v: (v.real, v.imag))
+        return sorted(dedup_points(values, 1e-12), key=lambda v: (v.real, v.imag))
 
     # -- serialization ----------------------------------------------------
 
@@ -162,7 +145,7 @@ class MapSpec:
         factors = tuple(
             ExpAffine(complex(*f["a"]), complex(*f["b"])) for f in data["factors"]
         )
-        return cls(factors, int(data.get("period_hint", 1)))
+        return cls(factors)
 
 
 def exp_map(a: complex, b: complex = 0.0) -> MapSpec:

@@ -29,6 +29,7 @@ from .errors import (
     NoConvergence,
     UnlandedRay,
 )
+from .fixedpoints import _newton_sweep
 from .maps import BranchLabel, MapSpec, Overflow
 from .structure import StructuralSetup, validate_expansion_radius
 
@@ -151,11 +152,6 @@ class Ray:
 class RayPair:
     rays: tuple[Ray, Ray]
     common_landing: complex
-
-
-def mapped_potential(setup: StructuralSetup, t: float) -> float:
-    """Potential of f(g(t)) on the ray of the shifted address."""
-    return 2.0 * t
 
 
 # -- pullback walk ----------------------------------------------------------------
@@ -365,8 +361,9 @@ def landing_point(spec: MapSpec, ray: Ray, schedule=None, *,
 
     period = ray.address.period_length
     point = candidate
-    polished = _newton_polish(spec, candidate, period)
-    if polished is not None and abs(polished - candidate) < 1e-2 * (1.0 + abs(candidate)):
+    polished = complex(_newton_sweep(lambda z: spec.derivative_array(z, period),
+                                     np.array([candidate]))[0])
+    if abs(polished - candidate) < 1e-2 * (1.0 + abs(candidate)):
         point = polished
     try:
         w, _ = spec.evaluate(point, period)
@@ -396,25 +393,6 @@ def landing_point(spec: MapSpec, ray: Ray, schedule=None, *,
     if not (math.isfinite(point.real) and math.isfinite(point.imag)):
         return replace(ray, status=RayStatus("unresolved"))
     return replace(ray, status=RayStatus.landed(point, direction))
-
-
-def _newton_polish(spec: MapSpec, z0: complex, period: int,
-                   iters: int = 80) -> complex | None:
-    z = complex(z0)
-    for _ in range(iters):
-        try:
-            w, dw = spec.evaluate(z, period)
-        except Overflow:
-            return None
-        g = w - z
-        gp = dw - 1.0
-        if abs(gp) < 1e-14:
-            return None
-        step = g / gp
-        z = z - step
-        if abs(step) < 1e-14 * (1.0 + abs(z)):
-            break
-    return z
 
 
 def fixed_rays(spec: MapSpec, setup: StructuralSetup, domains,

@@ -20,7 +20,8 @@ from .curves import (
     ParamCurve,
     argument_principle_count,
     concat,
-    ensure_vectorized,
+    dedup_points,
+    iterate_map,
     signed_area,
     winding_number,
 )
@@ -40,10 +41,10 @@ from .fixedpoints import (
     probe_virtual_points,
 )
 from .maps import BranchLabel, MapSpec
-from .rays import Address, Ray, RayPair, detect_ray_pairs, fixed_rays, landing_point, trace_ray
+from .rays import (PAIR_TOL, Address, Ray, RayPair, detect_ray_pairs, fixed_rays,
+                   landing_point, trace_ray)
 from .structure import Rect, StructuralSetup, validate_expansion_radius
 
-LANDING_DEDUP_TOL = 1e-6
 PROBE_CLEARANCE = 1e-6
 
 
@@ -57,7 +58,7 @@ class RayGraph:
     pairs: list[RayPair]
     period: int
 
-    def landing_of(self, z: complex, tol: float = LANDING_DEDUP_TOL) -> complex | None:
+    def landing_of(self, z: complex, tol: float = PAIR_TOL) -> complex | None:
         for p in self.landing_points:
             if abs(p - z) < tol:
                 return p
@@ -69,14 +70,9 @@ def build_ray_graph(rays: list[Ray], period: int) -> RayGraph:
     for r in rays:
         if r.status.kind != "lands_at":
             raise UnlandedRay(r.address)
-    points: list[complex] = []
-    for r in rays:
-        z = r.landing
-        if not any(abs(z - p) < LANDING_DEDUP_TOL for p in points):
-            points.append(z)
-    points.sort(key=lambda z: (z.real, z.imag))
-    pairs = detect_ray_pairs(rays, LANDING_DEDUP_TOL) if rays else []
-    return RayGraph(list(rays), points, pairs, period)
+    points = sorted(dedup_points([r.landing for r in rays], PAIR_TOL),
+                    key=lambda z: (z.real, z.imag))
+    return RayGraph(list(rays), points, detect_ray_pairs(rays), period)
 
 
 # -- region geometry by crossing parity ------------------------------------------------
@@ -297,7 +293,7 @@ def check_full_complete(spec: MapSpec, setup: StructuralSetup,
         inside[j] = ray.landing
     for j in (js[0] - 1, js[-1] + 1):
         for k, z in inside.items():
-            if k != j and abs(inside[j] - z) < LANDING_DEDUP_TOL:
+            if k != j and abs(inside[j] - z) < PAIR_TOL:
                 raise NotFullComplete(
                     f"adjacent band {j} ray lands with band {k} ray")
 
@@ -388,9 +384,8 @@ def counting_contour(spec: MapSpec, setup: StructuralSetup, domains,
         raise ConnectorBlocked("assembled contour is not counterclockwise")
 
     # the image of the preimage arc must cover the circle N times
-    fn = ensure_vectorized(lambda z: spec.evaluate_array(z, 1))
     image_turns = winding_number(
-        ParamCurve(r_piece.t, fn(r_piece.z)), 0.0).value
+        ParamCurve(r_piece.t, spec.evaluate_array(r_piece.z)), 0.0).value
     if abs(image_turns - N) > 1e-6:
         raise NotFullComplete(
             f"preimage arc covers the circle {image_turns:.6f} times, not {N}")
@@ -479,8 +474,7 @@ def modify_boundary_near_fixed_point(mapobj, region, record: FixedPointRecord,
         if abs(complex(other) - z0) <= 2.0 * eps and abs(complex(other) - z0) > 1e-12:
             raise EpsTooLarge(
                 f"fixed point {other} inside the modification zone of {z0}")
-    fn = ensure_vectorized(mapobj if not isinstance(mapobj, MapSpec)
-                           else (lambda z: mapobj.evaluate_array(z, record.period)))
+    fn = iterate_map(mapobj, record.period)
     crossings = [_first_crossing(ray, z0, eps) for ray in region.boundary_rays]
     if len(crossings) != 2:
         raise ValueError("exactly two boundary rays are required")
@@ -583,14 +577,16 @@ class SeparationReport:
     period: int
     regions: list[BasicRegion]
     verdicts: list[RegionVerdict]
-    global_counts: tuple[int, int, bool] | None
+    global_counts: tuple[int, int, bool] | None     # (expected N + 1, measured, match)
     incomplete: list[str]
     records: list[FixedPointRecord]
     graph: RayGraph
 
     @property
     def has_violation(self) -> bool:
-        return any(v.verdict.startswith("VIOLATION") for v in self.verdicts)
+        """A region verdict is VIOLATION(...) or the global count mismatches."""
+        mismatch = self.global_counts is not None and not self.global_counts[2]
+        return mismatch or any(v.verdict.startswith("VIOLATION") for v in self.verdicts)
 
     @property
     def is_incomplete(self) -> bool:
@@ -649,7 +645,7 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
         if landing is not None:
             rec.incident_ray_addresses = [
                 r.address for r in graph.rays
-                if abs(r.landing - z) < LANDING_DEDUP_TOL]
+                if abs(r.landing - z) < PAIR_TOL]
         if rec.classification == "parabolic" and abs(rec.multiplier - 1.0) < 1e-6:
             # each confirmed attracting basin is one virtual point, assigned
             # to the region its probe orbit sits in
@@ -695,8 +691,7 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
     if period == 1:
         try:
             contour = counting_contour(spec, setup, setup.domain_labels())
-            expected, measured, match = global_count_check(spec, contour)
-            global_counts = (len(setup.domains), measured, match)
+            global_counts = global_count_check(spec, contour)
         except (NotFullComplete, ExpansionNotValidated, ConnectorBlocked):
             global_counts = None
     return SeparationReport(period, regions, verdicts, global_counts,
@@ -714,7 +709,7 @@ def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
     landed = list(landed)
 
     def matched(z):
-        return any(abs(r.landing - z) < LANDING_DEDUP_TOL for r in landed)
+        return any(abs(r.landing - z) < PAIR_TOL for r in landed)
 
     existing = {str(r.address) for r in landed}
     for rec in records:
@@ -738,6 +733,6 @@ def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
             incomplete.append(f"inferred ray {address} not validated")
             continue
         if ray.status.kind == "lands_at" and \
-           abs(ray.landing - rec.location) < LANDING_DEDUP_TOL:
+           abs(ray.landing - rec.location) < PAIR_TOL:
             landed.append(ray)
     return landed

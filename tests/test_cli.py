@@ -1,6 +1,10 @@
 """CLI contract: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -119,3 +123,14 @@ class TestArtifacts:
         _, first, _ = run_cli(args, capsys)
         _, second, _ = run_cli(args, capsys)
         assert first == second
+
+
+def test_runtime_imports_no_scipy():
+    """The package and its CLI run on numpy alone; scipy is a test extra."""
+    root = Path(__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=str(root / "src"))
+    code = ("import raysep, raysep.cli, sys; "
+            "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+    out = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
+                         capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"

@@ -305,6 +305,11 @@ class TestCurveValidation:
     def test_simplicity_detector(self):
         square = ParamCurve.rectangle(0, 1, 0, 1)
         assert is_simple(square)
+        # many collinear segment pairs along each side
+        assert is_simple(ParamCurve.rectangle(0, 1, 0, 1, n_per_side=2048))
+        # runs back along part of its own bottom edge [0, 6]
+        z = np.array([0, 6, 6 + 2j, 2 + 2j, 2, 4, 4 - 1j, -1j, 0], dtype=complex)
+        assert not is_simple(ParamCurve(np.arange(len(z), dtype=float), z, closed=True))
         z = np.array([0, 2 + 2j, 2, 0 + 2j, 0], dtype=complex)
         assert not is_simple(ParamCurve(np.arange(5, dtype=float), z, closed=True))
 

@@ -61,13 +61,21 @@ class TestEvaluate:
             spec.evaluate(800.0, 1)
         with pytest.raises(Overflow):
             spec.evaluate(20.0, 3)  # tower escapes through 1e300
+        z = 1e301j  # Re z is small but |z| is past OVERFLOW_MAG
+        with pytest.raises(Overflow):
+            spec.evaluate(z, 1)
+        assert not np.isfinite(spec.evaluate_array(np.array([z]), 1)[0])
+        w, deriv = spec.derivative_array(np.array([z]), 1)
+        assert not np.isfinite(w[0]) and not np.isfinite(deriv[0])
 
     def test_array_matches_scalar(self):
         spec = parse_map("exp(1,1)*exp(1,0)")
         zs = np.array([0.1 + 0.2j, -1.0 + 0.5j, 2.0 - 1.0j])
         vals = spec.evaluate_array(zs, 2)
-        for z, v in zip(zs, vals):
+        ws, derivs = spec.derivative_array(zs, 2)
+        for z, v, w, d in zip(zs, vals, ws, derivs):
             assert v == pytest.approx(spec.evaluate(z, 2)[0])
+            assert (w, d) == spec.evaluate(z, 2)
 
     def test_derivative_against_finite_differences(self):
         rng = np.random.default_rng(5)

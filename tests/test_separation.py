@@ -197,8 +197,8 @@ class TestSeparationReport:
         assert not report.has_violation
         assert not report.is_incomplete
         assert report.global_counts is not None
-        n, measured, ok = report.global_counts
-        assert measured == n + 1 and ok
+        expected, measured, ok = report.global_counts
+        assert expected == len(setup.domains) + 1 == measured and ok
 
     def test_parabolic_case(self):
         spec = parse_map("exp(1/e)")
@@ -218,6 +218,24 @@ class TestSeparationReport:
         cycle = sorted(r.location.real for r in report.records
                        if r.classification == "attracting")
         assert interiors == pytest.approx(cycle, abs=1e-9)
+
+    def test_count_mismatch_is_violation(self, monkeypatch, capsys):
+        import raysep.separation
+        from raysep.cli import EXIT_VIOLATION, main
+        from raysep.serialize import dumps, report_to_json
+        monkeypatch.setattr(raysep.separation, "global_count_check",
+                            lambda spec, contour: (6, 5, False))
+        spec = exp_map(0.3)
+        setup = structural_setup(spec, Rect(-4, 10, -12, 12), 0.1)
+        report = separation_report(spec, setup, 1)
+        assert report.verdicts[0].verdict == "exactly_one_interior"
+        assert report.has_violation
+        assert '"has_violation": true' in dumps(report_to_json(report))
+        code = main(["verify", "--map", "exp(0.3)", "--period", "1",
+                     "--bbox=-4,10,-12,12"])
+        err = capsys.readouterr().err
+        assert code == EXIT_VIOLATION
+        assert "expected 6" in err and "measured 5" in err
 
     def test_every_point_assigned_once(self, setup_neg5):
         report = separation_report(setup_neg5.spec, setup_neg5, 2)
