@@ -9,6 +9,7 @@ JSON on stderr so pipelines can branch on them.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from dataclasses import asdict, dataclass, field
@@ -188,9 +189,8 @@ def run(command: str, config: ScenarioConfig) -> int:
         if config.addresses:
             addresses = [Address.parse(a) for a in config.addresses]
         else:
-            from .rays import _address_tuples
-            addresses = [Address(period=combo) for combo in _address_tuples(
-                _domain_labels(config, setup), config.period)]
+            addresses = [Address(period=combo) for combo in itertools.product(
+                _domain_labels(config, setup), repeat=config.period)]
         payload = []
         unresolved = 0
         for address in addresses:

@@ -120,14 +120,6 @@ class BrokenRay(RaysepError):
         super().__init__(f"ray broken at t={t!r}, pullback depth {depth}")
 
 
-class NoConvergence(RaysepError):
-    """Landing iteration exhausted its budget without settling."""
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        super().__init__(f"no convergence within depth budget {budget}")
-
-
 class MixedPeriods(RaysepError):
     """Ray-pair detection requires rays of equal period."""
 

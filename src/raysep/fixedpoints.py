@@ -11,6 +11,7 @@ repelling directions) is extracted by discrete contour integration.
 from __future__ import annotations
 
 import cmath
+import itertools
 import math
 import warnings
 from dataclasses import dataclass, field
@@ -24,6 +25,8 @@ from .errors import (
     DegenerateExpansion,
     DomainMeetsDisk,
     NotParabolic,
+    OnCut,
+    RaysepError,
 )
 from .maps import BranchLabel, MapSpec
 from .structure import Rect, StructuralSetup
@@ -178,7 +181,7 @@ def find_periodic_points(mapobj, region: Rect | tuple, period: int = 1, *,
                                        n_per_side=256)
         try:
             expected = argument_principle_count(mapobj, contour, "fixed_points", period)
-        except Exception:
+        except RaysepError:
             expected = None
 
     records: list[FixedPointRecord] = []
@@ -223,7 +226,7 @@ def _domain_seeds(setup: StructuralSetup, region: Rect) -> np.ndarray:
                     break
                 z = nz
             seeds.append(z)
-        except Exception:
+        except OnCut:
             continue
     return np.array([s for s in seeds if region.contains(s)], dtype=complex)
 
@@ -245,11 +248,7 @@ def _collect_records(mapobj, evaluator, roots: np.ndarray, region: Rect,
     unique = [z for z in dedup_points(unique, DEDUP_TOL) if region.contains(z)]
     unique.sort(key=lambda z: (z.real, z.imag))
 
-    spacing = math.inf
-    for i in range(len(unique)):
-        for k in range(i + 1, len(unique)):
-            spacing = min(spacing, abs(unique[i] - unique[k]))
-
+    spacing = None     # O(n^2), so computed only when a multiplicity needs it
     records = []
     for z in unique:
         edge = min(z.real - region.x0, region.x1 - z.real,
@@ -266,6 +265,9 @@ def _collect_records(mapobj, evaluator, roots: np.ndarray, region: Rect,
             cls = classify_multiplier(m)
         multiplicity = 1
         if cls == "parabolic" and abs(m - 1.0) < ROOT_OF_UNITY_TOL:
+            if spacing is None:
+                spacing = min((abs(a - b) for a, b in itertools.combinations(unique, 2)),
+                              default=math.inf)
             multiplicity = _auto_multiplicity(
                 mapobj, z, period, spacing if math.isfinite(spacing) else 1.0)
         records.append(FixedPointRecord(z, period, m, cls, multiplicity))

@@ -10,13 +10,15 @@ which makes the ray-invariance relation exact by construction.
 
 Potentials are a declared parametrization: the sample at level k carries
 potential t_top * 2^(k_top - k), halving toward the landing point; applying
-f doubles the potential.  Landing points are resolved by deepening the walk,
-with Richardson extrapolation for the algebraic (parabolic) approach, then
-polished by Newton's method on f^p(z) - z.
+f doubles the potential.  Landing points are resolved by one deep walk,
+read at each depth of a doubling schedule, with Richardson extrapolation
+for the algebraic (parabolic) approach, then polished by Newton's method
+on f^p(z) - z.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -26,7 +28,6 @@ from .errors import (
     BrokenRay,
     ExpansionNotValidated,
     MixedPeriods,
-    NoConvergence,
     UnlandedRay,
 )
 from .fixedpoints import _newton_sweep
@@ -227,14 +228,6 @@ class PullbackWalk:
             z = complex(self.ctx.pull_back(z, label))
         return z
 
-    def endpoint(self, cycles: int) -> complex:
-        """Deep pullback toward the landing point (cycle part only)."""
-        p = self.address.period_length
-        states, bad_at = self.states(cycles * p)
-        if bad_at >= 0:
-            raise BrokenRay(0.0, bad_at)
-        return complex(states[0])
-
 
 def _resolve_anchor_radius(spec: MapSpec, setup: StructuralSetup,
                            labels: set[BranchLabel],
@@ -287,7 +280,7 @@ def trace_ray(spec: MapSpec, setup: StructuralSetup, address: Address,
 
     walk = PullbackWalk(spec, setup, address, t_top, anchor_base)
     p = address.period_length
-    n_cycles = min(n_samples - 1, max(depth, 10))
+    n_cycles = min(n_samples - 1, depth)
     levels = n_cycles * p
     states, bad_at = walk.states(levels)
 
@@ -317,30 +310,28 @@ def trace_ray(spec: MapSpec, setup: StructuralSetup, address: Address,
     return Ray(address, t_vals, z_vals, status, setup, anchor_base)
 
 
-def landing_point(spec: MapSpec, ray: Ray, schedule=None, *,
-                  strict: bool = False) -> Ray:
-    """Resolve the landing of a traced ray by deepening the pullback walk.
+def landing_point(spec: MapSpec, ray: Ray) -> Ray:
+    """Resolve the landing of a traced ray by one deep pullback walk.
 
-    Endpoints along the doubling schedule either settle to the Cauchy
-    tolerance (geometric contraction, repelling landing) or decay
-    algebraically (parabolic landing), which Richardson extrapolation
-    detects and accelerates; candidates are polished by Newton on
-    f^p(z) - z and checked for period closure.
+    The walk goes DEFAULT_SCHEDULE[-1] cycles deep and is read at each
+    depth of the doubling schedule: symbols repeat with the period, so the
+    state d cycles below the top is the endpoint of a d-cycle walk.  The
+    endpoints either settle to the Cauchy tolerance (geometric contraction,
+    repelling landing) or decay algebraically (parabolic landing), which
+    Richardson extrapolation detects and accelerates; candidates are
+    polished by Newton on f^p(z) - z and checked for period closure.
     """
     if ray.status.kind == "broken":
         return ray
-    if schedule is None:
-        schedule = DEFAULT_SCHEDULE
     walk = PullbackWalk(spec, ray.setup, ray.address,
                         anchor_base=ray.anchor_base or None)
-    endpoints = []
-    for d in schedule:
-        try:
-            endpoints.append(walk.endpoint(int(d)))
-        except BrokenRay:
-            return replace(ray, status=RayStatus("broken",
-                                                 first_bad_t=float(np.min(ray.t))))
-    endpoints = np.array(endpoints, dtype=complex)
+    period = ray.address.period_length
+    top = DEFAULT_SCHEDULE[-1] * period
+    states, bad_at = walk.states(top)
+    if bad_at >= 0:
+        return replace(ray, status=RayStatus("broken",
+                                             first_bad_t=float(np.min(ray.t))))
+    endpoints = states[top - np.array(DEFAULT_SCHEDULE) * period]
     diffs = np.abs(np.diff(endpoints))
 
     candidate = None
@@ -350,16 +341,12 @@ def landing_point(spec: MapSpec, ray: Ray, schedule=None, *,
     else:
         # algebraic decay: doubling-depth Richardson, two levels
         r1 = 2.0 * endpoints[1:] - endpoints[:-1]
-        if len(r1) >= 3:
-            r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
-            if len(r2) >= 2 and abs(r2[-1] - r2[-2]) < 1e-4 * (1.0 + abs(r2[-1])):
-                candidate = complex(r2[-1])
+        r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
+        if abs(r2[-1] - r2[-2]) < 1e-4 * (1.0 + abs(r2[-1])):
+            candidate = complex(r2[-1])
     if candidate is None:
-        if strict:
-            raise NoConvergence(int(schedule[-1]))
         return replace(ray, status=RayStatus("unresolved"))
 
-    period = ray.address.period_length
     point = candidate
     polished = complex(_newton_sweep(lambda z: spec.derivative_array(z, period),
                                      np.array([candidate]))[0])
@@ -371,8 +358,6 @@ def landing_point(spec: MapSpec, ray: Ray, schedule=None, *,
     except Overflow:
         closes = False
     if not closes:
-        if strict:
-            raise NoConvergence(int(schedule[-1]))
         return replace(ray, status=RayStatus("unresolved"))
 
     # approach direction from the deepest endpoints still away from the point
@@ -396,8 +381,7 @@ def landing_point(spec: MapSpec, ray: Ray, schedule=None, *,
 
 
 def fixed_rays(spec: MapSpec, setup: StructuralSetup, domains,
-               period: int = 1, depth: int = 80, t_grid=None,
-               schedule=None) -> list[Ray]:
+               period: int = 1, depth: int = 80) -> list[Ray]:
     """All rays of period-`period` addresses over the given domains.
 
     For period 1 this is one fixed ray per fundamental domain; for period p,
@@ -406,29 +390,8 @@ def fixed_rays(spec: MapSpec, setup: StructuralSetup, domains,
     """
     labels = [d if isinstance(d, BranchLabel) else d.label for d in domains]
     labels = sorted(set(labels), key=lambda l: (l.alpha, l.j))
-    out = []
-    for combo in _address_tuples(labels, period):
-        address = Address(period=combo)
-        ray = trace_ray(spec, setup, address, depth=depth, t_grid=t_grid)
-        ray = landing_point(spec, ray, schedule)
-        out.append(ray)
-    return out
-
-
-def _address_tuples(labels, period: int):
-    if period == 1:
-        for lb in labels:
-            yield (lb,)
-        return
-
-    def rec(prefix):
-        if len(prefix) == period:
-            yield tuple(prefix)
-            return
-        for lb in labels:
-            yield from rec(prefix + [lb])
-
-    yield from rec([])
+    return [landing_point(spec, trace_ray(spec, setup, Address(period=combo), depth=depth))
+            for combo in itertools.product(labels, repeat=period)]
 
 
 def orbit_representatives(rays: list[Ray]) -> list[Ray]:

@@ -30,12 +30,14 @@ from .errors import (
     EpsTooLarge,
     ExpansionNotValidated,
     NotFullComplete,
+    Overflow,
     ResolutionTooCoarse,
     SideCheckFailed,
     UnlandedRay,
 )
 from .fixedpoints import (
     FixedPointRecord,
+    _domain_min_modulus,
     find_periodic_points,
     petal_directions,
     probe_virtual_points,
@@ -269,8 +271,6 @@ def check_full_complete(spec: MapSpec, setup: StructuralSetup,
     domain meeting the disk, and adjacent domains' fixed rays land alone at
     repelling points (checked on the traced evidence).
     """
-    from .fixedpoints import _domain_min_modulus  # local import, shared helper
-
     js = sorted(lb.j for lb in labels)
     if not js:
         raise NotFullComplete("empty collection")
@@ -720,7 +720,7 @@ def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
             for _ in range(period - 1):
                 w, _d = spec.evaluate(orbit[-1], 1)
                 orbit.append(w)
-        except Exception:
+        except Overflow:
             continue
         bands = [setup.band_index(z) for z in orbit]
         address = Address.cycle(bands)

@@ -5,8 +5,9 @@ import pytest
 from scipy.optimize import brentq
 
 from raysep.errors import MixedPeriods, Overflow, UnlandedRay
-from raysep.maps import exp_map, parse_map
+from raysep.maps import BranchContext, exp_map, parse_map
 from raysep.rays import (
+    DEFAULT_SCHEDULE,
     Address,
     detect_ray_pairs,
     fixed_rays,
@@ -132,6 +133,34 @@ class TestLanding:
         direction = ray.status.approach_direction
         assert direction is not None
         assert abs(np.angle(direction)) < 0.1   # repelling direction +1
+
+    @staticmethod
+    def _landing_pullbacks(monkeypatch, spec, ray):
+        calls = []
+        pull_back = BranchContext.pull_back
+
+        def counted(self, w, label, strict=False):
+            calls.append(label)
+            return pull_back(self, w, label, strict)
+        monkeypatch.setattr(BranchContext, "pull_back", counted)
+        landed = landing_point(spec, ray)
+        monkeypatch.undo()
+        return landed, len(calls)
+
+    def test_parabolic_landing_walks_once(self, monkeypatch):
+        # never settles, so the one walk runs the whole schedule depth
+        spec = parse_map("exp(1/e)")
+        setup = structural_setup(spec, Rect(-4, 8, -12, 12), 0.1)
+        ray = trace_ray(spec, setup, Address.constant(0))
+        landed, calls = self._landing_pullbacks(monkeypatch, spec, ray)
+        assert landed.status.kind == "lands_at"
+        assert calls == DEFAULT_SCHEDULE[-1] * 1
+
+    def test_repelling_landing_stops_when_settled(self, setup03, monkeypatch):
+        ray = trace_ray(setup03.spec, setup03, Address.constant(1))
+        landed, calls = self._landing_pullbacks(monkeypatch, setup03.spec, ray)
+        assert landed.status.kind == "lands_at"
+        assert calls < DEFAULT_SCHEDULE[-1]
 
     def test_periodic_landing_closes(self, setup_neg5):
         spec = setup_neg5.spec

@@ -7,12 +7,13 @@ import pytest
 from scipy.optimize import brentq
 
 from raysep.curves import ParamCurve
-from raysep.errors import EpsTooLarge, NotFullComplete, UnlandedRay
+from raysep.errors import EpsTooLarge, NotFullComplete, Overflow, UnlandedRay
 from raysep.fixedpoints import FixedPointRecord
-from raysep.maps import exp_map, parse_map
+from raysep.maps import MapSpec, exp_map, parse_map
 from raysep.rays import Address, landing_point, trace_ray
 from raysep.separation import (
     SimpleRegion,
+    _augment_with_inferred_rays,
     basic_regions,
     build_ray_graph,
     counting_contour,
@@ -245,6 +246,27 @@ class TestSeparationReport:
             is_landing = any(abs(rec.location - p) < 1e-6 for p in landing_pts)
             in_regions = sum(1 for z in assigned if abs(z - rec.location) < 1e-9)
             assert (1 if not is_landing else 0) == in_regions
+
+
+class TestInferredRays:
+    @staticmethod
+    def _augment(setup, monkeypatch, exc):
+        def evaluate(self, z, period=1):
+            raise exc
+        monkeypatch.setattr(MapSpec, "evaluate", evaluate)
+        record = FixedPointRecord(-1.0 + 0.5j, 2, 4.0 + 0j, "repelling")
+        incomplete = []
+        landed = _augment_with_inferred_rays(setup.spec, setup, 2, [record], [],
+                                             incomplete)
+        return landed, incomplete
+
+    def test_unexpected_error_propagates(self, setup_neg5, monkeypatch):
+        with pytest.raises(RuntimeError):
+            self._augment(setup_neg5, monkeypatch, RuntimeError("boom"))
+
+    def test_overflowing_orbit_is_skipped(self, setup_neg5, monkeypatch):
+        landed, incomplete = self._augment(setup_neg5, monkeypatch, Overflow())
+        assert landed == [] and incomplete == []
 
 
 class TestPeriodTwoOnPeriodOneMaps:
