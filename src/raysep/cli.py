@@ -192,19 +192,21 @@ def run(command: str, config: ScenarioConfig) -> int:
             addresses = [Address(period=combo) for combo in itertools.product(
                 _domain_labels(config, setup), repeat=config.period)]
         payload = []
-        unresolved = 0
+        failed = {"broken": 0, "unresolved": 0}
         for address in addresses:
             ray = landing_point(spec, trace_ray(spec, setup, address,
                                                 depth=config.depth))
             payload.append(serialize.ray_to_json(ray))
-            if ray.status.kind != "lands_at":
-                unresolved += 1
+            if ray.status.kind in failed:
+                failed[ray.status.kind] += 1
             if config.out:
                 safe = str(address).replace("|", "_").replace(",", "_").replace("-", "m")
                 _write(config, f"ray_{safe}.csv", serialize.ray_to_csv(ray))
         _emit(config, "rays.json", {"rays": payload})
-        if unresolved:
-            _error("Incomplete", ValueError(f"{unresolved} rays unresolved"))
+        if any(failed.values()):
+            _error("Incomplete", ValueError(
+                f"{sum(failed.values())} rays did not land ({failed['broken']} broken, "
+                f"{failed['unresolved']} unresolved)"))
             return EXIT_INCOMPLETE
         return EXIT_OK
 

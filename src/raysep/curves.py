@@ -175,9 +175,11 @@ def _point_segment_distance(p: complex | np.ndarray, a: np.ndarray,
 def dedup_points(points, tol: float) -> list[complex]:
     """Keep each point, in order, unless it lies within `tol` of one already kept."""
     kept: list[complex] = []
-    for z in map(complex, np.ravel(points)):
-        if not any(abs(z - u) < tol for u in kept):
-            kept.append(z)
+    rest = np.ravel(np.asarray(points, dtype=complex))
+    while len(rest):
+        # the first point left is kept; drop the later ones within tol of it
+        kept.append(complex(rest[0]))
+        rest = rest[1:][~(np.abs(rest[1:] - rest[0]) < tol)]
     return kept
 
 

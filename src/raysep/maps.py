@@ -202,10 +202,11 @@ def _wrap_half_open(theta: float) -> float:
     return out
 
 
-def branch_log(v, j: int, cut: CutGeometry, strict: bool = False):
+def branch_log(v, j, cut: CutGeometry, strict: bool = False):
     """log(v) with the imaginary part selected into band j of the cut geometry.
 
-    Works on scalars and arrays.  In strict mode, values whose selected
+    Works on scalars and arrays; `j` is an int or an integer array that
+    broadcasts against `v` (one band per lane).  In strict mode, values whose selected
     argument sits within BAND_EDGE_TOL of a band edge raise
     BranchResolutionFailure.
     """
@@ -246,14 +247,24 @@ class BranchContext:
         self.inner_cuts = tuple(CutGeometry.principal()
                                 for _ in self.spec.factors[1:])
 
-    def pull_back(self, w, label: BranchLabel, strict: bool = False):
-        """Composite inverse branch: outer factor first, inner factors after."""
+    def pull_back(self, w, label, strict: bool = False):
+        """Composite inverse branch: outer factor first, inner factors after.
+
+        `label` is one BranchLabel for all of `w`, or a sequence of
+        BranchLabels with one per lane of the array `w`.
+        """
+        inner = range(len(self.spec.factors) - 1)
+        if isinstance(label, BranchLabel):
+            band, inner_bands = label.j, [label.inner_band(k) for k in inner]
+        else:
+            band = np.array([lb.j for lb in label])
+            inner_bands = [np.array([lb.inner_band(k) for lb in label]) for k in inner]
         z = np.asarray(w, dtype=complex)
         z = branch_log((z - self.spec.outer.b) / self.spec.outer.a,
-                       label.j, self.outer_cut, strict)
+                       band, self.outer_cut, strict)
         for k, factor in enumerate(self.spec.factors[1:]):
             z = branch_log((np.asarray(z, dtype=complex) - factor.b) / factor.a,
-                           label.inner_band(k), self.inner_cuts[k], strict)
+                           inner_bands[k], self.inner_cuts[k], strict)
         if np.ndim(w) == 0:
             return complex(np.asarray(z).reshape(()))
         return z

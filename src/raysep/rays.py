@@ -8,12 +8,19 @@ states at levels that are multiples of the period are the samples of the
 ray itself.  One application of f moves a state one level up the same walk,
 which makes the ray-invariance relation exact by construction.
 
+The walk is an array walk: every address of one cycle length is a lane, and
+all lanes go down one level per pullback call.  A lane leaves the walk when
+it reaches the cut or a singular value, or when it settles on its limit
+cycle, whose last p states then stand for all lower levels.  One walk,
+DEFAULT_SCHEDULE[-1] cycles deep, serves both tracing and landing: its top
+cycles are the ray's samples, and its states at the depths of the doubling
+schedule are the endpoints the landing is resolved from.
+
 Potentials are a declared parametrization: the sample at level k carries
 potential t_top * 2^(k_top - k), halving toward the landing point; applying
-f doubles the potential.  Landing points are resolved by one deep walk,
-read at each depth of a doubling schedule, with Richardson extrapolation
-for the algebraic (parabolic) approach, then polished by Newton's method
-on f^p(z) - z.
+f doubles the potential.  Landing points are read off the schedule
+endpoints, with Richardson extrapolation for the algebraic (parabolic)
+approach, then polished by Newton's method on f^p(z) - z.
 """
 
 from __future__ import annotations
@@ -61,18 +68,10 @@ class Address:
     def cycle(cls, bands, alpha: int = 0) -> "Address":
         return cls(period=tuple(BranchLabel(alpha, j) for j in bands))
 
-    def symbol(self, k: int) -> BranchLabel:
-        if k < len(self.preperiod):
-            return self.preperiod[k]
-        return self.period[(k - len(self.preperiod)) % len(self.period)]
-
     def shifted(self) -> "Address":
         if self.preperiod:
             return Address(self.period, self.preperiod[1:])
         return Address(self.period[1:] + self.period[:1])
-
-    def cycle_address(self) -> "Address":
-        return Address(self.period)
 
     def symbols(self) -> set[BranchLabel]:
         return set(self.preperiod) | set(self.period)
@@ -80,9 +79,6 @@ class Address:
     @property
     def period_length(self) -> int:
         return len(self.period)
-
-    def is_periodic(self) -> bool:
-        return not self.preperiod
 
     def __str__(self) -> str:
         pre = ",".join(str(s.j) for s in self.preperiod)
@@ -130,7 +126,7 @@ class Ray:
     z: np.ndarray
     status: RayStatus
     setup: StructuralSetup
-    anchor_base: float = 0.0       # validated expansion radius the walk anchors at
+    endpoints: np.ndarray          # cycle walk states at the DEFAULT_SCHEDULE depths
 
     @property
     def period(self) -> int:
@@ -159,73 +155,110 @@ class RayPair:
 
 
 class PullbackWalk:
-    """Inverse-branch walk machinery for one address over a setup."""
+    """Array inverse-branch walk: one lane per address, all of one cycle length.
 
-    def __init__(self, spec: MapSpec, setup: StructuralSetup, address: Address,
-                 t_top: float = DEFAULT_T_TOP, anchor_base: float | None = None):
+    Every active lane goes down one level per `pull_back` call.  A lane
+    leaves the walk when its state reaches the cut or a singular value
+    (broken), or when it has settled on its limit cycle.
+    """
+
+    def __init__(self, spec: MapSpec, setup: StructuralSetup, addresses,
+                 t_top: float = DEFAULT_T_TOP):
         self.spec = spec
         self.setup = setup
-        self.address = address
+        self.addresses = list(addresses)
         self.t_top = float(t_top)
-        self.anchor_base = float(anchor_base if anchor_base is not None
-                                 else setup.expansion_radius)
         self.ctx = setup.branch_context
         self._theta = self.ctx.outer_cut.tail_angle
         self._svals = np.array(spec.singular_values(), dtype=complex)
         self._delta_a = complex(setup.delta.z[0])
         self._delta_dir = self._delta_a / abs(self._delta_a)
 
-    def anchor(self, label: BranchLabel) -> complex:
-        center = self._theta + 2.0 * math.pi * label.j - math.pi
-        return complex(self.anchor_base + self.t_top, center)
+    def anchors(self, level: int) -> np.ndarray:
+        """Each lane's top state: deep inside the domain of its symbol at `level`.
 
-    def _bad_input(self, z: complex) -> bool:
+        The validated radius is resolved once per distinct symbol set, in
+        first-seen order.
+        """
+        radii: dict[frozenset, float] = {}
+        base = np.empty(len(self.addresses))
+        band = np.empty(len(self.addresses))
+        for i, address in enumerate(self.addresses):
+            symbols = frozenset(address.symbols())
+            if symbols not in radii:
+                radii[symbols] = _resolve_anchor_radius(self.spec, self.setup, symbols)
+            base[i] = radii[symbols]
+            band[i] = address.period[level % address.period_length].j
+        z = np.empty(len(self.addresses), dtype=complex)
+        z.real = base + self.t_top
+        z.imag = self._theta + 2.0 * math.pi * band - math.pi
+        return z
+
+    def _bad_input(self, z: np.ndarray) -> np.ndarray:
+        """Mask of the states too close to the cut or to a singular value."""
         # distance to the radial continuation of delta beyond the disk
         s = (z * self._delta_dir.conjugate()).real
-        if s >= abs(self._delta_a):
-            d = abs(z - s * self._delta_dir)
-        else:
-            d = abs(z - self._delta_a)
-        if d <= BROKEN_TOL:
-            return True
-        return bool(np.any(np.abs(self._svals - z) <= BROKEN_TOL))
+        nearest = np.where(s >= abs(self._delta_a), s * self._delta_dir, self._delta_a)
+        near_value = np.abs(self._svals[:, None] - z) <= BROKEN_TOL
+        return (np.abs(z - nearest) <= BROKEN_TOL) | near_value.any(axis=0)
 
-    def states(self, levels: int) -> tuple[np.ndarray, int]:
-        """Walk down `levels` pullbacks from the anchor.
+    def states(self, levels: int, keep) -> tuple[np.ndarray, np.ndarray]:
+        """Walk every lane down `levels` pullbacks from its anchor.
 
-        Returns the states indexed by level (position k holds the state of
-        the ray of the k-times-shifted address) and the lowest level safely
-        reached before hitting the cut or a singular value (-1 when the
-        whole walk is clean, otherwise the level at which the walk stopped).
+        Returns one row per lane holding its states at the levels `keep`
+        (level k holds the state of the ray of the k-times-shifted cycle),
+        and per lane the level at which it stopped before hitting the cut
+        or a singular value (-1 when its whole walk is clean); a lane's
+        states below that level are nan.  Only the last p + 1 levels are
+        held in memory.
         """
-        cycle = self.address if self.address.is_periodic() else self.address.cycle_address()
-        p = cycle.period_length
-        top = levels
-        z = self.anchor(cycle.symbol(top))
-        states = np.empty(top + 1, dtype=complex)
-        states[top] = z
-        bad_at = -1
-        for k in range(top - 1, -1, -1):
-            if self._bad_input(z):
-                bad_at = k + 1
-                states[: k + 1] = np.nan
-                break
-            z = complex(self.ctx.pull_back(z, cycle.symbol(k)))
-            states[k] = z
-            if k + p <= top and abs(z - states[k + p]) < 1e-15 * (1.0 + abs(z)):
-                # walk has settled on its limit cycle; avoid float-level
-                # branch-cut noise at the landing point
-                for kk in range(k - 1, -1, -1):
-                    states[kk] = states[kk + p]
-                break
-        return states, bad_at
+        n = len(self.addresses)
+        p = self.addresses[0].period_length
+        labels = np.empty((n, p), dtype=object)
+        for i, address in enumerate(self.addresses):
+            labels[i, :] = address.period
+        keep = np.asarray(keep, dtype=int)
+        kept = set(keep.tolist())
+        out = np.full((n, len(keep)), np.nan, dtype=complex)
+        bad_at = np.full(n, -1)
+        # the active lanes' last p + 1 states, level k at row k % (p + 1)
+        active = np.arange(n)
+        z = self.anchors(levels)
+        ring = np.empty((p + 1, n), dtype=complex)
+        ring[levels % (p + 1)] = z
+        out[:, keep == levels] = z[:, None]
+        for k in range(levels - 1, -1, -1):
+            bad = self._bad_input(z)
+            if bad.any():
+                bad_at[active[bad]] = k + 1
+                active, z, ring, labels = active[~bad], z[~bad], ring[:, ~bad], labels[~bad]
+                if not len(active):
+                    break
+            z = self.ctx.pull_back(z, labels[:, k % p])
+            ring[k % (p + 1)] = z
+            if k in kept:
+                out[np.ix_(active, keep == k)] = z[:, None]
+            if k + p > levels:
+                continue
+            settled = np.abs(z - ring[(k + p) % (p + 1)]) < 1e-15 * (1.0 + np.abs(z))
+            if settled.any():
+                # settled on the limit cycle; avoid float-level branch-cut
+                # noise at the landing point: lower levels repeat the last p
+                below = np.flatnonzero(keep < k)
+                source = ring[(k + (keep[below] - k) % p) % (p + 1)]
+                out[np.ix_(active[settled], below)] = source[:, settled].T
+                stay = ~settled
+                active, z, ring, labels = active[stay], z[stay], ring[:, stay], labels[stay]
+                if not len(active):
+                    break
+        return out, bad_at
 
-    def prefix(self, z: complex) -> complex:
-        """Apply the preperiod pullbacks to a point of the cycle ray."""
-        for label in reversed(self.address.preperiod):
-            if self._bad_input(z):
-                raise BrokenRay(0.0, len(self.address.preperiod))
-            z = complex(self.ctx.pull_back(z, label))
+    def prefix(self, z: np.ndarray, preperiod) -> np.ndarray:
+        """Apply the preperiod pullbacks to points of the cycle ray."""
+        for label in reversed(preperiod):
+            if np.any(self._bad_input(z)):
+                raise BrokenRay(0.0, len(preperiod))
+            z = self.ctx.pull_back(z, label)
         return z
 
 
@@ -257,18 +290,28 @@ def _resolve_anchor_radius(spec: MapSpec, setup: StructuralSetup,
 # -- public operations --------------------------------------------------------------
 
 
-def trace_ray(spec: MapSpec, setup: StructuralSetup, address: Address,
-              depth: int = 80, t_grid=None) -> Ray:
-    """Trace the ray of the given address by a nested pullback walk.
+def trace_ray(spec: MapSpec, setup: StructuralSetup, address,
+              depth: int = 80, t_grid=None):
+    """Trace rays by one array pullback walk.
 
-    `depth` bounds the number of pullback cycles; `t_grid` fixes the top
+    `address` is one Address, which gives one Ray, or a sequence of
+    addresses of one cycle length, which gives the list of their Rays (a
+    mixed batch raises MixedPeriods).  All lanes walk together,
+    DEFAULT_SCHEDULE[-1] cycles deep.  The top cycles are the samples:
+    `depth` bounds their number of cycles and `t_grid` fixes the top
     potential and the sample count (potentials themselves follow the
-    declared halving parametrization).  Walks that run into the cut or a
-    singular value are truncated and the ray is marked broken.
+    declared halving parametrization).  The states at the depths of the
+    doubling schedule become the ray's `endpoints`, which `landing_point`
+    resolves.  A walk that runs into the cut or a singular value among the
+    samples is truncated and the ray is marked broken; one that does so
+    below the samples leaves nan endpoints.
     """
     if depth < 10:
         raise ValueError("depth must be at least 10")
-    anchor_base = _resolve_anchor_radius(spec, setup, address.symbols())
+    addresses = [address] if isinstance(address, Address) else list(address)
+    periods = sorted({a.period_length for a in addresses})
+    if len(periods) > 1:
+        raise MixedPeriods(f"addresses of different periods: {periods}")
     if t_grid is None:
         n_samples, t_top = DEFAULT_SAMPLES, DEFAULT_T_TOP
     else:
@@ -276,62 +319,59 @@ def trace_ray(spec: MapSpec, setup: StructuralSetup, address: Address,
         if np.any(t_grid <= 0) or np.any(np.diff(t_grid) >= 0):
             raise ValueError("t_grid must be positive and decreasing")
         n_samples, t_top = len(t_grid), float(t_grid[0])
+    if not addresses:
+        return []
     n_samples = max(n_samples, 2)
 
-    walk = PullbackWalk(spec, setup, address, t_top, anchor_base)
-    p = address.period_length
+    walk = PullbackWalk(spec, setup, addresses, t_top)
+    p = periods[0]
     n_cycles = min(n_samples - 1, depth)
-    levels = n_cycles * p
-    states, bad_at = walk.states(levels)
-
-    sample_levels = np.array([levels - m * p for m in range(n_cycles + 1)],
-                             dtype=int)
+    top = max(DEFAULT_SCHEDULE[-1], n_cycles) * p
+    sample_levels = top - np.arange(n_cycles + 1) * p
+    endpoint_levels = top - np.array(DEFAULT_SCHEDULE) * p
+    states, bad_at = walk.states(top, np.concatenate([sample_levels, endpoint_levels]))
     potentials = t_top * np.power(2.0, -np.arange(n_cycles + 1, dtype=float) * p)
-    good = sample_levels >= max(bad_at, 0) if bad_at >= 0 else np.ones(len(sample_levels), bool)
 
-    t_vals = potentials[good]
-    z_vals = states[sample_levels[good]]
-    status = RayStatus("unresolved")
-    if bad_at >= 0:
-        dropped = potentials[~good]
-        first_bad = float(np.max(dropped)) if len(dropped) else float(potentials[-1])
-        status = RayStatus("broken", first_bad_t=first_bad)
-        if len(t_vals) < 2:
-            t_vals = potentials[:2]
-            z_vals = states[sample_levels[:2]]
-
-    scale = 0.5 ** len(address.preperiod)
-    if address.preperiod and status.kind != "broken":
-        try:
-            z_vals = np.array([walk.prefix(complex(z)) for z in z_vals])
-            t_vals = t_vals * scale
-        except BrokenRay:
-            status = RayStatus("broken", first_bad_t=float(t_vals[-1] * scale))
-    return Ray(address, t_vals, z_vals, status, setup, anchor_base)
+    # each ray's t, z and endpoints are views of `potentials` and of its row
+    # of `states`: per-ray copies raised peak memory at period 4
+    rays = []
+    for a, row, bad in zip(addresses, states, bad_at):
+        # samples above the level the walk stopped at (at least two are kept)
+        clean = int(np.count_nonzero(sample_levels >= bad))
+        t_vals, z_vals = potentials[:max(clean, 2)], row[:max(clean, 2)]
+        status = RayStatus("unresolved")
+        if clean <= n_cycles:
+            status = RayStatus("broken", first_bad_t=float(potentials[clean]))
+        scale = 0.5 ** len(a.preperiod)
+        if a.preperiod and status.kind != "broken":
+            try:
+                z_vals = walk.prefix(z_vals, a.preperiod)
+                t_vals = t_vals * scale
+            except BrokenRay:
+                status = RayStatus("broken", first_bad_t=float(t_vals[-1] * scale))
+        rays.append(Ray(a, t_vals, z_vals, status, setup, row[n_cycles + 1:]))
+    return rays[0] if isinstance(address, Address) else rays
 
 
 def landing_point(spec: MapSpec, ray: Ray) -> Ray:
-    """Resolve the landing of a traced ray by one deep pullback walk.
+    """Resolve the landing of a traced ray from its schedule endpoints.
 
-    The walk goes DEFAULT_SCHEDULE[-1] cycles deep and is read at each
-    depth of the doubling schedule: symbols repeat with the period, so the
-    state d cycles below the top is the endpoint of a d-cycle walk.  The
-    endpoints either settle to the Cauchy tolerance (geometric contraction,
-    repelling landing) or decay algebraically (parabolic landing), which
-    Richardson extrapolation detects and accelerates; candidates are
-    polished by Newton on f^p(z) - z and checked for period closure.
+    The endpoints are the states of the ray's own walk at the depths of the
+    doubling schedule, kept by `trace_ray`, so a periodic ray is not walked
+    again; nan endpoints mean that walk hit the cut or a singular value
+    below the samples, and the ray is broken.  The endpoints either settle
+    to the Cauchy tolerance (geometric contraction, repelling landing) or
+    decay algebraically (parabolic landing), which Richardson extrapolation
+    detects and accelerates; candidates are polished by Newton on
+    f^p(z) - z and checked for period closure.
     """
     if ray.status.kind == "broken":
         return ray
-    walk = PullbackWalk(spec, ray.setup, ray.address,
-                        anchor_base=ray.anchor_base or None)
-    period = ray.address.period_length
-    top = DEFAULT_SCHEDULE[-1] * period
-    states, bad_at = walk.states(top)
-    if bad_at >= 0:
+    endpoints = ray.endpoints
+    if np.any(np.isnan(endpoints)):
         return replace(ray, status=RayStatus("broken",
                                              first_bad_t=float(np.min(ray.t))))
-    endpoints = states[top - np.array(DEFAULT_SCHEDULE) * period]
+    period = ray.period
     diffs = np.abs(np.diff(endpoints))
 
     candidate = None
@@ -369,8 +409,9 @@ def landing_point(spec: MapSpec, ray: Ray) -> Ray:
         direction = (e - point) / abs(e - point)
 
     if ray.address.preperiod:
+        walk = PullbackWalk(spec, ray.setup, [ray.address])
         try:
-            point = walk.prefix(point)
+            point = complex(walk.prefix(np.array([point]), ray.address.preperiod)[0])
         except BrokenRay:
             return replace(ray, status=RayStatus("broken",
                                                  first_bad_t=float(np.min(ray.t))))
@@ -385,13 +426,16 @@ def fixed_rays(spec: MapSpec, setup: StructuralSetup, domains,
     """All rays of period-`period` addresses over the given domains.
 
     For period 1 this is one fixed ray per fundamental domain; for period p,
-    all |domains|^p addresses, each traced and landing-resolved.  Per-ray
-    failures are recorded in the ray status, not raised.
+    all |domains|^p addresses, traced together by one array walk and each
+    landing-resolved from it.  Per-ray failures are recorded in the ray
+    status, not raised.
     """
     labels = [d if isinstance(d, BranchLabel) else d.label for d in domains]
     labels = sorted(set(labels), key=lambda l: (l.alpha, l.j))
-    return [landing_point(spec, trace_ray(spec, setup, Address(period=combo), depth=depth))
-            for combo in itertools.product(labels, repeat=period)]
+    addresses = [Address(period=combo)
+                 for combo in itertools.product(labels, repeat=period)]
+    return [landing_point(spec, ray)
+            for ray in trace_ray(spec, setup, addresses, depth=depth)]
 
 
 def orbit_representatives(rays: list[Ray]) -> list[Ray]:

@@ -639,13 +639,14 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
             region_by_sig[sig] = reg
         return region_by_sig[sig]
 
+    ray_landings = np.array([r.landing for r in graph.rays], dtype=complex)
     for rec in records:
         z = rec.location
         landing = graph.landing_of(z)
         if landing is not None:
             rec.incident_ray_addresses = [
-                r.address for r in graph.rays
-                if abs(r.landing - z) < PAIR_TOL]
+                graph.rays[i].address
+                for i in np.flatnonzero(np.abs(ray_landings - z) < PAIR_TOL)]
         if rec.classification == "parabolic" and abs(rec.multiplier - 1.0) < 1e-6:
             # each confirmed attracting basin is one virtual point, assigned
             # to the region its probe orbit sits in
@@ -707,9 +708,12 @@ def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
     fatal.
     """
     landed = list(landed)
+    # landing points of `landed`, with room for one inferred ray per record
+    landings = np.empty(len(landed) + len(records), dtype=complex)
+    landings[:len(landed)] = [r.landing for r in landed]
 
     def matched(z):
-        return any(abs(r.landing - z) < PAIR_TOL for r in landed)
+        return bool(np.any(np.abs(landings[:len(landed)] - z) < PAIR_TOL))
 
     existing = {str(r.address) for r in landed}
     for rec in records:
@@ -734,5 +738,6 @@ def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
             continue
         if ray.status.kind == "lands_at" and \
            abs(ray.landing - rec.location) < PAIR_TOL:
+            landings[len(landed)] = ray.landing
             landed.append(ray)
     return landed

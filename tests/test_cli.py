@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from raysep.cli import EXIT_CONFIG, EXIT_OK, ScenarioConfig, main
+from raysep.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, ScenarioConfig, main
 
 
 def run_cli(args, capsys):
@@ -61,6 +61,17 @@ class TestExitCodes:
              "--out", str(bogus)], capsys)
         assert code == EXIT_CONFIG
         assert "error" in json.loads(err)
+
+    def test_broken_rays_counted_apart(self, capsys):
+        # the band-0 fixed ray of 0.5 e^z + 0.2 runs into the asymptotic value
+        code, out, err = run_cli(
+            ["rays", "--map", "exp(0.5,0.2)", "--domains=-1..1"], capsys)
+        assert code == EXIT_INCOMPLETE
+        kinds = [r["status"]["kind"] for r in json.loads(out)["rays"]]
+        assert kinds == ["lands_at", "broken", "lands_at"]
+        assert json.loads(err) == {
+            "error": "Incomplete",
+            "message": "1 rays did not land (1 broken, 0 unresolved)"}
 
     def test_verify_ok(self, capsys):
         code, out, _ = run_cli(

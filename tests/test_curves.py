@@ -10,6 +10,7 @@ from raysep.curves import (
     ParamCurve,
     argument_principle_count,
     concat,
+    dedup_points,
     is_simple,
     multiplicity_at,
     refine_for_argument,
@@ -316,3 +317,25 @@ class TestCurveValidation:
     def test_snap_rule(self):
         assert IndexValue.from_turns(1.0000001).integer_snap == 1
         assert IndexValue.from_turns(1.001).integer_snap is None
+
+
+class TestDedupPoints:
+    def test_matches_greedy_loop(self):
+        # reference: the per-point scan over the kept points, in order
+        def greedy(points, tol):
+            kept = []
+            for z in map(complex, points):
+                if not any(abs(z - u) < tol for u in kept):
+                    kept.append(z)
+            return kept
+
+        rng = np.random.default_rng(5)
+        centers = rng.uniform(-5, 5, 40) + 1j * rng.uniform(-5, 5, 40)
+        picks = rng.integers(0, 40, 400)
+        points = centers[picks] + 1e-9 * rng.standard_normal(400)
+        assert dedup_points(points, 1e-6) == greedy(points, 1e-6)
+        assert len(dedup_points(points, 1e-6)) == len(set(picks))
+        assert dedup_points([], 1e-6) == []
+        # greedy order: a chain of points each within tol of the next
+        chain = [0, 0.6, 1.2, 1.8]
+        assert dedup_points(chain, 1.0) == greedy(chain, 1.0) == [0, 1.2]

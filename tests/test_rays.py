@@ -8,7 +8,10 @@ from raysep.errors import MixedPeriods, Overflow, UnlandedRay
 from raysep.maps import BranchContext, exp_map, parse_map
 from raysep.rays import (
     DEFAULT_SCHEDULE,
+    DEFAULT_T_TOP,
     Address,
+    PullbackWalk,
+    RayStatus,
     detect_ray_pairs,
     fixed_rays,
     landing_point,
@@ -135,7 +138,8 @@ class TestLanding:
         assert abs(np.angle(direction)) < 0.1   # repelling direction +1
 
     @staticmethod
-    def _landing_pullbacks(monkeypatch, spec, ray):
+    def _landing_pullbacks(monkeypatch, spec, setup, address):
+        """Land `address`: pullback calls in all, and in landing_point alone."""
         calls = []
         pull_back = BranchContext.pull_back
 
@@ -143,24 +147,28 @@ class TestLanding:
             calls.append(label)
             return pull_back(self, w, label, strict)
         monkeypatch.setattr(BranchContext, "pull_back", counted)
+        ray = trace_ray(spec, setup, address)
+        traced = len(calls)
         landed = landing_point(spec, ray)
         monkeypatch.undo()
-        return landed, len(calls)
+        return landed, len(calls), len(calls) - traced
 
     def test_parabolic_landing_walks_once(self, monkeypatch):
         # never settles, so the one walk runs the whole schedule depth
         spec = parse_map("exp(1/e)")
         setup = structural_setup(spec, Rect(-4, 8, -12, 12), 0.1)
-        ray = trace_ray(spec, setup, Address.constant(0))
-        landed, calls = self._landing_pullbacks(monkeypatch, spec, ray)
+        landed, calls, landing_calls = self._landing_pullbacks(
+            monkeypatch, spec, setup, Address.constant(0))
         assert landed.status.kind == "lands_at"
         assert calls == DEFAULT_SCHEDULE[-1] * 1
+        assert landing_calls == 0
 
     def test_repelling_landing_stops_when_settled(self, setup03, monkeypatch):
-        ray = trace_ray(setup03.spec, setup03, Address.constant(1))
-        landed, calls = self._landing_pullbacks(monkeypatch, setup03.spec, ray)
+        landed, calls, landing_calls = self._landing_pullbacks(
+            monkeypatch, setup03.spec, setup03, Address.constant(1))
         assert landed.status.kind == "lands_at"
         assert calls < DEFAULT_SCHEDULE[-1]
+        assert landing_calls == 0
 
     def test_periodic_landing_closes(self, setup_neg5):
         spec = setup_neg5.spec
@@ -180,6 +188,101 @@ class TestLanding:
         w, _ = spec.evaluate(ray.landing, 1)
         assert abs(w - target) < 1e-8
         assert abs(ray.landing - target) > 1e-3
+
+
+def _same_rays(a, b):
+    assert a.address == b.address and a.status == b.status
+    for field in ("t", "z", "endpoints"):
+        assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True)
+
+
+def _scalar_walk(spec, setup, address, levels):
+    """Reference: one address walked one pullback at a time.
+
+    Returns its states by level and the level at which it stopped at the
+    cut or a singular value (-1 when clean); a settled walk repeats its last
+    p states below.
+    """
+    walk = PullbackWalk(spec, setup, [address], DEFAULT_T_TOP)
+    p = address.period_length
+    states = np.full(levels + 1, np.nan, dtype=complex)
+    z = states[levels] = complex(walk.anchors(levels)[0])
+    for k in range(levels - 1, -1, -1):
+        if walk._bad_input(np.array([z]))[0]:
+            return states, k + 1
+        z = states[k] = complex(setup.branch_context.pull_back(z, address.period[k % p]))
+        if k + p <= levels and abs(z - states[k + p]) < 1e-15 * (1.0 + abs(z)):
+            for kk in range(k - 1, -1, -1):
+                states[kk] = states[kk + p]
+            break
+    return states, -1
+
+
+class TestBatchedWalk:
+    """A batch of addresses gives exactly the rays of one call per address."""
+
+    @pytest.mark.parametrize("case", ["period_two", "broken", "parabolic"])
+    def test_array_walk_matches_scalar_walk(self, case, setup_neg5):
+        if case == "period_two":
+            setup = setup_neg5
+            addresses = [Address.cycle(b) for b in ([0, 1], [1, 0], [-1, 2], [2, 2])]
+        else:
+            spec = exp_map(0.5, 0.2) if case == "broken" else parse_map("exp(1/e)")
+            setup = structural_setup(spec, Rect(-4, 9, -12, 12), 0.1)
+            addresses = [Address.constant(j) for j in (-1, 0, 1)]
+        levels = DEFAULT_SCHEDULE[-1] * addresses[0].period_length
+        walk = PullbackWalk(setup.spec, setup, addresses)
+        states, bad_at = walk.states(levels, np.arange(levels + 1))
+        for row, bad, address in zip(states, bad_at, addresses):
+            ref, ref_bad = _scalar_walk(setup.spec, setup, address, levels)
+            assert bad == ref_bad
+            assert np.array_equal(row, ref, equal_nan=True)
+        assert (bad_at >= 0).any() == (case == "broken")
+
+    @staticmethod
+    def _check_batch(spec, setup, addresses, **kwargs):
+        batch = trace_ray(spec, setup, addresses, **kwargs)
+        singles = [trace_ray(spec, setup, a, **kwargs) for a in addresses]
+        assert len(batch) == len(addresses)
+        for b, s in zip(batch, singles):
+            _same_rays(b, s)
+            _same_rays(landing_point(spec, b), landing_point(spec, s))
+        return [landing_point(spec, r) for r in batch]
+
+    def test_all_period_two_addresses(self, setup_neg5):
+        labels = setup_neg5.domain_labels()
+        addresses = [Address(period=(x, y)) for x in labels for y in labels]
+        assert len(addresses) == 36
+        landed = self._check_batch(setup_neg5.spec, setup_neg5, addresses)
+        assert all(r.status.kind == "lands_at" for r in landed)
+
+    def test_breaking_and_clean_lanes(self):
+        spec = exp_map(0.5, 0.2)
+        setup = structural_setup(spec, Rect(-4, 9, -12, 12), 0.1)
+        addresses = [Address.constant(j) for j in (-2, -1, 0, 1, 2)]
+        landed = self._check_batch(spec, setup, addresses)
+        kinds = [r.status.kind for r in landed]
+        assert kinds == ["lands_at", "lands_at", "broken", "lands_at", "lands_at"]
+        # three samples end above the cut hit: only the endpoints see it
+        short = trace_ray(spec, setup, addresses, t_grid=[8.0, 4.0, 2.0])
+        assert short[2].status.kind == "unresolved"
+        assert np.isnan(short[2].endpoints[-1])
+        landed = self._check_batch(spec, setup, addresses, t_grid=[8.0, 4.0, 2.0])
+        assert landed[2].status == RayStatus("broken", first_bad_t=2.0)
+        assert [r.status.kind for r in landed] == kinds
+
+    def test_parabolic_lane_beside_settling_lanes(self):
+        spec = parse_map("exp(1/e)")
+        setup = structural_setup(spec, Rect(-4, 8, -12, 12), 0.1)
+        addresses = [Address.constant(j) for j in (-1, 0, 1, 2)]
+        landed = self._check_batch(spec, setup, addresses)
+        assert all(r.status.kind == "lands_at" for r in landed)
+        assert abs(landed[1].landing - 1.0) < 1e-6
+
+    def test_mixed_periods_rejected(self, setup_neg5):
+        with pytest.raises(MixedPeriods):
+            trace_ray(setup_neg5.spec, setup_neg5,
+                      [Address.constant(0), Address.cycle([0, 1])])
 
 
 class TestFixedRays:
