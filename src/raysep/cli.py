@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 2 configuration or I/O error, 3 a verification
 VIOLATION (a region with the wrong occupancy, or a count mismatch),
-4 incomplete evidence (unresolved rays).  Errors are emitted as one-line
-JSON on stderr so pipelines can branch on them.
+4 incomplete evidence (rays that did not land, or a global count that
+could not be taken).  Errors are emitted as one-line JSON on stderr so
+pipelines can branch on them.
 """
 
 from __future__ import annotations
@@ -191,11 +192,16 @@ def run(command: str, config: ScenarioConfig) -> int:
         else:
             addresses = [Address(period=combo) for combo in itertools.product(
                 _domain_labels(config, setup), repeat=config.period)]
+        # one walk per period; the rays are reported in input order
+        traced = {}
+        for p in dict.fromkeys(a.period_length for a in addresses):
+            lanes = [i for i, a in enumerate(addresses) if a.period_length == p]
+            traced.update(zip(lanes, trace_ray(spec, setup, [addresses[i] for i in lanes],
+                                               depth=config.depth)))
         payload = []
         failed = {"broken": 0, "unresolved": 0}
-        for address in addresses:
-            ray = landing_point(spec, trace_ray(spec, setup, address,
-                                                depth=config.depth))
+        for i, address in enumerate(addresses):
+            ray = landing_point(spec, traced[i])
             payload.append(serialize.ray_to_json(ray))
             if ray.status.kind in failed:
                 failed[ray.status.kind] += 1

@@ -172,15 +172,30 @@ def _point_segment_distance(p: complex | np.ndarray, a: np.ndarray,
     return np.abs(p - (a + s * d))
 
 
-def dedup_points(points, tol: float) -> list[complex]:
-    """Keep each point, in order, unless it lies within `tol` of one already kept."""
-    kept: list[complex] = []
-    rest = np.ravel(np.asarray(points, dtype=complex))
+def group_points(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Greedy first-seen grouping: the kept points and each point's group.
+
+    Each point, in order, is kept unless it lies within `tol` of a point
+    already kept.  `group[i]` is the index, among the kept points, of the
+    first kept point within `tol` of point i (a kept point is its own group).
+    """
+    pts = np.ravel(np.asarray(points, dtype=complex))
+    group = np.empty(len(pts), dtype=int)
+    kept = []
+    rest, index = pts, np.arange(len(pts))
     while len(rest):
-        # the first point left is kept; drop the later ones within tol of it
-        kept.append(complex(rest[0]))
-        rest = rest[1:][~(np.abs(rest[1:] - rest[0]) < tol)]
-    return kept
+        # the first point left is kept and absorbs the later ones within tol of it
+        near = np.abs(rest - rest[0]) < tol
+        near[0] = True      # so that a nan point is kept, not left forever
+        group[index[near]] = len(kept)
+        kept.append(index[0])
+        rest, index = rest[~near], index[~near]
+    return pts[kept], group
+
+
+def dedup_points(points, tol: float) -> list[complex]:
+    """The kept points of `group_points`, in order."""
+    return [complex(z) for z in group_points(points, tol)[0]]
 
 
 def _turn_sum(w: np.ndarray) -> float:

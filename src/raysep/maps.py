@@ -205,10 +205,10 @@ def _wrap_half_open(theta: float) -> float:
 def branch_log(v, j, cut: CutGeometry, strict: bool = False):
     """log(v) with the imaginary part selected into band j of the cut geometry.
 
-    Works on scalars and arrays; `j` is an int or an integer array that
-    broadcasts against `v` (one band per lane).  In strict mode, values whose selected
-    argument sits within BAND_EDGE_TOL of a band edge raise
-    BranchResolutionFailure.
+    Returns an array, 0-d for a scalar `v`; `j` is an int or an integer
+    array that broadcasts against `v` (one band per lane).  In strict mode,
+    values whose selected argument sits within BAND_EDGE_TOL of a band edge
+    raise BranchResolutionFailure.
     """
     v = np.asarray(v, dtype=complex)
     rho = np.abs(v)
@@ -226,10 +226,7 @@ def branch_log(v, j, cut: CutGeometry, strict: bool = False):
         edge = np.minimum(np.abs(y - lo), np.abs(hi - y))
         if np.any(edge < BAND_EDGE_TOL):
             raise BranchResolutionFailure("argument within tolerance of a band edge")
-    out = np.log(rho) + 1j * y
-    if out.ndim == 0:
-        return complex(out)
-    return out
+    return np.log(rho) + 1j * y
 
 
 @dataclass
@@ -251,7 +248,8 @@ class BranchContext:
         """Composite inverse branch: outer factor first, inner factors after.
 
         `label` is one BranchLabel for all of `w`, or a sequence of
-        BranchLabels with one per lane of the array `w`.
+        BranchLabels with one per lane of the array `w`.  Returns an array,
+        0-d for a scalar `w`.
         """
         inner = range(len(self.spec.factors) - 1)
         if isinstance(label, BranchLabel):
@@ -263,10 +261,8 @@ class BranchContext:
         z = branch_log((z - self.spec.outer.b) / self.spec.outer.a,
                        band, self.outer_cut, strict)
         for k, factor in enumerate(self.spec.factors[1:]):
-            z = branch_log((np.asarray(z, dtype=complex) - factor.b) / factor.a,
+            z = branch_log((z - factor.b) / factor.a,
                            inner_bands[k], self.inner_cuts[k], strict)
-        if np.ndim(w) == 0:
-            return complex(np.asarray(z).reshape(()))
         return z
 
 
@@ -287,7 +283,7 @@ def inverse_branch(spec: MapSpec, w: complex, label: BranchLabel,
     if delta_cut.distance_to_point(w) <= cut_tol:
         raise OnCut(f"{w} lies on the cut curve")
     ctx = BranchContext(spec, delta_cut, disk_radius)
-    return ctx.pull_back(w, label, strict=True)
+    return complex(ctx.pull_back(w, label, strict=True))
 
 
 # -- shorthand parsing ---------------------------------------------------------

@@ -21,6 +21,10 @@ potential t_top * 2^(k_top - k), halving toward the landing point; applying
 f doubles the potential.  Landing points are read off the schedule
 endpoints, with Richardson extrapolation for the algebraic (parabolic)
 approach, then polished by Newton's method on f^p(z) - z.
+
+Rays land together when their landings fall in one group of
+`landing_groups` (greedy in ray order, within PAIR_TOL); the ray graph's
+landing points and pairs come from these groups.
 """
 
 from __future__ import annotations
@@ -31,6 +35,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .curves import group_points
 from .errors import (
     BrokenRay,
     ExpansionNotValidated,
@@ -279,8 +284,6 @@ def _resolve_anchor_radius(spec: MapSpec, setup: StructuralSetup,
     while R <= cap:
         report = validate_expansion_radius(spec, setup, ordered, R)
         if report.ok:
-            recorded = setup.validated_radii.get(R, ())
-            setup.validated_radii[R] = tuple(sorted(set(recorded) | need))
             return R
         R *= 2.0
     raise ExpansionNotValidated(
@@ -438,56 +441,39 @@ def fixed_rays(spec: MapSpec, setup: StructuralSetup, domains,
             for ray in trace_ray(spec, setup, addresses, depth=depth)]
 
 
-def orbit_representatives(rays: list[Ray]) -> list[Ray]:
-    """One ray per cyclic-rotation class of periodic addresses."""
-    seen: set[tuple] = set()
-    out = []
-    for ray in rays:
-        key_cycle = tuple((s.alpha, s.j) for s in ray.address.period)
-        rotations = {key_cycle[i:] + key_cycle[:i] for i in range(len(key_cycle))}
-        canon = min(rotations)
-        if canon not in seen:
-            seen.add(canon)
-            out.append(ray)
-    return out
+def same_landing(landings, z: complex):
+    """Mask of `landings` that are the landing point `z` (closer than PAIR_TOL)."""
+    return np.abs(np.asarray(landings) - z) < PAIR_TOL
+
+
+def landing_groups(rays: list[Ray], tol: float = PAIR_TOL) -> tuple[np.ndarray, np.ndarray]:
+    """`curves.group_points` of the landings of landed rays of one period.
+
+    Returns the distinct landing points, first-seen, and per ray the index
+    of its point among them.
+    """
+    periods = {r.period for r in rays}
+    if len(periods) > 1:
+        raise MixedPeriods(f"rays of different periods: {sorted(periods)}")
+    for r in rays:
+        if r.status.kind != "lands_at":
+            raise UnlandedRay(r.address)
+    return group_points([r.landing for r in rays], tol)
+
+
+def pairs_from_groups(rays: list[Ray], group: np.ndarray) -> list[RayPair]:
+    """One RayPair per two rays of one landing group, ordered by common landing.
+
+    Members pair up in ray order, at the midpoint of their landings.
+    """
+    pairs = []
+    for g in np.flatnonzero(np.bincount(group) > 1):
+        pairs += [RayPair((rays[i], rays[k]), 0.5 * (rays[i].landing + rays[k].landing))
+                  for i, k in itertools.combinations(np.flatnonzero(group == g), 2)]
+    pairs.sort(key=lambda p: (p.common_landing.real, p.common_landing.imag))
+    return pairs
 
 
 def detect_ray_pairs(rays: list[Ray], tol: float = PAIR_TOL) -> list[RayPair]:
     """Group landed rays by common landing point; one RayPair per pair."""
-    if not rays:
-        return []
-    periods = {r.period for r in rays}
-    if len(periods) > 1:
-        raise MixedPeriods(f"rays of different periods: {sorted(periods)}")
-    pts = []
-    for r in rays:
-        if r.status.kind != "lands_at":
-            raise UnlandedRay(r.address)
-        pts.append(r.landing)
-    n = len(rays)
-    parent = list(range(n))
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    for i in range(n):
-        for k in range(i + 1, n):
-            if abs(pts[i] - pts[k]) < tol:
-                parent[find(i)] = find(k)
-    groups: dict[int, list[int]] = {}
-    for i in range(n):
-        groups.setdefault(find(i), []).append(i)
-    pairs = []
-    for members in groups.values():
-        if len(members) < 2:
-            continue
-        for a in range(len(members)):
-            for b in range(a + 1, len(members)):
-                i, k = members[a], members[b]
-                common = 0.5 * (pts[i] + pts[k])
-                pairs.append(RayPair((rays[i], rays[k]), common))
-    pairs.sort(key=lambda p: (p.common_landing.real, p.common_landing.imag))
-    return pairs
+    return pairs_from_groups(rays, landing_groups(rays, tol)[1])

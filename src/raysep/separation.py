@@ -4,9 +4,11 @@ The graph of landed rays and their landing points cuts the plane into basic
 regions.  Only ray pairs (two rays with a common landing point) actually
 separate; membership is decided by crossing parity of a test segment against
 each pair's curve, so truncation of the rays at a finite box does not split
-regions.  The global counting contour encloses a full and complete
-collection of fundamental domains and carries the expected fixed-point
-count, which the argument principle must reproduce exactly.
+regions.  The graph's landing points, its pairs and each ray's landing
+index come from one grouping of the landings (`rays.landing_groups`).  The
+global counting contour encloses a full and complete collection of
+fundamental domains and carries the expected fixed-point count, which the
+argument principle must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -20,7 +22,6 @@ from .curves import (
     ParamCurve,
     argument_principle_count,
     concat,
-    dedup_points,
     iterate_map,
     signed_area,
     winding_number,
@@ -33,7 +34,6 @@ from .errors import (
     Overflow,
     ResolutionTooCoarse,
     SideCheckFailed,
-    UnlandedRay,
 )
 from .fixedpoints import (
     FixedPointRecord,
@@ -43,8 +43,8 @@ from .fixedpoints import (
     probe_virtual_points,
 )
 from .maps import BranchLabel, MapSpec
-from .rays import (PAIR_TOL, Address, Ray, RayPair, detect_ray_pairs, fixed_rays,
-                   landing_point, trace_ray)
+from .rays import (Address, Ray, RayPair, fixed_rays, landing_groups, landing_point,
+                   pairs_from_groups, same_landing, trace_ray)
 from .structure import Rect, StructuralSetup, validate_expansion_radius
 
 PROBE_CLEARANCE = 1e-6
@@ -56,25 +56,18 @@ PROBE_CLEARANCE = 1e-6
 @dataclass
 class RayGraph:
     rays: list[Ray]
-    landing_points: list[complex]
+    landing_points: list[complex]      # sorted by (real, imag)
     pairs: list[RayPair]
     period: int
-
-    def landing_of(self, z: complex, tol: float = PAIR_TOL) -> complex | None:
-        for p in self.landing_points:
-            if abs(p - z) < tol:
-                return p
-        return None
+    landing_index: np.ndarray          # rays[i] lands at landing_points[landing_index[i]]
 
 
 def build_ray_graph(rays: list[Ray], period: int) -> RayGraph:
-    """Deduplicate landing points and detect pairs among landed rays."""
-    for r in rays:
-        if r.status.kind != "lands_at":
-            raise UnlandedRay(r.address)
-    points = sorted(dedup_points([r.landing for r in rays], PAIR_TOL),
-                    key=lambda z: (z.real, z.imag))
-    return RayGraph(list(rays), points, detect_ray_pairs(rays), period)
+    """Group the landed rays by landing point once; pairs come from the groups."""
+    points, group = landing_groups(rays)
+    order = np.lexsort((points.imag, points.real))
+    return RayGraph(list(rays), [complex(z) for z in points[order]],
+                    pairs_from_groups(rays, group), period, np.argsort(order)[group])
 
 
 # -- region geometry by crossing parity ------------------------------------------------
@@ -182,8 +175,8 @@ class BasicRegion:
         return geometry.signature(z) == self.signature
 
 
-def basic_regions(graph: RayGraph, bbox: Rect | tuple, resolution: float = 0.5,
-                  check_stability: bool = True) -> tuple[list[BasicRegion], RegionGeometry]:
+def basic_regions(graph: RayGraph, bbox: Rect | tuple,
+                  resolution: float = 0.5) -> tuple[list[BasicRegion], RegionGeometry]:
     """Basic regions meeting the box, discovered by signature probing.
 
     Probes a grid plus offsets on both sides of every pair curve; two points
@@ -194,12 +187,11 @@ def basic_regions(graph: RayGraph, bbox: Rect | tuple, resolution: float = 0.5,
         bbox = Rect(*bbox)
     geometry = RegionGeometry(graph.pairs, bbox)
     regions = _regions_at(graph, bbox, resolution, geometry)
-    if check_stability:
-        finer = _regions_at(graph, bbox, resolution / 2.0, geometry)
-        if len(finer) != len(regions):
-            raise ResolutionTooCoarse(
-                f"{len(regions)} regions at resolution {resolution} but "
-                f"{len(finer)} at half resolution")
+    finer = _regions_at(graph, bbox, resolution / 2.0, geometry)
+    if len(finer) != len(regions):
+        raise ResolutionTooCoarse(
+            f"{len(regions)} regions at resolution {resolution} but "
+            f"{len(finer)} at half resolution")
     return regions, geometry
 
 
@@ -269,7 +261,8 @@ def check_full_complete(spec: MapSpec, setup: StructuralSetup,
 
     Full: band indices contiguous per tract.  Complete: contains every
     domain meeting the disk, and adjacent domains' fixed rays land alone at
-    repelling points (checked on the traced evidence).
+    repelling points (checked on the traced evidence: the collection's and
+    both adjacent bands' fixed rays, traced by one walk).
     """
     js = sorted(lb.j for lb in labels)
     if not js:
@@ -282,20 +275,23 @@ def check_full_complete(spec: MapSpec, setup: StructuralSetup,
                 raise NotFullComplete(
                     f"domain {dom.label.j} meets the disk but is missing")
     # adjacent rays must land alone at repelling points
-    inside = {}
-    for j in js + [js[0] - 1, js[-1] + 1]:
-        try:
-            ray = landing_point(spec, trace_ray(spec, setup, Address.constant(j)))
-        except ExpansionNotValidated as exc:
-            raise NotFullComplete(f"cannot validate band {j}: {exc}") from exc
+    bands = js + [js[0] - 1, js[-1] + 1]
+    try:
+        rays = trace_ray(spec, setup, [Address.constant(j) for j in bands])
+    except ExpansionNotValidated as exc:
+        raise NotFullComplete(f"cannot validate a band: {exc}") from exc
+    landings = np.empty(len(bands), dtype=complex)
+    for i, (j, ray) in enumerate(zip(bands, rays)):
+        ray = landing_point(spec, ray)
         if ray.status.kind != "lands_at":
             raise NotFullComplete(f"fixed ray of band {j} did not land")
-        inside[j] = ray.landing
-    for j in (js[0] - 1, js[-1] + 1):
-        for k, z in inside.items():
-            if k != j and abs(inside[j] - z) < PAIR_TOL:
-                raise NotFullComplete(
-                    f"adjacent band {j} ray lands with band {k} ray")
+        landings[i] = ray.landing
+    for i in (len(js), len(js) + 1):
+        shared = same_landing(landings, landings[i])
+        shared[i] = False
+        if shared.any():
+            raise NotFullComplete(f"adjacent band {bands[i]} ray lands with "
+                                  f"band {bands[int(np.argmax(shared))]} ray")
 
 
 def counting_contour(spec: MapSpec, setup: StructuralSetup, domains,
@@ -642,11 +638,10 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
     ray_landings = np.array([r.landing for r in graph.rays], dtype=complex)
     for rec in records:
         z = rec.location
-        landing = graph.landing_of(z)
-        if landing is not None:
-            rec.incident_ray_addresses = [
-                graph.rays[i].address
-                for i in np.flatnonzero(np.abs(ray_landings - z) < PAIR_TOL)]
+        # a record is a boundary point iff some ray lands at it
+        incident = np.flatnonzero(same_landing(ray_landings, z))
+        if len(incident):
+            rec.incident_ray_addresses = [graph.rays[i].address for i in incident]
         if rec.classification == "parabolic" and abs(rec.multiplier - 1.0) < 1e-6:
             # each confirmed attracting basin is one virtual point, assigned
             # to the region its probe orbit sits in
@@ -659,7 +654,7 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
                     shrink += 1
                 reg = region_of(probe)
                 reg.contents.virtual_points.append((z, direction))
-        if landing is None and not (rec.classification == "parabolic"
+        if not len(incident) and not (rec.classification == "parabolic"
                                     and abs(rec.multiplier - 1.0) < 1e-6):
             reg = region_of(z)
             reg.contents.interior_points.append(rec)
@@ -693,8 +688,8 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
         try:
             contour = counting_contour(spec, setup, setup.domain_labels())
             global_counts = global_count_check(spec, contour)
-        except (NotFullComplete, ExpansionNotValidated, ConnectorBlocked):
-            global_counts = None
+        except (NotFullComplete, ExpansionNotValidated, ConnectorBlocked) as exc:
+            incomplete.append(f"global count: {type(exc).__name__}: {exc}")
     return SeparationReport(period, regions, verdicts, global_counts,
                             incomplete, records, graph)
 
@@ -713,7 +708,7 @@ def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
     landings[:len(landed)] = [r.landing for r in landed]
 
     def matched(z):
-        return bool(np.any(np.abs(landings[:len(landed)] - z) < PAIR_TOL))
+        return bool(np.any(same_landing(landings[:len(landed)], z)))
 
     existing = {str(r.address) for r in landed}
     for rec in records:
@@ -736,8 +731,7 @@ def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
         except ExpansionNotValidated:
             incomplete.append(f"inferred ray {address} not validated")
             continue
-        if ray.status.kind == "lands_at" and \
-           abs(ray.landing - rec.location) < PAIR_TOL:
+        if ray.status.kind == "lands_at" and same_landing(ray.landing, rec.location):
             landings[len(landed)] = ray.landing
             landed.append(ray)
     return landed

@@ -109,6 +109,20 @@ class TestArtifacts:
         header = csv_files[0].read_text().splitlines()[0]
         assert header == "t,re,im"
 
+    def test_rays_keep_input_order_across_periods(self, capsys):
+        addresses = ["|0,1", "0|", "|1,0", "|1"]
+        args = ["rays", "--map", "exp(0.3)"]
+        for a in addresses:
+            args += ["--address", a]
+        code, out, _ = run_cli(args, capsys)
+        assert code == EXIT_OK
+        rays = json.loads(out)["rays"]
+        assert [r["address"] for r in rays] == ["|0,1", "|0", "|1,0", "|1"]
+        # each ray is the one traced on its own
+        for a, ray in zip(addresses, rays):
+            code, alone, _ = run_cli(["rays", "--map", "exp(0.3)", "--address", a], capsys)
+            assert json.loads(alone)["rays"] == [ray]
+
     def test_fixedpoints_table(self, capsys, tmp_path):
         code, out, _ = run_cli(
             ["fixedpoints", "--map", "exp(0.3)", "--bbox=-1,3,-2,2",

@@ -11,6 +11,7 @@ from raysep.curves import (
     argument_principle_count,
     concat,
     dedup_points,
+    group_points,
     is_simple,
     multiplicity_at,
     refine_for_argument,
@@ -322,10 +323,13 @@ class TestCurveValidation:
 class TestDedupPoints:
     def test_matches_greedy_loop(self):
         # reference: the per-point scan over the kept points, in order
-        def greedy(points, tol):
+        def greedy(points, tol, groups=None):
             kept = []
             for z in map(complex, points):
-                if not any(abs(z - u) < tol for u in kept):
+                near = [g for g, u in enumerate(kept) if abs(z - u) < tol]
+                if groups is not None:
+                    groups.append(near[0] if near else len(kept))
+                if not near:
                     kept.append(z)
             return kept
 
@@ -334,8 +338,13 @@ class TestDedupPoints:
         picks = rng.integers(0, 40, 400)
         points = centers[picks] + 1e-9 * rng.standard_normal(400)
         assert dedup_points(points, 1e-6) == greedy(points, 1e-6)
+        groups = []
+        kept, group = group_points(points, 1e-6)
+        assert kept.tolist() == greedy(points, 1e-6, groups)
+        assert group.tolist() == groups
         assert len(dedup_points(points, 1e-6)) == len(set(picks))
         assert dedup_points([], 1e-6) == []
         # greedy order: a chain of points each within tol of the next
         chain = [0, 0.6, 1.2, 1.8]
         assert dedup_points(chain, 1.0) == greedy(chain, 1.0) == [0, 1.2]
+        assert group_points(chain, 1.0)[1].tolist() == [0, 0, 1, 1]

@@ -99,6 +99,13 @@ class TestBrokenRayMap:
         with pytest.raises(NotFullComplete):
             counting_contour(setup_broken.spec, setup_broken, labels)
 
+    def test_report_records_missing_global_count(self, setup_broken):
+        # the broken band-0 ray makes the collection not full and complete
+        report = separation_report(setup_broken.spec, setup_broken, 1)
+        assert report.global_counts is None
+        assert any(note.startswith("global count: NotFullComplete: ")
+                   for note in report.incomplete)
+
     def test_report_carries_incomplete_flag(self, setup_broken):
         report = separation_report(setup_broken.spec, setup_broken, 1)
         assert report.is_incomplete

@@ -15,7 +15,6 @@ from raysep.rays import (
     detect_ray_pairs,
     fixed_rays,
     landing_point,
-    orbit_representatives,
     trace_ray,
 )
 from raysep.structure import Rect, structural_setup
@@ -305,8 +304,6 @@ class TestFixedRays:
         domains = [setup_neg5.domain_by_band(j) for j in (-1, 0, 1)]
         rays = fixed_rays(setup_neg5.spec, setup_neg5, domains, period=2)
         assert len(rays) == 9
-        reps = orbit_representatives(rays)
-        assert len(reps) == 6   # 3 fixed + 3 two-cycles
         for ray in rays:
             assert ray.status.kind == "lands_at"
             w, _ = setup_neg5.spec.evaluate(ray.landing, 2)

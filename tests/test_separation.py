@@ -10,7 +10,8 @@ from raysep.curves import ParamCurve
 from raysep.errors import EpsTooLarge, NotFullComplete, Overflow, UnlandedRay
 from raysep.fixedpoints import FixedPointRecord
 from raysep.maps import MapSpec, exp_map, parse_map
-from raysep.rays import Address, landing_point, trace_ray
+import raysep.separation
+from raysep.rays import PAIR_TOL, Address, RayStatus, detect_ray_pairs, landing_point, trace_ray
 from raysep.separation import (
     SimpleRegion,
     _augment_with_inferred_rays,
@@ -53,6 +54,24 @@ class TestRayGraph:
         graph = build_ray_graph([base, clone], 1)
         assert len(graph.pairs) == 1
         assert len(graph.landing_points) == 1
+
+    def test_chain_of_landings_groups_greedily(self, setup03):
+        # three landings 0.6 tol apart: the first two are one landing point,
+        # the third is its own, and pairs only join rays of one landing point
+        base = landed_rays(setup03, (0,))[0]
+        rays = [dataclasses.replace(
+                    base, address=Address.constant(k),
+                    status=RayStatus.landed(base.landing + 0.6 * PAIR_TOL * k, None))
+                for k in range(3)]
+        graph = build_ray_graph(rays, 1)
+        assert len(graph.landing_points) == 2
+        assert len(graph.pairs) == 1
+        assert len(detect_ray_pairs(rays)) == 1
+        index = {id(r): i for r, i in zip(graph.rays, graph.landing_index)}
+        for pair in graph.pairs:
+            assert index[id(pair.rays[0])] == index[id(pair.rays[1])]
+        for ray, i in zip(graph.rays, graph.landing_index):
+            assert abs(graph.landing_points[i] - ray.landing) < PAIR_TOL
 
     def test_unlanded_rejected(self, setup03):
         ray = trace_ray(setup03.spec, setup03, Address.constant(0))
@@ -126,6 +145,19 @@ class TestCountingContour:
         labels = [setup03.domain_by_band(j).label for j in (1, 2)]
         with pytest.raises(NotFullComplete):
             counting_contour(setup03.spec, setup03, labels)
+
+    def test_completeness_rays_traced_by_one_walk(self, setup03, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return trace_ray(*args, **kwargs)
+
+        monkeypatch.setattr(raysep.separation, "trace_ray", counted)
+        labels = [setup03.domain_by_band(j).label for j in (-1, 0, 1)]
+        counting_contour(setup03.spec, setup03, labels)
+        assert len(calls) == 1
+        assert [a.period[0].j for a in calls[0]] == [-1, 0, 1, -2, 2]
 
     def test_piece_tags(self, setup03):
         labels = [setup03.domain_by_band(0).label]
