@@ -2,9 +2,10 @@
 
 Exit codes: 0 success, 2 configuration or I/O error, 3 a verification
 VIOLATION (a region with the wrong occupancy, or a count mismatch),
-4 incomplete evidence (rays that did not land, or a global count that
-could not be taken).  Errors are emitted as one-line JSON on stderr so
-pipelines can branch on them.
+4 incomplete evidence (rays that did not land, a global count that
+could not be taken, or a virtual point that could not be placed).
+Errors are emitted as one-line JSON on stderr so pipelines can branch on
+them.
 """
 
 from __future__ import annotations
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import itertools
 import json
+import math
 import sys
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
@@ -148,6 +150,9 @@ def config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         config.svg = args.svg
     if config.period < 1:
         raise ValueError("period must be >= 1")
+    if not (math.isfinite(config.region_resolution) and config.region_resolution > 0):
+        raise ValueError(f"--region-res must be finite and > 0, "
+                         f"got {config.region_resolution}")
     return config
 
 

@@ -4,8 +4,12 @@ The graph of landed rays and their landing points cuts the plane into basic
 regions.  Only ray pairs (two rays with a common landing point) actually
 separate; membership is decided by crossing parity of a test segment against
 each pair's curve, so truncation of the rays at a finite box does not split
-regions.  The graph's landing points, its pairs and each ray's landing
-index come from one grouping of the landings (`rays.landing_groups`).  The
+regions.  `RegionGeometry` concatenates the segments of all pair curves
+once; its `signature` and `min_distance` are array kernels over points x
+segments, fed in chunks of at most `CHUNK_ELEMENTS` elements, and every
+region query of the report goes through them in a few batched calls.  The
+graph's landing points, its pairs and each ray's landing index come from
+one grouping of the landings (`rays.landing_groups`).  The
 global counting contour encloses a full and complete collection of
 fundamental domains and carries the expected fixed-point count, which the
 argument principle must reproduce exactly.
@@ -20,6 +24,7 @@ import numpy as np
 
 from .curves import (
     ParamCurve,
+    _point_segment_distance,
     argument_principle_count,
     concat,
     iterate_map,
@@ -48,6 +53,8 @@ from .rays import (Address, Ray, RayPair, fixed_rays, landing_groups, landing_po
 from .structure import Rect, StructuralSetup, validate_expansion_radius
 
 PROBE_CLEARANCE = 1e-6
+# point-segment elements per chunk of the region kernels
+CHUNK_ELEMENTS = 4096
 
 
 # -- ray graph -----------------------------------------------------------------------
@@ -95,7 +102,13 @@ def pair_polyline(pair: RayPair, reach: float) -> np.ndarray:
 
 
 class RegionGeometry:
-    """Signature machinery: which side of each ray pair a point is on."""
+    """Which side of each ray pair a point is on, and how far from all pairs.
+
+    The segments of all pair polylines are concatenated once.  `signature`
+    and `min_distance` are array kernels over points x segments: a scalar is
+    a batch of size 1, and points go through in chunks of at most
+    `CHUNK_ELEMENTS` point-segment elements, so the temporaries stay small.
+    """
 
     def __init__(self, pairs: list[RayPair], bbox: Rect):
         self.bbox = bbox
@@ -103,54 +116,73 @@ class RegionGeometry:
         self.polylines = [ParamCurve.from_points(pair_polyline(p, reach))
                           for p in pairs]
         self.pairs = pairs
+        segments = [poly.segments() for poly in self.polylines]
+        self._a = np.concatenate([a for a, _ in segments] or [np.empty(0, complex)])
+        self._b = np.concatenate([b for _, b in segments] or [np.empty(0, complex)])
+        # index of each polyline's first segment, for the per-polyline sums
+        self._starts = np.cumsum([0] + [len(a) for a, _ in segments[:-1]])
+        self._chunk = max(1, CHUNK_ELEMENTS // max(len(self._a), 1))  # points
         d = bbox.diagonal
         self._far = complex(bbox.x0 - 3.71 * d, bbox.y0 - 2.39 * d)
 
-    def signature(self, z: complex) -> tuple[int, ...]:
+    def signature(self, z: complex | np.ndarray) -> tuple[int, ...] | np.ndarray:
+        """Crossing parity of the segment [z, far] with each pair polyline.
+
+        A point whose test segment grazes a polyline (a vertex or a
+        near-parallel overlap) is retried with a jittered far point; after
+        12 attempts the first unresolved point raises ResolutionTooCoarse.
+        A scalar gives a tuple, an array an (n, len(pairs)) int array.
+        """
+        pts = np.ravel(np.asarray(z, dtype=complex))
+        bits = np.zeros((len(pts), len(self.polylines)), dtype=int)
+        pending = np.arange(len(pts)) if self.polylines else np.arange(0)
         for attempt in range(12):
+            if not len(pending):
+                break
             far = self._far * (1.0 + 0.0173 * attempt) - 1j * attempt * 0.31
-            bits = []
-            ok = True
-            for poly in self.polylines:
-                c = _crossing_parity(z, far, poly.z)
-                if c is None:
-                    ok = False
-                    break
-                bits.append(c & 1)
-            if ok:
-                return tuple(bits)
-        raise ResolutionTooCoarse(f"cannot resolve the region of {z}")
+            grazed = []
+            for lo in range(0, len(pending), self._chunk):
+                chunk = pending[lo:lo + self._chunk]
+                counts, grazing = self._crossings(pts[chunk], far)
+                bits[chunk[~grazing]] = counts[~grazing] & 1
+                grazed.append(chunk[grazing])
+            pending = np.concatenate(grazed)
+        if len(pending):
+            raise ResolutionTooCoarse(
+                f"cannot resolve the region of {complex(pts[pending[0]])}")
+        if np.ndim(z) == 0:
+            return tuple(int(b) for b in bits[0])
+        return bits
 
-    def min_distance(self, z: complex) -> float:
-        return min((poly.distance_to_point(z) for poly in self.polylines),
-                   default=math.inf)
+    def _crossings(self, p: np.ndarray, far: complex) -> tuple[np.ndarray, np.ndarray]:
+        """Proper crossings of each [p_i, far] per polyline, and which p_i graze."""
+        a, d2 = self._a, self._b - self._a
+        d1 = (far - p)[:, None]
+        denom = (d1 * d2.conjugate()).imag
+        q = a - p[:, None]
+        with np.errstate(divide="ignore", invalid="ignore"):
+            s = (q * d2.conjugate()).imag / denom
+            u = (q * d1.conjugate()).imag / denom
+        scale = np.abs(d1) * np.abs(d2)
+        parallel = np.abs(denom) < 1e-14 * np.maximum(scale, 1e-300)
+        eps = 1e-9
+        inside = (~parallel) & (s > eps) & (s < 1 - eps) & (u > eps) & (u < 1 - eps)
+        grazing = (~parallel) & (
+            ((np.abs(s) <= eps) | (np.abs(s - 1) <= eps)) & (u > -eps) & (u < 1 + eps)
+            | ((np.abs(u) <= eps) | (np.abs(u - 1) <= eps)) & (s > -eps) & (s < 1 + eps)
+        )
+        return np.add.reduceat(inside, self._starts, axis=1), grazing.any(axis=1)
 
-
-def _crossing_parity(z: complex, far: complex, poly: np.ndarray) -> int | None:
-    """Number of proper crossings of segment [z, far] with the polyline.
-
-    Returns None when a crossing is too close to degenerate (vertex grazing
-    or near-parallel overlap), so the caller can jitter the far point.
-    """
-    a, b = poly[:-1], poly[1:]
-    d1 = far - z
-    d2 = b - a
-    denom = (d1 * d2.conjugate()).imag
-    q = a - z
-    with np.errstate(divide="ignore", invalid="ignore"):
-        s = (q * d2.conjugate()).imag / denom
-        u = (q * d1.conjugate()).imag / denom
-    scale = np.abs(d1) * np.abs(d2)
-    parallel = np.abs(denom) < 1e-14 * np.maximum(scale, 1e-300)
-    eps = 1e-9
-    inside = (~parallel) & (s > eps) & (s < 1 - eps) & (u > eps) & (u < 1 - eps)
-    grazing = (~parallel) & (
-        ((np.abs(s) <= eps) | (np.abs(s - 1) <= eps)) & (u > -eps) & (u < 1 + eps)
-        | ((np.abs(u) <= eps) | (np.abs(u - 1) <= eps)) & (s > -eps) & (s < 1 + eps)
-    )
-    if np.any(grazing):
-        return None
-    return int(np.count_nonzero(inside))
+    def min_distance(self, z: complex | np.ndarray) -> float | np.ndarray:
+        """Distance from each point to the nearest pair polyline (inf if none)."""
+        pts = np.ravel(np.asarray(z, dtype=complex))
+        out = np.full(len(pts), math.inf)
+        if len(self._a):
+            for lo in range(0, len(pts), self._chunk):
+                p = pts[lo:lo + self._chunk, None]
+                out[lo:lo + self._chunk] = np.min(
+                    _point_segment_distance(p, self._a, self._b), axis=1)
+        return float(out[0]) if np.ndim(z) == 0 else out
 
 
 # -- basic regions ----------------------------------------------------------------------
@@ -183,6 +215,7 @@ def basic_regions(graph: RayGraph, bbox: Rect | tuple,
     belong to the same region iff no pair separates them.  Halving the probe
     resolution must reproduce the same region count.
     """
+    _check_resolution(resolution)
     if not isinstance(bbox, Rect):
         bbox = Rect(*bbox)
     geometry = RegionGeometry(graph.pairs, bbox)
@@ -195,21 +228,26 @@ def basic_regions(graph: RayGraph, bbox: Rect | tuple,
     return regions, geometry
 
 
+def _check_resolution(resolution: float) -> None:
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+
+
 def _regions_at(graph: RayGraph, bbox: Rect, resolution: float,
                 geometry: RegionGeometry) -> list[BasicRegion]:
     probes = _probe_points(graph, bbox, resolution, geometry)
-    best: dict[tuple[int, ...], tuple[float, complex]] = {}
-    for z in probes:
-        clearance = geometry.min_distance(z)
-        if clearance < max(PROBE_CLEARANCE, resolution * 1e-3):
-            continue
-        sig = geometry.signature(z)
-        cur = best.get(sig)
-        if cur is None or clearance > cur[0]:
-            best[sig] = (clearance, z)
+    clearance = geometry.min_distance(probes)
+    # a probe on a curve must not reach `signature`, which raises there
+    clear = ~(clearance < max(PROBE_CLEARANCE, resolution * 1e-3))
+    probes, clearance = probes[clear], clearance[clear]
+    sigs, group = np.unique(geometry.signature(probes), axis=0, return_inverse=True)
+    group = group.reshape(-1)
+    # per signature, the first probe of largest clearance (lexsort is stable)
+    order = np.lexsort((-clearance, group))
+    first = order[np.unique(group[order], return_index=True)[1]]
+    best = {tuple(int(b) for b in sig): complex(probes[i]) for sig, i in zip(sigs, first)}
     regions = []
-    for i, sig in enumerate(sorted(best)):
-        _, sample = best[sig]
+    for i, (sig, sample) in enumerate(best.items()):
         boundary = []
         for k, pair in enumerate(geometry.pairs):
             neighbor = tuple(b ^ 1 if idx == k else b for idx, b in enumerate(sig))
@@ -220,27 +258,29 @@ def _regions_at(graph: RayGraph, bbox: Rect, resolution: float,
 
 
 def _probe_points(graph: RayGraph, bbox: Rect, resolution: float,
-                  geometry: RegionGeometry) -> list[complex]:
+                  geometry: RegionGeometry) -> np.ndarray:
     nx = max(int((bbox.x1 - bbox.x0) / resolution), 4)
     ny = max(int((bbox.y1 - bbox.y0) / resolution), 4)
-    xs = np.linspace(bbox.x0 + resolution / 2, bbox.x1 - resolution / 2, nx)
-    ys = np.linspace(bbox.y0 + resolution / 2, bbox.y1 - resolution / 2, ny)
-    pts = [complex(x, y) for x in xs for y in ys]
-    # straddle every pair curve so thin regions next to rays are found
+    grid = np.empty((nx, ny), dtype=complex)
+    grid.real = np.linspace(bbox.x0 + resolution / 2, bbox.x1 - resolution / 2, nx)[:, None]
+    grid.imag = np.linspace(bbox.y0 + resolution / 2, bbox.y1 - resolution / 2, ny)
+    pts = [grid.ravel()]
+    # straddle every pair curve so thin regions next to rays are found:
+    # per polyline, offsets (0.35, 0.05) x segments x sides (+1, -1)
+    shifts = np.multiply.outer(np.array([0.35 * resolution, 0.05 * resolution]),
+                               np.array([1.0, -1.0]))
     for poly in geometry.polylines:
         a, b = poly.segments()
         seg = b - a
         mids = 0.5 * (b + a)
         with np.errstate(invalid="ignore", divide="ignore"):
             normals = 1j * seg / np.abs(seg)
-        for off in (0.35 * resolution, 0.05 * resolution):
-            for m, nrm in zip(mids, normals):
-                if np.isfinite(nrm):
-                    for side in (+1, -1):
-                        p = m + side * off * nrm
-                        if bbox.contains(p):
-                            pts.append(complex(p))
-    return pts
+        p = mids[:, None] + shifts[:, None, :] * normals[:, None]
+        ok = np.isfinite(normals)[:, None] \
+            & (bbox.x0 <= p.real) & (p.real <= bbox.x1) \
+            & (bbox.y0 <= p.imag) & (p.imag <= bbox.y1)
+        pts.append(p[ok])
+    return np.concatenate(pts)
 
 
 # -- counting contour -------------------------------------------------------------------
@@ -600,6 +640,7 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
     boundary (a landing point), interior, or parabolic with virtual basins,
     and emits one verdict per region.
     """
+    _check_resolution(resolution)
     if bbox is None:
         bbox = setup.bbox
     if not isinstance(bbox, Rect):
@@ -622,19 +663,10 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
     graph = build_ray_graph(landed, period)
     regions, geometry = basic_regions(graph, bbox, resolution)
 
-    verdict_data: dict[tuple[int, ...], RegionVerdict] = {}
     region_by_sig = {r.signature: r for r in regions}
-
-    def region_of(z: complex) -> BasicRegion | None:
-        sig = geometry.signature(z)
-        if sig not in region_by_sig:
-            # a point may sit in a region none of the probes reached
-            nid = len(regions)
-            reg = BasicRegion(nid, sig, [], z)
-            regions.append(reg)
-            region_by_sig[sig] = reg
-        return region_by_sig[sig]
-
+    # points to place in regions, in record order:
+    # (point, name of the RegionContents list, entry)
+    members: list[tuple[complex, str, object]] = []
     ray_landings = np.array([r.landing for r in graph.rays], dtype=complex)
     for rec in records:
         z = rec.location
@@ -647,25 +679,37 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
             # to the region its probe orbit sits in
             fan = petal_directions(spec, z, period)
             for direction in probe_virtual_points(spec, fan, period):
-                probe = z + 0.1 * direction
-                shrink = 0
-                while geometry.min_distance(probe) < PROBE_CLEARANCE and shrink < 20:
-                    probe = z + abs(probe - z) * 0.7 * direction
-                    shrink += 1
-                reg = region_of(probe)
-                reg.contents.virtual_points.append((z, direction))
-        if not len(incident) and not (rec.classification == "parabolic"
-                                    and abs(rec.multiplier - 1.0) < 1e-6):
-            reg = region_of(z)
-            reg.contents.interior_points.append(rec)
+                probe = _virtual_probe(geometry, z, direction)
+                if probe is None:
+                    incomplete.append(f"virtual point of parabolic {z}: every probe "
+                                      f"lies within {PROBE_CLEARANCE} of a pair curve")
+                    continue
+                members.append((probe, "virtual_points", (z, direction)))
+        elif not len(incident):
+            members.append((z, "interior_points", rec))
 
-    # boundary landing bookkeeping: attach to regions adjacent to the landing
-    for z in graph.landing_points:
-        for reg in regions:
-            near = z + (reg.sample_interior_point - z) * 1e-3
-            if geometry.min_distance(near) > 0 and \
-               geometry.signature(near) == reg.signature:
-                reg.contents.landing_points_on_boundary.append(z)
+    sigs = geometry.signature(np.array([m[0] for m in members], dtype=complex))
+    for (z, kind, entry), sig in zip(members, sigs):
+        sig = tuple(int(b) for b in sig)
+        reg = region_by_sig.get(sig)
+        if reg is None:
+            # a point may sit in a region none of the probes reached
+            reg = BasicRegion(len(regions), sig, [], z)
+            regions.append(reg)
+            region_by_sig[sig] = reg
+        getattr(reg.contents, kind).append(entry)
+
+    # boundary landing bookkeeping: attach each landing to the regions whose
+    # side it is on, judged a thousandth of the way toward their samples
+    if regions and graph.landing_points:
+        landings = np.array(graph.landing_points)[:, None]
+        samples = np.array([r.sample_interior_point for r in regions], dtype=complex)
+        near = landings + (samples - landings) * 1e-3          # landings x regions
+        rows, cols = np.nonzero(geometry.min_distance(near.ravel()).reshape(near.shape) > 0)
+        own = np.array([r.signature for r in regions], dtype=int)
+        same = np.all(geometry.signature(near[rows, cols]) == own[cols], axis=1)
+        for i, k in zip(rows[same], cols[same]):
+            regions[k].contents.landing_points_on_boundary.append(graph.landing_points[i])
 
     verdicts = []
     for reg in regions:
@@ -692,6 +736,19 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
             incomplete.append(f"global count: {type(exc).__name__}: {exc}")
     return SeparationReport(period, regions, verdicts, global_counts,
                             incomplete, records, graph)
+
+
+def _virtual_probe(geometry: RegionGeometry, z: complex, direction: complex) -> complex | None:
+    """The first probe off z along `direction` that clears every pair curve.
+
+    Probes start 0.1 from z and shrink by 0.7 twenty times; None when all 21
+    lie within PROBE_CLEARANCE of a pair curve.
+    """
+    probes = [z + 0.1 * direction]
+    for _ in range(20):
+        probes.append(z + abs(probes[-1] - z) * 0.7 * direction)
+    clear = ~(geometry.min_distance(np.array(probes, dtype=complex)) < PROBE_CLEARANCE)
+    return probes[int(np.argmax(clear))] if clear.any() else None
 
 
 def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,

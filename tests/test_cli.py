@@ -62,6 +62,20 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "error" in json.loads(err)
 
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_region_resolution_is_config_error(self, capsys, monkeypatch, value):
+        import raysep.cli
+
+        def no_setup(*_args, **_kwargs):
+            raise AssertionError("setup built before --region-res was checked")
+        monkeypatch.setattr(raysep.cli, "structural_setup", no_setup)
+        code, _, err = run_cli(
+            ["verify", "--map", "exp(0.3)", "--region-res", value], capsys)
+        assert code == EXIT_CONFIG
+        payload = json.loads(err)
+        assert payload["error"] == "config"
+        assert "--region-res" in payload["message"]
+
     def test_broken_rays_counted_apart(self, capsys):
         # the band-0 fixed ray of 0.5 e^z + 0.2 runs into the asymptotic value
         code, out, err = run_cli(

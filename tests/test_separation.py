@@ -1,20 +1,28 @@
 """Ray graph, basic regions, counting contour, boundary modification, report."""
 
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
 from raysep.curves import ParamCurve
-from raysep.errors import EpsTooLarge, NotFullComplete, Overflow, UnlandedRay
+from raysep.errors import (EpsTooLarge, NotFullComplete, Overflow, ResolutionTooCoarse,
+                           UnlandedRay)
 from raysep.fixedpoints import FixedPointRecord
 from raysep.maps import MapSpec, exp_map, parse_map
 import raysep.separation
-from raysep.rays import PAIR_TOL, Address, RayStatus, detect_ray_pairs, landing_point, trace_ray
+from raysep.rays import (PAIR_TOL, Address, RayPair, RayStatus, detect_ray_pairs,
+                         landing_point, trace_ray)
 from raysep.separation import (
+    CHUNK_ELEMENTS,
+    PROBE_CLEARANCE,
+    RegionGeometry,
     SimpleRegion,
     _augment_with_inferred_rays,
+    _probe_points,
     basic_regions,
     build_ray_graph,
     counting_contour,
@@ -116,6 +124,210 @@ class TestBasicRegions:
         regions, geometry = basic_regions(graph, setup_neg5.bbox, 0.4)
         for reg in regions:
             assert reg.contains(reg.sample_interior_point, geometry)
+
+
+# -- per-point references for the region kernels --------------------------------
+
+
+def crossing_parity_reference(z, far, poly):
+    """Proper crossings of [z, far] with the polyline; None when it grazes."""
+    a, b = poly[:-1], poly[1:]
+    d1 = far - z
+    d2 = b - a
+    denom = (d1 * d2.conjugate()).imag
+    q = a - z
+    with np.errstate(divide="ignore", invalid="ignore"):
+        s = (q * d2.conjugate()).imag / denom
+        u = (q * d1.conjugate()).imag / denom
+    scale = np.abs(d1) * np.abs(d2)
+    parallel = np.abs(denom) < 1e-14 * np.maximum(scale, 1e-300)
+    eps = 1e-9
+    inside = (~parallel) & (s > eps) & (s < 1 - eps) & (u > eps) & (u < 1 - eps)
+    grazing = (~parallel) & (
+        ((np.abs(s) <= eps) | (np.abs(s - 1) <= eps)) & (u > -eps) & (u < 1 + eps)
+        | ((np.abs(u) <= eps) | (np.abs(u - 1) <= eps)) & (s > -eps) & (s < 1 + eps)
+    )
+    if np.any(grazing):
+        return None
+    return int(np.count_nonzero(inside))
+
+
+def far_point(bbox, attempt):
+    d = bbox.diagonal
+    far = complex(bbox.x0 - 3.71 * d, bbox.y0 - 2.39 * d)
+    return far * (1.0 + 0.0173 * attempt) - 1j * attempt * 0.31
+
+
+def signature_reference(geometry, z):
+    for attempt in range(12):
+        far = far_point(geometry.bbox, attempt)
+        bits = []
+        for poly in geometry.polylines:
+            c = crossing_parity_reference(z, far, poly.z)
+            if c is None:
+                break
+            bits.append(c & 1)
+        else:
+            return tuple(bits)
+    raise ResolutionTooCoarse(f"cannot resolve the region of {z}")
+
+
+def min_distance_reference(geometry, z):
+    return min((poly.distance_to_point(z) for poly in geometry.polylines),
+               default=math.inf)
+
+
+def probe_points_reference(bbox, resolution, geometry):
+    nx = max(int((bbox.x1 - bbox.x0) / resolution), 4)
+    ny = max(int((bbox.y1 - bbox.y0) / resolution), 4)
+    xs = np.linspace(bbox.x0 + resolution / 2, bbox.x1 - resolution / 2, nx)
+    ys = np.linspace(bbox.y0 + resolution / 2, bbox.y1 - resolution / 2, ny)
+    pts = [complex(x, y) for x in xs for y in ys]
+    for poly in geometry.polylines:
+        a, b = poly.segments()
+        seg = b - a
+        mids = 0.5 * (b + a)
+        with np.errstate(invalid="ignore", divide="ignore"):
+            normals = 1j * seg / np.abs(seg)
+        for off in (0.35 * resolution, 0.05 * resolution):
+            for m, nrm in zip(mids, normals):
+                if np.isfinite(nrm):
+                    for side in (+1, -1):
+                        p = m + side * off * nrm
+                        if bbox.contains(p):
+                            pts.append(complex(p))
+    return pts
+
+
+def regions_reference(bbox, resolution, geometry):
+    """(signature, sample, boundary rays) per region, one probe at a time."""
+    best = {}
+    for z in probe_points_reference(bbox, resolution, geometry):
+        clearance = min_distance_reference(geometry, z)
+        if clearance < max(PROBE_CLEARANCE, resolution * 1e-3):
+            continue
+        sig = signature_reference(geometry, z)
+        cur = best.get(sig)
+        if cur is None or clearance > cur[0]:
+            best[sig] = (clearance, z)
+    out = []
+    for sig in sorted(best):
+        boundary = []
+        for k, pair in enumerate(geometry.pairs):
+            neighbor = tuple(b ^ 1 if idx == k else b for idx, b in enumerate(sig))
+            if neighbor in best:
+                boundary.extend(pair.rays)
+        out.append((sig, best[sig][1], boundary))
+    return out
+
+
+@pytest.fixture(scope="module")
+def pair_neg5(setup_neg5):
+    spec = setup_neg5.spec
+    rays = [landing_point(spec, trace_ray(spec, setup_neg5, Address.cycle(b)))
+            for b in ([0, 1], [1, 0])]
+    return build_ray_graph(rays, 2)
+
+
+@pytest.fixture(scope="module")
+def three_pairs(setup_neg5, pair_neg5):
+    """The period-2 pair of exp(-5) and its copies shifted by +-2 pi i."""
+    pair = pair_neg5.pairs[0]
+
+    def shifted(k):
+        w = 2j * np.pi * k
+        r1, r2 = (dataclasses.replace(r, z=r.z + w) for r in pair.rays)
+        return RayPair((r1, r2), pair.common_landing + w)
+    return RegionGeometry([pair, shifted(1), shifted(-1)], setup_neg5.bbox)
+
+
+class TestRegionKernels:
+    def test_batch_matches_per_point_reference(self, three_pairs):
+        geometry = three_pairs
+        bbox = geometry.bbox
+        rows = CHUNK_ELEMENTS // sum(len(p.z) - 1 for p in geometry.polylines)
+        n = 7 * rows + 5
+        assert n % rows
+        rng = np.random.default_rng(7)
+        z = rng.uniform(bbox.x0, bbox.x1, n) + 1j * rng.uniform(bbox.y0, bbox.y1, n)
+        sigs = geometry.signature(z)
+        assert sigs.shape == (n, 3)
+        assert [tuple(s) for s in sigs] == [signature_reference(geometry, w) for w in z]
+        assert len({tuple(s) for s in sigs}) > 1
+        dist = geometry.min_distance(z)
+        assert np.array_equal(dist, [min_distance_reference(geometry, w) for w in z])
+        # a scalar is a batch of size 1
+        assert geometry.signature(z[3]) == signature_reference(geometry, z[3])
+        assert geometry.min_distance(z[3]) == dist[3]
+
+    def test_grazing_point_retries(self, three_pairs):
+        geometry = three_pairs
+        poly = geometry.polylines[1]
+        vertex = poly.z[20]
+        far = far_point(geometry.bbox, 0)
+        # [z, far] runs through a vertex of the polyline at the first attempt
+        z = vertex + 0.3 * (vertex - far) / abs(vertex - far)
+        assert crossing_parity_reference(z, far, poly.z) is None
+        expected = signature_reference(geometry, z)
+        assert geometry.signature(z) == expected
+        batch = geometry.signature(np.array([-1.0 + 2.0j, z, 0.5 - 3.0j]))
+        assert tuple(batch[1]) == expected
+        assert tuple(batch[0]) == signature_reference(geometry, -1.0 + 2.0j)
+
+    def test_point_on_curve_raises(self, three_pairs):
+        geometry = three_pairs
+        poly = geometry.polylines[2]
+        on = complex(0.5 * (poly.z[30] + poly.z[31]))
+        with pytest.raises(ResolutionTooCoarse):
+            signature_reference(geometry, on)
+        with pytest.raises(ResolutionTooCoarse, match=re.escape(str(on))):
+            geometry.signature(on)
+        with pytest.raises(ResolutionTooCoarse, match=re.escape(str(on))):
+            geometry.signature(np.array([-1.0 + 2.0j, on, 0.5 - 3.0j]))
+        assert geometry.min_distance(on) < 1e-12
+
+    def test_empty_graph(self, setup03):
+        geometry = RegionGeometry([], setup03.bbox)
+        assert geometry.signature(1.0 + 1.0j) == ()
+        assert geometry.min_distance(1.0 + 1.0j) == math.inf
+        z = np.array([0.0, 1.0 + 1.0j, -2.0j])
+        assert geometry.signature(z).shape == (3, 0)
+        assert np.all(geometry.min_distance(z) == math.inf)
+
+
+class TestProbeSet:
+    @pytest.mark.parametrize("resolution", [0.4, 0.25])
+    def test_probe_points_match_nested_loop(self, three_pairs, resolution):
+        geometry = three_pairs
+        probes = _probe_points(None, geometry.bbox, resolution, geometry)
+        expected = probe_points_reference(geometry.bbox, resolution, geometry)
+        assert probes.dtype == complex
+        assert probes.tolist() == expected
+
+    def test_regions_match_per_point_reference(self, setup_neg5, pair_neg5):
+        regions, geometry = basic_regions(pair_neg5, setup_neg5.bbox, 0.4)
+        expected = regions_reference(setup_neg5.bbox, 0.4, geometry)
+        assert len(regions) == len(expected) == 2
+        for reg, (sig, sample, boundary) in zip(regions, expected):
+            assert reg.signature == sig
+            assert reg.sample_interior_point == sample
+            assert len(reg.boundary_rays) == len(boundary) == 2
+            assert all(a is b for a, b in zip(reg.boundary_rays, boundary))
+
+
+class TestResolutionPrecondition:
+    @pytest.mark.parametrize("resolution", [0.0, -0.5, math.nan, math.inf])
+    def test_basic_regions_rejects(self, setup03, resolution):
+        with pytest.raises(ValueError, match="resolution"):
+            basic_regions(build_ray_graph([], 1), setup03.bbox, resolution)
+
+    @pytest.mark.parametrize("resolution", [0.0, math.nan])
+    def test_report_rejects_before_ray_work(self, setup03, monkeypatch, resolution):
+        def no_rays(*_args, **_kwargs):
+            raise AssertionError("rays traced before the resolution was checked")
+        monkeypatch.setattr(raysep.separation, "fixed_rays", no_rays)
+        with pytest.raises(ValueError, match="resolution"):
+            separation_report(setup03.spec, setup03, 1, resolution=resolution)
 
 
 class TestCountingContour:
@@ -278,6 +490,27 @@ class TestSeparationReport:
             is_landing = any(abs(rec.location - p) < 1e-6 for p in landing_pts)
             in_regions = sum(1 for z in assigned if abs(z - rec.location) < 1e-9)
             assert (1 if not is_landing else 0) == in_regions
+
+
+    def test_virtual_probe_on_curve_is_incomplete(self, monkeypatch):
+        # every probe around the parabolic point reads as lying on a pair curve
+        original = RegionGeometry.min_distance
+
+        def blocked_near_one(self, z):
+            d = original(self, z)
+            return np.where(np.abs(np.asarray(z) - 1.0) < 0.2, 0.0, d)
+
+        monkeypatch.setattr(RegionGeometry, "min_distance", blocked_near_one)
+        spec = parse_map("exp(1/e)")
+        setup = structural_setup(spec, Rect(-4, 8, -12, 12), 0.1)
+        report = separation_report(spec, setup, 1)
+        assert report.is_incomplete
+        entries = [e for e in report.incomplete if e.startswith("virtual point of parabolic")]
+        assert len(entries) == 1
+        parabolic = [r.location for r in report.records if r.classification == "parabolic"]
+        assert str(parabolic[0]) in entries[0]
+        assert not any(v.virtual for v in report.verdicts)
+        assert all(v.verdict != "exactly_one_virtual" for v in report.verdicts)
 
 
 class TestInferredRays:
