@@ -153,7 +153,7 @@ class DegenerateExpansion(RaysepError):
 # --- separation -------------------------------------------------------------------
 
 class ResolutionTooCoarse(RaysepError):
-    """Region assignment unstable under refinement of the discretization."""
+    """Region samples miss a region of the ray graph, or a point's region is unresolved."""
 
 
 class NotFullComplete(RaysepError):

@@ -4,15 +4,14 @@ The graph of landed rays and their landing points cuts the plane into basic
 regions.  Only ray pairs (two rays with a common landing point) actually
 separate; membership is decided by crossing parity of a test segment against
 each pair's curve, so truncation of the rays at a finite box does not split
-regions.  `RegionGeometry` concatenates the segments of all pair curves
-once; its `signature` and `min_distance` are array kernels over points x
-segments, fed in chunks of at most `CHUNK_ELEMENTS` elements, and every
-region query of the report goes through them in a few batched calls.  The
-graph's landing points, its pairs and each ray's landing index come from
-one grouping of the landings (`rays.landing_groups`).  The
-global counting contour encloses a full and complete collection of
-fundamental domains and carries the expected fixed-point count, which the
-argument principle must reproduce exactly.
+regions.  Regions are found from samples beside the pair curves; by Euler's
+formula there are 1 + sum(k_i - 1) of them when landing point i carries k_i
+rays.  `RegionGeometry.signature` and `min_distance` are array kernels over
+points x the segments of all pair curves.  The graph's landing points, its
+pairs and each ray's landing index come from one grouping of the landings
+(`rays.landing_groups`).  The global counting contour encloses a full and
+complete collection of fundamental domains and carries the expected
+fixed-point count, which the argument principle must reproduce exactly.
 """
 
 from __future__ import annotations
@@ -209,43 +208,36 @@ class BasicRegion:
 
 def basic_regions(graph: RayGraph, bbox: Rect | tuple,
                   resolution: float = 0.5) -> tuple[list[BasicRegion], RegionGeometry]:
-    """Basic regions meeting the box, discovered by signature probing.
+    """Basic regions meeting the box, found by the signatures of pair-curve samples.
 
-    Probes a grid plus offsets on both sides of every pair curve; two points
-    belong to the same region iff no pair separates them.  Halving the probe
-    resolution must reproduce the same region count.
+    The samples sit 0.35 and 0.05 x `resolution` off both sides of the middle
+    of every pair-curve segment, inside the box; with no pairs the one sample
+    is the centre of the box.  Two points belong to the same region iff no
+    pair separates them.  By Euler's formula on the sphere, a ray graph whose
+    landing point i carries k_i rays cuts the plane into 1 + sum(k_i - 1)
+    regions; finding any other number raises ResolutionTooCoarse.
     """
     _check_resolution(resolution)
     if not isinstance(bbox, Rect):
         bbox = Rect(*bbox)
     geometry = RegionGeometry(graph.pairs, bbox)
-    regions = _regions_at(graph, bbox, resolution, geometry)
-    finer = _regions_at(graph, bbox, resolution / 2.0, geometry)
-    if len(finer) != len(regions):
-        raise ResolutionTooCoarse(
-            f"{len(regions)} regions at resolution {resolution} but "
-            f"{len(finer)} at half resolution")
-    return regions, geometry
-
-
-def _check_resolution(resolution: float) -> None:
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
-
-
-def _regions_at(graph: RayGraph, bbox: Rect, resolution: float,
-                geometry: RegionGeometry) -> list[BasicRegion]:
-    probes = _probe_points(graph, bbox, resolution, geometry)
-    clearance = geometry.min_distance(probes)
-    # a probe on a curve must not reach `signature`, which raises there
+    centre = complex(0.5 * (bbox.x0 + bbox.x1), 0.5 * (bbox.y0 + bbox.y1))
+    samples = _probe_points(geometry, resolution) if graph.pairs else np.array([centre])
+    clearance = geometry.min_distance(samples)
+    # a sample on a curve must not reach `signature`, which raises there
     clear = ~(clearance < max(PROBE_CLEARANCE, resolution * 1e-3))
-    probes, clearance = probes[clear], clearance[clear]
-    sigs, group = np.unique(geometry.signature(probes), axis=0, return_inverse=True)
+    samples, clearance = samples[clear], clearance[clear]
+    sigs, group = np.unique(geometry.signature(samples), axis=0, return_inverse=True)
     group = group.reshape(-1)
-    # per signature, the first probe of largest clearance (lexsort is stable)
+    # per signature, the first sample of largest clearance (lexsort is stable)
     order = np.lexsort((-clearance, group))
     first = order[np.unique(group[order], return_index=True)[1]]
-    best = {tuple(int(b) for b in sig): complex(probes[i]) for sig, i in zip(sigs, first)}
+    best = {tuple(int(b) for b in sig): complex(samples[i]) for sig, i in zip(sigs, first)}
+    expected = 1 + int(np.sum(np.bincount(graph.landing_index) - 1))
+    if len(best) != expected:
+        raise ResolutionTooCoarse(
+            f"{len(best)} region signatures found at resolution {resolution}; "
+            f"the ray graph cuts the plane into 1 + sum(k_i - 1) = {expected}")
     regions = []
     for i, (sig, sample) in enumerate(best.items()):
         boundary = []
@@ -254,33 +246,31 @@ def _regions_at(graph: RayGraph, bbox: Rect, resolution: float,
             if neighbor in best:
                 boundary.extend(pair.rays)
         regions.append(BasicRegion(i, sig, boundary, sample))
-    return regions
+    return regions, geometry
 
 
-def _probe_points(graph: RayGraph, bbox: Rect, resolution: float,
-                  geometry: RegionGeometry) -> np.ndarray:
-    nx = max(int((bbox.x1 - bbox.x0) / resolution), 4)
-    ny = max(int((bbox.y1 - bbox.y0) / resolution), 4)
-    grid = np.empty((nx, ny), dtype=complex)
-    grid.real = np.linspace(bbox.x0 + resolution / 2, bbox.x1 - resolution / 2, nx)[:, None]
-    grid.imag = np.linspace(bbox.y0 + resolution / 2, bbox.y1 - resolution / 2, ny)
-    pts = [grid.ravel()]
-    # straddle every pair curve so thin regions next to rays are found:
-    # per polyline, offsets (0.35, 0.05) x segments x sides (+1, -1)
-    shifts = np.multiply.outer(np.array([0.35 * resolution, 0.05 * resolution]),
-                               np.array([1.0, -1.0]))
-    for poly in geometry.polylines:
-        a, b = poly.segments()
-        seg = b - a
-        mids = 0.5 * (b + a)
-        with np.errstate(invalid="ignore", divide="ignore"):
-            normals = 1j * seg / np.abs(seg)
-        p = mids[:, None] + shifts[:, None, :] * normals[:, None]
-        ok = np.isfinite(normals)[:, None] \
-            & (bbox.x0 <= p.real) & (p.real <= bbox.x1) \
-            & (bbox.y0 <= p.imag) & (p.imag <= bbox.y1)
-        pts.append(p[ok])
-    return np.concatenate(pts)
+def _check_resolution(resolution: float) -> None:
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+
+
+def _probe_points(geometry: RegionGeometry, resolution: float) -> np.ndarray:
+    """The straddle samples of every pair polyline, in polyline order, inside the box."""
+    bbox = geometry.bbox
+    p = np.concatenate([_straddle(*poly.segments(), resolution)
+                        for poly in geometry.polylines] or [np.empty(0, complex)])
+    return p[(bbox.x0 <= p.real) & (p.real <= bbox.x1)
+             & (bbox.y0 <= p.imag) & (p.imag <= bbox.y1)]
+
+
+def _straddle(a: np.ndarray, b: np.ndarray, resolution: float) -> np.ndarray:
+    """Points 0.35 and 0.05 x resolution off both sides of the middle of each
+    segment [a, b] of nonzero length, ordered by (offset, segment, side)."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        normals = 1j * (b - a) / np.abs(b - a)
+    shifts = np.array([[0.35, -0.35], [0.05, -0.05]]) * resolution
+    p = 0.5 * (b + a)[:, None] + shifts[:, None, :] * normals[:, None]
+    return p[np.isfinite(p)]
 
 
 # -- counting contour -------------------------------------------------------------------
@@ -602,7 +592,7 @@ def _side_margin(image: np.ndarray, region: ModifiedRegion,
 @dataclass
 class RegionVerdict:
     region_id: int
-    verdict: str                # exactly_one_interior | exactly_one_virtual | VIOLATION(...)
+    verdict: str    # exactly_one_{interior,virtual} | VIOLATION(...) | INCOMPLETE(...)
     interior: list[complex]
     virtual: list[complex]
     boundary_landings: list[complex]
@@ -630,22 +620,18 @@ class SeparationReport:
 
 
 def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
-                      bbox: Rect | tuple | None = None,
                       resolution: float = 0.5,
                       ray_depth: int = 80) -> SeparationReport:
     """Verify that each basic region holds exactly one interior or virtual point.
 
     Traces all period-p rays over the domains of the setup, builds the ray
-    graph and basic regions, classifies every period-p point in the box as
-    boundary (a landing point), interior, or parabolic with virtual basins,
-    and emits one verdict per region.
+    graph and basic regions in the setup's box, classifies every period-p
+    point in the box as boundary (a landing point), interior, or parabolic
+    with virtual basins, and emits one verdict per region.  While a virtual
+    point could not be placed, an empty region reads INCOMPLETE, not
+    VIOLATION.
     """
     _check_resolution(resolution)
-    if bbox is None:
-        bbox = setup.bbox
-    if not isinstance(bbox, Rect):
-        bbox = Rect(*bbox)
-
     incomplete: list[str] = []
     rays = fixed_rays(spec, setup, setup.domains, period, depth=ray_depth)
     landed = [r for r in rays if r.status.kind == "lands_at"]
@@ -654,19 +640,20 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
             incomplete.append(f"ray {r.address} {r.status.kind}")
 
     records = find_periodic_points(
-        spec, bbox, period, setup=setup,
+        spec, setup.bbox, period, setup=setup,
         extra_seeds=[r.landing for r in landed])
 
     # rays landing at found points via addresses inferred from orbit bands
     landed = _augment_with_inferred_rays(spec, setup, period, records, landed,
                                          incomplete)
     graph = build_ray_graph(landed, period)
-    regions, geometry = basic_regions(graph, bbox, resolution)
+    regions, geometry = basic_regions(graph, setup.bbox, resolution)
 
     region_by_sig = {r.signature: r for r in regions}
     # points to place in regions, in record order:
     # (point, name of the RegionContents list, entry)
     members: list[tuple[complex, str, object]] = []
+    unplaced = False
     ray_landings = np.array([r.landing for r in graph.rays], dtype=complex)
     for rec in records:
         z = rec.location
@@ -683,6 +670,7 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
                 if probe is None:
                     incomplete.append(f"virtual point of parabolic {z}: every probe "
                                       f"lies within {PROBE_CLEARANCE} of a pair curve")
+                    unplaced = True
                     continue
                 members.append((probe, "virtual_points", (z, direction)))
         elif not len(incident):
@@ -693,23 +681,30 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
         sig = tuple(int(b) for b in sig)
         reg = region_by_sig.get(sig)
         if reg is None:
-            # a point may sit in a region none of the probes reached
+            # a point may sit in a region none of the samples reached
             reg = BasicRegion(len(regions), sig, [], z)
             regions.append(reg)
             region_by_sig[sig] = reg
         getattr(reg.contents, kind).append(entry)
 
-    # boundary landing bookkeeping: attach each landing to the regions whose
-    # side it is on, judged a thousandth of the way toward their samples
-    if regions and graph.landing_points:
-        landings = np.array(graph.landing_points)[:, None]
-        samples = np.array([r.sample_interior_point for r in regions], dtype=complex)
-        near = landings + (samples - landings) * 1e-3          # landings x regions
-        rows, cols = np.nonzero(geometry.min_distance(near.ravel()).reshape(near.shape) > 0)
-        own = np.array([r.signature for r in regions], dtype=int)
-        same = np.all(geometry.signature(near[rows, cols]) == own[cols], axis=1)
-        for i, k in zip(rows[same], cols[same]):
-            regions[k].contents.landing_points_on_boundary.append(graph.landing_points[i])
+    # boundary landings: a landing of one ray lies in the region of its own
+    # signature; one of k >= 2 rays bounds the regions of the straddle
+    # samples of the pair-curve segments that meet at it
+    lone = np.flatnonzero(np.bincount(graph.landing_index) == 1)
+    points, owners = [np.array(graph.landing_points, dtype=complex)[lone]], [lone]
+    landing_of = {id(r): i for r, i in zip(graph.rays, graph.landing_index)}
+    for pair, poly in zip(graph.pairs, geometry.polylines):
+        a, b = poly.segments()
+        meet = (a == pair.common_landing) | (b == pair.common_landing)
+        points.append(_straddle(a[meet], b[meet], resolution))
+        owners.append(np.full(len(points[-1]), landing_of[id(pair.rays[0])]))
+    points, owners = np.concatenate(points), np.concatenate(owners)
+    clear = geometry.min_distance(points) > 0
+    sigs = map(tuple, geometry.signature(points[clear]).tolist())
+    hits = {(int(i), region_by_sig[sig].id)
+            for i, sig in zip(owners[clear], sigs) if sig in region_by_sig}
+    for i, k in sorted(hits):
+        regions[k].contents.landing_points_on_boundary.append(graph.landing_points[i])
 
     verdicts = []
     for reg in regions:
@@ -719,6 +714,8 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
             verdict = "exactly_one_interior"
         elif n_int == 0 and n_vir == 1:
             verdict = "exactly_one_virtual"
+        elif n_int == 0 and n_vir == 0 and unplaced:
+            verdict = "INCOMPLETE(interior=0, virtual=0)"
         else:
             verdict = (f"VIOLATION(interior={n_int}, virtual={n_vir})")
         verdicts.append(RegionVerdict(

@@ -125,6 +125,12 @@ class TestBasicRegions:
         for reg in regions:
             assert reg.contains(reg.sample_interior_point, geometry)
 
+    def test_box_missing_a_region_is_too_coarse(self, pair_neg5):
+        # the pair's curve runs right of x = -1.33, so this box holds samples
+        # of the outer region only, and the graph needs 1 + (2 - 1) regions
+        with pytest.raises(ResolutionTooCoarse, match="1 region signatures found"):
+            basic_regions(pair_neg5, Rect(-9, -1.4, -13, 13), 0.4)
+
 
 # -- per-point references for the region kernels --------------------------------
 
@@ -178,11 +184,7 @@ def min_distance_reference(geometry, z):
 
 
 def probe_points_reference(bbox, resolution, geometry):
-    nx = max(int((bbox.x1 - bbox.x0) / resolution), 4)
-    ny = max(int((bbox.y1 - bbox.y0) / resolution), 4)
-    xs = np.linspace(bbox.x0 + resolution / 2, bbox.x1 - resolution / 2, nx)
-    ys = np.linspace(bbox.y0 + resolution / 2, bbox.y1 - resolution / 2, ny)
-    pts = [complex(x, y) for x in xs for y in ys]
+    pts = []
     for poly in geometry.polylines:
         a, b = poly.segments()
         seg = b - a
@@ -299,7 +301,7 @@ class TestProbeSet:
     @pytest.mark.parametrize("resolution", [0.4, 0.25])
     def test_probe_points_match_nested_loop(self, three_pairs, resolution):
         geometry = three_pairs
-        probes = _probe_points(None, geometry.bbox, resolution, geometry)
+        probes = _probe_points(geometry, resolution)
         expected = probe_points_reference(geometry.bbox, resolution, geometry)
         assert probes.dtype == complex
         assert probes.tolist() == expected
@@ -510,7 +512,24 @@ class TestSeparationReport:
         parabolic = [r.location for r in report.records if r.classification == "parabolic"]
         assert str(parabolic[0]) in entries[0]
         assert not any(v.virtual for v in report.verdicts)
-        assert all(v.verdict != "exactly_one_virtual" for v in report.verdicts)
+        assert [v.verdict for v in report.verdicts] == ["INCOMPLETE(interior=0, virtual=0)"]
+        assert not report.has_violation
+
+    @pytest.mark.parametrize("text, box, res, period", [
+        ("exp(0.3)", (-4, 10, -12, 12), 0.1, 1),
+        ("exp(1/e)", (-4, 8, -12, 12), 0.1, 1),
+        ("exp(-5)", (-9, 7.5, -13, 13), 0.12, 2),
+    ])
+    def test_regions_follow_the_ray_graph(self, text, box, res, period):
+        # Euler's formula: landing point i with k_i rays gives 1 + sum(k_i - 1)
+        # regions, and each landing bounds k_i of them
+        spec = parse_map(text)
+        report = separation_report(spec, structural_setup(spec, Rect(*box), res), period)
+        rays_at = np.bincount(report.graph.landing_index)
+        assert bool(np.any(rays_at > 1)) == (period == 2)
+        assert len(report.regions) == 1 + np.sum(rays_at - 1)
+        for z, k in zip(report.graph.landing_points, rays_at):
+            assert sum(z in v.boundary_landings for v in report.verdicts) == k
 
 
 class TestInferredRays:
