@@ -178,9 +178,3 @@ class SideCheckFailed(RaysepError):
     def __init__(self, margin: float):
         self.margin = margin
         super().__init__(f"side check failed (worst margin {margin:.3e})")
-
-
-# --- cli ---------------------------------------------------------------------------
-
-class ConfigError(RaysepError):
-    """Invalid CLI or scenario configuration."""

@@ -155,7 +155,7 @@ def _auto_multiplicity(mapobj, z: complex, period: int, spacing: float) -> int:
     radius = min(1e-2, 0.25 * spacing) if spacing > 0 else 1e-2
     try:
         return multiplicity_at(mapobj, z, radius, period)
-    except Exception:
+    except (RaysepError, ValueError):
         return 2  # parabolic with multiplier 1 has multiplicity at least 2
 
 

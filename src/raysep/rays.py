@@ -36,15 +36,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .curves import group_points
-from .errors import (
-    BrokenRay,
-    ExpansionNotValidated,
-    MixedPeriods,
-    UnlandedRay,
-)
+from .errors import BrokenRay, MixedPeriods, UnlandedRay
 from .fixedpoints import _newton_sweep
 from .maps import BranchLabel, MapSpec, Overflow
-from .structure import StructuralSetup, validate_expansion_radius
+from .structure import StructuralSetup, select_expansion_radius
 
 LANDING_TOL = 1e-10
 PAIR_TOL = 1e-6
@@ -182,8 +177,8 @@ class PullbackWalk:
     def anchors(self, level: int) -> np.ndarray:
         """Each lane's top state: deep inside the domain of its symbol at `level`.
 
-        The validated radius is resolved once per distinct symbol set, in
-        first-seen order.
+        The anchor radius is `select_expansion_radius` of the lane's symbols,
+        resolved once per distinct symbol set.
         """
         radii: dict[frozenset, float] = {}
         base = np.empty(len(self.addresses))
@@ -191,7 +186,7 @@ class PullbackWalk:
         for i, address in enumerate(self.addresses):
             symbols = frozenset(address.symbols())
             if symbols not in radii:
-                radii[symbols] = _resolve_anchor_radius(self.spec, self.setup, symbols)
+                radii[symbols] = select_expansion_radius(self.spec, self.setup, symbols)
             base[i] = radii[symbols]
             band[i] = address.period[level % address.period_length].j
         z = np.empty(len(self.addresses), dtype=complex)
@@ -265,29 +260,6 @@ class PullbackWalk:
                 raise BrokenRay(0.0, len(preperiod))
             z = self.ctx.pull_back(z, label)
         return z
-
-
-def _resolve_anchor_radius(spec: MapSpec, setup: StructuralSetup,
-                           labels: set[BranchLabel],
-                           cap: float = 1e6) -> float:
-    """Smallest validated expansion radius (doubling from the setup's R).
-
-    Far bands need a larger radius than the setup default; any radius for
-    which the pullback of the circle stays inside it works for the walk.
-    """
-    need = set(lb.j for lb in labels)
-    for R, bands in sorted(setup.validated_radii.items()):
-        if need <= set(bands):
-            return R
-    ordered = sorted(labels, key=lambda l: l.j)
-    R = setup.expansion_radius
-    while R <= cap:
-        report = validate_expansion_radius(spec, setup, ordered, R)
-        if report.ok:
-            return R
-        R *= 2.0
-    raise ExpansionNotValidated(
-        f"no expansion radius up to {cap} valid for bands {sorted(need)}")
 
 
 # -- public operations --------------------------------------------------------------

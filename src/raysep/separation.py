@@ -49,7 +49,7 @@ from .fixedpoints import (
 from .maps import BranchLabel, MapSpec
 from .rays import (Address, Ray, RayPair, fixed_rays, landing_groups, landing_point,
                    pairs_from_groups, same_landing, trace_ray)
-from .structure import Rect, StructuralSetup, validate_expansion_radius
+from .structure import Rect, StructuralSetup, select_expansion_radius, validate_expansion_radius
 
 PROBE_CLEARANCE = 1e-6
 # point-segment elements per chunk of the region kernels
@@ -753,8 +753,13 @@ def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
     """Trace rays for repelling points not matched by any landed ray.
 
     Candidate addresses come from the band indices of the orbit, which is
-    how landing points relate to itineraries; failures are recorded, not
-    fatal.
+    how landing points relate to itineraries.  Each candidate's radius is
+    resolved through the setup's expansion checks, and every validated
+    candidate is traced by one `trace_ray` call.  The records are then
+    taken in order: a record already matched (also by a ray inferred for an
+    earlier record) or whose address was already tried is skipped, an
+    unvalidated address is an `incomplete` entry, and a ray that lands at
+    its record joins the landed rays.  Failures are recorded, not fatal.
     """
     landed = list(landed)
     # landing points of `landed`, with room for one inferred ray per record
@@ -764,27 +769,35 @@ def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
     def matched(z):
         return bool(np.any(same_landing(landings[:len(landed)], z)))
 
-    existing = {str(r.address) for r in landed}
+    candidates = []  # (record, address), in record order
     for rec in records:
         if rec.classification != "repelling" or matched(rec.location):
             continue
         orbit = [rec.location]
         try:
             for _ in range(period - 1):
-                w, _d = spec.evaluate(orbit[-1], 1)
-                orbit.append(w)
+                orbit.append(spec.evaluate(orbit[-1], 1)[0])
         except Overflow:
             continue
-        bands = [setup.band_index(z) for z in orbit]
-        address = Address.cycle(bands)
-        if str(address) in existing:
-            continue
-        existing.add(str(address))
+        candidates.append((rec, Address.cycle([setup.band_index(z) for z in orbit])))
+    validated = []
+    for address in dict.fromkeys(a for _rec, a in candidates):
         try:
-            ray = landing_point(spec, trace_ray(spec, setup, address))
+            select_expansion_radius(spec, setup, address.period)
+            validated.append(address)
         except ExpansionNotValidated:
+            pass
+    traced = dict(zip(validated, trace_ray(spec, setup, validated))) if validated else {}
+
+    existing = {r.address for r in landed}
+    for rec, address in candidates:
+        if matched(rec.location) or address in existing:
+            continue
+        existing.add(address)
+        if address not in traced:
             incomplete.append(f"inferred ray {address} not validated")
             continue
+        ray = landing_point(spec, traced[address])
         if ray.status.kind == "lands_at" and same_landing(ray.landing, rec.location):
             landings[len(landed)] = ray.landing
             landed.append(ray)

@@ -19,6 +19,7 @@ import numpy as np
 from .curves import ParamCurve
 from .errors import (
     DeltaBlocked,
+    ExpansionNotValidated,
     OrbitLeftTracts,
     OutsideTract,
     Overflow,
@@ -28,6 +29,7 @@ from .maps import BranchContext, BranchLabel, CutGeometry, ExpAffine, MapSpec, b
 
 DISK_SCALE = 1.25
 EXPANSION_CAP = 1e6
+EXPANSION_SAMPLES = 4096
 
 
 @dataclass(frozen=True)
@@ -84,6 +86,14 @@ class FundamentalDomain:
 
 @dataclass
 class StructuralSetup:
+    """Disk, cut, tracts and fundamental domains of one map in one box.
+
+    `expansion_checks` caches the expansion check per (label, R): whether
+    the pullback of the circle |w| = R through the label's inverse branch
+    stays inside the circle.  Failures are kept too, so no label is checked
+    twice at one radius.
+    """
+
     spec: MapSpec
     disk: DomainDisk
     delta: ParamCurve
@@ -94,7 +104,7 @@ class StructuralSetup:
     resolution: float
     branch_context: BranchContext
     strip_cut: CutGeometry
-    validated_radii: dict[float, tuple[int, ...]] = field(default_factory=dict)
+    expansion_checks: dict[tuple[BranchLabel, float], bool] = field(default_factory=dict)
 
     def domain_labels(self) -> list[BranchLabel]:
         return [d.label for d in self.domains]
@@ -311,11 +321,8 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
             spec, setup, setup.domain_labels())
     else:
         setup.expansion_radius = float(expansion_radius)
-        report = validate_expansion_radius(spec, setup, setup.domain_labels(),
-                                           setup.expansion_radius)
-        if report.ok:
-            setup.validated_radii[setup.expansion_radius] = tuple(
-                sorted(d.j for d in setup.domain_labels()))
+        validate_expansion_radius(spec, setup, setup.domain_labels(),
+                                  setup.expansion_radius)
     return setup
 
 
@@ -367,54 +374,66 @@ class ExpansionReport:
 
 
 def validate_expansion_radius(spec: MapSpec, setup: StructuralSetup,
-                              domains, R: float,
-                              n_samples: int = 4096) -> ExpansionReport:
+                              domains, R: float) -> ExpansionReport:
     """Check that the pullback of the circle |w| = R stays inside it.
 
     Samples the circle adaptively, pulls each sample through every domain's
     inverse branch and compares moduli; the margin is R minus the largest
-    preimage modulus.
+    preimage modulus.  Each label's own result, whether its preimages stay
+    inside the circle, is recorded in `setup.expansion_checks`, also when
+    the set as a whole fails.
     """
     labels = [d if isinstance(d, BranchLabel) else d.label for d in domains]
     if not labels:
         return ExpansionReport(True, R, None, None)
     if R <= setup.disk.radius:
         raise ValueError("R must exceed the disk radius")
-    worst = -math.inf
-    worst_z = None
-    worst_band = None
+    worst, worst_z, worst_band = -math.inf, None, None
     for label in labels:
-        u = np.linspace(0.0, 2.0 * np.pi, n_samples, endpoint=False)
+        top = -math.inf  # the label's largest preimage modulus
+        u = np.linspace(0.0, 2.0 * np.pi, EXPANSION_SAMPLES, endpoint=False)
         for _ in range(6):  # local refinement around the largest preimage
             w = R * np.exp(1j * u)
             z = setup.pull_back(w, label)
             mods = np.abs(z)
             k = int(np.argmax(mods))
-            if mods[k] > worst:
-                worst = float(mods[k])
-                worst_z = complex(z[k])
-                worst_band = label.j
-            du = u[1] - u[0] if len(u) > 1 else 2.0 * np.pi / n_samples
+            if mods[k] > top:
+                top = float(mods[k])
+                if top > worst:
+                    worst, worst_z, worst_band = top, complex(z[k]), label.j
+            du = u[1] - u[0]
             if du * R < 1e-6:
                 break
             u = np.linspace(u[k] - du, u[k] + du, 65)
+        setup.expansion_checks[(label, R)] = bool(R - top > 0.0)
     margin = R - worst
-    ok = bool(margin > 0.0)
-    if ok:
-        setup.validated_radii[R] = tuple(sorted(lb.j for lb in labels))
-    return ExpansionReport(ok, margin, worst_z, worst_band)
+    return ExpansionReport(bool(margin > 0.0), margin, worst_z, worst_band)
 
 
 def select_expansion_radius(spec: MapSpec, setup: StructuralSetup,
                             domains) -> float:
-    """Double R from twice the disk radius until the expansion check passes."""
-    R = max(2.0 * setup.disk.radius, 1.0)
+    """The first radius, doubling, at which every label's expansion check passes.
+
+    Starts at `setup.expansion_radius` once that is set, else at twice the
+    disk radius (at least 1).  At each R the labels with no result in
+    `setup.expansion_checks` are validated by one call, and none when every
+    label has one.  Raises ExpansionNotValidated, naming the bands, when no
+    R up to EXPANSION_CAP passes.
+    """
+    labels = list(dict.fromkeys(d if isinstance(d, BranchLabel) else d.label
+                                for d in domains))
+    checks = setup.expansion_checks
+    R = setup.expansion_radius or max(2.0 * setup.disk.radius, 1.0)
     while R <= EXPANSION_CAP:
-        report = validate_expansion_radius(spec, setup, domains, R)
-        if report.ok:
+        unchecked = [lb for lb in labels if (lb, R) not in checks]
+        if unchecked:
+            validate_expansion_radius(spec, setup, unchecked, R)
+        if all(checks[(lb, R)] for lb in labels):
             return R
         R *= 2.0
-    raise DeltaBlocked(f"no valid expansion radius up to {EXPANSION_CAP}")
+    raise ExpansionNotValidated(
+        f"no expansion radius up to {EXPANSION_CAP:g} valid for bands "
+        f"{sorted(lb.j for lb in labels)}")
 
 
 # -- lift and addresses ----------------------------------------------------------

@@ -62,6 +62,15 @@ class TestExitCodes:
         assert code == EXIT_CONFIG
         assert "error" in json.loads(err)
 
+    def test_no_expansion_radius_is_config_error(self, capsys, monkeypatch):
+        import raysep.structure
+        monkeypatch.setattr(raysep.structure, "EXPANSION_CAP", 1.0)
+        code, _, err = run_cli(["setup", "--map", "exp(0.3)"], capsys)
+        assert code == EXIT_CONFIG
+        payload = json.loads(err)
+        assert payload["error"] == "ExpansionNotValidated"
+        assert "bands" in payload["message"]
+
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_region_resolution_is_config_error(self, capsys, monkeypatch, value):
         import raysep.cli

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
-from raysep.errors import DegenerateExpansion, DomainMeetsDisk, NotParabolic
+import raysep.fixedpoints
+from raysep.errors import DegenerateExpansion, DomainMeetsDisk, InconsistentRadius, NotParabolic
 from raysep.fixedpoints import (
+    _auto_multiplicity,
     classify_multiplier,
     find_fixed_in_domain,
     find_periodic_points,
@@ -91,6 +93,21 @@ class TestFindPeriodicPoints:
     def test_period_budget_guard(self):
         with pytest.raises(ValueError):
             find_periodic_points(exp_map(0.3), Rect(-1, 1, -1, 1), 5)
+
+    @staticmethod
+    def _multiplicity_raising(monkeypatch, exc):
+        def raising(*_args, **_kwargs):
+            raise exc
+        monkeypatch.setattr(raysep.fixedpoints, "multiplicity_at", raising)
+        return _auto_multiplicity(parse_map("exp(1/e)"), 1.0, 1, 0.1)
+
+    def test_multiplicity_failure_falls_back_to_two(self, monkeypatch):
+        assert self._multiplicity_raising(monkeypatch, InconsistentRadius(2, 3)) == 2
+        assert self._multiplicity_raising(monkeypatch, ValueError("not fixed")) == 2
+
+    def test_unexpected_multiplicity_error_propagates(self, monkeypatch):
+        with pytest.raises(RuntimeError):
+            self._multiplicity_raising(monkeypatch, RuntimeError("boom"))
 
 
 class TestFindFixedInDomain:

@@ -5,7 +5,7 @@ import pytest
 from scipy.optimize import brentq
 
 from raysep.errors import MixedPeriods, Overflow, UnlandedRay
-from raysep.maps import BranchContext, exp_map, parse_map
+from raysep.maps import BranchContext, BranchLabel, exp_map, parse_map
 from raysep.rays import (
     DEFAULT_SCHEDULE,
     DEFAULT_T_TOP,
@@ -17,7 +17,7 @@ from raysep.rays import (
     landing_point,
     trace_ray,
 )
-from raysep.structure import Rect, structural_setup
+from raysep.structure import Rect, structural_setup, validate_expansion_radius
 
 
 @pytest.fixture(scope="module")
@@ -282,6 +282,20 @@ class TestBatchedWalk:
         with pytest.raises(MixedPeriods):
             trace_ray(setup_neg5.spec, setup_neg5,
                       [Address.constant(0), Address.cycle([0, 1])])
+
+
+class TestAnchorRadius:
+    def test_checks_of_other_sets_do_not_move_the_radius(self):
+        spec = exp_map(-5)
+        setup = structural_setup(spec, Rect(-9, 7.5, -13, 13), 0.12)
+        E = setup.expansion_radius
+        assert E == 25.0
+        validate_expansion_radius(spec, setup, [BranchLabel(0, -1), BranchLabel(0, 0)], E)
+        trace_ray(spec, setup, Address.parse("|2,15"))
+        # band 2 passed at E when the setup was built; the far band 15 needs a
+        # larger radius, which must not become band 2's
+        ray = trace_ray(spec, setup, Address.constant(2))
+        assert ray.z[0].real - DEFAULT_T_TOP == E
 
 
 class TestFixedRays:

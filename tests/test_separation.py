@@ -30,6 +30,7 @@ from raysep.separation import (
     modify_boundary_near_fixed_point,
     separation_report,
 )
+import raysep.structure
 from raysep.structure import Rect, structural_setup
 
 
@@ -551,6 +552,38 @@ class TestInferredRays:
     def test_overflowing_orbit_is_skipped(self, setup_neg5, monkeypatch):
         landed, incomplete = self._augment(setup_neg5, monkeypatch, Overflow())
         assert landed == [] and incomplete == []
+
+    @staticmethod
+    def _traced_batches(monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(list(args[2]))
+            return trace_ray(*args, **kwargs)
+
+        monkeypatch.setattr(raysep.separation, "trace_ray", counted)
+        return calls
+
+    def test_one_walk_for_all_inferred_rays(self, setup_neg5, monkeypatch):
+        calls = self._traced_batches(monkeypatch)
+        report = separation_report(setup_neg5.spec, setup_neg5, 2)
+        assert len(calls) == 1 and len(calls[0]) > 1
+        assert not report.incomplete
+        bands = {d.label.j for d in setup_neg5.domains}
+        inferred = {r.address for r in report.graph.rays
+                    if not {s.j for s in r.address.period} <= bands}
+        assert inferred and inferred <= set(calls[0])
+
+    def test_unvalidated_candidate_is_incomplete(self, setup_neg5, monkeypatch):
+        calls = self._traced_batches(monkeypatch)
+        monkeypatch.setattr(raysep.structure, "EXPANSION_CAP", 2.0 * setup_neg5.expansion_radius)
+        report = separation_report(setup_neg5.spec, setup_neg5, 2)
+        entries = [e for e in report.incomplete if e.startswith("inferred ray ")]
+        assert entries and all(re.fullmatch(r"inferred ray \|-?\d+,-?\d+ not validated", e)
+                               for e in entries)
+        # the validated candidates are still traced, together
+        assert len(calls) == 1 and calls[0]
+        assert not {f"inferred ray {a} not validated" for a in calls[0]} & set(entries)
 
 
 class TestPeriodTwoOnPeriodOneMaps:

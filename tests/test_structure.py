@@ -8,14 +8,16 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from raysep.errors import OrbitLeftTracts, OutsideTract, UnsupportedMap
-from raysep.maps import exp_map, parse_map
+import raysep.structure
+from raysep.errors import ExpansionNotValidated, OrbitLeftTracts, OutsideTract, UnsupportedMap
+from raysep.maps import BranchLabel, exp_map, parse_map
 from raysep.structure import (
     Rect,
     address_of_orbit,
     auto_disk,
     extract_tracts,
     lift_evaluate,
+    select_expansion_radius,
     structural_setup,
     validate_expansion_radius,
 )
@@ -242,6 +244,10 @@ class TestExpansionRadius:
         # preimages live on Re = ln(R/0.3); the worst reaches just past R
         worst = math.hypot(math.log(10.0 / 0.3), 3 * math.pi)
         assert report.margin == pytest.approx(10.0 - worst, abs=1e-3)
+        # each label's own result is kept, the failure too
+        checks = setup03.expansion_checks
+        assert checks[(labels[1], 10.0)]
+        assert not checks[(setup03.domain_by_band(report.worst_band).label, 10.0)]
 
     def test_passes_at_twenty_with_expected_margin(self, setup03):
         labels = [setup03.domain_by_band(j).label for j in (-1, 0, 1)]
@@ -258,6 +264,41 @@ class TestExpansionRadius:
         labels = [setup03.domain_by_band(j).label for j in (-1, 0, 1)]
         for R in (20.0, 40.0, 80.0):
             assert validate_expansion_radius(setup03.spec, setup03, labels, R).ok
+
+    def test_select_again_validates_nothing(self, setup03, monkeypatch):
+        labels = [setup03.domain_by_band(j).label for j in (-1, 0, 1)]
+        R = select_expansion_radius(setup03.spec, setup03, labels)
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[2])
+            return validate_expansion_radius(*args, **kwargs)
+
+        monkeypatch.setattr(raysep.structure, "validate_expansion_radius", counted)
+        assert select_expansion_radius(setup03.spec, setup03, labels) == R
+        assert calls == []
+
+    def test_select_validates_only_unchecked_labels(self, setup03, monkeypatch):
+        near = setup03.domain_by_band(0).label
+        far = BranchLabel(0, 40)
+        select_expansion_radius(setup03.spec, setup03, [near])
+        calls = []
+
+        def counted(spec, setup, domains, R):
+            calls.append((list(domains), R))
+            return validate_expansion_radius(spec, setup, domains, R)
+
+        monkeypatch.setattr(raysep.structure, "validate_expansion_radius", counted)
+        R = select_expansion_radius(setup03.spec, setup03, [near, far])
+        assert R > setup03.expansion_radius
+        assert calls[0] == ([far], setup03.expansion_radius)
+        assert all(len(domains) == 2 for domains, _ in calls[1:])
+        assert calls[-1][1] == R
+
+    def test_no_radius_up_to_the_cap(self, monkeypatch):
+        monkeypatch.setattr(raysep.structure, "EXPANSION_CAP", 1.0)
+        with pytest.raises(ExpansionNotValidated, match=r"up to 1 valid for bands \[-1, 0, 1\]"):
+            structural_setup(exp_map(0.3), Rect(-4, 6, -8, 8), 0.25)
 
     def test_setup_auto_radius_is_validated(self, setup03):
         report = validate_expansion_radius(
