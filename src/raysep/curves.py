@@ -34,6 +34,8 @@ ZERO_TOL = 1e-9            # root proximity to a counting contour
 SNAP_TOL = 1e-6            # integer snapping of indices
 MAX_ARG_STEP = np.pi / 4   # refinement target for integrand arguments
 SAMPLE_BUDGET = 1 << 22
+# point-segment elements (or samples) per chunk of the array kernels
+CHUNK_ELEMENTS = 4096
 
 Integrand = Callable[[np.ndarray], np.ndarray]
 
@@ -137,9 +139,7 @@ class ParamCurve:
         p may also be an array of points; the result is then the minimum
         distance over all of them.
         """
-        a, b = self.segments()
-        p = np.asarray(p, dtype=complex)[..., None]
-        return float(np.min(_point_segment_distance(p, a, b)))
+        return float(np.min(min_segment_distance(p, *self.segments())))
 
     def value_at(self, t: float) -> complex:
         """Linear interpolation at parameter t (clamped to range)."""
@@ -170,6 +170,21 @@ def _point_segment_distance(p: complex | np.ndarray, a: np.ndarray,
     s = ((p - a) * d.conjugate()).real / L2
     s = np.clip(s, 0.0, 1.0)
     return np.abs(p - (a + s * d))
+
+
+def min_segment_distance(points, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Distance from each point to the nearest segment [a_i, b_i] (inf if none).
+
+    Points go through in chunks of at most CHUNK_ELEMENTS point-segment
+    elements, so the temporaries stay small.
+    """
+    pts = np.ravel(np.asarray(points, dtype=complex))
+    out = np.full(len(pts), np.inf)
+    rows = max(1, CHUNK_ELEMENTS // max(len(a), 1))
+    for lo in range(0, len(pts) if len(a) else 0, rows):
+        out[lo:lo + rows] = np.min(
+            _point_segment_distance(pts[lo:lo + rows, None], a, b), axis=1)
+    return out
 
 
 def group_points(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
@@ -213,8 +228,7 @@ def winding_number(curve: ParamCurve, p: complex,
     p = complex(p)
     if not (np.isfinite(p.real) and np.isfinite(p.imag)):
         raise NonFiniteInput("reference point is not finite")
-    a, b = curve.segments()
-    if np.min(_point_segment_distance(p, a, b)) <= collision_tol:
+    if curve.distance_to_point(p) <= collision_tol:
         raise CurveHitsPoint(f"point {p} lies on the curve")
     return IndexValue.from_turns(_turn_sum(curve.z - p) / (2.0 * np.pi))
 
@@ -302,40 +316,42 @@ def refine_for_argument(curve: ParamCurve, integrand: Callable,
 
 
 def is_simple(curve: ParamCurve, tol: float = COLLISION_TOL) -> bool:
-    """True when no two non-adjacent segments of the polyline intersect."""
-    import math
+    """True when no two non-adjacent segments of the polyline intersect.
 
+    Broad phase: square cells of the median segment length (at least 1/16
+    of the longest and at least tol); each segment's box, widened by tol,
+    covers at most 19 x 19 of them.  Intersecting segments share a cell, so
+    only same-cell pairs go to the exact test, CHUNK_ELEMENTS at a time.
+    """
     a, b = curve.segments()
-    n = len(a)
-    # spatial hash on segment bounding cells; an intersection point lies in
-    # both segments' boxes, so intersecting segments always share a cell
-    diam = max(float(np.max(np.abs(b - a))), 1e-300)
-    cell = diam
-    buckets: dict[tuple[int, int], list[int]] = {}
-    x0 = np.minimum(a.real, b.real) / cell
-    x1 = np.maximum(a.real, b.real) / cell
-    y0 = np.minimum(a.imag, b.imag) / cell
-    y1 = np.maximum(a.imag, b.imag) / cell
-    for i in range(n):
-        for cx in range(math.floor(x0[i]), math.floor(x1[i]) + 1):
-            for cy in range(math.floor(y0[i]), math.floor(y1[i]) + 1):
-                buckets.setdefault((cx, cy), []).append(i)
-    pairs: set[tuple[int, int]] = set()
-    for members in buckets.values():
-        for ii in range(len(members)):
-            for jj in range(ii + 1, len(members)):
-                i, j = members[ii], members[jj]
-                if j - i <= 1:
-                    continue
-                if curve.closed and i == 0 and j == n - 1:
-                    continue
-                pairs.add((i, j))
-    if not pairs:
-        return True
-    idx = np.array(sorted(pairs))
-    del pairs   # large on long contours; release it before the batched test
-    return not _any_segments_intersect(a[idx[:, 0]], b[idx[:, 0]],
-                                       a[idx[:, 1]], b[idx[:, 1]], tol)
+    lengths = np.sort(np.abs(b - a))    # np.median would import numpy.ma, 1 MB
+    cell = max(float(lengths[len(lengths) // 2]), float(lengths[-1]) / 16.0, tol) or 1.0
+
+    def cell_range(u, v):   # first cell and number of cells per segment
+        lo, hi = (np.floor((w - np.min(u)) / cell).astype(np.int64)
+                  for w in (np.minimum(u, v) - tol, np.maximum(u, v) + tol))
+        return lo, hi - lo + 1
+
+    x0, nx = cell_range(a.real, b.real)
+    y0, ny = cell_range(a.imag, b.imag)
+    seg = np.repeat(np.arange(len(a)), nx * ny)
+    k = np.arange(len(seg)) - np.repeat(np.cumsum(nx * ny) - nx * ny, nx * ny)
+    cx, cy = x0[seg] + k % nx[seg], y0[seg] + k // nx[seg]
+    order = np.lexsort((seg, cy, cx))
+    cx, cy, seg = cx[order], cy[order], seg[order]
+    # entries sorted by cell: pairs in one cell are `shift` apart for some shift
+    for shift in range(1, len(seg)):
+        same = (cx[shift:] == cx[:-shift]) & (cy[shift:] == cy[:-shift])
+        if not same.any():
+            break
+        i, j = seg[:-shift][same], seg[shift:][same]
+        keep = (j - i > 1) & ~(curve.closed & (i == 0) & (j == len(a) - 1))
+        i, j = i[keep], j[keep]
+        for lo in range(0, len(i), CHUNK_ELEMENTS):
+            p, q = i[lo:lo + CHUNK_ELEMENTS], j[lo:lo + CHUNK_ELEMENTS]
+            if _any_segments_intersect(a[p], b[p], a[q], b[q], tol):
+                return False
+    return True
 
 
 def _any_segments_intersect(p1, p2, q1, q2, tol: float) -> bool:

@@ -22,11 +22,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import (
+    CHUNK_ELEMENTS,
     ParamCurve,
-    _point_segment_distance,
     argument_principle_count,
     concat,
     iterate_map,
+    min_segment_distance,
     signed_area,
     winding_number,
 )
@@ -52,8 +53,6 @@ from .rays import (Address, Ray, RayPair, fixed_rays, landing_groups, landing_po
 from .structure import Rect, StructuralSetup, select_expansion_radius, validate_expansion_radius
 
 PROBE_CLEARANCE = 1e-6
-# point-segment elements per chunk of the region kernels
-CHUNK_ELEMENTS = 4096
 
 
 # -- ray graph -----------------------------------------------------------------------
@@ -174,13 +173,7 @@ class RegionGeometry:
 
     def min_distance(self, z: complex | np.ndarray) -> float | np.ndarray:
         """Distance from each point to the nearest pair polyline (inf if none)."""
-        pts = np.ravel(np.asarray(z, dtype=complex))
-        out = np.full(len(pts), math.inf)
-        if len(self._a):
-            for lo in range(0, len(pts), self._chunk):
-                p = pts[lo:lo + self._chunk, None]
-                out[lo:lo + self._chunk] = np.min(
-                    _point_segment_distance(p, self._a, self._b), axis=1)
+        out = min_segment_distance(z, self._a, self._b)
         return float(out[0]) if np.ndim(z) == 0 else out
 
 
@@ -336,11 +329,12 @@ def counting_contour(spec: MapSpec, setup: StructuralSetup, domains,
                     key=lambda l: l.j)
     if R is None:
         R = setup.expansion_radius
-    report = validate_expansion_radius(spec, setup, labels, R)
-    if not report.ok:
-        raise ExpansionNotValidated(
-            f"expansion radius {R} not valid for the collection "
-            f"(margin {report.margin:.3g})")
+    if not all(setup.expansion_checks.get((lb, R)) for lb in labels):
+        report = validate_expansion_radius(spec, setup, labels, R)
+        if not report.ok:
+            raise ExpansionNotValidated(
+                f"expansion radius {R} not valid for the collection "
+                f"(margin {report.margin:.3g})")
     check_full_complete(spec, setup, labels)
 
     factor = spec.outer

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import ParamCurve
+from .curves import CHUNK_ELEMENTS, ParamCurve, min_segment_distance
 from .errors import (
     DeltaBlocked,
     ExpansionNotValidated,
@@ -30,6 +30,7 @@ from .maps import BranchContext, BranchLabel, CutGeometry, ExpAffine, MapSpec, b
 DISK_SCALE = 1.25
 EXPANSION_CAP = 1e6
 EXPANSION_SAMPLES = 4096
+DELTA_ANGLES = 360
 
 
 @dataclass(frozen=True)
@@ -184,37 +185,52 @@ def extract_tracts(spec: MapSpec, bbox: Rect, resolution: float,
 
 
 def choose_delta(spec: MapSpec, bbox: Rect, resolution: float, radius: float,
-                 tracts: list[Tract], n_angles: int = 360) -> ParamCurve:
-    """Radial cut from the disk boundary to the box edge, clearance-maximized."""
-    boundaries = [t.boundary for t in tracts]
-    offsets = np.arange(n_angles) * (2.0 * np.pi / n_angles)
-    # scan angles by distance from pi so ties prefer the negative real direction
-    thetas = sorted((math.pi + o for o in offsets),
-                    key=lambda th: abs(_wrap_pi(th - math.pi)))
+                 tracts: list[Tract]) -> ParamCurve:
+    """Radial cut from the disk boundary to the box edge, clearance-maximized.
+
+    Of DELTA_ANGLES rays, scanned by distance from pi so that ties prefer
+    the negative real direction, the first of largest clearance wins: 0 if
+    the ray meets the tract set, else the least distance from its probes to
+    the tract boundaries.  All rays are evaluated in chunks of about
+    CHUNK_ELEMENTS samples.  Its first sample, one of its probes, bounds a
+    ray's clearance, so only a ray whose bound beats the best is probed.
+    """
+    offsets = np.arange(DELTA_ANGLES) * (2.0 * np.pi / DELTA_ANGLES)
+    thetas = [th for th in sorted((math.pi + o for o in offsets),
+                                  key=lambda th: abs(_wrap_pi(th - math.pi)))
+              if _box_exit_radius(bbox, th) > radius * 1.05]
+    a = np.concatenate([t.boundary.z[:-1] for t in tracts] or [np.empty(0, complex)])
+    b = np.concatenate([t.boundary.z[1:] for t in tracts] or [np.empty(0, complex)])
+    # a ray has at most 2 * corner_radius / resolution samples
+    rows = max(1, int(CHUNK_ELEMENTS * resolution / (2.0 * bbox.corner_radius())))
+    blocked, first = np.zeros(len(thetas), dtype=bool), np.zeros(len(thetas), dtype=complex)
+    for lo in range(0, len(thetas), rows):
+        rays = [_delta_ray(bbox, resolution, radius, th)[1] for th in thetas[lo:lo + rows]]
+        mods = np.abs(spec.evaluate_array(np.concatenate(rays), 1))
+        starts = np.cumsum([0] + [len(z) for z in rays[:-1]])
+        blocked[lo:lo + rows] = np.maximum.reduceat(mods, starts) > radius
+        first[lo:lo + rows] = [z[0] for z in rays]
+    bound = np.zeros(len(thetas))
+    bound[~blocked] = min_segment_distance(first[~blocked], a, b)
     best_theta, best_clear = None, -1.0
-    for theta in thetas:
-        reach = _box_exit_radius(bbox, theta)
-        if reach <= radius * 1.05:
-            continue
-        s = np.linspace(radius, reach, max(int((reach - radius) / (resolution / 2)), 16))
-        pts = s * np.exp(1j * (theta % (2 * np.pi)))
-        mods = np.abs(spec.evaluate_array(pts, 1))
-        if np.any(mods > radius):
-            clear = 0.0
-        elif not boundaries:
-            clear = math.inf
-        else:
-            probes = pts[:: max(len(pts) // 64, 1)]
-            clear = min(b.distance_to_point(probes) for b in boundaries)
+    for theta, clear, hit in zip(thetas, bound, blocked):
+        if clear > best_clear + 1e-12 and not hit:
+            pts = _delta_ray(bbox, resolution, radius, theta)[1]
+            clear = min_segment_distance(pts[:: max(len(pts) // 64, 1)], a, b).min()
         if clear > best_clear + 1e-12:
             best_clear, best_theta = clear, theta
     if best_theta is None or best_clear < resolution:
         raise DeltaBlocked(
             f"best clearance {best_clear:.3g} below resolution {resolution}")
-    reach = _box_exit_radius(bbox, best_theta)
+    return ParamCurve(*_delta_ray(bbox, resolution, radius, best_theta))
+
+
+def _delta_ray(bbox: Rect, resolution: float, radius: float,
+               theta: float) -> tuple[np.ndarray, np.ndarray]:
+    """Parameters and samples of the ray at angle theta, disk to box edge."""
+    reach = _box_exit_radius(bbox, theta)
     s = np.linspace(radius, reach, max(int((reach - radius) / (resolution / 2)), 16))
-    z = s * np.exp(1j * (best_theta % (2 * np.pi)))
-    return ParamCurve(s, z)
+    return s, s * np.exp(1j * (theta % (2 * np.pi)))
 
 
 def _wrap_pi(theta: float) -> float:
@@ -222,22 +238,11 @@ def _wrap_pi(theta: float) -> float:
 
 
 def _box_exit_radius(bbox: Rect, theta: float) -> float:
-    """Distance from 0 to the box edge along direction theta."""
+    """Distance from 0, which the box holds, to the box edge along theta."""
     dx, dy = math.cos(theta), math.sin(theta)
-    hits = []
-    for bound, d, other0, other1, od in (
-        (bbox.x0, dx, bbox.y0, bbox.y1, dy),
-        (bbox.x1, dx, bbox.y0, bbox.y1, dy),
-        (bbox.y0, dy, bbox.x0, bbox.x1, dx),
-        (bbox.y1, dy, bbox.x0, bbox.x1, dx),
-    ):
-        if abs(d) > 1e-15:
-            s = bound / d
-            if s > 0 and other0 - 1e-12 <= s * od <= other1 + 1e-12:
-                hits.append(s)
-    if not hits:
-        raise DeltaBlocked("box does not surround the origin")
-    return min(hits)
+    sx = (bbox.x1 if dx > 0 else bbox.x0) / dx if abs(dx) > 1e-15 else math.inf
+    sy = (bbox.y1 if dy > 0 else bbox.y0) / dy if abs(dy) > 1e-15 else math.inf
+    return min(sx, sy)
 
 
 def extended_delta(delta: ParamCurve, reach: float, n_extra: int = 64) -> ParamCurve:

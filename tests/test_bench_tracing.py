@@ -36,5 +36,9 @@ def test_tracer_covers_the_smoke_scenario(bench):
             spec, setup, scenario.period, resolution=scenario.region_resolution)
         raysep.serialize.dumps(raysep.serialize.report_to_json(report))
     assert tracer.calls("rays.trace_ray") > 0
-    assert tracer.metrics()["structure.validate_calls"] > 0
+    metrics = tracer.metrics()
+    assert metrics["structure.validate_calls"] > 0
+    # the p1-family workload's tracer self-check needs both
+    assert metrics["structure.choose_delta_s"] > 0
+    assert metrics["curves.argument_principle_calls"] > 0
     assert workloads.check(scenario, setup, report, []) == []

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from raysep.curves import (
     IndexValue,
     ParamCurve,
+    _any_segments_intersect,
     argument_principle_count,
     concat,
     dedup_points,
@@ -318,6 +319,112 @@ class TestCurveValidation:
     def test_snap_rule(self):
         assert IndexValue.from_turns(1.0000001).integer_snap == 1
         assert IndexValue.from_turns(1.001).integer_snap is None
+
+
+def is_simple_reference(curve: ParamCurve, tol: float = 1e-12) -> bool:
+    """O(n^2): the exact segment test on every pair of non-adjacent segments."""
+    a, b = curve.segments()
+    n = len(a)
+    i, j = np.triu_indices(n, 2)
+    keep = ~(curve.closed & (i == 0) & (j == n - 1))
+    i, j = i[keep], j[keep]
+    return not _any_segments_intersect(a[i], b[i], a[j], b[j], tol)
+
+
+def polyline(points, closed: bool = False) -> ParamCurve:
+    z = np.asarray(points, dtype=complex)
+    if closed:
+        z = np.concatenate([z, z[:1]])
+    return ParamCurve(np.arange(len(z), dtype=float), z, closed=closed)
+
+
+def contour_like(crossing: bool) -> ParamCurve:
+    """A dense wavy arc of 600 short segments closed by a connector of segments
+    30 times as long, the shape of a counting contour."""
+    arc = 0.3 * np.sin(np.linspace(0, 30, 601)) + 1j * np.linspace(0, 30, 601)
+    top = np.linspace(arc[-1], -45 + 30j, 31)[1:]
+    left = np.linspace(-45 + 30j, -45, 21)[1:]
+    if crossing:    # back to the arc's start by a detour across the arc
+        bottom = np.concatenate([np.linspace(-45, 1 + 1.5j, 31)[1:],
+                                 np.linspace(1 + 1.5j, 0, 3)[1:-1]])
+    else:
+        bottom = np.linspace(-45, 0, 31)[1:-1]
+    return polyline(np.concatenate([arc, top, left, bottom]), closed=True)
+
+
+class TestIsSimple:
+    """The cell broad phase against the all-pairs reference."""
+
+    def check(self, curve: ParamCurve) -> bool:
+        simple = is_simple(curve)
+        assert simple == is_simple_reference(curve)
+        return simple
+
+    @staticmethod
+    def random_walk(seed: int) -> ParamCurve:
+        # odd seeds draw step lengths over six orders of magnitude
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 30))
+        steps = (rng.standard_normal(n) + 1j * rng.standard_normal(n)) * np.exp(
+            rng.uniform(-3, 3, n) * (seed % 2))
+        return polyline(np.cumsum(steps), closed=seed % 3 == 0)
+
+    @pytest.mark.parametrize("seed", range(30))
+    def test_random_walks(self, seed):
+        self.check(self.random_walk(seed))
+        self.check(random_closed_polyline(np.random.default_rng(seed)))
+
+    def test_random_walks_are_mixed(self):
+        assert {is_simple(self.random_walk(seed)) for seed in range(30)} == {True, False}
+
+    @pytest.mark.parametrize("shift", [0.0, 0.01])
+    def test_figure_eight(self, shift):
+        # shift 0 puts the crossing on a vertex, 0.01 inside two segments
+        t = shift + np.linspace(0, 2 * np.pi, 201)[:-1]
+        curve = polyline(np.sin(t) + 0.5j * np.sin(2 * t), closed=True)
+        assert not self.check(curve)
+        oval = polyline(np.cos(t) + 0.5j * np.sin(t), closed=True)
+        assert self.check(oval)
+
+    @pytest.mark.parametrize("points", [
+        [0, 2, 2 + 2j, 1, 2j],              # a vertex on a non-adjacent segment
+        [0, 1, 2, 2 + 2j, 1, 2j],           # two non-adjacent vertices coincide
+    ])
+    def test_vertex_touch(self, points):
+        assert not self.check(polyline(points, closed=True))
+        lifted = [z + 1e-6j if k == 3 else z for k, z in enumerate(points)]
+        assert self.check(polyline(lifted, closed=True)) == (len(points) == 5)
+
+    def test_touch_within_tolerance_across_a_cell_edge(self):
+        # unit cells from x = 0: the last segment ends 5e-13 short of the
+        # first, in the cell to its left
+        gap = 5e-13
+        z = [2, 2 + 1j, 2 + 2j, 1 + 2j, 2j, 1j, 1 - gap + 0.5j, 2 - gap + 0.5j]
+        assert not self.check(polyline(z))
+
+    @pytest.mark.parametrize("crossing", [False, True])
+    def test_counting_contour_shape(self, crossing):
+        curve = contour_like(crossing)
+        lengths = np.abs(np.diff(curve.z))
+        assert np.max(lengths) > 25 * np.median(lengths)
+        assert self.check(curve) == (not crossing)
+
+    @pytest.mark.parametrize("points", [
+        [1 + 1j, 1 + 1j],                    # extract_tracts' two-point repeated curve
+        [0, 0, 0],
+        [0, 0, 0, 0],
+        [0, 0, 0, 0, 1, 1 + 1j],             # median segment length 0
+        [0, 1e-300, 2e-300, 1, 1 + 1j],      # segments far below the tolerance
+    ])
+    @pytest.mark.filterwarnings("error")    # no division by a zero cell
+    def test_degenerate_segments(self, points):
+        self.check(polyline(points))
+
+    def test_small_and_far_from_the_origin(self):
+        t = np.linspace(0, 2 * np.pi, 65)[:-1] + 0.01
+        assert self.check(polyline(1e6 + 1e-6 * np.exp(1j * t), closed=True))
+        eight = 1e6 + 1e-6 * (np.sin(t) + 0.5j * np.sin(2 * t))
+        assert not self.check(polyline(eight, closed=True))
 
 
 class TestDedupPoints:

@@ -9,8 +9,8 @@ import pytest
 from scipy.optimize import brentq
 
 from raysep.curves import ParamCurve
-from raysep.errors import (EpsTooLarge, NotFullComplete, Overflow, ResolutionTooCoarse,
-                           UnlandedRay)
+from raysep.errors import (EpsTooLarge, ExpansionNotValidated, NotFullComplete, Overflow,
+                           ResolutionTooCoarse, UnlandedRay)
 from raysep.fixedpoints import FixedPointRecord
 from raysep.maps import MapSpec, exp_map, parse_map
 import raysep.separation
@@ -373,6 +373,26 @@ class TestCountingContour:
         counting_contour(setup03.spec, setup03, labels)
         assert len(calls) == 1
         assert [a.period[0].j for a in calls[0]] == [-1, 0, 1, -2, 2]
+
+    def test_report_reads_the_setup_expansion_checks(self, setup03, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[3])
+            return raysep.structure.validate_expansion_radius(*args, **kwargs)
+
+        monkeypatch.setattr(raysep.separation, "validate_expansion_radius", counted)
+        report = separation_report(setup03.spec, setup03, 1)
+        assert report.global_counts is not None and report.global_counts[2]
+        assert calls == []
+
+    def test_invalid_radius_names_the_margin(self, setup03):
+        # R = 10 fails for bands -1, 0, 1 (test_structure); the second call
+        # finds the failures cached and still reports the margin
+        labels = [setup03.domain_by_band(j).label for j in (-1, 0, 1)]
+        for _ in range(2):
+            with pytest.raises(ExpansionNotValidated, match=r"radius 10.0 not valid .*margin -"):
+                counting_contour(setup03.spec, setup03, labels, R=10.0)
 
     def test_piece_tags(self, setup03):
         labels = [setup03.domain_by_band(0).label]

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,12 +10,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import raysep.structure
-from raysep.errors import ExpansionNotValidated, OrbitLeftTracts, OutsideTract, UnsupportedMap
+from raysep.curves import ParamCurve
+from raysep.errors import (DeltaBlocked, ExpansionNotValidated, OrbitLeftTracts, OutsideTract,
+                           UnsupportedMap)
 from raysep.maps import BranchLabel, exp_map, parse_map
 from raysep.structure import (
     Rect,
+    Tract,
     address_of_orbit,
     auto_disk,
+    choose_delta,
     extract_tracts,
     lift_evaluate,
     select_expansion_radius,
@@ -72,6 +77,116 @@ class TestDiskAndDelta:
         spec = setup03.spec
         for z in setup03.delta.z:
             assert abs(spec.evaluate(z, 1)[0]) <= setup03.disk.radius
+
+
+def choose_delta_reference(spec, bbox, resolution, radius, tracts):
+    """The per-angle scan: every ray evaluated and probed on its own."""
+
+    def exit_radius(theta):
+        dx, dy = math.cos(theta), math.sin(theta)
+        hits = []
+        for bound, d, other0, other1, od in (
+            (bbox.x0, dx, bbox.y0, bbox.y1, dy), (bbox.x1, dx, bbox.y0, bbox.y1, dy),
+            (bbox.y0, dy, bbox.x0, bbox.x1, dx), (bbox.y1, dy, bbox.x0, bbox.x1, dx),
+        ):
+            if abs(d) > 1e-15:
+                s = bound / d
+                if s > 0 and other0 - 1e-12 <= s * od <= other1 + 1e-12:
+                    hits.append(s)
+        return min(hits)
+
+    def ray(theta):
+        reach = exit_radius(theta)
+        s = np.linspace(radius, reach, max(int((reach - radius) / (resolution / 2)), 16))
+        return s, s * np.exp(1j * (theta % (2 * np.pi)))
+
+    offsets = np.arange(360) * (2.0 * np.pi / 360)
+    thetas = sorted((math.pi + o for o in offsets),
+                    key=lambda th: abs(math.remainder(th - math.pi, 2.0 * math.pi)))
+    best_theta, best_clear = None, -1.0
+    for theta in thetas:
+        if exit_radius(theta) <= radius * 1.05:
+            continue
+        pts = ray(theta)[1]
+        if np.any(np.abs(spec.evaluate_array(pts, 1)) > radius):
+            clear = 0.0
+        elif not tracts:
+            clear = math.inf
+        else:
+            probes = pts[:: max(len(pts) // 64, 1)]
+            clear = min(t.boundary.distance_to_point(probes) for t in tracts)
+        if clear > best_clear + 1e-12:
+            best_clear, best_theta = clear, theta
+    if best_theta is None or best_clear < resolution:
+        raise DeltaBlocked(f"best clearance {best_clear:.3g} below resolution {resolution}")
+    return ParamCurve(*ray(best_theta))
+
+
+def assert_same_delta(spec, box, resolution, radius=None, tracts=None):
+    """choose_delta gives the reference's delta bit for bit, or its DeltaBlocked.
+
+    Returns the delta, or None when both raised.  The tracts default to the
+    map's own.
+    """
+    bbox = Rect(*box)
+    if radius is None:
+        radius = auto_disk(spec).radius
+    if tracts is None:
+        tracts = extract_tracts(spec, bbox, resolution, radius)
+    try:
+        expected = choose_delta_reference(spec, bbox, resolution, radius, tracts)
+    except DeltaBlocked as exc:
+        with pytest.raises(DeltaBlocked, match=re.escape(str(exc))):
+            choose_delta(spec, bbox, resolution, radius, tracts)
+        return None
+    delta = choose_delta(spec, bbox, resolution, radius, tracts)
+    assert np.array_equal(delta.t, expected.t)
+    assert np.array_equal(delta.z, expected.z)
+    return delta
+
+
+class TestChooseDelta:
+    @settings(max_examples=25, deadline=None)
+    @given(a=st.builds(cmath.rect,
+                       st.floats(math.log(0.05), math.log(5)).map(math.exp),
+                       st.floats(-math.pi, math.pi)),
+           b=st.builds(cmath.rect, st.floats(0, 2), st.floats(-math.pi, math.pi)),
+           box=st.tuples(st.floats(-9, -4), st.floats(4, 10), st.floats(-16, -6),
+                         st.floats(6, 16)),
+           resolution=st.floats(0.08, 0.3))
+    # the boxes of the benchmark's workloads
+    @example(a=0.3, b=0.0, box=(-4, 10, -12, 12), resolution=0.1)
+    @example(a=0.3, b=0.0, box=(-4, 10, -40, 40), resolution=0.1)
+    @example(a=-5.0, b=0.0, box=(-9, 7.5, -13, 13), resolution=0.12)
+    def test_matches_per_angle_scan(self, a, b, box, resolution):
+        assert_same_delta(exp_map(a, b), box, resolution)
+
+    @pytest.mark.parametrize("resolution, radius", [
+        (3.0, None),    # every clearance is below the resolution
+        (0.1, 20.0),    # no ray reaches 1.05 times the radius inside the box
+    ])
+    def test_blocked_like_per_angle_scan(self, resolution, radius):
+        assert assert_same_delta(exp_map(0.3), (-4, 10, -12, 12), resolution, radius) is None
+
+    # Obstacles in place of the tract boundaries, so that a ray's clearance is
+    # not always that of its first sample and rays that leave the disk free
+    # meet the tract set later: the probes and the blocked test both matter.
+    @settings(max_examples=30, deadline=None)
+    @given(walls=st.lists(st.tuples(st.complex_numbers(max_magnitude=6),
+                                    st.complex_numbers(max_magnitude=2)),
+                          min_size=1, max_size=4))
+    @example(walls=[(-1 - 6j, 12j)])        # a wall left of the disk
+    @example(walls=[(-3 + 0.5j, 6j)])       # a wall above the middle of the left ray
+    def test_matches_per_angle_scan_around_obstacles(self, walls):
+        tracts = [Tract(alpha=k, boundary=ParamCurve.segment(z, z + d, 4), anchor=z,
+                        touches_box=False)
+                  for k, (z, d) in enumerate(walls) if abs(d) > 0]
+        assert_same_delta(exp_map(0.3), (-4, 10, -12, 12), 0.1, tracts=tracts)
+
+    def test_without_tracts(self):
+        # a box left of the tract: every admissible ray has infinite clearance
+        delta = assert_same_delta(exp_map(0.3), (-4, 0.2, -3, 3), 0.1)
+        assert delta.z[-1] == pytest.approx(-4.0)
 
 
 class TestTracts:
