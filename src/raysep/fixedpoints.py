@@ -248,15 +248,15 @@ def _collect_records(mapobj, evaluator, roots: np.ndarray, region: Rect,
     unique = [z for z in dedup_points(unique, DEDUP_TOL) if region.contains(z)]
     unique.sort(key=lambda z: (z.real, z.imag))
 
+    _, multipliers = evaluator(np.array(unique, dtype=complex))
+
     spacing = None     # O(n^2), so computed only when a multiplicity needs it
     records = []
-    for z in unique:
+    for z, m in zip(unique, multipliers.tolist()):
         edge = min(z.real - region.x0, region.x1 - z.real,
                    z.imag - region.y0, region.y1 - z.imag)
         if edge < BOUNDARY_TOL:
             raise BoundaryRoot(f"periodic point {z} sits on the region boundary")
-        _, d = evaluator(np.array([z]))
-        m = complex(d[0])
         cls = classify_multiplier(m)
         if cls == "parabolic" and abs(m - 1.0) < 1e-4:
             z = _polish_parabolic(mapobj, z, period)

@@ -18,9 +18,12 @@ schedule are the endpoints the landing is resolved from.
 
 Potentials are a declared parametrization: the sample at level k carries
 potential t_top * 2^(k_top - k), halving toward the landing point; applying
-f doubles the potential.  Landing points are read off the schedule
-endpoints, with Richardson extrapolation for the algebraic (parabolic)
-approach, then polished by Newton's method on f^p(z) - z.
+f doubles the potential.  Each walk resolves the limits of all its lanes in
+one array pass over the endpoint matrix: a settled endpoint, or Richardson
+extrapolation for the algebraic (parabolic) approach, polished by one
+Newton sweep on f^p(z) - z and kept when f^p closes on it.  `landing_point`
+then interprets one ray's limit: broken walks, the approach direction and
+the preperiod.
 
 Rays land together when their landings fall in one group of
 `landing_groups` (greedy in ray order, within PAIR_TOL); the ray graph's
@@ -29,6 +32,7 @@ landing points and pairs come from these groups.
 
 from __future__ import annotations
 
+import cmath
 import itertools
 import math
 from dataclasses import dataclass, replace
@@ -38,7 +42,7 @@ import numpy as np
 from .curves import group_points
 from .errors import BrokenRay, MixedPeriods, UnlandedRay
 from .fixedpoints import _newton_sweep
-from .maps import BranchLabel, MapSpec, Overflow
+from .maps import OVERFLOW_MAG, BranchLabel, MapSpec
 from .structure import StructuralSetup, select_expansion_radius
 
 LANDING_TOL = 1e-10
@@ -127,6 +131,7 @@ class Ray:
     status: RayStatus
     setup: StructuralSetup
     endpoints: np.ndarray          # cycle walk states at the DEFAULT_SCHEDULE depths
+    limit: complex                 # the endpoints' limit, before any preperiod; nan: none
 
     @property
     def period(self) -> int:
@@ -262,6 +267,41 @@ class PullbackWalk:
         return z
 
 
+def _limits(spec: MapSpec, endpoints: np.ndarray, period: int) -> np.ndarray:
+    """Each row's limit from its DEFAULT_SCHEDULE endpoints; nan where none.
+
+    A row's endpoints either settle to the Cauchy tolerance (geometric
+    contraction, repelling landing), and the first settled one is its
+    candidate, or decay algebraically (parabolic landing), which two-level
+    doubling-depth Richardson extrapolation detects and accelerates.  One
+    Newton sweep on f^p(z) - z polishes every candidate, and the polished
+    point replaces it when it moved less than 1e-2 (1 + |candidate|).  A
+    point is the limit when f^p closes on it without overflowing (the
+    conditions of `MapSpec.evaluate`).  Rows holding a nan have no limit.
+    """
+    limit = np.full(len(endpoints), np.nan, dtype=complex)
+    rows = np.flatnonzero(~np.isnan(endpoints).any(axis=1))
+    e = endpoints[rows]
+    settled = np.abs(np.diff(e, axis=1)) < LANDING_TOL * (1.0 + np.abs(e[:, 1:]))
+    r1 = 2.0 * e[:, 1:] - e[:, :-1]
+    r2 = (4.0 * r1[:, 1:] - r1[:, :-1]) / 3.0
+    algebraic = np.abs(r2[:, -1] - r2[:, -2]) < 1e-4 * (1.0 + np.abs(r2[:, -1]))
+    has_settled = settled.any(axis=1)
+    found = has_settled | algebraic
+    rows, e, settled = rows[found], e[found], settled[found]
+    candidate = np.where(has_settled[found],
+                         e[np.arange(len(e)), np.argmax(settled, axis=1) + 1],
+                         r2[found, -1])
+    polished = _newton_sweep(lambda z: spec.derivative_array(z, period), candidate)
+    point = np.where(np.abs(polished - candidate) < 1e-2 * (1.0 + np.abs(candidate)),
+                     polished, candidate)
+    w, dw = spec.derivative_array(point, period)
+    closes = (np.isfinite(w) & (np.abs(w) <= OVERFLOW_MAG) & (np.abs(dw) <= OVERFLOW_MAG)
+              & (np.abs(w - point) < 1e-8 * (1.0 + np.abs(point))))
+    limit[rows[closes]] = point[closes]
+    return limit
+
+
 # -- public operations --------------------------------------------------------------
 
 
@@ -276,10 +316,11 @@ def trace_ray(spec: MapSpec, setup: StructuralSetup, address,
     `depth` bounds their number of cycles and `t_grid` fixes the top
     potential and the sample count (potentials themselves follow the
     declared halving parametrization).  The states at the depths of the
-    doubling schedule become the ray's `endpoints`, which `landing_point`
-    resolves.  A walk that runs into the cut or a singular value among the
-    samples is truncated and the ray is marked broken; one that does so
-    below the samples leaves nan endpoints.
+    doubling schedule become the ray's `endpoints`, and one array pass over
+    all lanes' endpoints resolves each ray's `limit` (nan when there is
+    none), which `landing_point` interprets.  A walk that runs into the cut
+    or a singular value among the samples is truncated and the ray is marked
+    broken; one that does so below the samples leaves nan endpoints.
     """
     if depth < 10:
         raise ValueError("depth must be at least 10")
@@ -306,11 +347,12 @@ def trace_ray(spec: MapSpec, setup: StructuralSetup, address,
     endpoint_levels = top - np.array(DEFAULT_SCHEDULE) * p
     states, bad_at = walk.states(top, np.concatenate([sample_levels, endpoint_levels]))
     potentials = t_top * np.power(2.0, -np.arange(n_cycles + 1, dtype=float) * p)
+    limits = _limits(spec, states[:, n_cycles + 1:], p)
 
     # each ray's t, z and endpoints are views of `potentials` and of its row
     # of `states`: per-ray copies raised peak memory at period 4
     rays = []
-    for a, row, bad in zip(addresses, states, bad_at):
+    for a, row, bad, limit in zip(addresses, states, bad_at, limits):
         # samples above the level the walk stopped at (at least two are kept)
         clean = int(np.count_nonzero(sample_levels >= bad))
         t_vals, z_vals = potentials[:max(clean, 2)], row[:max(clean, 2)]
@@ -324,21 +366,22 @@ def trace_ray(spec: MapSpec, setup: StructuralSetup, address,
                 t_vals = t_vals * scale
             except BrokenRay:
                 status = RayStatus("broken", first_bad_t=float(t_vals[-1] * scale))
-        rays.append(Ray(a, t_vals, z_vals, status, setup, row[n_cycles + 1:]))
+        rays.append(Ray(a, t_vals, z_vals, status, setup, row[n_cycles + 1:],
+                        complex(limit)))
     return rays[0] if isinstance(address, Address) else rays
 
 
 def landing_point(spec: MapSpec, ray: Ray) -> Ray:
-    """Resolve the landing of a traced ray from its schedule endpoints.
+    """The ray with its landing status, read off the limit its walk resolved.
 
-    The endpoints are the states of the ray's own walk at the depths of the
-    doubling schedule, kept by `trace_ray`, so a periodic ray is not walked
-    again; nan endpoints mean that walk hit the cut or a singular value
-    below the samples, and the ray is broken.  The endpoints either settle
-    to the Cauchy tolerance (geometric contraction, repelling landing) or
-    decay algebraically (parabolic landing), which Richardson extrapolation
-    detects and accelerates; candidates are polished by Newton on
-    f^p(z) - z and checked for period closure.
+    `trace_ray` keeps the states of the ray's own walk at the depths of the
+    doubling schedule and resolves their limit in one pass over the whole
+    walk, so a periodic ray is neither walked nor polished again here.  Nan
+    endpoints mean that walk hit the cut or a singular value below the
+    samples, and the ray is broken; a nan limit leaves it unresolved.  A
+    landed ray gets the approach direction of its deepest endpoint still
+    away from the point, and a preperiodic one the preperiod pullbacks of
+    the cycle's limit.
     """
     if ray.status.kind == "broken":
         return ray
@@ -346,33 +389,8 @@ def landing_point(spec: MapSpec, ray: Ray) -> Ray:
     if np.any(np.isnan(endpoints)):
         return replace(ray, status=RayStatus("broken",
                                              first_bad_t=float(np.min(ray.t))))
-    period = ray.period
-    diffs = np.abs(np.diff(endpoints))
-
-    candidate = None
-    settled = np.nonzero(diffs < LANDING_TOL * (1.0 + np.abs(endpoints[1:])))[0]
-    if len(settled):
-        candidate = complex(endpoints[settled[0] + 1])
-    else:
-        # algebraic decay: doubling-depth Richardson, two levels
-        r1 = 2.0 * endpoints[1:] - endpoints[:-1]
-        r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
-        if abs(r2[-1] - r2[-2]) < 1e-4 * (1.0 + abs(r2[-1])):
-            candidate = complex(r2[-1])
-    if candidate is None:
-        return replace(ray, status=RayStatus("unresolved"))
-
-    point = candidate
-    polished = complex(_newton_sweep(lambda z: spec.derivative_array(z, period),
-                                     np.array([candidate]))[0])
-    if abs(polished - candidate) < 1e-2 * (1.0 + abs(candidate)):
-        point = polished
-    try:
-        w, _ = spec.evaluate(point, period)
-        closes = abs(w - point) < 1e-8 * (1.0 + abs(point))
-    except Overflow:
-        closes = False
-    if not closes:
+    point = ray.limit
+    if cmath.isnan(point):
         return replace(ray, status=RayStatus("unresolved"))
 
     # approach direction from the deepest endpoints still away from the point
@@ -401,9 +419,9 @@ def fixed_rays(spec: MapSpec, setup: StructuralSetup, domains,
     """All rays of period-`period` addresses over the given domains.
 
     For period 1 this is one fixed ray per fundamental domain; for period p,
-    all |domains|^p addresses, traced together by one array walk and each
-    landing-resolved from it.  Per-ray failures are recorded in the ray
-    status, not raised.
+    all |domains|^p addresses, traced and limit-resolved together by one
+    array walk, then each read by `landing_point`.  Per-ray failures are
+    recorded in the ray status, not raised.
     """
     labels = [d if isinstance(d, BranchLabel) else d.label for d in domains]
     labels = sorted(set(labels), key=lambda l: (l.alpha, l.j))
@@ -416,6 +434,31 @@ def fixed_rays(spec: MapSpec, setup: StructuralSetup, domains,
 def same_landing(landings, z: complex):
     """Mask of `landings` that are the landing point `z` (closer than PAIR_TOL)."""
     return np.abs(np.asarray(landings) - z) < PAIR_TOL
+
+
+def landings_at(landings, points) -> list[np.ndarray]:
+    """Per point, the indices of the `landings` that are that landing point.
+
+    The rows of the (points x landings) `same_landing` mask as index arrays,
+    without the dense mask (a megabyte at period 4, which raised peak
+    memory): a hit needs |Re difference| < PAIR_TOL, so each point tests
+    only the landings whose real parts lie within 2 PAIR_TOL of its own
+    (the margin covers rounding), found by bisection in the sorted real
+    parts.
+    """
+    landings = np.asarray(landings, dtype=complex)
+    points = np.asarray(points, dtype=complex)
+    order = np.argsort(landings.real)
+    re = landings.real[order]
+    lo = np.searchsorted(re, points.real - 2.0 * PAIR_TOL, side="left")
+    count = np.searchsorted(re, points.real + 2.0 * PAIR_TOL, side="right") - lo
+    point = np.repeat(np.arange(len(points)), count)
+    near = order[np.arange(len(point)) + np.repeat(lo - (np.cumsum(count) - count), count)]
+    hit = same_landing(landings[near], points[point])
+    by_point = np.lexsort((near[hit], point[hit]))
+    point, near = point[hit][by_point], near[hit][by_point]
+    bounds = np.searchsorted(point, np.arange(len(points) + 1))
+    return [near[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
 def landing_groups(rays: list[Ray], tol: float = PAIR_TOL) -> tuple[np.ndarray, np.ndarray]:

@@ -49,7 +49,7 @@ from .fixedpoints import (
 )
 from .maps import BranchLabel, MapSpec
 from .rays import (Address, Ray, RayPair, fixed_rays, landing_groups, landing_point,
-                   pairs_from_groups, same_landing, trace_ray)
+                   landings_at, pairs_from_groups, same_landing, trace_ray)
 from .structure import Rect, StructuralSetup, select_expansion_radius, validate_expansion_radius
 
 PROBE_CLEARANCE = 1e-6
@@ -649,10 +649,10 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
     members: list[tuple[complex, str, object]] = []
     unplaced = False
     ray_landings = np.array([r.landing for r in graph.rays], dtype=complex)
-    for rec in records:
+    # a record is a boundary point iff some ray lands at it
+    at_landing = landings_at(ray_landings, [rec.location for rec in records])
+    for rec, incident in zip(records, at_landing):
         z = rec.location
-        # a record is a boundary point iff some ray lands at it
-        incident = np.flatnonzero(same_landing(ray_landings, z))
         if len(incident):
             rec.incident_ray_addresses = [graph.rays[i].address for i in incident]
         if rec.classification == "parabolic" and abs(rec.multiplier - 1.0) < 1e-6:
@@ -763,9 +763,10 @@ def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
     def matched(z):
         return bool(np.any(same_landing(landings[:len(landed)], z)))
 
+    known = landings_at(landings[:len(landed)], [rec.location for rec in records])
     candidates = []  # (record, address), in record order
-    for rec in records:
-        if rec.classification != "repelling" or matched(rec.location):
+    for rec, hits in zip(records, known):
+        if rec.classification != "repelling" or len(hits):
             continue
         orbit = [rec.location]
         try:

@@ -41,4 +41,8 @@ def test_tracer_covers_the_smoke_scenario(bench):
     # the p1-family workload's tracer self-check needs both
     assert metrics["structure.choose_delta_s"] > 0
     assert metrics["curves.argument_principle_calls"] > 0
+    # the smoke entry of the benchmark's self-check needs landing_point calls,
+    # and the tracer reads each one's status: every ray lands
+    assert metrics["rays.landing_point_calls"] > 0
+    assert metrics["rays.landed_share"] == 1.0
     assert workloads.check(scenario, setup, report, []) == []

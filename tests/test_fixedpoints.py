@@ -14,7 +14,7 @@ from raysep.fixedpoints import (
     petal_directions,
     probe_virtual_points,
 )
-from raysep.maps import BranchLabel, exp_map, parse_map
+from raysep.maps import BranchLabel, MapSpec, exp_map, parse_map
 from raysep.rays import Address, landing_point, trace_ray
 from raysep.structure import Rect, structural_setup
 
@@ -108,6 +108,27 @@ class TestFindPeriodicPoints:
     def test_unexpected_multiplicity_error_propagates(self, monkeypatch):
         with pytest.raises(RuntimeError):
             self._multiplicity_raising(monkeypatch, RuntimeError("boom"))
+
+
+class TestBatchedMultipliers:
+    def test_multipliers_are_the_one_point_derivatives(self, monkeypatch):
+        spec = exp_map(-5)
+        box = Rect(-9, 7.5, -13, 13)
+        setup = structural_setup(spec, box, 0.12)
+        sizes = []
+        derivative_array = MapSpec.derivative_array
+
+        def counted(self, z, period=1):
+            sizes.append(np.size(z))
+            return derivative_array(self, z, period)
+        monkeypatch.setattr(MapSpec, "derivative_array", counted)
+        records = find_periodic_points(spec, box, 2, setup=setup)
+        monkeypatch.undo()
+        # no near-parabolic point, so no point is evaluated on its own
+        assert len(records) > 50 and 1 not in sizes
+        for rec in records:
+            m = spec.evaluate(rec.location, 2)[1]
+            assert np.array([rec.multiplier]).tobytes() == np.array([m]).tobytes()
 
 
 class TestFindFixedInDomain:

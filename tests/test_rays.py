@@ -1,20 +1,29 @@
 """Ray tracing, landing, pairs, and the ray-family invariants."""
 
+import itertools
+
 import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import raysep.rays
 from raysep.errors import MixedPeriods, Overflow, UnlandedRay
-from raysep.maps import BranchContext, BranchLabel, exp_map, parse_map
+from raysep.fixedpoints import _newton_sweep
+from raysep.maps import OVERFLOW_MAG, BranchContext, BranchLabel, MapSpec, exp_map, parse_map
 from raysep.rays import (
     DEFAULT_SCHEDULE,
     DEFAULT_T_TOP,
+    LANDING_TOL,
+    PAIR_TOL,
     Address,
     PullbackWalk,
     RayStatus,
+    _limits,
     detect_ray_pairs,
     fixed_rays,
     landing_point,
+    landings_at,
+    same_landing,
     trace_ray,
 )
 from raysep.structure import Rect, structural_setup, validate_expansion_radius
@@ -189,10 +198,49 @@ class TestLanding:
         assert abs(ray.landing - target) > 1e-3
 
 
+def _bits(z):
+    return None if z is None else np.array([z], dtype=complex).tobytes()
+
+
+def _scalar_limit(spec, endpoints, period):
+    """Reference: one ray's limit as the per-ray landing resolved it.
+
+    Settled endpoint or two-level Richardson, a one-lane Newton polish, and
+    closure through `MapSpec.evaluate`; None when there is no limit.
+    """
+    if np.any(np.isnan(endpoints)):
+        return None
+    diffs = np.abs(np.diff(endpoints))
+    settled = np.nonzero(diffs < LANDING_TOL * (1.0 + np.abs(endpoints[1:])))[0]
+    if len(settled):
+        candidate = complex(endpoints[settled[0] + 1])
+    else:
+        r1 = 2.0 * endpoints[1:] - endpoints[:-1]
+        r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
+        if not abs(r2[-1] - r2[-2]) < 1e-4 * (1.0 + abs(r2[-1])):
+            return None
+        candidate = complex(r2[-1])
+    point = candidate
+    polished = complex(_newton_sweep(lambda z: spec.derivative_array(z, period),
+                                     np.array([candidate]))[0])
+    if abs(polished - candidate) < 1e-2 * (1.0 + abs(candidate)):
+        point = polished
+    try:
+        w, _ = spec.evaluate(point, period)
+    except Overflow:
+        return None
+    return point if abs(w - point) < 1e-8 * (1.0 + abs(point)) else None
+
+
 def _same_rays(a, b):
-    assert a.address == b.address and a.status == b.status
+    """The same ray, its limit and its status bitwise."""
+    assert a.address == b.address and a.status.kind == b.status.kind
+    assert a.status.first_bad_t == b.status.first_bad_t
     for field in ("t", "z", "endpoints"):
         assert np.array_equal(getattr(a, field), getattr(b, field), equal_nan=True)
+    for x, y in ((a.limit, b.limit), (a.status.point, b.status.point),
+                 (a.status.approach_direction, b.status.approach_direction)):
+        assert _bits(x) == _bits(y)
 
 
 def _scalar_walk(spec, setup, address, levels):
@@ -246,6 +294,8 @@ class TestBatchedWalk:
         for b, s in zip(batch, singles):
             _same_rays(b, s)
             _same_rays(landing_point(spec, b), landing_point(spec, s))
+            ref = _scalar_limit(spec, s.endpoints, s.period)
+            assert _bits(s.limit) == _bits(complex("nan") if ref is None else ref)
         return [landing_point(spec, r) for r in batch]
 
     def test_all_period_two_addresses(self, setup_neg5):
@@ -254,6 +304,26 @@ class TestBatchedWalk:
         assert len(addresses) == 36
         landed = self._check_batch(setup_neg5.spec, setup_neg5, addresses)
         assert all(r.status.kind == "lands_at" for r in landed)
+
+    def test_period_four_lanes(self, setup_neg5):
+        labels = setup_neg5.domain_labels()
+        addresses = [Address(period=c) for c in itertools.product(labels, repeat=4)]
+        assert len(addresses) == 1296
+        batch = addresses[5::32]
+        np.random.default_rng(0).shuffle(batch)
+        landed = self._check_batch(setup_neg5.spec, setup_neg5, batch)
+        assert len(landed) == 41 and all(r.status.kind == "lands_at" for r in landed)
+
+    def test_one_newton_sweep_per_walk(self, setup_neg5, monkeypatch):
+        calls = []
+
+        def counted(evaluator, seeds, *args, **kwargs):
+            calls.append(len(seeds))
+            return _newton_sweep(evaluator, seeds, *args, **kwargs)
+        monkeypatch.setattr(raysep.rays, "_newton_sweep", counted)
+        rays = fixed_rays(setup_neg5.spec, setup_neg5, setup_neg5.domains, period=2)
+        assert calls == [36]
+        assert all(r.status.kind == "lands_at" for r in rays)
 
     def test_breaking_and_clean_lanes(self):
         spec = exp_map(0.5, 0.2)
@@ -265,7 +335,7 @@ class TestBatchedWalk:
         # three samples end above the cut hit: only the endpoints see it
         short = trace_ray(spec, setup, addresses, t_grid=[8.0, 4.0, 2.0])
         assert short[2].status.kind == "unresolved"
-        assert np.isnan(short[2].endpoints[-1])
+        assert np.isnan(short[2].endpoints[-1]) and np.isnan(short[2].limit)
         landed = self._check_batch(spec, setup, addresses, t_grid=[8.0, 4.0, 2.0])
         assert landed[2].status == RayStatus("broken", first_bad_t=2.0)
         assert [r.status.kind for r in landed] == kinds
@@ -277,11 +347,107 @@ class TestBatchedWalk:
         landed = self._check_batch(spec, setup, addresses)
         assert all(r.status.kind == "lands_at" for r in landed)
         assert abs(landed[1].landing - 1.0) < 1e-6
+        # the parabolic lane never settles: its limit is Richardson's
+        e = landed[1].endpoints
+        assert not np.any(np.abs(np.diff(e)) < LANDING_TOL * (1.0 + np.abs(e[1:])))
 
     def test_mixed_periods_rejected(self, setup_neg5):
         with pytest.raises(MixedPeriods):
             trace_ray(setup_neg5.spec, setup_neg5,
                       [Address.constant(0), Address.cycle([0, 1])])
+
+
+class _ConstantDerivative:
+    """Moves every point by `shift`, with derivative `dw` everywhere."""
+
+    def __init__(self, dw, shift=0.0):
+        self.dw, self.shift = complex(dw), complex(shift)
+
+    def derivative_array(self, z, period=1):
+        z = np.asarray(z, dtype=complex)
+        return z + self.shift, np.full(z.shape, self.dw)
+
+
+class _Doubling:
+    """f(z) = 2z: Newton jumps from any point to the fixed point 0."""
+
+    def derivative_array(self, z, period=1):
+        z = np.asarray(z, dtype=complex)
+        return 2.0 * z, np.full(z.shape, 2.0 + 0j)
+
+
+class TestLimitClosure:
+    """A limit is kept exactly when `MapSpec.evaluate` would not overflow."""
+
+    @pytest.mark.parametrize("dw, shift, at", [
+        (2.0, 0.0, 1.0 + 1j),
+        (OVERFLOW_MAG, 0.0, 1.0),
+        (2.0 * OVERFLOW_MAG, 0.0, 1.0),
+        (complex("nan"), 0.0, 1.0),
+        (2.0, complex("inf"), 1.0),
+        (2.0, 0.0, OVERFLOW_MAG),
+        (2.0, 0.0, -2.0 * OVERFLOW_MAG),
+        (2.0, 1e-3, 1.0),       # Newton walks off by 0.064 and is not kept
+    ])
+    def test_matches_evaluate(self, dw, shift, at):
+        fake = _ConstantDerivative(dw, shift)
+        endpoints = np.full((1, len(DEFAULT_SCHEDULE)), at, dtype=complex)
+        limit = complex(_limits(fake, endpoints, 1)[0])
+        try:
+            w, _ = MapSpec.evaluate(fake, at, 1)
+            closes = abs(w - at) < 1e-8 * (1.0 + abs(at))
+        except Overflow:
+            closes = False
+        assert _bits(limit) == _bits(at if closes else complex("nan"))
+
+    def test_first_settled_endpoint_is_the_candidate(self):
+        row = np.array([5.0, 3.0, 2.0, 2.0 + 1e-12, 2.0 + 1e-12, 2.0 + 2e-12, 7.0])
+        limit = _limits(_ConstantDerivative(2.0), row[None, :].astype(complex), 1)
+        assert _bits(limit[0]) == _bits(row[3])
+
+    @pytest.mark.parametrize("at, limit", [(1e-4, 0.0), (1.0, complex("nan"))])
+    def test_far_newton_jump_is_not_kept(self, at, limit):
+        # the jump to 0 is kept only when shorter than 1e-2 (1 + |candidate|)
+        endpoints = np.full((1, len(DEFAULT_SCHEDULE)), at, dtype=complex)
+        assert _bits(_limits(_Doubling(), endpoints, 1)[0]) == _bits(limit)
+
+    def test_rows_without_a_candidate(self):
+        # every point is fixed, so only the endpoints decide
+        fixing = _ConstantDerivative(2.0)
+        endpoints = np.array([[1.0, 2.0, 4.0, 8.0, 16.0, 32.0, 64.0],
+                              [1.0, np.nan, 1.0, 1.0, 1.0, 1.0, 1.0]], dtype=complex)
+        assert np.isnan(_limits(fixing, endpoints, 1)).all()
+        assert _limits(fixing, endpoints[:0], 1).shape == (0,)
+
+
+class TestLandingsAt:
+    @staticmethod
+    def _check(landings, points):
+        hits = landings_at(landings, points)
+        assert len(hits) == len(points)
+        for row, z in zip(hits, points):
+            assert np.array_equal(row, np.flatnonzero(same_landing(landings, z)))
+        return hits
+
+    def test_rows_of_the_mask(self):
+        rng = np.random.default_rng(3)
+        landings = rng.uniform(-1, 1, 700) + 1j * rng.uniform(-1, 1, 700)
+        # a cluster within PAIR_TOL of landing 0, and a column of equal real parts
+        landings[100:120] = landings[0] + PAIR_TOL * rng.uniform(-1, 1, 20)
+        landings[200:260] = 0.25 + 1j * np.linspace(-1, 1, 60)
+        points = np.concatenate([landings[::20] + 0.5 * PAIR_TOL,
+                                 landings[::25] + 2.0 * PAIR_TOL,
+                                 landings[:1] + PAIR_TOL * np.exp(1j * np.linspace(0, 6, 40)),
+                                 [0.25 + 0.5j, complex("nan"), 0.25 + 1j * (1 + PAIR_TOL)]])
+        hits = self._check(landings, points)
+        assert sum(len(row) for row in hits) > 60
+
+    def test_empty_sides(self):
+        assert landings_at([1.0, 2.0], []) == []
+        (row,) = landings_at([], [1j])
+        assert row.tolist() == []
+        hits = self._check(np.array([1.0, 1.0 + 1e-8j, 2.0]), np.array([1.0 + 0j]))
+        assert hits[0].tolist() == [0, 1]
 
 
 class TestAnchorRadius:

@@ -594,6 +594,15 @@ class TestInferredRays:
                     if not {s.j for s in r.address.period} <= bands}
         assert inferred and inferred <= set(calls[0])
 
+    def test_records_at_landings_are_not_traced(self, setup_neg5, monkeypatch):
+        calls = self._traced_batches(monkeypatch)
+        landed = landed_rays(setup_neg5, [0, 1], period=2)
+        records = [FixedPointRecord(r.landing + 0.5 * PAIR_TOL, 2, 4.0 + 0j, "repelling")
+                   for r in landed]
+        out = _augment_with_inferred_rays(setup_neg5.spec, setup_neg5, 2, records,
+                                          landed, [])
+        assert calls == [] and out == landed
+
     def test_unvalidated_candidate_is_incomplete(self, setup_neg5, monkeypatch):
         calls = self._traced_batches(monkeypatch)
         monkeypatch.setattr(raysep.structure, "EXPANSION_CAP", 2.0 * setup_neg5.expansion_radius)
