@@ -193,19 +193,48 @@ def group_points(points, tol: float) -> tuple[np.ndarray, np.ndarray]:
     Each point, in order, is kept unless it lies within `tol` of a point
     already kept.  `group[i]` is the index, among the kept points, of the
     first kept point within `tol` of point i (a kept point is its own group).
+    A point that is not finite is within `tol` of nothing, so it is kept.
+
+    |z - w| < tol needs |Re z - Re w| < tol and |Im z - Im w| < tol, so a
+    point meets only the points of its window, those whose real parts lie
+    within 2 `tol` of its own (the margin covers rounding), found in the
+    finite points sorted by real part.  A point with no other point in its
+    window, or none with imaginary part within 2 `tol` (found the same way
+    in the points sorted by imaginary part), is kept.  The others are taken
+    in order, and each one not yet absorbed is kept and absorbs the points
+    of its window within `tol` of it.  The cost grows with the number of
+    groups among those points times their window sizes, not with the
+    number of points squared.
     """
     pts = np.ravel(np.asarray(points, dtype=complex))
-    group = np.empty(len(pts), dtype=int)
-    kept = []
-    rest, index = pts, np.arange(len(pts))
-    while len(rest):
-        # the first point left is kept and absorbs the later ones within tol of it
-        near = np.abs(rest - rest[0]) < tol
-        near[0] = True      # so that a nan point is kept, not left forever
-        group[index[near]] = len(kept)
-        kept.append(index[0])
-        rest, index = rest[~near], index[~near]
-    return pts[kept], group
+    owner = np.arange(len(pts))     # the kept point each point is grouped with
+    finite = np.flatnonzero(np.isfinite(pts))
+    order = finite[np.argsort(pts.real[finite], kind="stable")]
+    lo, hi = _windows(pts.real[order], tol)
+    crowded = np.zeros(len(pts), dtype=bool)
+    crowded[order[hi - lo > 1]] = True
+    by_imag = finite[np.argsort(pts.imag[finite], kind="stable")]
+    lo_imag, hi_imag = _windows(pts.imag[by_imag], tol)
+    crowded[by_imag[hi_imag - lo_imag == 1]] = False
+    at = np.empty(len(pts), dtype=int)
+    at[order] = np.arange(len(order))
+    for i in np.flatnonzero(crowded).tolist():
+        if not crowded[i]:          # absorbed by an earlier point
+            continue
+        window = order[lo[at[i]]:hi[at[i]]]
+        window = window[crowded[window]]
+        near = window[np.abs(pts[window] - pts[i]) < tol]
+        owner[near] = i
+        crowded[near] = False
+        crowded[i] = False
+    kept = np.flatnonzero(owner == np.arange(len(pts)))
+    return pts[kept], np.searchsorted(kept, owner)
+
+
+def _windows(x: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Per entry of the sorted `x`, the slice of the entries within 2 tol of it."""
+    return (np.searchsorted(x, x - 2.0 * tol, side="left"),
+            np.searchsorted(x, x + 2.0 * tol, side="right"))
 
 
 def dedup_points(points, tol: float) -> list[complex]:

@@ -248,16 +248,18 @@ class BranchContext:
         """Composite inverse branch: outer factor first, inner factors after.
 
         `label` is one BranchLabel for all of `w`, or a sequence of
-        BranchLabels with one per lane of the array `w`.  Returns an array,
-        0-d for a scalar `w`.
+        BranchLabels with one per lane of a 1-D `w` or one per row of a 2-D
+        `w`.  Returns an array, 0-d for a scalar `w`.
         """
         inner = range(len(self.spec.factors) - 1)
+        z = np.asarray(w, dtype=complex)
         if isinstance(label, BranchLabel):
             band, inner_bands = label.j, [label.inner_band(k) for k in inner]
         else:
-            band = np.array([lb.j for lb in label])
-            inner_bands = [np.array([lb.inner_band(k) for lb in label]) for k in inner]
-        z = np.asarray(w, dtype=complex)
+            rows = (-1,) + (1,) * (z.ndim - 1)
+            band = np.array([lb.j for lb in label]).reshape(rows)
+            inner_bands = [np.array([lb.inner_band(k) for lb in label]).reshape(rows)
+                           for k in inner]
         z = branch_log((z - self.spec.outer.b) / self.spec.outer.a,
                        band, self.outer_cut, strict)
         for k, factor in enumerate(self.spec.factors[1:]):

@@ -43,7 +43,7 @@ from .curves import group_points
 from .errors import BrokenRay, MixedPeriods, UnlandedRay
 from .fixedpoints import _newton_sweep
 from .maps import OVERFLOW_MAG, BranchLabel, MapSpec
-from .structure import StructuralSetup, select_expansion_radius
+from .structure import StructuralSetup, _expansion_radii, _not_validated
 
 LANDING_TOL = 1e-10
 PAIR_TOL = 1e-6
@@ -182,18 +182,20 @@ class PullbackWalk:
     def anchors(self, level: int) -> np.ndarray:
         """Each lane's top state: deep inside the domain of its symbol at `level`.
 
-        The anchor radius is `select_expansion_radius` of the lane's symbols,
-        resolved once per distinct symbol set.
+        The anchor radius is the expansion radius of the lane's symbols.  One
+        doubling search (`structure._expansion_radii`) settles the radii of
+        all distinct symbol sets together; the first set, in address order,
+        that no radius validates raises ExpansionNotValidated.
         """
-        radii: dict[frozenset, float] = {}
-        base = np.empty(len(self.addresses))
-        band = np.empty(len(self.addresses))
-        for i, address in enumerate(self.addresses):
-            symbols = frozenset(address.symbols())
-            if symbols not in radii:
-                radii[symbols] = select_expansion_radius(self.spec, self.setup, symbols)
-            base[i] = radii[symbols]
-            band[i] = address.period[level % address.period_length].j
+        symbols = [frozenset(address.symbols()) for address in self.addresses]
+        sets = list(dict.fromkeys(symbols))
+        radii = dict(zip(sets, _expansion_radii(self.spec, self.setup, sets)))
+        for s in sets:
+            if radii[s] is None:
+                raise _not_validated(s)
+        base = np.array([radii[s] for s in symbols], dtype=float)
+        band = np.array([a.period[level % a.period_length].j for a in self.addresses],
+                        dtype=float)
         z = np.empty(len(self.addresses), dtype=complex)
         z.real = base + self.t_top
         z.imag = self._theta + 2.0 * math.pi * band - math.pi

@@ -50,7 +50,7 @@ from .fixedpoints import (
 from .maps import BranchLabel, MapSpec
 from .rays import (Address, Ray, RayPair, fixed_rays, landing_groups, landing_point,
                    landings_at, pairs_from_groups, same_landing, trace_ray)
-from .structure import Rect, StructuralSetup, select_expansion_radius, validate_expansion_radius
+from .structure import Rect, StructuralSetup, _expansion_radii, validate_expansion_radius
 
 PROBE_CLEARANCE = 1e-6
 
@@ -279,13 +279,15 @@ class CountingContour:
 
 
 def check_full_complete(spec: MapSpec, setup: StructuralSetup,
-                        labels: list[BranchLabel]) -> None:
+                        labels: list[BranchLabel], rays=()) -> None:
     """Raise NotFullComplete with a witness when the collection fails.
 
     Full: band indices contiguous per tract.  Complete: contains every
     domain meeting the disk, and adjacent domains' fixed rays land alone at
     repelling points (checked on the traced evidence: the collection's and
-    both adjacent bands' fixed rays, traced by one walk).
+    both adjacent bands' fixed rays).  `rays` are fixed rays already read
+    by `landing_point`, as `fixed_rays` returns them; the bands they do not
+    cover are traced by one walk.
     """
     js = sorted(lb.j for lb in labels)
     if not js:
@@ -299,13 +301,16 @@ def check_full_complete(spec: MapSpec, setup: StructuralSetup,
                     f"domain {dom.label.j} meets the disk but is missing")
     # adjacent rays must land alone at repelling points
     bands = js + [js[0] - 1, js[-1] + 1]
+    given = {r.address: r for r in rays}
+    missing = [a for a in map(Address.constant, bands) if a not in given]
     try:
-        rays = trace_ray(spec, setup, [Address.constant(j) for j in bands])
+        traced = trace_ray(spec, setup, missing)
     except ExpansionNotValidated as exc:
         raise NotFullComplete(f"cannot validate a band: {exc}") from exc
+    given.update((a, landing_point(spec, r)) for a, r in zip(missing, traced))
     landings = np.empty(len(bands), dtype=complex)
-    for i, (j, ray) in enumerate(zip(bands, rays)):
-        ray = landing_point(spec, ray)
+    for i, j in enumerate(bands):
+        ray = given[Address.constant(j)]
         if ray.status.kind != "lands_at":
             raise NotFullComplete(f"fixed ray of band {j} did not land")
         landings[i] = ray.landing
@@ -318,12 +323,13 @@ def check_full_complete(spec: MapSpec, setup: StructuralSetup,
 
 
 def counting_contour(spec: MapSpec, setup: StructuralSetup, domains,
-                     R: float | None = None) -> CountingContour:
+                     R: float | None = None, rays=()) -> CountingContour:
     """The closed contour around a full complete collection of domains.
 
     Pieces: the preimage arc of the circle of radius R covering it N times,
     the two pullback arcs of the cut, and a connector threading outside the
-    tract; the enclosed fixed-point count must be N + 1.
+    tract; the enclosed fixed-point count must be N + 1.  `rays`, fixed
+    rays already traced, are passed to `check_full_complete`.
     """
     labels = sorted((d if isinstance(d, BranchLabel) else d.label for d in domains),
                     key=lambda l: l.j)
@@ -335,7 +341,7 @@ def counting_contour(spec: MapSpec, setup: StructuralSetup, domains,
             raise ExpansionNotValidated(
                 f"expansion radius {R} not valid for the collection "
                 f"(margin {report.margin:.3g})")
-    check_full_complete(spec, setup, labels)
+    check_full_complete(spec, setup, labels, rays)
 
     factor = spec.outer
     cut = setup.branch_context.outer_cut
@@ -721,7 +727,7 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
     global_counts = None
     if period == 1:
         try:
-            contour = counting_contour(spec, setup, setup.domain_labels())
+            contour = counting_contour(spec, setup, setup.domain_labels(), rays=rays)
             global_counts = global_count_check(spec, contour)
         except (NotFullComplete, ExpansionNotValidated, ConnectorBlocked) as exc:
             incomplete.append(f"global count: {type(exc).__name__}: {exc}")
@@ -747,13 +753,13 @@ def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
     """Trace rays for repelling points not matched by any landed ray.
 
     Candidate addresses come from the band indices of the orbit, which is
-    how landing points relate to itineraries.  Each candidate's radius is
-    resolved through the setup's expansion checks, and every validated
-    candidate is traced by one `trace_ray` call.  The records are then
-    taken in order: a record already matched (also by a ray inferred for an
-    earlier record) or whose address was already tried is skipped, an
-    unvalidated address is an `incomplete` entry, and a ray that lands at
-    its record joins the landed rays.  Failures are recorded, not fatal.
+    how landing points relate to itineraries.  One doubling search
+    (`structure._expansion_radii`) settles all candidates' radii, and every
+    validated candidate is traced by one `trace_ray` call.  The records are
+    then taken in order: a record already matched (also by a ray inferred
+    for an earlier record) or whose address was already tried is skipped,
+    an unvalidated address is an `incomplete` entry, and a ray that lands
+    at its record joins the landed rays.  Failures are recorded, not fatal.
     """
     landed = list(landed)
     # landing points of `landed`, with room for one inferred ray per record
@@ -775,13 +781,9 @@ def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
         except Overflow:
             continue
         candidates.append((rec, Address.cycle([setup.band_index(z) for z in orbit])))
-    validated = []
-    for address in dict.fromkeys(a for _rec, a in candidates):
-        try:
-            select_expansion_radius(spec, setup, address.period)
-            validated.append(address)
-        except ExpansionNotValidated:
-            pass
+    addresses = list(dict.fromkeys(a for _rec, a in candidates))
+    radii = _expansion_radii(spec, setup, [a.period for a in addresses])
+    validated = [a for a, R in zip(addresses, radii) if R is not None]
     traced = dict(zip(validated, trace_ray(spec, setup, validated))) if validated else {}
 
     existing = {r.address for r in landed}

@@ -30,6 +30,7 @@ from .maps import BranchContext, BranchLabel, CutGeometry, ExpAffine, MapSpec, b
 DISK_SCALE = 1.25
 EXPANSION_CAP = 1e6
 EXPANSION_SAMPLES = 4096
+SCREEN_STRIDE = 64
 DELTA_ANGLES = 360
 
 
@@ -92,7 +93,9 @@ class StructuralSetup:
     `expansion_checks` caches the expansion check per (label, R): whether
     the pullback of the circle |w| = R through the label's inverse branch
     stays inside the circle.  Failures are kept too, so no label is checked
-    twice at one radius.
+    twice at one radius.  A failure comes from the full check or from the
+    radius search's screen, which records exactly the failures the full
+    check would.
     """
 
     spec: MapSpec
@@ -378,67 +381,146 @@ class ExpansionReport:
     worst_band: int | None
 
 
+def _circle(R: float) -> tuple[np.ndarray, np.ndarray]:
+    """Angles and points of the first round's samples of the circle |w| = R."""
+    u = np.linspace(0.0, 2.0 * np.pi, EXPANSION_SAMPLES, endpoint=False)
+    return u, R * np.exp(1j * u)
+
+
 def validate_expansion_radius(spec: MapSpec, setup: StructuralSetup,
                               domains, R: float) -> ExpansionReport:
     """Check that the pullback of the circle |w| = R stays inside it.
 
-    Samples the circle adaptively, pulls each sample through every domain's
-    inverse branch and compares moduli; the margin is R minus the largest
-    preimage modulus.  Each label's own result, whether its preimages stay
-    inside the circle, is recorded in `setup.expansion_checks`, also when
-    the set as a whole fails.
+    Samples the circle adaptively and pulls each sample through every
+    domain's inverse branch; the margin is R minus the largest preimage
+    modulus.  A first round of EXPANSION_SAMPLES samples runs per label;
+    then up to five local refinement rounds of 65 samples around each
+    label's largest preimage run for all labels at once, one row per label,
+    and a row leaves once its spacing du has du * R < 1e-6.  Each label's
+    own result, whether its preimages stay inside the circle, is recorded
+    in `setup.expansion_checks`, also when the set as a whole fails.
     """
     labels = [d if isinstance(d, BranchLabel) else d.label for d in domains]
     if not labels:
         return ExpansionReport(True, R, None, None)
     if R <= setup.disk.radius:
         raise ValueError("R must exceed the disk radius")
-    worst, worst_z, worst_band = -math.inf, None, None
-    for label in labels:
-        top = -math.inf  # the label's largest preimage modulus
-        u = np.linspace(0.0, 2.0 * np.pi, EXPANSION_SAMPLES, endpoint=False)
-        for _ in range(6):  # local refinement around the largest preimage
-            w = R * np.exp(1j * u)
-            z = setup.pull_back(w, label)
-            mods = np.abs(z)
-            k = int(np.argmax(mods))
-            if mods[k] > top:
-                top = float(mods[k])
-                if top > worst:
-                    worst, worst_z, worst_band = top, complex(z[k]), label.j
-            du = u[1] - u[0]
-            if du * R < 1e-6:
-                break
-            u = np.linspace(u[k] - du, u[k] + du, 65)
-        setup.expansion_checks[(label, R)] = bool(R - top > 0.0)
-    margin = R - worst
-    return ExpansionReport(bool(margin > 0.0), margin, worst_z, worst_band)
+    n = len(labels)
+    top = np.full(n, -np.inf)      # each label's largest preimage modulus
+    top_z = np.zeros(n, dtype=complex)
+    centre = np.empty(n)           # the sample angle of the round's largest preimage
+    u, w = _circle(R)
+    for i, label in enumerate(labels):
+        z = setup.pull_back(w, label)
+        mods = np.abs(z)
+        k = int(np.argmax(mods))
+        if mods[k] > top[i]:
+            top[i], top_z[i] = mods[k], z[k]
+        centre[i] = u[k]
+    rows, du = np.arange(n), np.full(n, u[1] - u[0])
+    for _ in range(5):
+        live = du * R >= 1e-6
+        rows, centre, du = rows[live], centre[live], du[live]
+        if not len(rows):
+            break
+        u = np.linspace(centre - du, centre + du, 65, axis=-1)
+        z = setup.pull_back(R * np.exp(1j * u), [labels[i] for i in rows])
+        mods = np.abs(z)
+        k = np.argmax(mods, axis=1)
+        lane = np.arange(len(rows))
+        better = mods[lane, k] > top[rows]
+        top[rows[better]], top_z[rows[better]] = mods[lane, k][better], z[lane, k][better]
+        centre, du = u[lane, k], u[:, 1] - u[:, 0]
+    for label, t in zip(labels, top):
+        setup.expansion_checks[(label, R)] = bool(R - t > 0.0)
+    # the worst label is the first to reach the largest modulus; none when
+    # every preimage was nan
+    i = int(np.argmax(top))
+    margin = R - float(top[i])
+    if top[i] == -np.inf:
+        return ExpansionReport(True, margin, None, None)
+    return ExpansionReport(bool(margin > 0.0), margin, complex(top_z[i]), labels[i].j)
+
+
+def _refute(setup: StructuralSetup, labels: list[BranchLabel], R: float) -> None:
+    """Record a failed expansion check at R for each label a screen sample refutes.
+
+    The screen pulls back every SCREEN_STRIDE-th sample of the full check's
+    first round, the same floats, for all labels in one call.  A preimage
+    with |z| >= R decides the full check: its first round takes the largest
+    preimage modulus over all of these samples as the label's `top`, later
+    rounds only raise it, and the check passes exactly when R - top > 0.
+    This needs every preimage finite, so that the full check's argmax, blind
+    to nan, sees them all: R exceeds the disk radius, which holds b, so
+    (w - b) / a is nonzero and its branch log is finite.
+    """
+    w = _circle(R)[1][::SCREEN_STRIDE]
+    z = setup.pull_back(np.broadcast_to(w, (len(labels), len(w))), labels)
+    for label, refuted in zip(labels, (np.abs(z) >= R).any(axis=1)):
+        if refuted:
+            setup.expansion_checks[(label, R)] = False
+
+
+def _expansion_radii(spec: MapSpec, setup: StructuralSetup,
+                     label_sets) -> list[float | None]:
+    """Per label set, the first radius, doubling, at which all its labels pass.
+
+    All sets move through R, 2R, ... together, from `setup.expansion_radius`
+    once that is set, else from twice the disk radius (at least 1).  At each
+    R the labels of the sets still searching that have no result in
+    `setup.expansion_checks` are screened by one `_refute` call, and the
+    survivors validated by one `validate_expansion_radius` call, so no
+    (label, R) is decided twice.  A set gets None when no R up to
+    EXPANSION_CAP passes.
+    """
+    sets = [_distinct_labels(domains) for domains in label_sets]
+    checks = setup.expansion_checks
+    radii: list[float | None] = [None] * len(sets)
+    searching = list(range(len(sets)))
+    R = setup.expansion_radius or max(2.0 * setup.disk.radius, 1.0)
+    while searching and R <= EXPANSION_CAP:
+        unchecked = list(dict.fromkeys(lb for i in searching for lb in sets[i]
+                                       if (lb, R) not in checks))
+        if unchecked:
+            if R <= setup.disk.radius:
+                raise ValueError("R must exceed the disk radius")
+            _refute(setup, unchecked, R)
+            survivors = [lb for lb in unchecked if (lb, R) not in checks]
+            if survivors:
+                validate_expansion_radius(spec, setup, survivors, R)
+        for i in searching:
+            if all(checks[(lb, R)] for lb in sets[i]):
+                radii[i] = R
+        searching = [i for i in searching if radii[i] is None]
+        R *= 2.0
+    return radii
+
+
+def _distinct_labels(domains) -> list[BranchLabel]:
+    return list(dict.fromkeys(d if isinstance(d, BranchLabel) else d.label for d in domains))
+
+
+def _not_validated(domains) -> ExpansionNotValidated:
+    """The error for a label set that no radius up to EXPANSION_CAP validates."""
+    return ExpansionNotValidated(
+        f"no expansion radius up to {EXPANSION_CAP:g} valid for bands "
+        f"{sorted(lb.j for lb in _distinct_labels(domains))}")
 
 
 def select_expansion_radius(spec: MapSpec, setup: StructuralSetup,
                             domains) -> float:
     """The first radius, doubling, at which every label's expansion check passes.
 
-    Starts at `setup.expansion_radius` once that is set, else at twice the
-    disk radius (at least 1).  At each R the labels with no result in
-    `setup.expansion_checks` are validated by one call, and none when every
-    label has one.  Raises ExpansionNotValidated, naming the bands, when no
-    R up to EXPANSION_CAP passes.
+    The search of `_expansion_radii` for one label set: labels already
+    decided at a radius are not checked again there, the others are first
+    screened and only the survivors fully validated.  Raises
+    ExpansionNotValidated, naming the bands, when no R up to EXPANSION_CAP
+    passes.
     """
-    labels = list(dict.fromkeys(d if isinstance(d, BranchLabel) else d.label
-                                for d in domains))
-    checks = setup.expansion_checks
-    R = setup.expansion_radius or max(2.0 * setup.disk.radius, 1.0)
-    while R <= EXPANSION_CAP:
-        unchecked = [lb for lb in labels if (lb, R) not in checks]
-        if unchecked:
-            validate_expansion_radius(spec, setup, unchecked, R)
-        if all(checks[(lb, R)] for lb in labels):
-            return R
-        R *= 2.0
-    raise ExpansionNotValidated(
-        f"no expansion radius up to {EXPANSION_CAP:g} valid for bands "
-        f"{sorted(lb.j for lb in labels)}")
+    (R,) = _expansion_radii(spec, setup, [domains])
+    if R is None:
+        raise _not_validated(domains)
+    return R
 
 
 # -- lift and addresses ----------------------------------------------------------

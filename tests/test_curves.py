@@ -427,6 +427,66 @@ class TestIsSimple:
         assert not self.check(polyline(eight, closed=True))
 
 
+def _group_points_loop(points, tol):
+    """The grouping loop `group_points` replaced: the first point left is
+    kept and absorbs the later ones within tol of it."""
+    pts = np.ravel(np.asarray(points, dtype=complex))
+    group = np.empty(len(pts), dtype=int)
+    kept = []
+    rest, index = pts, np.arange(len(pts))
+    while len(rest):
+        near = np.abs(rest - rest[0]) < tol
+        near[0] = True
+        group[index[near]] = len(kept)
+        kept.append(index[0])
+        rest, index = rest[~near], index[~near]
+    return pts[kept], group
+
+
+@st.composite
+def _grouping_inputs(draw):
+    """Clusters, chains spaced at tol, exact duplicates and nan, shuffled."""
+    tol = draw(st.sampled_from([1e-6, 0.5, 1.0]))
+    coord = st.floats(-5, 5, allow_nan=False)
+    pts = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["cluster", "chain", "duplicates", "nan"]))
+        c = complex(draw(coord), draw(coord))
+        n = draw(st.integers(1, 8))
+        if kind == "cluster":
+            pts += [c + tol * complex(draw(st.floats(-1, 1)), draw(st.floats(-1, 1)))
+                    for _ in range(n)]
+        elif kind == "chain":
+            step = tol * draw(st.sampled_from([1.0, 1.0 - 1e-12, 1.0 + 1e-12, 0.5]))
+            d = np.exp(1j * draw(st.floats(0, 6.3)))
+            pts += [c + k * step * d for k in range(n)]
+        elif kind == "duplicates":
+            pts += [c] * n
+        else:
+            pts += [complex(np.nan, draw(coord)), complex(draw(coord), np.nan)][: n % 2 + 1]
+    order = draw(st.permutations(range(len(pts))))
+    return [pts[i] for i in order], tol
+
+
+class TestGroupPoints:
+    @settings(max_examples=300, deadline=None)
+    @given(_grouping_inputs())
+    def test_matches_the_loop(self, case):
+        points, tol = case
+        kept, group = group_points(points, tol)
+        ref_kept, ref_group = _group_points_loop(points, tol)
+        assert kept.tobytes() == ref_kept.tobytes()
+        assert group.tolist() == ref_group.tolist()
+
+    def test_vertical_and_nan(self):
+        # equal real parts all fall in one window; nan points stay alone
+        points = [0.5j * k for k in range(6)] + [complex("nan"), 0.25j, complex("nan")]
+        kept, group = group_points(points, 0.6)
+        ref_kept, ref_group = _group_points_loop(points, 0.6)
+        assert kept.tobytes() == ref_kept.tobytes()
+        assert group.tolist() == ref_group.tolist() == [0, 0, 1, 1, 2, 2, 3, 0, 4]
+
+
 class TestDedupPoints:
     def test_matches_greedy_loop(self):
         # reference: the per-point scan over the kept points, in order

@@ -8,6 +8,7 @@ import pytest
 from raysep.curves import ParamCurve
 from raysep.errors import OnCut, Overflow
 from raysep.maps import (
+    BranchContext,
     BranchLabel,
     CutGeometry,
     ExpAffine,
@@ -183,6 +184,26 @@ class TestInverseBranch:
             for i in range(len(images)):
                 for k in range(i + 1, len(images)):
                     assert abs(images[i] - images[k]) > 1e-6
+
+
+    @pytest.mark.parametrize("text", ["exp(0.3)", "exp(-5)", "exp(1,1)*exp(1,0)"])
+    def test_rows_of_a_2d_pull_back_equal_row_calls(self, text):
+        # one label per row of a 2-D w, as the expansion check's refinement
+        # rounds use it: bitwise the calls one row at a time
+        spec = parse_map(text)
+        ctx = BranchContext(spec, negative_real_cut(), 1.0)
+        rng = np.random.default_rng(23)
+        labels = [BranchLabel(0, j, inner=(int(rng.integers(-2, 3)),))
+                  for j in rng.integers(-40, 41, 9)]
+        u = np.sort(rng.uniform(0, 2 * np.pi, (len(labels), 65)), axis=1)
+        w = rng.uniform(2, 1e4, (len(labels), 1)) * np.exp(1j * u)
+        rows = ctx.pull_back(w, labels)
+        assert rows.shape == w.shape
+        for row, wr, label in zip(rows, w, labels):
+            assert row.tobytes() == ctx.pull_back(wr, label).tobytes()
+        # a 1-D w still takes one label per lane
+        lanes = ctx.pull_back(w[:, 0], labels)
+        assert lanes.tobytes() == rows[:, 0].copy().tobytes()
 
 
 class TestBranchLog:

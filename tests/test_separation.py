@@ -374,6 +374,21 @@ class TestCountingContour:
         assert len(calls) == 1
         assert [a.period[0].j for a in calls[0]] == [-1, 0, 1, -2, 2]
 
+    def test_report_traces_only_the_adjacent_bands(self, setup03, monkeypatch):
+        # at p = 1 the completeness check reads the collection's fixed rays
+        # from the report's own walk and traces just bands j_lo - 1, j_hi + 1
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append([str(a) for a in args[2]])
+            return trace_ray(*args, **kwargs)
+
+        monkeypatch.setattr(raysep.separation, "trace_ray", counted)
+        report = separation_report(setup03.spec, setup03, 1)
+        assert report.global_counts is not None and report.global_counts[2]
+        js = sorted(setup03.domain_labels(), key=lambda lb: lb.j)
+        assert calls == [[f"|{js[0].j - 1}", f"|{js[-1].j + 1}"]]
+
     def test_report_reads_the_setup_expansion_checks(self, setup03, monkeypatch):
         calls = []
 

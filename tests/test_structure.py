@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -397,18 +398,32 @@ class TestExpansionRadius:
         near = setup03.domain_by_band(0).label
         far = BranchLabel(0, 40)
         select_expansion_radius(setup03.spec, setup03, [near])
-        calls = []
+        before = dict(setup03.expansion_checks)
+        screened, validated = [], []
+
+        def screen(setup, labels, R):
+            screened.extend((lb, R) for lb in labels)
+            return refute(setup, labels, R)
 
         def counted(spec, setup, domains, R):
-            calls.append((list(domains), R))
+            validated.extend((lb, R) for lb in domains)
             return validate_expansion_radius(spec, setup, domains, R)
 
+        refute = raysep.structure._refute
+        monkeypatch.setattr(raysep.structure, "_refute", screen)
         monkeypatch.setattr(raysep.structure, "validate_expansion_radius", counted)
         R = select_expansion_radius(setup03.spec, setup03, [near, far])
-        assert R > setup03.expansion_radius
-        assert calls[0] == ([far], setup03.expansion_radius)
-        assert all(len(domains) == 2 for domains, _ in calls[1:])
-        assert calls[-1][1] == R
+        E = setup03.expansion_radius
+        assert R > E
+        # no (label, R) is decided twice: none already decided is screened,
+        # each is screened once, and only screen survivors are validated
+        assert not set(screened) & before.keys()
+        assert len(set(screened)) == len(screened)
+        assert len(set(validated)) == len(validated) and set(validated) <= set(screened)
+        # band 40 fails at E by the screen alone
+        assert (far, E) in screened and (far, E) not in validated
+        assert setup03.expansion_checks[(far, E)] is False
+        assert setup03.expansion_checks[(far, R)] and setup03.expansion_checks[(near, R)]
 
     def test_no_radius_up_to_the_cap(self, monkeypatch):
         monkeypatch.setattr(raysep.structure, "EXPANSION_CAP", 1.0)
@@ -420,3 +435,120 @@ class TestExpansionRadius:
             setup03.spec, setup03, setup03.domain_labels(),
             setup03.expansion_radius)
         assert report.ok
+
+
+# -- the expansion check against its per-label loop ---------------------------------
+
+# (a, b, box, resolution) of the maps the properties draw from
+EXPANSION_MAPS = [
+    (0.3, 0.0, (-4, 6, -8, 8), 0.25),
+    (1 / math.e, 0.0, (-4, 6, -8, 8), 0.25),
+    (0.5 + 0.5j, 0.0, (-4, 6, -8, 8), 0.25),
+    (0.5, -0.5, (-4, 6, -8, 8), 0.25),
+    (-5.0, 0.0, (-9, 7.5, -13, 13), 0.25),
+]
+_expansion_setups = {}
+
+
+def fresh_setup(k: int):
+    """Map k's setup with an empty expansion-check cache of its own."""
+    if k not in _expansion_setups:
+        a, b, box, resolution = EXPANSION_MAPS[k]
+        _expansion_setups[k] = structural_setup(exp_map(a, b), Rect(*box), resolution)
+    base = _expansion_setups[k]
+    return replace(base, expansion_checks={})
+
+
+def reference_validate(setup, labels, R):
+    """The expansion check as one loop per label, each refining alone."""
+    worst, worst_z, worst_band = -math.inf, None, None
+    for label in labels:
+        top = -math.inf
+        u = np.linspace(0.0, 2.0 * np.pi, raysep.structure.EXPANSION_SAMPLES, endpoint=False)
+        for _ in range(6):
+            w = R * np.exp(1j * u)
+            z = setup.pull_back(w, label)
+            mods = np.abs(z)
+            k = int(np.argmax(mods))
+            if mods[k] > top:
+                top = float(mods[k])
+                if top > worst:
+                    worst, worst_z, worst_band = top, complex(z[k]), label.j
+            du = u[1] - u[0]
+            if du * R < 1e-6:
+                break
+            u = np.linspace(u[k] - du, u[k] + du, 65)
+        setup.expansion_checks[(label, R)] = bool(R - top > 0.0)
+    margin = R - worst
+    return raysep.structure.ExpansionReport(bool(margin > 0.0), margin, worst_z, worst_band)
+
+
+def reference_radius(setup, labels):
+    """Sequential, unscreened doubling search for one label set; None past the cap."""
+    labels = list(dict.fromkeys(labels))
+    R = setup.expansion_radius
+    while R <= raysep.structure.EXPANSION_CAP:
+        unchecked = [lb for lb in labels if (lb, R) not in setup.expansion_checks]
+        if unchecked:
+            reference_validate(setup, unchecked, R)
+        if all(setup.expansion_checks[(lb, R)] for lb in labels):
+            return R
+        R *= 2.0
+    return None
+
+
+def report_bits(report):
+    z = report.worst_preimage
+    return (report.ok, report.margin.hex(), report.worst_band,
+            None if z is None else (z.real.hex(), z.imag.hex()))
+
+
+bands = st.lists(st.integers(-60, 60), min_size=1, max_size=6)
+
+
+class TestExpansionRows:
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(0, len(EXPANSION_MAPS) - 1), bands,
+           st.floats(1.001, 5e4, allow_nan=False))
+    @example(0, [0, 40, -1, 0], 32.0)
+    @example(4, [-2, 2, 15], 25.0)
+    def test_equals_the_per_label_loop(self, k, js, scale):
+        setup, ref = fresh_setup(k), fresh_setup(k)
+        labels = [BranchLabel(0, j) for j in js]
+        R = setup.disk.radius * scale
+        got = validate_expansion_radius(setup.spec, setup, labels, R)
+        want = reference_validate(ref, labels, R)
+        assert report_bits(got) == report_bits(want)
+        assert setup.expansion_checks == ref.expansion_checks
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.integers(0, len(EXPANSION_MAPS) - 1), st.lists(bands, min_size=1, max_size=4))
+    def test_bulk_search_equals_sequential_search(self, k, sets):
+        setup, ref = fresh_setup(k), fresh_setup(k)
+        label_sets = [[BranchLabel(0, j) for j in js] for js in sets]
+        radii = raysep.structure._expansion_radii(setup.spec, setup, label_sets)
+        assert radii == [reference_radius(ref, labels) for labels in label_sets]
+        # the same (label, R) are decided, with the same results
+        assert setup.expansion_checks == ref.expansion_checks
+
+    def test_a_set_past_the_cap(self):
+        # band 10^5 has preimages of modulus ~2 pi 10^5, beyond every R up to
+        # the cap; the sets beside it settle as before
+        setup, ref = fresh_setup(0), fresh_setup(0)
+        far = [BranchLabel(0, 0), BranchLabel(0, 100000)]
+        label_sets = [[BranchLabel(0, 1)], far, [BranchLabel(0, 40)]]
+        radii = raysep.structure._expansion_radii(setup.spec, setup, label_sets)
+        assert radii[1] is None
+        assert radii == [reference_radius(ref, labels) for labels in label_sets]
+        with pytest.raises(ExpansionNotValidated,
+                           match=re.escape("up to 1e+06 valid for bands [0, 100000]")):
+            select_expansion_radius(setup.spec, setup, far + far[:1])
+
+    def test_anchors_raise_for_the_first_failing_set(self):
+        from raysep.rays import Address, trace_ray
+        setup = fresh_setup(0)
+        addresses = [Address.cycle([0, 0]), Address.cycle([1, 200000]),
+                     Address.cycle([100000, 0]), Address.cycle([2, 2])]
+        with pytest.raises(ExpansionNotValidated,
+                           match=re.escape("up to 1e+06 valid for bands [1, 200000]")):
+            trace_ray(setup.spec, setup, addresses)
