@@ -24,7 +24,7 @@ from .fixedpoints import (
     find_periodic_points,
     petal_directions,
 )
-from .maps import BranchLabel, ExpAffine, MapSpec, exp_map, inverse_branch, parse_map
+from .maps import BranchLabel, MapSpec, exp_map, inverse_branch, parse_map
 from .rays import Address, Ray, RayPair, detect_ray_pairs, fixed_rays, landing_point, trace_ray
 from .separation import (
     BasicRegion,
@@ -50,7 +50,7 @@ from .structure import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "Address", "BasicRegion", "BranchLabel", "CountingContour", "ExpAffine",
+    "Address", "BasicRegion", "BranchLabel", "CountingContour",
     "FixedPointRecord", "IndexValue", "MapSpec", "ParamCurve", "PetalFan",
     "Ray", "RayGraph", "RayPair", "Rect", "SeparationReport",
     "StructuralSetup", "address_of_orbit", "argument_principle_count",

@@ -141,15 +141,6 @@ class ParamCurve:
         """
         return float(np.min(min_segment_distance(p, *self.segments())))
 
-    def value_at(self, t: float) -> complex:
-        """Linear interpolation at parameter t (clamped to range)."""
-        re = np.interp(t, self.t, self.z.real)
-        im = np.interp(t, self.t, self.z.imag)
-        return complex(re, im)
-
-    def length(self) -> float:
-        return float(np.sum(np.abs(np.diff(self.z))))
-
 
 def concat(first: ParamCurve, second: ParamCurve, close: bool = False) -> ParamCurve:
     """Concatenate consecutive arcs (end of first must equal start of second)."""

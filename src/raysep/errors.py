@@ -101,10 +101,6 @@ class OrbitLeftTracts(RaysepError):
         super().__init__(f"orbit left the tracts at iterate {iterate}")
 
 
-class UnsupportedMap(RaysepError):
-    """Structural decomposition is not implemented for this map shape."""
-
-
 # --- rays ---------------------------------------------------------------------
 
 class ExpansionNotValidated(RaysepError):

@@ -311,7 +311,6 @@ def _domain_min_modulus(setup: StructuralSetup, dom, n_boundary: int = 512) -> f
     best = math.inf
     for side in dom.side_curves:
         best = min(best, float(np.min(np.abs(side.z))))
-    factor = setup.spec.outer
     delta0 = complex(setup.delta.z[0])
     theta0 = math.atan2(delta0.imag, delta0.real)
     u = theta0 + np.linspace(1e-6, 2.0 * math.pi - 1e-6, n_boundary)

@@ -1,10 +1,9 @@
 """The supported family of entire maps and their labeled inverse branches.
 
-A map is a finite composition of exponential-affine factors z -> a*e^z + b
-(outermost factor first).  Each factor has order one and a single asymptotic
-value b, so every composition has a bounded singular set and the inverse
+A map is one exponential-affine factor z -> a*e^z + b.  It has order one and
+a single asymptotic value b, so its singular set is bounded and its inverse
 branches are closed-form: complex logarithms with a band selection that is
-adjusted across the cut curve delta.
+adjusted across the cut curve delta.  Iterates f^p enter through `period`.
 """
 
 from __future__ import annotations
@@ -15,7 +14,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import ParamCurve, dedup_points
+from .curves import ParamCurve
 from .errors import BranchResolutionFailure, OnCut, Overflow
 
 OVERFLOW_RE = 690.0          # exp argument guard
@@ -24,57 +23,23 @@ BAND_EDGE_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class ExpAffine:
-    """One factor z -> a * e^z + b with a != 0."""
+class BranchLabel:
+    """Identifies one fundamental domain: tract alpha and band j."""
+
+    alpha: int = 0
+    j: int = 0
+
+
+@dataclass(frozen=True)
+class MapSpec:
+    """A member of the supported family: z -> a * e^z + b with a != 0."""
 
     a: complex
     b: complex = 0.0
 
     def __post_init__(self):
         if self.a == 0:
-            raise ValueError("factor coefficient a must be nonzero")
-
-    def __call__(self, z: complex) -> complex:
-        return self.a * cmath.exp(z) + self.b
-
-
-@dataclass(frozen=True)
-class BranchLabel:
-    """Identifies one fundamental domain: tract alpha, band j, inner bands.
-
-    For a single-factor map the pair (alpha, j) is the full label.  For
-    compositions the tuple `inner` carries one band index per inner factor
-    (outermost inner factor first); missing entries default to band 0.
-    """
-
-    alpha: int = 0
-    j: int = 0
-    inner: tuple[int, ...] = ()
-
-    def inner_band(self, k: int) -> int:
-        return self.inner[k] if k < len(self.inner) else 0
-
-    def shifted(self, j: int) -> "BranchLabel":
-        return BranchLabel(self.alpha, j, self.inner)
-
-
-@dataclass(frozen=True)
-class MapSpec:
-    """A member of the supported family: composition of ExpAffine factors.
-
-    factors[0] is the outermost factor (applied last).
-    """
-
-    factors: tuple[ExpAffine, ...]
-
-    def __post_init__(self):
-        if not self.factors:
-            raise ValueError("at least one factor required")
-        object.__setattr__(self, "factors", tuple(self.factors))
-
-    @property
-    def outer(self) -> ExpAffine:
-        return self.factors[0]
+            raise ValueError("map coefficient a must be nonzero")
 
     # -- evaluation -----------------------------------------------------
 
@@ -97,7 +62,7 @@ class MapSpec:
         return self.derivative_array(z, period)[0]
 
     def derivative_array(self, z: np.ndarray, period: int = 1) -> tuple[np.ndarray, np.ndarray]:
-        """Vectorized (f^period, (f^period)') by the chain rule across factors.
+        """Vectorized (f^period, (f^period)') by the chain rule across iterates.
 
         A lane becomes inf as soon as an iterate has Re w >= OVERFLOW_RE or
         |w| > OVERFLOW_MAG; overflow yields inf/nan entries, not errors.
@@ -108,49 +73,37 @@ class MapSpec:
         deriv = np.ones_like(w)
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(period):
-                for factor in reversed(self.factors):
-                    safe = (w.real < OVERFLOW_RE) & (np.abs(w) <= OVERFLOW_MAG)
-                    ew = np.exp(np.where(safe, w, 0))
-                    ew = np.where(safe, factor.a * ew, np.inf + 0j)
-                    deriv = deriv * ew
-                    w = np.where(safe, ew + factor.b, np.inf + 0j)
+                safe = (w.real < OVERFLOW_RE) & (np.abs(w) <= OVERFLOW_MAG)
+                ew = np.exp(np.where(safe, w, 0))
+                ew = np.where(safe, self.a * ew, np.inf + 0j)
+                deriv = deriv * ew
+                w = np.where(safe, ew + self.b, np.inf + 0j)
         return w, deriv
 
     # -- singular values -------------------------------------------------
 
     def singular_values(self) -> list[complex]:
-        """Asymptotic values of the composition (the family has no critical points).
-
-        Innermost factor's value pushed forward through the outer factors,
-        plus each outer factor's own asymptotic value.
-        """
-        values: list[complex] = [self.factors[-1].b]
-        for factor in reversed(self.factors[:-1]):
-            values = [factor(v) for v in values]
-            values.append(factor.b)
-        return sorted(dedup_points(values, 1e-12), key=lambda v: (v.real, v.imag))
+        """The asymptotic value b (the family has no critical points)."""
+        return [self.b]
 
     # -- serialization ----------------------------------------------------
 
     def to_json(self) -> dict:
-        return {
-            "factors": [
-                {"a": [f.a.real, f.a.imag], "b": [f.b.real, f.b.imag]}
-                for f in self.factors
-            ]
-        }
+        """{"factors": [{"a": [re, im], "b": [re, im]}]}, a one-factor list."""
+        return {"factors": [{"a": [self.a.real, self.a.imag],
+                             "b": [self.b.real, self.b.imag]}]}
 
     @classmethod
     def from_json(cls, data: dict) -> "MapSpec":
-        factors = tuple(
-            ExpAffine(complex(*f["a"]), complex(*f["b"])) for f in data["factors"]
-        )
-        return cls(factors)
+        factors = data["factors"]
+        if len(factors) != 1:
+            raise ValueError(f"a map has exactly one factor, got {len(factors)}")
+        return cls(complex(*factors[0]["a"]), complex(*factors[0]["b"]))
 
 
 def exp_map(a: complex, b: complex = 0.0) -> MapSpec:
-    """Convenience constructor for the single-factor map a*e^z + b."""
-    return MapSpec((ExpAffine(complex(a), complex(b)),))
+    """Convenience constructor for the map a*e^z + b."""
+    return MapSpec(complex(a), complex(b))
 
 
 # -- cut geometry and branch selection ---------------------------------------
@@ -158,9 +111,9 @@ def exp_map(a: complex, b: complex = 0.0) -> MapSpec:
 
 @dataclass
 class CutGeometry:
-    """Band geometry of one factor's logarithm relative to a cut curve.
+    """Band geometry of the map's logarithm relative to a cut curve.
 
-    For the factor z -> a*e^z + b and cut delta, the relevant curve is
+    For the map z -> a*e^z + b and cut delta, the relevant curve is
     v(s) = (delta(s) - b)/a; its modulus is monotone for radial delta, so the
     cut's unwrapped argument is a function phi of the modulus.  Band j then
     occupies arguments (phi(|v|) + 2*pi*(j-1), phi(|v|) + 2*pi*j].
@@ -171,8 +124,8 @@ class CutGeometry:
     tail_angle: float
 
     @classmethod
-    def from_delta(cls, delta: ParamCurve, factor: ExpAffine) -> "CutGeometry":
-        v = (delta.z - factor.b) / factor.a
+    def from_delta(cls, delta: ParamCurve, spec: MapSpec) -> "CutGeometry":
+        v = (delta.z - spec.b) / spec.a
         rho = np.abs(v)
         order = np.argsort(rho)
         rho = rho[order]
@@ -231,41 +184,29 @@ def branch_log(v, j, cut: CutGeometry, strict: bool = False):
 
 @dataclass
 class BranchContext:
-    """Precomputed cut geometries for all factors of a map."""
+    """The map's cut geometry, precomputed for its inverse branches."""
 
     spec: MapSpec
     delta: ParamCurve
     disk_radius: float
-    outer_cut: CutGeometry = field(init=False)
-    inner_cuts: tuple[CutGeometry, ...] = field(init=False)
+    cut: CutGeometry = field(init=False)
 
     def __post_init__(self):
-        self.outer_cut = CutGeometry.from_delta(self.delta, self.spec.outer)
-        self.inner_cuts = tuple(CutGeometry.principal()
-                                for _ in self.spec.factors[1:])
+        self.cut = CutGeometry.from_delta(self.delta, self.spec)
 
     def pull_back(self, w, label, strict: bool = False):
-        """Composite inverse branch: outer factor first, inner factors after.
+        """Inverse branch of `label`: the logarithm of (w - b)/a in its band.
 
         `label` is one BranchLabel for all of `w`, or a sequence of
         BranchLabels with one per lane of a 1-D `w` or one per row of a 2-D
         `w`.  Returns an array, 0-d for a scalar `w`.
         """
-        inner = range(len(self.spec.factors) - 1)
         z = np.asarray(w, dtype=complex)
         if isinstance(label, BranchLabel):
-            band, inner_bands = label.j, [label.inner_band(k) for k in inner]
+            band = label.j
         else:
-            rows = (-1,) + (1,) * (z.ndim - 1)
-            band = np.array([lb.j for lb in label]).reshape(rows)
-            inner_bands = [np.array([lb.inner_band(k) for lb in label]).reshape(rows)
-                           for k in inner]
-        z = branch_log((z - self.spec.outer.b) / self.spec.outer.a,
-                       band, self.outer_cut, strict)
-        for k, factor in enumerate(self.spec.factors[1:]):
-            z = branch_log((z - factor.b) / factor.a,
-                           inner_bands[k], self.inner_cuts[k], strict)
-        return z
+            band = np.array([lb.j for lb in label]).reshape((-1,) + (1,) * (z.ndim - 1))
+        return branch_log((z - self.spec.b) / self.spec.a, band, self.cut, strict)
 
 
 def inverse_branch(spec: MapSpec, w: complex, label: BranchLabel,
@@ -313,20 +254,13 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_map(text: str) -> MapSpec:
-    """Parse shorthand like 'exp(0.3)', 'exp(1/e)', 'exp(1,1)*exp(1,0)'.
-
-    Composition is written outermost-first with '*'.
-    """
-    factors = []
-    for chunk in text.split("*"):
-        chunk = chunk.strip()
-        if not (chunk.startswith("exp(") and chunk.endswith(")")):
-            raise ValueError(f"unsupported map shorthand {chunk!r}")
-        body = chunk[4:-1]
-        parts = [p for p in body.split(",") if p.strip()]
-        if not 1 <= len(parts) <= 2:
-            raise ValueError(f"exp() takes 1 or 2 arguments, got {chunk!r}")
-        a = parse_complex(parts[0])
-        b = parse_complex(parts[1]) if len(parts) == 2 else 0.0
-        factors.append(ExpAffine(a, b))
-    return MapSpec(tuple(factors))
+    """Parse shorthand 'exp(a)' or 'exp(a,b)' for a*e^z + b, e.g. 'exp(1/e)'."""
+    chunk = text.strip()
+    if not (chunk.startswith("exp(") and chunk.endswith(")")) or "*" in chunk:
+        raise ValueError(f"unsupported map shorthand {text!r}: expected exp(a) or exp(a,b)")
+    parts = [p for p in chunk[4:-1].split(",") if p.strip()]
+    if not 1 <= len(parts) <= 2:
+        raise ValueError(f"exp() takes 1 or 2 arguments, got {text!r}")
+    a = parse_complex(parts[0])
+    b = parse_complex(parts[1]) if len(parts) == 2 else 0.0
+    return MapSpec(a, b)

@@ -14,7 +14,9 @@ it reaches the cut or a singular value, or when it settles on its limit
 cycle, whose last p states then stand for all lower levels.  One walk,
 DEFAULT_SCHEDULE[-1] cycles deep, serves both tracing and landing: its top
 cycles are the ray's samples, and its states at the depths of the doubling
-schedule are the endpoints the landing is resolved from.
+schedule are the endpoints the landing is resolved from.  Lanes that
+resolve no limit are walked again, SLOW_SCHEDULE[-1] cycles deep, for a
+landing point whose multiplier is close to 1 in modulus.
 
 Potentials are a declared parametrization: the sample at level k carries
 potential t_top * 2^(k_top - k), halving toward the landing point; applying
@@ -51,6 +53,7 @@ BROKEN_TOL = 1e-8
 DEFAULT_SAMPLES = 26
 DEFAULT_T_TOP = 8.0
 DEFAULT_SCHEDULE = (10, 20, 40, 80, 160, 320, 640)
+SLOW_SCHEDULE = tuple(16 * d for d in DEFAULT_SCHEDULE)
 
 
 @dataclass(frozen=True)
@@ -65,12 +68,12 @@ class Address:
             raise ValueError("period part must be nonempty")
 
     @classmethod
-    def constant(cls, j: int, alpha: int = 0) -> "Address":
-        return cls(period=(BranchLabel(alpha, j),))
+    def constant(cls, j: int) -> "Address":
+        return cls(period=(BranchLabel(j=j),))
 
     @classmethod
-    def cycle(cls, bands, alpha: int = 0) -> "Address":
-        return cls(period=tuple(BranchLabel(alpha, j) for j in bands))
+    def cycle(cls, bands) -> "Address":
+        return cls(period=tuple(BranchLabel(j=j) for j in bands))
 
     def shifted(self) -> "Address":
         if self.preperiod:
@@ -90,7 +93,7 @@ class Address:
         return f"{pre}|{per}"
 
     @classmethod
-    def parse(cls, text: str, alpha: int = 0) -> "Address":
+    def parse(cls, text: str) -> "Address":
         """Parse 'pre|per' with comma-separated band indices.
 
         An empty period side repeats the last preperiod symbol; no bar at
@@ -101,8 +104,8 @@ class Address:
             pre_s, per_s = text.split("|", 1)
         else:
             pre_s, per_s = "", text
-        pre = tuple(BranchLabel(alpha, int(p)) for p in pre_s.split(",") if p.strip())
-        per = tuple(BranchLabel(alpha, int(p)) for p in per_s.split(",") if p.strip())
+        pre = tuple(BranchLabel(j=int(p)) for p in pre_s.split(",") if p.strip())
+        per = tuple(BranchLabel(j=int(p)) for p in per_s.split(",") if p.strip())
         if not per:
             if not pre:
                 raise ValueError(f"empty address {text!r}")
@@ -131,7 +134,7 @@ class Ray:
     status: RayStatus
     setup: StructuralSetup
     endpoints: np.ndarray          # cycle walk states at the DEFAULT_SCHEDULE depths
-    limit: complex                 # the endpoints' limit, before any preperiod; nan: none
+    limit: complex                 # the walk's limit, before any preperiod; nan: none
 
     @property
     def period(self) -> int:
@@ -174,7 +177,7 @@ class PullbackWalk:
         self.addresses = list(addresses)
         self.t_top = float(t_top)
         self.ctx = setup.branch_context
-        self._theta = self.ctx.outer_cut.tail_angle
+        self._theta = self.ctx.cut.tail_angle
         self._svals = np.array(spec.singular_values(), dtype=complex)
         self._delta_a = complex(setup.delta.z[0])
         self._delta_dir = self._delta_a / abs(self._delta_a)
@@ -320,9 +323,11 @@ def trace_ray(spec: MapSpec, setup: StructuralSetup, address,
     declared halving parametrization).  The states at the depths of the
     doubling schedule become the ray's `endpoints`, and one array pass over
     all lanes' endpoints resolves each ray's `limit` (nan when there is
-    none), which `landing_point` interprets.  A walk that runs into the cut
-    or a singular value among the samples is truncated and the ray is marked
-    broken; one that does so below the samples leaves nan endpoints.
+    none), which `landing_point` interprets; lanes with clean endpoints but
+    no limit take it from a second walk, to the SLOW_SCHEDULE depths.  A
+    walk that runs into the cut or a singular value among the samples is
+    truncated and the ray is marked broken; one that does so below the
+    samples leaves nan endpoints.
     """
     if depth < 10:
         raise ValueError("depth must be at least 10")
@@ -350,6 +355,11 @@ def trace_ray(spec: MapSpec, setup: StructuralSetup, address,
     states, bad_at = walk.states(top, np.concatenate([sample_levels, endpoint_levels]))
     potentials = t_top * np.power(2.0, -np.arange(n_cycles + 1, dtype=float) * p)
     limits = _limits(spec, states[:, n_cycles + 1:], p)
+    slow = np.flatnonzero(np.isnan(limits) & ~np.isnan(states[:, n_cycles + 1:]).any(axis=1))
+    if len(slow):
+        deep = PullbackWalk(spec, setup, [addresses[i] for i in slow], t_top)
+        levels = (SLOW_SCHEDULE[-1] - np.array(SLOW_SCHEDULE)) * p
+        limits[slow] = _limits(spec, deep.states(SLOW_SCHEDULE[-1] * p, levels)[0], p)
 
     # each ray's t, z and endpoints are views of `potentials` and of its row
     # of `states`: per-ray copies raised peak memory at period 4

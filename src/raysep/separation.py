@@ -343,8 +343,7 @@ def counting_contour(spec: MapSpec, setup: StructuralSetup, domains,
                 f"(margin {report.margin:.3g})")
     check_full_complete(spec, setup, labels, rays)
 
-    factor = spec.outer
-    cut = setup.branch_context.outer_cut
+    cut = setup.branch_context.cut
     j_lo, j_hi = labels[0].j, labels[-1].j
     N = len(labels)
     r_disk = setup.disk.radius
@@ -352,13 +351,13 @@ def counting_contour(spec: MapSpec, setup: StructuralSetup, domains,
     theta_delta = math.atan2(delta0.imag, delta0.real)
 
     def cut_point(s: float, m: int) -> complex:
-        v = (s * complex(math.cos(theta_delta), math.sin(theta_delta)) - factor.b) / factor.a
+        v = (s * complex(math.cos(theta_delta), math.sin(theta_delta)) - spec.b) / spec.a
         return complex(math.log(abs(v)), float(cut.phi(abs(v))) + 2.0 * math.pi * m)
 
     # preimage arc of C_R covering it N times, bottom cut to top cut
     n_arc = 192 * N + 1
     u = np.linspace(theta_delta, theta_delta + 2.0 * math.pi * N, n_arc)
-    v = (R * np.exp(1j * u) - factor.b) / factor.a
+    v = (R * np.exp(1j * u) - spec.b) / spec.a
     base = float(cut.phi(abs(v[0])))
     args = np.unwrap(np.angle(v))
     args += (base - args[0])
@@ -387,10 +386,10 @@ def counting_contour(spec: MapSpec, setup: StructuralSetup, domains,
         raise NotFullComplete(
             "collection does not straddle the cut direction; the connector "
             "cannot cross it exactly once")
-    body = max(abs(factor.b), 0.0)
+    body = abs(spec.b)
     x_turn = min(inner_top.real, inner_bottom.real) - 1.0
     if r_disk > body:
-        x_turn = min(x_turn, math.log((r_disk - body) / abs(factor.a)) - 1.0)
+        x_turn = min(x_turn, math.log((r_disk - body) / abs(spec.a)) - 1.0)
     x_left = -(1.3 * max(R, setup.bbox.corner_radius()) + 1.0)
     waypoints = [inner_top,
                  complex(x_turn, h_top),

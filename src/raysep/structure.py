@@ -3,10 +3,10 @@
 The construction: pick a round disk D about 0 containing the singular values,
 0 and f(0); the preimage of the complement of D is the tract set; a radial
 cut curve delta from D to infinity, pulled back through the inverse branches,
-slices each tract into fundamental domains labeled by log-bands.  Only
-single-factor maps a e^z + b are supported here, so both the tract
-boundaries (logs of the circle |e^z + b/a| = r/|a|) and the fundamental-domain
-cuts (the inverse branches of that factor) are closed forms.
+slices each tract into fundamental domains labeled by log-bands.  For the
+map a e^z + b both the tract boundaries (logs of the circle
+|e^z + b/a| = r/|a|) and the fundamental-domain cuts (its inverse branches)
+are closed forms.
 """
 
 from __future__ import annotations
@@ -23,9 +23,8 @@ from .errors import (
     OrbitLeftTracts,
     OutsideTract,
     Overflow,
-    UnsupportedMap,
 )
-from .maps import BranchContext, BranchLabel, CutGeometry, ExpAffine, MapSpec, branch_log
+from .maps import BranchContext, BranchLabel, CutGeometry, MapSpec, branch_log, exp_map
 
 DISK_SCALE = 1.25
 EXPANSION_CAP = 1e6
@@ -138,11 +137,11 @@ class StructuralSetup:
     def band_index(self, z: complex) -> int:
         """Band j of the fundamental domain whose closure contains z.
 
-        Uses that exp(z) equals (f(z) - b)/a for the outer factor, so Im z is
+        Uses that exp(z) equals (f(z) - b)/a, so Im z is
         a continuous argument of that quantity of modulus e^(Re z).
         """
         rho = math.exp(min(z.real, 700.0))
-        phi = float(self.branch_context.outer_cut.phi(rho))
+        phi = float(self.branch_context.cut.phi(rho))
         return math.ceil((z.imag - phi) / (2.0 * math.pi) - 1e-12)
 
     def in_domain(self, z: complex, label: BranchLabel) -> bool:
@@ -165,9 +164,8 @@ def extract_tracts(spec: MapSpec, bbox: Rect, resolution: float,
     edge of the box: its boundary is x(y) + iy over the run, alpha counts
     the runs from the bottom, and the anchor is x1 + iy where x(y) is least.
     """
-    factor = spec.outer
-    c = factor.b / factor.a
-    R = radius / abs(factor.a)
+    c = spec.b / spec.a
+    R = radius / abs(spec.a)
     ny = max(int(round((bbox.y1 - bbox.y0) / resolution)) + 1, 8)
     ys = np.linspace(bbox.y0, bbox.y1, ny)
     q = c * np.exp(-1j * ys)
@@ -291,17 +289,13 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
                      expansion_radius: float | str = "auto") -> StructuralSetup:
     """Build disk, delta, tracts and fundamental domains inside the box.
 
-    Fundamental-domain cutting relies on the closed-form inverse branch of a
-    single exponential-affine factor; compositions are rejected here (their
-    evaluation and inverse branches still work at the map level).  An
-    explicit disk_radius must exceed the moduli of the singular value b,
-    of 0 and of f(0); otherwise ValueError is raised before any tract work.
+    Fundamental-domain cutting relies on the closed-form inverse branch of
+    a e^z + b.  An explicit disk_radius must exceed the moduli of the
+    singular value b, of 0 and of f(0); otherwise ValueError is raised
+    before any tract work.
     """
     if not isinstance(bbox, Rect):
         bbox = Rect(*bbox)
-    if len(spec.factors) != 1:
-        raise UnsupportedMap(
-            "structural decomposition is implemented for single-factor maps")
     if resolution > 0.05 * bbox.diagonal:
         raise ValueError("resolution must be at most 5% of the box diagonal")
     disk = auto_disk(spec, disk_radius)
@@ -312,11 +306,10 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
     tracts = extract_tracts(spec, bbox, resolution, disk.radius)
     delta = choose_delta(spec, bbox, resolution, disk.radius, tracts)
 
-    factor = spec.outer
-    reach = abs(factor.a) * math.exp(bbox.x1 + 2.0) + disk.radius
+    reach = abs(spec.a) * math.exp(bbox.x1 + 2.0) + disk.radius
     delta_ext = extended_delta(delta, reach)
     ctx = BranchContext(spec, delta_ext, disk.radius)
-    strip_cut = CutGeometry.from_delta(delta_ext, ExpAffine(1.0, 0.0))
+    strip_cut = CutGeometry.from_delta(delta_ext, exp_map(1.0))
 
     domains = _build_domains(spec, bbox, disk, delta_ext, ctx)
     setup = StructuralSetup(
@@ -336,10 +329,9 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
 
 def _build_domains(spec: MapSpec, bbox: Rect, disk: DomainDisk,
                    delta_ext: ParamCurve, ctx: BranchContext) -> list[FundamentalDomain]:
-    factor = spec.outer
-    cut = ctx.outer_cut
+    cut = ctx.cut
     theta_inf = cut.tail_angle
-    x_tract = math.log(disk.radius / abs(factor.a))  # asymptotic tract edge
+    x_tract = math.log(disk.radius / abs(spec.a))  # asymptotic tract edge
     if x_tract > bbox.x1:
         return []
     # bands whose asymptotic strip meets the box vertically
@@ -347,8 +339,8 @@ def _build_domains(spec: MapSpec, bbox: Rect, disk: DomainDisk,
     j_hi = math.ceil((bbox.y1 - theta_inf) / (2.0 * math.pi))
     domains = []
     for j in range(j_lo, j_hi + 1):
-        lower = _cut_curve(factor, delta_ext, cut, j - 1)
-        upper = _cut_curve(factor, delta_ext, cut, j)
+        lower = _cut_curve(spec, delta_ext, cut, j - 1)
+        upper = _cut_curve(spec, delta_ext, cut, j)
         anchor_re = max(x_tract + 1.0, min(bbox.x1 - 1.0, x_tract + 3.0))
         anchor = complex(anchor_re, theta_inf + 2.0 * math.pi * j - math.pi)
         domains.append(FundamentalDomain(
@@ -358,10 +350,10 @@ def _build_domains(spec: MapSpec, bbox: Rect, disk: DomainDisk,
     return domains
 
 
-def _cut_curve(factor: ExpAffine, delta_ext: ParamCurve, cut: CutGeometry,
+def _cut_curve(spec: MapSpec, delta_ext: ParamCurve, cut: CutGeometry,
                m: int) -> ParamCurve:
     """Pullback of the cut curve at band offset m: one side curve of a domain."""
-    v = (delta_ext.z - factor.b) / factor.a
+    v = (delta_ext.z - spec.b) / spec.a
     rho = np.abs(v)
     order = np.argsort(rho)
     rho = rho[order]

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+import raysep
 from raysep.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, ScenarioConfig, main
 
 
@@ -44,6 +45,12 @@ class TestExitCodes:
     def test_bad_map_is_config_error(self, capsys):
         code, _, err = run_cli(["setup", "--map", "tan(1)"], capsys)
         assert code == EXIT_CONFIG
+
+    def test_composition_is_config_error(self, capsys):
+        code, _, err = run_cli(["verify", "--map", "exp(1,1)*exp(1,0)"], capsys)
+        assert code == EXIT_CONFIG
+        assert len(err.splitlines()) == 1
+        assert "exp(1,1)*exp(1,0)" in json.loads(err)["message"]
 
     def test_disk_radius_excluding_singular_value(self, capsys):
         code, _, err = run_cli(
@@ -182,3 +189,12 @@ def test_runtime_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], env=env, cwd=root,
                          capture_output=True, text=True, check=True).stdout
     assert out.strip() == "[]"
+
+
+def test_public_names_resolve():
+    """Every exported name exists, so a deleted one cannot stay in __all__."""
+    for name in raysep.__all__:
+        assert hasattr(raysep, name), name
+    namespace = {}
+    exec("from raysep import *", namespace)
+    assert set(raysep.__all__) <= set(namespace)

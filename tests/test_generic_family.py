@@ -1,14 +1,20 @@
-"""Offset factors (b != 0): curved cut geometry and honest hypothesis failures."""
+"""Offset maps (b != 0): curved cut geometry, honest hypothesis failures and
+the theorem's invariants over the (a, b) family."""
 
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from raysep.errors import NotFullComplete
 from raysep.maps import exp_map
 from raysep.rays import Address, fixed_rays, landing_point, trace_ray
 from raysep.separation import counting_contour, global_count_check, separation_report
+from raysep.serialize import dumps, report_to_json
 from raysep.structure import Rect, structural_setup, auto_disk
+
+FAMILY_BOX = Rect(-4, 10, -12, 12)
 
 
 @pytest.fixture(scope="module")
@@ -110,3 +116,42 @@ class TestBrokenRayMap:
         report = separation_report(setup_broken.spec, setup_broken, 1)
         assert report.is_incomplete
         assert any("|0" in note for note in report.incomplete)
+
+
+def _complex_in(re_lo, re_hi, im_lo, im_hi):
+    return st.builds(complex, st.floats(re_lo, re_hi), st.floats(im_lo, im_hi))
+
+
+class TestFamilyInvariants:
+    """The separation theorem's claims at period 1 over a e^z + b.
+
+    The theorem assumes a bounded postsingular set, so maps whose singular
+    value b escapes (such as real a e^b > 1/e with real b, where the band-0
+    ray runs through b) are outside it and are not drawn.
+    """
+
+    @settings(max_examples=12, deadline=None)
+    @given(a=_complex_in(0.05, 0.6, -0.2, 0.2), b=_complex_in(-0.5, 0.5, -0.3, 0.3))
+    # rays landing at weakly repelling points (|multiplier| 1.07, 1.07 and
+    # 1.02), whose endpoints do not settle within DEFAULT_SCHEDULE's depth
+    @example(a=0.40625 + 0j, b=0.015625j)
+    @example(a=0.25 + 0.00390625j, b=0.4375 + 0j)
+    @example(a=0.375 + 0.078125j, b=-0.203125j)
+    def test_report_invariants(self, a, b):
+        spec = exp_map(a, b)
+        assume(np.isfinite(spec.evaluate_array(np.array([b]), 200)[0]))
+        setup = structural_setup(spec, FAMILY_BOX, 0.1)
+        report = separation_report(spec, setup, 1)
+        N = len(setup.domains)
+        assert not report.is_incomplete, report.incomplete
+        assert report.verdicts
+        assert all(v.verdict == "exactly_one_interior" for v in report.verdicts)
+        assert report.global_counts == (N + 1, N + 1, True)
+        fixed = [r for r in report.graph.rays
+                 if r.address.period_length == 1 and not r.address.preperiod]
+        assert len(fixed) == N
+        for ray in fixed:
+            image = spec.evaluate_array(ray.z[1:], 1)
+            assert np.all(np.abs(image - ray.z[:-1]) <= 1e-9 * np.abs(ray.z[:-1]))
+        again = separation_report(spec, structural_setup(spec, FAMILY_BOX, 0.1), 1)
+        assert dumps(report_to_json(report)) == dumps(report_to_json(again))

@@ -11,7 +11,6 @@ from raysep.maps import (
     BranchContext,
     BranchLabel,
     CutGeometry,
-    ExpAffine,
     MapSpec,
     branch_log,
     exp_map,
@@ -70,7 +69,7 @@ class TestEvaluate:
         assert not np.isfinite(w[0]) and not np.isfinite(deriv[0])
 
     def test_array_matches_scalar(self):
-        spec = parse_map("exp(1,1)*exp(1,0)")
+        spec = parse_map("exp(1,1)")
         zs = np.array([0.1 + 0.2j, -1.0 + 0.5j, 2.0 - 1.0j])
         vals = spec.evaluate_array(zs, 2)
         ws, derivs = spec.derivative_array(zs, 2)
@@ -80,7 +79,7 @@ class TestEvaluate:
 
     def test_derivative_against_finite_differences(self):
         rng = np.random.default_rng(5)
-        spec = parse_map("exp(0.4,0.2)*exp(0.9,-0.1)")
+        spec = parse_map("exp(0.4,0.2)")
         h = 1e-6
         for _ in range(1000):
             z = complex(rng.uniform(-2, 2), rng.uniform(-2, 2))
@@ -93,11 +92,6 @@ class TestSingularValues:
     def test_single_factor(self):
         assert exp_map(0.3).singular_values() == [0.0]
 
-    def test_composition_pushforward(self):
-        spec = parse_map("exp(1,1)*exp(1,0)")   # e^{e^z} + 1
-        values = spec.singular_values()
-        assert values == [pytest.approx(1.0), pytest.approx(2.0)]
-
     def test_random_affine(self):
         rng = np.random.default_rng(9)
         for _ in range(20):
@@ -106,12 +100,6 @@ class TestSingularValues:
             values = exp_map(a, b).singular_values()
             assert len(values) == 1
             assert values[0] == pytest.approx(b)
-
-    def test_bounded_singular_set(self):
-        spec = parse_map("exp(0.5,0.2)*exp(2,0.1)*exp(1,-0.3)")
-        values = spec.singular_values()
-        assert len(values) <= 3
-        assert all(np.isfinite(abs(v)) for v in values)
 
 
 class TestInverseBranch:
@@ -158,21 +146,6 @@ class TestInverseBranch:
                 value, _ = spec.evaluate(z, 1)
                 assert abs(value - w) < 1e-9
 
-    def test_round_trip_composition(self):
-        rng = np.random.default_rng(17)
-        spec = parse_map("exp(1,1)*exp(1,0)")
-        cut = negative_real_cut()
-        for _ in range(100):
-            w = complex(rng.uniform(-6, 6), rng.uniform(-6, 6))
-            if abs(w - 1) < 0.5 or abs(w - 2) < 0.5 or abs(w) < 2.3:
-                continue
-            if abs(w.imag) < 1e-3 and w.real < 0:
-                continue
-            label = BranchLabel(0, 1, inner=(int(rng.integers(-1, 2)),))
-            z = inverse_branch(spec, w, label, cut)
-            value, _ = spec.evaluate(z, 1)
-            assert abs(value - w) < 1e-9
-
     def test_branch_disjointness(self):
         rng = np.random.default_rng(19)
         spec = exp_map(0.3)
@@ -186,15 +159,14 @@ class TestInverseBranch:
                     assert abs(images[i] - images[k]) > 1e-6
 
 
-    @pytest.mark.parametrize("text", ["exp(0.3)", "exp(-5)", "exp(1,1)*exp(1,0)"])
+    @pytest.mark.parametrize("text", ["exp(0.3)", "exp(-5)", "exp(1,1)"])
     def test_rows_of_a_2d_pull_back_equal_row_calls(self, text):
         # one label per row of a 2-D w, as the expansion check's refinement
         # rounds use it: bitwise the calls one row at a time
         spec = parse_map(text)
         ctx = BranchContext(spec, negative_real_cut(), 1.0)
         rng = np.random.default_rng(23)
-        labels = [BranchLabel(0, j, inner=(int(rng.integers(-2, 3)),))
-                  for j in rng.integers(-40, 41, 9)]
+        labels = [BranchLabel(0, j) for j in rng.integers(-40, 41, 9)]
         u = np.sort(rng.uniform(0, 2 * np.pi, (len(labels), 65)), axis=1)
         w = rng.uniform(2, 1e4, (len(labels), 1)) * np.exp(1j * u)
         rows = ctx.pull_back(w, labels)
@@ -233,20 +205,25 @@ class TestParsing:
 
     def test_parse_map_shorthand(self):
         spec = parse_map("exp(0.3)")
-        assert spec.factors == (ExpAffine(0.3 + 0j, 0j),)
-        spec = parse_map("exp(1,1)*exp(1,0)")
-        assert len(spec.factors) == 2
-        assert spec.factors[0].b == 1
+        assert spec == MapSpec(0.3 + 0j, 0j)
+        spec = parse_map("exp(1,1)")
+        assert (spec.a, spec.b) == (1, 1)
 
     def test_parse_rejects_unknown(self):
         with pytest.raises(ValueError):
             parse_map("sin(1)")
 
     def test_json_round_trip(self):
-        spec = parse_map("exp(0.4,0.2)*exp(0.9,-0.1)")
+        spec = parse_map("exp(0.4,0.2)")
         again = MapSpec.from_json(spec.to_json())
-        assert again.factors == spec.factors
+        assert again == spec
+
+    @pytest.mark.parametrize("count", [0, 2])
+    def test_json_with_other_than_one_factor_rejected(self, count):
+        data = {"factors": [{"a": [1.0, 0.0], "b": [0.0, 0.0]}] * count}
+        with pytest.raises(ValueError, match=f"got {count}"):
+            MapSpec.from_json(data)
 
     def test_zero_coefficient_rejected(self):
         with pytest.raises(ValueError):
-            ExpAffine(0.0, 1.0)
+            MapSpec(0.0, 1.0)

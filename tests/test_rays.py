@@ -15,6 +15,7 @@ from raysep.rays import (
     DEFAULT_T_TOP,
     LANDING_TOL,
     PAIR_TOL,
+    SLOW_SCHEDULE,
     Address,
     PullbackWalk,
     RayStatus,
@@ -177,6 +178,21 @@ class TestLanding:
         assert landed.status.kind == "lands_at"
         assert calls < DEFAULT_SCHEDULE[-1]
         assert landing_calls == 0
+
+    def test_weakly_repelling_landing_walks_deeper(self, monkeypatch):
+        # the landing point's multiplier has modulus 1.0265: the endpoints of
+        # the default walk resolve no limit, a walk SLOW_SCHEDULE deep does
+        spec = exp_map(0.375, -1j / 256)
+        setup = structural_setup(spec, Rect(-4, 10, -12, 12), 0.1)
+        landed, calls, landing_calls = self._landing_pullbacks(
+            monkeypatch, spec, setup, Address.constant(0))
+        assert np.isnan(_limits(spec, landed.endpoints[None, :], 1)[0])
+        assert DEFAULT_SCHEDULE[-1] < calls <= DEFAULT_SCHEDULE[-1] + SLOW_SCHEDULE[-1]
+        assert landed.status.kind == "lands_at" and landing_calls == 0
+        w, dw = spec.evaluate(landed.landing, 1)
+        assert abs(w - landed.landing) < 1e-8 * (1 + abs(landed.landing))
+        assert 1.02 < abs(dw) < 1.03
+        assert abs(landed.landing - landed.endpoints[-1]) < 1e-6
 
     def test_periodic_landing_closes(self, setup_neg5):
         spec = setup_neg5.spec

@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 
 import raysep.structure
 from raysep.curves import ParamCurve
-from raysep.errors import (DeltaBlocked, ExpansionNotValidated, OrbitLeftTracts, OutsideTract,
-                           UnsupportedMap)
+from raysep.errors import DeltaBlocked, ExpansionNotValidated, OrbitLeftTracts, OutsideTract
 from raysep.maps import BranchLabel, exp_map, parse_map
 from raysep.structure import (
     Rect,
@@ -238,8 +237,8 @@ class TestTracts:
         assert [t.alpha for t in tracts] == list(range(runs))
 
     def test_composition_rejected(self):
-        with pytest.raises(UnsupportedMap):
-            structural_setup(parse_map("exp(1,1)*exp(1,0)"), Rect(-4, 6, -6, 6), 0.1)
+        with pytest.raises(ValueError, match=re.escape("exp(1,1)*exp(1,0)")):
+            parse_map("exp(1,1)*exp(1,0)")
 
 
 class TestFundamentalDomains:
