@@ -198,14 +198,11 @@ class BranchContext:
         """Inverse branch of `label`: the logarithm of (w - b)/a in its band.
 
         `label` is one BranchLabel for all of `w`, or a sequence of
-        BranchLabels with one per lane of a 1-D `w` or one per row of a 2-D
-        `w`.  Returns an array, 0-d for a scalar `w`.
+        BranchLabels with one per lane of a 1-D `w`.  Returns an array, 0-d
+        for a scalar `w`.
         """
+        band = label.j if isinstance(label, BranchLabel) else np.array([lb.j for lb in label])
         z = np.asarray(w, dtype=complex)
-        if isinstance(label, BranchLabel):
-            band = label.j
-        else:
-            band = np.array([lb.j for lb in label]).reshape((-1,) + (1,) * (z.ndim - 1))
         return branch_log((z - self.spec.b) / self.spec.a, band, self.cut, strict)
 
 

@@ -186,9 +186,10 @@ class PullbackWalk:
         """Each lane's top state: deep inside the domain of its symbol at `level`.
 
         The anchor radius is the expansion radius of the lane's symbols.  One
-        doubling search (`structure._expansion_radii`) settles the radii of
-        all distinct symbol sets together; the first set, in address order,
-        that no radius validates raises ExpansionNotValidated.
+        doubling search (`structure._expansion_radii`), which tests each
+        radius by the closed-form preimage bound of every symbol, settles the
+        radii of all distinct symbol sets together; the first set, in address
+        order, that no radius validates raises ExpansionNotValidated.
         """
         symbols = [frozenset(address.symbols()) for address in self.addresses]
         sets = list(dict.fromkeys(symbols))

@@ -335,12 +335,11 @@ def counting_contour(spec: MapSpec, setup: StructuralSetup, domains,
                     key=lambda l: l.j)
     if R is None:
         R = setup.expansion_radius
-    if not all(setup.expansion_checks.get((lb, R)) for lb in labels):
-        report = validate_expansion_radius(spec, setup, labels, R)
-        if not report.ok:
-            raise ExpansionNotValidated(
-                f"expansion radius {R} not valid for the collection "
-                f"(margin {report.margin:.3g})")
+    report = validate_expansion_radius(spec, setup, labels, R)
+    if not report.ok:
+        raise ExpansionNotValidated(
+            f"expansion radius {R} not valid for the collection "
+            f"(margin {report.margin:.3g})")
     check_full_complete(spec, setup, labels, rays)
 
     cut = setup.branch_context.cut
@@ -628,12 +627,15 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
     point in the box as boundary (a landing point), interior, or parabolic
     with virtual basins, and emits one verdict per region.  While a virtual
     point could not be placed, an empty region reads INCOMPLETE, not
-    VIOLATION.
+    VIOLATION.  So does every region without exactly one point while one of
+    the period's rays did not land: the graph then lacks its edges, and
+    regions it would separate merge.
     """
     _check_resolution(resolution)
     incomplete: list[str] = []
     rays = fixed_rays(spec, setup, setup.domains, period, depth=ray_depth)
     landed = [r for r in rays if r.status.kind == "lands_at"]
+    lost = len(landed) < len(rays)
     for r in rays:
         if r.status.kind != "lands_at":
             incomplete.append(f"ray {r.address} {r.status.kind}")
@@ -713,8 +715,8 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
             verdict = "exactly_one_interior"
         elif n_int == 0 and n_vir == 1:
             verdict = "exactly_one_virtual"
-        elif n_int == 0 and n_vir == 0 and unplaced:
-            verdict = "INCOMPLETE(interior=0, virtual=0)"
+        elif lost or (n_int == 0 and n_vir == 0 and unplaced):
+            verdict = f"INCOMPLETE(interior={n_int}, virtual={n_vir})"
         else:
             verdict = (f"VIOLATION(interior={n_int}, virtual={n_vir})")
         verdicts.append(RegionVerdict(

@@ -4,15 +4,16 @@ The construction: pick a round disk D about 0 containing the singular values,
 0 and f(0); the preimage of the complement of D is the tract set; a radial
 cut curve delta from D to infinity, pulled back through the inverse branches,
 slices each tract into fundamental domains labeled by log-bands.  For the
-map a e^z + b both the tract boundaries (logs of the circle
-|e^z + b/a| = r/|a|) and the fundamental-domain cuts (its inverse branches)
-are closed forms.
+map a e^z + b the tract boundaries (logs of the circle |e^z + b/a| = r/|a|),
+the fundamental-domain cuts (its inverse branches) and the bound on each
+branch's image of the circle |w| = R that decides the expansion radius are
+all closed forms.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,8 +29,6 @@ from .maps import BranchContext, BranchLabel, CutGeometry, MapSpec, branch_log, 
 
 DISK_SCALE = 1.25
 EXPANSION_CAP = 1e6
-EXPANSION_SAMPLES = 4096
-SCREEN_STRIDE = 64
 DELTA_ANGLES = 360
 
 
@@ -87,15 +86,7 @@ class FundamentalDomain:
 
 @dataclass
 class StructuralSetup:
-    """Disk, cut, tracts and fundamental domains of one map in one box.
-
-    `expansion_checks` caches the expansion check per (label, R): whether
-    the pullback of the circle |w| = R through the label's inverse branch
-    stays inside the circle.  Failures are kept too, so no label is checked
-    twice at one radius.  A failure comes from the full check or from the
-    radius search's screen, which records exactly the failures the full
-    check would.
-    """
+    """Disk, cut, tracts and fundamental domains of one map in one box."""
 
     spec: MapSpec
     disk: DomainDisk
@@ -107,7 +98,6 @@ class StructuralSetup:
     resolution: float
     branch_context: BranchContext
     strip_cut: CutGeometry
-    expansion_checks: dict[tuple[BranchLabel, float], bool] = field(default_factory=dict)
 
     def domain_labels(self) -> list[BranchLabel]:
         return [d.label for d in self.domains]
@@ -292,7 +282,8 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
     Fundamental-domain cutting relies on the closed-form inverse branch of
     a e^z + b.  An explicit disk_radius must exceed the moduli of the
     singular value b, of 0 and of f(0); otherwise ValueError is raised
-    before any tract work.
+    before any tract work.  An explicit expansion_radius that fails the
+    expansion check raises ExpansionNotValidated, naming it and its margin.
     """
     if not isinstance(bbox, Rect):
         bbox = Rect(*bbox)
@@ -322,8 +313,12 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
             spec, setup, setup.domain_labels())
     else:
         setup.expansion_radius = float(expansion_radius)
-        validate_expansion_radius(spec, setup, setup.domain_labels(),
-                                  setup.expansion_radius)
+        report = validate_expansion_radius(spec, setup, setup.domain_labels(),
+                                           setup.expansion_radius)
+        if not report.ok:
+            raise ExpansionNotValidated(
+                f"expansion radius {setup.expansion_radius} not valid for the "
+                f"domains (margin {report.margin:.3g})")
     return setup
 
 
@@ -369,88 +364,47 @@ def _cut_curve(spec: MapSpec, delta_ext: ParamCurve, cut: CutGeometry,
 class ExpansionReport:
     ok: bool
     margin: float
-    worst_preimage: complex | None
     worst_band: int | None
 
 
-def _circle(R: float) -> tuple[np.ndarray, np.ndarray]:
-    """Angles and points of the first round's samples of the circle |w| = R."""
-    u = np.linspace(0.0, 2.0 * np.pi, EXPANSION_SAMPLES, endpoint=False)
-    return u, R * np.exp(1j * u)
+def _preimage_bounds(setup: StructuralSetup, bands, R: float) -> np.ndarray:
+    """Per band j, a bound B_j on |z| over the band-j preimages of |w| = R.
+
+    On the circle v = (w - b)/a has modulus in [lo, hi] = [(R - |b|)/|a|,
+    (R + |b|)/|a|], and the band-j preimage is z = log|v| + iy with y in
+    (phi(|v|) + 2 pi (j - 1), phi(|v|) + 2 pi j].  The cut's phi is
+    piecewise linear, so its extremes over [lo, hi] lie at lo, at hi or at
+    a knot between them.  Hence B_j = hypot(max |log|v||, max |y|); when
+    b = 0, |v| is constant and B_j is the supremum itself.
+    """
+    if R <= setup.disk.radius:
+        raise ValueError("R must exceed the disk radius")
+    spec, cut = setup.spec, setup.branch_context.cut
+    lo, hi = (R - abs(spec.b)) / abs(spec.a), (R + abs(spec.b)) / abs(spec.a)
+    knots = cut.moduli[(cut.moduli > lo) & (cut.moduli < hi)]
+    phi = cut.phi(np.concatenate(([lo, hi], knots)))
+    j = np.asarray(bands, dtype=float)
+    y = np.maximum(np.abs(phi.min() + 2.0 * np.pi * (j - 1)),
+                   np.abs(phi.max() + 2.0 * np.pi * j))
+    return np.hypot(max(abs(math.log(lo)), abs(math.log(hi))), y)
 
 
 def validate_expansion_radius(spec: MapSpec, setup: StructuralSetup,
                               domains, R: float) -> ExpansionReport:
-    """Check that the pullback of the circle |w| = R stays inside it.
+    """Check that every domain's inverse branch maps the circle |w| = R inside it.
 
-    Samples the circle adaptively and pulls each sample through every
-    domain's inverse branch; the margin is R minus the largest preimage
-    modulus.  A first round of EXPANSION_SAMPLES samples runs per label;
-    then up to five local refinement rounds of 65 samples around each
-    label's largest preimage run for all labels at once, one row per label,
-    and a row leaves once its spacing du has du * R < 1e-6.  Each label's
-    own result, whether its preimages stay inside the circle, is recorded
-    in `setup.expansion_checks`, also when the set as a whole fails.
+    The margin is R minus the largest closed-form bound `_preimage_bounds`
+    of the domains' preimage moduli, and the worst band is the first to
+    reach it.  The check passes when the margin is positive; being an upper
+    bound, not a sampled estimate, it never passes a failing radius.
     """
     labels = [d if isinstance(d, BranchLabel) else d.label for d in domains]
     if not labels:
-        return ExpansionReport(True, R, None, None)
-    if R <= setup.disk.radius:
-        raise ValueError("R must exceed the disk radius")
-    n = len(labels)
-    top = np.full(n, -np.inf)      # each label's largest preimage modulus
-    top_z = np.zeros(n, dtype=complex)
-    centre = np.empty(n)           # the sample angle of the round's largest preimage
-    u, w = _circle(R)
-    for i, label in enumerate(labels):
-        z = setup.pull_back(w, label)
-        mods = np.abs(z)
-        k = int(np.argmax(mods))
-        if mods[k] > top[i]:
-            top[i], top_z[i] = mods[k], z[k]
-        centre[i] = u[k]
-    rows, du = np.arange(n), np.full(n, u[1] - u[0])
-    for _ in range(5):
-        live = du * R >= 1e-6
-        rows, centre, du = rows[live], centre[live], du[live]
-        if not len(rows):
-            break
-        u = np.linspace(centre - du, centre + du, 65, axis=-1)
-        z = setup.pull_back(R * np.exp(1j * u), [labels[i] for i in rows])
-        mods = np.abs(z)
-        k = np.argmax(mods, axis=1)
-        lane = np.arange(len(rows))
-        better = mods[lane, k] > top[rows]
-        top[rows[better]], top_z[rows[better]] = mods[lane, k][better], z[lane, k][better]
-        centre, du = u[lane, k], u[:, 1] - u[:, 0]
-    for label, t in zip(labels, top):
-        setup.expansion_checks[(label, R)] = bool(R - t > 0.0)
-    # the worst label is the first to reach the largest modulus; none when
-    # every preimage was nan
-    i = int(np.argmax(top))
-    margin = R - float(top[i])
-    if top[i] == -np.inf:
-        return ExpansionReport(True, margin, None, None)
-    return ExpansionReport(bool(margin > 0.0), margin, complex(top_z[i]), labels[i].j)
-
-
-def _refute(setup: StructuralSetup, labels: list[BranchLabel], R: float) -> None:
-    """Record a failed expansion check at R for each label a screen sample refutes.
-
-    The screen pulls back every SCREEN_STRIDE-th sample of the full check's
-    first round, the same floats, for all labels in one call.  A preimage
-    with |z| >= R decides the full check: its first round takes the largest
-    preimage modulus over all of these samples as the label's `top`, later
-    rounds only raise it, and the check passes exactly when R - top > 0.
-    This needs every preimage finite, so that the full check's argmax, blind
-    to nan, sees them all: R exceeds the disk radius, which holds b, so
-    (w - b) / a is nonzero and its branch log is finite.
-    """
-    w = _circle(R)[1][::SCREEN_STRIDE]
-    z = setup.pull_back(np.broadcast_to(w, (len(labels), len(w))), labels)
-    for label, refuted in zip(labels, (np.abs(z) >= R).any(axis=1)):
-        if refuted:
-            setup.expansion_checks[(label, R)] = False
+        return ExpansionReport(True, R, None)
+    bounds = _preimage_bounds(setup, [lb.j for lb in labels], R)
+    i = int(np.argmax(bounds))
+    margin = R - float(bounds[i])
+    return ExpansionReport(bool(margin > 0.0), margin, labels[i].j)
 
 
 def _expansion_radii(spec: MapSpec, setup: StructuralSetup,
@@ -459,29 +413,19 @@ def _expansion_radii(spec: MapSpec, setup: StructuralSetup,
 
     All sets move through R, 2R, ... together, from `setup.expansion_radius`
     once that is set, else from twice the disk radius (at least 1).  At each
-    R the labels of the sets still searching that have no result in
-    `setup.expansion_checks` are screened by one `_refute` call, and the
-    survivors validated by one `validate_expansion_radius` call, so no
-    (label, R) is decided twice.  A set gets None when no R up to
-    EXPANSION_CAP passes.
+    R one `_preimage_bounds` call bounds the bands of the sets still
+    searching, and a set passes when all its bounds are below R.  A set gets
+    None when no R up to EXPANSION_CAP passes.
     """
-    sets = [_distinct_labels(domains) for domains in label_sets]
-    checks = setup.expansion_checks
+    sets = [[lb.j for lb in _distinct_labels(domains)] for domains in label_sets]
     radii: list[float | None] = [None] * len(sets)
     searching = list(range(len(sets)))
     R = setup.expansion_radius or max(2.0 * setup.disk.radius, 1.0)
     while searching and R <= EXPANSION_CAP:
-        unchecked = list(dict.fromkeys(lb for i in searching for lb in sets[i]
-                                       if (lb, R) not in checks))
-        if unchecked:
-            if R <= setup.disk.radius:
-                raise ValueError("R must exceed the disk radius")
-            _refute(setup, unchecked, R)
-            survivors = [lb for lb in unchecked if (lb, R) not in checks]
-            if survivors:
-                validate_expansion_radius(spec, setup, survivors, R)
+        bands = list(dict.fromkeys(j for i in searching for j in sets[i]))
+        passed = dict(zip(bands, (_preimage_bounds(setup, bands, R) < R).tolist()))
         for i in searching:
-            if all(checks[(lb, R)] for lb in sets[i]):
+            if all(passed[j] for j in sets[i]):
                 radii[i] = R
         searching = [i for i in searching if radii[i] is None]
         R *= 2.0
@@ -503,9 +447,7 @@ def select_expansion_radius(spec: MapSpec, setup: StructuralSetup,
                             domains) -> float:
     """The first radius, doubling, at which every label's expansion check passes.
 
-    The search of `_expansion_radii` for one label set: labels already
-    decided at a radius are not checked again there, the others are first
-    screened and only the survivors fully validated.  Raises
+    The search of `_expansion_radii` for one label set.  Raises
     ExpansionNotValidated, naming the bands, when no R up to EXPANSION_CAP
     passes.
     """

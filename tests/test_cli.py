@@ -78,6 +78,17 @@ class TestExitCodes:
         assert payload["error"] == "ExpansionNotValidated"
         assert "bands" in payload["message"]
 
+    def test_failing_explicit_radius_is_config_error(self, capsys):
+        code, out, err = run_cli(
+            ["setup", "--map", "exp(0.3)", "--bbox=-4,6,-8,8", "--res", "0.25",
+             "--radius", "10"], capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        assert len(err.splitlines()) == 1
+        assert json.loads(err) == {
+            "error": "ExpansionNotValidated",
+            "message": "expansion radius 10.0 not valid for the domains (margin -0.056)"}
+
     @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
     def test_bad_region_resolution_is_config_error(self, capsys, monkeypatch, value):
         import raysep.cli
@@ -102,6 +113,17 @@ class TestExitCodes:
         assert json.loads(err) == {
             "error": "Incomplete",
             "message": "1 rays did not land (1 broken, 0 unresolved)"}
+
+    def test_lost_ray_is_incomplete_not_violation(self, capsys):
+        # the band-0 fixed ray of 0.6 e^z is broken: the graph lacks its edges,
+        # so regions merge, and that is missing evidence, not a violation
+        code, out, err = run_cli(
+            ["verify", "--map", "exp(0.6)", "--bbox=-4,10,-12,12"], capsys)
+        assert code == EXIT_INCOMPLETE
+        data = json.loads(out)
+        assert data["has_violation"] is False
+        assert [r["verdict"] for r in data["regions"]] == ["INCOMPLETE(interior=2, virtual=0)"]
+        assert "ray |0 broken" in json.loads(err)["message"]
 
     def test_verify_ok(self, capsys):
         code, out, _ = run_cli(

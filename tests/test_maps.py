@@ -161,21 +161,16 @@ class TestInverseBranch:
 
     @pytest.mark.parametrize("text", ["exp(0.3)", "exp(-5)", "exp(1,1)"])
     def test_rows_of_a_2d_pull_back_equal_row_calls(self, text):
-        # one label per row of a 2-D w, as the expansion check's refinement
-        # rounds use it: bitwise the calls one row at a time
+        # one label per lane of a 1-D w: bitwise the single-label calls
         spec = parse_map(text)
         ctx = BranchContext(spec, negative_real_cut(), 1.0)
         rng = np.random.default_rng(23)
         labels = [BranchLabel(0, j) for j in rng.integers(-40, 41, 9)]
-        u = np.sort(rng.uniform(0, 2 * np.pi, (len(labels), 65)), axis=1)
-        w = rng.uniform(2, 1e4, (len(labels), 1)) * np.exp(1j * u)
-        rows = ctx.pull_back(w, labels)
-        assert rows.shape == w.shape
-        for row, wr, label in zip(rows, w, labels):
-            assert row.tobytes() == ctx.pull_back(wr, label).tobytes()
-        # a 1-D w still takes one label per lane
-        lanes = ctx.pull_back(w[:, 0], labels)
-        assert lanes.tobytes() == rows[:, 0].copy().tobytes()
+        w = rng.uniform(2, 1e4, len(labels)) * np.exp(1j * rng.uniform(0, 2 * np.pi, len(labels)))
+        lanes = ctx.pull_back(w, labels)
+        assert lanes.shape == w.shape
+        for z, wl, label in zip(lanes, w, labels):
+            assert z.tobytes() == ctx.pull_back(wl, label).tobytes()
 
 
 class TestBranchLog:

@@ -389,21 +389,9 @@ class TestCountingContour:
         js = sorted(setup03.domain_labels(), key=lambda lb: lb.j)
         assert calls == [[f"|{js[0].j - 1}", f"|{js[-1].j + 1}"]]
 
-    def test_report_reads_the_setup_expansion_checks(self, setup03, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[3])
-            return raysep.structure.validate_expansion_radius(*args, **kwargs)
-
-        monkeypatch.setattr(raysep.separation, "validate_expansion_radius", counted)
-        report = separation_report(setup03.spec, setup03, 1)
-        assert report.global_counts is not None and report.global_counts[2]
-        assert calls == []
-
     def test_invalid_radius_names_the_margin(self, setup03):
-        # R = 10 fails for bands -1, 0, 1 (test_structure); the second call
-        # finds the failures cached and still reports the margin
+        # R = 10 fails for bands -1, 0, 1 (test_structure); a second call
+        # decides the same and still reports the margin
         labels = [setup03.domain_by_band(j).label for j in (-1, 0, 1)]
         for _ in range(2):
             with pytest.raises(ExpansionNotValidated, match=r"radius 10.0 not valid .*margin -"):
@@ -550,6 +538,20 @@ class TestSeparationReport:
         assert not any(v.virtual for v in report.verdicts)
         assert [v.verdict for v in report.verdicts] == ["INCOMPLETE(interior=0, virtual=0)"]
         assert not report.has_violation
+
+    def test_two_points_in_a_region_with_all_rays_landed_is_violation(self, monkeypatch):
+        original = raysep.separation.find_periodic_points
+
+        def doubled(*args, **kwargs):
+            records = original(*args, **kwargs)
+            return records + [dataclasses.replace(r) for r in records if r.classification == "attracting"]
+
+        monkeypatch.setattr(raysep.separation, "find_periodic_points", doubled)
+        spec = exp_map(0.3)
+        report = separation_report(spec, structural_setup(spec, Rect(-4, 10, -12, 12), 0.1), 1)
+        assert not any(e.startswith("ray ") for e in report.incomplete)
+        assert [v.verdict for v in report.verdicts] == ["VIOLATION(interior=2, virtual=0)"]
+        assert report.has_violation
 
     @pytest.mark.parametrize("text, box, res, period", [
         ("exp(0.3)", (-4, 10, -12, 12), 0.1, 1),

@@ -1,9 +1,10 @@
 """Structural decomposition: disk, delta, tracts, domains, lift, expansion."""
 
 import cmath
+import copy
+import dataclasses
 import math
 import re
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,7 +14,7 @@ from hypothesis import strategies as st
 import raysep.structure
 from raysep.curves import ParamCurve
 from raysep.errors import DeltaBlocked, ExpansionNotValidated, OrbitLeftTracts, OutsideTract
-from raysep.maps import BranchLabel, exp_map, parse_map
+from raysep.maps import BranchLabel, CutGeometry, exp_map, parse_map
 from raysep.structure import (
     Rect,
     Tract,
@@ -359,10 +360,6 @@ class TestExpansionRadius:
         # preimages live on Re = ln(R/0.3); the worst reaches just past R
         worst = math.hypot(math.log(10.0 / 0.3), 3 * math.pi)
         assert report.margin == pytest.approx(10.0 - worst, abs=1e-3)
-        # each label's own result is kept, the failure too
-        checks = setup03.expansion_checks
-        assert checks[(labels[1], 10.0)]
-        assert not checks[(setup03.domain_by_band(report.worst_band).label, 10.0)]
 
     def test_passes_at_twenty_with_expected_margin(self, setup03):
         labels = [setup03.domain_by_band(j).label for j in (-1, 0, 1)]
@@ -380,54 +377,22 @@ class TestExpansionRadius:
         for R in (20.0, 40.0, 80.0):
             assert validate_expansion_radius(setup03.spec, setup03, labels, R).ok
 
-    def test_select_again_validates_nothing(self, setup03, monkeypatch):
-        labels = [setup03.domain_by_band(j).label for j in (-1, 0, 1)]
-        R = select_expansion_radius(setup03.spec, setup03, labels)
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args[2])
-            return validate_expansion_radius(*args, **kwargs)
-
-        monkeypatch.setattr(raysep.structure, "validate_expansion_radius", counted)
-        assert select_expansion_radius(setup03.spec, setup03, labels) == R
-        assert calls == []
-
-    def test_select_validates_only_unchecked_labels(self, setup03, monkeypatch):
-        near = setup03.domain_by_band(0).label
-        far = BranchLabel(0, 40)
-        select_expansion_radius(setup03.spec, setup03, [near])
-        before = dict(setup03.expansion_checks)
-        screened, validated = [], []
-
-        def screen(setup, labels, R):
-            screened.extend((lb, R) for lb in labels)
-            return refute(setup, labels, R)
-
-        def counted(spec, setup, domains, R):
-            validated.extend((lb, R) for lb in domains)
-            return validate_expansion_radius(spec, setup, domains, R)
-
-        refute = raysep.structure._refute
-        monkeypatch.setattr(raysep.structure, "_refute", screen)
-        monkeypatch.setattr(raysep.structure, "validate_expansion_radius", counted)
-        R = select_expansion_radius(setup03.spec, setup03, [near, far])
-        E = setup03.expansion_radius
-        assert R > E
-        # no (label, R) is decided twice: none already decided is screened,
-        # each is screened once, and only screen survivors are validated
-        assert not set(screened) & before.keys()
-        assert len(set(screened)) == len(screened)
-        assert len(set(validated)) == len(validated) and set(validated) <= set(screened)
-        # band 40 fails at E by the screen alone
-        assert (far, E) in screened and (far, E) not in validated
-        assert setup03.expansion_checks[(far, E)] is False
-        assert setup03.expansion_checks[(far, R)] and setup03.expansion_checks[(near, R)]
-
     def test_no_radius_up_to_the_cap(self, monkeypatch):
         monkeypatch.setattr(raysep.structure, "EXPANSION_CAP", 1.0)
         with pytest.raises(ExpansionNotValidated, match=r"up to 1 valid for bands \[-1, 0, 1\]"):
             structural_setup(exp_map(0.3), Rect(-4, 6, -8, 8), 0.25)
+
+    def test_failing_explicit_radius_raises(self):
+        with pytest.raises(ExpansionNotValidated, match=re.escape(
+                "expansion radius 10.0 not valid for the domains (margin -0.056)")):
+            structural_setup(exp_map(0.3), Rect(-4, 6, -8, 8), 0.25, expansion_radius=10.0)
+        setup = structural_setup(exp_map(0.3), Rect(-4, 6, -8, 8), 0.25, expansion_radius=20.0)
+        assert setup.expansion_radius == 20.0
+
+    def test_radius_inside_the_disk_rejected(self, setup03):
+        labels = [setup03.domain_by_band(0).label]
+        with pytest.raises(ValueError, match="R must exceed the disk radius"):
+            validate_expansion_radius(setup03.spec, setup03, labels, setup03.disk.radius)
 
     def test_setup_auto_radius_is_validated(self, setup03):
         report = validate_expansion_radius(
@@ -436,7 +401,7 @@ class TestExpansionRadius:
         assert report.ok
 
 
-# -- the expansion check against its per-label loop ---------------------------------
+# -- the expansion bound against a sampled per-label loop ---------------------------
 
 # (a, b, box, resolution) of the maps the properties draw from
 EXPANSION_MAPS = [
@@ -446,60 +411,48 @@ EXPANSION_MAPS = [
     (0.5, -0.5, (-4, 6, -8, 8), 0.25),
     (-5.0, 0.0, (-9, 7.5, -13, 13), 0.25),
 ]
+ZERO_B = [k for k, m in enumerate(EXPANSION_MAPS) if m[1] == 0]
+REFERENCE_SAMPLES = 4096
 _expansion_setups = {}
 
 
 def fresh_setup(k: int):
-    """Map k's setup with an empty expansion-check cache of its own."""
+    """Map k's setup, built once."""
     if k not in _expansion_setups:
         a, b, box, resolution = EXPANSION_MAPS[k]
         _expansion_setups[k] = structural_setup(exp_map(a, b), Rect(*box), resolution)
-    base = _expansion_setups[k]
-    return replace(base, expansion_checks={})
+    return _expansion_setups[k]
 
 
 def reference_validate(setup, labels, R):
-    """The expansion check as one loop per label, each refining alone."""
-    worst, worst_z, worst_band = -math.inf, None, None
+    """Each label's largest sampled preimage modulus of the circle |w| = R.
+
+    REFERENCE_SAMPLES samples, then five refinement rounds of 65 samples
+    around the largest, each 32 times finer: the last spacing is ~5e-11 in
+    angle, so the result is within about that of the supremum.
+    """
+    tops = []
     for label in labels:
         top = -math.inf
-        u = np.linspace(0.0, 2.0 * np.pi, raysep.structure.EXPANSION_SAMPLES, endpoint=False)
+        u = np.linspace(0.0, 2.0 * np.pi, REFERENCE_SAMPLES, endpoint=False)
         for _ in range(6):
-            w = R * np.exp(1j * u)
-            z = setup.pull_back(w, label)
-            mods = np.abs(z)
+            mods = np.abs(setup.pull_back(R * np.exp(1j * u), label))
             k = int(np.argmax(mods))
-            if mods[k] > top:
-                top = float(mods[k])
-                if top > worst:
-                    worst, worst_z, worst_band = top, complex(z[k]), label.j
+            top = max(top, float(mods[k]))
             du = u[1] - u[0]
-            if du * R < 1e-6:
-                break
             u = np.linspace(u[k] - du, u[k] + du, 65)
-        setup.expansion_checks[(label, R)] = bool(R - top > 0.0)
-    margin = R - worst
-    return raysep.structure.ExpansionReport(bool(margin > 0.0), margin, worst_z, worst_band)
+        tops.append(top)
+    return np.array(tops)
 
 
 def reference_radius(setup, labels):
-    """Sequential, unscreened doubling search for one label set; None past the cap."""
-    labels = list(dict.fromkeys(labels))
+    """Sequential doubling search for one label set; None past the cap."""
     R = setup.expansion_radius
     while R <= raysep.structure.EXPANSION_CAP:
-        unchecked = [lb for lb in labels if (lb, R) not in setup.expansion_checks]
-        if unchecked:
-            reference_validate(setup, unchecked, R)
-        if all(setup.expansion_checks[(lb, R)] for lb in labels):
+        if validate_expansion_radius(setup.spec, setup, labels, R).ok:
             return R
         R *= 2.0
     return None
-
-
-def report_bits(report):
-    z = report.worst_preimage
-    return (report.ok, report.margin.hex(), report.worst_band,
-            None if z is None else (z.real.hex(), z.imag.hex()))
 
 
 bands = st.lists(st.integers(-60, 60), min_size=1, max_size=6)
@@ -509,36 +462,65 @@ class TestExpansionRows:
     @settings(max_examples=60, deadline=None)
     @given(st.integers(0, len(EXPANSION_MAPS) - 1), bands,
            st.floats(1.001, 5e4, allow_nan=False))
+    @example(3, [0, 40, -1, 0], 32.0)
+    @example(3, [0, -1], 1.001)     # |log lo| > log hi
+    def test_bound_covers_the_per_label_loop(self, k, js, scale):
+        setup = fresh_setup(k)
+        R = setup.disk.radius * scale
+        bound = raysep.structure._preimage_bounds(setup, js, R)
+        sampled = reference_validate(setup, [BranchLabel(0, j) for j in js], R)
+        assert np.all(bound >= sampled - 1e-9 * R)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(ZERO_B), bands, st.floats(1.001, 5e4, allow_nan=False))
     @example(0, [0, 40, -1, 0], 32.0)
     @example(4, [-2, 2, 15], 25.0)
     def test_equals_the_per_label_loop(self, k, js, scale):
-        setup, ref = fresh_setup(k), fresh_setup(k)
+        # at b = 0 the circle's preimage is one whole band edge to edge, so
+        # the bound is the supremum the sampled loop converges to
+        setup = fresh_setup(k)
         labels = [BranchLabel(0, j) for j in js]
         R = setup.disk.radius * scale
-        got = validate_expansion_radius(setup.spec, setup, labels, R)
-        want = reference_validate(ref, labels, R)
-        assert report_bits(got) == report_bits(want)
-        assert setup.expansion_checks == ref.expansion_checks
+        bound = raysep.structure._preimage_bounds(setup, js, R)
+        sampled = reference_validate(setup, labels, R)
+        assert np.all(np.abs(bound - sampled) <= 1e-9 * R)
+        report = validate_expansion_radius(setup.spec, setup, labels, R)
+        i = int(np.argmax(bound))
+        assert report.margin == R - bound[i] and report.worst_band == js[i]
+        assert report.ok == bool(np.all(bound < R))
 
     @settings(max_examples=25, deadline=None)
     @given(st.integers(0, len(EXPANSION_MAPS) - 1), st.lists(bands, min_size=1, max_size=4))
     def test_bulk_search_equals_sequential_search(self, k, sets):
-        setup, ref = fresh_setup(k), fresh_setup(k)
+        setup = fresh_setup(k)
         label_sets = [[BranchLabel(0, j) for j in js] for js in sets]
         radii = raysep.structure._expansion_radii(setup.spec, setup, label_sets)
-        assert radii == [reference_radius(ref, labels) for labels in label_sets]
-        # the same (label, R) are decided, with the same results
-        assert setup.expansion_checks == ref.expansion_checks
+        assert radii == [reference_radius(setup, labels) for labels in label_sets]
+
+    def test_bound_covers_a_cut_with_an_inner_extreme(self):
+        # 0.5 e^z - 0.5 at R = 4: v = 2w + 1 has |v| in [7, 9], and |v| = 8
+        # at arg v = 1.5082; a cut whose phi peaks there at a knot puts that
+        # point on the top edge of every band, beyond phi at both ends
+        base = fresh_setup(3)
+        peak = math.atan2(math.sqrt(63.75), 0.5)
+        ctx = copy.copy(base.branch_context)
+        ctx.cut = CutGeometry(np.array([1.0, 8.0, 100.0]),
+                              np.array([peak - 0.7, peak, peak - 9.2]), peak - 9.2)
+        setup = dataclasses.replace(base, branch_context=ctx)
+        js = [-2, 0, 2, 5]
+        bound = raysep.structure._preimage_bounds(setup, js, 4.0)
+        sampled = reference_validate(setup, [BranchLabel(0, j) for j in js], 4.0)
+        assert np.all(bound >= sampled - 1e-9 * 4.0)
 
     def test_a_set_past_the_cap(self):
         # band 10^5 has preimages of modulus ~2 pi 10^5, beyond every R up to
         # the cap; the sets beside it settle as before
-        setup, ref = fresh_setup(0), fresh_setup(0)
+        setup = fresh_setup(0)
         far = [BranchLabel(0, 0), BranchLabel(0, 100000)]
         label_sets = [[BranchLabel(0, 1)], far, [BranchLabel(0, 40)]]
         radii = raysep.structure._expansion_radii(setup.spec, setup, label_sets)
         assert radii[1] is None
-        assert radii == [reference_radius(ref, labels) for labels in label_sets]
+        assert radii == [reference_radius(setup, labels) for labels in label_sets]
         with pytest.raises(ExpansionNotValidated,
                            match=re.escape("up to 1e+06 valid for bands [0, 100000]")):
             select_expansion_radius(setup.spec, setup, far + far[:1])
