@@ -5,7 +5,11 @@ a box; the count is cross-checked against the argument principle over the
 box boundary.  Fundamental domains that avoid the disk get their unique
 repelling fixed point directly from the inverse-branch contraction.  The
 local theory at parabolic points (normal-form coefficient, attracting and
-repelling directions) is extracted by discrete contour integration.
+repelling directions) is extracted by discrete contour integration, and
+each attracting basin is confirmed by a probe orbit.  For a simple petal
+the probe stops early on a certificate: in the Fatou coordinate
+W = -1/(A u) one step of f^p is a translation by 1 + eps, and for a e^z + b
+every term of eps has a closed-form bound.
 """
 
 from __future__ import annotations
@@ -25,10 +29,9 @@ from .errors import (
     DegenerateExpansion,
     DomainMeetsDisk,
     NotParabolic,
-    OnCut,
     RaysepError,
 )
-from .maps import BranchLabel, MapSpec
+from .maps import LOG_FLOOR, BranchLabel, MapSpec
 from .structure import Rect, StructuralSetup
 
 ATTRACT_BAND = 1e-6         # |m| < 1 - band: attracting; > 1 + band: repelling
@@ -37,6 +40,8 @@ MAX_UNITY_ORDER = 64
 DEDUP_TOL = 1e-7
 RESIDUAL_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
+PETAL_RADII = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0)   # Cauchy radii rho of the petal jet
+ROUNDING_ULPS = 64          # rounding slack of one step of f^p, in ulps of its terms
 
 
 @dataclass
@@ -109,22 +114,27 @@ def _map_arrays(mapobj, period: int):
 
 def _newton_sweep(evaluator, seeds: np.ndarray, iters: int = 64,
                   blowup: float = 1e8) -> np.ndarray:
-    z = seeds.astype(complex).copy()
-    alive = np.ones(z.shape, dtype=bool)
+    """Newton on f^p(z) - z from every seed; each iteration evaluates only live lanes.
+
+    A lane stops once its step is below 1e-13 (1 + |z|), and is frozen where
+    the step is not finite or |z| exceeds `blowup`.
+    """
+    z = np.array(seeds, dtype=complex).ravel()
+    live = np.arange(len(z))
     for _ in range(iters):
-        if not np.any(alive):
+        if not len(live):
             break
-        w, dw = evaluator(z)
-        g = w - z
+        zl = z[live]
+        w, dw = evaluator(zl)
+        g = w - zl
         gp = dw - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(np.abs(gp) > 1e-14, g / gp, 0.0)
-        bad = ~np.isfinite(step.real) | ~np.isfinite(step.imag) | (np.abs(z) > blowup)
-        alive &= ~bad
-        z = np.where(alive, z - step, z)
-        done = np.abs(step) < 1e-13 * (1.0 + np.abs(z))
-        alive &= ~done
-    return z
+        bad = ~np.isfinite(step.real) | ~np.isfinite(step.imag) | (np.abs(zl) > blowup)
+        zl = np.where(bad, zl, zl - step)
+        z[live] = zl
+        live = live[~bad & ~(np.abs(step) < 1e-13 * (1.0 + np.abs(zl)))]
+    return z.reshape(np.shape(seeds))
 
 
 def _polish_parabolic(mapobj, z0: complex, period: int) -> complex:
@@ -216,19 +226,28 @@ def _seed_grid(region: Rect, n: int) -> np.ndarray:
 
 
 def _domain_seeds(setup: StructuralSetup, region: Rect) -> np.ndarray:
-    seeds = []
-    for dom in setup.domains:
-        z = dom.anchor
-        try:
-            for _ in range(200):
-                nz = complex(setup.pull_back(z, dom.label))
-                if abs(nz - z) < 1e-12:
-                    break
-                z = nz
-            seeds.append(z)
-        except OnCut:
-            continue
-    return np.array([s for s in seeds if region.contains(s)], dtype=complex)
+    """Each domain's inverse-branch limit from its anchor, in domain order.
+
+    One walk pulls every domain's lane back through its own branch, up to
+    200 times.  A lane stops at its point before a step shorter than 1e-12;
+    a lane at the logarithm's singularity (where the branch raises OnCut)
+    is dropped.  Only seeds inside the region are kept.
+    """
+    spec, labels = setup.spec, setup.domain_labels()
+    z = np.array([dom.anchor for dom in setup.domains], dtype=complex)
+    kept = np.ones(len(z), dtype=bool)
+    live = np.arange(len(z))
+    for _ in range(200):
+        on_cut = np.abs((z[live] - spec.b) / spec.a) < LOG_FLOOR
+        kept[live[on_cut]] = False
+        live = live[~on_cut]
+        if not len(live):
+            break
+        nz = setup.pull_back(z[live], [labels[i] for i in live])
+        moving = ~(np.abs(nz - z[live]) < 1e-12)
+        z[live[moving]] = nz[moving]
+        live = live[moving]
+    return np.array([s for s in z[kept] if region.contains(s)], dtype=complex)
 
 
 def _collect_records(mapobj, evaluator, roots: np.ndarray, region: Rect,
@@ -355,27 +374,121 @@ def petal_directions(mapobj, at: complex, period: int = 1, *,
         f"no normal-form coefficient above {coeff_tol} up to order {max_order}")
 
 
+@dataclass(frozen=True)
+class PetalJet:
+    """Taylor data of g(u) = f^p(z0 + u) - z0 = g0 + lam u + A u^2 + T(u).
+
+    |T(u)| <= K |u|^3 on |u| <= rho, and one floating-point step of f^p from
+    z0 + u, |u| <= rho, is within `slack` of the exact one.
+    """
+
+    g0: complex
+    lam: complex
+    A: complex
+    rho: float
+    K: float
+    slack: float
+
+
+def _petal_jet(spec: MapSpec, z0: complex, period: int) -> PetalJet | None:
+    """The jet of f^p at z0, with the smallest K over the radii PETAL_RADII.
+
+    g0, lam and A come from the chain rule along the orbit w_0 = z0, ...,
+    w_p, using f' = f'' = a e^z =: c_k at w_k.  For |v| <= B_k,
+    f(w_k + v) - f(w_k) = c_k (e^v - 1), so B_0 = rho and
+    B_(k+1) = |c_k| expm1(B_k) bound |f^k(z0 + u) - w_k| on |u| <= rho, and
+    T(u)/u^3, holomorphic there, is at most K = (B_p + |lam| rho +
+    |A| rho^2) / rho^3 by the maximum principle.  The rounding slack allows
+    ROUNDING_ULPS ulps of each iterate's terms |c_k| e^(B_k) and
+    |w_(k+1)| + B_(k+1), carried to w_p by the later factors |c_j| e^(B_j).
+    None when the orbit overflows or no radius gives a finite K.
+    """
+    w, lam, d2, factors = complex(z0), 1.0 + 0.0j, 0.0j, []
+    try:
+        for _ in range(period):
+            c = spec.a * cmath.exp(w)
+            lam, d2 = c * lam, c * (lam * lam + d2)
+            w = c + spec.b
+            factors.append((abs(c), abs(w)))
+    except OverflowError:
+        return None
+    A = d2 / 2.0
+    rho = np.array(PETAL_RADII)
+    bound, error = rho.copy(), np.zeros_like(rho)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for c, w_mod in factors:
+            grown = c * np.exp(bound)      # |f'| over the disk of radius B_k
+            bound = c * np.expm1(bound)
+            error = grown * error + grown + w_mod + bound
+        K = (bound + abs(lam) * rho + abs(A) * rho ** 2) / rho ** 3
+    K = np.where(np.isfinite(K) & np.isfinite(error), K, np.inf)
+    i = int(np.argmin(K))
+    if not math.isfinite(K[i]) or A == 0:
+        return None
+    slack = float(ROUNDING_ULPS * np.finfo(float).eps * error[i])
+    return PetalJet(w - z0, lam, A, float(rho[i]), float(K[i]), slack)
+
+
+def _captured(jet: PetalJet, u: np.ndarray, left: int, d0: np.ndarray) -> np.ndarray:
+    """Lanes at z0 + u with `left` steps to go that provably pass the probe test.
+
+    In the Fatou coordinate W = -1/(A u) one step is W -> W + 1 + eps, and
+    with e = |g0| + slack + |lam - 1| r + K r^3 for |u| = r <= rho,
+    |eps| <= (e/(|A| r^2) + |A| r + e/r) / (1 - |A| r - e/r).  Let
+    r_max = 1/(|A| Re W) and r_min = 1/(|A| (|W| + 1.5 left)).  If that
+    bound is at most 1/2 on [r_min, r_max] (decreasing terms at r_min,
+    increasing ones at r_max), then by induction Re W grows by at least
+    1/2 and |W| by at most 3/2 per step, so every later |u| lies in
+    [r_min, r_max].  A lane is captured when moreover r_max <= min(10 d0,
+    rho) and the final |u| <= 1/(|A| (Re W + left/2)) is below d0/2, both
+    with the slack added: it never leaves 10 d0 and ends within d0/2.
+    """
+    a = abs(jet.A)
+    e0, e1, K = abs(jet.g0) + jet.slack, abs(jet.lam - 1.0), jet.K
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        W = -1.0 / (jet.A * u)
+        r_max = 1.0 / (a * W.real)
+        r_min = 1.0 / (a * (np.abs(W) + 1.5 * left))
+        grow = a * r_max + K * r_max ** 2
+        den = 1.0 - grow - e0 / r_min - e1
+        num = (e0 / (a * r_min ** 2) + e1 / (a * r_min) + K * r_max / a + grow
+               + e0 / r_min + e1)
+        final = 1.0 / (a * (W.real + 0.5 * left))
+    return ((W.real > 0.0) & (r_max + jet.slack <= np.minimum(10.0 * d0, jet.rho))
+            & (final + jet.slack < 0.5 * d0) & (den > 0.0) & (num <= 0.5 * den))
+
+
 def probe_virtual_points(mapobj, fan: PetalFan, period: int = 1, *,
                          step: float = 0.1, iters: int = 4000) -> list[complex]:
     """Attracting directions whose probe orbit converges to the parabolic point.
 
-    Convergence along a parabolic direction is algebraic, so the criterion
-    is a decreasing trend rather than a small final distance.
+    Each direction's probe starts at distance d0 = `step` from the point and
+    passes when its `iters` steps never go beyond 10 d0 and end below
+    d0/2: convergence along a parabolic direction is algebraic, so the test
+    is a decreasing trend rather than a small final distance.  All
+    directions walk as lanes, one evaluation per step for the lanes still
+    walking.  For a MapSpec with a simple petal (m = 1), a lane stops early
+    once `_captured` certifies, by the Fatou coordinate and the closed-form
+    jet `_petal_jet`, that the rest of its walk would pass; it is checked at
+    steps 0, 1, 2, 4, 8, ...  Other lanes walk all `iters` steps.
     """
     fn = _map_arrays(mapobj, period)
-    confirmed = []
-    for direction in fan.attracting_dirs:
-        z = fan.at + step * direction
-        d0 = abs(z - fan.at)
-        ok = True
-        dist = d0
-        for _ in range(iters):
-            w, _ = fn(np.array([z]))
-            z = complex(w[0])
-            dist = abs(z - fan.at)
-            if not math.isfinite(dist) or dist > 10.0 * d0:
-                ok = False
-                break
-        if ok and dist < 0.5 * d0:
-            confirmed.append(direction)
-    return confirmed
+    jet = (_petal_jet(mapobj, fan.at, period)
+           if isinstance(mapobj, MapSpec) and fan.m == 1 else None)
+    z = fan.at + step * np.array(fan.attracting_dirs, dtype=complex)
+    d0 = np.abs(z - fan.at)
+    confirmed = np.zeros(len(z), dtype=bool)
+    live = np.arange(len(z))
+    for k in range(iters):
+        if jet is not None and not k & (k - 1):
+            done = _captured(jet, z[live] - fan.at, iters - k, d0[live])
+            confirmed[live[done]] = True
+            live = live[~done]
+        if not len(live):
+            break
+        w, _ = fn(z[live])
+        z[live] = w
+        dist = np.abs(w - fan.at)
+        live = live[np.isfinite(dist) & (dist <= 10.0 * d0[live])]
+    confirmed[live] = np.abs(z[live] - fan.at) < 0.5 * d0[live]
+    return [fan.attracting_dirs[i] for i in np.flatnonzero(confirmed)]

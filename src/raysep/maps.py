@@ -20,6 +20,7 @@ from .errors import BranchResolutionFailure, OnCut, Overflow
 OVERFLOW_RE = 690.0          # exp argument guard
 OVERFLOW_MAG = 1e300         # magnitude guard
 BAND_EDGE_TOL = 1e-9
+LOG_FLOOR = 1e-300           # branch_log raises OnCut below this modulus
 
 
 @dataclass(frozen=True)
@@ -165,7 +166,7 @@ def branch_log(v, j, cut: CutGeometry, strict: bool = False):
     """
     v = np.asarray(v, dtype=complex)
     rho = np.abs(v)
-    if np.any(rho < 1e-300):
+    if np.any(rho < LOG_FLOOR):
         raise OnCut("logarithm input too close to 0")
     y0 = np.angle(v)
     hi = cut.phi(rho) + 2.0 * np.pi * j

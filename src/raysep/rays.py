@@ -193,7 +193,7 @@ class PullbackWalk:
         """
         symbols = [frozenset(address.symbols()) for address in self.addresses]
         sets = list(dict.fromkeys(symbols))
-        radii = dict(zip(sets, _expansion_radii(self.spec, self.setup, sets)))
+        radii = dict(zip(sets, _expansion_radii(self.setup, sets)))
         for s in sets:
             if radii[s] is None:
                 raise _not_validated(s)

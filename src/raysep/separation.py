@@ -335,7 +335,7 @@ def counting_contour(spec: MapSpec, setup: StructuralSetup, domains,
                     key=lambda l: l.j)
     if R is None:
         R = setup.expansion_radius
-    report = validate_expansion_radius(spec, setup, labels, R)
+    report = validate_expansion_radius(setup, labels, R)
     if not report.ok:
         raise ExpansionNotValidated(
             f"expansion radius {R} not valid for the collection "
@@ -783,7 +783,7 @@ def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
             continue
         candidates.append((rec, Address.cycle([setup.band_index(z) for z in orbit])))
     addresses = list(dict.fromkeys(a for _rec, a in candidates))
-    radii = _expansion_radii(spec, setup, [a.period for a in addresses])
+    radii = _expansion_radii(setup, [a.period for a in addresses])
     validated = [a for a, R in zip(addresses, radii) if R is not None]
     traced = dict(zip(validated, trace_ray(spec, setup, validated))) if validated else {}
 

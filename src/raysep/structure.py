@@ -17,7 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import CHUNK_ELEMENTS, ParamCurve, min_segment_distance
+from .curves import ParamCurve, min_segment_distance
 from .errors import (
     DeltaBlocked,
     ExpansionNotValidated,
@@ -182,9 +182,10 @@ def choose_delta(spec: MapSpec, bbox: Rect, resolution: float, radius: float,
     Of DELTA_ANGLES rays, scanned by distance from pi so that ties prefer
     the negative real direction, the first of largest clearance wins: 0 if
     the ray meets the tract set, else the least distance from its probes to
-    the tract boundaries.  All rays are evaluated in chunks of about
-    CHUNK_ELEMENTS samples.  Its first sample, one of its probes, bounds a
-    ray's clearance, so only a ray whose bound beats the best is probed.
+    the tract boundaries.  A ray's first sample radius e^(i theta) is one
+    of its probes, so its distance to the boundaries bounds the clearance;
+    one call gives every ray's bound, and only a ray whose bound beats the
+    best so far is sampled, tested against the tract set and probed.
     """
     offsets = np.arange(DELTA_ANGLES) * (2.0 * np.pi / DELTA_ANGLES)
     thetas = [th for th in sorted((math.pi + o for o in offsets),
@@ -192,21 +193,15 @@ def choose_delta(spec: MapSpec, bbox: Rect, resolution: float, radius: float,
               if _box_exit_radius(bbox, th) > radius * 1.05]
     a = np.concatenate([t.boundary.z[:-1] for t in tracts] or [np.empty(0, complex)])
     b = np.concatenate([t.boundary.z[1:] for t in tracts] or [np.empty(0, complex)])
-    # a ray has at most 2 * corner_radius / resolution samples
-    rows = max(1, int(CHUNK_ELEMENTS * resolution / (2.0 * bbox.corner_radius())))
-    blocked, first = np.zeros(len(thetas), dtype=bool), np.zeros(len(thetas), dtype=complex)
-    for lo in range(0, len(thetas), rows):
-        rays = [_delta_ray(bbox, resolution, radius, th)[1] for th in thetas[lo:lo + rows]]
-        mods = np.abs(spec.evaluate_array(np.concatenate(rays), 1))
-        starts = np.cumsum([0] + [len(z) for z in rays[:-1]])
-        blocked[lo:lo + rows] = np.maximum.reduceat(mods, starts) > radius
-        first[lo:lo + rows] = [z[0] for z in rays]
-    bound = np.zeros(len(thetas))
-    bound[~blocked] = min_segment_distance(first[~blocked], a, b)
+    bound = min_segment_distance(radius * np.exp(1j * (np.array(thetas) % (2 * np.pi))), a, b)
     best_theta, best_clear = None, -1.0
-    for theta, clear, hit in zip(thetas, bound, blocked):
-        if clear > best_clear + 1e-12 and not hit:
-            pts = _delta_ray(bbox, resolution, radius, theta)[1]
+    for theta, clear in zip(thetas, bound):
+        if clear <= best_clear + 1e-12:
+            continue
+        pts = _delta_ray(bbox, resolution, radius, theta)[1]
+        if np.any(np.abs(spec.evaluate_array(pts, 1)) > radius):
+            clear = 0.0
+        else:
             clear = min_segment_distance(pts[:: max(len(pts) // 64, 1)], a, b).min()
         if clear > best_clear + 1e-12:
             best_clear, best_theta = clear, theta
@@ -309,11 +304,10 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
         branch_context=ctx, strip_cut=strip_cut,
     )
     if expansion_radius == "auto":
-        setup.expansion_radius = select_expansion_radius(
-            spec, setup, setup.domain_labels())
+        setup.expansion_radius = select_expansion_radius(setup, setup.domain_labels())
     else:
         setup.expansion_radius = float(expansion_radius)
-        report = validate_expansion_radius(spec, setup, setup.domain_labels(),
+        report = validate_expansion_radius(setup, setup.domain_labels(),
                                            setup.expansion_radius)
         if not report.ok:
             raise ExpansionNotValidated(
@@ -389,8 +383,8 @@ def _preimage_bounds(setup: StructuralSetup, bands, R: float) -> np.ndarray:
     return np.hypot(max(abs(math.log(lo)), abs(math.log(hi))), y)
 
 
-def validate_expansion_radius(spec: MapSpec, setup: StructuralSetup,
-                              domains, R: float) -> ExpansionReport:
+def validate_expansion_radius(setup: StructuralSetup, domains,
+                              R: float) -> ExpansionReport:
     """Check that every domain's inverse branch maps the circle |w| = R inside it.
 
     The margin is R minus the largest closed-form bound `_preimage_bounds`
@@ -407,8 +401,7 @@ def validate_expansion_radius(spec: MapSpec, setup: StructuralSetup,
     return ExpansionReport(bool(margin > 0.0), margin, labels[i].j)
 
 
-def _expansion_radii(spec: MapSpec, setup: StructuralSetup,
-                     label_sets) -> list[float | None]:
+def _expansion_radii(setup: StructuralSetup, label_sets) -> list[float | None]:
     """Per label set, the first radius, doubling, at which all its labels pass.
 
     All sets move through R, 2R, ... together, from `setup.expansion_radius`
@@ -443,15 +436,14 @@ def _not_validated(domains) -> ExpansionNotValidated:
         f"{sorted(lb.j for lb in _distinct_labels(domains))}")
 
 
-def select_expansion_radius(spec: MapSpec, setup: StructuralSetup,
-                            domains) -> float:
+def select_expansion_radius(setup: StructuralSetup, domains) -> float:
     """The first radius, doubling, at which every label's expansion check passes.
 
     The search of `_expansion_radii` for one label set.  Raises
     ExpansionNotValidated, naming the bands, when no R up to EXPANSION_CAP
     passes.
     """
-    (R,) = _expansion_radii(spec, setup, [domains])
+    (R,) = _expansion_radii(setup, [domains])
     if R is None:
         raise _not_validated(domains)
     return R

@@ -1,13 +1,23 @@
 """Periodic point search, classification, forced landing, petals."""
 
+import cmath
+import dataclasses
+import math
+
 import numpy as np
 import pytest
+from hypothesis import assume, example, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import raysep.fixedpoints
-from raysep.errors import DegenerateExpansion, DomainMeetsDisk, InconsistentRadius, NotParabolic
+from raysep.errors import (DegenerateExpansion, DomainMeetsDisk, InconsistentRadius, NotParabolic,
+                           OnCut)
 from raysep.fixedpoints import (
+    PetalFan,
     _auto_multiplicity,
+    _newton_sweep,
+    _petal_jet,
     classify_multiplier,
     find_fixed_in_domain,
     find_periodic_points,
@@ -218,3 +228,197 @@ class TestPetals:
         fan = petal_directions(lambda z: z + z ** 3, 0.0)
         confirmed = probe_virtual_points(lambda z: z + z ** 3, fan, step=0.05)
         assert len(confirmed) == 2
+
+
+def reference_probe(mapobj, fan, period=1, step=0.1, iters=4000):
+    """The probe test walked in full, one direction and one point at a time."""
+    fn = raysep.fixedpoints._map_arrays(mapobj, period)
+    confirmed = []
+    for direction in fan.attracting_dirs:
+        z = fan.at + step * direction
+        d0 = abs(z - fan.at)
+        ok, dist = True, d0
+        for _ in range(iters):
+            w, _ = fn(np.array([z]))
+            z = complex(w[0])
+            dist = abs(z - fan.at)
+            if not math.isfinite(dist) or dist > 10.0 * d0:
+                ok = False
+                break
+        if ok and dist < 0.5 * d0:
+            confirmed.append(direction)
+    return confirmed
+
+
+def parabolic_map(b):
+    """e^(-1-b) e^z + b: parabolic fixed point 1 + b with multiplier 1 and m = 1."""
+    return exp_map(cmath.exp(-1.0 - b), b)
+
+
+@pytest.fixture
+def probe_calls(monkeypatch):
+    """Counts MapSpec.derivative_array calls and records each certificate mask."""
+    calls, masks = [0], []
+    derivative_array = MapSpec.derivative_array
+    captured = raysep.fixedpoints._captured
+
+    def counted(self, z, period=1):
+        calls[0] += 1
+        return derivative_array(self, z, period)
+
+    def recorded(*args):
+        masks.append(captured(*args))
+        return masks[-1]
+    monkeypatch.setattr(MapSpec, "derivative_array", counted)
+    monkeypatch.setattr(raysep.fixedpoints, "_captured", recorded)
+    return calls, masks
+
+
+class TestVirtualProbe:
+    @settings(max_examples=12, deadline=None)
+    @given(b=st.complex_numbers(max_magnitude=2.5), period=st.sampled_from([1, 2]))
+    @example(b=0j, period=1)
+    @example(b=0j, period=2)
+    def test_certified_probe_equals_full_walk(self, b, period):
+        spec, z0 = parabolic_map(b), 1.0 + b
+        fan = petal_directions(spec, z0, period)
+        expected = reference_probe(spec, fan, period)
+        calls = []
+        derivative_array = MapSpec.derivative_array
+
+        def counted(self, z, p=1):
+            calls.append(np.size(z))
+            return derivative_array(self, z, p)
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(MapSpec, "derivative_array", counted)
+            confirmed = probe_virtual_points(spec, fan, period)
+        assert confirmed == expected and len(expected) == 1
+        assert len(calls) < 100
+
+    @pytest.mark.parametrize("iters", [0, 1, 5, 15, 25, 100])
+    def test_short_walks_equal_full_walk(self, iters):
+        # from d0 = 0.1 the probe comes within d0/2 after about 20 steps
+        spec = parse_map("exp(1/e)")
+        fan = petal_directions(spec, 1.0)
+        expected = reference_probe(spec, fan, iters=iters)
+        assert probe_virtual_points(spec, fan, iters=iters) == expected
+        assert len(expected) == (iters >= 25)
+
+    def test_repelling_direction_confirms_nothing(self, probe_calls):
+        spec = parse_map("exp(1/e)")
+        fan = PetalFan(1.0 + 0j, 1, (1.0 + 0j,), (-1.0 + 0j,), 0.5 + 0j)
+        assert reference_probe(spec, fan) == []
+        calls, masks = probe_calls
+        calls[0] = 0
+        assert probe_virtual_points(spec, fan) == []
+        assert masks and not any(m.any() for m in masks)
+
+    def test_near_parabolic_point_confirms_nothing(self, probe_calls):
+        # lam e^(-lam) e^z has the repelling fixed point lam with multiplier
+        # lam = 1.04; the probe settles at the attracting fixed point ~0.08 away
+        lam = 1.04
+        spec = exp_map(lam * math.exp(-lam))
+        fan = PetalFan(lam + 0j, 1, (-1.0 + 0j,), (1.0 + 0j,), lam / 2 + 0j)
+        assert reference_probe(spec, fan) == []
+        calls, masks = probe_calls
+        calls[0] = 0
+        assert probe_virtual_points(spec, fan) == []
+        assert calls[0] == 4000 and not any(m.any() for m in masks)
+
+    def test_two_petals_walk_in_full(self, probe_calls):
+        # a MapSpec point with m = 2 gets no certificate
+        spec = parse_map("exp(1/e)")
+        fan = PetalFan(1.0 + 0j, 2, (-1.0 + 0j, 1j), (1.0 + 0j, -1j), 0.5 + 0j)
+        expected = reference_probe(spec, fan)
+        calls, masks = probe_calls
+        calls[0] = 0
+        assert probe_virtual_points(spec, fan) == expected
+        assert not masks and calls[0] == 4000
+
+    @settings(max_examples=40, deadline=None)
+    @given(a=st.builds(cmath.rect, st.floats(0.05, 3.0), st.floats(-math.pi, math.pi)),
+           b=st.complex_numbers(max_magnitude=2),
+           z0=st.complex_numbers(max_magnitude=2),
+           period=st.sampled_from([1, 2]))
+    @example(a=1 / math.e, b=0j, z0=1 + 0j, period=1)
+    def test_cauchy_constant_covers_the_remainder(self, a, b, z0, period):
+        spec = exp_map(a, b)
+        jet = _petal_jet(spec, z0, period)
+        assume(jet is not None)
+        u = jet.rho * np.exp(2j * np.pi * np.arange(4096) / 4096)
+        g = spec.evaluate_array(z0 + u, period) - z0
+        remainder = g - jet.g0 - jet.lam * u - jet.A * u * u
+        scale = np.max(np.abs(g)) + abs(jet.g0) + abs(jet.lam) * jet.rho
+        assert np.max(np.abs(remainder)) <= jet.K * jet.rho ** 3 + 1e-12 * scale
+
+
+def reference_newton_sweep(evaluator, seeds, iters=64, blowup=1e8):
+    """Newton with every lane evaluated at every iteration, dead or alive."""
+    z = seeds.astype(complex).copy()
+    alive = np.ones(z.shape, dtype=bool)
+    for _ in range(iters):
+        if not np.any(alive):
+            break
+        w, dw = evaluator(z)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            step = np.where(np.abs(dw - 1.0) > 1e-14, (w - z) / (dw - 1.0), 0.0)
+        bad = ~np.isfinite(step.real) | ~np.isfinite(step.imag) | (np.abs(z) > 1e8)
+        alive &= ~bad
+        z = np.where(alive, z - step, z)
+        alive &= ~(np.abs(step) < 1e-13 * (1.0 + np.abs(z)))
+    return z
+
+
+def reference_domain_seeds(setup, region):
+    """Each domain's branch iterated from its anchor on its own."""
+    seeds = []
+    for dom in setup.domains:
+        z = dom.anchor
+        try:
+            for _ in range(200):
+                nz = complex(setup.pull_back(z, dom.label))
+                if abs(nz - z) < 1e-12:
+                    break
+                z = nz
+            seeds.append(z)
+        except OnCut:
+            continue
+    return np.array([s for s in seeds if region.contains(s)], dtype=complex)
+
+
+class TestLiveLanes:
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_newton_sweep_evaluates_only_live_lanes(self, period):
+        spec = exp_map(-5)
+        seeds = raysep.fixedpoints._seed_grid(Rect(-9, 7.5, -13, 13), 64)
+        sizes = []
+
+        def evaluator(z):
+            sizes.append(len(z))
+            return spec.derivative_array(z, period)
+        roots = _newton_sweep(evaluator, seeds)
+        expected = reference_newton_sweep(lambda z: spec.derivative_array(z, period), seeds)
+        assert roots.tobytes() == expected.tobytes()
+        assert sizes[0] == len(seeds) and sum(sizes) < len(seeds) * len(sizes) / 2
+
+    @pytest.mark.parametrize("spec, box", [
+        (exp_map(0.3), Rect(-4, 10, -17, 17)),
+        (exp_map(-5), Rect(-9, 7.5, -13, 13)),
+        (exp_map(0.5, -0.5), Rect(-4, 9, -12, 12)),
+    ])
+    def test_domain_seeds_equal_per_domain_walks(self, spec, box):
+        setup = structural_setup(spec, box, 0.12)
+        for region in (box, Rect(-1, 5, -8, 8)):
+            seeds = raysep.fixedpoints._domain_seeds(setup, region)
+            assert seeds.tobytes() == reference_domain_seeds(setup, region).tobytes()
+
+    def test_domain_at_the_singularity_is_dropped(self):
+        # an anchor at b is where the branch's logarithm raises OnCut
+        setup = structural_setup(exp_map(0.3), Rect(-4, 10, -17, 17), 0.1)
+        domains = list(setup.domains)
+        domains[1] = dataclasses.replace(domains[1], anchor=0j)
+        setup = dataclasses.replace(setup, domains=domains)
+        everywhere = Rect(-100, 100, -100, 100)
+        seeds = raysep.fixedpoints._domain_seeds(setup, everywhere)
+        assert len(seeds) == len(domains) - 1
+        assert seeds.tobytes() == reference_domain_seeds(setup, everywhere).tobytes()

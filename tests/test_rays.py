@@ -472,7 +472,7 @@ class TestAnchorRadius:
         setup = structural_setup(spec, Rect(-9, 7.5, -13, 13), 0.12)
         E = setup.expansion_radius
         assert E == 25.0
-        validate_expansion_radius(spec, setup, [BranchLabel(0, -1), BranchLabel(0, 0)], E)
+        validate_expansion_radius(setup, [BranchLabel(0, -1), BranchLabel(0, 0)], E)
         trace_ray(spec, setup, Address.parse("|2,15"))
         # band 2 passed at E when the setup was built; the far band 15 needs a
         # larger radius, which must not become band 2's

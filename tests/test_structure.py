@@ -12,7 +12,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import raysep.structure
-from raysep.curves import ParamCurve
+from raysep.curves import ParamCurve, min_segment_distance
 from raysep.errors import DeltaBlocked, ExpansionNotValidated, OrbitLeftTracts, OutsideTract
 from raysep.maps import BranchLabel, CutGeometry, exp_map, parse_map
 from raysep.structure import (
@@ -123,8 +123,46 @@ def choose_delta_reference(spec, bbox, resolution, radius, tracts):
     return ParamCurve(*ray(best_theta))
 
 
+def choose_delta_chunked_reference(spec, bbox, resolution, radius, tracts):
+    """The chunked scan: every ray sampled, evaluated and bounded before ranking.
+
+    Rays are evaluated in chunks of about 4,096 samples; the distance of a
+    ray's first sample to the tract boundaries bounds its clearance, so only
+    an unblocked ray whose bound beats the best is probed.
+    """
+    offsets = np.arange(360) * (2.0 * np.pi / 360)
+    thetas = [th for th in sorted((math.pi + o for o in offsets),
+                                  key=lambda th: abs(math.remainder(th - math.pi, 2.0 * math.pi)))
+              if raysep.structure._box_exit_radius(bbox, th) > radius * 1.05]
+    a = np.concatenate([t.boundary.z[:-1] for t in tracts] or [np.empty(0, complex)])
+    b = np.concatenate([t.boundary.z[1:] for t in tracts] or [np.empty(0, complex)])
+    rows = max(1, int(4096 * resolution / (2.0 * bbox.corner_radius())))
+    blocked, first = np.zeros(len(thetas), dtype=bool), np.zeros(len(thetas), dtype=complex)
+    for lo in range(0, len(thetas), rows):
+        rays = [raysep.structure._delta_ray(bbox, resolution, radius, th)[1]
+                for th in thetas[lo:lo + rows]]
+        mods = np.abs(spec.evaluate_array(np.concatenate(rays), 1))
+        starts = np.cumsum([0] + [len(z) for z in rays[:-1]])
+        blocked[lo:lo + rows] = np.maximum.reduceat(mods, starts) > radius
+        first[lo:lo + rows] = [z[0] for z in rays]
+    bound = np.zeros(len(thetas))
+    bound[~blocked] = min_segment_distance(first[~blocked], a, b)
+    best_theta, best_clear = None, -1.0
+    for theta, clear, hit in zip(thetas, bound, blocked):
+        if clear > best_clear + 1e-12 and not hit:
+            pts = raysep.structure._delta_ray(bbox, resolution, radius, theta)[1]
+            clear = min_segment_distance(pts[:: max(len(pts) // 64, 1)], a, b).min()
+        if clear > best_clear + 1e-12:
+            best_clear, best_theta = clear, theta
+    if best_theta is None or best_clear < resolution:
+        raise DeltaBlocked(f"best clearance {best_clear:.3g} below resolution {resolution}")
+    return ParamCurve(*raysep.structure._delta_ray(bbox, resolution, radius, best_theta))
+
+
 def assert_same_delta(spec, box, resolution, radius=None, tracts=None):
-    """choose_delta gives the reference's delta bit for bit, or its DeltaBlocked.
+    """choose_delta gives the references' delta bit for bit, or their DeltaBlocked.
+
+    The references are the per-angle scan and the chunked scan.
 
     Returns the delta, or None when both raised.  The tracts default to the
     map's own.
@@ -137,12 +175,14 @@ def assert_same_delta(spec, box, resolution, radius=None, tracts=None):
     try:
         expected = choose_delta_reference(spec, bbox, resolution, radius, tracts)
     except DeltaBlocked as exc:
-        with pytest.raises(DeltaBlocked, match=re.escape(str(exc))):
-            choose_delta(spec, bbox, resolution, radius, tracts)
+        for scan in (choose_delta_chunked_reference, choose_delta):
+            with pytest.raises(DeltaBlocked, match=re.escape(str(exc))):
+                scan(spec, bbox, resolution, radius, tracts)
         return None
-    delta = choose_delta(spec, bbox, resolution, radius, tracts)
-    assert np.array_equal(delta.t, expected.t)
-    assert np.array_equal(delta.z, expected.z)
+    for scan in (choose_delta_chunked_reference, choose_delta):
+        delta = scan(spec, bbox, resolution, radius, tracts)
+        assert np.array_equal(delta.t, expected.t)
+        assert np.array_equal(delta.z, expected.z)
     return delta
 
 
@@ -355,7 +395,7 @@ class TestAddresses:
 class TestExpansionRadius:
     def test_known_failure_at_ten(self, setup03):
         labels = [setup03.domain_by_band(j).label for j in (-1, 0, 1)]
-        report = validate_expansion_radius(setup03.spec, setup03, labels, 10.0)
+        report = validate_expansion_radius(setup03, labels, 10.0)
         assert not report.ok
         # preimages live on Re = ln(R/0.3); the worst reaches just past R
         worst = math.hypot(math.log(10.0 / 0.3), 3 * math.pi)
@@ -363,19 +403,19 @@ class TestExpansionRadius:
 
     def test_passes_at_twenty_with_expected_margin(self, setup03):
         labels = [setup03.domain_by_band(j).label for j in (-1, 0, 1)]
-        report = validate_expansion_radius(setup03.spec, setup03, labels, 20.0)
+        report = validate_expansion_radius(setup03, labels, 20.0)
         assert report.ok
         worst = math.hypot(math.log(20.0 / 0.3), 3 * math.pi)
         assert report.margin == pytest.approx(20.0 - worst, abs=1e-3)
 
     def test_vacuous_for_empty_collection(self, setup03):
-        report = validate_expansion_radius(setup03.spec, setup03, [], 5.0)
+        report = validate_expansion_radius(setup03, [], 5.0)
         assert report.ok
 
     def test_monotone_under_doubling(self, setup03):
         labels = [setup03.domain_by_band(j).label for j in (-1, 0, 1)]
         for R in (20.0, 40.0, 80.0):
-            assert validate_expansion_radius(setup03.spec, setup03, labels, R).ok
+            assert validate_expansion_radius(setup03, labels, R).ok
 
     def test_no_radius_up_to_the_cap(self, monkeypatch):
         monkeypatch.setattr(raysep.structure, "EXPANSION_CAP", 1.0)
@@ -392,12 +432,11 @@ class TestExpansionRadius:
     def test_radius_inside_the_disk_rejected(self, setup03):
         labels = [setup03.domain_by_band(0).label]
         with pytest.raises(ValueError, match="R must exceed the disk radius"):
-            validate_expansion_radius(setup03.spec, setup03, labels, setup03.disk.radius)
+            validate_expansion_radius(setup03, labels, setup03.disk.radius)
 
     def test_setup_auto_radius_is_validated(self, setup03):
         report = validate_expansion_radius(
-            setup03.spec, setup03, setup03.domain_labels(),
-            setup03.expansion_radius)
+            setup03, setup03.domain_labels(), setup03.expansion_radius)
         assert report.ok
 
 
@@ -449,7 +488,7 @@ def reference_radius(setup, labels):
     """Sequential doubling search for one label set; None past the cap."""
     R = setup.expansion_radius
     while R <= raysep.structure.EXPANSION_CAP:
-        if validate_expansion_radius(setup.spec, setup, labels, R).ok:
+        if validate_expansion_radius(setup, labels, R).ok:
             return R
         R *= 2.0
     return None
@@ -484,7 +523,7 @@ class TestExpansionRows:
         bound = raysep.structure._preimage_bounds(setup, js, R)
         sampled = reference_validate(setup, labels, R)
         assert np.all(np.abs(bound - sampled) <= 1e-9 * R)
-        report = validate_expansion_radius(setup.spec, setup, labels, R)
+        report = validate_expansion_radius(setup, labels, R)
         i = int(np.argmax(bound))
         assert report.margin == R - bound[i] and report.worst_band == js[i]
         assert report.ok == bool(np.all(bound < R))
@@ -494,7 +533,7 @@ class TestExpansionRows:
     def test_bulk_search_equals_sequential_search(self, k, sets):
         setup = fresh_setup(k)
         label_sets = [[BranchLabel(0, j) for j in js] for js in sets]
-        radii = raysep.structure._expansion_radii(setup.spec, setup, label_sets)
+        radii = raysep.structure._expansion_radii(setup, label_sets)
         assert radii == [reference_radius(setup, labels) for labels in label_sets]
 
     def test_bound_covers_a_cut_with_an_inner_extreme(self):
@@ -518,12 +557,12 @@ class TestExpansionRows:
         setup = fresh_setup(0)
         far = [BranchLabel(0, 0), BranchLabel(0, 100000)]
         label_sets = [[BranchLabel(0, 1)], far, [BranchLabel(0, 40)]]
-        radii = raysep.structure._expansion_radii(setup.spec, setup, label_sets)
+        radii = raysep.structure._expansion_radii(setup, label_sets)
         assert radii[1] is None
         assert radii == [reference_radius(setup, labels) for labels in label_sets]
         with pytest.raises(ExpansionNotValidated,
                            match=re.escape("up to 1e+06 valid for bands [0, 100000]")):
-            select_expansion_radius(setup.spec, setup, far + far[:1])
+            select_expansion_radius(setup, far + far[:1])
 
     def test_anchors_raise_for_the_first_failing_set(self):
         from raysep.rays import Address, trace_ray
