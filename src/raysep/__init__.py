@@ -24,8 +24,8 @@ from .fixedpoints import (
     find_periodic_points,
     petal_directions,
 )
-from .maps import BranchLabel, MapSpec, exp_map, inverse_branch, parse_map
-from .rays import Address, Ray, RayPair, detect_ray_pairs, fixed_rays, landing_point, trace_ray
+from .maps import BranchLabel, MapSpec, exp_map, parse_map
+from .rays import Address, Ray, RayPair, fixed_rays, landing_point, trace_ray
 from .separation import (
     BasicRegion,
     CountingContour,
@@ -41,8 +41,6 @@ from .separation import (
 from .structure import (
     Rect,
     StructuralSetup,
-    address_of_orbit,
-    lift_evaluate,
     structural_setup,
     validate_expansion_radius,
 )
@@ -53,11 +51,10 @@ __all__ = [
     "Address", "BasicRegion", "BranchLabel", "CountingContour",
     "FixedPointRecord", "IndexValue", "MapSpec", "ParamCurve", "PetalFan",
     "Ray", "RayGraph", "RayPair", "Rect", "SeparationReport",
-    "StructuralSetup", "address_of_orbit", "argument_principle_count",
-    "basic_regions", "build_ray_graph", "counting_contour",
-    "detect_ray_pairs", "exp_map", "find_fixed_in_domain",
-    "find_periodic_points", "fixed_rays", "global_count_check",
-    "inverse_branch", "landing_point", "lift_evaluate",
+    "StructuralSetup", "argument_principle_count", "basic_regions",
+    "build_ray_graph", "counting_contour", "exp_map",
+    "find_fixed_in_domain", "find_periodic_points", "fixed_rays",
+    "global_count_check", "landing_point",
     "modify_boundary_near_fixed_point", "multiplicity_at", "parse_map",
     "petal_directions", "refine_for_argument", "separation_report",
     "structural_setup", "subtraction_index", "trace_ray",

@@ -15,7 +15,7 @@ import itertools
 import json
 import math
 import sys
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
 
 from . import serialize
@@ -57,6 +57,11 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ScenarioConfig":
+        if not isinstance(data, dict):
+            raise ValueError("the config file is not a JSON object")
+        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        if unknown:
+            raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         kwargs = dict(data)
         if kwargs.get("bbox"):
             kwargs["bbox"] = tuple(float(v) for v in kwargs["bbox"])
@@ -180,7 +185,10 @@ def _domain_labels(config: ScenarioConfig, setup):
     if config.domains is None:
         return setup.domain_labels()
     lo, hi = config.domains
-    return [setup.domain_by_band(j).label for j in range(lo, hi + 1)]
+    try:
+        return [setup.domain_by_band(j).label for j in range(lo, hi + 1)]
+    except KeyError as exc:
+        raise ValueError(f"--domains {lo}..{hi}: {exc.args[0]}") from None
 
 
 def run(command: str, config: ScenarioConfig) -> int:

@@ -76,29 +76,13 @@ class Overflow(RaysepError):
 
 
 class OnCut(RaysepError):
-    """Point lies on the cut curve delta or inside the closed disk."""
-
-
-class BranchResolutionFailure(RaysepError):
-    """Band selection for an inverse branch is ambiguous at tolerance."""
+    """An inverse branch's logarithm met an input of modulus below LOG_FLOOR."""
 
 
 # --- structural setup ----------------------------------------------------------
 
 class DeltaBlocked(RaysepError):
     """No cut path from the disk to the box edge has enough clearance."""
-
-
-class OutsideTract(RaysepError):
-    """Point does not project into the tract required by the operation."""
-
-
-class OrbitLeftTracts(RaysepError):
-    """Forward orbit exited the tract union before the requested length."""
-
-    def __init__(self, iterate: int):
-        self.iterate = iterate
-        super().__init__(f"orbit left the tracts at iterate {iterate}")
 
 
 # --- rays ---------------------------------------------------------------------

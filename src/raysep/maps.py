@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .curves import ParamCurve
-from .errors import BranchResolutionFailure, OnCut, Overflow
+from .errors import OnCut, Overflow
 
 OVERFLOW_RE = 690.0          # exp argument guard
 OVERFLOW_MAG = 1e300         # magnitude guard
-BAND_EDGE_TOL = 1e-9
 LOG_FLOOR = 1e-300           # branch_log raises OnCut below this modulus
 
 
@@ -156,13 +155,12 @@ def _wrap_half_open(theta: float) -> float:
     return out
 
 
-def branch_log(v, j, cut: CutGeometry, strict: bool = False):
+def branch_log(v, j, cut: CutGeometry):
     """log(v) with the imaginary part selected into band j of the cut geometry.
 
     Returns an array, 0-d for a scalar `v`; `j` is an int or an integer
-    array that broadcasts against `v` (one band per lane).  In strict mode,
-    values whose selected argument sits within BAND_EDGE_TOL of a band edge
-    raise BranchResolutionFailure.
+    array that broadcasts against `v` (one band per lane).  Raises OnCut
+    when some |v| is below LOG_FLOOR.
     """
     v = np.asarray(v, dtype=complex)
     rho = np.abs(v)
@@ -176,10 +174,6 @@ def branch_log(v, j, cut: CutGeometry, strict: bool = False):
     # half-open interval (lo, hi]: ceil lands in [lo, lo+2pi); fix y == lo
     on_lo = y <= lo + 1e-15
     y = np.where(on_lo, y + 2.0 * np.pi, y)
-    if strict:
-        edge = np.minimum(np.abs(y - lo), np.abs(hi - y))
-        if np.any(edge < BAND_EDGE_TOL):
-            raise BranchResolutionFailure("argument within tolerance of a band edge")
     return np.log(rho) + 1j * y
 
 
@@ -195,7 +189,7 @@ class BranchContext:
     def __post_init__(self):
         self.cut = CutGeometry.from_delta(self.delta, self.spec)
 
-    def pull_back(self, w, label, strict: bool = False):
+    def pull_back(self, w, label):
         """Inverse branch of `label`: the logarithm of (w - b)/a in its band.
 
         `label` is one BranchLabel for all of `w`, or a sequence of
@@ -204,27 +198,7 @@ class BranchContext:
         """
         band = label.j if isinstance(label, BranchLabel) else np.array([lb.j for lb in label])
         z = np.asarray(w, dtype=complex)
-        return branch_log((z - self.spec.b) / self.spec.a, band, self.cut, strict)
-
-
-def inverse_branch(spec: MapSpec, w: complex, label: BranchLabel,
-                   delta_cut: ParamCurve, *, disk_radius: float | None = None,
-                   cut_tol: float = 1e-12) -> complex:
-    """The unique z in the fundamental domain of `label` with f(z) = w.
-
-    Preconditions: w outside the closed disk and at distance > cut_tol from
-    the cut curve.  For relaxed pullbacks (ray tracing into the disk) use
-    BranchContext.pull_back directly.
-    """
-    w = complex(w)
-    if disk_radius is None:
-        disk_radius = abs(complex(delta_cut.z[0]))
-    if abs(w) <= disk_radius + cut_tol:
-        raise OnCut(f"{w} lies in the closed disk of radius {disk_radius}")
-    if delta_cut.distance_to_point(w) <= cut_tol:
-        raise OnCut(f"{w} lies on the cut curve")
-    ctx = BranchContext(spec, delta_cut, disk_radius)
-    return complex(ctx.pull_back(w, label, strict=True))
+        return branch_log((z - self.spec.b) / self.spec.a, band, self.cut)
 
 
 # -- shorthand parsing ---------------------------------------------------------

@@ -500,8 +500,3 @@ def pairs_from_groups(rays: list[Ray], group: np.ndarray) -> list[RayPair]:
                   for i, k in itertools.combinations(np.flatnonzero(group == g), 2)]
     pairs.sort(key=lambda p: (p.common_landing.real, p.common_landing.imag))
     return pairs
-
-
-def detect_ray_pairs(rays: list[Ray], tol: float = PAIR_TOL) -> list[RayPair]:
-    """Group landed rays by common landing point; one RayPair per pair."""
-    return pairs_from_groups(rays, landing_groups(rays, tol)[1])

@@ -18,14 +18,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import ParamCurve, min_segment_distance
-from .errors import (
-    DeltaBlocked,
-    ExpansionNotValidated,
-    OrbitLeftTracts,
-    OutsideTract,
-    Overflow,
-)
-from .maps import BranchContext, BranchLabel, CutGeometry, MapSpec, branch_log, exp_map
+from .errors import DeltaBlocked, ExpansionNotValidated, Overflow
+from .maps import BranchContext, BranchLabel, CutGeometry, MapSpec
 
 DISK_SCALE = 1.25
 EXPANSION_CAP = 1e6
@@ -97,7 +91,6 @@ class StructuralSetup:
     bbox: Rect
     resolution: float
     branch_context: BranchContext
-    strip_cut: CutGeometry
 
     def domain_labels(self) -> list[BranchLabel]:
         return [d.label for d in self.domains]
@@ -108,8 +101,8 @@ class StructuralSetup:
                 return d
         raise KeyError(f"no fundamental domain with band {j} in the setup")
 
-    def pull_back(self, w, label: BranchLabel, strict: bool = False):
-        return self.branch_context.pull_back(w, label, strict)
+    def pull_back(self, w, label: BranchLabel):
+        return self.branch_context.pull_back(w, label)
 
     # -- membership helpers ------------------------------------------------
 
@@ -275,13 +268,16 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
     """Build disk, delta, tracts and fundamental domains inside the box.
 
     Fundamental-domain cutting relies on the closed-form inverse branch of
-    a e^z + b.  An explicit disk_radius must exceed the moduli of the
+    a e^z + b.  The resolution must be finite, > 0 and at most 5% of the
+    box diagonal, and an explicit disk_radius must exceed the moduli of the
     singular value b, of 0 and of f(0); otherwise ValueError is raised
     before any tract work.  An explicit expansion_radius that fails the
     expansion check raises ExpansionNotValidated, naming it and its margin.
     """
     if not isinstance(bbox, Rect):
         bbox = Rect(*bbox)
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
     if resolution > 0.05 * bbox.diagonal:
         raise ValueError("resolution must be at most 5% of the box diagonal")
     disk = auto_disk(spec, disk_radius)
@@ -295,13 +291,12 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
     reach = abs(spec.a) * math.exp(bbox.x1 + 2.0) + disk.radius
     delta_ext = extended_delta(delta, reach)
     ctx = BranchContext(spec, delta_ext, disk.radius)
-    strip_cut = CutGeometry.from_delta(delta_ext, exp_map(1.0))
 
     domains = _build_domains(spec, bbox, disk, delta_ext, ctx)
     setup = StructuralSetup(
         spec=spec, disk=disk, delta=delta, tracts=tracts, domains=domains,
         expansion_radius=0.0, bbox=bbox, resolution=resolution,
-        branch_context=ctx, strip_cut=strip_cut,
+        branch_context=ctx,
     )
     if expansion_radius == "auto":
         setup.expansion_radius = select_expansion_radius(setup, setup.domain_labels())
@@ -447,41 +442,3 @@ def select_expansion_radius(setup: StructuralSetup, domains) -> float:
     if R is None:
         raise _not_validated(domains)
     return R
-
-
-# -- lift and addresses ----------------------------------------------------------
-
-
-def lift_evaluate(spec: MapSpec, w_log: complex, label: BranchLabel,
-                  setup: StructuralSetup) -> complex:
-    """2*pi*i-periodic lift value at a log-plane point over the tract.
-
-    Satisfies exp(lift(w)) == f(exp(w)); the strip of the result is the band
-    index of the projected point, which makes the lift literally periodic,
-    lift(w + 2*pi*i) == lift(w).
-    """
-    z = np.exp(complex(w_log))
-    try:
-        w, _ = spec.evaluate(z, 1)
-    except Overflow as exc:
-        raise OutsideTract("projection escapes evaluation range") from exc
-    if abs(w) <= setup.disk.radius:
-        raise OutsideTract(f"exp({w_log}) is not in a tract")
-    j = setup.band_index(complex(z))
-    return complex(branch_log(w, j, setup.strip_cut))
-
-
-def address_of_orbit(spec: MapSpec, setup: StructuralSetup, z: complex,
-                     n: int) -> list[BranchLabel]:
-    """Length-n address prefix of the orbit of z through fundamental domains."""
-    if n < 1:
-        raise ValueError("n must be >= 1")
-    out = []
-    cur = complex(z)
-    for k in range(n):
-        if setup.image_modulus(cur) <= setup.disk.radius:
-            raise OrbitLeftTracts(k + 1)
-        out.append(BranchLabel(alpha=0, j=setup.band_index(cur)))
-        if k + 1 < n:
-            cur, _ = spec.evaluate(cur, 1)
-    return out

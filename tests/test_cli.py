@@ -103,6 +103,39 @@ class TestExitCodes:
         assert payload["error"] == "config"
         assert "--region-res" in payload["message"]
 
+    @pytest.mark.parametrize("args, config, named", [
+        (["setup"], {"map": "exp(0.3)", "colour": 1}, "colour"),
+        (["setup"], [1, 2], "not a JSON object"),
+        (["count", "--map", "exp(0.3)", "--domains=0..99", "--bbox=-4,10,-17,17"],
+         None, "band"),
+        (["rays", "--map", "exp(0.3)", "--domains=5..9", "--bbox=-4,10,-12,12"],
+         None, "band 5"),
+        (["setup", "--map", "exp(0.3)", "--bbox=-4,10,-12,12", "--res=0"], None,
+         "resolution"),
+        (["setup", "--map", "exp(0.3)", "--bbox=-4,10,-12,12", "--res=-0.1"], None,
+         "resolution"),
+        (["setup", "--map", "exp(0.3)", "--bbox=-4,10,-12,12", "--res=nan"], None,
+         "resolution"),
+    ], ids=["config-unknown-key", "config-list", "count-domains-out-of-range",
+            "rays-domains-out-of-range", "res-zero", "res-negative", "res-nan"])
+    def test_malformed_input_is_one_json_line(self, tmp_path, args, config, named):
+        # a fresh process, so an uncaught exception shows as exit 1 and a traceback
+        if config is not None:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(config))
+            args = args + ["--config", str(path)]
+        root = Path(__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(root / "src"))
+        done = subprocess.run([sys.executable, "-m", "raysep.cli", *args], env=env,
+                              cwd=tmp_path, capture_output=True, text=True)
+        assert done.returncode == EXIT_CONFIG, done.stderr
+        assert done.stdout == ""
+        assert "Traceback" not in done.stderr
+        (line,) = done.stderr.splitlines()
+        payload = json.loads(line)
+        assert payload["error"] == "config"
+        assert named in payload["message"]
+
     def test_broken_rays_counted_apart(self, capsys):
         # the band-0 fixed ray of 0.5 e^z + 0.2 runs into the asymptotic value
         code, out, err = run_cli(

@@ -20,10 +20,11 @@ from raysep.rays import (
     PullbackWalk,
     RayStatus,
     _limits,
-    detect_ray_pairs,
     fixed_rays,
+    landing_groups,
     landing_point,
     landings_at,
+    pairs_from_groups,
     same_landing,
     trace_ray,
 )
@@ -152,9 +153,9 @@ class TestLanding:
         calls = []
         pull_back = BranchContext.pull_back
 
-        def counted(self, w, label, strict=False):
+        def counted(self, w, label):
             calls.append(label)
-            return pull_back(self, w, label, strict)
+            return pull_back(self, w, label)
         monkeypatch.setattr(BranchContext, "pull_back", counted)
         ray = trace_ray(spec, setup, address)
         traced = len(calls)
@@ -515,11 +516,16 @@ class TestFixedRays:
                     assert np.min(np.abs(rays[k].z - z)) > 1e-3
 
 
+def ray_pairs(rays, tol=PAIR_TOL):
+    """One RayPair per two rays of a landing group (as the ray graph builds them)."""
+    return pairs_from_groups(rays, landing_groups(rays, tol)[1])
+
+
 class TestRayPairs:
     def test_no_pairs_for_positive_coefficient(self, setup03):
         domains = [setup03.domain_by_band(j) for j in (-2, -1, 0, 1, 2)]
         rays = fixed_rays(setup03.spec, setup03, domains, period=1)
-        assert detect_ray_pairs(rays) == []
+        assert ray_pairs(rays) == []
         landings = [r.landing for r in rays]
         for i in range(len(landings)):
             for k in range(i + 1, len(landings)):
@@ -529,7 +535,7 @@ class TestRayPairs:
         spec = setup_neg5.spec
         r01 = landing_point(spec, trace_ray(spec, setup_neg5, Address.cycle([0, 1])))
         r10 = landing_point(spec, trace_ray(spec, setup_neg5, Address.cycle([1, 0])))
-        pairs = detect_ray_pairs([r01, r10])
+        pairs = ray_pairs([r01, r10])
         assert len(pairs) == 1
         x_star = brentq(lambda x: -5 * np.exp(x) - x, -2, -1, xtol=1e-14)
         assert abs(pairs[0].common_landing - x_star) < 1e-8
@@ -539,7 +545,7 @@ class TestRayPairs:
         ray = landing_point(spec, trace_ray(spec, setup03, Address.constant(0)))
         import dataclasses
         clone = dataclasses.replace(ray, address=Address.constant(1))
-        pairs = detect_ray_pairs([ray, clone])
+        pairs = ray_pairs([ray, clone])
         assert len(pairs) == 1
 
     def test_tolerance_sensitivity(self, setup03):
@@ -547,17 +553,17 @@ class TestRayPairs:
         a = landing_point(spec, trace_ray(spec, setup03, Address.constant(0)))
         b = landing_point(spec, trace_ray(spec, setup03, Address.constant(1)))
         gap = abs(a.landing - b.landing)
-        assert detect_ray_pairs([a, b], tol=gap * 0.5) == []
-        assert len(detect_ray_pairs([a, b], tol=gap * 2.0)) == 1
+        assert ray_pairs([a, b], tol=gap * 0.5) == []
+        assert len(ray_pairs([a, b], tol=gap * 2.0)) == 1
 
     def test_mixed_periods_rejected(self, setup_neg5):
         spec = setup_neg5.spec
         one = landing_point(spec, trace_ray(spec, setup_neg5, Address.constant(0)))
         two = landing_point(spec, trace_ray(spec, setup_neg5, Address.cycle([0, 1])))
         with pytest.raises(MixedPeriods):
-            detect_ray_pairs([one, two])
+            ray_pairs([one, two])
 
     def test_unlanded_rejected(self, setup03):
         ray = trace_ray(setup03.spec, setup03, Address.constant(0))
         with pytest.raises(UnlandedRay):
-            detect_ray_pairs([ray, ray])
+            ray_pairs([ray, ray])

@@ -14,8 +14,8 @@ from raysep.errors import (EpsTooLarge, ExpansionNotValidated, NotFullComplete, 
 from raysep.fixedpoints import FixedPointRecord
 from raysep.maps import MapSpec, exp_map, parse_map
 import raysep.separation
-from raysep.rays import (PAIR_TOL, Address, RayPair, RayStatus, detect_ray_pairs,
-                         landing_point, trace_ray)
+from raysep.rays import (PAIR_TOL, Address, RayPair, RayStatus, landing_groups,
+                         landing_point, pairs_from_groups, trace_ray)
 from raysep.separation import (
     CHUNK_ELEMENTS,
     PROBE_CLEARANCE,
@@ -75,7 +75,7 @@ class TestRayGraph:
         graph = build_ray_graph(rays, 1)
         assert len(graph.landing_points) == 2
         assert len(graph.pairs) == 1
-        assert len(detect_ray_pairs(rays)) == 1
+        assert len(pairs_from_groups(rays, landing_groups(rays, PAIR_TOL)[1])) == 1
         index = {id(r): i for r, i in zip(graph.rays, graph.landing_index)}
         for pair in graph.pairs:
             assert index[id(pair.rays[0])] == index[id(pair.rays[1])]

@@ -1,4 +1,4 @@
-"""Structural decomposition: disk, delta, tracts, domains, lift, expansion."""
+"""Structural decomposition: disk, delta, tracts, domains, expansion."""
 
 import cmath
 import copy
@@ -13,16 +13,14 @@ from hypothesis import strategies as st
 
 import raysep.structure
 from raysep.curves import ParamCurve, min_segment_distance
-from raysep.errors import DeltaBlocked, ExpansionNotValidated, OrbitLeftTracts, OutsideTract
+from raysep.errors import DeltaBlocked, ExpansionNotValidated
 from raysep.maps import BranchLabel, CutGeometry, exp_map, parse_map
 from raysep.structure import (
     Rect,
     Tract,
-    address_of_orbit,
     auto_disk,
     choose_delta,
     extract_tracts,
-    lift_evaluate,
     select_expansion_radius,
     structural_setup,
     validate_expansion_radius,
@@ -59,6 +57,14 @@ class TestDiskAndDelta:
         with pytest.raises(ValueError, match="disk_radius"):
             structural_setup(exp_map(a, b), Rect(-4, 10, -12, 12), 0.1,
                              disk_radius=radius)
+
+    @pytest.mark.parametrize("resolution", [0.0, -0.1, math.nan])
+    def test_bad_resolution_raises_before_tracts(self, monkeypatch, resolution):
+        def no_tracts(*_args, **_kwargs):
+            raise AssertionError("tracts extracted before the resolution was checked")
+        monkeypatch.setattr(raysep.structure, "extract_tracts", no_tracts)
+        with pytest.raises(ValueError, match="resolution"):
+            structural_setup(exp_map(0.3), Rect(-4, 10, -12, 12), resolution)
 
     def test_delta_starts_on_disk_and_leaves_box(self, setup03):
         delta = setup03.delta
@@ -321,75 +327,6 @@ class TestFundamentalDomains:
                 assert setup03.in_domain(z, lb)
                 for k in range(i + 1, len(images)):
                     assert abs(z - images[k]) > 1e-6
-
-
-class TestLift:
-    def test_commutation(self, setup03):
-        spec = setup03.spec
-        zeta = 3.0 + 0.2j
-        lifted = lift_evaluate(spec, zeta, setup03.domains[0].label, setup03)
-        w = spec.evaluate(np.exp(zeta), 1)[0]
-        assert abs(np.exp(lifted) - w) < 1e-9 * max(1.0, abs(w))
-
-    def test_periodicity(self, setup03):
-        spec = setup03.spec
-        zeta = 3.0 + 0.2j
-        a = lift_evaluate(spec, zeta, setup03.domains[0].label, setup03)
-        b = lift_evaluate(spec, zeta + 2j * np.pi, setup03.domains[0].label, setup03)
-        assert a == pytest.approx(b, abs=1e-12)
-
-    def test_commutation_sweep(self, setup03):
-        rng = np.random.default_rng(37)
-        spec = setup03.spec
-        label = setup03.domains[0].label
-        checked = 0
-        while checked < 100:
-            zeta = complex(rng.uniform(0.5, 2.5), rng.uniform(-3, 3))
-            z = np.exp(zeta)
-            if setup03.image_modulus(z) <= setup03.disk.radius:
-                continue
-            lifted = lift_evaluate(spec, zeta, label, setup03)
-            w = spec.evaluate(z, 1)[0]
-            assert abs(np.exp(lifted) - w) < 1e-9 * max(1.0, abs(w))
-            checked += 1
-
-    def test_outside_tract_rejected(self, setup03_disk1):
-        # exp(zeta) with very negative real part maps into the disk
-        with pytest.raises(OutsideTract):
-            lift_evaluate(setup03_disk1.spec, -3.0 + 0.1j,
-                          setup03_disk1.domains[0].label, setup03_disk1)
-
-
-class TestAddresses:
-    def test_real_orbit_constant_address(self, setup03):
-        labels = address_of_orbit(setup03.spec, setup03, 2.0, 5)
-        assert [lb.j for lb in labels] == [0] * 5
-        # deep in the tract the image modulus overflows but the band is known
-        labels = address_of_orbit(setup03.spec, setup03, 5.0, 3)
-        assert [lb.j for lb in labels] == [0] * 3
-
-    def test_orbit_leaving_tracts(self, setup03_disk1):
-        # z maps into the disk after one step: f(z) in D
-        spec = setup03_disk1.spec
-        z = 1.21 + 0.0j   # in the tract, f(z) = 0.3 e^1.21 = 1.006 inside? no, pick better
-        z = complex(np.log(0.5 / 0.3), 0.0)  # f(z) = 0.5 < 1 = disk radius
-        with pytest.raises(OrbitLeftTracts) as err:
-            address_of_orbit(spec, setup03_disk1, z, 3)
-        assert err.value.iterate == 1
-
-    def test_shift_property(self, setup03):
-        spec = setup03.spec
-        rng = np.random.default_rng(41)
-        checked = 0
-        while checked < 25:
-            z = complex(rng.uniform(1.5, 2.5), rng.uniform(-2, 2))
-            try:
-                a = address_of_orbit(spec, setup03, z, 4)
-                b = address_of_orbit(spec, setup03, spec.evaluate(z, 1)[0], 3)
-            except (OrbitLeftTracts, Exception):
-                continue
-            assert a[1:] == b
-            checked += 1
 
 
 class TestExpansionRadius:
