@@ -32,6 +32,14 @@ EXIT_VIOLATION = 3
 EXIT_INCOMPLETE = 4
 
 DEFAULT_BBOX = (-10.0, 10.0, -12.0, 12.0)
+NUMBER = (int, float)
+# per config key, the JSON type its flag's parser gives, per item for a list
+# key (of CONFIG_LENGTHS items, any number for None); a bool is not a number
+CONFIG_TYPES = {"map": str, "period": int, "bbox": NUMBER, "resolution": NUMBER,
+                "depth": int, "radius": (str, *NUMBER), "disk_radius": NUMBER,
+                "domains": int, "addresses": str, "region_resolution": NUMBER,
+                "out": str, "svg": str}
+CONFIG_LENGTHS = {"bbox": 4, "domains": 2, "addresses": None}
 
 
 @dataclass
@@ -62,13 +70,24 @@ class ScenarioConfig:
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        nullable = {f.name for f in fields(cls) if f.default is None}
+        for key, value in data.items():
+            if not (value is None and key in nullable or _has_shape(key, value)):
+                raise ValueError(f"config key {key!r} has a value of the wrong type "
+                                 f"or shape: {value!r}")
         kwargs = dict(data)
         if kwargs.get("bbox"):
             kwargs["bbox"] = tuple(float(v) for v in kwargs["bbox"])
         if kwargs.get("domains"):
-            kwargs["domains"] = tuple(int(v) for v in kwargs["domains"])
-        kwargs.setdefault("addresses", [])
+            kwargs["domains"] = _parse_domains("{}..{}".format(*kwargs["domains"]))
         return cls(**kwargs)
+
+
+def _has_shape(key: str, value) -> bool:
+    items = value if key in CONFIG_LENGTHS else [value]
+    return (isinstance(items, list) and CONFIG_LENGTHS.get(key, 1) in (None, len(items))
+            and all(isinstance(v, CONFIG_TYPES[key]) and not isinstance(v, bool)
+                    for v in items))
 
 
 def _parse_bbox(text: str) -> tuple[float, float, float, float]:

@@ -93,12 +93,10 @@ class ParamCurve:
     # -- constructors ---------------------------------------------------
 
     @classmethod
-    def from_points(cls, points: Sequence[complex], closed: bool = False,
-                    t: Sequence[float] | None = None) -> "ParamCurve":
+    def from_points(cls, points: Sequence[complex]) -> "ParamCurve":
+        """The open polyline through the points, parametrized by their index."""
         pts = _as_complex_array(points)
-        if t is None:
-            t = np.arange(len(pts), dtype=float)
-        return cls(t, pts, closed)
+        return cls(np.arange(len(pts), dtype=float), pts)
 
     @classmethod
     def circle(cls, center: complex, radius: float, n: int = 256,
@@ -238,8 +236,7 @@ def _turn_sum(w: np.ndarray) -> float:
     return float(np.sum(np.angle(w[1:] / w[:-1])))
 
 
-def winding_number(curve: ParamCurve, p: complex,
-                   collision_tol: float = COLLISION_TOL) -> IndexValue:
+def winding_number(curve: ParamCurve, p: complex) -> IndexValue:
     """Continuous argument change of z - p along the curve, in turns.
 
     Exact for polylines: each straight segment avoiding p contributes the
@@ -248,13 +245,12 @@ def winding_number(curve: ParamCurve, p: complex,
     p = complex(p)
     if not (np.isfinite(p.real) and np.isfinite(p.imag)):
         raise NonFiniteInput("reference point is not finite")
-    if curve.distance_to_point(p) <= collision_tol:
+    if curve.distance_to_point(p) <= COLLISION_TOL:
         raise CurveHitsPoint(f"point {p} lies on the curve")
     return IndexValue.from_turns(_turn_sum(curve.z - p) / (2.0 * np.pi))
 
 
-def subtraction_index(gamma: ParamCurve, sigma: ParamCurve,
-                      collision_tol: float = COLLISION_TOL) -> IndexValue:
+def subtraction_index(gamma: ParamCurve, sigma: ParamCurve) -> IndexValue:
     """Index of the pointwise difference sigma(t) - gamma(t) about 0.
 
     Both curves are affinely renormalized to [0, 1] and resampled onto the
@@ -270,7 +266,7 @@ def subtraction_index(gamma: ParamCurve, sigma: ParamCurve,
     a, b = diff[:-1], diff[1:]
     dist = _point_segment_distance(0.0 + 0.0j, a, b)
     k = int(np.argmin(dist))
-    if dist[k] <= collision_tol:
+    if dist[k] <= COLLISION_TOL:
         raise CurvesCollide(float(grid[k]), float(dist[k]))
     return IndexValue.from_turns(_turn_sum(diff) / (2.0 * np.pi))
 
@@ -297,17 +293,12 @@ def ensure_vectorized(fn: Callable) -> Integrand:
     return wrapped
 
 
-def refine_for_argument(curve: ParamCurve, integrand: Callable,
-                        max_step: float = MAX_ARG_STEP,
-                        zero_tol: float = ZERO_TOL,
-                        budget: int = SAMPLE_BUDGET) -> ParamCurve:
-    """Insert samples until consecutive integrand arguments differ by < max_step.
+def refine_for_argument(curve: ParamCurve, integrand: Callable) -> ParamCurve:
+    """Insert samples until consecutive integrand arguments differ by < MAX_ARG_STEP.
 
     Original samples are preserved; inserted samples are parameter midpoints,
     hence lie on the polyline.
     """
-    if not (0.0 < max_step < np.pi):
-        raise ValueError("max_step must lie in (0, pi)")
     fn = ensure_vectorized(integrand)
     t = curve.t.astype(float)
     z = curve.z.copy()
@@ -315,15 +306,15 @@ def refine_for_argument(curve: ParamCurve, integrand: Callable,
     for _ in range(64):
         if not np.all(np.isfinite(w.real) & np.isfinite(w.imag)):
             raise NonFiniteInput("integrand overflowed on the curve")
-        if np.any(np.abs(w) <= zero_tol):
+        if np.any(np.abs(w) <= ZERO_TOL):
             raise ZeroIntegrand("integrand vanished at a curve sample")
         steps = np.abs(np.angle(w[1:] / w[:-1]))
-        bad = steps >= max_step
+        bad = steps >= MAX_ARG_STEP
         if not np.any(bad):
             return ParamCurve(t, z, curve.closed)
-        if len(t) + int(np.sum(bad)) > budget:
+        if len(t) + int(np.sum(bad)) > SAMPLE_BUDGET:
             raise RefinementBudgetExceeded(
-                f"needs more than {budget} samples")
+                f"needs more than {SAMPLE_BUDGET} samples")
         idx = np.nonzero(bad)[0]
         t_new = 0.5 * (t[idx] + t[idx + 1])
         z_new = 0.5 * (z[idx] + z[idx + 1])
@@ -335,21 +326,23 @@ def refine_for_argument(curve: ParamCurve, integrand: Callable,
     raise RefinementBudgetExceeded("refinement failed to settle in 64 passes")
 
 
-def is_simple(curve: ParamCurve, tol: float = COLLISION_TOL) -> bool:
+def is_simple(curve: ParamCurve) -> bool:
     """True when no two non-adjacent segments of the polyline intersect.
 
     Broad phase: square cells of the median segment length (at least 1/16
-    of the longest and at least tol); each segment's box, widened by tol,
-    covers at most 19 x 19 of them.  Intersecting segments share a cell, so
-    only same-cell pairs go to the exact test, CHUNK_ELEMENTS at a time.
+    of the longest and at least COLLISION_TOL); each segment's box, widened
+    by COLLISION_TOL, covers at most 19 x 19 of them.  Intersecting segments
+    share a cell, so only same-cell pairs go to the exact test,
+    CHUNK_ELEMENTS at a time.
     """
     a, b = curve.segments()
     lengths = np.sort(np.abs(b - a))    # np.median would import numpy.ma, 1 MB
-    cell = max(float(lengths[len(lengths) // 2]), float(lengths[-1]) / 16.0, tol) or 1.0
+    cell = max(float(lengths[len(lengths) // 2]), float(lengths[-1]) / 16.0, COLLISION_TOL) or 1.0
 
     def cell_range(u, v):   # first cell and number of cells per segment
         lo, hi = (np.floor((w - np.min(u)) / cell).astype(np.int64)
-                  for w in (np.minimum(u, v) - tol, np.maximum(u, v) + tol))
+                  for w in (np.minimum(u, v) - COLLISION_TOL,
+                            np.maximum(u, v) + COLLISION_TOL))
         return lo, hi - lo + 1
 
     x0, nx = cell_range(a.real, b.real)
@@ -369,7 +362,7 @@ def is_simple(curve: ParamCurve, tol: float = COLLISION_TOL) -> bool:
         i, j = i[keep], j[keep]
         for lo in range(0, len(i), CHUNK_ELEMENTS):
             p, q = i[lo:lo + CHUNK_ELEMENTS], j[lo:lo + CHUNK_ELEMENTS]
-            if _any_segments_intersect(a[p], b[p], a[q], b[q], tol):
+            if _any_segments_intersect(a[p], b[p], a[q], b[q], COLLISION_TOL):
                 return False
     return True
 
@@ -416,9 +409,7 @@ def iterate_map(mapobj, period: int) -> Integrand:
 
 
 def argument_principle_count(mapobj, contour: ParamCurve, mode: str = "fixed_points",
-                             period: int = 1, *, zero_tol: float = ZERO_TOL,
-                             max_step: float = MAX_ARG_STEP,
-                             budget: int = SAMPLE_BUDGET) -> int:
+                             period: int = 1) -> int:
     """Exact count (with multiplicity) of zeros of f^p(z)-z or f^p(z) inside.
 
     The contour must be closed, simple and counterclockwise; the winding
@@ -441,8 +432,7 @@ def argument_principle_count(mapobj, contour: ParamCurve, mode: str = "fixed_poi
     else:
         integrand = fp
     try:
-        refined = refine_for_argument(contour, integrand, max_step,
-                                      zero_tol=zero_tol, budget=budget)
+        refined = refine_for_argument(contour, integrand)
     except ZeroIntegrand as exc:
         raise ZeroOnContour(str(exc)) from exc
     w = ensure_vectorized(integrand)(refined.z)
@@ -454,8 +444,7 @@ def argument_principle_count(mapobj, contour: ParamCurve, mode: str = "fixed_poi
     return snapped.integer_snap
 
 
-def multiplicity_at(mapobj, z0: complex, radius: float, period: int = 1,
-                    n_samples: int = 512) -> int:
+def multiplicity_at(mapobj, z0: complex, radius: float, period: int = 1) -> int:
     """Local multiplicity of f^p(z)-z at z0 via counts on two circles.
 
     The caller supplies a radius small enough to isolate z0; this is checked
@@ -468,7 +457,7 @@ def multiplicity_at(mapobj, z0: complex, radius: float, period: int = 1,
         raise ValueError(f"{z0} is not fixed under f^{period} (residual {abs(res):.2e})")
     counts = []
     for r in (radius, radius / 2.0):
-        circle = ParamCurve.circle(z0, r, n=n_samples)
+        circle = ParamCurve.circle(z0, r, n=512)
         counts.append(argument_principle_count(mapobj, circle, "fixed_points", period))
     if counts[0] != counts[1]:
         raise InconsistentRadius(counts[0], counts[1])

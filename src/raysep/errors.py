@@ -101,7 +101,7 @@ class BrokenRay(RaysepError):
 
 
 class MixedPeriods(RaysepError):
-    """Ray-pair detection requires rays of equal period."""
+    """`trace_ray` and `landing_groups` take rays of one period only."""
 
 
 class UnlandedRay(RaysepError):

@@ -112,16 +112,15 @@ def _map_arrays(mapobj, period: int):
     return run
 
 
-def _newton_sweep(evaluator, seeds: np.ndarray, iters: int = 64,
-                  blowup: float = 1e8) -> np.ndarray:
+def _newton_sweep(evaluator, seeds: np.ndarray) -> np.ndarray:
     """Newton on f^p(z) - z from every seed; each iteration evaluates only live lanes.
 
     A lane stops once its step is below 1e-13 (1 + |z|), and is frozen where
-    the step is not finite or |z| exceeds `blowup`.
+    the step is not finite or |z| exceeds 1e8.  At most 64 iterations run.
     """
     z = np.array(seeds, dtype=complex).ravel()
     live = np.arange(len(z))
-    for _ in range(iters):
+    for _ in range(64):
         if not len(live):
             break
         zl = z[live]
@@ -130,7 +129,7 @@ def _newton_sweep(evaluator, seeds: np.ndarray, iters: int = 64,
         gp = dw - 1.0
         with np.errstate(divide="ignore", invalid="ignore"):
             step = np.where(np.abs(gp) > 1e-14, g / gp, 0.0)
-        bad = ~np.isfinite(step.real) | ~np.isfinite(step.imag) | (np.abs(zl) > blowup)
+        bad = ~np.isfinite(step.real) | ~np.isfinite(step.imag) | (np.abs(zl) > 1e8)
         zl = np.where(bad, zl, zl - step)
         z[live] = zl
         live = live[~bad & ~(np.abs(step) < 1e-13 * (1.0 + np.abs(zl)))]
@@ -171,13 +170,12 @@ def _auto_multiplicity(mapobj, z: complex, period: int, spacing: float) -> int:
 
 def find_periodic_points(mapobj, region: Rect | tuple, period: int = 1, *,
                          setup: StructuralSetup | None = None,
-                         grid: int = 64, extra_seeds=(),
-                         cross_check: bool = True) -> list[FixedPointRecord]:
+                         extra_seeds=()) -> list[FixedPointRecord]:
     """All solutions of f^p(z) = z in the region, classified.
 
-    Newton runs from a seed grid (plus inverse-branch seeds when a setup is
-    supplied); completeness is cross-checked against the argument principle
-    over the region boundary, with a CountMismatchWarning on discrepancy.
+    Newton runs from seed grids of 64, 128, then 256 steps per diagonal (plus
+    inverse-branch seeds when a setup is supplied) until the count matches the
+    argument principle over the region boundary, else CountMismatchWarning.
     """
     if not isinstance(region, Rect):
         region = Rect(*region)
@@ -185,18 +183,15 @@ def find_periodic_points(mapobj, region: Rect | tuple, period: int = 1, *,
         raise ValueError("period must be between 1 and 4")
     evaluator = _map_arrays(mapobj, period)
 
-    expected = None
-    if cross_check:
-        contour = ParamCurve.rectangle(region.x0, region.x1, region.y0, region.y1,
-                                       n_per_side=256)
-        try:
-            expected = argument_principle_count(mapobj, contour, "fixed_points", period)
-        except RaysepError:
-            expected = None
+    contour = ParamCurve.rectangle(region.x0, region.x1, region.y0, region.y1,
+                                   n_per_side=256)
+    try:
+        expected = argument_principle_count(mapobj, contour, "fixed_points", period)
+    except RaysepError:
+        expected = None
 
-    records: list[FixedPointRecord] = []
-    for attempt_grid in (grid, grid * 2, grid * 4):
-        seeds = _seed_grid(region, attempt_grid)
+    for grid in (64, 128, 256):
+        seeds = _seed_grid(region, grid)
         if setup is not None:
             seeds = np.concatenate([seeds, _domain_seeds(setup, region)])
         if len(extra_seeds):
@@ -206,8 +201,6 @@ def find_periodic_points(mapobj, region: Rect | tuple, period: int = 1, *,
         total = sum(r.multiplicity for r in records)
         if expected is None or total == expected:
             break
-    else:
-        total = sum(r.multiplicity for r in records)
     if expected is not None and total != expected:
         warnings.warn(
             f"found {total} points (with multiplicity) but the argument "
@@ -243,7 +236,7 @@ def _domain_seeds(setup: StructuralSetup, region: Rect) -> np.ndarray:
         live = live[~on_cut]
         if not len(live):
             break
-        nz = setup.pull_back(z[live], [labels[i] for i in live])
+        nz = setup.branch_context.pull_back(z[live], [labels[i] for i in live])
         moving = ~(np.abs(nz - z[live]) < 1e-12)
         z[live[moving]] = nz[moving]
         live = live[moving]
@@ -300,13 +293,13 @@ def find_fixed_in_domain(spec: MapSpec, setup: StructuralSetup,
     Iterates the domain's inverse branch from the anchor; the Schwarz lemma
     makes this a strict contraction when the domain does not meet the disk.
     """
-    dom = setup.domain_by_band(label.j, label.alpha)
+    dom = setup.domain_by_band(label.j)
     if _domain_min_modulus(setup, dom) <= setup.disk.radius + 1e-9:
         raise DomainMeetsDisk(
             f"domain {label} intersects the disk; use find_periodic_points")
     z = dom.anchor
     for _ in range(5000):
-        nz = complex(setup.pull_back(z, dom.label))
+        nz = complex(setup.branch_context.pull_back(z, dom.label))
         if abs(nz - z) < 1e-12:
             z = nz
             break
@@ -320,33 +313,32 @@ def find_fixed_in_domain(spec: MapSpec, setup: StructuralSetup,
     return record
 
 
-def _domain_min_modulus(setup: StructuralSetup, dom, n_boundary: int = 512) -> float:
+def _domain_min_modulus(setup: StructuralSetup, dom) -> float:
     """Minimum |z| over the closure of a fundamental domain.
 
     The minimum is attained on the boundary: the two side cuts plus the piece
     of tract boundary between them (0 is never inside a tract since f(0)
-    lies in the disk).
+    lies in the disk), whose disk-circle piece is sampled 512 times.
     """
     best = math.inf
     for side in dom.side_curves:
         best = min(best, float(np.min(np.abs(side.z))))
     delta0 = complex(setup.delta.z[0])
     theta0 = math.atan2(delta0.imag, delta0.real)
-    u = theta0 + np.linspace(1e-6, 2.0 * math.pi - 1e-6, n_boundary)
+    u = theta0 + np.linspace(1e-6, 2.0 * math.pi - 1e-6, 512)
     w = setup.disk.radius * np.exp(1j * u)
-    z = setup.pull_back(w, dom.label)
+    z = setup.branch_context.pull_back(w, dom.label)
     best = min(best, float(np.min(np.abs(z))))
     return best
 
 
-def petal_directions(mapobj, at: complex, period: int = 1, *,
-                     probe_radius: float = 1e-2, n_samples: int = 256,
-                     coeff_tol: float = 1e-8, max_order: int = 8) -> PetalFan:
+def petal_directions(mapobj, at: complex, period: int = 1) -> PetalFan:
     """Attracting and repelling directions of the parabolic point `at`.
 
     The normal-form coefficient is the first Taylor coefficient of
-    f^p(z) - z at `at` (order >= 2) above threshold, extracted by discrete
-    contour integration; directions interleave with exact gaps pi/m.
+    f^p(z) - z at `at` of order 2 to 8 above 1e-8, taken by discrete contour
+    integration on 256 points at radius 1e-2; directions interleave with
+    exact gaps pi/m.
     """
     at = complex(at)
     evaluator = _map_arrays(mapobj, period)
@@ -354,13 +346,13 @@ def petal_directions(mapobj, at: complex, period: int = 1, *,
     if abs(complex(d[0]) - 1.0) > 1e-6:
         raise NotParabolic(
             f"multiplier {complex(d[0]):.8g} is not within 1e-6 of 1")
-    theta = 2.0 * math.pi * np.arange(n_samples) / n_samples
-    ring = at + probe_radius * np.exp(1j * theta)
+    theta = 2.0 * math.pi * np.arange(256) / 256
+    ring = at + 1e-2 * np.exp(1j * theta)
     w, _ = evaluator(ring)
     g = w - ring
-    for order in range(2, max_order + 1):
-        coeff = np.mean(g * np.exp(-1j * order * theta)) / probe_radius ** order
-        if abs(coeff) > coeff_tol:
+    for order in range(2, 9):
+        coeff = np.mean(g * np.exp(-1j * order * theta)) / 1e-2 ** order
+        if abs(coeff) > 1e-8:
             a = complex(coeff)
             m = order - 1
             attract = tuple(
@@ -371,7 +363,7 @@ def petal_directions(mapobj, at: complex, period: int = 1, *,
                 for k in range(m))
             return PetalFan(at, m, attract, repel, a)
     raise DegenerateExpansion(
-        f"no normal-form coefficient above {coeff_tol} up to order {max_order}")
+        "no normal-form coefficient above 1e-08 up to order 8")
 
 
 @dataclass(frozen=True)

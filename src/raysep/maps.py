@@ -24,10 +24,9 @@ LOG_FLOOR = 1e-300           # branch_log raises OnCut below this modulus
 
 @dataclass(frozen=True)
 class BranchLabel:
-    """Identifies one fundamental domain: tract alpha and band j."""
+    """Identifies one fundamental domain by its band j."""
 
-    alpha: int = 0
-    j: int = 0
+    j: int
 
 
 @dataclass(frozen=True)
@@ -183,7 +182,6 @@ class BranchContext:
 
     spec: MapSpec
     delta: ParamCurve
-    disk_radius: float
     cut: CutGeometry = field(init=False)
 
     def __post_init__(self):

@@ -19,13 +19,13 @@ resolve no limit are walked again, SLOW_SCHEDULE[-1] cycles deep, for a
 landing point whose multiplier is close to 1 in modulus.
 
 Potentials are a declared parametrization: the sample at level k carries
-potential t_top * 2^(k_top - k), halving toward the landing point; applying
-f doubles the potential.  Each walk resolves the limits of all its lanes in
-one array pass over the endpoint matrix: a settled endpoint, or Richardson
-extrapolation for the algebraic (parabolic) approach, polished by one
-Newton sweep on f^p(z) - z and kept when f^p closes on it.  `landing_point`
-then interprets one ray's limit: broken walks, the approach direction and
-the preperiod.
+potential DEFAULT_T_TOP * 2^(k_top - k), halving toward the landing point;
+applying f doubles the potential.  Each walk resolves the limits of all its
+lanes in one array pass over the endpoint matrix: a settled endpoint, or
+Richardson extrapolation for the algebraic (parabolic) approach, polished
+by one Newton sweep on f^p(z) - z and kept when f^p closes on it.
+`landing_point` then interprets one ray's limit: broken walks, the approach
+direction and the preperiod.
 
 Rays land together when their landings fall in one group of
 `landing_groups` (greedy in ray order, within PAIR_TOL); the ray graph's
@@ -69,11 +69,11 @@ class Address:
 
     @classmethod
     def constant(cls, j: int) -> "Address":
-        return cls(period=(BranchLabel(j=j),))
+        return cls(period=(BranchLabel(j),))
 
     @classmethod
     def cycle(cls, bands) -> "Address":
-        return cls(period=tuple(BranchLabel(j=j) for j in bands))
+        return cls(period=tuple(BranchLabel(j) for j in bands))
 
     def shifted(self) -> "Address":
         if self.preperiod:
@@ -104,8 +104,8 @@ class Address:
             pre_s, per_s = text.split("|", 1)
         else:
             pre_s, per_s = "", text
-        pre = tuple(BranchLabel(j=int(p)) for p in pre_s.split(",") if p.strip())
-        per = tuple(BranchLabel(j=int(p)) for p in per_s.split(",") if p.strip())
+        pre = tuple(BranchLabel(int(p)) for p in pre_s.split(",") if p.strip())
+        per = tuple(BranchLabel(int(p)) for p in per_s.split(",") if p.strip())
         if not per:
             if not pre:
                 raise ValueError(f"empty address {text!r}")
@@ -170,12 +170,9 @@ class PullbackWalk:
     (broken), or when it has settled on its limit cycle.
     """
 
-    def __init__(self, spec: MapSpec, setup: StructuralSetup, addresses,
-                 t_top: float = DEFAULT_T_TOP):
-        self.spec = spec
+    def __init__(self, spec: MapSpec, setup: StructuralSetup, addresses):
         self.setup = setup
         self.addresses = list(addresses)
-        self.t_top = float(t_top)
         self.ctx = setup.branch_context
         self._theta = self.ctx.cut.tail_angle
         self._svals = np.array(spec.singular_values(), dtype=complex)
@@ -201,7 +198,7 @@ class PullbackWalk:
         band = np.array([a.period[level % a.period_length].j for a in self.addresses],
                         dtype=float)
         z = np.empty(len(self.addresses), dtype=complex)
-        z.real = base + self.t_top
+        z.real = base + DEFAULT_T_TOP
         z.imag = self._theta + 2.0 * math.pi * band - math.pi
         return z
 
@@ -311,17 +308,15 @@ def _limits(spec: MapSpec, endpoints: np.ndarray, period: int) -> np.ndarray:
 # -- public operations --------------------------------------------------------------
 
 
-def trace_ray(spec: MapSpec, setup: StructuralSetup, address,
-              depth: int = 80, t_grid=None):
+def trace_ray(spec: MapSpec, setup: StructuralSetup, address, depth: int = 80):
     """Trace rays by one array pullback walk.
 
     `address` is one Address, which gives one Ray, or a sequence of
     addresses of one cycle length, which gives the list of their Rays (a
     mixed batch raises MixedPeriods).  All lanes walk together,
-    DEFAULT_SCHEDULE[-1] cycles deep.  The top cycles are the samples:
-    `depth` bounds their number of cycles and `t_grid` fixes the top
-    potential and the sample count (potentials themselves follow the
-    declared halving parametrization).  The states at the depths of the
+    DEFAULT_SCHEDULE[-1] cycles deep.  The top cycles are the samples: at
+    most DEFAULT_SAMPLES of them, and at most `depth` + 1, with potentials
+    halving per level from DEFAULT_T_TOP.  The states at the depths of the
     doubling schedule become the ray's `endpoints`, and one array pass over
     all lanes' endpoints resolves each ray's `limit` (nan when there is
     none), which `landing_point` interprets; lanes with clean endpoints but
@@ -336,29 +331,21 @@ def trace_ray(spec: MapSpec, setup: StructuralSetup, address,
     periods = sorted({a.period_length for a in addresses})
     if len(periods) > 1:
         raise MixedPeriods(f"addresses of different periods: {periods}")
-    if t_grid is None:
-        n_samples, t_top = DEFAULT_SAMPLES, DEFAULT_T_TOP
-    else:
-        t_grid = np.asarray(t_grid, dtype=float)
-        if np.any(t_grid <= 0) or np.any(np.diff(t_grid) >= 0):
-            raise ValueError("t_grid must be positive and decreasing")
-        n_samples, t_top = len(t_grid), float(t_grid[0])
     if not addresses:
         return []
-    n_samples = max(n_samples, 2)
 
-    walk = PullbackWalk(spec, setup, addresses, t_top)
+    walk = PullbackWalk(spec, setup, addresses)
     p = periods[0]
-    n_cycles = min(n_samples - 1, depth)
-    top = max(DEFAULT_SCHEDULE[-1], n_cycles) * p
+    n_cycles = min(DEFAULT_SAMPLES - 1, depth)
+    top = DEFAULT_SCHEDULE[-1] * p
     sample_levels = top - np.arange(n_cycles + 1) * p
     endpoint_levels = top - np.array(DEFAULT_SCHEDULE) * p
     states, bad_at = walk.states(top, np.concatenate([sample_levels, endpoint_levels]))
-    potentials = t_top * np.power(2.0, -np.arange(n_cycles + 1, dtype=float) * p)
+    potentials = DEFAULT_T_TOP * np.power(2.0, -np.arange(n_cycles + 1, dtype=float) * p)
     limits = _limits(spec, states[:, n_cycles + 1:], p)
     slow = np.flatnonzero(np.isnan(limits) & ~np.isnan(states[:, n_cycles + 1:]).any(axis=1))
     if len(slow):
-        deep = PullbackWalk(spec, setup, [addresses[i] for i in slow], t_top)
+        deep = PullbackWalk(spec, setup, [addresses[i] for i in slow])
         levels = (SLOW_SCHEDULE[-1] - np.array(SLOW_SCHEDULE)) * p
         limits[slow] = _limits(spec, deep.states(SLOW_SCHEDULE[-1] * p, levels)[0], p)
 
@@ -437,7 +424,7 @@ def fixed_rays(spec: MapSpec, setup: StructuralSetup, domains,
     recorded in the ray status, not raised.
     """
     labels = [d if isinstance(d, BranchLabel) else d.label for d in domains]
-    labels = sorted(set(labels), key=lambda l: (l.alpha, l.j))
+    labels = sorted(set(labels), key=lambda l: l.j)
     addresses = [Address(period=combo)
                  for combo in itertools.product(labels, repeat=period)]
     return [landing_point(spec, ray)
@@ -474,8 +461,8 @@ def landings_at(landings, points) -> list[np.ndarray]:
     return [near[a:b] for a, b in zip(bounds[:-1], bounds[1:])]
 
 
-def landing_groups(rays: list[Ray], tol: float = PAIR_TOL) -> tuple[np.ndarray, np.ndarray]:
-    """`curves.group_points` of the landings of landed rays of one period.
+def landing_groups(rays: list[Ray]) -> tuple[np.ndarray, np.ndarray]:
+    """`curves.group_points`, within PAIR_TOL, of the landings of landed rays.
 
     Returns the distinct landing points, first-seen, and per ray the index
     of its point among them.
@@ -486,7 +473,7 @@ def landing_groups(rays: list[Ray], tol: float = PAIR_TOL) -> tuple[np.ndarray, 
     for r in rays:
         if r.status.kind != "lands_at":
             raise UnlandedRay(r.address)
-    return group_points([r.landing for r in rays], tol)
+    return group_points([r.landing for r in rays], PAIR_TOL)
 
 
 def pairs_from_groups(rays: list[Ray], group: np.ndarray) -> list[RayPair]:

@@ -53,6 +53,7 @@ from .rays import (Address, Ray, RayPair, fixed_rays, landing_groups, landing_po
 from .structure import Rect, StructuralSetup, _expansion_radii, validate_expansion_radius
 
 PROBE_CLEARANCE = 1e-6
+ARC_SAMPLES = 256           # samples of a modified boundary arc at a fixed point
 
 
 # -- ray graph -----------------------------------------------------------------------
@@ -63,16 +64,15 @@ class RayGraph:
     rays: list[Ray]
     landing_points: list[complex]      # sorted by (real, imag)
     pairs: list[RayPair]
-    period: int
     landing_index: np.ndarray          # rays[i] lands at landing_points[landing_index[i]]
 
 
-def build_ray_graph(rays: list[Ray], period: int) -> RayGraph:
+def build_ray_graph(rays: list[Ray]) -> RayGraph:
     """Group the landed rays by landing point once; pairs come from the groups."""
     points, group = landing_groups(rays)
     order = np.lexsort((points.imag, points.real))
     return RayGraph(list(rays), [complex(z) for z in points[order]],
-                    pairs_from_groups(rays, group), period, np.argsort(order)[group])
+                    pairs_from_groups(rays, group), np.argsort(order)[group])
 
 
 # -- region geometry by crossing parity ------------------------------------------------
@@ -279,7 +279,7 @@ class CountingContour:
 
 
 def check_full_complete(spec: MapSpec, setup: StructuralSetup,
-                        labels: list[BranchLabel], rays=()) -> None:
+                        labels: list[BranchLabel], rays) -> None:
     """Raise NotFullComplete with a witness when the collection fails.
 
     Full: band indices contiguous per tract.  Complete: contains every
@@ -323,18 +323,18 @@ def check_full_complete(spec: MapSpec, setup: StructuralSetup,
 
 
 def counting_contour(spec: MapSpec, setup: StructuralSetup, domains,
-                     R: float | None = None, rays=()) -> CountingContour:
+                     rays=()) -> CountingContour:
     """The closed contour around a full complete collection of domains.
 
-    Pieces: the preimage arc of the circle of radius R covering it N times,
-    the two pullback arcs of the cut, and a connector threading outside the
-    tract; the enclosed fixed-point count must be N + 1.  `rays`, fixed
-    rays already traced, are passed to `check_full_complete`.
+    Pieces: the preimage arc of the circle of radius R (the setup's
+    expansion radius) covering it N times, the two pullback arcs of the
+    cut, and a connector threading outside the tract; the enclosed
+    fixed-point count must be N + 1.  `rays`, fixed rays already traced,
+    are passed to `check_full_complete`.
     """
     labels = sorted((d if isinstance(d, BranchLabel) else d.label for d in domains),
                     key=lambda l: l.j)
-    if R is None:
-        R = setup.expansion_radius
+    R = setup.expansion_radius
     report = validate_expansion_radius(setup, labels, R)
     if not report.ok:
         raise ExpansionNotValidated(
@@ -484,8 +484,7 @@ def _first_crossing(ray: ParamCurve, center: complex, eps: float) -> complex:
 
 
 def modify_boundary_near_fixed_point(mapobj, region, record: FixedPointRecord,
-                                     eps: float, *, other_fixed_points=(),
-                                     n_samples: int = 256) -> ModifiedRegion:
+                                     eps: float, *, other_fixed_points=()) -> ModifiedRegion:
     """Replace the boundary arc at a fixed point per the local dynamics.
 
     Repelling: the region is enlarged by the eps-disk and the new arc maps
@@ -507,7 +506,7 @@ def modify_boundary_near_fixed_point(mapobj, region, record: FixedPointRecord,
     if record.classification == "repelling":
         # candidate arcs between the crossing angles; take the one outside V
         for lo, hi in ((ang[0], ang[1]), (ang[1], ang[0] + 2.0 * math.pi)):
-            theta = np.linspace(lo, hi, n_samples + 2)[1:-1]
+            theta = np.linspace(lo, hi, ARC_SAMPLES + 2)[1:-1]
             pts = z0 + eps * np.exp(1j * theta)
             mid = pts[len(pts) // 2]
             if not region.contains(complex(mid)):
@@ -531,12 +530,12 @@ def modify_boundary_near_fixed_point(mapobj, region, record: FixedPointRecord,
         return max(abs(_angle_between(c - z0, d)) for c in crossings)
     direction = min(fan.repelling_dirs, key=score)
     theta_d = math.atan2(direction.imag, direction.real)
-    theta = np.linspace(theta_d - half, theta_d + half, n_samples)
+    theta = np.linspace(theta_d - half, theta_d + half, ARC_SAMPLES)
     arc = z0 + eps * np.exp(1j * theta)
     edge_lo = z0 + eps * np.exp(1j * (theta_d - half)) * \
-        np.linspace(1.0 / 64, 1.0, n_samples // 4, endpoint=False)
+        np.linspace(1.0 / 64, 1.0, ARC_SAMPLES // 4, endpoint=False)
     edge_hi = z0 + eps * np.exp(1j * (theta_d + half)) * \
-        np.linspace(1.0 / 64, 1.0, n_samples // 4, endpoint=False)
+        np.linspace(1.0 / 64, 1.0, ARC_SAMPLES // 4, endpoint=False)
     boundary_pts = np.concatenate([edge_lo[::-1], arc, edge_hi])
     keep = np.array([region.contains(complex(p)) and abs(p - z0) > 1e-12
                      for p in boundary_pts])
@@ -647,7 +646,7 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
     # rays landing at found points via addresses inferred from orbit bands
     landed = _augment_with_inferred_rays(spec, setup, period, records, landed,
                                          incomplete)
-    graph = build_ray_graph(landed, period)
+    graph = build_ray_graph(landed)
     regions, geometry = basic_regions(graph, setup.bbox, resolution)
 
     region_by_sig = {r.signature: r for r in regions}

@@ -47,12 +47,12 @@ def curve_to_csv(curve: ParamCurve) -> str:
     return buf.getvalue()
 
 
-def curve_from_csv(text: str, closed: bool = False) -> ParamCurve:
+def curve_from_csv(text: str) -> ParamCurve:
     rows = list(csv.reader(io.StringIO(text)))
     body = rows[1:] if rows and rows[0][:1] == ["t"] else rows
     t = [float(r[0]) for r in body if r]
     z = [complex(float(r[1]), float(r[2])) for r in body if r]
-    return ParamCurve(t, z, closed=closed)
+    return ParamCurve(t, z)
 
 
 def ray_to_json(ray: Ray) -> dict:
@@ -102,38 +102,38 @@ def records_to_csv(records: list[FixedPointRecord]) -> str:
 
 
 def setup_to_json(setup: StructuralSetup) -> dict:
+    # the disk's "center", "touches_box", a domain's "alpha" and "tract", and
+    # "order_key" are constants of the construction, written to keep the format stable
     return {
         "map": setup.spec.to_json(),
-        "disk": {"center": _c(setup.disk.center), "radius": setup.disk.radius},
+        "disk": {"center": [0.0, 0.0], "radius": setup.disk.radius},
         "delta": curve_to_json(setup.delta),
         "bbox": list(setup.bbox.as_tuple()),
         "resolution": setup.resolution,
         "expansion_radius": setup.expansion_radius,
         "tracts": [
-            {"alpha": t.alpha, "touches_box": t.touches_box,
+            {"alpha": t.alpha, "touches_box": True,
              "anchor": _c(t.anchor), "boundary": curve_to_json(t.boundary)}
             for t in setup.tracts
         ],
         "domains": [
-            {"band": d.label.j, "alpha": d.label.alpha, "tract": d.tract,
-             "order_key": d.order_key, "anchor": _c(d.anchor)}
-            for d in sorted(setup.domains, key=lambda d: (d.label.alpha, d.label.j))
+            {"band": d.label.j, "alpha": 0, "tract": 0,
+             "order_key": d.label.j, "anchor": _c(d.anchor)}
+            for d in sorted(setup.domains, key=lambda d: d.label.j)
         ],
     }
 
 
-def contour_to_json(contour: CountingContour, measured: int | None = None) -> dict:
-    out = {
+def contour_to_json(contour: CountingContour, measured: int) -> dict:
+    return {
         "domains": [lb.j for lb in contour.domains],
         "radius": contour.radius,
         "expected_count": contour.expected_count,
         "pieces": [{"tag": tag, "curve": curve_to_json(c)}
                    for tag, c in contour.pieces],
+        "measured_count": measured,
+        "match": measured == contour.expected_count,
     }
-    if measured is not None:
-        out["measured_count"] = measured
-        out["match"] = measured == contour.expected_count
-    return out
 
 
 def report_to_json(report: SeparationReport) -> dict:
@@ -224,8 +224,8 @@ class SvgCanvas:
                 f'<rect x="{x-r:.2f}" y="{y-r:.2f}" width="{2*r:.1f}" '
                 f'height="{2*r:.1f}" fill="{color}"/>')
 
-    def circle_outline(self, center: complex, radius: float, color: str):
-        zs = center + radius * np.exp(1j * np.linspace(0, 2 * np.pi, 181))
+    def circle_outline(self, radius: float, color: str):
+        zs = radius * np.exp(1j * np.linspace(0, 2 * np.pi, 181))
         self.polyline(zs, color, width=1.0, dash="4 3")
 
     def render(self) -> str:
@@ -238,17 +238,12 @@ class SvgCanvas:
 
 
 def svg_overlay(setup: StructuralSetup, report: SeparationReport | None = None,
-                contour: CountingContour | None = None,
-                rays: list[Ray] | None = None) -> str:
+                contour: CountingContour | None = None) -> str:
     canvas = SvgCanvas(setup.bbox)
     for tract in setup.tracts:
         canvas.polyline(tract.boundary.z, "#bbbbbb", 1.0)
     canvas.polyline(setup.delta.z, "#333333", 1.2, dash="6 4")
-    canvas.circle_outline(setup.disk.center, setup.disk.radius, "#888888")
-
-    def ray_color(i: int) -> str:
-        return _REGION_COLORS[i % len(_REGION_COLORS)]
-
+    canvas.circle_outline(setup.disk.radius, "#888888")
     if report is not None:
         region_of_ray = {}
         for reg in report.regions:
@@ -256,12 +251,9 @@ def svg_overlay(setup: StructuralSetup, report: SeparationReport | None = None,
                 region_of_ray[str(ray.address)] = reg.id
         for ray in report.graph.rays:
             idx = region_of_ray.get(str(ray.address), len(_REGION_COLORS) - 1)
-            canvas.polyline(ray.z, ray_color(idx))
+            canvas.polyline(ray.z, _REGION_COLORS[idx % len(_REGION_COLORS)])
         for rec in report.records:
             canvas.glyph(rec.location, _CLASS_GLYPHS.get(rec.classification, "square"))
-    if rays is not None:
-        for i, ray in enumerate(rays):
-            canvas.polyline(ray.z, ray_color(i))
     if contour is not None:
         for tag, piece in contour.pieces:
             key = tag.split("(")[0]

@@ -36,6 +36,9 @@ class Rect:
     y1: float
 
     def __post_init__(self):
+        for name, edge in zip(("x0", "x1", "y0", "y1"), self.as_tuple()):
+            if not math.isfinite(edge):
+                raise ValueError(f"box edge {name} = {edge} is not finite")
         if not (self.x0 < self.x1 and self.y0 < self.y1):
             raise ValueError("degenerate box")
 
@@ -43,9 +46,8 @@ class Rect:
     def diagonal(self) -> float:
         return math.hypot(self.x1 - self.x0, self.y1 - self.y0)
 
-    def contains(self, z: complex, margin: float = 0.0) -> bool:
-        return (self.x0 + margin <= z.real <= self.x1 - margin
-                and self.y0 + margin <= z.imag <= self.y1 - margin)
+    def contains(self, z: complex) -> bool:
+        return self.x0 <= z.real <= self.x1 and self.y0 <= z.imag <= self.y1
 
     def corner_radius(self) -> float:
         return max(abs(complex(x, y))
@@ -57,7 +59,6 @@ class Rect:
 
 @dataclass(frozen=True)
 class DomainDisk:
-    center: complex
     radius: float
 
 
@@ -66,16 +67,13 @@ class Tract:
     alpha: int
     boundary: ParamCurve
     anchor: complex
-    touches_box: bool
 
 
 @dataclass
 class FundamentalDomain:
     label: BranchLabel
-    tract: int
     side_curves: tuple[ParamCurve, ParamCurve]
     anchor: complex
-    order_key: int
 
 
 @dataclass
@@ -95,14 +93,11 @@ class StructuralSetup:
     def domain_labels(self) -> list[BranchLabel]:
         return [d.label for d in self.domains]
 
-    def domain_by_band(self, j: int, alpha: int = 0) -> FundamentalDomain:
+    def domain_by_band(self, j: int) -> FundamentalDomain:
         for d in self.domains:
-            if d.label.j == j and d.label.alpha == alpha:
+            if d.label.j == j:
                 return d
         raise KeyError(f"no fundamental domain with band {j} in the setup")
-
-    def pull_back(self, w, label: BranchLabel):
-        return self.branch_context.pull_back(w, label)
 
     # -- membership helpers ------------------------------------------------
 
@@ -161,7 +156,7 @@ def extract_tracts(spec: MapSpec, bbox: Rect, resolution: float,
             pts = np.repeat(pts, 2)
         k = lo + int(np.argmin(xs[lo:hi]))
         tracts.append(Tract(alpha=alpha, boundary=ParamCurve.from_points(pts),
-                            anchor=complex(bbox.x1, ys[k]), touches_box=True))
+                            anchor=complex(bbox.x1, ys[k])))
     return tracts
 
 
@@ -224,13 +219,13 @@ def _box_exit_radius(bbox: Rect, theta: float) -> float:
     return min(sx, sy)
 
 
-def extended_delta(delta: ParamCurve, reach: float, n_extra: int = 64) -> ParamCurve:
-    """Continue a radial delta outward to the given modulus (band bookkeeping)."""
+def extended_delta(delta: ParamCurve, reach: float) -> ParamCurve:
+    """Continue a radial delta outward to the given modulus by 64 samples."""
     tip = complex(delta.z[-1])
     if abs(tip) >= reach:
         return delta
     direction = tip / abs(tip)
-    s = np.geomspace(abs(tip), reach, n_extra + 1)[1:]
+    s = np.geomspace(abs(tip), reach, 65)[1:]
     t = np.concatenate([delta.t, s])
     z = np.concatenate([delta.z, direction * s])
     return ParamCurve(t, z)
@@ -259,7 +254,7 @@ def auto_disk(spec: MapSpec, radius: float | None = None) -> DomainDisk:
         raise ValueError(
             f"disk_radius {radius} must exceed {required:.6g}, the largest "
             "modulus of the singular values, 0 and f(0)")
-    return DomainDisk(0.0 + 0.0j, float(radius))
+    return DomainDisk(float(radius))
 
 
 def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
@@ -290,7 +285,7 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
 
     reach = abs(spec.a) * math.exp(bbox.x1 + 2.0) + disk.radius
     delta_ext = extended_delta(delta, reach)
-    ctx = BranchContext(spec, delta_ext, disk.radius)
+    ctx = BranchContext(spec, delta_ext)
 
     domains = _build_domains(spec, bbox, disk, delta_ext, ctx)
     setup = StructuralSetup(
@@ -327,10 +322,7 @@ def _build_domains(spec: MapSpec, bbox: Rect, disk: DomainDisk,
         upper = _cut_curve(spec, delta_ext, cut, j)
         anchor_re = max(x_tract + 1.0, min(bbox.x1 - 1.0, x_tract + 3.0))
         anchor = complex(anchor_re, theta_inf + 2.0 * math.pi * j - math.pi)
-        domains.append(FundamentalDomain(
-            label=BranchLabel(alpha=0, j=j), tract=0,
-            side_curves=(lower, upper), anchor=anchor, order_key=j,
-        ))
+        domains.append(FundamentalDomain(BranchLabel(j), (lower, upper), anchor))
     return domains
 
 

@@ -151,7 +151,7 @@ def test_criterion_5_forced_landing():
         spec = exp_map(0.3)
         setup = structural_setup(spec, Rect(-4, 10, -17, 17), 0.1)
         for j in (-2, -1, 1, 2):
-            record = find_fixed_in_domain(spec, setup, BranchLabel(0, j))
+            record = find_fixed_in_domain(spec, setup, BranchLabel(j))
             ray = landing_point(spec, trace_ray(spec, setup, Address.constant(j)))
             assert ray.status.kind == "lands_at"
             assert abs(record.location - ray.landing) < 1e-6

@@ -2,7 +2,8 @@
 
 `bench/tracing.py` wraps raysep's public functions by name, so renaming one
 breaks the benchmark.  This runs the tracer, unedited, around the benchmark's
-`smoke` scenario.
+`smoke` scenario and, with the benchmark's own self-check, around the seed-0
+scenarios of each measured workload.
 """
 
 from pathlib import Path
@@ -46,3 +47,17 @@ def test_tracer_covers_the_smoke_scenario(bench):
     assert metrics["rays.landing_point_calls"] > 0
     assert metrics["rays.landed_share"] == 1.0
     assert workloads.check(scenario, setup, report, []) == []
+
+
+@pytest.mark.parametrize("workload", ["p1-family", "p4-rays", "p2-regions"])
+def test_tracer_self_check_of_each_workload(bench, workload):
+    # every layer is called, every metric the workload exercises is nonzero,
+    # and every scenario passes the benchmark's checks
+    tracing, workloads = bench
+    import harness
+    tracer = tracing.Tracer()
+    outcomes = harness.run_pass(workloads.scenarios(workload, 0), tracer)
+    assert [o.problems for o in outcomes] == [[] for _ in outcomes]
+    metrics = tracer.metrics()
+    assert [m for m in harness.EXERCISED[workload] if not metrics[m]] == []
+    assert [layer for layer, n in tracer.layer_calls().items() if n == 0] == []

@@ -116,8 +116,23 @@ class TestExitCodes:
          "resolution"),
         (["setup", "--map", "exp(0.3)", "--bbox=-4,10,-12,12", "--res=nan"], None,
          "resolution"),
+        (["setup"], {"map": "exp(0.3)", "period": "2"}, "'period'"),
+        (["setup"], {"map": "exp(0.3)", "period": 1.5}, "'period'"),
+        (["setup"], {"map": "exp(0.3)", "resolution": "0.1"}, "'resolution'"),
+        (["setup"], {"map": 3}, "'map'"),
+        (["setup"], {"map": "exp(0.3)", "radius": [1]}, "'radius'"),
+        (["setup"], {"map": "exp(0.3)", "bbox": [-4, 10, -12]}, "'bbox'"),
+        (["rays"], {"map": "exp(0.3)", "addresses": "0|"}, "'addresses'"),
+        (["rays"], {"map": "exp(0.3)", "domains": [5, 1]}, "empty domain range"),
+        (["setup", "--map", "exp(0.3)", "--bbox=-inf,10,-12,12"], None, "box edge x0"),
+        (["setup", "--map", "exp(0.3)", "--bbox=-4,inf,-12,12"], None, "box edge x1"),
     ], ids=["config-unknown-key", "config-list", "count-domains-out-of-range",
-            "rays-domains-out-of-range", "res-zero", "res-negative", "res-nan"])
+            "rays-domains-out-of-range", "res-zero", "res-negative", "res-nan",
+            "config-period-string", "config-period-float", "config-resolution-string",
+            "config-map-number", "config-radius-list",
+            "config-bbox-three-numbers", "config-addresses-string",
+            "config-domains-reversed", "bbox-minus-inf",
+            "bbox-inf"])
     def test_malformed_input_is_one_json_line(self, tmp_path, args, config, named):
         # a fresh process, so an uncaught exception shows as exit 1 and a traceback
         if config is not None:

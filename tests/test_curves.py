@@ -249,7 +249,7 @@ class TestRefineForArgument:
     def test_square_contour_refined_to_winding_one(self):
         z = np.array([1 + 1j, -1 + 1j, -1 - 1j, 1 - 1j, 1 + 1j])
         square = ParamCurve(np.arange(5, dtype=float), z, closed=True)
-        refined = refine_for_argument(square, lambda w: w, np.pi / 4)
+        refined = refine_for_argument(square, lambda w: w)
         assert winding_number(refined, 0).integer_snap == 1
         # original samples survive
         for orig in z:
@@ -257,19 +257,14 @@ class TestRefineForArgument:
 
     def test_no_winding_needs_no_refinement(self):
         circle = ParamCurve.circle(0, 1.0, n=256)
-        refined = refine_for_argument(circle, lambda w: w - 5, np.pi / 4)
+        refined = refine_for_argument(circle, lambda w: w - 5)
         assert len(refined) <= len(circle) + 8
         assert winding_number(ParamCurve(refined.t, refined.z - 5), 0).integer_snap == 0
 
     def test_near_zero_contour(self):
         circle = ParamCurve.circle(1e-3, 0.01, n=8)
-        refined = refine_for_argument(circle, lambda w: w, np.pi / 4)
+        refined = refine_for_argument(circle, lambda w: w)
         assert winding_number(refined, 0).integer_snap == 1
-
-    def test_bad_max_step_rejected(self):
-        circle = ParamCurve.circle(0, 1.0, n=16)
-        with pytest.raises(ValueError):
-            refine_for_argument(circle, lambda w: w, np.pi)
 
 
 class TestMultiplicity:

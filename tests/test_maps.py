@@ -103,18 +103,18 @@ class TestSingularValues:
 
 def pull_back(spec, w, label, cut):
     """The inverse branch of `label` at one point, for the cut curve `cut`."""
-    return complex(BranchContext(spec, cut, 1.0).pull_back(w, label))
+    return complex(BranchContext(spec, cut).pull_back(w, label))
 
 
 class TestInverseBranch:
     def test_principal_branch(self):
         spec = exp_map(0.3)
-        z = pull_back(spec, 3.0, BranchLabel(0, 0), negative_real_cut())
+        z = pull_back(spec, 3.0, BranchLabel(0), negative_real_cut())
         assert z == pytest.approx(np.log(10.0))
 
     def test_band_shift(self):
         spec = exp_map(0.3)
-        z = pull_back(spec, 3.0, BranchLabel(0, 1), negative_real_cut())
+        z = pull_back(spec, 3.0, BranchLabel(1), negative_real_cut())
         assert z == pytest.approx(np.log(10.0) + 2j * np.pi)
 
     def test_pullback_iteration_converges_to_repelling_point(self):
@@ -123,7 +123,7 @@ class TestInverseBranch:
         cut = negative_real_cut()
         z = 3.0 + 0j
         for _ in range(200):
-            z = pull_back(spec, z, BranchLabel(0, 0), cut)
+            z = pull_back(spec, z, BranchLabel(0), cut)
         target = brentq(lambda t: 0.3 * np.exp(t) - t, 1, 2, xtol=1e-14)
         assert z == pytest.approx(target, abs=1e-12)
 
@@ -136,7 +136,7 @@ class TestInverseBranch:
             if abs(w) < 1.1 or abs(w.imag) < 1e-3 and w.real < 0:
                 continue
             for j in (-1, 0, 2):
-                z = pull_back(spec, w, BranchLabel(0, j), cut)
+                z = pull_back(spec, w, BranchLabel(j), cut)
                 value, _ = spec.evaluate(z, 1)
                 assert abs(value - w) < 1e-9
 
@@ -146,7 +146,7 @@ class TestInverseBranch:
         cut = negative_real_cut()
         for _ in range(100):
             w = complex(rng.uniform(1.5, 8), rng.uniform(-8, 8))
-            images = [pull_back(spec, w, BranchLabel(0, j), cut)
+            images = [pull_back(spec, w, BranchLabel(j), cut)
                       for j in range(-2, 3)]
             for i in range(len(images)):
                 for k in range(i + 1, len(images)):
@@ -156,9 +156,9 @@ class TestInverseBranch:
     def test_rows_of_a_2d_pull_back_equal_row_calls(self, text):
         # one label per lane of a 1-D w: bitwise the single-label calls
         spec = parse_map(text)
-        ctx = BranchContext(spec, negative_real_cut(), 1.0)
+        ctx = BranchContext(spec, negative_real_cut())
         rng = np.random.default_rng(23)
-        labels = [BranchLabel(0, j) for j in rng.integers(-40, 41, 9)]
+        labels = [BranchLabel(j) for j in rng.integers(-40, 41, 9)]
         w = rng.uniform(2, 1e4, len(labels)) * np.exp(1j * rng.uniform(0, 2 * np.pi, len(labels)))
         lanes = ctx.pull_back(w, labels)
         assert lanes.shape == w.shape

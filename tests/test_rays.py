@@ -1,6 +1,7 @@
 """Ray tracing, landing, pairs, and the ray-family invariants."""
 
 import itertools
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -111,11 +112,6 @@ class TestTraceRay:
             far_half = ray.z[: len(ray.z) // 2]
             for z in far_half:
                 assert setup03.in_domain(complex(z), address.period[0])
-
-    def test_bad_t_grid_rejected(self, setup03):
-        with pytest.raises(ValueError):
-            trace_ray(setup03.spec, setup03, Address.constant(0),
-                      t_grid=[1.0, 2.0])
 
 
 class TestLanding:
@@ -267,7 +263,7 @@ def _scalar_walk(spec, setup, address, levels):
     cut or a singular value (-1 when clean); a settled walk repeats its last
     p states below.
     """
-    walk = PullbackWalk(spec, setup, [address], DEFAULT_T_TOP)
+    walk = PullbackWalk(spec, setup, [address])
     p = address.period_length
     states = np.full(levels + 1, np.nan, dtype=complex)
     z = states[levels] = complex(walk.anchors(levels)[0])
@@ -304,9 +300,9 @@ class TestBatchedWalk:
         assert (bad_at >= 0).any() == (case == "broken")
 
     @staticmethod
-    def _check_batch(spec, setup, addresses, **kwargs):
-        batch = trace_ray(spec, setup, addresses, **kwargs)
-        singles = [trace_ray(spec, setup, a, **kwargs) for a in addresses]
+    def _check_batch(spec, setup, addresses):
+        batch = trace_ray(spec, setup, addresses)
+        singles = [trace_ray(spec, setup, a) for a in addresses]
         assert len(batch) == len(addresses)
         for b, s in zip(batch, singles):
             _same_rays(b, s)
@@ -349,13 +345,12 @@ class TestBatchedWalk:
         landed = self._check_batch(spec, setup, addresses)
         kinds = [r.status.kind for r in landed]
         assert kinds == ["lands_at", "lands_at", "broken", "lands_at", "lands_at"]
-        # three samples end above the cut hit: only the endpoints see it
-        short = trace_ray(spec, setup, addresses, t_grid=[8.0, 4.0, 2.0])
-        assert short[2].status.kind == "unresolved"
-        assert np.isnan(short[2].endpoints[-1]) and np.isnan(short[2].limit)
-        landed = self._check_batch(spec, setup, addresses, t_grid=[8.0, 4.0, 2.0])
-        assert landed[2].status == RayStatus("broken", first_bad_t=2.0)
-        assert [r.status.kind for r in landed] == kinds
+        # a walk that hits the cut below the samples leaves nan endpoints
+        ray = trace_ray(spec, setup, addresses[1])
+        endpoints = ray.endpoints.copy()
+        endpoints[-1] = np.nan
+        cut_below = landing_point(spec, replace(ray, endpoints=endpoints))
+        assert cut_below.status == RayStatus("broken", first_bad_t=float(np.min(ray.t)))
 
     def test_parabolic_lane_beside_settling_lanes(self):
         spec = parse_map("exp(1/e)")
@@ -473,7 +468,7 @@ class TestAnchorRadius:
         setup = structural_setup(spec, Rect(-9, 7.5, -13, 13), 0.12)
         E = setup.expansion_radius
         assert E == 25.0
-        validate_expansion_radius(setup, [BranchLabel(0, -1), BranchLabel(0, 0)], E)
+        validate_expansion_radius(setup, [BranchLabel(-1), BranchLabel(0)], E)
         trace_ray(spec, setup, Address.parse("|2,15"))
         # band 2 passed at E when the setup was built; the far band 15 needs a
         # larger radius, which must not become band 2's
@@ -516,9 +511,9 @@ class TestFixedRays:
                     assert np.min(np.abs(rays[k].z - z)) > 1e-3
 
 
-def ray_pairs(rays, tol=PAIR_TOL):
+def ray_pairs(rays):
     """One RayPair per two rays of a landing group (as the ray graph builds them)."""
-    return pairs_from_groups(rays, landing_groups(rays, tol)[1])
+    return pairs_from_groups(rays, landing_groups(rays)[1])
 
 
 class TestRayPairs:
@@ -551,10 +546,12 @@ class TestRayPairs:
     def test_tolerance_sensitivity(self, setup03):
         spec = setup03.spec
         a = landing_point(spec, trace_ray(spec, setup03, Address.constant(0)))
-        b = landing_point(spec, trace_ray(spec, setup03, Address.constant(1)))
-        gap = abs(a.landing - b.landing)
-        assert ray_pairs([a, b], tol=gap * 0.5) == []
-        assert len(ray_pairs([a, b], tol=gap * 2.0)) == 1
+
+        def landed_at(gap):
+            return replace(a, address=Address.constant(1),
+                           status=RayStatus.landed(a.landing + gap, None))
+        assert len(ray_pairs([a, landed_at(0.5 * PAIR_TOL)])) == 1
+        assert ray_pairs([a, landed_at(2.0 * PAIR_TOL)]) == []
 
     def test_mixed_periods_rejected(self, setup_neg5):
         spec = setup_neg5.spec

@@ -12,7 +12,7 @@ from raysep.curves import ParamCurve
 from raysep.errors import (EpsTooLarge, ExpansionNotValidated, NotFullComplete, Overflow,
                            ResolutionTooCoarse, UnlandedRay)
 from raysep.fixedpoints import FixedPointRecord
-from raysep.maps import MapSpec, exp_map, parse_map
+from raysep.maps import BranchLabel, MapSpec, exp_map, parse_map
 import raysep.separation
 from raysep.rays import (PAIR_TOL, Address, RayPair, RayStatus, landing_groups,
                          landing_point, pairs_from_groups, trace_ray)
@@ -53,14 +53,14 @@ def landed_rays(setup, bands, period=1):
 class TestRayGraph:
     def test_five_rays_no_pairs(self, setup03):
         rays = landed_rays(setup03, (-2, -1, 0, 1, 2))
-        graph = build_ray_graph(rays, 1)
+        graph = build_ray_graph(rays)
         assert len(graph.landing_points) == 5
         assert graph.pairs == []
 
     def test_synthetic_shared_landing_is_a_pair(self, setup03):
         base = landed_rays(setup03, (0,))[0]
         clone = dataclasses.replace(base, address=Address.constant(1))
-        graph = build_ray_graph([base, clone], 1)
+        graph = build_ray_graph([base, clone])
         assert len(graph.pairs) == 1
         assert len(graph.landing_points) == 1
 
@@ -72,10 +72,10 @@ class TestRayGraph:
                     base, address=Address.constant(k),
                     status=RayStatus.landed(base.landing + 0.6 * PAIR_TOL * k, None))
                 for k in range(3)]
-        graph = build_ray_graph(rays, 1)
+        graph = build_ray_graph(rays)
         assert len(graph.landing_points) == 2
         assert len(graph.pairs) == 1
-        assert len(pairs_from_groups(rays, landing_groups(rays, PAIR_TOL)[1])) == 1
+        assert len(pairs_from_groups(rays, landing_groups(rays)[1])) == 1
         index = {id(r): i for r, i in zip(graph.rays, graph.landing_index)}
         for pair in graph.pairs:
             assert index[id(pair.rays[0])] == index[id(pair.rays[1])]
@@ -85,10 +85,10 @@ class TestRayGraph:
     def test_unlanded_rejected(self, setup03):
         ray = trace_ray(setup03.spec, setup03, Address.constant(0))
         with pytest.raises(UnlandedRay):
-            build_ray_graph([ray], 1)
+            build_ray_graph([ray])
 
     def test_empty_graph_one_region(self, setup03):
-        graph = build_ray_graph([], 1)
+        graph = build_ray_graph([])
         regions, _ = basic_regions(graph, setup03.bbox, 1.0)
         assert len(regions) == 1
 
@@ -96,7 +96,7 @@ class TestRayGraph:
 class TestBasicRegions:
     def test_lone_rays_do_not_separate(self, setup03):
         rays = landed_rays(setup03, (-1, 0, 1))
-        graph = build_ray_graph(rays, 1)
+        graph = build_ray_graph(rays)
         regions, geometry = basic_regions(graph, setup03.bbox, 0.5)
         assert len(regions) == 1
 
@@ -104,7 +104,7 @@ class TestBasicRegions:
         spec = setup_neg5.spec
         rays = [landing_point(spec, trace_ray(spec, setup_neg5, Address.cycle(b)))
                 for b in ([0, 1], [1, 0])]
-        graph = build_ray_graph(rays, 2)
+        graph = build_ray_graph(rays)
         assert len(graph.pairs) == 1
         regions, geometry = basic_regions(graph, setup_neg5.bbox, 0.4)
         assert len(regions) == 2
@@ -121,7 +121,7 @@ class TestBasicRegions:
         spec = setup_neg5.spec
         rays = [landing_point(spec, trace_ray(spec, setup_neg5, Address.cycle(b)))
                 for b in ([0, 1], [1, 0])]
-        graph = build_ray_graph(rays, 2)
+        graph = build_ray_graph(rays)
         regions, geometry = basic_regions(graph, setup_neg5.bbox, 0.4)
         for reg in regions:
             assert reg.contains(reg.sample_interior_point, geometry)
@@ -229,7 +229,7 @@ def pair_neg5(setup_neg5):
     spec = setup_neg5.spec
     rays = [landing_point(spec, trace_ray(spec, setup_neg5, Address.cycle(b)))
             for b in ([0, 1], [1, 0])]
-    return build_ray_graph(rays, 2)
+    return build_ray_graph(rays)
 
 
 @pytest.fixture(scope="module")
@@ -322,7 +322,7 @@ class TestResolutionPrecondition:
     @pytest.mark.parametrize("resolution", [0.0, -0.5, math.nan, math.inf])
     def test_basic_regions_rejects(self, setup03, resolution):
         with pytest.raises(ValueError, match="resolution"):
-            basic_regions(build_ray_graph([], 1), setup03.bbox, resolution)
+            basic_regions(build_ray_graph([]), setup03.bbox, resolution)
 
     @pytest.mark.parametrize("resolution", [0.0, math.nan])
     def test_report_rejects_before_ray_work(self, setup03, monkeypatch, resolution):
@@ -390,12 +390,13 @@ class TestCountingContour:
         assert calls == [[f"|{js[0].j - 1}", f"|{js[-1].j + 1}"]]
 
     def test_invalid_radius_names_the_margin(self, setup03):
-        # R = 10 fails for bands -1, 0, 1 (test_structure); a second call
-        # decides the same and still reports the margin
-        labels = [setup03.domain_by_band(j).label for j in (-1, 0, 1)]
+        # the setup's radius fails for a band far outside the setup; a second
+        # call decides the same and still reports the margin
+        labels = [BranchLabel(10 ** 6)]
+        radius = f"radius {setup03.expansion_radius} not valid .*margin -"
         for _ in range(2):
-            with pytest.raises(ExpansionNotValidated, match=r"radius 10.0 not valid .*margin -"):
-                counting_contour(setup03.spec, setup03, labels, R=10.0)
+            with pytest.raises(ExpansionNotValidated, match=radius):
+                counting_contour(setup03.spec, setup03, labels)
 
     def test_piece_tags(self, setup03):
         labels = [setup03.domain_by_band(0).label]

@@ -225,8 +225,7 @@ class TestChooseDelta:
     @example(walls=[(-1 - 6j, 12j)])        # a wall left of the disk
     @example(walls=[(-3 + 0.5j, 6j)])       # a wall above the middle of the left ray
     def test_matches_per_angle_scan_around_obstacles(self, walls):
-        tracts = [Tract(alpha=k, boundary=ParamCurve.segment(z, z + d, 4), anchor=z,
-                        touches_box=False)
+        tracts = [Tract(alpha=k, boundary=ParamCurve.segment(z, z + d, 4), anchor=z)
                   for k, (z, d) in enumerate(walls) if abs(d) > 0]
         assert_same_delta(exp_map(0.3), (-4, 10, -12, 12), 0.1, tracts=tracts)
 
@@ -240,7 +239,6 @@ class TestTracts:
     def test_single_tract_half_plane(self, setup03_disk1):
         assert len(setup03_disk1.tracts) == 1
         tract = setup03_disk1.tracts[0]
-        assert tract.touches_box
         edge = math.log(10.0 / 3.0)
         boundary = tract.boundary.z
         assert np.max(np.abs(boundary.real - edge)) < 1e-6
@@ -306,11 +304,6 @@ class TestFundamentalDomains:
             w = spec.evaluate(z, 1)[0]
             assert abs(w.imag) < 1e-9 and w.real < 0
 
-    def test_order_keys_increase_with_band(self, setup03):
-        doms = sorted(setup03.domains, key=lambda d: d.order_key)
-        bands = [d.label.j for d in doms]
-        assert bands == sorted(bands)
-
     def test_anchor_in_domain(self, setup03):
         for dom in setup03.domains:
             assert setup03.in_domain(dom.anchor, dom.label)
@@ -322,7 +315,7 @@ class TestFundamentalDomains:
             w = complex(rng.uniform(1, 9), rng.uniform(-9, 9))
             if abs(w) <= setup03.disk.radius + 0.1:
                 continue
-            images = [complex(setup03.pull_back(w, lb)) for lb in labels]
+            images = [complex(setup03.branch_context.pull_back(w, lb)) for lb in labels]
             for i, (lb, z) in enumerate(zip(labels, images)):
                 assert setup03.in_domain(z, lb)
                 for k in range(i + 1, len(images)):
@@ -412,7 +405,7 @@ def reference_validate(setup, labels, R):
         top = -math.inf
         u = np.linspace(0.0, 2.0 * np.pi, REFERENCE_SAMPLES, endpoint=False)
         for _ in range(6):
-            mods = np.abs(setup.pull_back(R * np.exp(1j * u), label))
+            mods = np.abs(setup.branch_context.pull_back(R * np.exp(1j * u), label))
             k = int(np.argmax(mods))
             top = max(top, float(mods[k]))
             du = u[1] - u[0]
@@ -444,7 +437,7 @@ class TestExpansionRows:
         setup = fresh_setup(k)
         R = setup.disk.radius * scale
         bound = raysep.structure._preimage_bounds(setup, js, R)
-        sampled = reference_validate(setup, [BranchLabel(0, j) for j in js], R)
+        sampled = reference_validate(setup, [BranchLabel(j) for j in js], R)
         assert np.all(bound >= sampled - 1e-9 * R)
 
     @settings(max_examples=60, deadline=None)
@@ -455,7 +448,7 @@ class TestExpansionRows:
         # at b = 0 the circle's preimage is one whole band edge to edge, so
         # the bound is the supremum the sampled loop converges to
         setup = fresh_setup(k)
-        labels = [BranchLabel(0, j) for j in js]
+        labels = [BranchLabel(j) for j in js]
         R = setup.disk.radius * scale
         bound = raysep.structure._preimage_bounds(setup, js, R)
         sampled = reference_validate(setup, labels, R)
@@ -469,7 +462,7 @@ class TestExpansionRows:
     @given(st.integers(0, len(EXPANSION_MAPS) - 1), st.lists(bands, min_size=1, max_size=4))
     def test_bulk_search_equals_sequential_search(self, k, sets):
         setup = fresh_setup(k)
-        label_sets = [[BranchLabel(0, j) for j in js] for js in sets]
+        label_sets = [[BranchLabel(j) for j in js] for js in sets]
         radii = raysep.structure._expansion_radii(setup, label_sets)
         assert radii == [reference_radius(setup, labels) for labels in label_sets]
 
@@ -485,15 +478,15 @@ class TestExpansionRows:
         setup = dataclasses.replace(base, branch_context=ctx)
         js = [-2, 0, 2, 5]
         bound = raysep.structure._preimage_bounds(setup, js, 4.0)
-        sampled = reference_validate(setup, [BranchLabel(0, j) for j in js], 4.0)
+        sampled = reference_validate(setup, [BranchLabel(j) for j in js], 4.0)
         assert np.all(bound >= sampled - 1e-9 * 4.0)
 
     def test_a_set_past_the_cap(self):
         # band 10^5 has preimages of modulus ~2 pi 10^5, beyond every R up to
         # the cap; the sets beside it settle as before
         setup = fresh_setup(0)
-        far = [BranchLabel(0, 0), BranchLabel(0, 100000)]
-        label_sets = [[BranchLabel(0, 1)], far, [BranchLabel(0, 40)]]
+        far = [BranchLabel(0), BranchLabel(100000)]
+        label_sets = [[BranchLabel(1)], far, [BranchLabel(40)]]
         radii = raysep.structure._expansion_radii(setup, label_sets)
         assert radii[1] is None
         assert radii == [reference_radius(setup, labels) for labels in label_sets]
