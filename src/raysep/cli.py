@@ -70,12 +70,16 @@ class ScenarioConfig:
         unknown = sorted(set(data) - {f.name for f in fields(cls)})
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
+        if "map" not in data:
+            raise ValueError("the config file has no key 'map' and no --map was given")
         nullable = {f.name for f in fields(cls) if f.default is None}
         for key, value in data.items():
             if not (value is None and key in nullable or _has_shape(key, value)):
                 raise ValueError(f"config key {key!r} has a value of the wrong type "
                                  f"or shape: {value!r}")
         kwargs = dict(data)
+        if "radius" in kwargs:
+            kwargs["radius"] = _parse_radius(kwargs["radius"], "config key 'radius'")
         if kwargs.get("bbox"):
             kwargs["bbox"] = tuple(float(v) for v in kwargs["bbox"])
         if kwargs.get("domains"):
@@ -88,6 +92,19 @@ def _has_shape(key: str, value) -> bool:
     return (isinstance(items, list) and CONFIG_LENGTHS.get(key, 1) in (None, len(items))
             and all(isinstance(v, CONFIG_TYPES[key]) and not isinstance(v, bool)
                     for v in items))
+
+
+def _parse_radius(value, name: str) -> str | float:
+    """The expansion radius: "auto" or a finite number; `name` is in the error."""
+    if value == "auto":
+        return value
+    try:
+        radius = float(value)
+    except ValueError:
+        radius = math.nan
+    if not math.isfinite(radius):
+        raise ValueError(f'{name} must be "auto" or a finite number, got {value!r}')
+    return radius
 
 
 def _parse_bbox(text: str) -> tuple[float, float, float, float]:
@@ -143,7 +160,10 @@ def build_parser() -> argparse.ArgumentParser:
 def config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     if args.config:
         with open(args.config, "r", encoding="utf-8") as fh:
-            config = ScenarioConfig.from_json(json.load(fh))
+            data = json.load(fh)
+        if args.map and isinstance(data, dict):
+            data.setdefault("map", args.map)
+        config = ScenarioConfig.from_json(data)
     else:
         if not args.map:
             raise ValueError("--map (or --config) is required")
@@ -159,7 +179,7 @@ def config_from_args(args: argparse.Namespace) -> ScenarioConfig:
     if args.depth is not None:
         config.depth = args.depth
     if args.radius is not None:
-        config.radius = "auto" if args.radius == "auto" else float(args.radius)
+        config.radius = _parse_radius(args.radius, "--radius")
     if args.disk_radius is not None:
         config.disk_radius = args.disk_radius
     if args.domains is not None:

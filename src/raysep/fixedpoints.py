@@ -323,9 +323,7 @@ def _domain_min_modulus(setup: StructuralSetup, dom) -> float:
     best = math.inf
     for side in dom.side_curves:
         best = min(best, float(np.min(np.abs(side.z))))
-    delta0 = complex(setup.delta.z[0])
-    theta0 = math.atan2(delta0.imag, delta0.real)
-    u = theta0 + np.linspace(1e-6, 2.0 * math.pi - 1e-6, 512)
+    u = setup.branch_context.cut.theta + np.linspace(1e-6, 2.0 * math.pi - 1e-6, 512)
     w = setup.disk.radius * np.exp(1j * u)
     z = setup.branch_context.pull_back(w, dom.label)
     best = min(best, float(np.min(np.abs(z))))

@@ -2,19 +2,19 @@
 
 A map is one exponential-affine factor z -> a*e^z + b.  It has order one and
 a single asymptotic value b, so its singular set is bounded and its inverse
-branches are closed-form: complex logarithms with a band selection that is
-adjusted across the cut curve delta.  Iterates f^p enter through `period`.
+branches are closed-form: complex logarithms whose bands are bounded by the
+lifts of the radial cut curve delta, along which the argument is itself a
+closed form (`CutGeometry`).  Iterates f^p enter through `period`.
 """
 
 from __future__ import annotations
 
 import cmath
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import ParamCurve
 from .errors import OnCut, Overflow
 
 OVERFLOW_RE = 690.0          # exp argument guard
@@ -108,42 +108,42 @@ def exp_map(a: complex, b: complex = 0.0) -> MapSpec:
 # -- cut geometry and branch selection ---------------------------------------
 
 
-@dataclass
+@dataclass(frozen=True)
 class CutGeometry:
-    """Band geometry of the map's logarithm relative to a cut curve.
+    """Band geometry of the map's logarithm about the radial cut s e^(i theta), s >= r.
 
-    For the map z -> a*e^z + b and cut delta, the relevant curve is
-    v(s) = (delta(s) - b)/a; its modulus is monotone for radial delta, so the
-    cut's unwrapped argument is a function phi of the modulus.  Band j then
+    For the map z -> a*e^z + b the cut's point s e^(i theta) has
+    v = (w - b)/a = e^(i theta) (s - c)/a with c = b e^(-i theta).  As
+    r > |b|, Re(s - c) > 0: |v| = |s - c|/|a| grows with s, and the cut's
+    argument is phi_inf + arg(s - c), where phi_inf = theta - arg a wrapped
+    into (-pi, pi] is its limit at infinity.  Since Im(s - c) = -Im c, that
+    argument as a function of rho = |v| is the closed form
+    phi(rho) = phi_inf - arcsin(Im c / (|a| max(rho, |r - c|/|a|))),
+    monotone in rho and constant below the cut's inner end.  Band j
     occupies arguments (phi(|v|) + 2*pi*(j-1), phi(|v|) + 2*pi*j].
     """
 
-    moduli: np.ndarray
-    args: np.ndarray          # unwrapped, tail value = asymptotic angle
-    tail_angle: float
+    theta: float
+    r: float
+    c: complex
+    abs_a: float
+    phi_inf: float
 
     @classmethod
-    def from_delta(cls, delta: ParamCurve, spec: MapSpec) -> "CutGeometry":
-        v = (delta.z - spec.b) / spec.a
-        rho = np.abs(v)
-        order = np.argsort(rho)
-        rho = rho[order]
-        raw = np.angle(v[order])
-        args = np.unwrap(raw)
-        # normalize so the tail (largest modulus) angle lies in (-pi, pi]
-        tail = args[-1]
-        shift = 2.0 * np.pi * round((tail - _wrap_half_open(tail)) / (2.0 * np.pi))
-        args = args - shift
-        return cls(rho, args, float(args[-1]))
+    def radial(cls, spec: MapSpec, theta: float, r: float) -> "CutGeometry":
+        """The cut at angle theta from the disk of radius r > |b| about 0."""
+        return cls(theta, r, spec.b * cmath.exp(-1j * theta), abs(spec.a),
+                   _wrap_half_open(theta - cmath.phase(spec.a)))
 
-    @classmethod
-    def principal(cls) -> "CutGeometry":
-        """Cut along the negative reals (phi identically pi)."""
-        return cls(np.array([1.0, 2.0]), np.array([np.pi, np.pi]), np.pi)
+    def phi(self, rho):
+        """The cut's argument at modulus rho of v; an array, 0-d for a scalar."""
+        inner = abs(self.r - self.c) / self.abs_a
+        return self.phi_inf - np.arcsin(self.c.imag / self.abs_a / np.maximum(rho, inner))
 
-    def phi(self, rho: np.ndarray | float):
-        return np.interp(rho, self.moduli, self.args,
-                         left=self.args[0], right=self.tail_angle)
+    def lift(self, s, m: int):
+        """The cut points s e^(i theta), s >= r, pulled back to band m's top edge."""
+        d = np.asarray(s, dtype=float) - self.c
+        return np.log(np.abs(d) / self.abs_a) + 1j * (self.phi_inf + np.angle(d) + 2.0 * np.pi * m)
 
 
 def _wrap_half_open(theta: float) -> float:
@@ -178,14 +178,10 @@ def branch_log(v, j, cut: CutGeometry):
 
 @dataclass
 class BranchContext:
-    """The map's cut geometry, precomputed for its inverse branches."""
+    """The map and its cut geometry, for its inverse branches."""
 
     spec: MapSpec
-    delta: ParamCurve
-    cut: CutGeometry = field(init=False)
-
-    def __post_init__(self):
-        self.cut = CutGeometry.from_delta(self.delta, self.spec)
+    cut: CutGeometry
 
     def pull_back(self, w, label):
         """Inverse branch of `label`: the logarithm of (w - b)/a in its band.

@@ -174,10 +174,7 @@ class PullbackWalk:
         self.setup = setup
         self.addresses = list(addresses)
         self.ctx = setup.branch_context
-        self._theta = self.ctx.cut.tail_angle
         self._svals = np.array(spec.singular_values(), dtype=complex)
-        self._delta_a = complex(setup.delta.z[0])
-        self._delta_dir = self._delta_a / abs(self._delta_a)
 
     def anchors(self, level: int) -> np.ndarray:
         """Each lane's top state: deep inside the domain of its symbol at `level`.
@@ -199,16 +196,16 @@ class PullbackWalk:
                         dtype=float)
         z = np.empty(len(self.addresses), dtype=complex)
         z.real = base + DEFAULT_T_TOP
-        z.imag = self._theta + 2.0 * math.pi * band - math.pi
+        z.imag = self.ctx.cut.phi_inf + 2.0 * math.pi * band - math.pi
         return z
 
     def _bad_input(self, z: np.ndarray) -> np.ndarray:
         """Mask of the states too close to the cut or to a singular value."""
         # distance to the radial continuation of delta beyond the disk
-        s = (z * self._delta_dir.conjugate()).real
-        nearest = np.where(s >= abs(self._delta_a), s * self._delta_dir, self._delta_a)
+        direction = cmath.exp(1j * self.ctx.cut.theta)
+        s = np.maximum((z * direction.conjugate()).real, self.ctx.cut.r)
         near_value = np.abs(self._svals[:, None] - z) <= BROKEN_TOL
-        return (np.abs(z - nearest) <= BROKEN_TOL) | near_value.any(axis=0)
+        return (np.abs(z - s * direction) <= BROKEN_TOL) | near_value.any(axis=0)
 
     def states(self, levels: int, keep) -> tuple[np.ndarray, np.ndarray]:
         """Walk every lane down `levels` pullbacks from its anchor.

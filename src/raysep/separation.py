@@ -346,33 +346,23 @@ def counting_contour(spec: MapSpec, setup: StructuralSetup, domains,
     j_lo, j_hi = labels[0].j, labels[-1].j
     N = len(labels)
     r_disk = setup.disk.radius
-    delta0 = complex(setup.delta.z[0])
-    theta_delta = math.atan2(delta0.imag, delta0.real)
 
-    def cut_point(s: float, m: int) -> complex:
-        v = (s * complex(math.cos(theta_delta), math.sin(theta_delta)) - spec.b) / spec.a
-        return complex(math.log(abs(v)), float(cut.phi(abs(v))) + 2.0 * math.pi * m)
+    # cut pieces between the tract boundary and the circle preimage
+    s_vals = np.geomspace(r_disk, R, 160)
+    top = cut.lift(s_vals[::-1], j_hi)
+    bottom = cut.lift(s_vals, j_lo - 1)
 
     # preimage arc of C_R covering it N times, bottom cut to top cut
     n_arc = 192 * N + 1
-    u = np.linspace(theta_delta, theta_delta + 2.0 * math.pi * N, n_arc)
+    u = np.linspace(cut.theta, cut.theta + 2.0 * math.pi * N, n_arc)
     v = (R * np.exp(1j * u) - spec.b) / spec.a
     base = float(cut.phi(abs(v[0])))
     args = np.unwrap(np.angle(v))
     args += (base - args[0])
     z_arc = np.log(np.abs(v)) + 1j * (args + 2.0 * math.pi * (j_lo - 1))
-    p_minus = cut_point(R, j_lo - 1)
-    p_plus = cut_point(R, j_hi)
-    z_arc[0] = p_minus
-    z_arc[-1] = p_plus
+    z_arc[0] = bottom[-1]
+    z_arc[-1] = top[0]
     r_piece = ParamCurve(np.linspace(0.0, 1.0, n_arc), z_arc)
-
-    # cut pieces between the circle preimage and the tract boundary
-    s_vals = np.geomspace(r_disk, R, 160)
-    top = np.array([cut_point(s, j_hi) for s in s_vals[::-1]])
-    bottom = np.array([cut_point(s, j_lo - 1) for s in s_vals])
-    top[0] = p_plus
-    bottom[-1] = p_minus
     t_plus = ParamCurve(np.linspace(0.0, 1.0, len(top)), top)
     t_minus = ParamCurve(np.linspace(0.0, 1.0, len(bottom)), bottom)
 

@@ -5,9 +5,10 @@ The construction: pick a round disk D about 0 containing the singular values,
 cut curve delta from D to infinity, pulled back through the inverse branches,
 slices each tract into fundamental domains labeled by log-bands.  For the
 map a e^z + b the tract boundaries (logs of the circle |e^z + b/a| = r/|a|),
-the fundamental-domain cuts (its inverse branches) and the bound on each
-branch's image of the circle |w| = R that decides the expansion radius are
-all closed forms.
+the fundamental-domain cuts and the bound on each branch's image of the
+circle |w| = R that decides the expansion radius are all closed forms.  The
+cuts are the lifts log(|s - c|/|a|) + i(phi_inf + arg(s - c) + 2 pi m) of
+delta = s e^(i theta), with c = b e^(-i theta) (`maps.CutGeometry`).
 """
 
 from __future__ import annotations
@@ -219,18 +220,6 @@ def _box_exit_radius(bbox: Rect, theta: float) -> float:
     return min(sx, sy)
 
 
-def extended_delta(delta: ParamCurve, reach: float) -> ParamCurve:
-    """Continue a radial delta outward to the given modulus by 64 samples."""
-    tip = complex(delta.z[-1])
-    if abs(tip) >= reach:
-        return delta
-    direction = tip / abs(tip)
-    s = np.geomspace(abs(tip), reach, 65)[1:]
-    t = np.concatenate([delta.t, s])
-    z = np.concatenate([delta.z, direction * s])
-    return ParamCurve(t, z)
-
-
 # -- the main construction -------------------------------------------------------
 
 
@@ -282,16 +271,11 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
 
     tracts = extract_tracts(spec, bbox, resolution, disk.radius)
     delta = choose_delta(spec, bbox, resolution, disk.radius, tracts)
-
-    reach = abs(spec.a) * math.exp(bbox.x1 + 2.0) + disk.radius
-    delta_ext = extended_delta(delta, reach)
-    ctx = BranchContext(spec, delta_ext)
-
-    domains = _build_domains(spec, bbox, disk, delta_ext, ctx)
+    cut = CutGeometry.radial(spec, float(np.angle(delta.z[0])), disk.radius)
     setup = StructuralSetup(
-        spec=spec, disk=disk, delta=delta, tracts=tracts, domains=domains,
-        expansion_radius=0.0, bbox=bbox, resolution=resolution,
-        branch_context=ctx,
+        spec=spec, disk=disk, delta=delta, tracts=tracts,
+        domains=_build_domains(bbox, delta, cut), expansion_radius=0.0, bbox=bbox,
+        resolution=resolution, branch_context=BranchContext(spec, cut),
     )
     if expansion_radius == "auto":
         setup.expansion_radius = select_expansion_radius(setup, setup.domain_labels())
@@ -306,36 +290,18 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
     return setup
 
 
-def _build_domains(spec: MapSpec, bbox: Rect, disk: DomainDisk,
-                   delta_ext: ParamCurve, ctx: BranchContext) -> list[FundamentalDomain]:
-    cut = ctx.cut
-    theta_inf = cut.tail_angle
-    x_tract = math.log(disk.radius / abs(spec.a))  # asymptotic tract edge
+def _build_domains(bbox: Rect, delta: ParamCurve, cut: CutGeometry) -> list[FundamentalDomain]:
+    x_tract = math.log(cut.r / cut.abs_a)  # asymptotic tract edge
     if x_tract > bbox.x1:
         return []
     # bands whose asymptotic strip meets the box vertically
-    j_lo = math.floor((bbox.y0 - theta_inf) / (2.0 * math.pi)) + 1
-    j_hi = math.ceil((bbox.y1 - theta_inf) / (2.0 * math.pi))
-    domains = []
-    for j in range(j_lo, j_hi + 1):
-        lower = _cut_curve(spec, delta_ext, cut, j - 1)
-        upper = _cut_curve(spec, delta_ext, cut, j)
-        anchor_re = max(x_tract + 1.0, min(bbox.x1 - 1.0, x_tract + 3.0))
-        anchor = complex(anchor_re, theta_inf + 2.0 * math.pi * j - math.pi)
-        domains.append(FundamentalDomain(BranchLabel(j), (lower, upper), anchor))
-    return domains
-
-
-def _cut_curve(spec: MapSpec, delta_ext: ParamCurve, cut: CutGeometry,
-               m: int) -> ParamCurve:
-    """Pullback of the cut curve at band offset m: one side curve of a domain."""
-    v = (delta_ext.z - spec.b) / spec.a
-    rho = np.abs(v)
-    order = np.argsort(rho)
-    rho = rho[order]
-    args = cut.phi(rho)
-    z = np.log(rho) + 1j * (args + 2.0 * np.pi * m)
-    return ParamCurve(np.log(rho), z)
+    j_lo = math.floor((bbox.y0 - cut.phi_inf) / (2.0 * math.pi)) + 1
+    j_hi = math.ceil((bbox.y1 - cut.phi_inf) / (2.0 * math.pi))
+    edges = {m: ParamCurve(delta.t, cut.lift(delta.t, m)) for m in range(j_lo - 1, j_hi + 1)}
+    anchor_re = max(x_tract + 1.0, min(bbox.x1 - 1.0, x_tract + 3.0))
+    return [FundamentalDomain(BranchLabel(j), (edges[j - 1], edges[j]),
+                              complex(anchor_re, cut.phi_inf + 2.0 * math.pi * j - math.pi))
+            for j in range(j_lo, j_hi + 1)]
 
 
 # -- expansion radius ---------------------------------------------------------------
@@ -354,16 +320,15 @@ def _preimage_bounds(setup: StructuralSetup, bands, R: float) -> np.ndarray:
     On the circle v = (w - b)/a has modulus in [lo, hi] = [(R - |b|)/|a|,
     (R + |b|)/|a|], and the band-j preimage is z = log|v| + iy with y in
     (phi(|v|) + 2 pi (j - 1), phi(|v|) + 2 pi j].  The cut's phi is
-    piecewise linear, so its extremes over [lo, hi] lie at lo, at hi or at
-    a knot between them.  Hence B_j = hypot(max |log|v||, max |y|); when
-    b = 0, |v| is constant and B_j is the supremum itself.
+    monotone, so its extremes over [lo, hi] lie at lo and hi.  Hence
+    B_j = hypot(max |log|v||, max |y|); when b = 0, |v| is constant and B_j
+    is the supremum itself.
     """
     if R <= setup.disk.radius:
         raise ValueError("R must exceed the disk radius")
     spec, cut = setup.spec, setup.branch_context.cut
     lo, hi = (R - abs(spec.b)) / abs(spec.a), (R + abs(spec.b)) / abs(spec.a)
-    knots = cut.moduli[(cut.moduli > lo) & (cut.moduli < hi)]
-    phi = cut.phi(np.concatenate(([lo, hi], knots)))
+    phi = cut.phi(np.array([lo, hi]))
     j = np.asarray(bands, dtype=float)
     y = np.maximum(np.abs(phi.min() + 2.0 * np.pi * (j - 1)),
                    np.abs(phi.max() + 2.0 * np.pi * j))

@@ -35,6 +35,17 @@ class TestConfig:
         data = json.loads(out)
         assert data["disk"]["radius"] == pytest.approx(0.375)
 
+    def test_config_file_without_map_takes_the_flag(self, tmp_path, capsys):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps({"period": 1, "bbox": [-4, 10, -12, 12],
+                                    "radius": 40}))
+        code, out, _ = run_cli(["setup", "--map", "exp(0.3)", "--config", str(path)],
+                               capsys)
+        assert code == EXIT_OK
+        data = json.loads(out)
+        assert data["map"]["factors"][0]["a"] == [0.3, 0.0]
+        assert data["expansion_radius"] == 40.0
+
 
 class TestExitCodes:
     def test_missing_map_is_config_error(self, capsys):
@@ -126,13 +137,18 @@ class TestExitCodes:
         (["rays"], {"map": "exp(0.3)", "domains": [5, 1]}, "empty domain range"),
         (["setup", "--map", "exp(0.3)", "--bbox=-inf,10,-12,12"], None, "box edge x0"),
         (["setup", "--map", "exp(0.3)", "--bbox=-4,inf,-12,12"], None, "box edge x1"),
+        (["setup"], {"period": 1}, "'map'"),
+        (["setup", "--map", "exp(0.3)", "--radius", "abc"], None, "--radius"),
+        (["setup", "--map", "exp(0.3)", "--radius", "nan"], None, "--radius"),
+        (["setup"], {"map": "exp(0.3)", "radius": "abc"}, "'radius'"),
     ], ids=["config-unknown-key", "config-list", "count-domains-out-of-range",
             "rays-domains-out-of-range", "res-zero", "res-negative", "res-nan",
             "config-period-string", "config-period-float", "config-resolution-string",
             "config-map-number", "config-radius-list",
             "config-bbox-three-numbers", "config-addresses-string",
             "config-domains-reversed", "bbox-minus-inf",
-            "bbox-inf"])
+            "bbox-inf", "config-map-missing", "radius-not-a-number", "radius-nan",
+            "config-radius-string"])
     def test_malformed_input_is_one_json_line(self, tmp_path, args, config, named):
         # a fresh process, so an uncaught exception shows as exit 1 and a traceback
         if config is not None:

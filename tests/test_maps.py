@@ -5,7 +5,6 @@ import cmath
 import numpy as np
 import pytest
 
-from raysep.curves import ParamCurve
 from raysep.errors import OnCut, Overflow
 from raysep.maps import (
     BranchContext,
@@ -19,9 +18,9 @@ from raysep.maps import (
 )
 
 
-def negative_real_cut(reach: float = 1e6) -> ParamCurve:
-    s = np.geomspace(1.0, reach, 256)
-    return ParamCurve(s, -s + 0j)
+def negative_real_cut(spec: MapSpec) -> CutGeometry:
+    """The cut along the negative reals from the unit circle."""
+    return CutGeometry.radial(spec, np.pi, 1.0)
 
 
 class TestEvaluate:
@@ -102,25 +101,25 @@ class TestSingularValues:
 
 
 def pull_back(spec, w, label, cut):
-    """The inverse branch of `label` at one point, for the cut curve `cut`."""
+    """The inverse branch of `label` at one point, for the cut geometry `cut`."""
     return complex(BranchContext(spec, cut).pull_back(w, label))
 
 
 class TestInverseBranch:
     def test_principal_branch(self):
         spec = exp_map(0.3)
-        z = pull_back(spec, 3.0, BranchLabel(0), negative_real_cut())
+        z = pull_back(spec, 3.0, BranchLabel(0), negative_real_cut(spec))
         assert z == pytest.approx(np.log(10.0))
 
     def test_band_shift(self):
         spec = exp_map(0.3)
-        z = pull_back(spec, 3.0, BranchLabel(1), negative_real_cut())
+        z = pull_back(spec, 3.0, BranchLabel(1), negative_real_cut(spec))
         assert z == pytest.approx(np.log(10.0) + 2j * np.pi)
 
     def test_pullback_iteration_converges_to_repelling_point(self):
         from scipy.optimize import brentq
         spec = exp_map(0.3)
-        cut = negative_real_cut()
+        cut = negative_real_cut(spec)
         z = 3.0 + 0j
         for _ in range(200):
             z = pull_back(spec, z, BranchLabel(0), cut)
@@ -130,7 +129,7 @@ class TestInverseBranch:
     def test_round_trip(self):
         rng = np.random.default_rng(13)
         spec = exp_map(0.3)
-        cut = negative_real_cut()
+        cut = negative_real_cut(spec)
         for _ in range(200):
             w = complex(rng.uniform(-8, 8), rng.uniform(-8, 8))
             if abs(w) < 1.1 or abs(w.imag) < 1e-3 and w.real < 0:
@@ -143,7 +142,7 @@ class TestInverseBranch:
     def test_branch_disjointness(self):
         rng = np.random.default_rng(19)
         spec = exp_map(0.3)
-        cut = negative_real_cut()
+        cut = negative_real_cut(spec)
         for _ in range(100):
             w = complex(rng.uniform(1.5, 8), rng.uniform(-8, 8))
             images = [pull_back(spec, w, BranchLabel(j), cut)
@@ -156,7 +155,7 @@ class TestInverseBranch:
     def test_rows_of_a_2d_pull_back_equal_row_calls(self, text):
         # one label per lane of a 1-D w: bitwise the single-label calls
         spec = parse_map(text)
-        ctx = BranchContext(spec, negative_real_cut())
+        ctx = BranchContext(spec, negative_real_cut(spec))
         rng = np.random.default_rng(23)
         labels = [BranchLabel(j) for j in rng.integers(-40, 41, 9)]
         w = rng.uniform(2, 1e4, len(labels)) * np.exp(1j * rng.uniform(0, 2 * np.pi, len(labels)))
@@ -166,25 +165,27 @@ class TestInverseBranch:
             assert z.tobytes() == ctx.pull_back(wl, label).tobytes()
 
 
+# for a = 1, b = 0 the negative-real cut has phi identically pi
+PRINCIPAL = negative_real_cut(MapSpec(1.0))
+
+
 class TestBranchLog:
     def test_half_open_band_assignment(self):
-        cut = CutGeometry.principal()
         # the cut itself (negative reals) belongs to the band below
-        z = branch_log(-2.0 + 0j, 0, cut)
+        z = branch_log(-2.0 + 0j, 0, PRINCIPAL)
         assert z.imag == pytest.approx(np.pi)
-        z = branch_log(-2.0 - 1e-12j, 0, cut)
+        z = branch_log(-2.0 - 1e-12j, 0, PRINCIPAL)
         assert z.imag == pytest.approx(-np.pi, abs=1e-11)
 
     def test_array_input(self):
-        cut = CutGeometry.principal()
         v = np.array([1.0, 1j, -1j])
-        z = branch_log(v, 0, cut)
+        z = branch_log(v, 0, PRINCIPAL)
         assert np.allclose(np.exp(z), v)
 
     def test_zero_is_on_cut(self):
         # the logarithm's one singularity: |v| below LOG_FLOOR
         with pytest.raises(OnCut):
-            branch_log(0j, 0, CutGeometry.principal())
+            branch_log(0j, 0, PRINCIPAL)
 
 
 class TestParsing:

@@ -1,8 +1,6 @@
 """Structural decomposition: disk, delta, tracts, domains, expansion."""
 
 import cmath
-import copy
-import dataclasses
 import math
 import re
 
@@ -14,7 +12,7 @@ from hypothesis import strategies as st
 import raysep.structure
 from raysep.curves import ParamCurve, min_segment_distance
 from raysep.errors import DeltaBlocked, ExpansionNotValidated
-from raysep.maps import BranchLabel, CutGeometry, exp_map, parse_map
+from raysep.maps import BranchLabel, exp_map, parse_map
 from raysep.structure import (
     Rect,
     Tract,
@@ -322,6 +320,51 @@ class TestFundamentalDomains:
                     assert abs(z - images[k]) > 1e-6
 
 
+# -- the closed-form cut against the sampled cut ---------------------------------
+
+
+def sampled_cut_angle(spec, cut):
+    """The cut's argument by sampling, as the sampled cut geometry computed it.
+
+    Samples v = (w - b)/a at 4,096 points w = s e^(i theta) of the cut out
+    to s = 1e6 and unwraps np.angle(v) along them.  The tail goes onto the
+    2 pi branch of phi_inf, not into (-pi, pi]: at phi_inf = pi a tail just
+    above pi would wrap to the branch below.  Returns the moduli |v| and the
+    arguments.
+    """
+    s = np.geomspace(cut.r, 1e6, 4096)
+    v = (s * cmath.exp(1j * cut.theta) - spec.b) / spec.a
+    args = np.unwrap(np.angle(v))
+    return np.abs(v), args - 2.0 * np.pi * round((args[-1] - cut.phi_inf) / (2.0 * np.pi))
+
+
+angles = st.floats(-math.pi, math.pi)
+
+
+class TestCutGeometry:
+    @settings(max_examples=40, deadline=None)
+    @given(st.floats(0.1, 2.0), angles, st.floats(0.0, 2.0), angles)
+    @example(0.5, 0.0, 0.5, math.atan2(0.4, 0.3))      # b = 0.3 + 0.4i
+    @example(1.0, 0.0, 0.0, 0.0)                       # b = 0: phi is constant
+    def test_closed_form_equals_the_sampled_cut(self, abs_a, arg_a, abs_b, arg_b):
+        spec = exp_map(cmath.rect(abs_a, arg_a), cmath.rect(abs_b, arg_b))
+        setup = structural_setup(spec, Rect(-6, 8, -10, 10), 0.25)
+        cut = setup.branch_context.cut
+        rho, args = sampled_cut_angle(spec, cut)
+        assert np.max(np.abs(cut.phi(rho) - args)) <= 1e-12
+        # lift(s, m) is the edge between bands m and m + 1: a cut point turned
+        # by -eps pulls back into band m next to it, by +eps into band m + 1.
+        # (A point on the cut itself rounds to either side.)
+        s = np.geomspace(cut.r, 1e6, 256)
+        eps = 1e-11
+        for m in (-3, 0, 2):
+            edge = cut.lift(s, m)
+            for turn, band in ((-eps, m), (eps, m + 1)):
+                w = s * cmath.exp(1j * (cut.theta + turn))
+                z = setup.branch_context.pull_back(w, BranchLabel(band))
+                assert np.max(np.abs(z - edge)) <= 10 * eps
+
+
 class TestExpansionRadius:
     def test_known_failure_at_ten(self, setup03):
         labels = [setup03.domain_by_band(j).label for j in (-1, 0, 1)]
@@ -379,6 +422,7 @@ EXPANSION_MAPS = [
     (0.5 + 0.5j, 0.0, (-4, 6, -8, 8), 0.25),
     (0.5, -0.5, (-4, 6, -8, 8), 0.25),
     (-5.0, 0.0, (-9, 7.5, -13, 13), 0.25),
+    (0.5, 0.3 + 0.4j, (-4, 6, -8, 8), 0.25),     # Im c != 0: a curved cut
 ]
 ZERO_B = [k for k, m in enumerate(EXPANSION_MAPS) if m[1] == 0]
 REFERENCE_SAMPLES = 4096
@@ -433,6 +477,7 @@ class TestExpansionRows:
            st.floats(1.001, 5e4, allow_nan=False))
     @example(3, [0, 40, -1, 0], 32.0)
     @example(3, [0, -1], 1.001)     # |log lo| > log hi
+    @example(5, [-3, 0, 1, 2], 4.0)  # a curved cut
     def test_bound_covers_the_per_label_loop(self, k, js, scale):
         setup = fresh_setup(k)
         R = setup.disk.radius * scale
@@ -465,21 +510,6 @@ class TestExpansionRows:
         label_sets = [[BranchLabel(j) for j in js] for js in sets]
         radii = raysep.structure._expansion_radii(setup, label_sets)
         assert radii == [reference_radius(setup, labels) for labels in label_sets]
-
-    def test_bound_covers_a_cut_with_an_inner_extreme(self):
-        # 0.5 e^z - 0.5 at R = 4: v = 2w + 1 has |v| in [7, 9], and |v| = 8
-        # at arg v = 1.5082; a cut whose phi peaks there at a knot puts that
-        # point on the top edge of every band, beyond phi at both ends
-        base = fresh_setup(3)
-        peak = math.atan2(math.sqrt(63.75), 0.5)
-        ctx = copy.copy(base.branch_context)
-        ctx.cut = CutGeometry(np.array([1.0, 8.0, 100.0]),
-                              np.array([peak - 0.7, peak, peak - 9.2]), peak - 9.2)
-        setup = dataclasses.replace(base, branch_context=ctx)
-        js = [-2, 0, 2, 5]
-        bound = raysep.structure._preimage_bounds(setup, js, 4.0)
-        sampled = reference_validate(setup, [BranchLabel(j) for j in js], 4.0)
-        assert np.all(bound >= sampled - 1e-9 * 4.0)
 
     def test_a_set_past_the_cap(self):
         # band 10^5 has preimages of modulus ~2 pi 10^5, beyond every R up to
