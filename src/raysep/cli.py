@@ -71,7 +71,7 @@ class ScenarioConfig:
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if "map" not in data:
-            raise ValueError("the config file has no key 'map' and no --map was given")
+            raise ValueError("missing config key 'map'")
         nullable = {f.name for f in fields(cls) if f.default is None}
         for key, value in data.items():
             if not (value is None and key in nullable or _has_shape(key, value)):
@@ -162,14 +162,14 @@ def config_from_args(args: argparse.Namespace) -> ScenarioConfig:
         with open(args.config, "r", encoding="utf-8") as fh:
             data = json.load(fh)
         if args.map and isinstance(data, dict):
-            data.setdefault("map", args.map)
+            data["map"] = args.map
+        elif isinstance(data, dict) and "map" not in data:
+            raise ValueError("the config file has no key 'map' and no --map was given")
         config = ScenarioConfig.from_json(data)
     else:
         if not args.map:
             raise ValueError("--map (or --config) is required")
         config = ScenarioConfig(map=args.map)
-    if args.map:
-        config.map = args.map
     if args.period is not None:
         config.period = args.period
     if args.bbox is not None:

@@ -297,7 +297,12 @@ def _build_domains(bbox: Rect, delta: ParamCurve, cut: CutGeometry) -> list[Fund
     # bands whose asymptotic strip meets the box vertically
     j_lo = math.floor((bbox.y0 - cut.phi_inf) / (2.0 * math.pi)) + 1
     j_hi = math.ceil((bbox.y1 - cut.phi_inf) / (2.0 * math.pi))
-    edges = {m: ParamCurve(delta.t, cut.lift(delta.t, m)) for m in range(j_lo - 1, j_hi + 1)}
+    # edges run on to Re z > x1 + 2 > r, past where a domain's least |z| can be
+    reach = cut.abs_a * math.exp(bbox.x1 + 2.0) + cut.r
+    s = delta.t
+    if s[-1] < reach:
+        s = np.concatenate([s, np.geomspace(s[-1], reach, 65)[1:]])
+    edges = {m: ParamCurve(s, cut.lift(s, m)) for m in range(j_lo - 1, j_hi + 1)}
     anchor_re = max(x_tract + 1.0, min(bbox.x1 - 1.0, x_tract + 3.0))
     return [FundamentalDomain(BranchLabel(j), (edges[j - 1], edges[j]),
                               complex(anchor_re, cut.phi_inf + 2.0 * math.pi * j - math.pi))

@@ -167,6 +167,16 @@ class TestFindFixedInDomain:
         with pytest.raises(DomainMeetsDisk):
             find_fixed_in_domain(setup.spec, setup, BranchLabel(0))
 
+    def test_domain_meeting_disk_past_the_cut_tip_rejected(self):
+        # the band-1 lower edge passes i*pi, where f = -7.1 lies on the cut
+        # beyond its box exit at 3.9, and |i*pi| < 3.6: the domain's least
+        # |z| lies on the edge's stretch past delta's tip
+        setup = structural_setup(exp_map(3.6, -3.5), Rect(-3.9, 10, -12, 12), 0.1,
+                                 disk_radius=3.6)
+        assert abs(setup.delta.z[-1]) < 7.1
+        with pytest.raises(DomainMeetsDisk):
+            find_fixed_in_domain(setup.spec, setup, BranchLabel(1))
+
     def test_forced_landing_agreement(self, setup03):
         for j in (-2, -1, 1, 2):
             rec = find_fixed_in_domain(setup03.spec, setup03, BranchLabel(j))
