@@ -1,5 +1,9 @@
 """Command-line front end: scenario configs, subcommands, artifacts.
 
+A scenario is the --config file's JSON object with the given flags laid
+over it; every value is checked against its key's row of KEYS before any
+setup is built, and an error names both the flag and the key.
+
 Exit codes: 0 success, 2 configuration or I/O error, 3 a verification
 VIOLATION (a region with the wrong occupancy, or a count mismatch),
 4 incomplete evidence (rays that did not land, a global count that
@@ -17,6 +21,7 @@ import math
 import sys
 from dataclasses import asdict, dataclass, field, fields
 from pathlib import Path
+from typing import Callable, NamedTuple
 
 from . import serialize
 from .errors import RaysepError
@@ -31,22 +36,74 @@ EXIT_CONFIG = 2
 EXIT_VIOLATION = 3
 EXIT_INCOMPLETE = 4
 
-DEFAULT_BBOX = (-10.0, 10.0, -12.0, 12.0)
 NUMBER = (int, float)
-# per config key, the JSON type its flag's parser gives, per item for a list
-# key (of CONFIG_LENGTHS items, any number for None); a bool is not a number
-CONFIG_TYPES = {"map": str, "period": int, "bbox": NUMBER, "resolution": NUMBER,
-                "depth": int, "radius": (str, *NUMBER), "disk_radius": NUMBER,
-                "domains": int, "addresses": str, "region_resolution": NUMBER,
-                "out": str, "svg": str}
-CONFIG_LENGTHS = {"bbox": 4, "domains": 2, "addresses": None}
+
+
+def _parse_radius(value) -> str | float:
+    """"auto", or the number `value` reads as (NaN when it reads as none)."""
+    if value == "auto":
+        return value
+    try:
+        return float(value)
+    except ValueError:
+        return math.nan
+
+
+def _parse_domains(text: str) -> list[int]:
+    if ".." not in text:
+        raise ValueError("domains need the form a..b")
+    return [int(end) for end in text.split("..", 1)]
+
+
+class Key(NamedTuple):
+    """One ScenarioConfig key.  `read` turns its flag's text into its JSON value,
+    of type `kind`, per item for a list of `length` items (0: any number, one
+    per repeat of the flag); a bool is not a number.  `convert` makes the
+    field of the value, `ok` is the field's range and `rule` its message."""
+    flag: str
+    help: str | None = None
+    read: Callable = lambda text: text
+    kind: type | tuple = str
+    length: int | None = None
+    convert: Callable = lambda value: value
+    ok: Callable = lambda value: True
+    rule: str = ""
+
+
+KEYS = {
+    "map": Key("--map", "map shorthand, e.g. exp(0.3)"),
+    "period": Key("--period", read=int, kind=int, ok=lambda p: 1 <= p <= 4,
+                  rule="must be 1 through 4"),
+    "bbox": Key("--bbox", "x0,x1,y0,y1", read=lambda text: [float(v) for v in text.split(",")],
+                kind=NUMBER, length=4, convert=lambda box: tuple(float(v) for v in box)),
+    "resolution": Key("--res", "grid step", read=float, kind=NUMBER),
+    "depth": Key("--depth", read=int, kind=int, ok=lambda d: d >= 10,
+                 rule="must be at least 10"),
+    "radius": Key("--radius", 'expansion radius R or "auto"', kind=(str, *NUMBER),
+                  convert=_parse_radius, ok=lambda r: r == "auto" or math.isfinite(r),
+                  rule='must be "auto" or a finite number'),
+    "disk_radius": Key("--disk-radius", read=float, kind=NUMBER),
+    "domains": Key("--domains", "band range a..b", read=_parse_domains, kind=int, length=2,
+                   convert=tuple, ok=lambda ends: ends[0] <= ends[1],
+                   rule="is an empty domain range"),
+    "addresses": Key("--address", 'symbolic address "pre|per", may repeat', length=0),
+    "region_resolution": Key("--region-res", read=float, kind=NUMBER,
+                             ok=lambda r: math.isfinite(r) and r > 0,
+                             rule="must be finite and > 0"),
+    "out": Key("--out", "output directory"),
+    "svg": Key("--svg", "SVG output path"),
+}
+
+
+def _name(key: str) -> str:
+    return f"{KEYS[key].flag} (config key {key!r})"
 
 
 @dataclass
 class ScenarioConfig:
     map: str
     period: int = 1
-    bbox: tuple[float, float, float, float] = DEFAULT_BBOX
+    bbox: tuple[float, float, float, float] = (-10.0, 10.0, -12.0, 12.0)
     resolution: float = 0.1
     depth: int = 80
     radius: str | float = "auto"
@@ -65,63 +122,30 @@ class ScenarioConfig:
 
     @classmethod
     def from_json(cls, data: dict) -> "ScenarioConfig":
+        """The scenario of a JSON object, each value checked by its row of KEYS."""
         if not isinstance(data, dict):
             raise ValueError("the config file is not a JSON object")
-        unknown = sorted(set(data) - {f.name for f in fields(cls)})
+        unknown = sorted(set(data) - set(KEYS))
         if unknown:
             raise ValueError(f"unknown config keys: {', '.join(unknown)}")
         if "map" not in data:
-            raise ValueError("missing config key 'map'")
+            raise ValueError(f"{_name('map')} is required")
         nullable = {f.name for f in fields(cls) if f.default is None}
+        kwargs = {}
         for key, value in data.items():
-            if not (value is None and key in nullable or _has_shape(key, value)):
-                raise ValueError(f"config key {key!r} has a value of the wrong type "
+            row = KEYS[key]
+            if value is None and key in nullable:
+                continue
+            items = value if row.length is not None else [value]
+            if not (isinstance(items, list) and row.length in (None, 0, len(items))
+                    and all(isinstance(v, row.kind) and not isinstance(v, bool)
+                            for v in items)):
+                raise ValueError(f"{_name(key)} has a value of the wrong type "
                                  f"or shape: {value!r}")
-        kwargs = dict(data)
-        if "radius" in kwargs:
-            kwargs["radius"] = _parse_radius(kwargs["radius"], "config key 'radius'")
-        if kwargs.get("bbox"):
-            kwargs["bbox"] = tuple(float(v) for v in kwargs["bbox"])
-        if kwargs.get("domains"):
-            kwargs["domains"] = _parse_domains("{}..{}".format(*kwargs["domains"]))
+            kwargs[key] = row.convert(value)
+            if not row.ok(kwargs[key]):
+                raise ValueError(f"{_name(key)} {row.rule}, got {value!r}")
         return cls(**kwargs)
-
-
-def _has_shape(key: str, value) -> bool:
-    items = value if key in CONFIG_LENGTHS else [value]
-    return (isinstance(items, list) and CONFIG_LENGTHS.get(key, 1) in (None, len(items))
-            and all(isinstance(v, CONFIG_TYPES[key]) and not isinstance(v, bool)
-                    for v in items))
-
-
-def _parse_radius(value, name: str) -> str | float:
-    """The expansion radius: "auto" or a finite number; `name` is in the error."""
-    if value == "auto":
-        return value
-    try:
-        radius = float(value)
-    except ValueError:
-        radius = math.nan
-    if not math.isfinite(radius):
-        raise ValueError(f'{name} must be "auto" or a finite number, got {value!r}')
-    return radius
-
-
-def _parse_bbox(text: str) -> tuple[float, float, float, float]:
-    parts = [float(p) for p in text.split(",")]
-    if len(parts) != 4:
-        raise ValueError("bbox needs x0,x1,y0,y1")
-    return tuple(parts)  # type: ignore[return-value]
-
-
-def _parse_domains(text: str) -> tuple[int, int]:
-    if ".." not in text:
-        raise ValueError("domains need the form a..b")
-    a, b = text.split("..", 1)
-    lo, hi = int(a), int(b)
-    if hi < lo:
-        raise ValueError("empty domain range")
-    return lo, hi
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -139,71 +163,30 @@ def build_parser() -> argparse.ArgumentParser:
         ("plot", "SVG overlay of the current scenario"),
     ):
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--map", help="map shorthand, e.g. exp(0.3)")
         p.add_argument("--config", help="JSON scenario file mirroring the flags")
-        p.add_argument("--period", type=int, default=None)
-        p.add_argument("--bbox", type=str, default=None, help="x0,x1,y0,y1")
-        p.add_argument("--res", type=float, default=None, help="grid step")
-        p.add_argument("--depth", type=int, default=None)
-        p.add_argument("--radius", type=str, default=None,
-                       help='expansion radius R or "auto"')
-        p.add_argument("--disk-radius", type=float, default=None)
-        p.add_argument("--domains", type=str, default=None, help="band range a..b")
-        p.add_argument("--address", action="append", default=None,
-                       help='symbolic address "pre|per", may repeat')
-        p.add_argument("--region-res", type=float, default=None)
-        p.add_argument("--out", type=str, default=None, help="output directory")
-        p.add_argument("--svg", type=str, default=None, help="SVG output path")
+        for row in KEYS.values():
+            p.add_argument(row.flag, help=row.help,
+                           action="append" if row.length == 0 else "store")
     return parser
 
 
 def config_from_args(args: argparse.Namespace) -> ScenarioConfig:
+    """The scenario of the given flags laid over the --config file's object."""
+    data = {}
     if args.config:
-        with open(args.config, "r", encoding="utf-8") as fh:
-            data = json.load(fh)
-        if args.map and isinstance(data, dict):
-            data["map"] = args.map
-        elif isinstance(data, dict) and "map" not in data:
-            raise ValueError("the config file has no key 'map' and no --map was given")
-        config = ScenarioConfig.from_json(data)
-    else:
-        if not args.map:
-            raise ValueError("--map (or --config) is required")
-        config = ScenarioConfig(map=args.map)
-    if args.period is not None:
-        config.period = args.period
-    if args.bbox is not None:
-        config.bbox = _parse_bbox(args.bbox)
-    if args.res is not None:
-        config.resolution = args.res
-    if args.depth is not None:
-        config.depth = args.depth
-    if args.radius is not None:
-        config.radius = _parse_radius(args.radius, "--radius")
-    if args.disk_radius is not None:
-        config.disk_radius = args.disk_radius
-    if args.domains is not None:
-        config.domains = _parse_domains(args.domains)
-    if args.address:
-        config.addresses = list(args.address)
-    if args.region_res is not None:
-        config.region_resolution = args.region_res
-    if args.out is not None:
-        config.out = args.out
-    if args.svg is not None:
-        config.svg = args.svg
-    if config.period < 1:
-        raise ValueError("period must be >= 1")
-    if not (math.isfinite(config.region_resolution) and config.region_resolution > 0):
-        raise ValueError(f"--region-res must be finite and > 0, "
-                         f"got {config.region_resolution}")
-    return config
+        data = json.loads(Path(args.config).read_text(encoding="utf-8"))
+    for key, row in KEYS.items():
+        text = getattr(args, row.flag[2:].replace("-", "_"))
+        if text is not None and isinstance(data, dict):
+            try:
+                data[key] = row.read(text)
+            except ValueError as exc:
+                raise ValueError(f"{_name(key)} cannot read {text!r}: {exc}") from None
+    return ScenarioConfig.from_json(data)
 
 
 def _write(config: ScenarioConfig, name: str, content: str) -> None:
-    directory = Path(config.out) if config.out else Path(".")
-    path = directory / name
-    path.write_text(content, encoding="utf-8")
+    (Path(config.out) / name).write_text(content, encoding="utf-8")
 
 
 def _emit(config: ScenarioConfig, name: str, data: dict) -> None:
@@ -213,13 +196,6 @@ def _emit(config: ScenarioConfig, name: str, data: dict) -> None:
         _write(config, name, text)
 
 
-def _build_setup(config: ScenarioConfig):
-    spec = parse_map(config.map)
-    return spec, structural_setup(
-        spec, Rect(*config.bbox), config.resolution,
-        disk_radius=config.disk_radius, expansion_radius=config.radius)
-
-
 def _domain_labels(config: ScenarioConfig, setup):
     if config.domains is None:
         return setup.domain_labels()
@@ -227,12 +203,15 @@ def _domain_labels(config: ScenarioConfig, setup):
     try:
         return [setup.domain_by_band(j).label for j in range(lo, hi + 1)]
     except KeyError as exc:
-        raise ValueError(f"--domains {lo}..{hi}: {exc.args[0]}") from None
+        raise ValueError(f"{_name('domains')} {lo}..{hi}: {exc.args[0]}") from None
 
 
 def run(command: str, config: ScenarioConfig) -> int:
     """Execute one subcommand; returns the exit code."""
-    spec, setup = _build_setup(config)
+    spec = parse_map(config.map)
+    setup = structural_setup(spec, Rect(*config.bbox), config.resolution,
+                             disk_radius=config.disk_radius,
+                             expansion_radius=config.radius)
 
     if command == "setup":
         _emit(config, "setup.json", serialize.setup_to_json(setup))
@@ -269,8 +248,7 @@ def run(command: str, config: ScenarioConfig) -> int:
         return EXIT_OK
 
     if command == "fixedpoints":
-        records = find_periodic_points(spec, Rect(*config.bbox), config.period,
-                                       setup=setup)
+        records = find_periodic_points(spec, setup.bbox, config.period, setup=setup)
         _emit(config, "fixedpoints.json",
               {"records": [serialize.record_to_json(r) for r in records]})
         if config.out:
@@ -278,8 +256,7 @@ def run(command: str, config: ScenarioConfig) -> int:
         return EXIT_OK
 
     if command == "count":
-        labels = _domain_labels(config, setup)
-        contour = counting_contour(spec, setup, labels)
+        contour = counting_contour(spec, setup, _domain_labels(config, setup))
         expected, measured, match = global_count_check(spec, contour)
         _emit(config, "count.json", serialize.contour_to_json(contour, measured))
         if config.svg:
@@ -291,10 +268,12 @@ def run(command: str, config: ScenarioConfig) -> int:
             return EXIT_VIOLATION
         return EXIT_OK
 
-    if command == "verify":
+    if command in ("verify", "plot"):
         report = separation_report(spec, setup, config.period,
                                    resolution=config.region_resolution,
                                    ray_depth=config.depth)
+
+    if command == "verify":
         _emit(config, "verify.json", serialize.report_to_json(report))
         if config.svg:
             Path(config.svg).write_text(
@@ -313,12 +292,8 @@ def run(command: str, config: ScenarioConfig) -> int:
         return EXIT_OK
 
     if command == "plot":
-        report = separation_report(spec, setup, config.period,
-                                   resolution=config.region_resolution,
-                                   ray_depth=config.depth)
         svg = serialize.svg_overlay(setup, report=report)
-        target = config.svg or "raysep.svg"
-        Path(target).write_text(svg, encoding="utf-8")
+        Path(config.svg or "raysep.svg").write_text(svg, encoding="utf-8")
         if config.out:
             _write(config, "plot.svg", svg)
         return EXIT_OK
@@ -327,15 +302,9 @@ def run(command: str, config: ScenarioConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
-        _error("config", exc)
-        return EXIT_CONFIG
-    try:
-        return run(args.command, config)
+        return run(args.command, config_from_args(args))
     except (OSError, ValueError) as exc:
         _error("config", exc)
         return EXIT_CONFIG

@@ -669,13 +669,9 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
     sigs = geometry.signature(np.array([m[0] for m in members], dtype=complex))
     for (z, kind, entry), sig in zip(members, sigs):
         sig = tuple(int(b) for b in sig)
-        reg = region_by_sig.get(sig)
-        if reg is None:
-            # a point may sit in a region none of the samples reached
-            reg = BasicRegion(len(regions), sig, [], z)
-            regions.append(reg)
-            region_by_sig[sig] = reg
-        getattr(reg.contents, kind).append(entry)
+        if sig not in region_by_sig:
+            raise ResolutionTooCoarse(f"{z} lies in no region the samples found")
+        getattr(region_by_sig[sig].contents, kind).append(entry)
 
     # boundary landings: a landing of one ray lies in the region of its own
     # signature; one of k >= 2 rays bounds the regions of the straddle

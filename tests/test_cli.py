@@ -4,12 +4,16 @@ import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import raysep
-from raysep.cli import EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, ScenarioConfig, main
+from raysep.cli import (EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, KEYS, ScenarioConfig,
+                        build_parser, config_from_args, main)
 
 
 def run_cli(args, capsys):
@@ -45,6 +49,73 @@ class TestConfig:
         data = json.loads(out)
         assert data["map"]["factors"][0]["a"] == [0.3, 0.0]
         assert data["expansion_radius"] == 40.0
+
+
+_NUMBERS = st.floats(-1e3, 1e3)
+_NAMES = st.text("abcxyz_./0123456789", min_size=1, max_size=8)
+_CONFIGS = st.builds(
+    ScenarioConfig,
+    map=st.sampled_from(["exp(0.3)", "exp(-5)", "exp(0.5,0.2)", "exp(1/e)"]),
+    period=st.integers(1, 4),
+    bbox=st.tuples(_NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS),
+    resolution=st.floats(1e-3, 1.0),
+    depth=st.integers(10, 10_000),
+    radius=st.one_of(st.just("auto"), _NUMBERS),
+    disk_radius=st.none() | st.floats(1e-3, 10.0),
+    domains=st.none() | st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(
+        lambda ends: tuple(sorted(ends))),
+    addresses=st.lists(st.sampled_from(["0|", "|1,2", "-1|0", "|0,-1"]), max_size=3),
+    region_resolution=st.floats(1e-3, 5.0),
+    out=st.none() | _NAMES,
+    svg=st.none() | _NAMES,
+)
+
+
+def _as_flags(config: ScenarioConfig) -> list[str]:
+    """The flags that give `config`, each in the --flag=value form."""
+    flags = []
+    for key, value in config.to_json().items():
+        flag = KEYS[key].flag
+        if key == "addresses":
+            flags += [f"{flag}={address}" for address in value]
+        elif key == "bbox":
+            flags.append(f"{flag}={','.join(str(v) for v in value)}")
+        elif key == "domains" and value is not None:
+            flags.append(f"{flag}={value[0]}..{value[1]}")
+        elif value is not None:
+            flags.append(f"{flag}={value}")
+    return flags
+
+
+class TestOnePath:
+    def test_every_field_has_a_flag(self):
+        assert {f.name for f in fields(ScenarioConfig)} == set(KEYS)
+        dests = set(vars(build_parser().parse_args(["setup"]))) - {"command", "config"}
+        assert dests == {row.flag[2:].replace("-", "_") for row in KEYS.values()}
+
+    @settings(max_examples=150, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(config=_CONFIGS)
+    def test_flags_and_file_give_one_config(self, tmp_path, config):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(config.to_json()))
+        parser = build_parser()
+        from_flags = config_from_args(parser.parse_args(["setup", *_as_flags(config)]))
+        from_file = config_from_args(parser.parse_args(["setup", "--config", str(path)]))
+        assert from_flags == from_file == ScenarioConfig.from_json(config.to_json())
+        assert from_flags == config
+
+    @settings(max_examples=50, deadline=None,
+              suppress_health_check=[HealthCheck.function_scoped_fixture])
+    @given(base=_CONFIGS, over=_CONFIGS)
+    def test_flag_overrides_the_config_key(self, tmp_path, base, over):
+        path = tmp_path / "scenario.json"
+        path.write_text(json.dumps(base.to_json()))
+        config = config_from_args(build_parser().parse_args(
+            ["setup", "--config", str(path), *_as_flags(over)]))
+        for key in KEYS:
+            given_by_flag = getattr(over, key) not in (None, [])
+            assert getattr(config, key) == getattr(over if given_by_flag else base, key)
 
 
 class TestExitCodes:
@@ -100,19 +171,40 @@ class TestExitCodes:
             "error": "ExpansionNotValidated",
             "message": "expansion radius 10.0 not valid for the domains (margin -0.056)"}
 
-    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
-    def test_bad_region_resolution_is_config_error(self, capsys, monkeypatch, value):
+    @pytest.fixture
+    def no_setup(self, monkeypatch):
         import raysep.cli
 
         def no_setup(*_args, **_kwargs):
-            raise AssertionError("setup built before --region-res was checked")
+            raise AssertionError("setup built before the config was checked")
         monkeypatch.setattr(raysep.cli, "structural_setup", no_setup)
+
+    @pytest.mark.parametrize("value", ["0", "-1", "nan", "inf"])
+    def test_bad_region_resolution_is_config_error(self, capsys, no_setup, value):
         code, _, err = run_cli(
             ["verify", "--map", "exp(0.3)", "--region-res", value], capsys)
         assert code == EXIT_CONFIG
         payload = json.loads(err)
         assert payload["error"] == "config"
         assert "--region-res" in payload["message"]
+
+    @pytest.mark.parametrize("args, config, named", [
+        (["verify", "--map", "exp(0.3)", "--period", "5"], None, "--period"),
+        (["setup", "--map", "exp(0.3)", "--depth", "5"], None, "--depth"),
+        (["setup"], {"map": "exp(0.3)", "depth": 5}, "'depth'"),
+    ], ids=["period-5", "depth-5", "config-depth-5"])
+    def test_out_of_range_value_is_config_error_before_setup(
+            self, capsys, no_setup, tmp_path, args, config, named):
+        if config is not None:
+            path = tmp_path / "scenario.json"
+            path.write_text(json.dumps(config))
+            args = args + ["--config", str(path)]
+        code, out, err = run_cli(args, capsys)
+        assert code == EXIT_CONFIG
+        assert out == ""
+        payload = json.loads(err)
+        assert payload["error"] == "config"
+        assert named in payload["message"]
 
     @pytest.mark.parametrize("args, config, named", [
         (["setup"], {"map": "exp(0.3)", "colour": 1}, "colour"),
@@ -141,6 +233,25 @@ class TestExitCodes:
         (["setup", "--map", "exp(0.3)", "--radius", "abc"], None, "--radius"),
         (["setup", "--map", "exp(0.3)", "--radius", "nan"], None, "--radius"),
         (["setup"], {"map": "exp(0.3)", "radius": "abc"}, "'radius'"),
+        (["setup", "--map", "exp(0.3)", "--period", "abc"], None,
+         "--period (config key 'period')"),
+        (["setup", "--map", "exp(0.3)", "--res", "abc"], None,
+         "--res (config key 'resolution')"),
+        (["setup", "--map", "exp(0.3)", "--depth", "x"], None,
+         "--depth (config key 'depth')"),
+        (["setup", "--map", "exp(0.3)", "--disk-radius", "q"], None,
+         "--disk-radius (config key 'disk_radius')"),
+        (["verify", "--map", "exp(0.3)", "--region-res", "z"], None,
+         "--region-res (config key 'region_resolution')"),
+        (["setup", "--map", "exp(0.3)", "--domains=a..b"], None,
+         "--domains (config key 'domains')"),
+        (["setup", "--map", "exp(0.3)", "--bbox=a,1,2,3"], None,
+         "--bbox (config key 'bbox')"),
+        (["verify", "--map", "exp(0.3)", "--period", "5"], None,
+         "--period (config key 'period')"),
+        (["setup", "--map", "exp(0.3)", "--depth", "5"], None,
+         "--depth (config key 'depth')"),
+        (["setup"], {"map": "exp(0.3)", "depth": 5}, "--depth (config key 'depth')"),
     ], ids=["config-unknown-key", "config-list", "count-domains-out-of-range",
             "rays-domains-out-of-range", "res-zero", "res-negative", "res-nan",
             "config-period-string", "config-period-float", "config-resolution-string",
@@ -148,7 +259,10 @@ class TestExitCodes:
             "config-bbox-three-numbers", "config-addresses-string",
             "config-domains-reversed", "bbox-minus-inf",
             "bbox-inf", "config-map-missing", "radius-not-a-number", "radius-nan",
-            "config-radius-string"])
+            "config-radius-string", "period-not-a-number", "res-not-a-number",
+            "depth-not-a-number", "disk-radius-not-a-number",
+            "region-res-not-a-number", "domains-not-numbers", "bbox-not-a-number",
+            "period-5", "depth-5", "config-depth-5"])
     def test_malformed_input_is_one_json_line(self, tmp_path, args, config, named):
         # a fresh process, so an uncaught exception shows as exit 1 and a traceback
         if config is not None:

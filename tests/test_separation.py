@@ -554,6 +554,22 @@ class TestSeparationReport:
         assert [v.verdict for v in report.verdicts] == ["VIOLATION(interior=2, virtual=0)"]
         assert report.has_violation
 
+    def test_point_in_no_sampled_region_is_too_coarse(self, monkeypatch):
+        # the region samples miss the region of the attracting fixed point
+        original = raysep.separation.basic_regions
+        att = brentq(lambda x: 0.3 * np.exp(x) - x, 0, 1, xtol=1e-14)
+
+        def without_attracting_region(graph, bbox, resolution):
+            regions, geometry = original(graph, bbox, resolution)
+            sig = tuple(int(b) for b in geometry.signature(np.array([att]))[0])
+            return [r for r in regions if r.signature != sig], geometry
+
+        monkeypatch.setattr(raysep.separation, "basic_regions", without_attracting_region)
+        spec = exp_map(0.3)
+        setup = structural_setup(spec, Rect(-4, 10, -12, 12), 0.1)
+        with pytest.raises(ResolutionTooCoarse, match=r"^\(0\.4894\d*[+-].* lies in no "):
+            separation_report(spec, setup, 1)
+
     @pytest.mark.parametrize("text, box, res, period", [
         ("exp(0.3)", (-4, 10, -12, 12), 0.1, 1),
         ("exp(1/e)", (-4, 8, -12, 12), 0.1, 1),
