@@ -227,12 +227,12 @@ def run(command: str, config: ScenarioConfig) -> int:
         traced = {}
         for p in dict.fromkeys(a.period_length for a in addresses):
             lanes = [i for i, a in enumerate(addresses) if a.period_length == p]
-            traced.update(zip(lanes, trace_ray(spec, setup, [addresses[i] for i in lanes],
+            traced.update(zip(lanes, trace_ray(setup, [addresses[i] for i in lanes],
                                                depth=config.depth)))
         payload = []
         failed = {"broken": 0, "unresolved": 0}
         for i, address in enumerate(addresses):
-            ray = landing_point(spec, traced[i])
+            ray = landing_point(traced[i])
             payload.append(serialize.ray_to_json(ray))
             if ray.status.kind in failed:
                 failed[ray.status.kind] += 1
@@ -256,8 +256,8 @@ def run(command: str, config: ScenarioConfig) -> int:
         return EXIT_OK
 
     if command == "count":
-        contour = counting_contour(spec, setup, _domain_labels(config, setup))
-        expected, measured, match = global_count_check(spec, contour)
+        contour = counting_contour(setup, _domain_labels(config, setup))
+        expected, measured, match = global_count_check(contour)
         _emit(config, "count.json", serialize.contour_to_json(contour, measured))
         if config.svg:
             Path(config.svg).write_text(

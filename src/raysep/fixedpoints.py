@@ -286,8 +286,7 @@ def _collect_records(mapobj, evaluator, roots: np.ndarray, region: Rect,
     return records
 
 
-def find_fixed_in_domain(spec: MapSpec, setup: StructuralSetup,
-                         label: BranchLabel) -> FixedPointRecord:
+def find_fixed_in_domain(setup: StructuralSetup, label: BranchLabel) -> FixedPointRecord:
     """The unique (repelling) fixed point of a domain that avoids the disk.
 
     Iterates the domain's inverse branch from the anchor; the Schwarz lemma
@@ -304,7 +303,7 @@ def find_fixed_in_domain(spec: MapSpec, setup: StructuralSetup,
             z = nz
             break
         z = nz
-    w, d = spec.evaluate(z, 1)
+    w, d = setup.spec.evaluate(z, 1)
     record = FixedPointRecord(z, 1, d, classify_multiplier(d))
     if record.classification != "repelling":
         raise AssertionError(

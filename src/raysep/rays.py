@@ -23,9 +23,10 @@ potential DEFAULT_T_TOP * 2^(k_top - k), halving toward the landing point;
 applying f doubles the potential.  Each walk resolves the limits of all its
 lanes in one array pass over the endpoint matrix: a settled endpoint, or
 Richardson extrapolation for the algebraic (parabolic) approach, polished
-by one Newton sweep on f^p(z) - z and kept when f^p closes on it.
-`landing_point` then interprets one ray's limit: broken walks, the approach
-direction and the preperiod.
+by one Newton sweep on f^p(z) - z and kept when f^p closes on it.  A
+preperiodic ray's samples and limit then take the preperiod pullbacks.
+`landing_point` interprets one ray's limit: broken walks and the approach
+direction.
 
 Rays land together when their landings fall in one group of
 `landing_groups` (greedy in ray order, within PAIR_TOL); the ray graph's
@@ -132,9 +133,8 @@ class Ray:
     t: np.ndarray                  # decreasing potentials
     z: np.ndarray
     status: RayStatus
-    setup: StructuralSetup
     endpoints: np.ndarray          # cycle walk states at the DEFAULT_SCHEDULE depths
-    limit: complex                 # the walk's limit, before any preperiod; nan: none
+    limit: complex                 # the walk's limit, after any preperiod; nan: none
 
     @property
     def period(self) -> int:
@@ -170,11 +170,11 @@ class PullbackWalk:
     (broken), or when it has settled on its limit cycle.
     """
 
-    def __init__(self, spec: MapSpec, setup: StructuralSetup, addresses):
+    def __init__(self, setup: StructuralSetup, addresses):
         self.setup = setup
         self.addresses = list(addresses)
         self.ctx = setup.branch_context
-        self._svals = np.array(spec.singular_values(), dtype=complex)
+        self._svals = np.array(setup.spec.singular_values(), dtype=complex)
 
     def anchors(self, level: int) -> np.ndarray:
         """Each lane's top state: deep inside the domain of its symbol at `level`.
@@ -305,7 +305,7 @@ def _limits(spec: MapSpec, endpoints: np.ndarray, period: int) -> np.ndarray:
 # -- public operations --------------------------------------------------------------
 
 
-def trace_ray(spec: MapSpec, setup: StructuralSetup, address, depth: int = 80):
+def trace_ray(setup: StructuralSetup, address, depth: int = 80):
     """Trace rays by one array pullback walk.
 
     `address` is one Address, which gives one Ray, or a sequence of
@@ -320,7 +320,9 @@ def trace_ray(spec: MapSpec, setup: StructuralSetup, address, depth: int = 80):
     no limit take it from a second walk, to the SLOW_SCHEDULE depths.  A
     walk that runs into the cut or a singular value among the samples is
     truncated and the ray is marked broken; one that does so below the
-    samples leaves nan endpoints.
+    samples leaves nan endpoints.  A preperiodic ray's samples and limit
+    then take the preperiod pullbacks, and one of those that starts at the
+    cut or a singular value marks the ray broken.
     """
     if depth < 10:
         raise ValueError("depth must be at least 10")
@@ -331,7 +333,7 @@ def trace_ray(spec: MapSpec, setup: StructuralSetup, address, depth: int = 80):
     if not addresses:
         return []
 
-    walk = PullbackWalk(spec, setup, addresses)
+    walk = PullbackWalk(setup, addresses)
     p = periods[0]
     n_cycles = min(DEFAULT_SAMPLES - 1, depth)
     top = DEFAULT_SCHEDULE[-1] * p
@@ -339,12 +341,12 @@ def trace_ray(spec: MapSpec, setup: StructuralSetup, address, depth: int = 80):
     endpoint_levels = top - np.array(DEFAULT_SCHEDULE) * p
     states, bad_at = walk.states(top, np.concatenate([sample_levels, endpoint_levels]))
     potentials = DEFAULT_T_TOP * np.power(2.0, -np.arange(n_cycles + 1, dtype=float) * p)
-    limits = _limits(spec, states[:, n_cycles + 1:], p)
+    limits = _limits(setup.spec, states[:, n_cycles + 1:], p)
     slow = np.flatnonzero(np.isnan(limits) & ~np.isnan(states[:, n_cycles + 1:]).any(axis=1))
     if len(slow):
-        deep = PullbackWalk(spec, setup, [addresses[i] for i in slow])
+        deep = PullbackWalk(setup, [addresses[i] for i in slow])
         levels = (SLOW_SCHEDULE[-1] - np.array(SLOW_SCHEDULE)) * p
-        limits[slow] = _limits(spec, deep.states(SLOW_SCHEDULE[-1] * p, levels)[0], p)
+        limits[slow] = _limits(setup.spec, deep.states(SLOW_SCHEDULE[-1] * p, levels)[0], p)
 
     # each ray's t, z and endpoints are views of `potentials` and of its row
     # of `states`: per-ray copies raised peak memory at period 4
@@ -356,29 +358,30 @@ def trace_ray(spec: MapSpec, setup: StructuralSetup, address, depth: int = 80):
         status = RayStatus("unresolved")
         if clean <= n_cycles:
             status = RayStatus("broken", first_bad_t=float(potentials[clean]))
-        scale = 0.5 ** len(a.preperiod)
-        if a.preperiod and status.kind != "broken":
+        elif a.preperiod:
+            scale = 0.5 ** len(a.preperiod)
+            deepest_t = float(t_vals[-1] * scale)
             try:
                 z_vals = walk.prefix(z_vals, a.preperiod)
                 t_vals = t_vals * scale
+                if not cmath.isnan(limit):
+                    limit = walk.prefix(np.array([limit]), a.preperiod)[0]
             except BrokenRay:
-                status = RayStatus("broken", first_bad_t=float(t_vals[-1] * scale))
-        rays.append(Ray(a, t_vals, z_vals, status, setup, row[n_cycles + 1:],
-                        complex(limit)))
+                status = RayStatus("broken", first_bad_t=deepest_t)
+        rays.append(Ray(a, t_vals, z_vals, status, row[n_cycles + 1:], complex(limit)))
     return rays[0] if isinstance(address, Address) else rays
 
 
-def landing_point(spec: MapSpec, ray: Ray) -> Ray:
+def landing_point(ray: Ray) -> Ray:
     """The ray with its landing status, read off the limit its walk resolved.
 
     `trace_ray` keeps the states of the ray's own walk at the depths of the
-    doubling schedule and resolves their limit in one pass over the whole
-    walk, so a periodic ray is neither walked nor polished again here.  Nan
-    endpoints mean that walk hit the cut or a singular value below the
-    samples, and the ray is broken; a nan limit leaves it unresolved.  A
-    landed ray gets the approach direction of its deepest endpoint still
-    away from the point, and a preperiodic one the preperiod pullbacks of
-    the cycle's limit.
+    doubling schedule and resolves their limit, after any preperiod, in one
+    pass over the whole walk, so a ray is neither walked nor polished again
+    here.  Nan endpoints mean that walk hit the cut or a singular value
+    below the samples, and the ray is broken; a limit that is not finite
+    leaves it unresolved.  A landed periodic ray gets the approach direction
+    of its deepest endpoint still away from the point.
     """
     if ray.status.kind == "broken":
         return ray
@@ -387,32 +390,21 @@ def landing_point(spec: MapSpec, ray: Ray) -> Ray:
         return replace(ray, status=RayStatus("broken",
                                              first_bad_t=float(np.min(ray.t))))
     point = ray.limit
-    if cmath.isnan(point):
+    if not (math.isfinite(point.real) and math.isfinite(point.imag)):
         return replace(ray, status=RayStatus("unresolved"))
 
     # approach direction from the deepest endpoints still away from the point
     direction = None
     gaps = np.abs(endpoints - point)
     away = np.nonzero(gaps > 1e3 * LANDING_TOL)[0]
-    if len(away):
+    if len(away) and not ray.address.preperiod:
         e = endpoints[away[-1]]
         direction = (e - point) / abs(e - point)
-
-    if ray.address.preperiod:
-        walk = PullbackWalk(spec, ray.setup, [ray.address])
-        try:
-            point = complex(walk.prefix(np.array([point]), ray.address.preperiod)[0])
-        except BrokenRay:
-            return replace(ray, status=RayStatus("broken",
-                                                 first_bad_t=float(np.min(ray.t))))
-        direction = None
-    if not (math.isfinite(point.real) and math.isfinite(point.imag)):
-        return replace(ray, status=RayStatus("unresolved"))
     return replace(ray, status=RayStatus.landed(point, direction))
 
 
-def fixed_rays(spec: MapSpec, setup: StructuralSetup, domains,
-               period: int = 1, depth: int = 80) -> list[Ray]:
+def fixed_rays(setup: StructuralSetup, domains, period: int = 1,
+               depth: int = 80) -> list[Ray]:
     """All rays of period-`period` addresses over the given domains.
 
     For period 1 this is one fixed ray per fundamental domain; for period p,
@@ -424,8 +416,7 @@ def fixed_rays(spec: MapSpec, setup: StructuralSetup, domains,
     labels = sorted(set(labels), key=lambda l: l.j)
     addresses = [Address(period=combo)
                  for combo in itertools.product(labels, repeat=period)]
-    return [landing_point(spec, ray)
-            for ray in trace_ray(spec, setup, addresses, depth=depth)]
+    return [landing_point(ray) for ray in trace_ray(setup, addresses, depth=depth)]
 
 
 def same_landing(landings, z: complex):

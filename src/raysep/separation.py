@@ -17,7 +17,7 @@ fixed-point count, which the argument principle must reproduce exactly.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -181,19 +181,11 @@ class RegionGeometry:
 
 
 @dataclass
-class RegionContents:
-    interior_points: list[FixedPointRecord] = field(default_factory=list)
-    virtual_points: list[tuple[complex, complex]] = field(default_factory=list)
-    landing_points_on_boundary: list[complex] = field(default_factory=list)
-
-
-@dataclass
 class BasicRegion:
     id: int
     signature: tuple[int, ...]
     boundary_rays: list[Ray]
     sample_interior_point: complex
-    contents: RegionContents = field(default_factory=RegionContents)
 
     def contains(self, z: complex, geometry: RegionGeometry) -> bool:
         return geometry.signature(z) == self.signature
@@ -271,6 +263,7 @@ def _straddle(a: np.ndarray, b: np.ndarray, resolution: float) -> np.ndarray:
 
 @dataclass
 class CountingContour:
+    spec: MapSpec
     pieces: list[tuple[str, ParamCurve]]
     closed_curve: ParamCurve
     expected_count: int
@@ -278,8 +271,7 @@ class CountingContour:
     radius: float
 
 
-def check_full_complete(spec: MapSpec, setup: StructuralSetup,
-                        labels: list[BranchLabel], rays) -> None:
+def check_full_complete(setup: StructuralSetup, labels: list[BranchLabel], rays) -> None:
     """Raise NotFullComplete with a witness when the collection fails.
 
     Full: band indices contiguous per tract.  Complete: contains every
@@ -304,10 +296,10 @@ def check_full_complete(spec: MapSpec, setup: StructuralSetup,
     given = {r.address: r for r in rays}
     missing = [a for a in map(Address.constant, bands) if a not in given]
     try:
-        traced = trace_ray(spec, setup, missing)
+        traced = trace_ray(setup, missing)
     except ExpansionNotValidated as exc:
         raise NotFullComplete(f"cannot validate a band: {exc}") from exc
-    given.update((a, landing_point(spec, r)) for a, r in zip(missing, traced))
+    given.update((a, landing_point(r)) for a, r in zip(missing, traced))
     landings = np.empty(len(bands), dtype=complex)
     for i, j in enumerate(bands):
         ray = given[Address.constant(j)]
@@ -322,8 +314,7 @@ def check_full_complete(spec: MapSpec, setup: StructuralSetup,
                                   f"band {bands[int(np.argmax(shared))]} ray")
 
 
-def counting_contour(spec: MapSpec, setup: StructuralSetup, domains,
-                     rays=()) -> CountingContour:
+def counting_contour(setup: StructuralSetup, domains, rays=()) -> CountingContour:
     """The closed contour around a full complete collection of domains.
 
     Pieces: the preimage arc of the circle of radius R (the setup's
@@ -340,9 +331,9 @@ def counting_contour(spec: MapSpec, setup: StructuralSetup, domains,
         raise ExpansionNotValidated(
             f"expansion radius {R} not valid for the collection "
             f"(margin {report.margin:.3g})")
-    check_full_complete(spec, setup, labels, rays)
+    check_full_complete(setup, labels, rays)
 
-    cut = setup.branch_context.cut
+    spec, cut = setup.spec, setup.branch_context.cut
     j_lo, j_hi = labels[0].j, labels[-1].j
     N = len(labels)
     r_disk = setup.disk.radius
@@ -408,12 +399,12 @@ def counting_contour(spec: MapSpec, setup: StructuralSetup, domains,
               ("Gamma_alpha:delta_plus", t_plus),
               ("Gamma_alpha:gamma", gamma),
               ("Gamma_alpha:delta_minus", t_minus)]
-    return CountingContour(pieces, closed, N + 1, labels, R)
+    return CountingContour(spec, pieces, closed, N + 1, labels, R)
 
 
-def global_count_check(spec: MapSpec, contour: CountingContour) -> tuple[int, int, bool]:
+def global_count_check(contour: CountingContour) -> tuple[int, int, bool]:
     """(expected, measured, match) for the counting contour."""
-    measured = argument_principle_count(spec, contour.closed_curve,
+    measured = argument_principle_count(contour.spec, contour.closed_curve,
                                         "fixed_points", 1)
     return contour.expected_count, measured, measured == contour.expected_count
 
@@ -618,11 +609,13 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
     point could not be placed, an empty region reads INCOMPLETE, not
     VIOLATION.  So does every region without exactly one point while one of
     the period's rays did not land: the graph then lacks its edges, and
-    regions it would separate merge.
+    regions it would separate merge.  `spec` must be the setup's map.
     """
+    if spec != setup.spec:
+        raise ValueError(f"map {spec} is not the setup's map {setup.spec}")
     _check_resolution(resolution)
     incomplete: list[str] = []
-    rays = fixed_rays(spec, setup, setup.domains, period, depth=ray_depth)
+    rays = fixed_rays(setup, setup.domains, period, depth=ray_depth)
     landed = [r for r in rays if r.status.kind == "lands_at"]
     lost = len(landed) < len(rays)
     for r in rays:
@@ -634,15 +627,15 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
         extra_seeds=[r.landing for r in landed])
 
     # rays landing at found points via addresses inferred from orbit bands
-    landed = _augment_with_inferred_rays(spec, setup, period, records, landed,
-                                         incomplete)
+    landed = _augment_with_inferred_rays(setup, period, records, landed, incomplete)
     graph = build_ray_graph(landed)
     regions, geometry = basic_regions(graph, setup.bbox, resolution)
 
-    region_by_sig = {r.signature: r for r in regions}
+    verdicts = [RegionVerdict(reg.id, "", [], [], []) for reg in regions]
+    verdict_by_sig = {r.signature: v for r, v in zip(regions, verdicts)}
     # points to place in regions, in record order:
-    # (point, name of the RegionContents list, entry)
-    members: list[tuple[complex, str, object]] = []
+    # (point placed, the interior or parabolic point, whether it is virtual)
+    members: list[tuple[complex, complex, bool]] = []
     unplaced = False
     ray_landings = np.array([r.landing for r in graph.rays], dtype=complex)
     # a record is a boundary point iff some ray lands at it
@@ -662,16 +655,17 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
                                       f"lies within {PROBE_CLEARANCE} of a pair curve")
                     unplaced = True
                     continue
-                members.append((probe, "virtual_points", (z, direction)))
+                members.append((probe, z, True))
         elif not len(incident):
-            members.append((z, "interior_points", rec))
+            members.append((z, z, False))
 
     sigs = geometry.signature(np.array([m[0] for m in members], dtype=complex))
-    for (z, kind, entry), sig in zip(members, sigs):
+    for (probe, z, virtual), sig in zip(members, sigs):
         sig = tuple(int(b) for b in sig)
-        if sig not in region_by_sig:
-            raise ResolutionTooCoarse(f"{z} lies in no region the samples found")
-        getattr(region_by_sig[sig].contents, kind).append(entry)
+        if sig not in verdict_by_sig:
+            raise ResolutionTooCoarse(f"{probe} lies in no region the samples found")
+        v = verdict_by_sig[sig]
+        (v.virtual if virtual else v.interior).append(z)
 
     # boundary landings: a landing of one ray lies in the region of its own
     # signature; one of k >= 2 rays bounds the regions of the straddle
@@ -687,34 +681,28 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
     points, owners = np.concatenate(points), np.concatenate(owners)
     clear = geometry.min_distance(points) > 0
     sigs = map(tuple, geometry.signature(points[clear]).tolist())
-    hits = {(int(i), region_by_sig[sig].id)
-            for i, sig in zip(owners[clear], sigs) if sig in region_by_sig}
+    hits = {(int(i), verdict_by_sig[sig].region_id)
+            for i, sig in zip(owners[clear], sigs) if sig in verdict_by_sig}
     for i, k in sorted(hits):
-        regions[k].contents.landing_points_on_boundary.append(graph.landing_points[i])
+        verdicts[k].boundary_landings.append(graph.landing_points[i])
 
-    verdicts = []
-    for reg in regions:
-        n_int = len(reg.contents.interior_points)
-        n_vir = len(reg.contents.virtual_points)
+    for v in verdicts:
+        n_int = len(v.interior)
+        n_vir = len(v.virtual)
         if n_int == 1 and n_vir == 0:
-            verdict = "exactly_one_interior"
+            v.verdict = "exactly_one_interior"
         elif n_int == 0 and n_vir == 1:
-            verdict = "exactly_one_virtual"
+            v.verdict = "exactly_one_virtual"
         elif lost or (n_int == 0 and n_vir == 0 and unplaced):
-            verdict = f"INCOMPLETE(interior={n_int}, virtual={n_vir})"
+            v.verdict = f"INCOMPLETE(interior={n_int}, virtual={n_vir})"
         else:
-            verdict = (f"VIOLATION(interior={n_int}, virtual={n_vir})")
-        verdicts.append(RegionVerdict(
-            reg.id, verdict,
-            [r.location for r in reg.contents.interior_points],
-            [v[0] for v in reg.contents.virtual_points],
-            list(reg.contents.landing_points_on_boundary)))
+            v.verdict = f"VIOLATION(interior={n_int}, virtual={n_vir})"
 
     global_counts = None
     if period == 1:
         try:
-            contour = counting_contour(spec, setup, setup.domain_labels(), rays=rays)
-            global_counts = global_count_check(spec, contour)
+            contour = counting_contour(setup, setup.domain_labels(), rays=rays)
+            global_counts = global_count_check(contour)
         except (NotFullComplete, ExpansionNotValidated, ConnectorBlocked) as exc:
             incomplete.append(f"global count: {type(exc).__name__}: {exc}")
     return SeparationReport(period, regions, verdicts, global_counts,
@@ -734,8 +722,8 @@ def _virtual_probe(geometry: RegionGeometry, z: complex, direction: complex) -> 
     return probes[int(np.argmax(clear))] if clear.any() else None
 
 
-def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
-                                period: int, records, landed, incomplete):
+def _augment_with_inferred_rays(setup: StructuralSetup, period: int, records, landed,
+                                incomplete):
     """Trace rays for repelling points not matched by any landed ray.
 
     Candidate addresses come from the band indices of the orbit, which is
@@ -763,14 +751,14 @@ def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
         orbit = [rec.location]
         try:
             for _ in range(period - 1):
-                orbit.append(spec.evaluate(orbit[-1], 1)[0])
+                orbit.append(setup.spec.evaluate(orbit[-1], 1)[0])
         except Overflow:
             continue
         candidates.append((rec, Address.cycle([setup.band_index(z) for z in orbit])))
     addresses = list(dict.fromkeys(a for _rec, a in candidates))
     radii = _expansion_radii(setup, [a.period for a in addresses])
     validated = [a for a, R in zip(addresses, radii) if R is not None]
-    traced = dict(zip(validated, trace_ray(spec, setup, validated))) if validated else {}
+    traced = dict(zip(validated, trace_ray(setup, validated))) if validated else {}
 
     existing = {r.address for r in landed}
     for rec, address in candidates:
@@ -780,7 +768,7 @@ def _augment_with_inferred_rays(spec: MapSpec, setup: StructuralSetup,
         if address not in traced:
             incomplete.append(f"inferred ray {address} not validated")
             continue
-        ray = landing_point(spec, traced[address])
+        ray = landing_point(traced[address])
         if ray.status.kind == "lands_at" and same_landing(ray.landing, rec.location):
             landings[len(landed)] = ray.landing
             landed.append(ray)

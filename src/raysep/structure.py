@@ -40,8 +40,10 @@ class Rect:
         for name, edge in zip(("x0", "x1", "y0", "y1"), self.as_tuple()):
             if not math.isfinite(edge):
                 raise ValueError(f"box edge {name} = {edge} is not finite")
-        if not (self.x0 < self.x1 and self.y0 < self.y1):
-            raise ValueError("degenerate box")
+        if not self.x0 < self.x1:
+            raise ValueError(f"box edge x0 = {self.x0} must be below x1 = {self.x1}")
+        if not self.y0 < self.y1:
+            raise ValueError(f"box edge y0 = {self.y0} must be below y1 = {self.y1}")
 
     @property
     def diagonal(self) -> float:
@@ -253,8 +255,9 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
 
     Fundamental-domain cutting relies on the closed-form inverse branch of
     a e^z + b.  The resolution must be finite, > 0 and at most 5% of the
-    box diagonal, and an explicit disk_radius must exceed the moduli of the
-    singular value b, of 0 and of f(0); otherwise ValueError is raised
+    box diagonal, an explicit disk_radius r must exceed the moduli of the
+    singular value b, of 0 and of f(0), and the box must contain the square
+    [-r, r] x [-r, r]; otherwise ValueError, naming the value, is raised
     before any tract work.  An explicit expansion_radius that fails the
     expansion check raises ExpansionNotValidated, naming it and its margin.
     """
@@ -267,7 +270,8 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
     disk = auto_disk(spec, disk_radius)
     if not bbox.contains(complex(disk.radius, disk.radius)) or \
        not bbox.contains(complex(-disk.radius, -disk.radius)):
-        raise ValueError("box must contain the disk with margin")
+        raise ValueError(f"box {bbox.as_tuple()} must contain the square [-r, r] x [-r, r] "
+                         f"about the disk of radius r = {disk.radius}")
 
     tracts = extract_tracts(spec, bbox, resolution, disk.radius)
     delta = choose_delta(spec, bbox, resolution, disk.radius, tracts)

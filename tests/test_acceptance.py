@@ -139,8 +139,8 @@ def test_criterion_4_global_count_over_domain_collections():
         setup = structural_setup(spec, Rect(-4, 10, -17, 17), 0.1)
         for bands in ((0,), (-1, 0, 1), (-2, -1, 0, 1, 2)):
             labels = [setup.domain_by_band(j).label for j in bands]
-            contour = counting_contour(spec, setup, labels)
-            expected, measured, match = global_count_check(spec, contour)
+            contour = counting_contour(setup, labels)
+            expected, measured, match = global_count_check(contour)
             assert expected == len(bands) + 1
             assert measured == expected
             assert match
@@ -151,8 +151,8 @@ def test_criterion_5_forced_landing():
         spec = exp_map(0.3)
         setup = structural_setup(spec, Rect(-4, 10, -17, 17), 0.1)
         for j in (-2, -1, 1, 2):
-            record = find_fixed_in_domain(spec, setup, BranchLabel(j))
-            ray = landing_point(spec, trace_ray(spec, setup, Address.constant(j)))
+            record = find_fixed_in_domain(setup, BranchLabel(j))
+            ray = landing_point(trace_ray(setup, Address.constant(j)))
             assert ray.status.kind == "lands_at"
             assert abs(record.location - ray.landing) < 1e-6
             assert record.classification == "repelling"
@@ -194,7 +194,7 @@ def test_criterion_7_parabolic_case_virtual_point():
         assert len(verdict.interior) == 0
         assert len(verdict.virtual) == 1
 
-        ray = landing_point(spec, trace_ray(spec, setup, Address.constant(0)))
+        ray = landing_point(trace_ray(setup, Address.constant(0)))
         assert ray.status.kind == "lands_at"
         assert abs(ray.landing - 1.0) < 1e-6
         direction = ray.status.approach_direction

@@ -252,6 +252,11 @@ class TestExitCodes:
         (["setup", "--map", "exp(0.3)", "--depth", "5"], None,
          "--depth (config key 'depth')"),
         (["setup"], {"map": "exp(0.3)", "depth": 5}, "--depth (config key 'depth')"),
+        (["setup", "--map", "exp(0.3)", "--bbox=10,-4,-12,12"], None,
+         "box edge x0 = 10.0 must be below x1 = -4.0"),
+        (["setup", "--map", "exp(0.3)", "--bbox=-4,10,-12,12", "--disk-radius=inf"], None,
+         "box (-4.0, 10.0, -12.0, 12.0) must contain the square [-r, r] x [-r, r] "
+         "about the disk of radius r = inf"),
     ], ids=["config-unknown-key", "config-list", "count-domains-out-of-range",
             "rays-domains-out-of-range", "res-zero", "res-negative", "res-nan",
             "config-period-string", "config-period-float", "config-resolution-string",
@@ -262,7 +267,8 @@ class TestExitCodes:
             "config-radius-string", "period-not-a-number", "res-not-a-number",
             "depth-not-a-number", "disk-radius-not-a-number",
             "region-res-not-a-number", "domains-not-numbers", "bbox-not-a-number",
-            "period-5", "depth-5", "config-depth-5"])
+            "period-5", "depth-5", "config-depth-5", "bbox-reversed",
+            "disk-outside-box"])
     def test_malformed_input_is_one_json_line(self, tmp_path, args, config, named):
         # a fresh process, so an uncaught exception shows as exit 1 and a traceback
         if config is not None:

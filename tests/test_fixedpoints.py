@@ -143,7 +143,7 @@ class TestBatchedMultipliers:
 
 class TestFindFixedInDomain:
     def test_band_one(self, setup03):
-        rec = find_fixed_in_domain(setup03.spec, setup03, BranchLabel(1))
+        rec = find_fixed_in_domain(setup03, BranchLabel(1))
         assert rec.classification == "repelling"
         w, _ = setup03.spec.evaluate(rec.location, 1)
         assert abs(w - rec.location) < 1e-10
@@ -152,20 +152,20 @@ class TestFindFixedInDomain:
     def test_band_zero_with_disk_one(self):
         setup = structural_setup(exp_map(0.3), Rect(-4, 10, -12, 12), 0.1,
                                  disk_radius=1.0)
-        rec = find_fixed_in_domain(setup.spec, setup, BranchLabel(0))
+        rec = find_fixed_in_domain(setup, BranchLabel(0))
         target = brentq(lambda x: 0.3 * np.exp(x) - x, 1, 2, xtol=1e-14)
         assert abs(rec.location - target) < 1e-10
 
     def test_conjugate_symmetry(self, setup03):
-        up = find_fixed_in_domain(setup03.spec, setup03, BranchLabel(1))
-        down = find_fixed_in_domain(setup03.spec, setup03, BranchLabel(-1))
+        up = find_fixed_in_domain(setup03, BranchLabel(1))
+        down = find_fixed_in_domain(setup03, BranchLabel(-1))
         assert down.location == pytest.approx(np.conj(up.location), abs=1e-10)
 
     def test_domain_meeting_disk_rejected(self):
         # with the auto disk, the band-0 domain of exp(0.3) meets it
         setup = structural_setup(exp_map(0.3), Rect(-4, 10, -12, 12), 0.1)
         with pytest.raises(DomainMeetsDisk):
-            find_fixed_in_domain(setup.spec, setup, BranchLabel(0))
+            find_fixed_in_domain(setup, BranchLabel(0))
 
     def test_domain_meeting_disk_past_the_cut_tip_rejected(self):
         # the band-1 lower edge passes i*pi, where f = -7.1 lies on the cut
@@ -175,14 +175,12 @@ class TestFindFixedInDomain:
                                  disk_radius=3.6)
         assert abs(setup.delta.z[-1]) < 7.1
         with pytest.raises(DomainMeetsDisk):
-            find_fixed_in_domain(setup.spec, setup, BranchLabel(1))
+            find_fixed_in_domain(setup, BranchLabel(1))
 
     def test_forced_landing_agreement(self, setup03):
         for j in (-2, -1, 1, 2):
-            rec = find_fixed_in_domain(setup03.spec, setup03, BranchLabel(j))
-            ray = landing_point(setup03.spec,
-                                trace_ray(setup03.spec, setup03,
-                                          Address.constant(j)))
+            rec = find_fixed_in_domain(setup03, BranchLabel(j))
+            ray = landing_point(trace_ray(setup03, Address.constant(j)))
             assert abs(rec.location - ray.landing) < 1e-6
             assert rec.classification == "repelling"
 

@@ -69,8 +69,7 @@ class TestOffsetMap:
         assert two_sided >= 0.9 * len(samples)
 
     def test_band_zero_ray_lands_at_real_repeller(self, setup_offset):
-        spec = setup_offset.spec
-        ray = landing_point(spec, trace_ray(spec, setup_offset, Address.constant(0)))
+        ray = landing_point(trace_ray(setup_offset, Address.constant(0)))
         target = brentq(lambda x: 0.5 * np.exp(x) - 0.5 - x, 0.5, 2, xtol=1e-13)
         assert ray.status.kind == "lands_at"
         assert abs(ray.landing - target) < 1e-9
@@ -78,8 +77,8 @@ class TestOffsetMap:
     def test_counting_and_report(self, setup_offset):
         spec = setup_offset.spec
         labels = [setup_offset.domain_by_band(j).label for j in (-1, 0, 1)]
-        contour = counting_contour(spec, setup_offset, labels)
-        expected, measured, match = global_count_check(spec, contour)
+        contour = counting_contour(setup_offset, labels)
+        expected, measured, match = global_count_check(contour)
         assert (expected, measured, match) == (4, 4, True)
         report = separation_report(spec, setup_offset, 1)
         assert [v.verdict for v in report.verdicts] == ["exactly_one_interior"]
@@ -89,13 +88,11 @@ class TestOffsetMap:
 
 class TestBrokenRayMap:
     def test_band_zero_ray_is_broken(self, setup_broken):
-        spec = setup_broken.spec
-        ray = landing_point(spec, trace_ray(spec, setup_broken, Address.constant(0)))
+        ray = landing_point(trace_ray(setup_broken, Address.constant(0)))
         assert ray.status.kind == "broken"
 
     def test_other_rays_still_land(self, setup_broken):
-        spec = setup_broken.spec
-        rays = fixed_rays(spec, setup_broken,
+        rays = fixed_rays(setup_broken,
                           [setup_broken.domain_by_band(j) for j in (-1, 1)], 1)
         assert all(r.status.kind == "lands_at" for r in rays)
         assert rays[0].landing == pytest.approx(np.conj(rays[1].landing), abs=1e-9)
@@ -103,7 +100,7 @@ class TestBrokenRayMap:
     def test_counting_contour_refuses_broken_evidence(self, setup_broken):
         labels = [setup_broken.domain_by_band(j).label for j in (-1, 0, 1)]
         with pytest.raises(NotFullComplete):
-            counting_contour(setup_broken.spec, setup_broken, labels)
+            counting_contour(setup_broken, labels)
 
     def test_report_records_missing_global_count(self, setup_broken):
         # the broken band-0 ray makes the collection not full and complete

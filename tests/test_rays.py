@@ -69,22 +69,22 @@ class TestAddress:
 
 class TestTraceRay:
     def test_real_axis_ray(self, setup03):
-        ray = trace_ray(setup03.spec, setup03, Address.constant(0))
+        ray = trace_ray(setup03, Address.constant(0))
         assert np.max(np.abs(ray.z.imag)) < 1e-8
         assert np.all(np.diff(ray.t) < 0)
 
     def test_band_one_asymptotics(self, setup03):
-        ray = trace_ray(setup03.spec, setup03, Address.constant(1))
+        ray = trace_ray(setup03, Address.constant(1))
         far_half = ray.z[: len(ray.z) // 2]
         assert np.all((far_half.imag > np.pi) & (far_half.imag < 3 * np.pi))
 
     def test_forward_escape_of_top_sample(self, setup03):
-        ray = trace_ray(setup03.spec, setup03, Address.constant(1))
+        ray = trace_ray(setup03, Address.constant(1))
         w, _ = setup03.spec.evaluate(ray.z[0], 1)
         assert abs(w) > setup03.expansion_radius
 
     def test_monotone_escape_of_forward_orbit(self, setup03):
-        ray = trace_ray(setup03.spec, setup03, Address.constant(0))
+        ray = trace_ray(setup03, Address.constant(0))
         z = complex(ray.z[0])
         prev = abs(z)
         for _ in range(5):
@@ -97,8 +97,8 @@ class TestTraceRay:
 
     def test_shift_consistency(self, setup03):
         spec = setup03.spec
-        ray = trace_ray(spec, setup03, Address.cycle([0, 1]))
-        shifted = trace_ray(spec, setup03, Address.cycle([1, 0]))
+        ray = trace_ray(setup03, Address.cycle([0, 1]))
+        shifted = trace_ray(setup03, Address.cycle([1, 0]))
         half = len(ray.z) // 2
         for k in range(half, len(ray.z) - 1):
             image, _ = spec.evaluate(ray.z[k], 1)
@@ -108,7 +108,7 @@ class TestTraceRay:
     def test_asymptotic_containment(self, setup03):
         for bands in ([0], [1], [0, 1], [-1, 2]):
             address = Address.cycle(bands)
-            ray = trace_ray(setup03.spec, setup03, address)
+            ray = trace_ray(setup03, address)
             far_half = ray.z[: len(ray.z) // 2]
             for z in far_half:
                 assert setup03.in_domain(complex(z), address.period[0])
@@ -117,8 +117,7 @@ class TestTraceRay:
 class TestLanding:
     def test_real_repelling_landing(self, setup03):
         target = brentq(lambda x: 0.3 * np.exp(x) - x, 1, 2, xtol=1e-14)
-        ray = landing_point(setup03.spec,
-                            trace_ray(setup03.spec, setup03, Address.constant(0)))
+        ray = landing_point(trace_ray(setup03, Address.constant(0)))
         assert ray.status.kind == "lands_at"
         assert abs(ray.landing - target) < 1e-10
 
@@ -127,8 +126,7 @@ class TestLanding:
         z = 3.0 + 0j
         for _ in range(300):
             z = np.log(z / 0.3) + 2j * np.pi
-        ray = landing_point(setup03.spec,
-                            trace_ray(setup03.spec, setup03, Address.constant(1)))
+        ray = landing_point(trace_ray(setup03, Address.constant(1)))
         assert abs(ray.landing - z) < 1e-10
         w, _ = setup03.spec.evaluate(ray.landing, 1)
         assert abs(w - ray.landing) < 1e-8
@@ -136,7 +134,7 @@ class TestLanding:
     def test_parabolic_landing_with_direction(self):
         spec = parse_map("exp(1/e)")
         setup = structural_setup(spec, Rect(-4, 8, -12, 12), 0.1)
-        ray = landing_point(spec, trace_ray(spec, setup, Address.constant(0)))
+        ray = landing_point(trace_ray(setup, Address.constant(0)))
         assert ray.status.kind == "lands_at"
         assert abs(ray.landing - 1.0) < 1e-6
         direction = ray.status.approach_direction
@@ -144,7 +142,7 @@ class TestLanding:
         assert abs(np.angle(direction)) < 0.1   # repelling direction +1
 
     @staticmethod
-    def _landing_pullbacks(monkeypatch, spec, setup, address):
+    def _landing_pullbacks(monkeypatch, setup, address):
         """Land `address`: pullback calls in all, and in landing_point alone."""
         calls = []
         pull_back = BranchContext.pull_back
@@ -153,9 +151,9 @@ class TestLanding:
             calls.append(label)
             return pull_back(self, w, label)
         monkeypatch.setattr(BranchContext, "pull_back", counted)
-        ray = trace_ray(spec, setup, address)
+        ray = trace_ray(setup, address)
         traced = len(calls)
-        landed = landing_point(spec, ray)
+        landed = landing_point(ray)
         monkeypatch.undo()
         return landed, len(calls), len(calls) - traced
 
@@ -164,14 +162,14 @@ class TestLanding:
         spec = parse_map("exp(1/e)")
         setup = structural_setup(spec, Rect(-4, 8, -12, 12), 0.1)
         landed, calls, landing_calls = self._landing_pullbacks(
-            monkeypatch, spec, setup, Address.constant(0))
+            monkeypatch, setup, Address.constant(0))
         assert landed.status.kind == "lands_at"
         assert calls == DEFAULT_SCHEDULE[-1] * 1
         assert landing_calls == 0
 
     def test_repelling_landing_stops_when_settled(self, setup03, monkeypatch):
         landed, calls, landing_calls = self._landing_pullbacks(
-            monkeypatch, setup03.spec, setup03, Address.constant(1))
+            monkeypatch, setup03, Address.constant(1))
         assert landed.status.kind == "lands_at"
         assert calls < DEFAULT_SCHEDULE[-1]
         assert landing_calls == 0
@@ -182,7 +180,7 @@ class TestLanding:
         spec = exp_map(0.375, -1j / 256)
         setup = structural_setup(spec, Rect(-4, 10, -12, 12), 0.1)
         landed, calls, landing_calls = self._landing_pullbacks(
-            monkeypatch, spec, setup, Address.constant(0))
+            monkeypatch, setup, Address.constant(0))
         assert np.isnan(_limits(spec, landed.endpoints[None, :], 1)[0])
         assert DEFAULT_SCHEDULE[-1] < calls <= DEFAULT_SCHEDULE[-1] + SLOW_SCHEDULE[-1]
         assert landed.status.kind == "lands_at" and landing_calls == 0
@@ -194,15 +192,14 @@ class TestLanding:
     def test_periodic_landing_closes(self, setup_neg5):
         spec = setup_neg5.spec
         for bands in ([0, 1], [1, 0], [-1, 1], [2, 0]):
-            ray = landing_point(spec, trace_ray(spec, setup_neg5,
-                                                Address.cycle(bands)))
+            ray = landing_point(trace_ray(setup_neg5, Address.cycle(bands)))
             assert ray.status.kind == "lands_at"
             w, _ = spec.evaluate(ray.landing, 2)
             assert abs(w - ray.landing) < 1e-8
 
     def test_preperiodic_landing(self, setup03):
         spec = setup03.spec
-        ray = landing_point(spec, trace_ray(spec, setup03, Address.parse("1|0")))
+        ray = landing_point(trace_ray(setup03, Address.parse("1|0")))
         assert ray.status.kind == "lands_at"
         # the landing point maps to the fixed ray's landing point
         target = brentq(lambda x: 0.3 * np.exp(x) - x, 1, 2, xtol=1e-14)
@@ -256,14 +253,14 @@ def _same_rays(a, b):
         assert _bits(x) == _bits(y)
 
 
-def _scalar_walk(spec, setup, address, levels):
+def _scalar_walk(setup, address, levels):
     """Reference: one address walked one pullback at a time.
 
     Returns its states by level and the level at which it stopped at the
     cut or a singular value (-1 when clean); a settled walk repeats its last
     p states below.
     """
-    walk = PullbackWalk(spec, setup, [address])
+    walk = PullbackWalk(setup, [address])
     p = address.period_length
     states = np.full(levels + 1, np.nan, dtype=complex)
     z = states[levels] = complex(walk.anchors(levels)[0])
@@ -291,25 +288,25 @@ class TestBatchedWalk:
             setup = structural_setup(spec, Rect(-4, 9, -12, 12), 0.1)
             addresses = [Address.constant(j) for j in (-1, 0, 1)]
         levels = DEFAULT_SCHEDULE[-1] * addresses[0].period_length
-        walk = PullbackWalk(setup.spec, setup, addresses)
+        walk = PullbackWalk(setup, addresses)
         states, bad_at = walk.states(levels, np.arange(levels + 1))
         for row, bad, address in zip(states, bad_at, addresses):
-            ref, ref_bad = _scalar_walk(setup.spec, setup, address, levels)
+            ref, ref_bad = _scalar_walk(setup, address, levels)
             assert bad == ref_bad
             assert np.array_equal(row, ref, equal_nan=True)
         assert (bad_at >= 0).any() == (case == "broken")
 
     @staticmethod
     def _check_batch(spec, setup, addresses):
-        batch = trace_ray(spec, setup, addresses)
-        singles = [trace_ray(spec, setup, a) for a in addresses]
+        batch = trace_ray(setup, addresses)
+        singles = [trace_ray(setup, a) for a in addresses]
         assert len(batch) == len(addresses)
         for b, s in zip(batch, singles):
             _same_rays(b, s)
-            _same_rays(landing_point(spec, b), landing_point(spec, s))
+            _same_rays(landing_point(b), landing_point(s))
             ref = _scalar_limit(spec, s.endpoints, s.period)
             assert _bits(s.limit) == _bits(complex("nan") if ref is None else ref)
-        return [landing_point(spec, r) for r in batch]
+        return [landing_point(r) for r in batch]
 
     def test_all_period_two_addresses(self, setup_neg5):
         labels = setup_neg5.domain_labels()
@@ -334,7 +331,7 @@ class TestBatchedWalk:
             calls.append(len(seeds))
             return _newton_sweep(evaluator, seeds, *args, **kwargs)
         monkeypatch.setattr(raysep.rays, "_newton_sweep", counted)
-        rays = fixed_rays(setup_neg5.spec, setup_neg5, setup_neg5.domains, period=2)
+        rays = fixed_rays(setup_neg5, setup_neg5.domains, period=2)
         assert calls == [36]
         assert all(r.status.kind == "lands_at" for r in rays)
 
@@ -346,10 +343,10 @@ class TestBatchedWalk:
         kinds = [r.status.kind for r in landed]
         assert kinds == ["lands_at", "lands_at", "broken", "lands_at", "lands_at"]
         # a walk that hits the cut below the samples leaves nan endpoints
-        ray = trace_ray(spec, setup, addresses[1])
+        ray = trace_ray(setup, addresses[1])
         endpoints = ray.endpoints.copy()
         endpoints[-1] = np.nan
-        cut_below = landing_point(spec, replace(ray, endpoints=endpoints))
+        cut_below = landing_point(replace(ray, endpoints=endpoints))
         assert cut_below.status == RayStatus("broken", first_bad_t=float(np.min(ray.t)))
 
     def test_parabolic_lane_beside_settling_lanes(self):
@@ -365,8 +362,7 @@ class TestBatchedWalk:
 
     def test_mixed_periods_rejected(self, setup_neg5):
         with pytest.raises(MixedPeriods):
-            trace_ray(setup_neg5.spec, setup_neg5,
-                      [Address.constant(0), Address.cycle([0, 1])])
+            trace_ray(setup_neg5, [Address.constant(0), Address.cycle([0, 1])])
 
 
 class _ConstantDerivative:
@@ -469,17 +465,17 @@ class TestAnchorRadius:
         E = setup.expansion_radius
         assert E == 25.0
         validate_expansion_radius(setup, [BranchLabel(-1), BranchLabel(0)], E)
-        trace_ray(spec, setup, Address.parse("|2,15"))
+        trace_ray(setup, Address.parse("|2,15"))
         # band 2 passed at E when the setup was built; the far band 15 needs a
         # larger radius, which must not become band 2's
-        ray = trace_ray(spec, setup, Address.constant(2))
+        ray = trace_ray(setup, Address.constant(2))
         assert ray.z[0].real - DEFAULT_T_TOP == E
 
 
 class TestFixedRays:
     def test_one_ray_per_domain_all_repelling(self, setup03):
         domains = [setup03.domain_by_band(j) for j in (-1, 0, 1)]
-        rays = fixed_rays(setup03.spec, setup03, domains, period=1)
+        rays = fixed_rays(setup03, domains, period=1)
         assert len(rays) == 3
         landings = [r.landing for r in rays]
         for i in range(3):
@@ -489,12 +485,12 @@ class TestFixedRays:
             assert abs(deriv) > 1
 
     def test_single_domain(self, setup03):
-        rays = fixed_rays(setup03.spec, setup03, [setup03.domain_by_band(0)], 1)
+        rays = fixed_rays(setup03, [setup03.domain_by_band(0)], 1)
         assert len(rays) == 1
 
     def test_period_two_family(self, setup_neg5):
         domains = [setup_neg5.domain_by_band(j) for j in (-1, 0, 1)]
-        rays = fixed_rays(setup_neg5.spec, setup_neg5, domains, period=2)
+        rays = fixed_rays(setup_neg5, domains, period=2)
         assert len(rays) == 9
         for ray in rays:
             assert ray.status.kind == "lands_at"
@@ -503,7 +499,7 @@ class TestFixedRays:
 
     def test_pairwise_disjoint_tails(self, setup03):
         domains = [setup03.domain_by_band(j) for j in (-1, 0, 1)]
-        rays = fixed_rays(setup03.spec, setup03, domains, period=1)
+        rays = fixed_rays(setup03, domains, period=1)
         half = len(rays[0].z) // 2
         for i in range(len(rays)):
             for k in range(i + 1, len(rays)):
@@ -519,7 +515,7 @@ def ray_pairs(rays):
 class TestRayPairs:
     def test_no_pairs_for_positive_coefficient(self, setup03):
         domains = [setup03.domain_by_band(j) for j in (-2, -1, 0, 1, 2)]
-        rays = fixed_rays(setup03.spec, setup03, domains, period=1)
+        rays = fixed_rays(setup03, domains, period=1)
         assert ray_pairs(rays) == []
         landings = [r.landing for r in rays]
         for i in range(len(landings)):
@@ -527,25 +523,22 @@ class TestRayPairs:
                 assert abs(landings[i] - landings[k]) > 1
 
     def test_period_two_pair_at_real_repeller(self, setup_neg5):
-        spec = setup_neg5.spec
-        r01 = landing_point(spec, trace_ray(spec, setup_neg5, Address.cycle([0, 1])))
-        r10 = landing_point(spec, trace_ray(spec, setup_neg5, Address.cycle([1, 0])))
+        r01 = landing_point(trace_ray(setup_neg5, Address.cycle([0, 1])))
+        r10 = landing_point(trace_ray(setup_neg5, Address.cycle([1, 0])))
         pairs = ray_pairs([r01, r10])
         assert len(pairs) == 1
         x_star = brentq(lambda x: -5 * np.exp(x) - x, -2, -1, xtol=1e-14)
         assert abs(pairs[0].common_landing - x_star) < 1e-8
 
     def test_synthetic_identical_landings(self, setup03):
-        spec = setup03.spec
-        ray = landing_point(spec, trace_ray(spec, setup03, Address.constant(0)))
+        ray = landing_point(trace_ray(setup03, Address.constant(0)))
         import dataclasses
         clone = dataclasses.replace(ray, address=Address.constant(1))
         pairs = ray_pairs([ray, clone])
         assert len(pairs) == 1
 
     def test_tolerance_sensitivity(self, setup03):
-        spec = setup03.spec
-        a = landing_point(spec, trace_ray(spec, setup03, Address.constant(0)))
+        a = landing_point(trace_ray(setup03, Address.constant(0)))
 
         def landed_at(gap):
             return replace(a, address=Address.constant(1),
@@ -554,13 +547,12 @@ class TestRayPairs:
         assert ray_pairs([a, landed_at(2.0 * PAIR_TOL)]) == []
 
     def test_mixed_periods_rejected(self, setup_neg5):
-        spec = setup_neg5.spec
-        one = landing_point(spec, trace_ray(spec, setup_neg5, Address.constant(0)))
-        two = landing_point(spec, trace_ray(spec, setup_neg5, Address.cycle([0, 1])))
+        one = landing_point(trace_ray(setup_neg5, Address.constant(0)))
+        two = landing_point(trace_ray(setup_neg5, Address.cycle([0, 1])))
         with pytest.raises(MixedPeriods):
             ray_pairs([one, two])
 
     def test_unlanded_rejected(self, setup03):
-        ray = trace_ray(setup03.spec, setup03, Address.constant(0))
+        ray = trace_ray(setup03, Address.constant(0))
         with pytest.raises(UnlandedRay):
             ray_pairs([ray, ray])

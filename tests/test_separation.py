@@ -1,6 +1,7 @@
 """Ray graph, basic regions, counting contour, boundary modification, report."""
 
 import dataclasses
+import inspect
 import math
 import re
 
@@ -11,11 +12,12 @@ from scipy.optimize import brentq
 from raysep.curves import ParamCurve
 from raysep.errors import (EpsTooLarge, ExpansionNotValidated, NotFullComplete, Overflow,
                            ResolutionTooCoarse, UnlandedRay)
-from raysep.fixedpoints import FixedPointRecord
+from raysep.fixedpoints import FixedPointRecord, find_fixed_in_domain
 from raysep.maps import BranchLabel, MapSpec, exp_map, parse_map
 import raysep.separation
-from raysep.rays import (PAIR_TOL, Address, RayPair, RayStatus, landing_groups,
-                         landing_point, pairs_from_groups, trace_ray)
+from raysep.rays import (PAIR_TOL, Address, PullbackWalk, Ray, RayPair, RayStatus,
+                         fixed_rays, landing_groups, landing_point, pairs_from_groups,
+                         trace_ray)
 from raysep.separation import (
     CHUNK_ELEMENTS,
     PROBE_CLEARANCE,
@@ -25,6 +27,7 @@ from raysep.separation import (
     _probe_points,
     basic_regions,
     build_ray_graph,
+    check_full_complete,
     counting_contour,
     global_count_check,
     modify_boundary_near_fixed_point,
@@ -45,9 +48,8 @@ def setup_neg5():
 
 
 def landed_rays(setup, bands, period=1):
-    from raysep.rays import fixed_rays
     domains = [setup.domain_by_band(j) for j in bands]
-    return fixed_rays(setup.spec, setup, domains, period)
+    return fixed_rays(setup, domains, period)
 
 
 class TestRayGraph:
@@ -83,7 +85,7 @@ class TestRayGraph:
             assert abs(graph.landing_points[i] - ray.landing) < PAIR_TOL
 
     def test_unlanded_rejected(self, setup03):
-        ray = trace_ray(setup03.spec, setup03, Address.constant(0))
+        ray = trace_ray(setup03, Address.constant(0))
         with pytest.raises(UnlandedRay):
             build_ray_graph([ray])
 
@@ -101,8 +103,7 @@ class TestBasicRegions:
         assert len(regions) == 1
 
     def test_period_two_pair_splits_plane(self, setup_neg5):
-        spec = setup_neg5.spec
-        rays = [landing_point(spec, trace_ray(spec, setup_neg5, Address.cycle(b)))
+        rays = [landing_point(trace_ray(setup_neg5, Address.cycle(b)))
                 for b in ([0, 1], [1, 0])]
         graph = build_ray_graph(rays)
         assert len(graph.pairs) == 1
@@ -118,8 +119,7 @@ class TestBasicRegions:
         assert geometry.signature(complex(x_star - 0.3, 0.0)) == s2
 
     def test_region_membership_consistency(self, setup_neg5):
-        spec = setup_neg5.spec
-        rays = [landing_point(spec, trace_ray(spec, setup_neg5, Address.cycle(b)))
+        rays = [landing_point(trace_ray(setup_neg5, Address.cycle(b)))
                 for b in ([0, 1], [1, 0])]
         graph = build_ray_graph(rays)
         regions, geometry = basic_regions(graph, setup_neg5.bbox, 0.4)
@@ -226,8 +226,7 @@ def regions_reference(bbox, resolution, geometry):
 
 @pytest.fixture(scope="module")
 def pair_neg5(setup_neg5):
-    spec = setup_neg5.spec
-    rays = [landing_point(spec, trace_ray(spec, setup_neg5, Address.cycle(b)))
+    rays = [landing_point(trace_ray(setup_neg5, Address.cycle(b)))
             for b in ([0, 1], [1, 0])]
     return build_ray_graph(rays)
 
@@ -337,15 +336,15 @@ class TestCountingContour:
     @pytest.mark.parametrize("bands,expected", [((0,), 2), ((-1, 0, 1), 4)])
     def test_counts_match_collection_size(self, setup03, bands, expected):
         labels = [setup03.domain_by_band(j).label for j in bands]
-        contour = counting_contour(setup03.spec, setup03, labels)
-        exp_count, measured, match = global_count_check(setup03.spec, contour)
+        contour = counting_contour(setup03, labels)
+        exp_count, measured, match = global_count_check(contour)
         assert exp_count == expected
         assert measured == expected
         assert match
 
     def test_contour_is_closed_and_ccw(self, setup03):
         labels = [setup03.domain_by_band(j).label for j in (-1, 0, 1)]
-        contour = counting_contour(setup03.spec, setup03, labels)
+        contour = counting_contour(setup03, labels)
         assert contour.closed_curve.closed
         from raysep.curves import signed_area
         assert signed_area(contour.closed_curve) > 0
@@ -353,24 +352,24 @@ class TestCountingContour:
     def test_gap_rejected(self, setup03):
         labels = [setup03.domain_by_band(j).label for j in (-1, 1)]
         with pytest.raises(NotFullComplete):
-            counting_contour(setup03.spec, setup03, labels)
+            counting_contour(setup03, labels)
 
     def test_missing_disk_domain_rejected(self, setup03):
         # band 0 meets the auto disk for exp(0.3); collections omitting it fail
         labels = [setup03.domain_by_band(j).label for j in (1, 2)]
         with pytest.raises(NotFullComplete):
-            counting_contour(setup03.spec, setup03, labels)
+            counting_contour(setup03, labels)
 
     def test_completeness_rays_traced_by_one_walk(self, setup03, monkeypatch):
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(args[2])
+            calls.append(args[1])
             return trace_ray(*args, **kwargs)
 
         monkeypatch.setattr(raysep.separation, "trace_ray", counted)
         labels = [setup03.domain_by_band(j).label for j in (-1, 0, 1)]
-        counting_contour(setup03.spec, setup03, labels)
+        counting_contour(setup03, labels)
         assert len(calls) == 1
         assert [a.period[0].j for a in calls[0]] == [-1, 0, 1, -2, 2]
 
@@ -380,7 +379,7 @@ class TestCountingContour:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append([str(a) for a in args[2]])
+            calls.append([str(a) for a in args[1]])
             return trace_ray(*args, **kwargs)
 
         monkeypatch.setattr(raysep.separation, "trace_ray", counted)
@@ -396,11 +395,11 @@ class TestCountingContour:
         radius = f"radius {setup03.expansion_radius} not valid .*margin -"
         for _ in range(2):
             with pytest.raises(ExpansionNotValidated, match=radius):
-                counting_contour(setup03.spec, setup03, labels)
+                counting_contour(setup03, labels)
 
     def test_piece_tags(self, setup03):
         labels = [setup03.domain_by_band(0).label]
-        contour = counting_contour(setup03.spec, setup03, labels)
+        contour = counting_contour(setup03, labels)
         tags = [tag for tag, _ in contour.pieces]
         assert tags[0].startswith("r_alpha")
         assert sum(tag.startswith("Gamma_alpha") for tag in tags) == 3
@@ -496,7 +495,7 @@ class TestSeparationReport:
         from raysep.cli import EXIT_VIOLATION, main
         from raysep.serialize import dumps, report_to_json
         monkeypatch.setattr(raysep.separation, "global_count_check",
-                            lambda spec, contour: (6, 5, False))
+                            lambda contour: (6, 5, False))
         spec = exp_map(0.3)
         setup = structural_setup(spec, Rect(-4, 10, -12, 12), 0.1)
         report = separation_report(spec, setup, 1)
@@ -595,8 +594,7 @@ class TestInferredRays:
         monkeypatch.setattr(MapSpec, "evaluate", evaluate)
         record = FixedPointRecord(-1.0 + 0.5j, 2, 4.0 + 0j, "repelling")
         incomplete = []
-        landed = _augment_with_inferred_rays(setup.spec, setup, 2, [record], [],
-                                             incomplete)
+        landed = _augment_with_inferred_rays(setup, 2, [record], [], incomplete)
         return landed, incomplete
 
     def test_unexpected_error_propagates(self, setup_neg5, monkeypatch):
@@ -612,7 +610,7 @@ class TestInferredRays:
         calls = []
 
         def counted(*args, **kwargs):
-            calls.append(list(args[2]))
+            calls.append(list(args[1]))
             return trace_ray(*args, **kwargs)
 
         monkeypatch.setattr(raysep.separation, "trace_ray", counted)
@@ -633,8 +631,7 @@ class TestInferredRays:
         landed = landed_rays(setup_neg5, [0, 1], period=2)
         records = [FixedPointRecord(r.landing + 0.5 * PAIR_TOL, 2, 4.0 + 0j, "repelling")
                    for r in landed]
-        out = _augment_with_inferred_rays(setup_neg5.spec, setup_neg5, 2, records,
-                                          landed, [])
+        out = _augment_with_inferred_rays(setup_neg5, 2, records, landed, [])
         assert calls == [] and out == landed
 
     def test_unvalidated_candidate_is_incomplete(self, setup_neg5, monkeypatch):
@@ -672,3 +669,23 @@ class TestPeriodTwoOnPeriodOneMaps:
         near_one = [r for r in report.records if abs(r.location - 1.0) < 1e-3]
         assert len(near_one) == 1
         assert near_one[0].classification == "parabolic"
+
+
+class TestOneMap:
+    """Every function that receives a setup, ray or contour reads the map from it."""
+
+    def test_report_refuses_a_map_other_than_the_setups(self, setup03):
+        with pytest.raises(ValueError) as err:
+            separation_report(exp_map(0.32), setup03, 1)
+        assert repr(exp_map(0.32)) in str(err.value)
+        assert repr(setup03.spec) in str(err.value)
+
+    def test_no_map_beside_the_setup_ray_or_contour(self):
+        functions = [PullbackWalk, trace_ray, fixed_rays, landing_point, check_full_complete,
+                     counting_contour, global_count_check, find_fixed_in_domain,
+                     _augment_with_inferred_rays]
+        for fn in functions:
+            params = inspect.signature(fn).parameters.values()
+            assert not [p.name for p in params
+                        if p.name in ("spec", "mapobj") or p.annotation in (MapSpec, "MapSpec")]
+        assert "setup" not in {f.name for f in dataclasses.fields(Ray)}

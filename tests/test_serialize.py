@@ -34,8 +34,7 @@ def test_curve_csv_round_trip():
 
 
 def test_ray_json_contains_address_and_landing(setup03):
-    ray = landing_point(setup03.spec,
-                        trace_ray(setup03.spec, setup03, Address.constant(0)))
+    ray = landing_point(trace_ray(setup03, Address.constant(0)))
     data = serialize.ray_to_json(ray)
     assert data["address"] == "|0"
     assert data["status"]["kind"] == "lands_at"

@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 import raysep.structure
 from raysep.curves import ParamCurve, min_segment_distance
 from raysep.errors import DeltaBlocked, ExpansionNotValidated
-from raysep.maps import BranchLabel, exp_map, parse_map
+from raysep.maps import BranchContext, BranchLabel, CutGeometry, exp_map, parse_map
 from raysep.structure import (
     Rect,
     Tract,
@@ -343,13 +343,14 @@ angles = st.floats(-math.pi, math.pi)
 
 class TestCutGeometry:
     @settings(max_examples=40, deadline=None)
-    @given(st.floats(0.1, 2.0), angles, st.floats(0.0, 2.0), angles)
-    @example(0.5, 0.0, 0.5, math.atan2(0.4, 0.3))      # b = 0.3 + 0.4i
-    @example(1.0, 0.0, 0.0, 0.0)                       # b = 0: phi is constant
-    def test_closed_form_equals_the_sampled_cut(self, abs_a, arg_a, abs_b, arg_b):
+    @given(st.floats(0.1, 2.0), angles, st.floats(0.0, 2.0), angles, angles)
+    @example(0.5, 0.0, 0.5, math.atan2(0.4, 0.3), math.pi)   # b = 0.3 + 0.4i
+    @example(1.0, 0.0, 0.0, 0.0, math.pi)                    # b = 0: phi is constant
+    def test_closed_form_equals_the_sampled_cut(self, abs_a, arg_a, abs_b, arg_b, theta):
+        # any radial cut from the disk will do: no box, so no cut is ever blocked
         spec = exp_map(cmath.rect(abs_a, arg_a), cmath.rect(abs_b, arg_b))
-        setup = structural_setup(spec, Rect(-6, 8, -10, 10), 0.25)
-        cut = setup.branch_context.cut
+        cut = CutGeometry.radial(spec, theta, auto_disk(spec).radius)
+        context = BranchContext(spec, cut)
         rho, args = sampled_cut_angle(spec, cut)
         assert np.max(np.abs(cut.phi(rho) - args)) <= 1e-12
         # lift(s, m) is the edge between bands m and m + 1: a cut point turned
@@ -361,7 +362,7 @@ class TestCutGeometry:
             edge = cut.lift(s, m)
             for turn, band in ((-eps, m), (eps, m + 1)):
                 w = s * cmath.exp(1j * (cut.theta + turn))
-                z = setup.branch_context.pull_back(w, BranchLabel(band))
+                z = context.pull_back(w, BranchLabel(band))
                 assert np.max(np.abs(z - edge)) <= 10 * eps
 
 
@@ -531,4 +532,4 @@ class TestExpansionRows:
                      Address.cycle([100000, 0]), Address.cycle([2, 2])]
         with pytest.raises(ExpansionNotValidated,
                            match=re.escape("up to 1e+06 valid for bands [1, 200000]")):
-            trace_ray(setup.spec, setup, addresses)
+            trace_ray(setup, addresses)
