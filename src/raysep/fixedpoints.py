@@ -226,8 +226,9 @@ def _domain_seeds(setup: StructuralSetup, region: Rect) -> np.ndarray:
     a lane at the logarithm's singularity (where the branch raises OnCut)
     is dropped.  Only seeds inside the region are kept.
     """
-    spec, labels = setup.spec, setup.domain_labels()
+    spec = setup.spec
     z = np.array([dom.anchor for dom in setup.domains], dtype=complex)
+    bands = np.array([dom.label.j for dom in setup.domains])
     kept = np.ones(len(z), dtype=bool)
     live = np.arange(len(z))
     for _ in range(200):
@@ -236,7 +237,7 @@ def _domain_seeds(setup: StructuralSetup, region: Rect) -> np.ndarray:
         live = live[~on_cut]
         if not len(live):
             break
-        nz = setup.branch_context.pull_back(z[live], [labels[i] for i in live])
+        nz = setup.branch_context.pull_back(z[live], bands[live])
         moving = ~(np.abs(nz - z[live]) < 1e-12)
         z[live[moving]] = nz[moving]
         live = live[moving]

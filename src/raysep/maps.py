@@ -186,11 +186,11 @@ class BranchContext:
     def pull_back(self, w, label):
         """Inverse branch of `label`: the logarithm of (w - b)/a in its band.
 
-        `label` is one BranchLabel for all of `w`, or a sequence of
-        BranchLabels with one per lane of a 1-D `w`.  Returns an array, 0-d
-        for a scalar `w`.
+        `label` is one BranchLabel for all of `w`, or an integer band array
+        with one band per lane of a 1-D `w` (a lane's band is the j of its
+        label).  Returns an array, 0-d for a scalar `w`.
         """
-        band = label.j if isinstance(label, BranchLabel) else np.array([lb.j for lb in label])
+        band = label.j if isinstance(label, BranchLabel) else label
         z = np.asarray(w, dtype=complex)
         return branch_log((z - self.spec.b) / self.spec.a, band, self.cut)
 

@@ -9,14 +9,17 @@ ray itself.  One application of f moves a state one level up the same walk,
 which makes the ray-invariance relation exact by construction.
 
 The walk is an array walk: every address of one cycle length is a lane, and
-all lanes go down one level per pullback call.  A lane leaves the walk when
-it reaches the cut or a singular value, or when it settles on its limit
-cycle, whose last p states then stand for all lower levels.  One walk,
-DEFAULT_SCHEDULE[-1] cycles deep, serves both tracing and landing: its top
-cycles are the ray's samples, and its states at the depths of the doubling
-schedule are the endpoints the landing is resolved from.  Lanes that
-resolve no limit are walked again, SLOW_SCHEDULE[-1] cycles deep, for a
-landing point whose multiplier is close to 1 in modulus.
+all lanes go down one level per pullback call.  A lane's symbols are the
+row of an (n, p) integer band matrix, built once per walk, and each level
+pulls every active lane back through the band of its own row.  A lane
+leaves the walk when it reaches the cut or a singular value, or when it
+settles on its limit cycle, whose last p states then stand for all lower
+levels.  One walk, DEFAULT_SCHEDULE[-1] cycles deep, serves both tracing
+and landing: its top cycles are the ray's samples, and its states at the
+depths of the doubling schedule are the endpoints the landing is resolved
+from.  Lanes that resolve no limit are walked again, SLOW_SCHEDULE[-1]
+cycles deep, for a landing point whose multiplier is close to 1 in
+modulus.
 
 Potentials are a declared parametrization: the sample at level k carries
 potential DEFAULT_T_TOP * 2^(k_top - k), halving toward the landing point;
@@ -25,8 +28,8 @@ lanes in one array pass over the endpoint matrix: a settled endpoint, or
 Richardson extrapolation for the algebraic (parabolic) approach, polished
 by one Newton sweep on f^p(z) - z and kept when f^p closes on it.  A
 preperiodic ray's samples and limit then take the preperiod pullbacks.
-`landing_point` interprets one ray's limit: broken walks and the approach
-direction.
+`landing_point` interprets one ray's limit, on plain scalars: broken walks
+and the approach direction.
 
 Rays land together when their landings fall in one group of
 `landing_groups` (greedy in ray order, within PAIR_TOL); the ray graph's
@@ -38,7 +41,7 @@ from __future__ import annotations
 import cmath
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -127,6 +130,9 @@ class RayStatus:
         return cls("lands_at", point=point, approach_direction=direction)
 
 
+UNRESOLVED = RayStatus("unresolved")
+
+
 @dataclass(frozen=True)
 class Ray:
     address: Address
@@ -165,6 +171,9 @@ class RayPair:
 class PullbackWalk:
     """Array inverse-branch walk: one lane per address, all of one cycle length.
 
+    `bands` is the (n, p) integer band matrix of the addresses' cycles, built
+    once: row i holds the bands of address i's period, and the level-k
+    pullback takes every active lane through the band in column k mod p.
     Every active lane goes down one level per `pull_back` call.  A lane
     leaves the walk when its state reaches the cut or a singular value
     (broken), or when it has settled on its limit cycle.
@@ -173,30 +182,35 @@ class PullbackWalk:
     def __init__(self, setup: StructuralSetup, addresses):
         self.setup = setup
         self.addresses = list(addresses)
+        self.bands = np.array([[s.j for s in a.period] for a in self.addresses], dtype=int)
         self.ctx = setup.branch_context
         self._svals = np.array(setup.spec.singular_values(), dtype=complex)
 
     def anchors(self, level: int) -> np.ndarray:
         """Each lane's top state: deep inside the domain of its symbol at `level`.
 
-        The anchor radius is the expansion radius of the lane's symbols.  One
-        doubling search (`structure._expansion_radii`), which tests each
-        radius by the closed-form preimage bound of every symbol, settles the
-        radii of all distinct symbol sets together; the first set, in address
-        order, that no radius validates raises ExpansionNotValidated.
+        The anchor radius is the expansion radius of the lane's symbols: the
+        distinct bands of its sorted row of `bands`, joined by a preperiod's
+        bands.  One doubling search (`structure._expansion_radii`), which
+        tests each radius by the closed-form preimage bound of every symbol,
+        settles the radii of all distinct symbol sets together; the first
+        set, in address order, that no radius validates raises
+        ExpansionNotValidated.
         """
-        symbols = [frozenset(address.symbols()) for address in self.addresses]
+        symbols = [tuple(dict.fromkeys(row)) for row in np.sort(self.bands, axis=1).tolist()]
+        for i, address in enumerate(self.addresses):
+            if address.preperiod:
+                symbols[i] = tuple(sorted(s.j for s in address.symbols()))
         sets = list(dict.fromkeys(symbols))
-        radii = dict(zip(sets, _expansion_radii(self.setup, sets)))
-        for s in sets:
+        labels = [[BranchLabel(j) for j in s] for s in sets]
+        radii = dict(zip(sets, _expansion_radii(self.setup, labels)))
+        for s, ls in zip(sets, labels):
             if radii[s] is None:
-                raise _not_validated(s)
-        base = np.array([radii[s] for s in symbols], dtype=float)
-        band = np.array([a.period[level % a.period_length].j for a in self.addresses],
-                        dtype=float)
+                raise _not_validated(ls)
         z = np.empty(len(self.addresses), dtype=complex)
-        z.real = base + DEFAULT_T_TOP
-        z.imag = self.ctx.cut.phi_inf + 2.0 * math.pi * band - math.pi
+        z.real = np.array([radii[s] for s in symbols], dtype=float) + DEFAULT_T_TOP
+        z.imag = (self.ctx.cut.phi_inf + 2.0 * math.pi * self.bands[:, level % self.bands.shape[1]]
+                  - math.pi)
         return z
 
     def _bad_input(self, z: np.ndarray) -> np.ndarray:
@@ -217,11 +231,7 @@ class PullbackWalk:
         states below that level are nan.  Only the last p + 1 levels are
         held in memory.
         """
-        n = len(self.addresses)
-        p = self.addresses[0].period_length
-        labels = np.empty((n, p), dtype=object)
-        for i, address in enumerate(self.addresses):
-            labels[i, :] = address.period
+        n, p = self.bands.shape
         keep = np.asarray(keep, dtype=int)
         kept = set(keep.tolist())
         out = np.full((n, len(keep)), np.nan, dtype=complex)
@@ -236,10 +246,10 @@ class PullbackWalk:
             bad = self._bad_input(z)
             if bad.any():
                 bad_at[active[bad]] = k + 1
-                active, z, ring, labels = active[~bad], z[~bad], ring[:, ~bad], labels[~bad]
+                active, z, ring = active[~bad], z[~bad], ring[:, ~bad]
                 if not len(active):
                     break
-            z = self.ctx.pull_back(z, labels[:, k % p])
+            z = self.ctx.pull_back(z, self.bands[active, k % p])
             ring[k % (p + 1)] = z
             if k in kept:
                 out[np.ix_(active, keep == k)] = z[:, None]
@@ -253,7 +263,7 @@ class PullbackWalk:
                 source = ring[(k + (keep[below] - k) % p) % (p + 1)]
                 out[np.ix_(active[settled], below)] = source[:, settled].T
                 stay = ~settled
-                active, z, ring, labels = active[stay], z[stay], ring[:, stay], labels[stay]
+                active, z, ring = active[stay], z[stay], ring[:, stay]
                 if not len(active):
                     break
         return out, bad_at
@@ -350,14 +360,14 @@ def trace_ray(setup: StructuralSetup, address, depth: int = 80):
 
     # each ray's t, z and endpoints are views of `potentials` and of its row
     # of `states`: per-ray copies raised peak memory at period 4
+    clean = np.count_nonzero(sample_levels >= bad_at[:, None], axis=1)
     rays = []
-    for a, row, bad, limit in zip(addresses, states, bad_at, limits):
+    for i, (a, n_clean, limit) in enumerate(zip(addresses, clean.tolist(), limits.tolist())):
         # samples above the level the walk stopped at (at least two are kept)
-        clean = int(np.count_nonzero(sample_levels >= bad))
-        t_vals, z_vals = potentials[:max(clean, 2)], row[:max(clean, 2)]
-        status = RayStatus("unresolved")
-        if clean <= n_cycles:
-            status = RayStatus("broken", first_bad_t=float(potentials[clean]))
+        t_vals, z_vals = potentials[:max(n_clean, 2)], states[i, :max(n_clean, 2)]
+        status = UNRESOLVED
+        if n_clean <= n_cycles:
+            status = RayStatus("broken", first_bad_t=float(potentials[n_clean]))
         elif a.preperiod:
             scale = 0.5 ** len(a.preperiod)
             deepest_t = float(t_vals[-1] * scale)
@@ -365,10 +375,10 @@ def trace_ray(setup: StructuralSetup, address, depth: int = 80):
                 z_vals = walk.prefix(z_vals, a.preperiod)
                 t_vals = t_vals * scale
                 if not cmath.isnan(limit):
-                    limit = walk.prefix(np.array([limit]), a.preperiod)[0]
+                    limit = complex(walk.prefix(np.array([limit]), a.preperiod)[0])
             except BrokenRay:
                 status = RayStatus("broken", first_bad_t=deepest_t)
-        rays.append(Ray(a, t_vals, z_vals, status, row[n_cycles + 1:], complex(limit)))
+        rays.append(Ray(a, t_vals, z_vals, status, states[i, n_cycles + 1:], limit))
     return rays[0] if isinstance(address, Address) else rays
 
 
@@ -378,29 +388,32 @@ def landing_point(ray: Ray) -> Ray:
     `trace_ray` keeps the states of the ray's own walk at the depths of the
     doubling schedule and resolves their limit, after any preperiod, in one
     pass over the whole walk, so a ray is neither walked nor polished again
-    here.  Nan endpoints mean that walk hit the cut or a singular value
-    below the samples, and the ray is broken; a limit that is not finite
-    leaves it unresolved.  A landed periodic ray gets the approach direction
-    of its deepest endpoint still away from the point.
+    here; the read itself is on plain scalars.  Nan endpoints mean that
+    walk hit the cut or a singular value below the samples, and the ray is
+    broken at its least potential; a limit that is not finite leaves it
+    unresolved.  A landed periodic ray gets the approach direction of its
+    deepest endpoint farther than 1e3 LANDING_TOL from the point; with no
+    such endpoint, or for a preperiodic ray, the direction is None.
     """
     if ray.status.kind == "broken":
         return ray
-    endpoints = ray.endpoints
-    if np.any(np.isnan(endpoints)):
-        return replace(ray, status=RayStatus("broken",
-                                             first_bad_t=float(np.min(ray.t))))
+    endpoints = ray.endpoints.tolist()
     point = ray.limit
-    if not (math.isfinite(point.real) and math.isfinite(point.imag)):
-        return replace(ray, status=RayStatus("unresolved"))
-
-    # approach direction from the deepest endpoints still away from the point
-    direction = None
-    gaps = np.abs(endpoints - point)
-    away = np.nonzero(gaps > 1e3 * LANDING_TOL)[0]
-    if len(away) and not ray.address.preperiod:
-        e = endpoints[away[-1]]
-        direction = (e - point) / abs(e - point)
-    return replace(ray, status=RayStatus.landed(point, direction))
+    if any(map(cmath.isnan, endpoints)):
+        status = RayStatus("broken", first_bad_t=float(np.min(ray.t)))
+    elif not cmath.isfinite(point):
+        status = UNRESOLVED
+    else:
+        direction = None
+        if not ray.address.preperiod:
+            for e in reversed(endpoints):
+                if abs(e - point) > 1e3 * LANDING_TOL:
+                    # numpy complex128 division: Python's differs in the last ulp
+                    gap = np.complex128(e) - point
+                    direction = gap / abs(gap)
+                    break
+        status = RayStatus.landed(point, direction)
+    return Ray(ray.address, ray.t, ray.z, status, ray.endpoints, point)
 
 
 def fixed_rays(setup: StructuralSetup, domains, period: int = 1,
@@ -408,9 +421,10 @@ def fixed_rays(setup: StructuralSetup, domains, period: int = 1,
     """All rays of period-`period` addresses over the given domains.
 
     For period 1 this is one fixed ray per fundamental domain; for period p,
-    all |domains|^p addresses, traced and limit-resolved together by one
-    array walk, then each read by `landing_point`.  Per-ray failures are
-    recorded in the ray status, not raised.
+    all |domains|^p addresses, in band order, traced and limit-resolved
+    together by one array walk whose lanes are the rows of their (n, p)
+    integer band matrix, then each read by `landing_point`.  Per-ray
+    failures are recorded in the ray status, not raised.
     """
     labels = [d if isinstance(d, BranchLabel) else d.label for d in domains]
     labels = sorted(set(labels), key=lambda l: l.j)

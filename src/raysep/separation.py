@@ -760,11 +760,15 @@ def _augment_with_inferred_rays(setup: StructuralSetup, period: int, records, la
     validated = [a for a, R in zip(addresses, radii) if R is not None]
     traced = dict(zip(validated, trace_ray(setup, validated))) if validated else {}
 
-    existing = {r.address for r in landed}
+    # the candidates are cycles, keyed on their band tuples: an Address hashes
+    # through one Python-level hash per label, and `landed` holds |domains|^p rays
+    existing = {tuple([s.j for s in r.address.period]) for r in landed
+                if not r.address.preperiod}
     for rec, address in candidates:
-        if matched(rec.location) or address in existing:
+        key = tuple([s.j for s in address.period])
+        if matched(rec.location) or key in existing:
             continue
-        existing.add(address)
+        existing.add(key)
         if address not in traced:
             incomplete.append(f"inferred ray {address} not validated")
             continue

@@ -153,16 +153,22 @@ class TestInverseBranch:
 
     @pytest.mark.parametrize("text", ["exp(0.3)", "exp(-5)", "exp(1,1)"])
     def test_rows_of_a_2d_pull_back_equal_row_calls(self, text):
-        # one label per lane of a 1-D w: bitwise the single-label calls
+        # one integer band per lane of a 1-D w: bitwise the single-label
+        # calls, also for the last lanes, which lie on the cut (a band edge)
         spec = parse_map(text)
         ctx = BranchContext(spec, negative_real_cut(spec))
         rng = np.random.default_rng(23)
-        labels = [BranchLabel(j) for j in rng.integers(-40, 41, 9)]
-        w = rng.uniform(2, 1e4, len(labels)) * np.exp(1j * rng.uniform(0, 2 * np.pi, len(labels)))
-        lanes = ctx.pull_back(w, labels)
+        bands = rng.integers(-40, 41, 12)
+        w = rng.uniform(2, 1e4, len(bands)) * np.exp(1j * rng.uniform(0, 2 * np.pi, len(bands)))
+        w[9:] = -rng.uniform(2, 1e4, 3)
+        lanes = ctx.pull_back(w, bands)
         assert lanes.shape == w.shape
-        for z, wl, label in zip(lanes, w, labels):
-            assert z.tobytes() == ctx.pull_back(wl, label).tobytes()
+        for z, wl, j in zip(lanes, w, bands):
+            assert z.tobytes() == ctx.pull_back(wl, BranchLabel(int(j))).tobytes()
+        # the cut lanes land on their band's top edge, phi(|v|) + 2 pi j
+        v = np.abs((w[9:] - spec.b) / spec.a)
+        edge = ctx.cut.phi(v) + 2.0 * np.pi * bands[9:]
+        assert np.all(np.abs(lanes[9:].imag - edge) < 1e-9)
 
 
 # for a = 1, b = 0 the negative-real cut has phi identically pi

@@ -19,6 +19,7 @@ from raysep.rays import (
     SLOW_SCHEDULE,
     Address,
     PullbackWalk,
+    Ray,
     RayStatus,
     _limits,
     fixed_rays,
@@ -456,6 +457,60 @@ class TestLandingsAt:
         assert row.tolist() == []
         hits = self._check(np.array([1.0, 1.0 + 1e-8j, 2.0]), np.array([1.0 + 0j]))
         assert hits[0].tolist() == [0, 1]
+
+
+def _hand_ray(endpoints, limit, address=None):
+    """A ray as `trace_ray` leaves it: four samples, the given endpoints and limit."""
+    t = DEFAULT_T_TOP * 0.5 ** np.arange(4.0)
+    return Ray(address or Address.constant(0), t, np.linspace(9, 2, 4).astype(complex),
+               RayStatus("unresolved"), np.asarray(endpoints, dtype=complex), complex(limit))
+
+
+class TestLandingRead:
+    """`landing_point` on hand-built rays."""
+
+    def test_nan_endpoint_is_broken_at_the_least_potential(self):
+        ray = _hand_ray([3.0, np.nan, 1.0 + 1j], 1.0 + 1j)
+        landed = landing_point(ray)
+        assert landed.status.kind == "broken"
+        assert landed.status.first_bad_t == float(np.min(ray.t))
+        assert landed.status.point is None
+
+    @pytest.mark.parametrize("limit", [complex("nan"), complex(np.inf, 0), complex(0, -np.inf)])
+    def test_non_finite_limit_is_unresolved(self, limit):
+        landed = landing_point(_hand_ray([3.0, 2.0, 1.0], limit))
+        assert landed.status.kind == "unresolved"
+        assert landed.status.point is None and landed.status.approach_direction is None
+
+    def test_endpoints_at_the_point_give_no_direction(self):
+        point = 1.5 - 0.5j
+        near = point + 0.9e3 * LANDING_TOL * np.exp(1j * np.arange(7.0))
+        landed = landing_point(_hand_ray(near, point))
+        assert landed.status.kind == "lands_at" and landed.landing == point
+        assert landed.status.approach_direction is None
+
+    def test_preperiodic_ray_gives_no_direction(self):
+        point = 1.5 - 0.5j
+        landed = landing_point(_hand_ray([9.0, 4.0, point], point, Address.parse("1|0")))
+        assert landed.status.kind == "lands_at" and landed.landing == point
+        assert landed.status.approach_direction is None
+
+    def test_direction_is_the_array_formula_bitwise(self):
+        # reference: the direction from the deepest endpoint farther than
+        # 1e3 LANDING_TOL from the point, in numpy array arithmetic
+        rng = np.random.default_rng(7)
+        for _ in range(300):
+            point = complex(*rng.normal(0.0, 3.0, 2))
+            scale = 10.0 ** rng.uniform(-9, 1, 7)
+            endpoints = point + scale * np.exp(1j * rng.uniform(-np.pi, np.pi, 7))
+            landed = landing_point(_hand_ray(endpoints, point))
+            away = np.nonzero(np.abs(endpoints - point) > 1e3 * LANDING_TOL)[0]
+            ref = None
+            if len(away):
+                e = endpoints[away[-1]]
+                ref = (e - point) / abs(e - point)
+            assert landed.status.kind == "lands_at" and landed.landing == point
+            assert _bits(landed.status.approach_direction) == _bits(ref)
 
 
 class TestAnchorRadius:
