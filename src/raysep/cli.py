@@ -314,8 +314,7 @@ def main(argv=None) -> int:
 
 
 def _error(kind: str, exc: Exception) -> None:
-    sys.stderr.write(json.dumps(
-        {"error": kind, "message": str(exc)}, sort_keys=True) + "\n")
+    sys.stderr.write(serialize.dumps({"error": kind, "message": str(exc)}))
 
 
 if __name__ == "__main__":

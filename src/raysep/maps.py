@@ -163,9 +163,9 @@ def branch_log(v, j, cut: CutGeometry):
     """
     v = np.asarray(v, dtype=complex)
     rho = np.abs(v)
-    if np.any(rho < LOG_FLOOR):
+    if (rho < LOG_FLOOR).any():
         raise OnCut("logarithm input too close to 0")
-    y0 = np.angle(v)
+    y0 = np.arctan2(v.imag, v.real)
     hi = cut.phi(rho) + 2.0 * np.pi * j
     lo = hi - 2.0 * np.pi
     k = np.ceil((lo - y0) / (2.0 * np.pi))
@@ -173,7 +173,9 @@ def branch_log(v, j, cut: CutGeometry):
     # half-open interval (lo, hi]: ceil lands in [lo, lo+2pi); fix y == lo
     on_lo = y <= lo + 1e-15
     y = np.where(on_lo, y + 2.0 * np.pi, y)
-    return np.log(rho) + 1j * y
+    z = np.array(np.log(rho), dtype=complex)
+    z.imag += y          # in place: no complex temporary for 1j * y
+    return z
 
 
 @dataclass

@@ -185,6 +185,7 @@ class PullbackWalk:
         self.bands = np.array([[s.j for s in a.period] for a in self.addresses], dtype=int)
         self.ctx = setup.branch_context
         self._svals = np.array(setup.spec.singular_values(), dtype=complex)
+        self._cut_direction = cmath.exp(1j * self.ctx.cut.theta)
 
     def anchors(self, level: int) -> np.ndarray:
         """Each lane's top state: deep inside the domain of its symbol at `level`.
@@ -216,7 +217,7 @@ class PullbackWalk:
     def _bad_input(self, z: np.ndarray) -> np.ndarray:
         """Mask of the states too close to the cut or to a singular value."""
         # distance to the radial continuation of delta beyond the disk
-        direction = cmath.exp(1j * self.ctx.cut.theta)
+        direction = self._cut_direction
         s = np.maximum((z * direction.conjugate()).real, self.ctx.cut.r)
         near_value = np.abs(self._svals[:, None] - z) <= BROKEN_TOL
         return (np.abs(z - s * direction) <= BROKEN_TOL) | near_value.any(axis=0)

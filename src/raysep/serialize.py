@@ -1,7 +1,9 @@
 """JSON/CSV serialization and the SVG overlay writer.
 
 All emitters are deterministic: sorted keys, fixed iteration orders, no
-wall-clock content, floats via repr (shortest round-trip form).
+wall-clock content, floats via repr (shortest round-trip form).  Every JSON
+document the CLI writes, to a file, stdout or stderr, goes through `dumps`:
+one line of sorted-key JSON.
 """
 
 from __future__ import annotations
@@ -163,7 +165,14 @@ def report_to_json(report: SeparationReport) -> dict:
 
 
 def dumps(data: dict) -> str:
-    return json.dumps(data, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
+    """`data` as one line of sorted-key JSON, ending in a newline.
+
+    Without `indent`, CPython's `json` writes through its C encoder, about
+    three times faster than the pure-Python one that any indent selects.
+    `python -m json.tool --indent 1 --sort-keys` reprints the output with
+    one key or list item per line.
+    """
+    return json.dumps(data, sort_keys=True) + "\n"
 
 
 # -- SVG ---------------------------------------------------------------------------

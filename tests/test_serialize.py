@@ -1,5 +1,9 @@
 """Serialization schemas round-trip and stay deterministic."""
 
+import json
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 
@@ -7,6 +11,7 @@ from raysep import serialize
 from raysep.curves import ParamCurve
 from raysep.maps import exp_map
 from raysep.rays import Address, landing_point, trace_ray
+from raysep.separation import separation_report
 from raysep.structure import Rect, structural_setup
 
 
@@ -56,3 +61,24 @@ def test_svg_overlay_renders(setup03):
     assert text.startswith("<svg")
     assert text.rstrip().endswith("</svg>")
     assert "polyline" in text
+
+
+@pytest.fixture(scope="module")
+def report03(setup03):
+    return serialize.report_to_json(separation_report(exp_map(0.3), setup03, 1))
+
+
+def test_dumps_writes_one_line_of_the_same_value(report03):
+    text = serialize.dumps(report03)
+    assert text.endswith("\n") and text.count("\n") == 1
+    assert json.loads(text) == report03
+
+
+def test_json_tool_reprints_the_indented_layout(report03, tmp_path):
+    path = tmp_path / "verify.json"
+    path.write_text(serialize.dumps(report03), encoding="utf-8")
+    proc = subprocess.run(
+        [sys.executable, "-m", "json.tool", "--indent", "1", "--sort-keys", str(path)],
+        capture_output=True, text=True, check=True)
+    assert proc.stdout == json.dumps(
+        report03, sort_keys=True, indent=1, separators=(",", ": ")) + "\n"
