@@ -119,20 +119,21 @@ def _newton_sweep(evaluator, seeds: np.ndarray) -> np.ndarray:
     the step is not finite or |z| exceeds 1e8.  At most 64 iterations run.
     """
     z = np.array(seeds, dtype=complex).ravel()
-    live = np.arange(len(z))
-    for _ in range(64):
-        if not len(live):
-            break
-        zl = z[live]
-        w, dw = evaluator(zl)
-        g = w - zl
-        gp = dw - 1.0
-        with np.errstate(divide="ignore", invalid="ignore"):
-            step = np.where(np.abs(gp) > 1e-14, g / gp, 0.0)
-        bad = ~np.isfinite(step.real) | ~np.isfinite(step.imag) | (np.abs(zl) > 1e8)
-        zl = np.where(bad, zl, zl - step)
-        z[live] = zl
-        live = live[~bad & ~(np.abs(step) < 1e-13 * (1.0 + np.abs(zl)))]
+    live, zl = np.arange(len(z)), z.copy()     # the live lanes and their points
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(64):
+            if not len(live):
+                break
+            w, dw = evaluator(zl)
+            gp = dw - 1.0
+            step = np.where(np.abs(gp) > 1e-14, (w - zl) / gp, 0.0)
+            frozen = ~np.isfinite(step) | (np.abs(zl) > 1e8)
+            np.subtract(zl, step, out=zl, where=~frozen)
+            done = frozen | (np.abs(step) < 1e-13 * (1.0 + np.abs(zl)))
+            if np.count_nonzero(done):
+                z[live[done]] = zl[done]
+                live, zl = live[~done], zl[~done]
+    z[live] = zl
     return z.reshape(np.shape(seeds))
 
 
@@ -230,17 +231,21 @@ def _domain_seeds(setup: StructuralSetup, region: Rect) -> np.ndarray:
     z = np.array([dom.anchor for dom in setup.domains], dtype=complex)
     bands = np.array([dom.label.j for dom in setup.domains])
     kept = np.ones(len(z), dtype=bool)
-    live = np.arange(len(z))
+    live, zl = np.arange(len(z)), z.copy()     # the moving lanes and their points
     for _ in range(200):
-        on_cut = np.abs((z[live] - spec.b) / spec.a) < LOG_FLOOR
-        kept[live[on_cut]] = False
-        live = live[~on_cut]
+        on_cut = np.abs((zl - spec.b) / spec.a) < LOG_FLOOR
+        if np.count_nonzero(on_cut):
+            kept[live[on_cut]] = False
+            live, bands, zl = live[~on_cut], bands[~on_cut], zl[~on_cut]
         if not len(live):
             break
-        nz = setup.branch_context.pull_back(z[live], bands[live])
-        moving = ~(np.abs(nz - z[live]) < 1e-12)
-        z[live[moving]] = nz[moving]
-        live = live[moving]
+        nz = setup.branch_context.pull_back(zl, bands)
+        stop = np.abs(nz - zl) < 1e-12
+        if np.count_nonzero(stop):
+            z[live[stop]] = zl[stop]
+            live, bands, nz = live[~stop], bands[~stop], nz[~stop]
+        zl = nz
+    z[live] = zl
     return np.array([s for s in z[kept] if region.contains(s)], dtype=complex)
 
 

@@ -68,15 +68,17 @@ class MapSpec:
         """
         if period < 1:
             raise ValueError("period must be >= 1")
-        w = np.asarray(z, dtype=complex).copy()
-        deriv = np.ones_like(w)
+        w = np.array(z, dtype=complex)
+        deriv = 1.0          # 1.0 * ew has the bits of (1 + 0j) * ew
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(period):
                 safe = (w.real < OVERFLOW_RE) & (np.abs(w) <= OVERFLOW_MAG)
-                ew = np.exp(np.where(safe, w, 0))
-                ew = np.where(safe, self.a * ew, np.inf + 0j)
+                ew = self.a * np.exp(w)
+                w = ew + self.b
+                if np.count_nonzero(safe) < np.size(safe):
+                    ew = np.where(safe, ew, np.inf + 0j)
+                    w = np.where(safe, w, np.inf + 0j)
                 deriv = deriv * ew
-                w = np.where(safe, ew + self.b, np.inf + 0j)
         return w, deriv
 
     # -- singular values -------------------------------------------------
@@ -163,18 +165,18 @@ def branch_log(v, j, cut: CutGeometry):
     """
     v = np.asarray(v, dtype=complex)
     rho = np.abs(v)
-    if (rho < LOG_FLOOR).any():
+    if np.count_nonzero(rho < LOG_FLOOR):
         raise OnCut("logarithm input too close to 0")
     y0 = np.arctan2(v.imag, v.real)
-    hi = cut.phi(rho) + 2.0 * np.pi * j
+    # a straight cut (Im c = 0) has phi = phi_inf - arcsin(+-0) at every modulus
+    hi = (cut.phi_inf if cut.c.imag == 0 else cut.phi(rho)) + 2.0 * np.pi * j
     lo = hi - 2.0 * np.pi
     k = np.ceil((lo - y0) / (2.0 * np.pi))
-    y = y0 + 2.0 * np.pi * k
-    # half-open interval (lo, hi]: ceil lands in [lo, lo+2pi); fix y == lo
-    on_lo = y <= lo + 1e-15
-    y = np.where(on_lo, y + 2.0 * np.pi, y)
     z = np.array(np.log(rho), dtype=complex)
-    z.imag += y          # in place: no complex temporary for 1j * y
+    y = z.imag           # a view: the imaginary part is built in the result
+    y += y0 + 2.0 * np.pi * k
+    # half-open interval (lo, hi]: ceil lands in [lo, lo+2pi); fix y == lo
+    np.add(y, 2.0 * np.pi, out=y, where=y <= lo + 1e-15)
     return z
 
 

@@ -152,12 +152,6 @@ class Ray:
             raise UnlandedRay(self.address)
         return self.status.point
 
-    def value_at(self, t: float) -> complex:
-        order = np.argsort(self.t)
-        re = np.interp(t, self.t[order], self.z[order].real)
-        im = np.interp(t, self.t[order], self.z[order].imag)
-        return complex(re, im)
-
 
 @dataclass(frozen=True)
 class RayPair:
@@ -184,7 +178,6 @@ class PullbackWalk:
         self.addresses = list(addresses)
         self.bands = np.array([[s.j for s in a.period] for a in self.addresses], dtype=int)
         self.ctx = setup.branch_context
-        self._svals = np.array(setup.spec.singular_values(), dtype=complex)
         self._cut_direction = cmath.exp(1j * self.ctx.cut.theta)
 
     def anchors(self, level: int) -> np.ndarray:
@@ -215,12 +208,12 @@ class PullbackWalk:
         return z
 
     def _bad_input(self, z: np.ndarray) -> np.ndarray:
-        """Mask of the states too close to the cut or to a singular value."""
+        """Mask of the states too close to the cut or to the singular value b."""
         # distance to the radial continuation of delta beyond the disk
         direction = self._cut_direction
         s = np.maximum((z * direction.conjugate()).real, self.ctx.cut.r)
-        near_value = np.abs(self._svals[:, None] - z) <= BROKEN_TOL
-        return (np.abs(z - s * direction) <= BROKEN_TOL) | near_value.any(axis=0)
+        # bad when either distance is within BROKEN_TOL; fmin passes over a nan one
+        return np.fmin(np.abs(z - s * direction), np.abs(z - self.ctx.spec.b)) <= BROKEN_TOL
 
     def states(self, levels: int, keep) -> tuple[np.ndarray, np.ndarray]:
         """Walk every lane down `levels` pullbacks from its anchor.
@@ -237,34 +230,34 @@ class PullbackWalk:
         kept = set(keep.tolist())
         out = np.full((n, len(keep)), np.nan, dtype=complex)
         bad_at = np.full(n, -1)
-        # the active lanes' last p + 1 states, level k at row k % (p + 1)
-        active = np.arange(n)
+        # the active lanes, their band rows and last p + 1 states, level k at row k % (p + 1)
+        active, rows = np.arange(n), self.bands
         z = self.anchors(levels)
         ring = np.empty((p + 1, n), dtype=complex)
         ring[levels % (p + 1)] = z
         out[:, keep == levels] = z[:, None]
         for k in range(levels - 1, -1, -1):
             bad = self._bad_input(z)
-            if bad.any():
+            if np.count_nonzero(bad):
                 bad_at[active[bad]] = k + 1
-                active, z, ring = active[~bad], z[~bad], ring[:, ~bad]
+                active, rows, z, ring = active[~bad], rows[~bad], z[~bad], ring[:, ~bad]
                 if not len(active):
                     break
-            z = self.ctx.pull_back(z, self.bands[active, k % p])
+            z = self.ctx.pull_back(z, rows[:, k % p])
             ring[k % (p + 1)] = z
             if k in kept:
-                out[np.ix_(active, keep == k)] = z[:, None]
+                out[active[:, None], keep == k] = z[:, None]
             if k + p > levels:
                 continue
             settled = np.abs(z - ring[(k + p) % (p + 1)]) < 1e-15 * (1.0 + np.abs(z))
-            if settled.any():
+            if np.count_nonzero(settled):
                 # settled on the limit cycle; avoid float-level branch-cut
                 # noise at the landing point: lower levels repeat the last p
                 below = np.flatnonzero(keep < k)
                 source = ring[(k + (keep[below] - k) % p) % (p + 1)]
                 out[np.ix_(active[settled], below)] = source[:, settled].T
                 stay = ~settled
-                active, z, ring = active[stay], z[stay], ring[:, stay]
+                active, rows, z, ring = active[stay], rows[stay], z[stay], ring[:, stay]
                 if not len(active):
                     break
         return out, bad_at
@@ -272,7 +265,7 @@ class PullbackWalk:
     def prefix(self, z: np.ndarray, preperiod) -> np.ndarray:
         """Apply the preperiod pullbacks to points of the cycle ray."""
         for label in reversed(preperiod):
-            if np.any(self._bad_input(z)):
+            if np.count_nonzero(self._bad_input(z)):
                 raise BrokenRay(0.0, len(preperiod))
             z = self.ctx.pull_back(z, label)
         return z

@@ -622,12 +622,13 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
         if r.status.kind != "lands_at":
             incomplete.append(f"ray {r.address} {r.status.kind}")
 
-    records = find_periodic_points(
-        spec, setup.bbox, period, setup=setup,
-        extra_seeds=[r.landing for r in landed])
+    # each landed ray's landing point, read once; inferred rays append theirs
+    landings = np.array([r.landing for r in landed], dtype=complex)
+    records = find_periodic_points(spec, setup.bbox, period, setup=setup, extra_seeds=landings)
 
     # rays landing at found points via addresses inferred from orbit bands
-    landed = _augment_with_inferred_rays(setup, period, records, landed, incomplete)
+    landed, landings = _augment_with_inferred_rays(setup, period, records, landed, landings,
+                                                   incomplete)
     graph = build_ray_graph(landed)
     regions, geometry = basic_regions(graph, setup.bbox, resolution)
 
@@ -637,9 +638,8 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
     # (point placed, the interior or parabolic point, whether it is virtual)
     members: list[tuple[complex, complex, bool]] = []
     unplaced = False
-    ray_landings = np.array([r.landing for r in graph.rays], dtype=complex)
     # a record is a boundary point iff some ray lands at it
-    at_landing = landings_at(ray_landings, [rec.location for rec in records])
+    at_landing = landings_at(landings, [rec.location for rec in records])
     for rec, incident in zip(records, at_landing):
         z = rec.location
         if len(incident):
@@ -723,7 +723,7 @@ def _virtual_probe(geometry: RegionGeometry, z: complex, direction: complex) -> 
 
 
 def _augment_with_inferred_rays(setup: StructuralSetup, period: int, records, landed,
-                                incomplete):
+                                landings, incomplete):
     """Trace rays for repelling points not matched by any landed ray.
 
     Candidate addresses come from the band indices of the orbit, which is
@@ -734,11 +734,11 @@ def _augment_with_inferred_rays(setup: StructuralSetup, period: int, records, la
     for an earlier record) or whose address was already tried is skipped,
     an unvalidated address is an `incomplete` entry, and a ray that lands
     at its record joins the landed rays.  Failures are recorded, not fatal.
+    Returns `landed` and its `landings`, each with the inferred rays appended.
     """
     landed = list(landed)
-    # landing points of `landed`, with room for one inferred ray per record
-    landings = np.empty(len(landed) + len(records), dtype=complex)
-    landings[:len(landed)] = [r.landing for r in landed]
+    # the landing points of `landed`, with room for one inferred ray per record
+    landings = np.concatenate([landings, np.empty(len(records), dtype=complex)])
 
     def matched(z):
         return bool(np.any(same_landing(landings[:len(landed)], z)))
@@ -776,4 +776,4 @@ def _augment_with_inferred_rays(setup: StructuralSetup, period: int, records, la
         if ray.status.kind == "lands_at" and same_landing(ray.landing, rec.location):
             landings[len(landed)] = ray.landing
             landed.append(ray)
-    return landed
+    return landed, landings[:len(landed)]

@@ -16,6 +16,7 @@ from raysep.maps import (
     parse_complex,
     parse_map,
 )
+from raysep.structure import Rect, _preimage_bounds, structural_setup
 
 
 def negative_real_cut(spec: MapSpec) -> CutGeometry:
@@ -192,6 +193,24 @@ class TestBranchLog:
         # the logarithm's one singularity: |v| below LOG_FLOOR
         with pytest.raises(OnCut):
             branch_log(0j, 0, PRINCIPAL)
+
+
+class TestCutGeometry:
+    @pytest.mark.parametrize("spec", [exp_map(0.3), exp_map(0.5, -0.5)], ids=repr)
+    def test_phi_is_an_array_on_a_straight_cut(self, spec):
+        # branch_log reads phi_inf itself on a straight cut; phi must still
+        # give numpy values with array methods, which _preimage_bounds uses
+        cut = CutGeometry.radial(spec, 0.0, 1.0)
+        assert cut.c.imag == 0
+        one = cut.phi(2.0)
+        assert isinstance(one, (np.ndarray, np.generic)) and np.shape(one) == ()
+        assert one.min() == one.max() == cut.phi_inf
+        two = cut.phi(np.array([0.5, 4.0]))
+        assert isinstance(two, np.ndarray) and two.shape == (2,)
+        assert two.min() == two.max() == cut.phi_inf
+        setup = structural_setup(spec, Rect(-4, 9, -12, 12), 0.1)
+        bounds = _preimage_bounds(setup, [-1, 0, 1], 2.0 * setup.disk.radius)
+        assert bounds.shape == (3,) and np.all(np.isfinite(bounds))
 
 
 class TestParsing:

@@ -594,7 +594,9 @@ class TestInferredRays:
         monkeypatch.setattr(MapSpec, "evaluate", evaluate)
         record = FixedPointRecord(-1.0 + 0.5j, 2, 4.0 + 0j, "repelling")
         incomplete = []
-        landed = _augment_with_inferred_rays(setup, 2, [record], [], incomplete)
+        landed, landings = _augment_with_inferred_rays(setup, 2, [record], [],
+                                                       np.empty(0, dtype=complex), incomplete)
+        assert len(landings) == len(landed)
         return landed, incomplete
 
     def test_unexpected_error_propagates(self, setup_neg5, monkeypatch):
@@ -631,8 +633,11 @@ class TestInferredRays:
         landed = landed_rays(setup_neg5, [0, 1], period=2)
         records = [FixedPointRecord(r.landing + 0.5 * PAIR_TOL, 2, 4.0 + 0j, "repelling")
                    for r in landed]
-        out = _augment_with_inferred_rays(setup_neg5, 2, records, landed, [])
+        landings = np.array([r.landing for r in landed], dtype=complex)
+        out, out_landings = _augment_with_inferred_rays(setup_neg5, 2, records, landed,
+                                                        landings, [])
         assert calls == [] and out == landed
+        assert out_landings.tobytes() == landings.tobytes()
 
     def test_unvalidated_candidate_is_incomplete(self, setup_neg5, monkeypatch):
         calls = self._traced_batches(monkeypatch)
