@@ -27,7 +27,7 @@ from . import serialize
 from .errors import RaysepError
 from .fixedpoints import find_periodic_points
 from .maps import parse_map
-from .rays import Address, landing_point, trace_ray
+from .rays import Address, fixed_rays, landing_point, trace_ray
 from .separation import counting_contour, global_count_check, separation_report
 from .structure import Rect, structural_setup
 
@@ -248,7 +248,10 @@ def run(command: str, config: ScenarioConfig) -> int:
         return EXIT_OK
 
     if command == "fixedpoints":
-        records = find_periodic_points(spec, setup.bbox, config.period, setup=setup)
+        # the fixed rays' landings are the domains' inverse-branch limits
+        landings = [r.landing for r in fixed_rays(setup, setup.domains, depth=config.depth)
+                    if r.status.kind == "lands_at"]
+        records = find_periodic_points(spec, setup.bbox, config.period, extra_seeds=landings)
         _emit(config, "fixedpoints.json",
               {"records": [serialize.record_to_json(r) for r in records]})
         if config.out:

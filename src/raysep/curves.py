@@ -394,17 +394,26 @@ def signed_area(curve: ParamCurve) -> float:
     return 0.5 * float(np.sum(x[:-1] * y[1:] - x[1:] * y[:-1]))
 
 
-def iterate_map(mapobj, period: int) -> Integrand:
-    """f^period as a vectorized evaluator; accepts a MapSpec or a callable."""
-    if hasattr(mapobj, "evaluate_array"):
-        return lambda z: mapobj.evaluate_array(z, period)
+def map_arrays(mapobj, period: int):
+    """(f^period, (f^period)') as a vectorized evaluator.
+
+    A MapSpec (anything with `derivative_array`) gives its chain rule; a
+    plain callable is iterated, its derivative by central differences.
+    """
+    if hasattr(mapobj, "derivative_array"):
+        return lambda z: mapobj.derivative_array(z, period)
     fn = ensure_vectorized(mapobj)
 
-    def run(z: np.ndarray) -> np.ndarray:
+    def run(z):
         w = np.asarray(z, dtype=complex)
+        deriv = np.ones_like(w)
+        h = 1e-6
         for _ in range(period):
-            w = fn(w)
-        return w
+            with np.errstate(over="ignore", invalid="ignore"):
+                step = (fn(w + h) - fn(w - h)) / (2.0 * h)
+                deriv = deriv * step
+                w = fn(w)
+        return w, deriv
     return run
 
 
@@ -426,11 +435,11 @@ def argument_principle_count(mapobj, contour: ParamCurve, mode: str = "fixed_poi
     if signed_area(contour) <= 0:
         raise NotCounterclockwise("contour must be counterclockwise")
 
-    fp = iterate_map(mapobj, period)
+    fp = map_arrays(mapobj, period)
     if mode == "fixed_points":
-        integrand = lambda z: fp(z) - z
+        integrand = lambda z: fp(z)[0] - z
     else:
-        integrand = fp
+        integrand = lambda z: fp(z)[0]
     try:
         refined = refine_for_argument(contour, integrand)
     except ZeroIntegrand as exc:
@@ -451,8 +460,8 @@ def multiplicity_at(mapobj, z0: complex, radius: float, period: int = 1) -> int:
     by comparing the counts at radius and radius/2.
     """
     z0 = complex(z0)
-    fp = iterate_map(mapobj, period)
-    res = complex(fp(np.array([z0]))[0]) - z0
+    fp = map_arrays(mapobj, period)
+    res = complex(fp(np.array([z0]))[0][0]) - z0
     if abs(res) > 1e-8:
         raise ValueError(f"{z0} is not fixed under f^{period} (residual {abs(res):.2e})")
     counts = []

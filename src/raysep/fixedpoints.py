@@ -1,15 +1,16 @@
 """Location and classification of periodic points.
 
-Newton's method on f^p(z) - z over a seed grid finds the periodic points in
-a box; the count is cross-checked against the argument principle over the
-box boundary.  Fundamental domains that avoid the disk get their unique
-repelling fixed point directly from the inverse-branch contraction.  The
-local theory at parabolic points (normal-form coefficient, attracting and
-repelling directions) is extracted by discrete contour integration, and
-each attracting basin is confirmed by a probe orbit.  For a simple petal
-the probe stops early on a certificate: in the Fatou coordinate
-W = -1/(A u) one step of f^p is a translation by 1 + eps, and for a e^z + b
-every term of eps has a closed-form bound.
+Newton's method on f^p(z) - z from a seed grid and the caller's seeds (the
+landing points of the rays, among them each domain's inverse-branch limit)
+finds the periodic points in a box; the count is cross-checked against the
+argument principle over the box boundary.  Fundamental domains that avoid
+the disk get their unique repelling fixed point directly from the
+inverse-branch contraction.  The local theory at parabolic points
+(normal-form coefficient, attracting and repelling directions) is extracted
+by discrete contour integration, and each attracting basin is confirmed by
+a probe orbit.  For a simple petal the probe stops early on a certificate:
+in the Fatou coordinate W = -1/(A u) one step of f^p is a translation by
+1 + eps, and for a e^z + b every term of eps has a closed-form bound.
 """
 
 from __future__ import annotations
@@ -22,8 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .curves import (ParamCurve, argument_principle_count, dedup_points, ensure_vectorized,
-                     multiplicity_at)
+from .curves import ParamCurve, argument_principle_count, dedup_points, map_arrays, multiplicity_at
 from .errors import (
     BoundaryRoot,
     DegenerateExpansion,
@@ -31,7 +31,7 @@ from .errors import (
     NotParabolic,
     RaysepError,
 )
-from .maps import LOG_FLOOR, BranchLabel, MapSpec
+from .maps import BranchLabel, MapSpec
 from .structure import Rect, StructuralSetup
 
 ATTRACT_BAND = 1e-6         # |m| < 1 - band: attracting; > 1 + band: repelling
@@ -93,25 +93,6 @@ def _near_root_of_unity(m: complex) -> int | None:
     return None
 
 
-def _map_arrays(mapobj, period: int):
-    """(values, derivatives) evaluator for a MapSpec or a plain callable."""
-    if isinstance(mapobj, MapSpec) or hasattr(mapobj, "derivative_array"):
-        return lambda z: mapobj.derivative_array(z, period)
-    fn = ensure_vectorized(mapobj)
-
-    def run(z):
-        w = np.asarray(z, dtype=complex)
-        deriv = np.ones_like(w)
-        h = 1e-6
-        for _ in range(period):
-            with np.errstate(over="ignore", invalid="ignore"):
-                step = (fn(w + h) - fn(w - h)) / (2.0 * h)
-                deriv = deriv * step
-                w = fn(w)
-        return w, deriv
-    return run
-
-
 def _newton_sweep(evaluator, seeds: np.ndarray) -> np.ndarray:
     """Newton on f^p(z) - z from every seed; each iteration evaluates only live lanes.
 
@@ -143,7 +124,7 @@ def _polish_parabolic(mapobj, z0: complex, period: int) -> complex:
     The derivative has a simple zero where f^p(z) - z has a double one, so
     this sidesteps the cancellation floor of the direct residual.
     """
-    evaluator = _map_arrays(mapobj, period)
+    evaluator = map_arrays(mapobj, period)
     z = complex(z0)
     h = 1e-6
     for _ in range(50):
@@ -170,19 +151,20 @@ def _auto_multiplicity(mapobj, z: complex, period: int, spacing: float) -> int:
 
 
 def find_periodic_points(mapobj, region: Rect | tuple, period: int = 1, *,
-                         setup: StructuralSetup | None = None,
                          extra_seeds=()) -> list[FixedPointRecord]:
     """All solutions of f^p(z) = z in the region, classified.
 
-    Newton runs from seed grids of 64, 128, then 256 steps per diagonal (plus
-    inverse-branch seeds when a setup is supplied) until the count matches the
-    argument principle over the region boundary, else CountMismatchWarning.
+    Newton runs from seed grids of 64, 128, then 256 steps per diagonal, each
+    joined by `extra_seeds`, until the count matches the argument principle
+    over the region boundary, else CountMismatchWarning.  The grid alone can
+    miss points; callers pass the landing points of the rays, which include
+    every domain's inverse-branch limit.
     """
     if not isinstance(region, Rect):
         region = Rect(*region)
     if period < 1 or period > 4:
         raise ValueError("period must be between 1 and 4")
-    evaluator = _map_arrays(mapobj, period)
+    evaluator = map_arrays(mapobj, period)
 
     contour = ParamCurve.rectangle(region.x0, region.x1, region.y0, region.y1,
                                    n_per_side=256)
@@ -193,8 +175,6 @@ def find_periodic_points(mapobj, region: Rect | tuple, period: int = 1, *,
 
     for grid in (64, 128, 256):
         seeds = _seed_grid(region, grid)
-        if setup is not None:
-            seeds = np.concatenate([seeds, _domain_seeds(setup, region)])
         if len(extra_seeds):
             seeds = np.concatenate([seeds, np.asarray(extra_seeds, dtype=complex)])
         roots = _newton_sweep(evaluator, seeds)
@@ -217,36 +197,6 @@ def _seed_grid(region: Rect, n: int) -> np.ndarray:
     ys = np.linspace(region.y0 + step / 3, region.y1 - step / 3, ny)
     zz = (xs[None, :] + 1j * ys[:, None]).ravel()
     return zz
-
-
-def _domain_seeds(setup: StructuralSetup, region: Rect) -> np.ndarray:
-    """Each domain's inverse-branch limit from its anchor, in domain order.
-
-    One walk pulls every domain's lane back through its own branch, up to
-    200 times.  A lane stops at its point before a step shorter than 1e-12;
-    a lane at the logarithm's singularity (where the branch raises OnCut)
-    is dropped.  Only seeds inside the region are kept.
-    """
-    spec = setup.spec
-    z = np.array([dom.anchor for dom in setup.domains], dtype=complex)
-    bands = np.array([dom.label.j for dom in setup.domains])
-    kept = np.ones(len(z), dtype=bool)
-    live, zl = np.arange(len(z)), z.copy()     # the moving lanes and their points
-    for _ in range(200):
-        on_cut = np.abs((zl - spec.b) / spec.a) < LOG_FLOOR
-        if np.count_nonzero(on_cut):
-            kept[live[on_cut]] = False
-            live, bands, zl = live[~on_cut], bands[~on_cut], zl[~on_cut]
-        if not len(live):
-            break
-        nz = setup.branch_context.pull_back(zl, bands)
-        stop = np.abs(nz - zl) < 1e-12
-        if np.count_nonzero(stop):
-            z[live[stop]] = zl[stop]
-            live, bands, nz = live[~stop], bands[~stop], nz[~stop]
-        zl = nz
-    z[live] = zl
-    return np.array([s for s in z[kept] if region.contains(s)], dtype=complex)
 
 
 def _collect_records(mapobj, evaluator, roots: np.ndarray, region: Rect,
@@ -344,7 +294,7 @@ def petal_directions(mapobj, at: complex, period: int = 1) -> PetalFan:
     exact gaps pi/m.
     """
     at = complex(at)
-    evaluator = _map_arrays(mapobj, period)
+    evaluator = map_arrays(mapobj, period)
     _, d = evaluator(np.array([at]))
     if abs(complex(d[0]) - 1.0) > 1e-6:
         raise NotParabolic(
@@ -467,7 +417,7 @@ def probe_virtual_points(mapobj, fan: PetalFan, period: int = 1, *,
     jet `_petal_jet`, that the rest of its walk would pass; it is checked at
     steps 0, 1, 2, 4, 8, ...  Other lanes walk all `iters` steps.
     """
-    fn = _map_arrays(mapobj, period)
+    fn = map_arrays(mapobj, period)
     jet = (_petal_jet(mapobj, fan.at, period)
            if isinstance(mapobj, MapSpec) and fan.m == 1 else None)
     z = fan.at + step * np.array(fan.attracting_dirs, dtype=complex)

@@ -26,7 +26,7 @@ from .curves import (
     ParamCurve,
     argument_principle_count,
     concat,
-    iterate_map,
+    map_arrays,
     min_segment_distance,
     signed_area,
     winding_number,
@@ -478,7 +478,7 @@ def modify_boundary_near_fixed_point(mapobj, region, record: FixedPointRecord,
         if abs(complex(other) - z0) <= 2.0 * eps and abs(complex(other) - z0) > 1e-12:
             raise EpsTooLarge(
                 f"fixed point {other} inside the modification zone of {z0}")
-    fn = iterate_map(mapobj, record.period)
+    fn = map_arrays(mapobj, record.period)
     crossings = [_first_crossing(ray, z0, eps) for ray in region.boundary_rays]
     if len(crossings) != 2:
         raise ValueError("exactly two boundary rays are required")
@@ -494,7 +494,7 @@ def modify_boundary_near_fixed_point(mapobj, region, record: FixedPointRecord,
                 break
         zeta = ParamCurve(np.linspace(0.0, 1.0, len(pts)), pts)
         modified = ModifiedRegion("repelling", zeta, None, 0.0, region, z0, eps)
-        image = fn(zeta.z)
+        image = fn(zeta.z)[0]
         margin = _side_margin(image, modified, want_inside=False)
         modified.f_zeta = ParamCurve(zeta.t, image)
         modified.margin = margin
@@ -531,7 +531,7 @@ def modify_boundary_near_fixed_point(mapobj, region, record: FixedPointRecord,
     zeta = ParamCurve(np.arange(len(pts), dtype=float), pts)
     modified = ModifiedRegion("parabolic", zeta, None, 0.0, region, z0, eps,
                               sector=(direction, half))
-    image = fn(zeta.z)
+    image = fn(zeta.z)[0]
     margin = _side_margin(image, modified, want_inside=True)
     modified.f_zeta = ParamCurve(zeta.t, image)
     modified.margin = margin
@@ -624,7 +624,7 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
 
     # each landed ray's landing point, read once; inferred rays append theirs
     landings = np.array([r.landing for r in landed], dtype=complex)
-    records = find_periodic_points(spec, setup.bbox, period, setup=setup, extra_seeds=landings)
+    records = find_periodic_points(spec, setup.bbox, period, extra_seeds=landings)
 
     # rays landing at found points via addresses inferred from orbit bands
     landed, landings = _augment_with_inferred_rays(setup, period, records, landed, landings,

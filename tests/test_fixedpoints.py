@@ -1,7 +1,7 @@
 """Periodic point search, classification, forced landing, petals."""
 
 import cmath
-import dataclasses
+import json
 import math
 
 import numpy as np
@@ -11,6 +11,8 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import raysep.fixedpoints
+from raysep.cli import main
+from raysep.curves import map_arrays
 from raysep.errors import (DegenerateExpansion, DomainMeetsDisk, InconsistentRadius, NotParabolic,
                            OnCut)
 from raysep.fixedpoints import (
@@ -25,8 +27,14 @@ from raysep.fixedpoints import (
     probe_virtual_points,
 )
 from raysep.maps import BranchLabel, MapSpec, exp_map, parse_map
-from raysep.rays import Address, landing_point, trace_ray
+from raysep.rays import Address, fixed_rays, landing_point, trace_ray
 from raysep.structure import Rect, structural_setup
+
+
+def landings(setup, period=1):
+    """The landing points of the setup's landed period-`period` rays."""
+    return [r.landing for r in fixed_rays(setup, setup.domains, period)
+            if r.status.kind == "lands_at"]
 
 
 @pytest.fixture(scope="module")
@@ -84,7 +92,7 @@ class TestFindPeriodicPoints:
     def test_count_matches_argument_principle(self, setup03):
         from raysep.curves import ParamCurve, argument_principle_count
         region = Rect(-1, 5, -8, 8)
-        records = find_periodic_points(setup03.spec, region, 1, setup=setup03)
+        records = find_periodic_points(setup03.spec, region, 1, extra_seeds=landings(setup03))
         contour = ParamCurve.rectangle(*region.as_tuple(), n_per_side=256)
         expected = argument_principle_count(setup03.spec, contour, "fixed_points", 1)
         assert sum(r.multiplicity for r in records) == expected
@@ -124,7 +132,7 @@ class TestBatchedMultipliers:
     def test_multipliers_are_the_one_point_derivatives(self, monkeypatch):
         spec = exp_map(-5)
         box = Rect(-9, 7.5, -13, 13)
-        setup = structural_setup(spec, box, 0.12)
+        seeds = landings(structural_setup(spec, box, 0.12))
         sizes = []
         derivative_array = MapSpec.derivative_array
 
@@ -132,7 +140,7 @@ class TestBatchedMultipliers:
             sizes.append(np.size(z))
             return derivative_array(self, z, period)
         monkeypatch.setattr(MapSpec, "derivative_array", counted)
-        records = find_periodic_points(spec, box, 2, setup=setup)
+        records = find_periodic_points(spec, box, 2, extra_seeds=seeds)
         monkeypatch.undo()
         # no near-parabolic point, so no point is evaluated on its own
         assert len(records) > 50 and 1 not in sizes
@@ -240,7 +248,7 @@ class TestPetals:
 
 def reference_probe(mapobj, fan, period=1, step=0.1, iters=4000):
     """The probe test walked in full, one direction and one point at a time."""
-    fn = raysep.fixedpoints._map_arrays(mapobj, period)
+    fn = map_arrays(mapobj, period)
     confirmed = []
     for direction in fan.attracting_dirs:
         z = fan.at + step * direction
@@ -409,24 +417,55 @@ class TestLiveLanes:
         assert roots.tobytes() == expected.tobytes()
         assert sizes[0] == len(seeds) and sum(sizes) < len(seeds) * len(sizes) / 2
 
-    @pytest.mark.parametrize("spec, box", [
-        (exp_map(0.3), Rect(-4, 10, -17, 17)),
-        (exp_map(-5), Rect(-9, 7.5, -13, 13)),
-        (exp_map(0.5, -0.5), Rect(-4, 9, -12, 12)),
-    ])
-    def test_domain_seeds_equal_per_domain_walks(self, spec, box):
-        setup = structural_setup(spec, box, 0.12)
-        for region in (box, Rect(-1, 5, -8, 8)):
-            seeds = raysep.fixedpoints._domain_seeds(setup, region)
-            assert seeds.tobytes() == reference_domain_seeds(setup, region).tobytes()
 
-    def test_domain_at_the_singularity_is_dropped(self):
-        # an anchor at b is where the branch's logarithm raises OnCut
-        setup = structural_setup(exp_map(0.3), Rect(-4, 10, -17, 17), 0.1)
-        domains = list(setup.domains)
-        domains[1] = dataclasses.replace(domains[1], anchor=0j)
-        setup = dataclasses.replace(setup, domains=domains)
-        everywhere = Rect(-100, 100, -100, 100)
-        seeds = raysep.fixedpoints._domain_seeds(setup, everywhere)
-        assert len(seeds) == len(domains) - 1
-        assert seeds.tobytes() == reference_domain_seeds(setup, everywhere).tobytes()
+def assert_same_records(found, expected):
+    assert len(found) == len(expected)
+    for a, b in zip(found, expected):
+        assert abs(a.location - b.location) < 1e-12
+        assert (a.classification, a.multiplicity) == (b.classification, b.multiplicity)
+
+
+@pytest.mark.filterwarnings("ignore::raysep.fixedpoints.CountMismatchWarning")
+class TestLandingSeeds:
+    """The rays' landings seed every record the domains' inverse-branch limits seeded."""
+
+    @pytest.fixture(scope="class", params=[
+        (exp_map(0.3), Rect(-4, 10, -12, 12), 0.1),
+        (parse_map("exp(1/e)"), Rect(-4, 8, -12, 12), 0.1),
+        (exp_map(0.5, -0.5), Rect(-4, 9, -12, 12), 0.1),
+        (exp_map(-5), Rect(-9, 7.5, -13, 13), 0.12),
+    ], ids=["exp(0.3)", "exp(1/e)", "exp(0.5,-0.5)", "exp(-5)"])
+    def setup(self, request):
+        return structural_setup(*request.param)
+
+    @pytest.mark.parametrize("period", [1, 2, 3, 4])
+    def test_landings_find_the_records_of_the_domain_limits(self, setup, period):
+        spec, box = setup.spec, setup.bbox
+        limits = reference_domain_seeds(setup, box)
+        ray_landings = landings(setup, period)
+        # separation_report: its rays' landings, once joined by the limits
+        assert_same_records(
+            find_periodic_points(spec, box, period, extra_seeds=ray_landings),
+            find_periodic_points(spec, box, period,
+                                 extra_seeds=np.concatenate([limits, ray_landings])))
+        # raysep fixedpoints: the fixed rays' landings, once the limits
+        assert_same_records(
+            find_periodic_points(spec, box, period, extra_seeds=landings(setup)),
+            find_periodic_points(spec, box, period, extra_seeds=limits))
+
+    @pytest.mark.parametrize("period, count", [(3, 49), (4, 29)])
+    def test_cli_keeps_the_records_the_grid_misses(self, capsys, period, count):
+        # the seed grid alone finds 45 and 25 of these points
+        code = main(["fixedpoints", "--map", "exp(-5)", "--bbox=-9,7.5,-13,13",
+                     "--res", "0.12", "--period", str(period)])
+        assert code == 0
+        found = json.loads(capsys.readouterr().out)["records"]
+        box = Rect(-9, 7.5, -13, 13)
+        setup = structural_setup(exp_map(-5), box, 0.12)
+        expected = find_periodic_points(setup.spec, box, period,
+                                        extra_seeds=reference_domain_seeds(setup, box))
+        assert len(found) == len(expected) == count
+        for rec, ref in zip(found, expected):
+            assert abs(complex(*rec["location"]) - ref.location) < 1e-12
+            assert (rec["classification"], rec["multiplicity"]) == \
+                (ref.classification, ref.multiplicity)
