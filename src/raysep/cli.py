@@ -248,8 +248,9 @@ def run(command: str, config: ScenarioConfig) -> int:
         return EXIT_OK
 
     if command == "fixedpoints":
-        # the fixed rays' landings are the domains' inverse-branch limits
-        landings = [r.landing for r in fixed_rays(setup, setup.domains, depth=config.depth)
+        # the landed period-p rays' landings seed Newton, as in separation_report
+        landings = [r.landing for r in fixed_rays(setup, setup.domains, config.period,
+                                                  depth=config.depth)
                     if r.status.kind == "lands_at"]
         records = find_periodic_points(spec, setup.bbox, config.period, extra_seeds=landings)
         _emit(config, "fixedpoints.json",

@@ -25,6 +25,12 @@ from .maps import BranchContext, BranchLabel, CutGeometry, MapSpec
 DISK_SCALE = 1.25
 EXPANSION_CAP = 1e6
 DELTA_ANGLES = 360
+# choose_delta's scan order, nearest pi first, and _box_exit_radius's cos, sin
+_DELTA_THETAS = np.array(sorted(
+    (math.pi + o for o in np.arange(DELTA_ANGLES) * (2.0 * np.pi / DELTA_ANGLES)),
+    key=lambda th: abs(math.remainder(th - math.pi, 2.0 * math.pi))))
+_DELTA_COS = np.array([math.cos(th) for th in _DELTA_THETAS])
+_DELTA_SIN = np.array([math.sin(th) for th in _DELTA_THETAS])
 
 
 @dataclass(frozen=True)
@@ -174,32 +180,52 @@ def choose_delta(spec: MapSpec, bbox: Rect, resolution: float, radius: float,
     the negative real direction, the first of largest clearance wins: 0 if
     the ray meets the tract set, else the least distance from its probes to
     the tract boundaries.  A ray's first sample radius e^(i theta) is one
-    of its probes, so its distance to the boundaries bounds the clearance;
-    one call gives every ray's bound, and only a ray whose bound beats the
-    best so far is sampled, tested against the tract set and probed.
+    of its probes, so its distance to the boundaries bounds the clearance,
+    and only a ray whose bound beats the best clearance C so far is
+    sampled, tested against the tract set and probed.  At each rise of C
+    the later rays' bounds are re-measured to the segments within C of
+    their first samples, and a probe to those within its first sample's
+    distance: the skips and clearances of a scan over all segments.
     """
-    offsets = np.arange(DELTA_ANGLES) * (2.0 * np.pi / DELTA_ANGLES)
-    thetas = [th for th in sorted((math.pi + o for o in offsets),
-                                  key=lambda th: abs(_wrap_pi(th - math.pi)))
-              if _box_exit_radius(bbox, th) > radius * 1.05]
+    exits = np.minimum(*(np.where(abs(u) > 1e-15, np.where(u > 0, hi, lo) / u, np.inf)
+                         for u, lo, hi in ((_DELTA_COS, bbox.x0, bbox.x1),
+                                           (_DELTA_SIN, bbox.y0, bbox.y1))))
+    thetas = _DELTA_THETAS[exits > radius * 1.05]
+    first = radius * np.exp(1j * (thetas % (2 * np.pi)))
     a = np.concatenate([t.boundary.z[:-1] for t in tracts] or [np.empty(0, complex)])
     b = np.concatenate([t.boundary.z[1:] for t in tracts] or [np.empty(0, complex)])
-    bound = min_segment_distance(radius * np.exp(1j * (np.array(thetas) % (2 * np.pi))), a, b)
+    bound = np.full(len(thetas), np.inf)
     best_theta, best_clear = None, -1.0
-    for theta, clear in zip(thetas, bound):
-        if clear <= best_clear + 1e-12:
+    for i, theta in enumerate(thetas):
+        if bound[i] <= best_clear + 1e-12:
             continue
         pts = _delta_ray(bbox, resolution, radius, theta)[1]
         if np.any(np.abs(spec.evaluate_array(pts, 1)) > radius):
             clear = 0.0
         else:
-            clear = min_segment_distance(pts[:: max(len(pts) // 64, 1)], a, b).min()
+            probes = pts[:: max(len(pts) // 64, 1)]
+            clear = min_segment_distance(probes, *_segments_near(
+                probes, a, b, min_segment_distance(first[i:i + 1], a, b)[0])).min()
         if clear > best_clear + 1e-12:
             best_clear, best_theta = clear, theta
+            rest = i + 1 + np.flatnonzero(bound[i + 1:] > best_clear + 1e-12)
+            if len(rest):
+                bound[rest] = min_segment_distance(
+                    first[rest], *_segments_near(first[rest], a, b, best_clear + 1e-12))
     if best_theta is None or best_clear < resolution:
         raise DeltaBlocked(
             f"best clearance {best_clear:.3g} below resolution {resolution}")
     return ParamCurve(*_delta_ray(bbox, resolution, radius, best_theta))
+
+
+def _segments_near(points: np.ndarray, a: np.ndarray, b: np.ndarray, reach: float):
+    """The segments [a_i, b_i] whose bounding box comes within reach of the
+    points' (slack 1e-9 for rounding): no other comes within reach of one."""
+    r = reach * (1 + 1e-9) + 1e-9
+    near = np.ones(len(a), dtype=bool)
+    for p, u, v in ((points.real, a.real, b.real), (points.imag, a.imag, b.imag)):
+        near &= (np.minimum(u, v) <= p.max() + r) & (np.maximum(u, v) >= p.min() - r)
+    return a[near], b[near]
 
 
 def _delta_ray(bbox: Rect, resolution: float, radius: float,
@@ -208,10 +234,6 @@ def _delta_ray(bbox: Rect, resolution: float, radius: float,
     reach = _box_exit_radius(bbox, theta)
     s = np.linspace(radius, reach, max(int((reach - radius) / (resolution / 2)), 16))
     return s, s * np.exp(1j * (theta % (2 * np.pi)))
-
-
-def _wrap_pi(theta: float) -> float:
-    return math.remainder(theta, 2.0 * math.pi)
 
 
 def _box_exit_radius(bbox: Rect, theta: float) -> float:

@@ -443,19 +443,21 @@ class TestLandingSeeds:
         spec, box = setup.spec, setup.bbox
         limits = reference_domain_seeds(setup, box)
         ray_landings = landings(setup, period)
-        # separation_report: its rays' landings, once joined by the limits
+        # separation_report and raysep fixedpoints: the period-p rays'
+        # landings, once joined by the limits
         assert_same_records(
             find_periodic_points(spec, box, period, extra_seeds=ray_landings),
             find_periodic_points(spec, box, period,
                                  extra_seeds=np.concatenate([limits, ray_landings])))
-        # raysep fixedpoints: the fixed rays' landings, once the limits
+        # the fixed rays' landings are the limits: they seed the same records
         assert_same_records(
             find_periodic_points(spec, box, period, extra_seeds=landings(setup)),
             find_periodic_points(spec, box, period, extra_seeds=limits))
 
-    @pytest.mark.parametrize("period, count", [(3, 49), (4, 29)])
+    @pytest.mark.parametrize("period, count", [(3, 161), (4, 869)])
     def test_cli_keeps_the_records_the_grid_misses(self, capsys, period, count):
-        # the seed grid alone finds 45 and 25 of these points
+        # the seed grid alone finds 45 and 25 of these points, the fixed
+        # rays' landings 49 and 29
         code = main(["fixedpoints", "--map", "exp(-5)", "--bbox=-9,7.5,-13,13",
                      "--res", "0.12", "--period", str(period)])
         assert code == 0
@@ -463,7 +465,7 @@ class TestLandingSeeds:
         box = Rect(-9, 7.5, -13, 13)
         setup = structural_setup(exp_map(-5), box, 0.12)
         expected = find_periodic_points(setup.spec, box, period,
-                                        extra_seeds=reference_domain_seeds(setup, box))
+                                        extra_seeds=landings(setup, period))
         assert len(found) == len(expected) == count
         for rec, ref in zip(found, expected):
             assert abs(complex(*rec["location"]) - ref.location) < 1e-12

@@ -3,6 +3,7 @@
 import cmath
 import math
 import re
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -163,10 +164,32 @@ def choose_delta_chunked_reference(spec, bbox, resolution, radius, tracts):
     return ParamCurve(*raysep.structure._delta_ray(bbox, resolution, radius, best_theta))
 
 
+def sampled_angles(spec, bbox, resolution, radius, tracts, window=True):
+    """The angles of the rays choose_delta samples, delta's last.
+
+    Without the window every bound and probe is measured to all segments.
+    """
+    angles, ray = [], raysep.structure._delta_ray
+
+    def sample(*args):
+        angles.append(args[-1])
+        return ray(*args)
+    with mock.patch.object(raysep.structure, "_delta_ray", sample):
+        if window:
+            choose_delta(spec, bbox, resolution, radius, tracts)
+        else:
+            with mock.patch.object(raysep.structure, "_segments_near",
+                                   lambda points, a, b, reach: (a, b)):
+                choose_delta(spec, bbox, resolution, radius, tracts)
+    return angles
+
+
 def assert_same_delta(spec, box, resolution, radius=None, tracts=None):
     """choose_delta gives the references' delta bit for bit, or their DeltaBlocked.
 
-    The references are the per-angle scan and the chunked scan.
+    The references are the per-angle scan and the chunked scan.  It also
+    checks that choose_delta samples the rays it samples when it measures
+    to all segments.
 
     Returns the delta, or None when both raised.  The tracts default to the
     map's own.
@@ -187,6 +210,8 @@ def assert_same_delta(spec, box, resolution, radius=None, tracts=None):
         delta = scan(spec, bbox, resolution, radius, tracts)
         assert np.array_equal(delta.t, expected.t)
         assert np.array_equal(delta.z, expected.z)
+    assert sampled_angles(spec, bbox, resolution, radius, tracts) == \
+        sampled_angles(spec, bbox, resolution, radius, tracts, window=False)
     return delta
 
 
@@ -203,6 +228,9 @@ class TestChooseDelta:
     @example(a=0.3, b=0.0, box=(-4, 10, -12, 12), resolution=0.1)
     @example(a=0.3, b=0.0, box=(-4, 10, -40, 40), resolution=0.1)
     @example(a=-5.0, b=0.0, box=(-9, 7.5, -13, 13), resolution=0.12)
+    # a curved cut: delta lands at theta ~ -2.83 after 19 probes, each rise
+    # of the best clearance widening the segments the later bounds are read on
+    @example(a=0.5, b=0.3 + 0.4j, box=(-4, 9, -12, 12), resolution=0.1)
     def test_matches_per_angle_scan(self, a, b, box, resolution):
         assert_same_delta(exp_map(a, b), box, resolution)
 
@@ -222,6 +250,7 @@ class TestChooseDelta:
                           min_size=1, max_size=4))
     @example(walls=[(-1 - 6j, 12j)])        # a wall left of the disk
     @example(walls=[(-3 + 0.5j, 6j)])       # a wall above the middle of the left ray
+    @example(walls=[(8 + 10j, 1j)])         # a wall far from the disk: 52 probes
     def test_matches_per_angle_scan_around_obstacles(self, walls):
         tracts = [Tract(alpha=k, boundary=ParamCurve.segment(z, z + d, 4), anchor=z)
                   for k, (z, d) in enumerate(walls) if abs(d) > 0]
