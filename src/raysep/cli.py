@@ -25,10 +25,9 @@ from typing import Callable, NamedTuple
 
 from . import serialize
 from .errors import RaysepError
-from .fixedpoints import find_periodic_points
 from .maps import parse_map
-from .rays import Address, fixed_rays, landing_point, trace_ray
-from .separation import counting_contour, global_count_check, separation_report
+from .rays import Address, landing_point, trace_ray
+from .separation import counting_contour, global_count_check, period_points, separation_report
 from .structure import Rect, structural_setup
 
 EXIT_OK = 0
@@ -248,11 +247,7 @@ def run(command: str, config: ScenarioConfig) -> int:
         return EXIT_OK
 
     if command == "fixedpoints":
-        # the landed period-p rays' landings seed Newton, as in separation_report
-        landings = [r.landing for r in fixed_rays(setup, setup.domains, config.period,
-                                                  depth=config.depth)
-                    if r.status.kind == "lands_at"]
-        records = find_periodic_points(spec, setup.bbox, config.period, extra_seeds=landings)
+        records = period_points(setup, config.period, config.depth)[-1]
         _emit(config, "fixedpoints.json",
               {"records": [serialize.record_to_json(r) for r in records]})
         if config.out:

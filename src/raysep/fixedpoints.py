@@ -1,16 +1,17 @@
 """Location and classification of periodic points.
 
-Newton's method on f^p(z) - z from a seed grid and the caller's seeds (the
-landing points of the rays, among them each domain's inverse-branch limit)
-finds the periodic points in a box; the count is cross-checked against the
-argument principle over the box boundary.  Fundamental domains that avoid
-the disk get their unique repelling fixed point directly from the
-inverse-branch contraction.  The local theory at parabolic points
-(normal-form coefficient, attracting and repelling directions) is extracted
-by discrete contour integration, and each attracting basin is confirmed by
-a probe orbit.  For a simple petal the probe stops early on a certificate:
-in the Fatou coordinate W = -1/(A u) one step of f^p is a translation by
-1 + eps, and for a e^z + b every term of eps has a closed-form bound.
+Newton's method on f^p(z) - z from a seed grid and the caller's seeds finds
+the periodic points in a box; `separation.period_points` seeds it with the
+landings of the period-p rays, among them each domain's inverse-branch
+limit.  The count is cross-checked against the argument principle over the
+box boundary.  Fundamental domains that avoid the disk get their unique
+repelling fixed point directly from the inverse-branch contraction.  The
+local theory at parabolic points (normal-form coefficient, attracting and
+repelling directions) is extracted by discrete contour integration, and each
+attracting basin is confirmed by a probe orbit.  For a simple petal the
+probe stops early on a certificate: in the Fatou coordinate W = -1/(A u) one
+step of f^p is a translation by 1 + eps, and for a e^z + b every term of eps
+has a closed-form bound.
 """
 
 from __future__ import annotations
@@ -157,8 +158,8 @@ def find_periodic_points(mapobj, region: Rect | tuple, period: int = 1, *,
     Newton runs from seed grids of 64, 128, then 256 steps per diagonal, each
     joined by `extra_seeds`, until the count matches the argument principle
     over the region boundary, else CountMismatchWarning.  The grid alone can
-    miss points; callers pass the landing points of the rays, which include
-    every domain's inverse-branch limit.
+    miss points; `separation.period_points` passes the landings of the
+    period-p rays, which include every domain's inverse-branch limit.
     """
     if not isinstance(region, Rect):
         region = Rect(*region)
@@ -249,7 +250,7 @@ def find_fixed_in_domain(setup: StructuralSetup, label: BranchLabel) -> FixedPoi
     makes this a strict contraction when the domain does not meet the disk.
     """
     dom = setup.domain_by_band(label.j)
-    if _domain_min_modulus(setup, dom) <= setup.disk.radius + 1e-9:
+    if setup.meets_disk(dom):
         raise DomainMeetsDisk(
             f"domain {label} intersects the disk; use find_periodic_points")
     z = dom.anchor
@@ -266,23 +267,6 @@ def find_fixed_in_domain(setup: StructuralSetup, label: BranchLabel) -> FixedPoi
             f"forced fixed point of {label} is {record.classification}, "
             "contradiction with the contraction argument")
     return record
-
-
-def _domain_min_modulus(setup: StructuralSetup, dom) -> float:
-    """Minimum |z| over the closure of a fundamental domain.
-
-    The minimum is attained on the boundary: the two side cuts plus the piece
-    of tract boundary between them (0 is never inside a tract since f(0)
-    lies in the disk), whose disk-circle piece is sampled 512 times.
-    """
-    best = math.inf
-    for side in dom.side_curves:
-        best = min(best, float(np.min(np.abs(side.z))))
-    u = setup.branch_context.cut.theta + np.linspace(1e-6, 2.0 * math.pi - 1e-6, 512)
-    w = setup.disk.radius * np.exp(1j * u)
-    z = setup.branch_context.pull_back(w, dom.label)
-    best = min(best, float(np.min(np.abs(z))))
-    return best
 
 
 def petal_directions(mapobj, at: complex, period: int = 1) -> PetalFan:

@@ -79,11 +79,6 @@ class Address:
     def cycle(cls, bands) -> "Address":
         return cls(period=tuple(BranchLabel(j) for j in bands))
 
-    def shifted(self) -> "Address":
-        if self.preperiod:
-            return Address(self.period, self.preperiod[1:])
-        return Address(self.period[1:] + self.period[:1])
-
     def symbols(self) -> set[BranchLabel]:
         return set(self.preperiod) | set(self.period)
 

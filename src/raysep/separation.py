@@ -1,14 +1,17 @@
 """Assembly of the ray graph, basic regions, counting contours and reports.
 
-The graph of landed rays and their landing points cuts the plane into basic
-regions.  Only ray pairs (two rays with a common landing point) actually
-separate; membership is decided by crossing parity of a test segment against
-each pair's curve, so truncation of the rays at a finite box does not split
-regions.  Regions are found from samples beside the pair curves; by Euler's
-formula there are 1 + sum(k_i - 1) of them when landing point i carries k_i
-rays.  `RegionGeometry.signature` and `min_distance` are array kernels over
-points x the segments of all pair curves.  The graph's landing points, its
-pairs and each ray's landing index come from one grouping of the landings
+`period_points` is the one seed path from a setup to its periodic points: it
+traces the period-p rays and seeds Newton with their landings, for
+`separation_report` and `raysep fixedpoints` alike.  The graph of landed
+rays and their landing points cuts the plane into basic regions.  Only ray
+pairs (two rays with a common landing point) actually separate; membership
+is decided by crossing parity of a test segment against each pair's curve,
+so truncation of the rays at a finite box does not split regions.  Regions
+are found from samples beside the pair curves; by Euler's formula there are
+1 + sum(k_i - 1) of them when landing point i carries k_i rays.
+`RegionGeometry.signature` and `min_distance` are array kernels over points
+x the segments of all pair curves.  The graph's landing points, its pairs
+and each ray's landing index come from one grouping of the landings
 (`rays.landing_groups`).  The global counting contour encloses a full and
 complete collection of fundamental domains and carries the expected
 fixed-point count, which the argument principle must reproduce exactly.
@@ -42,7 +45,6 @@ from .errors import (
 )
 from .fixedpoints import (
     FixedPointRecord,
-    _domain_min_modulus,
     find_periodic_points,
     petal_directions,
     probe_virtual_points,
@@ -50,7 +52,8 @@ from .fixedpoints import (
 from .maps import BranchLabel, MapSpec
 from .rays import (Address, Ray, RayPair, fixed_rays, landing_groups, landing_point,
                    landings_at, pairs_from_groups, same_landing, trace_ray)
-from .structure import Rect, StructuralSetup, _expansion_radii, validate_expansion_radius
+from .structure import (Rect, StructuralSetup, _expansion_radii, _require_resolution,
+                        validate_expansion_radius)
 
 PROBE_CLEARANCE = 1e-6
 ARC_SAMPLES = 256           # samples of a modified boundary arc at a fixed point
@@ -187,9 +190,6 @@ class BasicRegion:
     boundary_rays: list[Ray]
     sample_interior_point: complex
 
-    def contains(self, z: complex, geometry: RegionGeometry) -> bool:
-        return geometry.signature(z) == self.signature
-
 
 def basic_regions(graph: RayGraph, bbox: Rect | tuple,
                   resolution: float = 0.5) -> tuple[list[BasicRegion], RegionGeometry]:
@@ -202,7 +202,7 @@ def basic_regions(graph: RayGraph, bbox: Rect | tuple,
     landing point i carries k_i rays cuts the plane into 1 + sum(k_i - 1)
     regions; finding any other number raises ResolutionTooCoarse.
     """
-    _check_resolution(resolution)
+    _require_resolution(resolution)
     if not isinstance(bbox, Rect):
         bbox = Rect(*bbox)
     geometry = RegionGeometry(graph.pairs, bbox)
@@ -232,11 +232,6 @@ def basic_regions(graph: RayGraph, bbox: Rect | tuple,
                 boundary.extend(pair.rays)
         regions.append(BasicRegion(i, sig, boundary, sample))
     return regions, geometry
-
-
-def _check_resolution(resolution: float) -> None:
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
 
 
 def _probe_points(geometry: RegionGeometry, resolution: float) -> np.ndarray:
@@ -287,10 +282,8 @@ def check_full_complete(setup: StructuralSetup, labels: list[BranchLabel], rays)
     if js != list(range(js[0], js[-1] + 1)):
         raise NotFullComplete(f"gap in bands {js}")
     for dom in setup.domains:
-        if _domain_min_modulus(setup, dom) <= setup.disk.radius + 1e-9:
-            if dom.label.j not in js:
-                raise NotFullComplete(
-                    f"domain {dom.label.j} meets the disk but is missing")
+        if setup.meets_disk(dom) and dom.label.j not in js:
+            raise NotFullComplete(f"domain {dom.label.j} meets the disk but is missing")
     # adjacent rays must land alone at repelling points
     bands = js + [js[0] - 1, js[-1] + 1]
     given = {r.address: r for r in rays}
@@ -410,17 +403,6 @@ def global_count_check(contour: CountingContour) -> tuple[int, int, bool]:
 
 
 # -- boundary modification near fixed points ----------------------------------------------
-
-
-@dataclass
-class SimpleRegion:
-    """Minimal region stand-in: a membership test plus two boundary rays."""
-
-    membership: object          # callable complex -> bool
-    boundary_rays: list[ParamCurve]
-
-    def contains(self, z: complex) -> bool:
-        return bool(self.membership(z))
 
 
 @dataclass
@@ -597,6 +579,21 @@ class SeparationReport:
         return bool(self.incomplete)
 
 
+def period_points(setup: StructuralSetup, period: int, depth: int):
+    """The period-p rays over the setup's domains and the period-p points in its box.
+
+    Newton is seeded with the landings of the landed rays, among them each
+    domain's inverse-branch limit, so it starts at every point a ray lands
+    at.  Returns the rays, the landed rays, their landings (each read
+    once) and the records of `find_periodic_points`.
+    """
+    rays = fixed_rays(setup, setup.domains, period, depth=depth)
+    landed = [r for r in rays if r.status.kind == "lands_at"]
+    landings = np.array([r.landing for r in landed], dtype=complex)
+    records = find_periodic_points(setup.spec, setup.bbox, period, extra_seeds=landings)
+    return rays, landed, landings, records
+
+
 def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
                       resolution: float = 0.5,
                       ray_depth: int = 80) -> SeparationReport:
@@ -613,18 +610,11 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
     """
     if spec != setup.spec:
         raise ValueError(f"map {spec} is not the setup's map {setup.spec}")
-    _check_resolution(resolution)
-    incomplete: list[str] = []
-    rays = fixed_rays(setup, setup.domains, period, depth=ray_depth)
-    landed = [r for r in rays if r.status.kind == "lands_at"]
+    _require_resolution(resolution)
+    rays, landed, landings, records = period_points(setup, period, ray_depth)
     lost = len(landed) < len(rays)
-    for r in rays:
-        if r.status.kind != "lands_at":
-            incomplete.append(f"ray {r.address} {r.status.kind}")
-
-    # each landed ray's landing point, read once; inferred rays append theirs
-    landings = np.array([r.landing for r in landed], dtype=complex)
-    records = find_periodic_points(spec, setup.bbox, period, extra_seeds=landings)
+    incomplete = [f"ray {r.address} {r.status.kind}" for r in rays
+                  if r.status.kind != "lands_at"]
 
     # rays landing at found points via addresses inferred from orbit bands
     landed, landings = _augment_with_inferred_rays(setup, period, records, landed, landings,

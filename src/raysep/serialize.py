@@ -33,13 +33,6 @@ def curve_to_json(curve: ParamCurve) -> dict:
     }
 
 
-def curve_from_json(data: dict) -> ParamCurve:
-    samples = data["samples"]
-    t = [row[0] for row in samples]
-    z = [complex(row[1], row[2]) for row in samples]
-    return ParamCurve(t, z, closed=bool(data["closed"]))
-
-
 def curve_to_csv(curve: ParamCurve) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
@@ -47,14 +40,6 @@ def curve_to_csv(curve: ParamCurve) -> str:
     for t, z in zip(curve.t, curve.z):
         writer.writerow([repr(float(t)), repr(float(z.real)), repr(float(z.imag))])
     return buf.getvalue()
-
-
-def curve_from_csv(text: str) -> ParamCurve:
-    rows = list(csv.reader(io.StringIO(text)))
-    body = rows[1:] if rows and rows[0][:1] == ["t"] else rows
-    t = [float(r[0]) for r in body if r]
-    z = [complex(float(r[1]), float(r[2])) for r in body if r]
-    return ParamCurve(t, z)
 
 
 def ray_to_json(ray: Ray) -> dict:

@@ -108,19 +108,6 @@ class StructuralSetup:
                 return d
         raise KeyError(f"no fundamental domain with band {j} in the setup")
 
-    # -- membership helpers ------------------------------------------------
-
-    def image_modulus(self, z: complex) -> float:
-        """|f(z)| with overflow mapped to infinity."""
-        try:
-            w, _ = self.spec.evaluate(z, 1)
-        except Overflow:
-            return math.inf
-        return abs(w)
-
-    def in_tract(self, z: complex) -> bool:
-        return self.image_modulus(z) > self.disk.radius
-
     def band_index(self, z: complex) -> int:
         """Band j of the fundamental domain whose closure contains z.
 
@@ -131,8 +118,20 @@ class StructuralSetup:
         phi = float(self.branch_context.cut.phi(rho))
         return math.ceil((z.imag - phi) / (2.0 * math.pi) - 1e-12)
 
-    def in_domain(self, z: complex, label: BranchLabel) -> bool:
-        return self.in_tract(z) and self.band_index(z) == label.j
+    def meets_disk(self, dom: FundamentalDomain) -> bool:
+        """Whether the closure of a fundamental domain meets the disk.
+
+        Its least |z| is attained on its boundary: the two side cuts plus
+        the piece of tract boundary between them (0 is never inside a tract
+        since f(0) lies in the disk), whose disk-circle piece is sampled 512
+        times.  The slack 1e-9 counts a domain that touches the disk.
+        """
+        best = math.inf
+        for side in dom.side_curves:
+            best = min(best, float(np.min(np.abs(side.z))))
+        u = self.branch_context.cut.theta + np.linspace(1e-6, 2.0 * math.pi - 1e-6, 512)
+        z = self.branch_context.pull_back(self.disk.radius * np.exp(1j * u), dom.label)
+        return min(best, float(np.min(np.abs(z)))) <= self.disk.radius + 1e-9
 
 
 # -- tract extraction ---------------------------------------------------------
@@ -270,6 +269,12 @@ def auto_disk(spec: MapSpec, radius: float | None = None) -> DomainDisk:
     return DomainDisk(float(radius))
 
 
+def _require_resolution(resolution: float) -> None:
+    """ValueError unless the grid or region resolution is finite and > 0."""
+    if not (math.isfinite(resolution) and resolution > 0):
+        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+
+
 def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
                      disk_radius: float | None = None,
                      expansion_radius: float | str = "auto") -> StructuralSetup:
@@ -285,8 +290,7 @@ def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
     """
     if not isinstance(bbox, Rect):
         bbox = Rect(*bbox)
-    if not (math.isfinite(resolution) and resolution > 0):
-        raise ValueError(f"resolution must be finite and > 0, got {resolution}")
+    _require_resolution(resolution)
     if resolution > 0.05 * bbox.diagonal:
         raise ValueError("resolution must be at most 5% of the box diagonal")
     disk = auto_disk(spec, disk_radius)

@@ -6,6 +6,7 @@ of the assertion.
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 from scipy.optimize import brentq
@@ -18,7 +19,7 @@ from raysep.fixedpoints import FixedPointRecord, find_fixed_in_domain, \
     find_periodic_points
 from raysep.maps import BranchLabel, exp_map, parse_map
 from raysep.rays import Address, landing_point, trace_ray
-from raysep.separation import SimpleRegion, counting_contour, global_count_check, \
+from raysep.separation import counting_contour, global_count_check, \
     modify_boundary_near_fixed_point, separation_report
 from raysep.structure import Rect, structural_setup
 
@@ -227,7 +228,7 @@ def test_criterion_9_boundary_modification_side_checks():
     with _Criterion(9, "boundary modification side checks", 1.0):
         rays = [ParamCurve.segment(4.0, 1e-9, n=257),
                 ParamCurve.segment(-4.0, -1e-9, n=257)]
-        region = SimpleRegion(lambda z: z.imag > 0, rays)
+        region = SimpleNamespace(contains=lambda z: z.imag > 0, boundary_rays=rays)
 
         repelling = FixedPointRecord(0j, 1, 2.0 + 0j, "repelling")
         modified = modify_boundary_near_fixed_point(

@@ -28,6 +28,7 @@ from raysep.fixedpoints import (
 )
 from raysep.maps import BranchLabel, MapSpec, exp_map, parse_map
 from raysep.rays import Address, fixed_rays, landing_point, trace_ray
+from raysep.separation import separation_report
 from raysep.structure import Rect, structural_setup
 
 
@@ -457,15 +458,13 @@ class TestLandingSeeds:
     @pytest.mark.parametrize("period, count", [(3, 161), (4, 869)])
     def test_cli_keeps_the_records_the_grid_misses(self, capsys, period, count):
         # the seed grid alone finds 45 and 25 of these points, the fixed
-        # rays' landings 49 and 29
+        # rays' landings 49 and 29; the CLI lists the records `verify` reads
         code = main(["fixedpoints", "--map", "exp(-5)", "--bbox=-9,7.5,-13,13",
                      "--res", "0.12", "--period", str(period)])
         assert code == 0
         found = json.loads(capsys.readouterr().out)["records"]
-        box = Rect(-9, 7.5, -13, 13)
-        setup = structural_setup(exp_map(-5), box, 0.12)
-        expected = find_periodic_points(setup.spec, box, period,
-                                        extra_seeds=landings(setup, period))
+        setup = structural_setup(exp_map(-5), Rect(-9, 7.5, -13, 13), 0.12)
+        expected = separation_report(setup.spec, setup, period).records
         assert len(found) == len(expected) == count
         for rec, ref in zip(found, expected):
             assert abs(complex(*rec["location"]) - ref.location) < 1e-12

@@ -62,7 +62,7 @@ class TestOffsetMap:
         two_sided = 0
         samples = tract.boundary.z[5:-5:11]
         for z in samples:
-            probes = [setup_offset.image_modulus(complex(z) + h) - radius
+            probes = [abs(setup_offset.spec.evaluate(complex(z) + h, 1)[0]) - radius
                       for h in (1e-3, -1e-3, 1e-3j, -1e-3j)]
             if max(probes) > 0 and min(probes) < 0:
                 two_sided += 1

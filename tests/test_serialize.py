@@ -1,5 +1,6 @@
 """Serialization schemas round-trip and stay deterministic."""
 
+import io
 import json
 import subprocess
 import sys
@@ -22,20 +23,21 @@ def setup03():
 
 def test_curve_json_round_trip():
     curve = ParamCurve.circle(1 + 2j, 0.5, n=32)
-    data = serialize.curve_to_json(curve)
+    data = json.loads(serialize.dumps(serialize.curve_to_json(curve)))
     assert set(data) == {"closed", "samples"}
-    again = serialize.curve_from_json(data)
-    assert again.closed == curve.closed
-    assert np.allclose(again.z, curve.z)
-    assert np.allclose(again.t, curve.t)
+    assert data["closed"] == curve.closed
+    t, x, y = np.array(data["samples"]).T
+    assert np.array_equal(t, curve.t)
+    assert np.array_equal(x, curve.z.real) and np.array_equal(y, curve.z.imag)
 
 
 def test_curve_csv_round_trip():
     curve = ParamCurve.segment(0, 1 + 1j, n=17)
     text = serialize.curve_to_csv(curve)
     assert text.splitlines()[0] == "t,re,im"
-    again = serialize.curve_from_csv(text)
-    assert np.allclose(again.z, curve.z)
+    t, x, y = np.loadtxt(io.StringIO(text), delimiter=",", skiprows=1).T
+    assert np.array_equal(t, curve.t)
+    assert np.array_equal(x, curve.z.real) and np.array_equal(y, curve.z.imag)
 
 
 def test_ray_json_contains_address_and_landing(setup03):
