@@ -331,8 +331,10 @@ def is_simple(curve: ParamCurve) -> bool:
 
     Broad phase: square cells of the median segment length (at least 1/16
     of the longest and at least COLLISION_TOL); each segment's box, widened
-    by COLLISION_TOL, covers at most 19 x 19 of them.  Intersecting segments
-    share a cell, so only same-cell pairs go to the exact test,
+    by COLLISION_TOL, covers at most 19 x 19 of them.  The grid starts half
+    a cell below each axis's least vertex, so a side of an axis-aligned box
+    lies mid-cell, not on a cell edge.  Intersecting segments share a cell
+    whatever the origin, so only same-cell pairs go to the exact test,
     CHUNK_ELEMENTS at a time.
     """
     a, b = curve.segments()
@@ -340,7 +342,7 @@ def is_simple(curve: ParamCurve) -> bool:
     cell = max(float(lengths[len(lengths) // 2]), float(lengths[-1]) / 16.0, COLLISION_TOL) or 1.0
 
     def cell_range(u, v):   # first cell and number of cells per segment
-        lo, hi = (np.floor((w - np.min(u)) / cell).astype(np.int64)
+        lo, hi = (np.floor((w - np.min(u)) / cell + 0.5).astype(np.int64)
                   for w in (np.minimum(u, v) - COLLISION_TOL,
                             np.maximum(u, v) + COLLISION_TOL))
         return lo, hi - lo + 1

@@ -1,13 +1,16 @@
 """Location and classification of periodic points.
 
-Newton's method on f^p(z) - z from a seed grid and the caller's seeds finds
-the periodic points in a box; `separation.period_points` seeds it with the
-landings of the period-p rays, among them each domain's inverse-branch
-limit.  The count is cross-checked against the argument principle over the
-box boundary.  Fundamental domains that avoid the disk get their unique
-repelling fixed point directly from the inverse-branch contraction.  The
-local theory at parabolic points (normal-form coefficient, attracting and
-repelling directions) is extracted by discrete contour integration, and each
+Newton's method on f^p(z) - z finds the periodic points in a box, first
+from the dynamics alone: the caller's seeds (`separation.period_points`
+passes the landings of the period-p rays, among them each domain's
+inverse-branch limit) and the orbit of each singular value, which every
+attracting or parabolic cycle attracts.  The argument-principle count over
+the box boundary certifies that rung; when it falls short (a Siegel or
+Cremer point, say) or there is no count, seed grids run as the fallback.
+Fundamental domains that avoid the disk get their unique repelling fixed
+point directly from the inverse-branch contraction.  The local theory at
+parabolic points (normal-form coefficient, attracting and repelling
+directions) is extracted by discrete contour integration, and each
 attracting basin is confirmed by a probe orbit.  For a simple petal the
 probe stops early on a certificate: in the Fatou coordinate W = -1/(A u) one
 step of f^p is a translation by 1 + eps, and for a e^z + b every term of eps
@@ -43,6 +46,7 @@ RESIDUAL_TOL = 1e-9
 BOUNDARY_TOL = 1e-9
 PETAL_RADII = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0)   # Cauchy radii rho of the petal jet
 ROUNDING_ULPS = 64          # rounding slack of one step of f^p, in ulps of its terms
+ORBIT_SKIP = 64             # K: a singular value's orbit seeds Newton from f^K on
 
 
 @dataclass
@@ -155,11 +159,11 @@ def find_periodic_points(mapobj, region: Rect | tuple, period: int = 1, *,
                          extra_seeds=()) -> list[FixedPointRecord]:
     """All solutions of f^p(z) = z in the region, classified.
 
-    Newton runs from seed grids of 64, 128, then 256 steps per diagonal, each
-    joined by `extra_seeds`, until the count matches the argument principle
-    over the region boundary, else CountMismatchWarning.  The grid alone can
-    miss points; `separation.period_points` passes the landings of the
-    period-p rays, which include every domain's inverse-branch limit.
+    Newton runs from the seed sets of `_seed_ladder` until the count with
+    multiplicity matches the argument principle over the region boundary,
+    else CountMismatchWarning.  Without a count (at p >= 2 it overflows on
+    wide boxes) the first grid is taken as it is.  `separation.period_points`
+    passes the landings of the period-p rays as `extra_seeds`.
     """
     if not isinstance(region, Rect):
         region = Rect(*region)
@@ -174,10 +178,8 @@ def find_periodic_points(mapobj, region: Rect | tuple, period: int = 1, *,
     except RaysepError:
         expected = None
 
-    for grid in (64, 128, 256):
-        seeds = _seed_grid(region, grid)
-        if len(extra_seeds):
-            seeds = np.concatenate([seeds, np.asarray(extra_seeds, dtype=complex)])
+    extra = np.asarray(extra_seeds, dtype=complex)
+    for seeds in _seed_ladder(mapobj, region, period, extra, expected is not None):
         roots = _newton_sweep(evaluator, seeds)
         records = _collect_records(mapobj, evaluator, roots, region, period)
         total = sum(r.multiplicity for r in records)
@@ -188,6 +190,36 @@ def find_periodic_points(mapobj, region: Rect | tuple, period: int = 1, *,
             f"found {total} points (with multiplicity) but the argument "
             f"principle counts {expected} in the region", CountMismatchWarning)
     return records
+
+
+def _seed_ladder(mapobj, region: Rect, period: int, extra: np.ndarray, counted: bool):
+    """Newton's seed sets, in order, each built only when the last fell short.
+
+    With a count, the first rung is `extra` and the singular orbits: every
+    repelling point is a ray's landing and every attracting or parabolic
+    cycle attracts a singular value.  Then come grids of 64, 128 and 256
+    steps per diagonal, each joined by `extra`.
+    """
+    if counted:
+        yield np.concatenate([extra, _singular_orbits(mapobj, period)])
+    for n in (64, 128, 256):
+        yield np.concatenate([_seed_grid(region, n), extra])
+
+
+def _singular_orbits(mapobj, period: int) -> np.ndarray:
+    """f^K(v), ..., f^(K+p-1)(v) for each singular value v, K = ORBIT_SKIP.
+
+    Points that overflow (an escaping v) are dropped; a plain callable has
+    no singular values.
+    """
+    if not isinstance(mapobj, MapSpec):
+        return np.empty(0, dtype=complex)
+    orbit = [mapobj.evaluate_array(np.array(mapobj.singular_values(), dtype=complex),
+                                   ORBIT_SKIP)]
+    for _ in range(period - 1):
+        orbit.append(mapobj.evaluate_array(orbit[-1]))
+    orbit = np.concatenate(orbit)
+    return orbit[np.isfinite(orbit)]
 
 
 def _seed_grid(region: Rect, n: int) -> np.ndarray:

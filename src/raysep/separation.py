@@ -584,8 +584,10 @@ def period_points(setup: StructuralSetup, period: int, depth: int):
 
     Newton is seeded with the landings of the landed rays, among them each
     domain's inverse-branch limit, so it starts at every point a ray lands
-    at.  Returns the rays, the landed rays, their landings (each read
-    once) and the records of `find_periodic_points`.
+    at; `find_periodic_points` adds the singular value's orbit, and runs its
+    seed grids only when these fall short of the argument-principle count or
+    there is none.  Returns the rays, the landed rays, their landings (each
+    read once) and the records of `find_periodic_points`.
     """
     rays = fixed_rays(setup, setup.domains, period, depth=depth)
     landed = [r for r in rays if r.status.kind == "lands_at"]

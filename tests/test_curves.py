@@ -391,11 +391,35 @@ class TestIsSimple:
         assert self.check(polyline(lifted, closed=True)) == (len(points) == 5)
 
     def test_touch_within_tolerance_across_a_cell_edge(self):
-        # unit cells from x = 0: the last segment ends 5e-13 short of the
-        # first, in the cell to its left
+        # unit cells: the last segment ends 5e-13 short of the first, at
+        # x = 2, an edge of cells that start at x = 0; the grid starts at
+        # x = -1/2, so here the touch is mid-cell (the next test puts it on
+        # an edge)
         gap = 5e-13
         z = [2, 2 + 1j, 2 + 2j, 1 + 2j, 2j, 1j, 1 - gap + 0.5j, 2 - gap + 0.5j]
         assert not self.check(polyline(z))
+
+    def test_touch_within_tolerance_across_a_shifted_cell_edge(self):
+        # the same touch at x = 2.5, an edge of the unit cells that start
+        # half a cell below the least x, 0
+        gap = 5e-13
+        z = [2.5, 2.5 + 1j, 2.5 + 2j, 1 + 2j, 2j, 1j, 1.5 - gap + 0.5j, 2.5 - gap + 0.5j]
+        assert not self.check(polyline(z))
+
+    @pytest.mark.parametrize("box, n", [
+        ((-4, 10, -12, 12), 256),       # the counting contours of the p = 1 boxes
+        ((-4, 8, -12, 12), 256),
+        ((-4, 10, -40, 40), 256),
+        ((-9, 7.5, -13, 13), 64),
+        ((0, 1, 0, 1), 7),
+    ])
+    def test_rectangle(self, box, n):
+        rect = ParamCurve.rectangle(*box, n_per_side=n)
+        assert self.check(rect)
+        # a sample of the bottom side moved onto the top side
+        z = rect.z.copy()
+        z[n // 2] = complex(z[n // 2].real, box[3])
+        assert not self.check(ParamCurve(rect.t, z, closed=True))
 
     @pytest.mark.parametrize("crossing", [False, True])
     def test_counting_contour_shape(self, crossing):

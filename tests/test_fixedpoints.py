@@ -14,7 +14,7 @@ import raysep.fixedpoints
 from raysep.cli import main
 from raysep.curves import map_arrays
 from raysep.errors import (DegenerateExpansion, DomainMeetsDisk, InconsistentRadius, NotParabolic,
-                           OnCut)
+                           OnCut, RaysepError)
 from raysep.fixedpoints import (
     PetalFan,
     _auto_multiplicity,
@@ -28,7 +28,7 @@ from raysep.fixedpoints import (
 )
 from raysep.maps import BranchLabel, MapSpec, exp_map, parse_map
 from raysep.rays import Address, fixed_rays, landing_point, trace_ray
-from raysep.separation import separation_report
+from raysep.separation import period_points, separation_report
 from raysep.structure import Rect, structural_setup
 
 
@@ -470,3 +470,109 @@ class TestLandingSeeds:
             assert abs(complex(*rec["location"]) - ref.location) < 1e-12
             assert (rec["classification"], rec["multiplicity"]) == \
                 (ref.classification, ref.multiplicity)
+
+
+P1_FAMILY = [   # the period-1 benchmark scenarios at seed 0
+    (exp_map(0.3), Rect(-4, 10, -12, 12)),
+    (parse_map("exp(1/e)"), Rect(-4, 8, -12, 12)),
+    (exp_map(0.5, -0.5), Rect(-4, 9, -12, 12)),
+    (exp_map(0.3), Rect(-4, 10, -40, 40)),
+]
+P1_IDS = ["exp(0.3)", "exp(1/e)", "exp(0.5,-0.5)", "exp(0.3)-13dom"]
+
+
+@pytest.fixture
+def grid_calls(monkeypatch):
+    """The sizes n of the `_seed_grid` calls."""
+    calls = []
+    seed_grid = raysep.fixedpoints._seed_grid
+
+    def spy(region, n):
+        calls.append(n)
+        return seed_grid(region, n)
+    monkeypatch.setattr(raysep.fixedpoints, "_seed_grid", spy)
+    return calls
+
+
+@pytest.fixture
+def newton_seeds(monkeypatch):
+    """The seeds of every `_newton_sweep` call."""
+    seeds = []
+    sweep = raysep.fixedpoints._newton_sweep
+
+    def spy(evaluator, z):
+        seeds.append(np.array(z))
+        return sweep(evaluator, z)
+    monkeypatch.setattr(raysep.fixedpoints, "_newton_sweep", spy)
+    return seeds
+
+
+class TestFirstRung:
+    """Newton from the landings and the singular orbit before any seed grid."""
+
+    @pytest.mark.parametrize("spec, box", P1_FAMILY, ids=P1_IDS)
+    def test_no_grid_on_the_benchmark(self, spec, box, grid_calls, monkeypatch):
+        setup = structural_setup(spec, box, 0.1)
+        records = separation_report(spec, setup, 1).records
+        assert grid_calls == []
+
+        def uncounted(*_args, **_kwargs):
+            raise RaysepError("no count")
+        # without a count the first grid rung is taken: the grid ladder
+        monkeypatch.setattr(raysep.fixedpoints, "argument_principle_count", uncounted)
+        gridded = period_points(setup, 1, 80)[3]
+        assert grid_calls == [64]
+        assert len(records) == len(gridded)
+        for ref in gridded:
+            rec = min(records, key=lambda r: abs(r.location - ref.location))
+            assert abs(rec.location - ref.location) <= 1e-15 * max(1.0, abs(ref.location))
+            assert (rec.classification, rec.multiplicity) == \
+                (ref.classification, ref.multiplicity)
+
+    def test_short_rung_falls_back_to_the_grid(self, grid_calls, newton_seeds):
+        # b = 0's orbit seeds only the attracting point; the count is 2
+        records = find_periodic_points(exp_map(0.3), Rect(-1, 3, -2, 2), 1)
+        assert len(newton_seeds[0]) == 1 and grid_calls == [64]
+        assert sorted(r.classification for r in records) == ["attracting", "repelling"]
+
+    @pytest.mark.filterwarnings("error")
+    def test_escaping_singular_value_is_dropped(self, newton_seeds):
+        spec = exp_map(0.6, 0.5)      # b escapes: f^64(b) overflows
+        box = Rect(-4, 10, -12, 12)
+        seeds = landings(structural_setup(spec, box, 0.1))
+        find_periodic_points(spec, box, 1, extra_seeds=seeds)
+        assert len(newton_seeds[0]) == len(seeds)
+        assert all(np.isfinite(z).all() for z in newton_seeds)
+
+
+def orbit_count(spec, records, period):
+    """The distinct f-orbits among the non-repelling records."""
+    reps = []
+    for rec in records:
+        if rec.classification == "repelling":
+            continue
+        orbit = [rec.location]
+        for _ in range(period - 1):
+            orbit.append(spec.evaluate(orbit[-1], 1)[0])
+        if not any(abs(w - r) < 1e-8 * (1.0 + abs(r)) for w in orbit for r in reps):
+            reps.append(rec.location)
+    return len(reps)
+
+
+P2_BOX = Rect(-9, 7.5, -13, 13)
+
+
+class TestCycleBound:
+    """a e^z + b has one singular value, so its non-repelling records lie on
+    one f-orbit (Eremenko & Lyubich 1992, for maps of finite type)."""
+
+    @pytest.mark.parametrize("spec, box, res, period", [
+        *((spec, box, 0.1, 1) for spec, box in P1_FAMILY[:3]),
+        (exp_map(-2), P2_BOX, 0.12, 2),
+        (exp_map(-5), P2_BOX, 0.12, 2),
+        pytest.param(parse_map("exp(-e)"), P2_BOX, 0.12, 2, marks=pytest.mark.xfail(
+            strict=True, reason="ROADMAP item 10: a cluster of parabolic records at -1")),
+    ], ids=P1_IDS[:3] + ["exp(-2)-p2", "exp(-5)-p2", "exp(-e)-p2"])
+    def test_non_repelling_records_lie_on_one_orbit(self, spec, box, res, period):
+        records = period_points(structural_setup(spec, box, res), period, 80)[3]
+        assert orbit_count(spec, records, period) == 1
