@@ -11,15 +11,18 @@ which makes the ray-invariance relation exact by construction.
 The walk is an array walk: every address of one cycle length is a lane, and
 all lanes go down one level per pullback call.  A lane's symbols are the
 row of an (n, p) integer band matrix, built once per walk, and each level
-pulls every active lane back through the band of its own row.  A lane
-leaves the walk when it reaches the cut or a singular value, or when it
-settles on its limit cycle, whose last p states then stand for all lower
-levels.  One walk, DEFAULT_SCHEDULE[-1] cycles deep, serves both tracing
-and landing: its top cycles are the ray's samples, and its states at the
-depths of the doubling schedule are the endpoints the landing is resolved
-from.  Lanes that resolve no limit are walked again, SLOW_SCHEDULE[-1]
-cycles deep, for a landing point whose multiplier is close to 1 in
-modulus.
+pulls every active lane back through the band of its own row.  The levels
+go in blocks, up to WALK_BLOCK deep and at most WALK_BLOCK^2 states, with
+no test in between: a narrow walk pays numpy's per-call floor for its
+tests once per block, not once per level.  After each block a lane leaves
+the walk at its first event, the level at which it reached the cut or a
+singular value, or settled on its limit cycle, whose last p states then
+stand for all lower levels.  One walk, DEFAULT_SCHEDULE[-1] cycles deep,
+serves both tracing and landing: its top cycles are the ray's samples, and
+its states at the depths of the doubling schedule are the endpoints the
+landing is resolved from.  Lanes that resolve no limit are walked again,
+SLOW_SCHEDULE[-1] cycles deep, for a landing point whose multiplier is
+close to 1 in modulus.
 
 Potentials are a declared parametrization: the sample at level k carries
 potential DEFAULT_T_TOP * 2^(k_top - k), halving toward the landing point;
@@ -46,7 +49,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import group_points
-from .errors import BrokenRay, MixedPeriods, UnlandedRay
+from .errors import BrokenRay, MixedPeriods, OnCut, UnlandedRay
 from .fixedpoints import _newton_sweep
 from .maps import OVERFLOW_MAG, BranchLabel, MapSpec
 from .structure import StructuralSetup, _expansion_radii, _not_validated
@@ -58,6 +61,7 @@ DEFAULT_SAMPLES = 26
 DEFAULT_T_TOP = 8.0
 DEFAULT_SCHEDULE = (10, 20, 40, 80, 160, 320, 640)
 SLOW_SCHEDULE = tuple(16 * d for d in DEFAULT_SCHEDULE)
+WALK_BLOCK = 16
 
 
 @dataclass(frozen=True)
@@ -163,9 +167,10 @@ class PullbackWalk:
     `bands` is the (n, p) integer band matrix of the addresses' cycles, built
     once: row i holds the bands of address i's period, and the level-k
     pullback takes every active lane through the band in column k mod p.
-    Every active lane goes down one level per `pull_back` call.  A lane
-    leaves the walk when its state reaches the cut or a singular value
-    (broken), or when it has settled on its limit cycle.
+    Every active lane goes down one level per `pull_back` call, a block of
+    levels at a time.  A lane leaves the walk at the level where its state
+    reaches the cut or a singular value (broken), or where it has settled
+    on its limit cycle, as if every level had been tested.
     """
 
     def __init__(self, setup: StructuralSetup, addresses):
@@ -217,44 +222,69 @@ class PullbackWalk:
         (level k holds the state of the ray of the k-times-shifted cycle),
         and per lane the level at which it stopped before hitting the cut
         or a singular value (-1 when its whole walk is clean); a lane's
-        states below that level are nan.  Only the last p + 1 levels are
-        held in memory.
+        states below that level are nan.  The lanes go down in blocks of m
+        levels, m = min(WALK_BLOCK, WALK_BLOCK^2 // lanes) and at least 1,
+        with no test in between; one bad test over the block's inputs and
+        one settle test over its states then take each lane out at its
+        first event, the level at which a walk that tested every level
+        would stop it.  A state on b ends its block where its pullback
+        raises OnCut, and the block's bad test takes it out.  Only the last
+        p + 1 levels and the current block are held in memory.
         """
         n, p = self.bands.shape
         keep = np.asarray(keep, dtype=int)
-        kept = set(keep.tolist())
         out = np.full((n, len(keep)), np.nan, dtype=complex)
         bad_at = np.full(n, -1)
-        # the active lanes, their band rows and last p + 1 states, level k at row k % (p + 1)
+        # the active lanes and their band rows; buffer row r holds level k + p - r of
+        # the active lanes in its first columns: rows up to p carry the previous
+        # levels (nan above the anchor, which never settles) and the block follows
         active, rows = np.arange(n), self.bands
-        z = self.anchors(levels)
-        ring = np.empty((p + 1, n), dtype=complex)
-        ring[levels % (p + 1)] = z
-        out[:, keep == levels] = z[:, None]
-        for k in range(levels - 1, -1, -1):
-            bad = self._bad_input(z)
-            if np.count_nonzero(bad):
-                bad_at[active[bad]] = k + 1
-                active, rows, z, ring = active[~bad], rows[~bad], z[~bad], ring[:, ~bad]
-                if not len(active):
-                    break
-            z = self.ctx.pull_back(z, rows[:, k % p])
-            ring[k % (p + 1)] = z
-            if k in kept:
-                out[active[:, None], keep == k] = z[:, None]
-            if k + p > levels:
-                continue
-            settled = np.abs(z - ring[(k + p) % (p + 1)]) < 1e-15 * (1.0 + np.abs(z))
-            if np.count_nonzero(settled):
-                # settled on the limit cycle; avoid float-level branch-cut
-                # noise at the landing point: lower levels repeat the last p
-                below = np.flatnonzero(keep < k)
-                source = ring[(k + (keep[below] - k) % p) % (p + 1)]
-                out[np.ix_(active[settled], below)] = source[:, settled].T
-                stay = ~settled
-                active, rows, z, ring = active[stay], rows[stay], z[stay], ring[:, stay]
-                if not len(active):
-                    break
+        buf = np.empty((p + 1 + WALK_BLOCK, n), dtype=complex)
+        buf[:p] = np.nan
+        buf[p] = self.anchors(levels)
+        out[:, keep == levels] = buf[p, :, None]
+        k = levels
+        while k > 0 and len(active):
+            lanes = len(active)
+            m = min(k, WALK_BLOCK, max(1, WALK_BLOCK * WALK_BLOCK // lanes))
+            cut = None
+            try:
+                for i in range(m):
+                    buf[p + 1 + i, :lanes] = self.ctx.pull_back(buf[p + i, :lanes],
+                                                                rows[:, (k - 1 - i) % p])
+            except OnCut as exc:
+                cut, m = exc, i
+            # each lane's events in walk order: row 2i, its input at level k - i is
+            # bad; row 2i + 1, its state at level k - 1 - i settled.  The level-0
+            # state is no input, and below the anchor the top input was the last
+            # block's bottom one, already tested
+            new = buf[p + 1:p + m + 1, :lanes]
+            event = np.zeros((2 * m + 1, lanes), dtype=bool)
+            event[1::2] = np.abs(new - buf[1:m + 1, :lanes]) < 1e-15 * (1.0 + np.abs(new))
+            tested, inputs = int(k < levels), m + 1 if k > m else m
+            if inputs > tested:
+                bad = self._bad_input(buf[p + tested:p + inputs, :lanes])
+                event[2 * tested:2 * inputs:2] = bad
+            cols = np.flatnonzero((keep < k) & (keep >= k - m))
+            if len(cols):
+                out[active[:, None], cols] = buf[p + k - keep[cols], :lanes].T
+            if np.count_nonzero(event):
+                first = event.argmax(axis=0)
+                gone = np.flatnonzero(event[first, np.arange(lanes)])
+                stop, settled = k - (first[gone] + 1) // 2, first[gone] % 2 == 1
+                bad_at[active[gone[~settled]]] = stop[~settled]
+                # below its event a broken lane holds nan, and a settled one repeats its
+                # last p states, which avoids float-level branch-cut noise at the landing point
+                level = stop[:, None] + (keep - stop[:, None]) % p
+                fill = np.where(settled[:, None], buf[p + k - level, gone[:, None]], np.nan)
+                out[active[gone]] = np.where(keep < stop[:, None], fill, out[active[gone]])
+                active, rows = np.delete(active, gone), np.delete(rows, gone, axis=0)
+                buf[:p + 1, :len(active)] = np.delete(buf[m:m + p + 1, :lanes], gone, axis=1)
+            elif cut is not None:
+                raise cut
+            else:
+                buf[:p + 1, :lanes] = buf[m:m + p + 1, :lanes]
+            k -= m
         return out, bad_at
 
     def prefix(self, z: np.ndarray, preperiod) -> np.ndarray:

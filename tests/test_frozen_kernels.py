@@ -17,11 +17,12 @@ import math
 import numpy as np
 import pytest
 
+import raysep.rays
 from raysep.errors import OnCut
 from raysep.fixedpoints import _newton_sweep
 from raysep.maps import (LOG_FLOOR, OVERFLOW_MAG, OVERFLOW_RE, BranchContext, CutGeometry,
                          branch_log, exp_map, parse_map)
-from raysep.rays import BROKEN_TOL, DEFAULT_SCHEDULE, Address, PullbackWalk
+from raysep.rays import BROKEN_TOL, DEFAULT_SCHEDULE, SLOW_SCHEDULE, Address, PullbackWalk
 from raysep.structure import Rect, structural_setup
 
 # -- the frozen copies ---------------------------------------------------------------
@@ -239,17 +240,23 @@ def test_newton_sweep_bits(spec, period):
 # -- the pullback walk ---------------------------------------------------------------------
 
 
-@pytest.mark.parametrize("case", ["period_two", "broken", "parabolic", "curved_cut"])
-def test_walk_bits(case):
+@pytest.mark.parametrize("case, block", [
+    pytest.param(case, block, id=case if block is None else f"{case}-block{block}")
+    for case in ("period_two", "broken", "parabolic", "curved_cut", "slow")
+    for block in (None, 1, 3, 64)])
+def test_walk_bits(case, block, monkeypatch):
+    if block is not None:
+        monkeypatch.setattr(raysep.rays, "WALK_BLOCK", block)
+    schedule = SLOW_SCHEDULE if case == "slow" else DEFAULT_SCHEDULE
     if case == "period_two":
         setup = structural_setup(exp_map(-5), Rect(-9, 7.5, -13, 13), 0.12)
         addresses = [Address.cycle(b) for b in itertools.product((-1, 0, 2), repeat=2)]
     else:
         text = {"broken": "exp(0.5,0.2)", "parabolic": "exp(1/e)",
-                "curved_cut": "exp(0.5,-0.5)"}[case]
+                "curved_cut": "exp(0.5,-0.5)", "slow": "exp(0.375,-i/256)"}[case]
         setup = structural_setup(parse_map(text), Rect(-4, 9, -12, 12), 0.1)
         addresses = [Address.constant(j) for j in (-1, 0, 1)]
-    levels = DEFAULT_SCHEDULE[-1] * addresses[0].period_length
+    levels = schedule[-1] * addresses[0].period_length
     states, bad_at = PullbackWalk(setup, addresses).states(levels, np.arange(levels + 1))
     for row, bad, address in zip(states, bad_at, addresses):
         ref, ref_bad = frozen_walk(setup, address, levels)

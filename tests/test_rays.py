@@ -1,14 +1,19 @@
 """Ray tracing, landing, pairs, and the ray-family invariants."""
 
+import cmath
 import itertools
+import math
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import raysep.rays
-from raysep.errors import MixedPeriods, Overflow, UnlandedRay
+from raysep.errors import (ExpansionNotValidated, MixedPeriods, OnCut, Overflow,
+                           RaysepError, UnlandedRay)
 from raysep.fixedpoints import _newton_sweep
 from raysep.maps import OVERFLOW_MAG, BranchContext, BranchLabel, MapSpec, exp_map, parse_map
 from raysep.rays import (
@@ -17,6 +22,7 @@ from raysep.rays import (
     LANDING_TOL,
     PAIR_TOL,
     SLOW_SCHEDULE,
+    WALK_BLOCK,
     Address,
     PullbackWalk,
     Ray,
@@ -253,6 +259,9 @@ def _same_rays(a, b):
         assert _bits(x) == _bits(y)
 
 
+angles = st.floats(-math.pi, math.pi)
+
+
 def _scalar_walk(setup, address, levels):
     """Reference: one address walked one pullback at a time.
 
@@ -278,16 +287,22 @@ def _scalar_walk(setup, address, levels):
 class TestBatchedWalk:
     """A batch of addresses gives exactly the rays of one call per address."""
 
-    @pytest.mark.parametrize("case", ["period_two", "broken", "parabolic"])
-    def test_array_walk_matches_scalar_walk(self, case, setup_neg5):
+    @pytest.mark.parametrize("case, block", [
+        pytest.param(case, block, id=case if block is None else f"{case}-block{block}")
+        for case in ("period_two", "broken", "parabolic", "slow") for block in (None, 1, 3, 64)])
+    def test_array_walk_matches_scalar_walk(self, case, block, setup_neg5, monkeypatch):
+        if block is not None:
+            monkeypatch.setattr(raysep.rays, "WALK_BLOCK", block)
+        schedule = SLOW_SCHEDULE if case == "slow" else DEFAULT_SCHEDULE
         if case == "period_two":
             setup = setup_neg5
             addresses = [Address.cycle(b) for b in ([0, 1], [1, 0], [-1, 2], [2, 2])]
         else:
-            spec = exp_map(0.5, 0.2) if case == "broken" else parse_map("exp(1/e)")
+            spec = {"broken": exp_map(0.5, 0.2), "parabolic": parse_map("exp(1/e)"),
+                    "slow": exp_map(0.375, -1j / 256)}[case]
             setup = structural_setup(spec, Rect(-4, 9, -12, 12), 0.1)
             addresses = [Address.constant(j) for j in (-1, 0, 1)]
-        levels = DEFAULT_SCHEDULE[-1] * addresses[0].period_length
+        levels = schedule[-1] * addresses[0].period_length
         walk = PullbackWalk(setup, addresses)
         states, bad_at = walk.states(levels, np.arange(levels + 1))
         for row, bad, address in zip(states, bad_at, addresses):
@@ -295,6 +310,91 @@ class TestBatchedWalk:
             assert bad == ref_bad
             assert np.array_equal(row, ref, equal_nan=True)
         assert (bad_at >= 0).any() == (case == "broken")
+
+    @settings(max_examples=25, deadline=None)
+    @given(data=st.data(), abs_a=st.floats(0.1, 2.0), arg_a=angles, abs_b=st.floats(0.0, 1.0),
+           arg_b=angles, period=st.integers(1, 2), block=st.integers(1, 32))
+    def test_blocked_walk_is_the_level_walk(self, data, abs_a, arg_a, abs_b, arg_b, period,
+                                            block):
+        spec = exp_map(cmath.rect(abs_a, arg_a), cmath.rect(abs_b, arg_b))
+        try:
+            setup = structural_setup(spec, Rect(-4, 9, -12, 12), 0.25)
+        except (RaysepError, ValueError):     # no setup on this box
+            assume(False)
+        bands = [d.label.j for d in setup.domains]
+        cycles = data.draw(st.lists(st.tuples(*[st.sampled_from(bands)] * period),
+                                    min_size=1, max_size=4, unique=True))
+        addresses = [Address.cycle(c) for c in cycles]
+        levels = DEFAULT_SCHEDULE[-1] * period
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(raysep.rays, "WALK_BLOCK", block)
+            try:
+                walk = PullbackWalk(setup, addresses)
+                states, bad_at = walk.states(levels, np.arange(levels + 1))
+            except ExpansionNotValidated:
+                assume(False)
+        for row, bad, address in zip(states, bad_at, addresses):
+            ref, ref_bad = _scalar_walk(setup, address, levels)
+            assert bad == ref_bad
+            assert row.tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("n", [0, 1, 15, 16, 17, 100])
+    def test_state_on_b_is_broken_not_on_cut(self, n, monkeypatch):
+        # a state exactly on b (the anchor for n = 0, else the n-th pullback's)
+        # breaks its lane at that level; a block pulls it back before its bad
+        # test, and that pullback must not raise OnCut.  The lane is the
+        # parabolic |0, which would walk all levels
+        spec = parse_map("exp(1/e)")
+        setup = structural_setup(spec, Rect(-4, 8, -12, 12), 0.1)
+        addresses = [Address.constant(j) for j in (-1, 0, 1)]
+        levels = DEFAULT_SCHEDULE[-1]
+        pull_back, calls = BranchContext.pull_back, []
+
+        def onto_b(ctx, w, label):
+            z = pull_back(ctx, w, label)
+            calls.append(None)
+            band = label.j if isinstance(label, BranchLabel) else label
+            return np.where((band == 0) & (len(calls) == n), spec.b, z)
+        monkeypatch.setattr(BranchContext, "pull_back", onto_b)
+        if n == 0:
+            anchors = PullbackWalk.anchors
+            monkeypatch.setattr(PullbackWalk, "anchors", lambda walk, level: np.where(
+                walk.bands[:, 0] == 0, spec.b, anchors(walk, level)))
+        states, bad_at = PullbackWalk(setup, addresses).states(levels, np.arange(levels + 1))
+        for row, bad, address in zip(states, bad_at, addresses):
+            calls.clear()
+            ref, ref_bad = _scalar_walk(setup, address, levels)
+            assert bad == ref_bad
+            assert row.tobytes() == ref.tobytes()
+        assert bad_at[1] == levels - n
+
+    def test_on_cut_off_b_still_raises(self, monkeypatch):
+        spec = parse_map("exp(1/e)")
+        setup = structural_setup(spec, Rect(-4, 8, -12, 12), 0.1)
+        pull_back, calls = BranchContext.pull_back, []
+
+        def on_cut(ctx, w, label):
+            calls.append(None)
+            if len(calls) == 20:
+                raise OnCut("logarithm input too close to 0")
+            return pull_back(ctx, w, label)
+        monkeypatch.setattr(BranchContext, "pull_back", on_cut)
+        with pytest.raises(OnCut):
+            PullbackWalk(setup, [Address.constant(0)]).states(640, [0])
+        assert len(calls) == 20
+
+    def test_one_bad_test_per_block(self, monkeypatch):
+        # the parabolic ray |0 never settles and walks all 640 levels
+        setup = structural_setup(parse_map("exp(1/e)"), Rect(-4, 8, -12, 12), 0.1)
+        bad_input, calls = PullbackWalk._bad_input, []
+
+        def counted(walk, z):
+            calls.append(None)
+            return bad_input(walk, z)
+        monkeypatch.setattr(PullbackWalk, "_bad_input", counted)
+        rays = fixed_rays(setup, setup.domains)
+        assert all(r.status.kind == "lands_at" for r in rays)
+        assert len(calls) <= math.ceil(DEFAULT_SCHEDULE[-1] / WALK_BLOCK) + 8
 
     @staticmethod
     def _check_batch(spec, setup, addresses):
