@@ -99,10 +99,12 @@ def _near_root_of_unity(m: complex) -> int | None:
 
 
 def _newton_sweep(evaluator, seeds: np.ndarray) -> np.ndarray:
-    """Newton on f^p(z) - z from every seed; each iteration evaluates only live lanes.
+    """Newton on w(z) - z from every seed; each iteration evaluates only live lanes.
 
-    A lane stops once its step is below 1e-13 (1 + |z|), and is frozen where
-    the step is not finite or |z| exceeds 1e8.  At most 64 iterations run.
+    `evaluator` gives (w, w') for an array, as `map_arrays` gives
+    (f^p, (f^p)'); `_polish_parabolic` passes its own jet.  A lane stops
+    once its step is below 1e-13 (1 + |z|), and is frozen where the step is
+    not finite or |z| exceeds 1e8.  At most 64 iterations run.
     """
     z = np.array(seeds, dtype=complex).ravel()
     live, zl = np.arange(len(z)), z.copy()     # the live lanes and their points
@@ -123,28 +125,24 @@ def _newton_sweep(evaluator, seeds: np.ndarray) -> np.ndarray:
     return z.reshape(np.shape(seeds))
 
 
-def _polish_parabolic(mapobj, z0: complex, period: int) -> complex:
-    """Refine a near-parabolic point via Newton on (f^p)'(z) - 1.
+def _polish_parabolic(evaluator, z: np.ndarray) -> np.ndarray:
+    """Refine near-parabolic points by Newton on (f^p)'(z) - 1, as lanes of `_newton_sweep`.
 
     The derivative has a simple zero where f^p(z) - z has a double one, so
-    this sidesteps the cancellation floor of the direct residual.
+    this sidesteps the cancellation floor of the direct residual.  The sweep
+    runs on the jet u -> ((f^p)'(u) - 1 + u, D + 1), whose Newton step is
+    ((f^p)'(u) - 1) / D, with D the central difference of (f^p)' at step
+    1e-6.  A point that moves more than 1e-4 (1 + |z|) keeps its input.
     """
-    evaluator = map_arrays(mapobj, period)
-    z = complex(z0)
     h = 1e-6
-    for _ in range(50):
-        _, d = evaluator(np.array([z, z + h, z - h]))
-        g = complex(d[0]) - 1.0
-        gprime = (complex(d[1]) - complex(d[2])) / (2.0 * h)
-        if abs(gprime) < 1e-14:
-            break
-        step = g / gprime
-        z = z - step
-        if abs(step) < 1e-15 * (1.0 + abs(z)):
-            break
-    if abs(z - z0) > 1e-4 * (1.0 + abs(z0)):
-        return complex(z0)
-    return z
+
+    def jet(u):
+        _, d = evaluator(np.concatenate([u, u + h, u - h]))
+        d, right, left = np.split(d, 3)
+        return d - 1.0 + u, (right - left) / (2.0 * h) + 1.0
+
+    polished = _newton_sweep(jet, z)
+    return np.where(np.abs(polished - z) > 1e-4 * (1.0 + np.abs(z)), z, polished)
 
 
 def _auto_multiplicity(mapobj, z: complex, period: int, spacing: float) -> int:
@@ -237,15 +235,15 @@ def _collect_records(mapobj, evaluator, roots: np.ndarray, region: Rect,
     w, _ = evaluator(roots)
     residual = np.abs(w - roots)
     ok = np.isfinite(residual) & (residual < RESIDUAL_TOL * (1.0 + np.abs(roots)))
-    unique = dedup_points(roots[ok], DEDUP_TOL)
+    unique = np.array(dedup_points(roots[ok], DEDUP_TOL), dtype=complex)
     # a multiple root shatters Newton limits into a cloud of near-solutions;
     # pull near-parabolic candidates onto the derivative-1 locus and merge
-    _, d = evaluator(np.array(unique, dtype=complex))
-    for i in np.nonzero(np.abs(d - 1.0) < 1e-4)[0]:
-        zp = _polish_parabolic(mapobj, unique[i], period)
-        wp, _ = evaluator(np.array([zp]))
-        if abs(complex(wp[0]) - zp) < RESIDUAL_TOL * (1.0 + abs(zp)):
-            unique[i] = zp
+    _, d = evaluator(unique)
+    near = np.flatnonzero(np.abs(d - 1.0) < 1e-4)
+    zp = _polish_parabolic(evaluator, unique[near])
+    wp, _ = evaluator(zp)
+    kept = np.abs(wp - zp) < RESIDUAL_TOL * (1.0 + np.abs(zp))
+    unique[near[kept]] = zp[kept]
     unique = [z for z in dedup_points(unique, DEDUP_TOL) if region.contains(z)]
     unique.sort(key=lambda z: (z.real, z.imag))
 
@@ -259,11 +257,6 @@ def _collect_records(mapobj, evaluator, roots: np.ndarray, region: Rect,
         if edge < BOUNDARY_TOL:
             raise BoundaryRoot(f"periodic point {z} sits on the region boundary")
         cls = classify_multiplier(m)
-        if cls == "parabolic" and abs(m - 1.0) < 1e-4:
-            z = _polish_parabolic(mapobj, z, period)
-            _, d = evaluator(np.array([z]))
-            m = complex(d[0])
-            cls = classify_multiplier(m)
         multiplicity = 1
         if cls == "parabolic" and abs(m - 1.0) < ROOT_OF_UNITY_TOL:
             if spacing is None:
@@ -282,7 +275,7 @@ def find_fixed_in_domain(setup: StructuralSetup, label: BranchLabel) -> FixedPoi
     makes this a strict contraction when the domain does not meet the disk.
     """
     dom = setup.domain_by_band(label.j)
-    if setup.meets_disk(dom):
+    if setup.meets_disk([dom])[0]:
         raise DomainMeetsDisk(
             f"domain {label} intersects the disk; use find_periodic_points")
     z = dom.anchor

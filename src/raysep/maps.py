@@ -50,11 +50,9 @@ class MapSpec:
         OVERFLOW_MAG in modulus.
         """
         w, deriv = self.derivative_array(np.array([z], dtype=complex), period)
-        w, deriv = complex(w[0]), complex(deriv[0])
-        if not (cmath.isfinite(w) and abs(w) <= OVERFLOW_MAG
-                and abs(deriv) <= OVERFLOW_MAG):
+        if not in_range(w, deriv)[0]:
             raise Overflow()
-        return w, deriv
+        return complex(w[0]), complex(deriv[0])
 
     def evaluate_array(self, z: np.ndarray, period: int = 1) -> np.ndarray:
         """Vectorized f^period; overflowed entries become inf/nan, not errors."""
@@ -100,6 +98,12 @@ class MapSpec:
         if len(factors) != 1:
             raise ValueError(f"a map has exactly one factor, got {len(factors)}")
         return cls(complex(*factors[0]["a"]), complex(*factors[0]["b"]))
+
+
+def in_range(w, deriv):
+    """Mask of the lanes that `MapSpec.evaluate` accepts: the value finite, and
+    the value and the derivative at most OVERFLOW_MAG in modulus."""
+    return np.isfinite(w) & (np.abs(w) <= OVERFLOW_MAG) & (np.abs(deriv) <= OVERFLOW_MAG)
 
 
 def exp_map(a: complex, b: complex = 0.0) -> MapSpec:

@@ -51,7 +51,7 @@ import numpy as np
 from .curves import group_points
 from .errors import BrokenRay, MixedPeriods, OnCut, UnlandedRay
 from .fixedpoints import _newton_sweep
-from .maps import OVERFLOW_MAG, BranchLabel, MapSpec
+from .maps import BranchLabel, MapSpec, in_range
 from .structure import StructuralSetup, _expansion_radii, _not_validated
 
 LANDING_TOL = 1e-10
@@ -305,8 +305,8 @@ def _limits(spec: MapSpec, endpoints: np.ndarray, period: int) -> np.ndarray:
     doubling-depth Richardson extrapolation detects and accelerates.  One
     Newton sweep on f^p(z) - z polishes every candidate, and the polished
     point replaces it when it moved less than 1e-2 (1 + |candidate|).  A
-    point is the limit when f^p closes on it without overflowing (the
-    conditions of `MapSpec.evaluate`).  Rows holding a nan have no limit.
+    point is the limit when f^p closes on it without overflowing
+    (`maps.in_range`).  Rows holding a nan have no limit.
     """
     limit = np.full(len(endpoints), np.nan, dtype=complex)
     rows = np.flatnonzero(~np.isnan(endpoints).any(axis=1))
@@ -325,8 +325,7 @@ def _limits(spec: MapSpec, endpoints: np.ndarray, period: int) -> np.ndarray:
     point = np.where(np.abs(polished - candidate) < 1e-2 * (1.0 + np.abs(candidate)),
                      polished, candidate)
     w, dw = spec.derivative_array(point, period)
-    closes = (np.isfinite(w) & (np.abs(w) <= OVERFLOW_MAG) & (np.abs(dw) <= OVERFLOW_MAG)
-              & (np.abs(w - point) < 1e-8 * (1.0 + np.abs(point))))
+    closes = in_range(w, dw) & (np.abs(w - point) < 1e-8 * (1.0 + np.abs(point)))
     limit[rows[closes]] = point[closes]
     return limit
 

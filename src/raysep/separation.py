@@ -39,17 +39,17 @@ from .errors import (
     EpsTooLarge,
     ExpansionNotValidated,
     NotFullComplete,
-    Overflow,
     ResolutionTooCoarse,
     SideCheckFailed,
 )
 from .fixedpoints import (
+    ROOT_OF_UNITY_TOL,
     FixedPointRecord,
     find_periodic_points,
     petal_directions,
     probe_virtual_points,
 )
-from .maps import BranchLabel, MapSpec
+from .maps import BranchLabel, MapSpec, in_range
 from .rays import (Address, Ray, RayPair, fixed_rays, landing_groups, landing_point,
                    landings_at, pairs_from_groups, same_landing, trace_ray)
 from .structure import (Rect, StructuralSetup, _expansion_radii, _require_resolution,
@@ -281,8 +281,8 @@ def check_full_complete(setup: StructuralSetup, labels: list[BranchLabel], rays)
         raise NotFullComplete("empty collection")
     if js != list(range(js[0], js[-1] + 1)):
         raise NotFullComplete(f"gap in bands {js}")
-    for dom in setup.domains:
-        if setup.meets_disk(dom) and dom.label.j not in js:
+    for dom, meets in zip(setup.domains, setup.meets_disk(setup.domains)):
+        if meets and dom.label.j not in js:
             raise NotFullComplete(f"domain {dom.label.j} meets the disk but is missing")
     # adjacent rays must land alone at repelling points
     bands = js + [js[0] - 1, js[-1] + 1]
@@ -636,7 +636,7 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
         z = rec.location
         if len(incident):
             rec.incident_ray_addresses = [graph.rays[i].address for i in incident]
-        if rec.classification == "parabolic" and abs(rec.multiplier - 1.0) < 1e-6:
+        if rec.classification == "parabolic" and abs(rec.multiplier - 1.0) < ROOT_OF_UNITY_TOL:
             # each confirmed attracting basin is one virtual point, assigned
             # to the region its probe orbit sits in
             fan = petal_directions(spec, z, period)
@@ -719,53 +719,46 @@ def _augment_with_inferred_rays(setup: StructuralSetup, period: int, records, la
     """Trace rays for repelling points not matched by any landed ray.
 
     Candidate addresses come from the band indices of the orbit, which is
-    how landing points relate to itineraries.  One doubling search
+    how landing points relate to itineraries.  Each orbit level of all
+    candidates is one `derivative_array` step, an orbit that leaves
+    `maps.in_range` (where `MapSpec.evaluate` raises Overflow) is dropped,
+    and one `band_index` call reads every band.  One doubling search
     (`structure._expansion_radii`) settles all candidates' radii, and every
     validated candidate is traced by one `trace_ray` call.  The records are
-    then taken in order: a record already matched (also by a ray inferred
-    for an earlier record) or whose address was already tried is skipped,
-    an unvalidated address is an `incomplete` entry, and a ray that lands
-    at its record joins the landed rays.  Failures are recorded, not fatal.
-    Returns `landed` and its `landings`, each with the inferred rays appended.
+    then taken in order: a record matched by a ray inferred for an earlier
+    record, or whose address was already tried, is skipped, an unvalidated
+    address is an `incomplete` entry, and a ray that lands at its record
+    joins the landed rays.  Failures are recorded, not fatal.  Returns
+    `landed` and its `landings`, each with the inferred rays appended.
     """
-    landed = list(landed)
-    # the landing points of `landed`, with room for one inferred ray per record
-    landings = np.concatenate([landings, np.empty(len(records), dtype=complex)])
-
-    def matched(z):
-        return bool(np.any(same_landing(landings[:len(landed)], z)))
-
-    known = landings_at(landings[:len(landed)], [rec.location for rec in records])
-    candidates = []  # (record, address), in record order
-    for rec, hits in zip(records, known):
-        if rec.classification != "repelling" or len(hits):
-            continue
-        orbit = [rec.location]
-        try:
-            for _ in range(period - 1):
-                orbit.append(setup.spec.evaluate(orbit[-1], 1)[0])
-        except Overflow:
-            continue
-        candidates.append((rec, Address.cycle([setup.band_index(z) for z in orbit])))
+    known = landings_at(landings, [rec.location for rec in records])
+    unmatched = [rec for rec, hits in zip(records, known)
+                 if rec.classification == "repelling" and not len(hits)]
+    orbits = [np.array([rec.location for rec in unmatched], dtype=complex)]
+    kept = np.ones(len(unmatched), dtype=bool)
+    for _ in range(period - 1):
+        w, dw = setup.spec.derivative_array(orbits[-1], 1)
+        kept &= in_range(w, dw)
+        orbits.append(w)
+    bands = setup.band_index(np.stack(orbits, axis=1)[kept]).tolist()
+    candidates = [(rec, Address.cycle(b))      # (record, address), in record order
+                  for rec, b in zip([r for r, ok in zip(unmatched, kept) if ok], bands)]
     addresses = list(dict.fromkeys(a for _rec, a in candidates))
     radii = _expansion_radii(setup, [a.period for a in addresses])
     validated = [a for a, R in zip(addresses, radii) if R is not None]
     traced = dict(zip(validated, trace_ray(setup, validated))) if validated else {}
 
-    # the candidates are cycles, keyed on their band tuples: an Address hashes
-    # through one Python-level hash per label, and `landed` holds |domains|^p rays
-    existing = {tuple([s.j for s in r.address.period]) for r in landed
-                if not r.address.preperiod}
+    inferred, tried = [], set()
+    found = np.empty(len(candidates), dtype=complex)    # the inferred rays' landings
     for rec, address in candidates:
-        key = tuple([s.j for s in address.period])
-        if matched(rec.location) or key in existing:
+        if address in tried or same_landing(found[:len(inferred)], rec.location).any():
             continue
-        existing.add(key)
+        tried.add(address)
         if address not in traced:
             incomplete.append(f"inferred ray {address} not validated")
             continue
         ray = landing_point(traced[address])
         if ray.status.kind == "lands_at" and same_landing(ray.landing, rec.location):
-            landings[len(landed)] = ray.landing
-            landed.append(ray)
-    return landed, landings[:len(landed)]
+            found[len(inferred)] = ray.landing
+            inferred.append(ray)
+    return list(landed) + inferred, np.concatenate([landings, found[:len(inferred)]])

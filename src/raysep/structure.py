@@ -108,30 +108,34 @@ class StructuralSetup:
                 return d
         raise KeyError(f"no fundamental domain with band {j} in the setup")
 
-    def band_index(self, z: complex) -> int:
-        """Band j of the fundamental domain whose closure contains z.
+    def band_index(self, z) -> np.ndarray:
+        """Band j of the fundamental domain whose closure contains each z.
 
-        Uses that exp(z) equals (f(z) - b)/a, so Im z is
-        a continuous argument of that quantity of modulus e^(Re z).
+        Uses that exp(z) equals (f(z) - b)/a, so Im z is a continuous
+        argument of that quantity of modulus e^(Re z).  Returns an int
+        array, 0-d for a scalar `z`, as `maps.branch_log` does.
         """
-        rho = math.exp(min(z.real, 700.0))
-        phi = float(self.branch_context.cut.phi(rho))
-        return math.ceil((z.imag - phi) / (2.0 * math.pi) - 1e-12)
+        z = np.asarray(z, dtype=complex)
+        phi = self.branch_context.cut.phi(np.exp(np.minimum(z.real, 700.0)))
+        return np.ceil((z.imag - phi) / (2.0 * np.pi) - 1e-12).astype(int)
 
-    def meets_disk(self, dom: FundamentalDomain) -> bool:
-        """Whether the closure of a fundamental domain meets the disk.
+    def meets_disk(self, domains) -> np.ndarray:
+        """Whether the closure of each fundamental domain meets the disk, as a bool array.
 
         Its least |z| is attained on its boundary: the two side cuts plus
         the piece of tract boundary between them (0 is never inside a tract
         since f(0) lies in the disk), whose disk-circle piece is sampled 512
-        times.  The slack 1e-9 counts a domain that touches the disk.
+        times.  All domains' pieces go through one `pull_back`, one band per
+        lane.  The slack 1e-9 counts a domain that touches the disk.
         """
-        best = math.inf
-        for side in dom.side_curves:
-            best = min(best, float(np.min(np.abs(side.z))))
         u = self.branch_context.cut.theta + np.linspace(1e-6, 2.0 * math.pi - 1e-6, 512)
-        z = self.branch_context.pull_back(self.disk.radius * np.exp(1j * u), dom.label)
-        return min(best, float(np.min(np.abs(z)))) <= self.disk.radius + 1e-9
+        bands = np.repeat(np.array([d.label.j for d in domains], dtype=int), len(u))
+        z = self.branch_context.pull_back(
+            np.tile(self.disk.radius * np.exp(1j * u), len(domains)), bands)
+        arcs = np.abs(z).reshape(len(domains), len(u)).min(axis=1)
+        sides = [min(float(np.min(np.abs(side.z))) for side in d.side_curves)
+                 for d in domains]
+        return np.minimum(sides, arcs) <= self.disk.radius + 1e-9
 
 
 # -- tract extraction ---------------------------------------------------------

@@ -19,6 +19,7 @@ from raysep.fixedpoints import (
     PetalFan,
     _auto_multiplicity,
     _newton_sweep,
+    _polish_parabolic,
     _petal_jet,
     classify_multiplier,
     find_fixed_in_domain,
@@ -417,6 +418,68 @@ class TestLiveLanes:
         expected = reference_newton_sweep(lambda z: spec.derivative_array(z, period), seeds)
         assert roots.tobytes() == expected.tobytes()
         assert sizes[0] == len(seeds) and sum(sizes) < len(seeds) * len(sizes) / 2
+
+
+def reference_polish(evaluator, z0: complex, h: float = 1e-6) -> complex:
+    """The per-point Newton loop on (f^p)'(z) - 1 that `_polish_parabolic` replaced."""
+    z = complex(z0)
+    for _ in range(50):
+        _, d = evaluator(np.array([z, z + h, z - h]))
+        g = complex(d[0]) - 1.0
+        gprime = (complex(d[1]) - complex(d[2])) / (2.0 * h)
+        if abs(gprime) < 1e-14:
+            break
+        step = g / gprime
+        z = z - step
+        if abs(step) < 1e-15 * (1.0 + abs(z)):
+            break
+    return complex(z0) if abs(z - z0) > 1e-4 * (1.0 + abs(z0)) else z
+
+
+def lane_by_lane(polish):
+    """`polish` called once per point, each a batch of one."""
+    return lambda evaluator, z: np.array(
+        [polish(evaluator, z[i:i + 1])[0] for i in range(len(z))], dtype=complex)
+
+
+class TestParabolicPolish:
+    @pytest.mark.parametrize("period", [1, 2])
+    def test_lanes_match_the_point_loop(self, period):
+        evaluator = map_arrays(parse_map("exp(1/e)"), period)
+        rng = np.random.default_rng(7)
+        z = 1.0 + 1e-3 * (rng.standard_normal(16) + 1j * rng.standard_normal(16))
+        z = np.append(z, [1.0 + 0j, 5.0 + 0j])    # on the point; too far off, so kept
+        polished = _polish_parabolic(evaluator, z)
+        assert polished.tobytes() == lane_by_lane(_polish_parabolic)(evaluator, z).tobytes()
+        # the sweep stops at steps below 1e-13, the loop ran on to 1e-15
+        want = np.array([reference_polish(evaluator, w) for w in z])
+        assert np.all(np.abs(polished - want) <= 1e-12 * (1.0 + np.abs(want)))
+        assert polished[-2:].tolist() == [1.0 + 0j, 5.0 + 0j]
+
+    @pytest.mark.filterwarnings("ignore::raysep.fixedpoints.CountMismatchWarning")
+    @pytest.mark.parametrize("text, box, period", [
+        ("exp(1/e)", (-4, 8, -12, 12), 1),
+        ("exp(1/e)", (-4, 8, -12, 12), 2),
+        ("exp(-e)", (-6, 6, -10, 10), 2),     # a cloud of candidates at the triple root
+    ])
+    def test_one_call_gives_the_records_of_lane_calls(self, text, box, period, monkeypatch):
+        spec = parse_map(text)
+        records = find_periodic_points(spec, Rect(*box), period)
+        monkeypatch.setattr(raysep.fixedpoints, "_polish_parabolic",
+                            lane_by_lane(_polish_parabolic))
+        lanes = find_periodic_points(spec, Rect(*box), period)
+        assert any(r.classification == "parabolic" for r in records)
+        assert [(r.classification, r.multiplicity) for r in records] == \
+            [(r.classification, r.multiplicity) for r in lanes]
+        assert np.array([(r.location, r.multiplier) for r in records]).tobytes() == \
+            np.array([(r.location, r.multiplier) for r in lanes]).tobytes()
+
+    def test_parabolic_record_of_exp_inv_e_is_one(self):
+        spec = parse_map("exp(1/e)")
+        records = period_points(structural_setup(spec, Rect(-4, 8, -12, 12), 0.1), 1, 80)[3]
+        (rec,) = [r for r in records if r.classification == "parabolic"]
+        assert np.array([rec.location, rec.multiplier]).tobytes() == \
+            np.array([1 + 0j, 1 + 0j]).tobytes()
 
 
 def assert_same_records(found, expected):

@@ -588,10 +588,9 @@ class TestSeparationReport:
 
 class TestInferredRays:
     @staticmethod
-    def _augment(setup, monkeypatch, exc):
-        def evaluate(self, z, period=1):
-            raise exc
-        monkeypatch.setattr(MapSpec, "evaluate", evaluate)
+    def _augment(setup, monkeypatch, orbit_step):
+        """The inferred rays of one repelling record whose orbit takes `orbit_step`."""
+        monkeypatch.setattr(MapSpec, "derivative_array", orbit_step)
         record = FixedPointRecord(-1.0 + 0.5j, 2, 4.0 + 0j, "repelling")
         incomplete = []
         landed, landings = _augment_with_inferred_rays(setup, 2, [record], [],
@@ -600,12 +599,77 @@ class TestInferredRays:
         return landed, incomplete
 
     def test_unexpected_error_propagates(self, setup_neg5, monkeypatch):
+        def boom(self, z, period=1):
+            raise RuntimeError("boom")
         with pytest.raises(RuntimeError):
-            self._augment(setup_neg5, monkeypatch, RuntimeError("boom"))
+            self._augment(setup_neg5, monkeypatch, boom)
 
-    def test_overflowing_orbit_is_skipped(self, setup_neg5, monkeypatch):
-        landed, incomplete = self._augment(setup_neg5, monkeypatch, Overflow())
-        assert landed == [] and incomplete == []
+    @pytest.mark.parametrize("w, dw", [
+        (complex("inf"), 1.0),
+        (complex("nan"), 1.0),
+        (2e300, 1.0),
+        (1.0, 2e300),
+    ], ids=["inf", "nan", "large-value", "large-derivative"])
+    def test_overflowing_orbit_is_skipped(self, setup_neg5, monkeypatch, w, dw):
+        def overflowing(self, z, period=1):
+            shape = np.shape(z)
+            return np.full(shape, w, dtype=complex), np.full(shape, dw, dtype=complex)
+        fake = SimpleNamespace(derivative_array=lambda z, period: overflowing(None, z, period))
+        with pytest.raises(Overflow):      # a step that `MapSpec.evaluate` rejects
+            MapSpec.evaluate(fake, 0j)
+        calls = self._traced_batches(monkeypatch)
+        landed, incomplete = self._augment(setup_neg5, monkeypatch, overflowing)
+        assert landed == [] and incomplete == [] and calls == []
+
+    def test_landed_address_adds_no_ray(self, setup_neg5):
+        # a record off every landing whose orbit bands spell a landed ray's
+        # address: that ray lands where it did, not at the record
+        landed = landed_rays(setup_neg5, [0, 1], period=2)
+        ray = next(r for r in landed if str(r.address) == "|1,1")
+        z = ray.landing + 1e-3
+        bands = [int(setup_neg5.band_index(z)),
+                 int(setup_neg5.band_index(setup_neg5.spec.evaluate(z, 1)[0]))]
+        assert Address.cycle(bands) == ray.address
+        landings = np.array([r.landing for r in landed], dtype=complex)
+        incomplete = []
+        out, out_landings = _augment_with_inferred_rays(
+            setup_neg5, 2, [FixedPointRecord(z, 2, 4.0 + 0j, "repelling")], landed,
+            landings, incomplete)
+        assert out == landed and incomplete == []
+        assert out_landings.tobytes() == landings.tobytes()
+
+    def test_unvalidated_address_is_one_entry(self, setup_neg5, monkeypatch):
+        z = landed_rays(setup_neg5, [1], period=2)[0].landing     # |1,1
+        monkeypatch.setattr(raysep.structure, "EXPANSION_CAP", 0.0)   # no radius passes
+        records = [FixedPointRecord(z + d, 2, 4.0 + 0j, "repelling") for d in (1e-3, 2e-3)]
+        incomplete = []
+        _augment_with_inferred_rays(setup_neg5, 2, records, [], np.empty(0, dtype=complex),
+                                    incomplete)
+        assert incomplete == ["inferred ray |1,1 not validated"]
+
+    def test_record_matched_by_an_earlier_inferred_ray_is_skipped(self, setup_neg5,
+                                                                  monkeypatch):
+        # a twin 5e-7 from |1,1's landing whose bands are made to read |0,1:
+        # the ray inferred for the first record already lands at the twin
+        z = landed_rays(setup_neg5, [1], period=2)[0].landing
+        twin = z + 5e-7
+        band_index = raysep.structure.StructuralSetup.band_index
+
+        def twin_in_band_zero(self, w):
+            bands = np.where(np.asarray(w) == twin, 0, band_index(self, w))
+            return int(bands) if bands.ndim == 0 else bands
+        monkeypatch.setattr(raysep.structure.StructuralSetup, "band_index", twin_in_band_zero)
+        reads = []
+
+        def counted(ray):
+            reads.append(ray.address)
+            return landing_point(ray)
+        monkeypatch.setattr(raysep.separation, "landing_point", counted)
+        records = [FixedPointRecord(w, 2, 4.0 + 0j, "repelling") for w in (z, twin)]
+        out, _ = _augment_with_inferred_rays(setup_neg5, 2, records, [],
+                                             np.empty(0, dtype=complex), [])
+        assert [str(r.address) for r in out] == ["|1,1"]
+        assert [str(a) for a in reads] == ["|1,1"]
 
     @staticmethod
     def _traced_batches(monkeypatch):

@@ -7,7 +7,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import raysep.structure
@@ -16,6 +16,7 @@ from raysep.errors import DeltaBlocked, ExpansionNotValidated
 from raysep.maps import BranchContext, BranchLabel, CutGeometry, exp_map, parse_map
 from raysep.structure import (
     Rect,
+    StructuralSetup,
     Tract,
     auto_disk,
     choose_delta,
@@ -399,6 +400,71 @@ class TestCutGeometry:
                 w = s * cmath.exp(1j * (cut.theta + turn))
                 z = context.pull_back(w, BranchLabel(band))
                 assert np.max(np.abs(z - edge)) <= 10 * eps
+
+
+def scalar_band_index(setup, z: complex) -> int:
+    """The per-point band formula that `band_index` replaced, as the reference."""
+    rho = math.exp(min(z.real, 700.0))
+    phi = float(setup.branch_context.cut.phi(rho))
+    return math.ceil((z.imag - phi) / (2.0 * math.pi) - 1e-12)
+
+
+def scalar_meets_disk(setup, dom) -> bool:
+    """The per-domain disk test that `meets_disk` replaced, as the reference."""
+    best = math.inf
+    for side in dom.side_curves:
+        best = min(best, float(np.min(np.abs(side.z))))
+    u = setup.branch_context.cut.theta + np.linspace(1e-6, 2.0 * math.pi - 1e-6, 512)
+    z = setup.branch_context.pull_back(setup.disk.radius * np.exp(1j * u), dom.label)
+    return min(best, float(np.min(np.abs(z)))) <= setup.disk.radius + 1e-9
+
+
+def cut_setup(spec, theta):
+    """A setup holding only the map and a radial cut at angle theta from its disk."""
+    disk = auto_disk(spec)
+    context = BranchContext(spec, CutGeometry.radial(spec, theta, disk.radius))
+    return StructuralSetup(spec, disk, None, [], [], 0.0, None, 0.0, context)
+
+
+class TestBatchKernels:
+    @settings(max_examples=60, deadline=None)
+    @given(st.floats(0.1, 2.0), angles, st.floats(0.0, 2.0), angles, angles,
+           st.lists(st.tuples(st.floats(-10.0, 800.0), st.floats(-40.0, 40.0)),
+                    min_size=1, max_size=20),
+           st.lists(st.tuples(st.floats(-10.0, 30.0), st.integers(-6, 6)), max_size=10))
+    @example(0.5, 0.0, 0.5, math.atan2(0.4, 0.3), math.pi, [(1.0, 0.0)], [(2.0, 0)])
+    def test_band_index_equals_the_point_formula(self, abs_a, arg_a, abs_b, arg_b, theta,
+                                                 points, edges):
+        setup = cut_setup(exp_map(cmath.rect(abs_a, arg_a), cmath.rect(abs_b, arg_b)), theta)
+        cut = setup.branch_context.cut
+        # band edges: the cut's argument phi(e^x) + 2 pi k at real part x
+        z = [complex(x, y) for x, y in points] + [
+            complex(x, float(cut.phi(math.exp(x))) + 2.0 * math.pi * k) for x, k in edges]
+        bands = setup.band_index(np.array(z))
+        assert bands.dtype.kind == "i"
+        assert bands.tolist() == [scalar_band_index(setup, w) for w in z]
+        one = setup.band_index(z[0])
+        assert np.ndim(one) == 0 and int(one) == bands[0]
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.floats(0.1, 2.0), angles, st.floats(0.0, 1.0), angles)
+    @example(0.3, 0.0, 0.0, 0.0)
+    @example(0.5, 0.0, 0.5, math.atan2(0.4, 0.3))
+    def test_meets_disk_equals_the_domain_loop(self, abs_a, arg_a, abs_b, arg_b):
+        spec = exp_map(cmath.rect(abs_a, arg_a), cmath.rect(abs_b, arg_b))
+        try:
+            setup = structural_setup(spec, Rect(-5, 10, -15, 15), 0.1)
+        except (DeltaBlocked, ExpansionNotValidated):
+            assume(False)
+        meets = setup.meets_disk(setup.domains)
+        assert meets.dtype == bool
+        assert meets.tolist() == [scalar_meets_disk(setup, d) for d in setup.domains]
+        assert [bool(setup.meets_disk([d])[0]) for d in setup.domains] == meets.tolist()
+
+    def test_meets_disk_on_a_mixed_collection(self, setup03):
+        meets = setup03.meets_disk(setup03.domains)
+        assert meets.any() and not meets.all()
+        assert setup03.meets_disk([]).shape == (0,)
 
 
 class TestExpansionRadius:
