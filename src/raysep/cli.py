@@ -76,8 +76,6 @@ KEYS = {
     "bbox": Key("--bbox", "x0,x1,y0,y1", read=lambda text: [float(v) for v in text.split(",")],
                 kind=NUMBER, length=4, convert=lambda box: tuple(float(v) for v in box)),
     "resolution": Key("--res", "grid step", read=float, kind=NUMBER),
-    "depth": Key("--depth", read=int, kind=int, ok=lambda d: d >= 10,
-                 rule="must be at least 10"),
     "radius": Key("--radius", 'expansion radius R or "auto"', kind=(str, *NUMBER),
                   convert=_parse_radius, ok=lambda r: r == "auto" or math.isfinite(r),
                   rule='must be "auto" or a finite number'),
@@ -104,7 +102,6 @@ class ScenarioConfig:
     period: int = 1
     bbox: tuple[float, float, float, float] = (-10.0, 10.0, -12.0, 12.0)
     resolution: float = 0.1
-    depth: int = 80
     radius: str | float = "auto"
     disk_radius: float | None = None
     domains: tuple[int, int] | None = None
@@ -226,8 +223,7 @@ def run(command: str, config: ScenarioConfig) -> int:
         traced = {}
         for p in dict.fromkeys(a.period_length for a in addresses):
             lanes = [i for i, a in enumerate(addresses) if a.period_length == p]
-            traced.update(zip(lanes, trace_ray(setup, [addresses[i] for i in lanes],
-                                               depth=config.depth)))
+            traced.update(zip(lanes, trace_ray(setup, [addresses[i] for i in lanes])))
         payload = []
         failed = {"broken": 0, "unresolved": 0}
         for i, address in enumerate(addresses):
@@ -247,7 +243,7 @@ def run(command: str, config: ScenarioConfig) -> int:
         return EXIT_OK
 
     if command == "fixedpoints":
-        records = period_points(setup, config.period, config.depth)[-1]
+        records = period_points(setup, config.period)[-1]
         _emit(config, "fixedpoints.json",
               {"records": [serialize.record_to_json(r) for r in records]})
         if config.out:
@@ -269,8 +265,7 @@ def run(command: str, config: ScenarioConfig) -> int:
 
     if command in ("verify", "plot"):
         report = separation_report(spec, setup, config.period,
-                                   resolution=config.region_resolution,
-                                   ray_depth=config.depth)
+                                   resolution=config.region_resolution)
 
     if command == "verify":
         _emit(config, "verify.json", serialize.report_to_json(report))

@@ -47,6 +47,8 @@ BOUNDARY_TOL = 1e-9
 PETAL_RADII = (0.125, 0.25, 0.5, 1.0, 2.0, 4.0)   # Cauchy radii rho of the petal jet
 ROUNDING_ULPS = 64          # rounding slack of one step of f^p, in ulps of its terms
 ORBIT_SKIP = 64             # K: a singular value's orbit seeds Newton from f^K on
+PROBE_STEP = 0.1            # d0: a virtual-point probe's distance from the point
+PROBE_ITERS = 4000          # steps of f^p a probe orbit walks
 
 
 @dataclass
@@ -280,7 +282,7 @@ def find_fixed_in_domain(setup: StructuralSetup, label: BranchLabel) -> FixedPoi
             f"domain {label} intersects the disk; use find_periodic_points")
     z = dom.anchor
     for _ in range(5000):
-        nz = complex(setup.branch_context.pull_back(z, dom.label))
+        nz = complex(setup.branch_context.pull_back(z, label.j))
         if abs(nz - z) < 1e-12:
             z = nz
             break
@@ -412,20 +414,20 @@ def _captured(jet: PetalJet, u: np.ndarray, left: int, d0: np.ndarray) -> np.nda
             & (final + jet.slack < 0.5 * d0) & (den > 0.0) & (num <= 0.5 * den))
 
 
-def probe_virtual_points(mapobj, fan: PetalFan, period: int = 1, *,
-                         step: float = 0.1, iters: int = 4000) -> list[complex]:
+def probe_virtual_points(mapobj, fan: PetalFan, period: int = 1) -> list[complex]:
     """Attracting directions whose probe orbit converges to the parabolic point.
 
-    Each direction's probe starts at distance d0 = `step` from the point and
-    passes when its `iters` steps never go beyond 10 d0 and end below
+    Each direction's probe starts at distance d0 = PROBE_STEP from the point
+    and passes when its PROBE_ITERS steps never go beyond 10 d0 and end below
     d0/2: convergence along a parabolic direction is algebraic, so the test
     is a decreasing trend rather than a small final distance.  All
     directions walk as lanes, one evaluation per step for the lanes still
     walking.  For a MapSpec with a simple petal (m = 1), a lane stops early
     once `_captured` certifies, by the Fatou coordinate and the closed-form
     jet `_petal_jet`, that the rest of its walk would pass; it is checked at
-    steps 0, 1, 2, 4, 8, ...  Other lanes walk all `iters` steps.
+    steps 0, 1, 2, 4, 8, ...  Other lanes walk all PROBE_ITERS steps.
     """
+    step, iters = PROBE_STEP, PROBE_ITERS
     fn = map_arrays(mapobj, period)
     jet = (_petal_jet(mapobj, fan.at, period)
            if isinstance(mapobj, MapSpec) and fan.m == 1 else None)

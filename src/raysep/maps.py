@@ -191,14 +191,12 @@ class BranchContext:
     spec: MapSpec
     cut: CutGeometry
 
-    def pull_back(self, w, label):
-        """Inverse branch of `label`: the logarithm of (w - b)/a in its band.
+    def pull_back(self, w, band):
+        """Inverse branch of band j: the logarithm of (w - b)/a in band j.
 
-        `label` is one BranchLabel for all of `w`, or an integer band array
-        with one band per lane of a 1-D `w` (a lane's band is the j of its
-        label).  Returns an array, 0-d for a scalar `w`.
+        `band` is one int for all of `w`, or an integer array with one band
+        per lane of a 1-D `w`.  Returns an array, 0-d for a scalar `w`.
         """
-        band = label.j if isinstance(label, BranchLabel) else label
         z = np.asarray(w, dtype=complex)
         return branch_log((z - self.spec.b) / self.spec.a, band, self.cut)
 

@@ -52,7 +52,7 @@ from .curves import group_points
 from .errors import BrokenRay, MixedPeriods, OnCut, UnlandedRay
 from .fixedpoints import _newton_sweep
 from .maps import BranchLabel, MapSpec, in_range
-from .structure import StructuralSetup, _expansion_radii, _not_validated
+from .structure import StructuralSetup, _expansion_radii, _not_validated, as_labels
 
 LANDING_TOL = 1e-10
 PAIR_TOL = 1e-6
@@ -167,6 +167,8 @@ class PullbackWalk:
     `bands` is the (n, p) integer band matrix of the addresses' cycles, built
     once: row i holds the bands of address i's period, and the level-k
     pullback takes every active lane through the band in column k mod p.
+    `symbols` extends each row by its address's preperiod bands, padded
+    with the row's first band to a common width.
     Every active lane goes down one level per `pull_back` call, a block of
     levels at a time.  A lane leaves the walk at the level where its state
     reaches the cut or a singular value (broken), or where it has settled
@@ -177,32 +179,31 @@ class PullbackWalk:
         self.setup = setup
         self.addresses = list(addresses)
         self.bands = np.array([[s.j for s in a.period] for a in self.addresses], dtype=int)
+        self.symbols = self.bands
+        pre = max((len(a.preperiod) for a in self.addresses), default=0)
+        if pre:
+            self.symbols = np.concatenate([self.bands, np.array(
+                [[s.j for s in a.preperiod] + [a.period[0].j] * (pre - len(a.preperiod))
+                 for a in self.addresses], dtype=int)], axis=1)
         self.ctx = setup.branch_context
         self._cut_direction = cmath.exp(1j * self.ctx.cut.theta)
 
     def anchors(self, level: int) -> np.ndarray:
         """Each lane's top state: deep inside the domain of its symbol at `level`.
 
-        The anchor radius is the expansion radius of the lane's symbols: the
-        distinct bands of its sorted row of `bands`, joined by a preperiod's
-        bands.  One doubling search (`structure._expansion_radii`), which
-        tests each radius by the closed-form preimage bound of every symbol,
-        settles the radii of all distinct symbol sets together; the first
-        set, in address order, that no radius validates raises
+        The anchor's real part is DEFAULT_T_TOP past the expansion radius of
+        the lane's row of `symbols`: one doubling search over all rows
+        (`structure._expansion_radii`), which tests each radius by the
+        closed-form preimage bound of every distinct band.  The first row,
+        in address order, that no radius validates raises
         ExpansionNotValidated.
         """
-        symbols = [tuple(dict.fromkeys(row)) for row in np.sort(self.bands, axis=1).tolist()]
-        for i, address in enumerate(self.addresses):
-            if address.preperiod:
-                symbols[i] = tuple(sorted(s.j for s in address.symbols()))
-        sets = list(dict.fromkeys(symbols))
-        labels = [[BranchLabel(j) for j in s] for s in sets]
-        radii = dict(zip(sets, _expansion_radii(self.setup, labels)))
-        for s, ls in zip(sets, labels):
-            if radii[s] is None:
-                raise _not_validated(ls)
+        radii = _expansion_radii(self.setup, self.symbols)
+        failed = np.flatnonzero(np.isnan(radii))
+        if len(failed):
+            raise _not_validated(self.symbols[failed[0]])
         z = np.empty(len(self.addresses), dtype=complex)
-        z.real = np.array([radii[s] for s in symbols], dtype=float) + DEFAULT_T_TOP
+        z.real = radii + DEFAULT_T_TOP
         z.imag = (self.ctx.cut.phi_inf + 2.0 * math.pi * self.bands[:, level % self.bands.shape[1]]
                   - math.pi)
         return z
@@ -292,7 +293,7 @@ class PullbackWalk:
         for label in reversed(preperiod):
             if np.count_nonzero(self._bad_input(z)):
                 raise BrokenRay(0.0, len(preperiod))
-            z = self.ctx.pull_back(z, label)
+            z = self.ctx.pull_back(z, label.j)
         return z
 
 
@@ -333,27 +334,25 @@ def _limits(spec: MapSpec, endpoints: np.ndarray, period: int) -> np.ndarray:
 # -- public operations --------------------------------------------------------------
 
 
-def trace_ray(setup: StructuralSetup, address, depth: int = 80):
+def trace_ray(setup: StructuralSetup, address):
     """Trace rays by one array pullback walk.
 
     `address` is one Address, which gives one Ray, or a sequence of
     addresses of one cycle length, which gives the list of their Rays (a
     mixed batch raises MixedPeriods).  All lanes walk together,
-    DEFAULT_SCHEDULE[-1] cycles deep.  The top cycles are the samples: at
-    most DEFAULT_SAMPLES of them, and at most `depth` + 1, with potentials
-    halving per level from DEFAULT_T_TOP.  The states at the depths of the
-    doubling schedule become the ray's `endpoints`, and one array pass over
-    all lanes' endpoints resolves each ray's `limit` (nan when there is
-    none), which `landing_point` interprets; lanes with clean endpoints but
-    no limit take it from a second walk, to the SLOW_SCHEDULE depths.  A
+    DEFAULT_SCHEDULE[-1] cycles deep.  The samples are the states at the
+    top DEFAULT_SAMPLES cycle boundaries, with potentials halving per level
+    from DEFAULT_T_TOP.  The states at the depths of the doubling schedule
+    become the ray's `endpoints`, and one array pass over all lanes'
+    endpoints resolves each ray's `limit` (nan when there is none), which
+    `landing_point` interprets; lanes with clean endpoints but no limit
+    take it from a second walk, to the SLOW_SCHEDULE depths.  A
     walk that runs into the cut or a singular value among the samples is
     truncated and the ray is marked broken; one that does so below the
     samples leaves nan endpoints.  A preperiodic ray's samples and limit
     then take the preperiod pullbacks, and one of those that starts at the
     cut or a singular value marks the ray broken.
     """
-    if depth < 10:
-        raise ValueError("depth must be at least 10")
     addresses = [address] if isinstance(address, Address) else list(address)
     periods = sorted({a.period_length for a in addresses})
     if len(periods) > 1:
@@ -363,7 +362,7 @@ def trace_ray(setup: StructuralSetup, address, depth: int = 80):
 
     walk = PullbackWalk(setup, addresses)
     p = periods[0]
-    n_cycles = min(DEFAULT_SAMPLES - 1, depth)
+    n_cycles = DEFAULT_SAMPLES - 1
     top = DEFAULT_SCHEDULE[-1] * p
     sample_levels = top - np.arange(n_cycles + 1) * p
     endpoint_levels = top - np.array(DEFAULT_SCHEDULE) * p
@@ -434,8 +433,7 @@ def landing_point(ray: Ray) -> Ray:
     return Ray(ray.address, ray.t, ray.z, status, ray.endpoints, point)
 
 
-def fixed_rays(setup: StructuralSetup, domains, period: int = 1,
-               depth: int = 80) -> list[Ray]:
+def fixed_rays(setup: StructuralSetup, domains, period: int = 1) -> list[Ray]:
     """All rays of period-`period` addresses over the given domains.
 
     For period 1 this is one fixed ray per fundamental domain; for period p,
@@ -444,11 +442,10 @@ def fixed_rays(setup: StructuralSetup, domains, period: int = 1,
     integer band matrix, then each read by `landing_point`.  Per-ray
     failures are recorded in the ray status, not raised.
     """
-    labels = [d if isinstance(d, BranchLabel) else d.label for d in domains]
-    labels = sorted(set(labels), key=lambda l: l.j)
+    labels = sorted(set(as_labels(domains)), key=lambda l: l.j)
     addresses = [Address(period=combo)
                  for combo in itertools.product(labels, repeat=period)]
-    return [landing_point(ray) for ray in trace_ray(setup, addresses, depth=depth)]
+    return [landing_point(ray) for ray in trace_ray(setup, addresses)]
 
 
 def same_landing(landings, z: complex):

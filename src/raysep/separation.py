@@ -53,7 +53,7 @@ from .maps import BranchLabel, MapSpec, in_range
 from .rays import (Address, Ray, RayPair, fixed_rays, landing_groups, landing_point,
                    landings_at, pairs_from_groups, same_landing, trace_ray)
 from .structure import (Rect, StructuralSetup, _expansion_radii, _require_resolution,
-                        validate_expansion_radius)
+                        as_labels, validate_expansion_radius)
 
 PROBE_CLEARANCE = 1e-6
 ARC_SAMPLES = 256           # samples of a modified boundary arc at a fixed point
@@ -316,8 +316,7 @@ def counting_contour(setup: StructuralSetup, domains, rays=()) -> CountingContou
     fixed-point count must be N + 1.  `rays`, fixed rays already traced,
     are passed to `check_full_complete`.
     """
-    labels = sorted((d if isinstance(d, BranchLabel) else d.label for d in domains),
-                    key=lambda l: l.j)
+    labels = sorted(as_labels(domains), key=lambda l: l.j)
     R = setup.expansion_radius
     report = validate_expansion_radius(setup, labels, R)
     if not report.ok:
@@ -579,7 +578,7 @@ class SeparationReport:
         return bool(self.incomplete)
 
 
-def period_points(setup: StructuralSetup, period: int, depth: int):
+def period_points(setup: StructuralSetup, period: int):
     """The period-p rays over the setup's domains and the period-p points in its box.
 
     Newton is seeded with the landings of the landed rays, among them each
@@ -589,7 +588,7 @@ def period_points(setup: StructuralSetup, period: int, depth: int):
     there is none.  Returns the rays, the landed rays, their landings (each
     read once) and the records of `find_periodic_points`.
     """
-    rays = fixed_rays(setup, setup.domains, period, depth=depth)
+    rays = fixed_rays(setup, setup.domains, period)
     landed = [r for r in rays if r.status.kind == "lands_at"]
     landings = np.array([r.landing for r in landed], dtype=complex)
     records = find_periodic_points(setup.spec, setup.bbox, period, extra_seeds=landings)
@@ -597,8 +596,7 @@ def period_points(setup: StructuralSetup, period: int, depth: int):
 
 
 def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
-                      resolution: float = 0.5,
-                      ray_depth: int = 80) -> SeparationReport:
+                      resolution: float = 0.5) -> SeparationReport:
     """Verify that each basic region holds exactly one interior or virtual point.
 
     Traces all period-p rays over the domains of the setup, builds the ray
@@ -613,7 +611,7 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
     if spec != setup.spec:
         raise ValueError(f"map {spec} is not the setup's map {setup.spec}")
     _require_resolution(resolution)
-    rays, landed, landings, records = period_points(setup, period, ray_depth)
+    rays, landed, landings, records = period_points(setup, period)
     lost = len(landed) < len(rays)
     incomplete = [f"ray {r.address} {r.status.kind}" for r in rays
                   if r.status.kind != "lands_at"]
@@ -723,13 +721,14 @@ def _augment_with_inferred_rays(setup: StructuralSetup, period: int, records, la
     candidates is one `derivative_array` step, an orbit that leaves
     `maps.in_range` (where `MapSpec.evaluate` raises Overflow) is dropped,
     and one `band_index` call reads every band.  One doubling search
-    (`structure._expansion_radii`) settles all candidates' radii, and every
-    validated candidate is traced by one `trace_ray` call.  The records are
-    then taken in order: a record matched by a ray inferred for an earlier
-    record, or whose address was already tried, is skipped, an unvalidated
-    address is an `incomplete` entry, and a ray that lands at its record
-    joins the landed rays.  Failures are recorded, not fatal.  Returns
-    `landed` and its `landings`, each with the inferred rays appended.
+    (`structure._expansion_radii`) over the candidates' band rows settles
+    their radii, and every validated candidate is traced by one `trace_ray`
+    call.  The records are then taken in order: a record matched by a ray
+    inferred for an earlier record, or whose address was already tried, is
+    skipped, an unvalidated address is an `incomplete` entry, and a ray
+    that lands at its record joins the landed rays.  Failures are recorded,
+    not fatal.  Returns `landed` and its `landings`, each with the inferred
+    rays appended.
     """
     known = landings_at(landings, [rec.location for rec in records])
     unmatched = [rec for rec, hits in zip(records, known)
@@ -740,12 +739,12 @@ def _augment_with_inferred_rays(setup: StructuralSetup, period: int, records, la
         w, dw = setup.spec.derivative_array(orbits[-1], 1)
         kept &= in_range(w, dw)
         orbits.append(w)
-    bands = setup.band_index(np.stack(orbits, axis=1)[kept]).tolist()
+    rows = setup.band_index(np.stack(orbits, axis=1)[kept])
     candidates = [(rec, Address.cycle(b))      # (record, address), in record order
-                  for rec, b in zip([r for r, ok in zip(unmatched, kept) if ok], bands)]
-    addresses = list(dict.fromkeys(a for _rec, a in candidates))
-    radii = _expansion_radii(setup, [a.period for a in addresses])
-    validated = [a for a, R in zip(addresses, radii) if R is not None]
+                  for rec, b in zip([r for r, ok in zip(unmatched, kept) if ok], rows.tolist())]
+    radii = _expansion_radii(setup, rows)
+    validated = list(dict.fromkeys(a for (_rec, a), R in zip(candidates, radii.tolist())
+                                   if not math.isnan(R)))
     traced = dict(zip(validated, trace_ray(setup, validated))) if validated else {}
 
     inferred, tried = [], set()

@@ -374,6 +374,11 @@ def _preimage_bounds(setup: StructuralSetup, bands, R: float) -> np.ndarray:
     return np.hypot(max(abs(math.log(lo)), abs(math.log(hi))), y)
 
 
+def as_labels(domains) -> list[BranchLabel]:
+    """The label of each fundamental domain in `domains`; a BranchLabel is its own."""
+    return [d if isinstance(d, BranchLabel) else d.label for d in domains]
+
+
 def validate_expansion_radius(setup: StructuralSetup, domains,
                               R: float) -> ExpansionReport:
     """Check that every domain's inverse branch maps the circle |w| = R inside it.
@@ -383,58 +388,55 @@ def validate_expansion_radius(setup: StructuralSetup, domains,
     reach it.  The check passes when the margin is positive; being an upper
     bound, not a sampled estimate, it never passes a failing radius.
     """
-    labels = [d if isinstance(d, BranchLabel) else d.label for d in domains]
-    if not labels:
+    bands = [lb.j for lb in as_labels(domains)]
+    if not bands:
         return ExpansionReport(True, R, None)
-    bounds = _preimage_bounds(setup, [lb.j for lb in labels], R)
+    bounds = _preimage_bounds(setup, bands, R)
     i = int(np.argmax(bounds))
     margin = R - float(bounds[i])
-    return ExpansionReport(bool(margin > 0.0), margin, labels[i].j)
+    return ExpansionReport(bool(margin > 0.0), margin, bands[i])
 
 
-def _expansion_radii(setup: StructuralSetup, label_sets) -> list[float | None]:
-    """Per label set, the first radius, doubling, at which all its labels pass.
+def _expansion_radii(setup: StructuralSetup, rows) -> np.ndarray:
+    """Per row of the integer band matrix `rows`, the first radius, doubling,
+    at which all its bands pass; nan where no R up to EXPANSION_CAP passes.
 
-    All sets move through R, 2R, ... together, from `setup.expansion_radius`
-    once that is set, else from twice the disk radius (at least 1).  At each
-    R one `_preimage_bounds` call bounds the bands of the sets still
-    searching, and a set passes when all its bounds are below R.  A set gets
-    None when no R up to EXPANSION_CAP passes.
+    All rows move through R, 2R, ... together, from `setup.expansion_radius`
+    once that is set, else from twice the disk radius (at least 1).  The
+    distinct bands are found once, and at each R one `_preimage_bounds`
+    call bounds them all; a row still searching passes when all its bounds
+    are below R, and the search stops when no row is left.
     """
-    sets = [[lb.j for lb in _distinct_labels(domains)] for domains in label_sets]
-    radii: list[float | None] = [None] * len(sets)
-    searching = list(range(len(sets)))
+    rows = np.asarray(rows, dtype=int)
+    bands, inverse = np.unique(rows, return_inverse=True)
+    inverse = inverse.reshape(rows.shape)
+    radii = np.full(len(rows), np.nan)
+    searching = np.arange(len(rows))
     R = setup.expansion_radius or max(2.0 * setup.disk.radius, 1.0)
-    while searching and R <= EXPANSION_CAP:
-        bands = list(dict.fromkeys(j for i in searching for j in sets[i]))
-        passed = dict(zip(bands, (_preimage_bounds(setup, bands, R) < R).tolist()))
-        for i in searching:
-            if all(passed[j] for j in sets[i]):
-                radii[i] = R
-        searching = [i for i in searching if radii[i] is None]
+    while len(searching) and R <= EXPANSION_CAP:
+        passed = (_preimage_bounds(setup, bands, R) < R)[inverse[searching]].all(axis=1)
+        radii[searching[passed]] = R
+        searching = searching[~passed]
         R *= 2.0
     return radii
 
 
-def _distinct_labels(domains) -> list[BranchLabel]:
-    return list(dict.fromkeys(d if isinstance(d, BranchLabel) else d.label for d in domains))
-
-
-def _not_validated(domains) -> ExpansionNotValidated:
-    """The error for a label set that no radius up to EXPANSION_CAP validates."""
+def _not_validated(bands) -> ExpansionNotValidated:
+    """The error for a band set that no radius up to EXPANSION_CAP validates."""
     return ExpansionNotValidated(
         f"no expansion radius up to {EXPANSION_CAP:g} valid for bands "
-        f"{sorted(lb.j for lb in _distinct_labels(domains))}")
+        f"{sorted(set(map(int, bands)))}")
 
 
 def select_expansion_radius(setup: StructuralSetup, domains) -> float:
     """The first radius, doubling, at which every label's expansion check passes.
 
-    The search of `_expansion_radii` for one label set.  Raises
-    ExpansionNotValidated, naming the bands, when no R up to EXPANSION_CAP
-    passes.
+    The search of `_expansion_radii` for the one row of the domains' bands.
+    Raises ExpansionNotValidated, naming the bands, when no R up to
+    EXPANSION_CAP passes.
     """
-    (R,) = _expansion_radii(setup, [domains])
-    if R is None:
-        raise _not_validated(domains)
-    return R
+    bands = [lb.j for lb in as_labels(domains)]
+    (R,) = _expansion_radii(setup, [bands])
+    if math.isnan(R):
+        raise _not_validated(bands)
+    return float(R)

@@ -59,7 +59,6 @@ _CONFIGS = st.builds(
     period=st.integers(1, 4),
     bbox=st.tuples(_NUMBERS, _NUMBERS, _NUMBERS, _NUMBERS),
     resolution=st.floats(1e-3, 1.0),
-    depth=st.integers(10, 10_000),
     radius=st.one_of(st.just("auto"), _NUMBERS),
     disk_radius=st.none() | st.floats(1e-3, 10.0),
     domains=st.none() | st.tuples(st.integers(-9, 9), st.integers(-9, 9)).map(
@@ -190,9 +189,7 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args, config, named", [
         (["verify", "--map", "exp(0.3)", "--period", "5"], None, "--period"),
-        (["setup", "--map", "exp(0.3)", "--depth", "5"], None, "--depth"),
-        (["setup"], {"map": "exp(0.3)", "depth": 5}, "'depth'"),
-    ], ids=["period-5", "depth-5", "config-depth-5"])
+    ], ids=["period-5"])
     def test_out_of_range_value_is_config_error_before_setup(
             self, capsys, no_setup, tmp_path, args, config, named):
         if config is not None:
@@ -237,8 +234,6 @@ class TestExitCodes:
          "--period (config key 'period')"),
         (["setup", "--map", "exp(0.3)", "--res", "abc"], None,
          "--res (config key 'resolution')"),
-        (["setup", "--map", "exp(0.3)", "--depth", "x"], None,
-         "--depth (config key 'depth')"),
         (["setup", "--map", "exp(0.3)", "--disk-radius", "q"], None,
          "--disk-radius (config key 'disk_radius')"),
         (["verify", "--map", "exp(0.3)", "--region-res", "z"], None,
@@ -249,9 +244,7 @@ class TestExitCodes:
          "--bbox (config key 'bbox')"),
         (["verify", "--map", "exp(0.3)", "--period", "5"], None,
          "--period (config key 'period')"),
-        (["setup", "--map", "exp(0.3)", "--depth", "5"], None,
-         "--depth (config key 'depth')"),
-        (["setup"], {"map": "exp(0.3)", "depth": 5}, "--depth (config key 'depth')"),
+        (["setup"], {"map": "exp(0.3)", "depth": 80}, "unknown config keys: depth"),
         (["setup", "--map", "exp(0.3)", "--bbox=10,-4,-12,12"], None,
          "box edge x0 = 10.0 must be below x1 = -4.0"),
         (["setup", "--map", "exp(0.3)", "--bbox=-4,10,-12,12", "--disk-radius=inf"], None,
@@ -265,9 +258,9 @@ class TestExitCodes:
             "config-domains-reversed", "bbox-minus-inf",
             "bbox-inf", "config-map-missing", "radius-not-a-number", "radius-nan",
             "config-radius-string", "period-not-a-number", "res-not-a-number",
-            "depth-not-a-number", "disk-radius-not-a-number",
+            "disk-radius-not-a-number",
             "region-res-not-a-number", "domains-not-numbers", "bbox-not-a-number",
-            "period-5", "depth-5", "config-depth-5", "bbox-reversed",
+            "period-5", "config-depth", "bbox-reversed",
             "disk-outside-box"])
     def test_malformed_input_is_one_json_line(self, tmp_path, args, config, named):
         # a fresh process, so an uncaught exception shows as exit 1 and a traceback
@@ -286,6 +279,13 @@ class TestExitCodes:
         payload = json.loads(line)
         assert payload["error"] == "config"
         assert named in payload["message"]
+
+    def test_depth_flag_is_gone(self, capsys):
+        # the ray samples are fixed at DEFAULT_SAMPLES: --depth is an unknown flag
+        with pytest.raises(SystemExit) as exc:
+            main(["setup", "--map", "exp(0.3)", "--depth", "80"])
+        assert exc.value.code == EXIT_CONFIG
+        assert "unrecognized arguments: --depth 80" in capsys.readouterr().err
 
     def test_broken_rays_counted_apart(self, capsys):
         # the band-0 fixed ray of 0.5 e^z + 0.2 runs into the asymptotic value
@@ -334,7 +334,7 @@ class TestArtifacts:
     def test_rays_csv_and_json(self, capsys, tmp_path):
         code, out, _ = run_cli(
             ["rays", "--map", "exp(0.3)", "--address", "0|",
-             "--depth", "320", "--out", str(tmp_path)], capsys)
+             "--out", str(tmp_path)], capsys)
         assert code == EXIT_OK
         data = json.loads((tmp_path / "rays.json").read_text())
         ray = data["rays"][0]

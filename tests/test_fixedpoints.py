@@ -242,9 +242,10 @@ class TestPetals:
         assert len(confirmed) == 1
         assert confirmed[0] == pytest.approx(-1.0, abs=1e-8)
 
-    def test_virtual_probe_both_basins_of_cubic(self):
+    def test_virtual_probe_both_basins_of_cubic(self, monkeypatch):
+        monkeypatch.setattr(raysep.fixedpoints, "PROBE_STEP", 0.05)
         fan = petal_directions(lambda z: z + z ** 3, 0.0)
-        confirmed = probe_virtual_points(lambda z: z + z ** 3, fan, step=0.05)
+        confirmed = probe_virtual_points(lambda z: z + z ** 3, fan)
         assert len(confirmed) == 2
 
 
@@ -314,12 +315,13 @@ class TestVirtualProbe:
         assert len(calls) < 100
 
     @pytest.mark.parametrize("iters", [0, 1, 5, 15, 25, 100])
-    def test_short_walks_equal_full_walk(self, iters):
+    def test_short_walks_equal_full_walk(self, iters, monkeypatch):
         # from d0 = 0.1 the probe comes within d0/2 after about 20 steps
+        monkeypatch.setattr(raysep.fixedpoints, "PROBE_ITERS", iters)
         spec = parse_map("exp(1/e)")
         fan = petal_directions(spec, 1.0)
         expected = reference_probe(spec, fan, iters=iters)
-        assert probe_virtual_points(spec, fan, iters=iters) == expected
+        assert probe_virtual_points(spec, fan) == expected
         assert len(expected) == (iters >= 25)
 
     def test_repelling_direction_confirms_nothing(self, probe_calls):
@@ -394,7 +396,7 @@ def reference_domain_seeds(setup, region):
         z = dom.anchor
         try:
             for _ in range(200):
-                nz = complex(setup.branch_context.pull_back(z, dom.label))
+                nz = complex(setup.branch_context.pull_back(z, dom.label.j))
                 if abs(nz - z) < 1e-12:
                     break
                 z = nz
@@ -476,7 +478,7 @@ class TestParabolicPolish:
 
     def test_parabolic_record_of_exp_inv_e_is_one(self):
         spec = parse_map("exp(1/e)")
-        records = period_points(structural_setup(spec, Rect(-4, 8, -12, 12), 0.1), 1, 80)[3]
+        records = period_points(structural_setup(spec, Rect(-4, 8, -12, 12), 0.1), 1)[3]
         (rec,) = [r for r in records if r.classification == "parabolic"]
         assert np.array([rec.location, rec.multiplier]).tobytes() == \
             np.array([1 + 0j, 1 + 0j]).tobytes()
@@ -583,7 +585,7 @@ class TestFirstRung:
             raise RaysepError("no count")
         # without a count the first grid rung is taken: the grid ladder
         monkeypatch.setattr(raysep.fixedpoints, "argument_principle_count", uncounted)
-        gridded = period_points(setup, 1, 80)[3]
+        gridded = period_points(setup, 1)[3]
         assert grid_calls == [64]
         assert len(records) == len(gridded)
         for ref in gridded:
@@ -637,5 +639,5 @@ class TestCycleBound:
             strict=True, reason="ROADMAP item 10: a cluster of parabolic records at -1")),
     ], ids=P1_IDS[:3] + ["exp(-2)-p2", "exp(-5)-p2", "exp(-e)-p2"])
     def test_non_repelling_records_lie_on_one_orbit(self, spec, box, res, period):
-        records = period_points(structural_setup(spec, box, res), period, 80)[3]
+        records = period_points(structural_setup(spec, box, res), period)[3]
         assert orbit_count(spec, records, period) == 1

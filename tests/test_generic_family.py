@@ -49,7 +49,7 @@ class TestOffsetMap:
             if setup_offset.delta.distance_to_point(w) < 1e-2:
                 continue
             for j in (-1, 0, 1):
-                z = setup_offset.branch_context.pull_back(w, setup_offset.domain_by_band(j).label)
+                z = setup_offset.branch_context.pull_back(w, setup_offset.domain_by_band(j).label.j)
                 value, _ = spec.evaluate(complex(z), 1)
                 worst = max(worst, abs(value - w))
             checked += 1

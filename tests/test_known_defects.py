@@ -10,13 +10,16 @@ so a changed defect does not go unseen.  A row must never be loosened to
 pass: fix the program instead.
 """
 
+import math
+
+import numpy as np
 import pytest
 
 from raysep.cli import EXIT_INCOMPLETE, main
-from raysep.curves import ParamCurve, argument_principle_count
+from raysep.curves import ParamCurve, argument_principle_count, min_segment_distance
 from raysep.maps import exp_map, parse_map
 from raysep.rays import LANDING_TOL, Address, landing_point, trace_ray
-from raysep.separation import separation_report
+from raysep.separation import pair_polyline, separation_report
 from raysep.structure import Rect, structural_setup
 
 
@@ -72,6 +75,29 @@ def test_period_three_without_a_census_is_incomplete():
     report = separation_report(spec, structural_setup(spec, Rect(-9, 7.5, -13, 13), 0.12), 3)
     got = ([v.verdict for v in report.verdicts], len(report.records), report.incomplete)
     check(got, (["exactly_one_interior"], 161, []), bool(report.incomplete))
+
+
+@known_defect(6)
+def test_pair_curve_follows_its_rays():
+    # the |0,1 / |1,0 polyline runs a straight chord from its far anchor to
+    # the landing point; each ray, as one pullback s0 of the horizontal line
+    # at the height of band s1, strays from it inside the box
+    spec = exp_map(-5)
+    setup = structural_setup(spec, Rect(-9, 7.5, -13, 13), 0.12)
+    report = separation_report(spec, setup, 2, resolution=0.25)
+    (pair,) = [p for p in report.graph.pairs
+               if sorted(str(r.address) for r in p.rays) == ["|0,1", "|1,0"]]
+    box = setup.bbox
+    polyline = pair_polyline(pair, box.x1 + 3.0 * box.diagonal)
+    x = np.geomspace(10.0, 1e6, 2001)
+    gap = 0.0
+    for ray in pair.rays:
+        s0, s1 = (s.j for s in ray.address.period)
+        w = x + 1j * (setup.branch_context.cut.phi_inf + 2.0 * math.pi * s1 - math.pi)
+        z = setup.branch_context.pull_back(w, s0)
+        z = z[(z.real >= box.x0) & (z.real <= box.x1) & (z.imag >= box.y0) & (z.imag <= box.y1)]
+        gap = max(gap, float(min_segment_distance(z, polyline[:-1], polyline[1:]).max()))
+    check(f"{gap:.2f}", "0.88", gap <= 0.25)
 
 
 @known_defect(10)

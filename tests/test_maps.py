@@ -8,7 +8,6 @@ import pytest
 from raysep.errors import OnCut, Overflow
 from raysep.maps import (
     BranchContext,
-    BranchLabel,
     CutGeometry,
     MapSpec,
     branch_log,
@@ -101,20 +100,20 @@ class TestSingularValues:
             assert values[0] == pytest.approx(b)
 
 
-def pull_back(spec, w, label, cut):
-    """The inverse branch of `label` at one point, for the cut geometry `cut`."""
-    return complex(BranchContext(spec, cut).pull_back(w, label))
+def pull_back(spec, w, band, cut):
+    """The inverse branch of `band` at one point, for the cut geometry `cut`."""
+    return complex(BranchContext(spec, cut).pull_back(w, band))
 
 
 class TestInverseBranch:
     def test_principal_branch(self):
         spec = exp_map(0.3)
-        z = pull_back(spec, 3.0, BranchLabel(0), negative_real_cut(spec))
+        z = pull_back(spec, 3.0, 0, negative_real_cut(spec))
         assert z == pytest.approx(np.log(10.0))
 
     def test_band_shift(self):
         spec = exp_map(0.3)
-        z = pull_back(spec, 3.0, BranchLabel(1), negative_real_cut(spec))
+        z = pull_back(spec, 3.0, 1, negative_real_cut(spec))
         assert z == pytest.approx(np.log(10.0) + 2j * np.pi)
 
     def test_pullback_iteration_converges_to_repelling_point(self):
@@ -123,7 +122,7 @@ class TestInverseBranch:
         cut = negative_real_cut(spec)
         z = 3.0 + 0j
         for _ in range(200):
-            z = pull_back(spec, z, BranchLabel(0), cut)
+            z = pull_back(spec, z, 0, cut)
         target = brentq(lambda t: 0.3 * np.exp(t) - t, 1, 2, xtol=1e-14)
         assert z == pytest.approx(target, abs=1e-12)
 
@@ -136,7 +135,7 @@ class TestInverseBranch:
             if abs(w) < 1.1 or abs(w.imag) < 1e-3 and w.real < 0:
                 continue
             for j in (-1, 0, 2):
-                z = pull_back(spec, w, BranchLabel(j), cut)
+                z = pull_back(spec, w, j, cut)
                 value, _ = spec.evaluate(z, 1)
                 assert abs(value - w) < 1e-9
 
@@ -146,7 +145,7 @@ class TestInverseBranch:
         cut = negative_real_cut(spec)
         for _ in range(100):
             w = complex(rng.uniform(1.5, 8), rng.uniform(-8, 8))
-            images = [pull_back(spec, w, BranchLabel(j), cut)
+            images = [pull_back(spec, w, j, cut)
                       for j in range(-2, 3)]
             for i in range(len(images)):
                 for k in range(i + 1, len(images)):
@@ -165,7 +164,7 @@ class TestInverseBranch:
         lanes = ctx.pull_back(w, bands)
         assert lanes.shape == w.shape
         for z, wl, j in zip(lanes, w, bands):
-            assert z.tobytes() == ctx.pull_back(wl, BranchLabel(int(j))).tobytes()
+            assert z.tobytes() == ctx.pull_back(wl, int(j)).tobytes()
         # the cut lanes land on their band's top edge, phi(|v|) + 2 pi j
         v = np.abs((w[9:] - spec.b) / spec.a)
         edge = ctx.cut.phi(v) + 2.0 * np.pi * bands[9:]

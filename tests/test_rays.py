@@ -276,7 +276,7 @@ def _scalar_walk(setup, address, levels):
     for k in range(levels - 1, -1, -1):
         if walk._bad_input(np.array([z]))[0]:
             return states, k + 1
-        z = states[k] = complex(setup.branch_context.pull_back(z, address.period[k % p]))
+        z = states[k] = complex(setup.branch_context.pull_back(z, address.period[k % p].j))
         if k + p <= levels and abs(z - states[k + p]) < 1e-15 * (1.0 + abs(z)):
             for kk in range(k - 1, -1, -1):
                 states[kk] = states[kk + p]
@@ -350,10 +350,9 @@ class TestBatchedWalk:
         levels = DEFAULT_SCHEDULE[-1]
         pull_back, calls = BranchContext.pull_back, []
 
-        def onto_b(ctx, w, label):
-            z = pull_back(ctx, w, label)
+        def onto_b(ctx, w, band):
+            z = pull_back(ctx, w, band)
             calls.append(None)
-            band = label.j if isinstance(label, BranchLabel) else label
             return np.where((band == 0) & (len(calls) == n), spec.b, z)
         monkeypatch.setattr(BranchContext, "pull_back", onto_b)
         if n == 0:

@@ -349,7 +349,7 @@ class TestFundamentalDomains:
             w = complex(rng.uniform(1, 9), rng.uniform(-9, 9))
             if abs(w) <= setup03.disk.radius + 0.1:
                 continue
-            images = [complex(setup03.branch_context.pull_back(w, lb)) for lb in labels]
+            images = [complex(setup03.branch_context.pull_back(w, lb.j)) for lb in labels]
             for i, (lb, z) in enumerate(zip(labels, images)):
                 assert in_domain(setup03, z, lb)
                 for k in range(i + 1, len(images)):
@@ -398,7 +398,7 @@ class TestCutGeometry:
             edge = cut.lift(s, m)
             for turn, band in ((-eps, m), (eps, m + 1)):
                 w = s * cmath.exp(1j * (cut.theta + turn))
-                z = context.pull_back(w, BranchLabel(band))
+                z = context.pull_back(w, band)
                 assert np.max(np.abs(z - edge)) <= 10 * eps
 
 
@@ -415,7 +415,7 @@ def scalar_meets_disk(setup, dom) -> bool:
     for side in dom.side_curves:
         best = min(best, float(np.min(np.abs(side.z))))
     u = setup.branch_context.cut.theta + np.linspace(1e-6, 2.0 * math.pi - 1e-6, 512)
-    z = setup.branch_context.pull_back(setup.disk.radius * np.exp(1j * u), dom.label)
+    z = setup.branch_context.pull_back(setup.disk.radius * np.exp(1j * u), dom.label.j)
     return min(best, float(np.min(np.abs(z)))) <= setup.disk.radius + 1e-9
 
 
@@ -551,7 +551,7 @@ def reference_validate(setup, labels, R):
         top = -math.inf
         u = np.linspace(0.0, 2.0 * np.pi, REFERENCE_SAMPLES, endpoint=False)
         for _ in range(6):
-            mods = np.abs(setup.branch_context.pull_back(R * np.exp(1j * u), label))
+            mods = np.abs(setup.branch_context.pull_back(R * np.exp(1j * u), label.j))
             k = int(np.argmax(mods))
             top = max(top, float(mods[k]))
             du = u[1] - u[0]
@@ -561,13 +561,19 @@ def reference_validate(setup, labels, R):
 
 
 def reference_radius(setup, labels):
-    """Sequential doubling search for one label set; None past the cap."""
+    """Sequential doubling search for one label set; nan past the cap."""
     R = setup.expansion_radius
     while R <= raysep.structure.EXPANSION_CAP:
         if validate_expansion_radius(setup, labels, R).ok:
             return R
         R *= 2.0
-    return None
+    return math.nan
+
+
+def padded_rows(sets):
+    """The band matrix of ragged band sets, each padded with its first band."""
+    width = max(map(len, sets))
+    return np.array([js + js[:1] * (width - len(js)) for js in sets], dtype=int)
 
 
 bands = st.lists(st.integers(-60, 60), min_size=1, max_size=6)
@@ -609,22 +615,49 @@ class TestExpansionRows:
     @given(st.integers(0, len(EXPANSION_MAPS) - 1), st.lists(bands, min_size=1, max_size=4))
     def test_bulk_search_equals_sequential_search(self, k, sets):
         setup = fresh_setup(k)
-        label_sets = [[BranchLabel(j) for j in js] for js in sets]
-        radii = raysep.structure._expansion_radii(setup, label_sets)
-        assert radii == [reference_radius(setup, labels) for labels in label_sets]
+        radii = raysep.structure._expansion_radii(setup, padded_rows(sets))
+        expected = [reference_radius(setup, [BranchLabel(j) for j in js]) for js in sets]
+        np.testing.assert_array_equal(radii, expected)     # nan matches nan
 
     def test_a_set_past_the_cap(self):
         # band 10^5 has preimages of modulus ~2 pi 10^5, beyond every R up to
         # the cap; the sets beside it settle as before
         setup = fresh_setup(0)
-        far = [BranchLabel(0), BranchLabel(100000)]
-        label_sets = [[BranchLabel(1)], far, [BranchLabel(40)]]
-        radii = raysep.structure._expansion_radii(setup, label_sets)
-        assert radii[1] is None
-        assert radii == [reference_radius(setup, labels) for labels in label_sets]
+        sets = [[1], [0, 100000], [40]]
+        radii = raysep.structure._expansion_radii(setup, padded_rows(sets))
+        assert math.isnan(radii[1])
+        np.testing.assert_array_equal(
+            radii, [reference_radius(setup, [BranchLabel(j) for j in js]) for js in sets])
         with pytest.raises(ExpansionNotValidated,
                            match=re.escape("up to 1e+06 valid for bands [0, 100000]")):
-            select_expansion_radius(setup, far + far[:1])
+            select_expansion_radius(setup, [BranchLabel(0), BranchLabel(100000), BranchLabel(0)])
+
+    def test_preperiodic_rows_join_their_preperiod_bands(self):
+        # a preperiodic lane's anchor radius is the search over its period's
+        # and its preperiod's bands; a periodic lane beside it keeps its own
+        from raysep.rays import DEFAULT_T_TOP, Address, PullbackWalk
+        setup = fresh_setup(0)
+        addresses = [Address.parse(text) for text in ("40|0,1", "|1,0", "-30,5|2,1")]
+        expected = [reference_radius(setup, sorted(a.symbols(), key=lambda lb: lb.j))
+                    + DEFAULT_T_TOP for a in addresses]
+        assert PullbackWalk(setup, addresses).anchors(2).real.tolist() == expected
+        addresses.append(Address.parse("100000|0,1"))
+        with pytest.raises(ExpansionNotValidated,
+                           match=re.escape("up to 1e+06 valid for bands [0, 1, 100000]")):
+            PullbackWalk(setup, addresses).anchors(2)
+
+    def test_explicit_radius_past_the_cap(self):
+        # the search starts above EXPANSION_CAP, so it tests no radius and
+        # every walk raises
+        from raysep.rays import Address, trace_ray
+        a, b, box, resolution = EXPANSION_MAPS[0]
+        setup = structural_setup(exp_map(a, b), Rect(*box), resolution,
+                                 expansion_radius=2.0 * raysep.structure.EXPANSION_CAP)
+        radii = raysep.structure._expansion_radii(setup, padded_rows([[0], [1], [-1]]))
+        assert np.isnan(radii).all()
+        for address in (Address.constant(0), Address.cycle([1, -1])):
+            with pytest.raises(ExpansionNotValidated):
+                trace_ray(setup, address)
 
     def test_anchors_raise_for_the_first_failing_set(self):
         from raysep.rays import Address, trace_ray
