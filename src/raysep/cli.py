@@ -8,8 +8,8 @@ Exit codes: 0 success, 2 configuration or I/O error, 3 a verification
 VIOLATION (a region with the wrong occupancy, or a count mismatch),
 4 incomplete evidence (rays that did not land, a global count that
 could not be taken, or a virtual point that could not be placed).
-Errors are emitted as one-line JSON on stderr so pipelines can branch on
-them.
+Errors, argument errors among them, are emitted as one-line JSON on stderr
+so pipelines can branch on them.
 """
 
 from __future__ import annotations
@@ -144,8 +144,16 @@ class ScenarioConfig:
         return cls(**kwargs)
 
 
+class _Parser(argparse.ArgumentParser):
+    """An ArgumentParser whose usage errors raise ValueError, which `main`
+    emits as one JSON line like every other configuration error."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="raysep",
         description="Separation of the plane by invariant dynamic rays "
                     "for exponential-type entire maps.")
@@ -296,8 +304,8 @@ def run(command: str, config: ScenarioConfig) -> int:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return run(args.command, config_from_args(args))
     except (OSError, ValueError) as exc:
         _error("config", exc)

@@ -436,7 +436,13 @@ def argument_principle_count(mapobj, contour: ParamCurve, mode: str = "fixed_poi
         raise NotSimple("contour has self-intersections")
     if signed_area(contour) <= 0:
         raise NotCounterclockwise("contour must be counterclockwise")
+    return _winding_count(mapobj, contour, mode, period)
 
+
+def _winding_count(mapobj, contour: ParamCurve, mode: str, period: int) -> int:
+    """`argument_principle_count` on a contour known to be closed, simple and
+    counterclockwise: the winding number of the integrand along the refined
+    contour, snapped to an integer."""
     fp = map_arrays(mapobj, period)
     if mode == "fixed_points":
         integrand = lambda z: fp(z)[0] - z
@@ -459,7 +465,8 @@ def multiplicity_at(mapobj, z0: complex, radius: float, period: int = 1) -> int:
     """Local multiplicity of f^p(z)-z at z0 via counts on two circles.
 
     The caller supplies a radius small enough to isolate z0; this is checked
-    by comparing the counts at radius and radius/2.
+    by comparing the counts at radius and radius/2.  The circles are closed,
+    simple and counterclockwise by construction, so neither is checked.
     """
     z0 = complex(z0)
     fp = map_arrays(mapobj, period)
@@ -469,7 +476,7 @@ def multiplicity_at(mapobj, z0: complex, radius: float, period: int = 1) -> int:
     counts = []
     for r in (radius, radius / 2.0):
         circle = ParamCurve.circle(z0, r, n=512)
-        counts.append(argument_principle_count(mapobj, circle, "fixed_points", period))
+        counts.append(_winding_count(mapobj, circle, "fixed_points", period))
     if counts[0] != counts[1]:
         raise InconsistentRadius(counts[0], counts[1])
     return counts[0]

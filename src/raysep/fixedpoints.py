@@ -127,14 +127,14 @@ def _newton_sweep(evaluator, seeds: np.ndarray) -> np.ndarray:
     return z.reshape(np.shape(seeds))
 
 
-def _polish_parabolic(evaluator, z: np.ndarray) -> np.ndarray:
-    """Refine near-parabolic points by Newton on (f^p)'(z) - 1, as lanes of `_newton_sweep`.
+def _unit_multiplier_jet(evaluator):
+    """The evaluator on which `_newton_sweep` runs Newton on (f^p)'(z) - 1.
 
     The derivative has a simple zero where f^p(z) - z has a double one, so
-    this sidesteps the cancellation floor of the direct residual.  The sweep
-    runs on the jet u -> ((f^p)'(u) - 1 + u, D + 1), whose Newton step is
+    this sidesteps the cancellation floor of the direct residual.  The jet is
+    u -> ((f^p)'(u) - 1 + u, D + 1), whose Newton step is
     ((f^p)'(u) - 1) / D, with D the central difference of (f^p)' at step
-    1e-6.  A point that moves more than 1e-4 (1 + |z|) keeps its input.
+    1e-6.
     """
     h = 1e-6
 
@@ -142,8 +142,16 @@ def _polish_parabolic(evaluator, z: np.ndarray) -> np.ndarray:
         _, d = evaluator(np.concatenate([u, u + h, u - h]))
         d, right, left = np.split(d, 3)
         return d - 1.0 + u, (right - left) / (2.0 * h) + 1.0
+    return jet
 
-    polished = _newton_sweep(jet, z)
+
+def _polish_parabolic(evaluator, z: np.ndarray) -> np.ndarray:
+    """Refine near-parabolic points by Newton on (f^p)'(z) - 1, as lanes of `_newton_sweep`.
+
+    The sweep runs on `_unit_multiplier_jet`.  A point that moves more than
+    1e-4 (1 + |z|) keeps its input.
+    """
+    polished = _newton_sweep(_unit_multiplier_jet(evaluator), z)
     return np.where(np.abs(polished - z) > 1e-4 * (1.0 + np.abs(z)), z, polished)
 
 

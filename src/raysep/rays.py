@@ -17,7 +17,11 @@ no test in between: a narrow walk pays numpy's per-call floor for its
 tests once per block, not once per level.  After each block a lane leaves
 the walk at its first event, the level at which it reached the cut or a
 singular value, or settled on its limit cycle, whose last p states then
-stand for all lower levels.  One walk, DEFAULT_SCHEDULE[-1] cycles deep,
+stand for all lower levels.  Below the samples a lane also leaves where a
+petal certificate proves that the rest of its walk stays in the repelling
+petal of a parabolic cycle and approaches it (`PullbackWalk._petal_orbits`,
+after the Leau-Fatou flower theorem); that cycle then stands for all lower
+levels.  One walk, DEFAULT_SCHEDULE[-1] cycles deep,
 serves both tracing and landing: its top cycles are the ray's samples, and
 its states at the depths of the doubling schedule are the endpoints the
 landing is resolved from.  Lanes that resolve no limit are walked again,
@@ -27,9 +31,11 @@ close to 1 in modulus.
 Potentials are a declared parametrization: the sample at level k carries
 potential DEFAULT_T_TOP * 2^(k_top - k), halving toward the landing point;
 applying f doubles the potential.  Each walk resolves the limits of all its
-lanes in one array pass over the endpoint matrix: a settled endpoint, or
-Richardson extrapolation for the algebraic (parabolic) approach, polished
-by one Newton sweep on f^p(z) - z and kept when f^p closes on it.  A
+lanes in one array pass over the endpoint matrix: a settled endpoint (a
+repelling landing, or a parabolic one that the walk certified), or
+Richardson extrapolation for the algebraic approach to a parabolic point
+with no petal certificate (A = 0, two or more petals), polished by one
+Newton sweep on f^p(z) - z and kept when f^p closes on it.  A
 preperiodic ray's samples and limit then take the preperiod pullbacks.
 `landing_point` interprets one ray's limit, on plain scalars: broken walks
 and the approach direction.
@@ -50,7 +56,8 @@ import numpy as np
 
 from .curves import group_points
 from .errors import BrokenRay, MixedPeriods, OnCut, UnlandedRay
-from .fixedpoints import _newton_sweep
+from .fixedpoints import (ROOT_OF_UNITY_TOL, _captured, _newton_sweep, _petal_jet,
+                          _unit_multiplier_jet)
 from .maps import BranchLabel, MapSpec, in_range
 from .structure import StructuralSetup, _expansion_radii, _not_validated, as_labels
 
@@ -62,6 +69,7 @@ DEFAULT_T_TOP = 8.0
 DEFAULT_SCHEDULE = (10, 20, 40, 80, 160, 320, 640)
 SLOW_SCHEDULE = tuple(16 * d for d in DEFAULT_SCHEDULE)
 WALK_BLOCK = 16
+PETAL_SCREEN = 0.5      # a lane is tested for a petal where |(f^p)' - 1| is below this
 
 
 @dataclass(frozen=True)
@@ -172,7 +180,10 @@ class PullbackWalk:
     Every active lane goes down one level per `pull_back` call, a block of
     levels at a time.  A lane leaves the walk at the level where its state
     reaches the cut or a singular value (broken), or where it has settled
-    on its limit cycle, as if every level had been tested.
+    on its limit cycle, as if every level had been tested; below the top
+    DEFAULT_SAMPLES cycles, also at the end of a block where a petal
+    certificate proves that it lands on a parabolic cycle (tested at
+    doubling depths).
     """
 
     def __init__(self, setup: StructuralSetup, addresses):
@@ -229,8 +240,14 @@ class PullbackWalk:
         one settle test over its states then take each lane out at its
         first event, the level at which a walk that tested every level
         would stop it.  A state on b ends its block where its pullback
-        raises OnCut, and the block's bad test takes it out.  Only the last
-        p + 1 levels and the current block are held in memory.
+        raises OnCut, and the block's bad test takes it out.  At the end of
+        the first block below the top DEFAULT_SAMPLES cycles, and then of
+        the first block each time the walk's depth has doubled,
+        `_petal_orbits` tests the lanes still walking, and a lane it lands
+        stops there: its states below that level hold the parabolic cycle.
+        So a lane that never lands there is tested once per doubling of
+        depth.  Only the last p + 1 levels and the current block are held in
+        memory.
         """
         n, p = self.bands.shape
         keep = np.asarray(keep, dtype=int)
@@ -244,7 +261,7 @@ class PullbackWalk:
         buf[:p] = np.nan
         buf[p] = self.anchors(levels)
         out[:, keep == levels] = buf[p, :, None]
-        k = levels
+        k, petal_at = levels, levels - DEFAULT_SAMPLES * p
         while k > 0 and len(active):
             lanes = len(active)
             m = min(k, WALK_BLOCK, max(1, WALK_BLOCK * WALK_BLOCK // lanes))
@@ -286,7 +303,99 @@ class PullbackWalk:
             else:
                 buf[:p + 1, :lanes] = buf[m:m + p + 1, :lanes]
             k -= m
+            if len(active) and 0 < k <= petal_at:
+                petal_at = 2 * k - levels
+                lanes = len(active)
+                orbits = self._petal_orbits(buf[0, :lanes], buf[p, :lanes], k, rows)
+                gone = np.flatnonzero(~np.isnan(orbits[0]))
+                if len(gone):
+                    # below its stop a landed lane holds the parabolic cycle it lands on
+                    out[active[gone]] = np.where(keep < k, orbits[(keep - k) % p][:, gone].T,
+                                                 out[active[gone]])
+                    active, rows = np.delete(active, gone), np.delete(rows, gone, axis=0)
+                    buf[:p + 1, :len(active)] = np.delete(buf[:p + 1, :lanes], gone, axis=1)
         return out, bad_at
+
+    def _petal_orbits(self, above: np.ndarray, z: np.ndarray, level: int,
+                      rows: np.ndarray) -> np.ndarray:
+        """Per lane, the parabolic cycle that its remaining walk provably lands on.
+
+        `z` holds the lanes' states at `level` and `above` those at level + p;
+        each lane's walk goes on to level 0 through its row of `rows`.  Row i
+        of the (p, lanes) result holds a landed lane's limit at the levels
+        congruent to level + i mod p; the other lanes' columns are nan.
+
+        A lane with |(f^p)'(z) - 1| < PETAL_SCREEN is a candidate.  Newton on
+        (f^p)' = 1 from z (`_unit_multiplier_jet`) gives z0, kept when f^p
+        closes on it and |(f^p)'(z0) - 1| < ROOT_OF_UNITY_TOL, and
+        `_petal_jet` gives its jet (none when A = 0).  In V = 1/(A (z - z0))
+        one step of f^p is V -> V - 1 + eta, and |eta| <= eps(|z - z0|) with
+        `_captured`'s bound (V is its W at z0 - z).  Let V+ be V at the state
+        at level + p, left = level // p + 1 the cycles below it,
+        r_max = 1/(|A| Re V+) and r_min = 1/(|A| (|V+| + 1.5 (left + 1))),
+        and let eps <= 1/2 on [r_min, r_max]: `_captured` at z0 - above with
+        left + 1 steps and no probe distance.  If Re Y >= Re V+ + n/2 and
+        |Y| <= |V+| + 3n/2 for some n < left, every X in D(Y + 1, 3/4) has
+        |z - z0| in [r_min, r_max]; there |eta| < 3/4 = |X - Y - 1| on the
+        circle, so by Rouché f^p has one preimage h(Y) of Y in that disk, and
+        it lies within 1/2 of Y + 1, where the bounds hold for n + 1.  The
+        walk's p logarithms are the branch h when they are holomorphic on
+        D(z0, r_max), which holds every such Y, and agree with h at V+.  The
+        first holds when each disk D(x_j, R_j) that they take it through
+        misses the cut and b (`_cut_distance`), with x_0 = z0, R_0 = r_max,
+        x_(j+1) the next logarithm at x_j and R_(j+1) = -log(1 - R_j/|x_j - b|),
+        the bound of log on that disk; the second when the state at `level` has |V - V+ - 1| <= 1/2,
+        a margin of 1/4 for the walk's rounding.  By induction the lane's
+        states at levels level + p - n p, down to level 0, keep
+        Re V >= Re V+ + n/2 and |V| <= |V+| + 3n/2: they stay in the
+        repelling petal within r_max of z0 and approach z0.  Its limits at the
+        other levels are the centres x_j.  Any failed condition leaves the
+        lane walking.
+        """
+        spec, p = self.ctx.spec, rows.shape[1]
+        orbits = np.full((p, len(z)), np.nan, dtype=complex)
+        lanes = np.flatnonzero(np.abs(spec.derivative_array(z, p)[1] - 1.0) < PETAL_SCREEN)
+        if not len(lanes):
+            return orbits
+        z0 = _newton_sweep(_unit_multiplier_jet(lambda x: spec.derivative_array(x, p)), z[lanes])
+        closes, dw = _closing(spec, z0, p)
+        radius = np.full(len(lanes), np.nan)
+        for i in np.flatnonzero(closes & (np.abs(dw - 1.0) < ROOT_OF_UNITY_TOL)):
+            jet = _petal_jet(spec, z0[i], p)
+            if jet is None:
+                continue
+            with np.errstate(divide="ignore", invalid="ignore"):
+                v_above, v = 1.0 / (jet.A * (np.array([above[lanes[i]], z[lanes[i]]]) - z0[i]))
+            if (abs(v - v_above - 1.0) <= 0.5
+                    and _captured(jet, np.array([z0[i] - above[lanes[i]]]), level // p + 2,
+                                  np.inf)[0]):
+                radius[i] = 1.0 / (abs(jet.A) * v_above.real)
+        held = np.flatnonzero(~np.isnan(radius))
+        x, r = z0[held], radius[held]
+        orbit = np.empty((p, len(held)), dtype=complex)
+        orbit[0] = x
+        for j in range(1, p + 1):
+            clear = r < self._cut_distance(x)
+            held, x, r, orbit = held[clear], x[clear], r[clear], orbit[:, clear]
+            if j == p or not len(held):
+                break
+            r = -np.log1p(-r / np.abs(x - spec.b))
+            x = orbit[p - j] = self.ctx.pull_back(x, rows[lanes[held], (level - j) % p])
+        orbits[:, lanes[held]] = orbit
+        return orbits
+
+    def _cut_distance(self, z: np.ndarray) -> np.ndarray:
+        """Distance from z to where the inverse branches jump: the cut and b.
+
+        That is the cut beyond the disk, s e^(i theta) for s >= r, and the
+        segment from b to its inner end, along which the logarithm's band is
+        bounded at constant argument (`maps.CutGeometry`).
+        """
+        direction, b = self._cut_direction, self.ctx.spec.b
+        end = self.ctx.cut.r * direction
+        s = np.maximum((z * direction.conjugate()).real, self.ctx.cut.r)
+        t = np.clip(((z - b) * np.conj(end - b)).real / abs(end - b) ** 2, 0.0, 1.0)
+        return np.minimum(np.abs(z - s * direction), np.abs(z - b - t * (end - b)))
 
     def prefix(self, z: np.ndarray, preperiod) -> np.ndarray:
         """Apply the preperiod pullbacks to points of the cycle ray."""
@@ -301,8 +410,10 @@ def _limits(spec: MapSpec, endpoints: np.ndarray, period: int) -> np.ndarray:
     """Each row's limit from its DEFAULT_SCHEDULE endpoints; nan where none.
 
     A row's endpoints either settle to the Cauchy tolerance (geometric
-    contraction, repelling landing), and the first settled one is its
-    candidate, or decay algebraically (parabolic landing), which two-level
+    contraction, repelling landing; or a walk stopped in a petal, whose
+    endpoints below the stop hold the certified parabolic point), and the
+    first settled one is its candidate, or decay algebraically (a parabolic
+    landing with no petal certificate, as where A = 0), which two-level
     doubling-depth Richardson extrapolation detects and accelerates.  One
     Newton sweep on f^p(z) - z polishes every candidate, and the polished
     point replaces it when it moved less than 1e-2 (1 + |candidate|).  A
@@ -325,10 +436,16 @@ def _limits(spec: MapSpec, endpoints: np.ndarray, period: int) -> np.ndarray:
     polished = _newton_sweep(lambda z: spec.derivative_array(z, period), candidate)
     point = np.where(np.abs(polished - candidate) < 1e-2 * (1.0 + np.abs(candidate)),
                      polished, candidate)
-    w, dw = spec.derivative_array(point, period)
-    closes = in_range(w, dw) & (np.abs(w - point) < 1e-8 * (1.0 + np.abs(point)))
+    closes = _closing(spec, point, period)[0]
     limit[rows[closes]] = point[closes]
     return limit
+
+
+def _closing(spec: MapSpec, z: np.ndarray, period: int) -> tuple[np.ndarray, np.ndarray]:
+    """Mask of the points that f^p closes on without overflowing (`maps.in_range`),
+    within 1e-8 (1 + |z|), and (f^p)' at every point."""
+    w, dw = spec.derivative_array(z, period)
+    return in_range(w, dw) & (np.abs(w - z) < 1e-8 * (1.0 + np.abs(z))), dw
 
 
 # -- public operations --------------------------------------------------------------
@@ -340,11 +457,15 @@ def trace_ray(setup: StructuralSetup, address):
     `address` is one Address, which gives one Ray, or a sequence of
     addresses of one cycle length, which gives the list of their Rays (a
     mixed batch raises MixedPeriods).  All lanes walk together,
-    DEFAULT_SCHEDULE[-1] cycles deep.  The samples are the states at the
+    DEFAULT_SCHEDULE[-1] cycles deep, unless they settle, or stop in the
+    repelling petal of a parabolic cycle that a certificate proves they
+    land on.  The samples are the states at the
     top DEFAULT_SAMPLES cycle boundaries, with potentials halving per level
     from DEFAULT_T_TOP.  The states at the depths of the doubling schedule
     become the ray's `endpoints`, and one array pass over all lanes'
-    endpoints resolves each ray's `limit` (nan when there is none), which
+    endpoints resolves each ray's `limit` (nan when there is none; by
+    Richardson extrapolation only for a parabolic landing with no petal
+    certificate, as where A = 0), which
     `landing_point` interprets; lanes with clean endpoints but no limit
     take it from a second walk, to the SLOW_SCHEDULE depths.  A
     walk that runs into the cut or a singular value among the samples is

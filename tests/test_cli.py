@@ -281,11 +281,31 @@ class TestExitCodes:
         assert named in payload["message"]
 
     def test_depth_flag_is_gone(self, capsys):
-        # the ray samples are fixed at DEFAULT_SAMPLES: --depth is an unknown flag
+        # the ray samples are fixed at DEFAULT_SAMPLES: --depth is an unknown
+        # flag, reported as one JSON line like every configuration error
+        code, out, err = run_cli(["setup", "--map", "exp(0.3)", "--depth", "80"], capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1 and err.endswith("\n")
+        assert json.loads(err) == {"error": "config",
+                                   "message": "raysep: unrecognized arguments: --depth 80"}
+
+    @pytest.mark.parametrize("args, message", [
+        (["setup", "--map", "exp(0.3)", "--period"],
+         "raysep setup: argument --period: expected one argument"),
+        (["walk"], "raysep: argument command: invalid choice: 'walk'"),
+        ([], "raysep: the following arguments are required: command")])
+    def test_usage_errors_are_one_json_line(self, args, message, capsys):
+        code, out, err = run_cli(args, capsys)
+        assert code == EXIT_CONFIG and out == ""
+        assert err.count("\n") == 1
+        payload = json.loads(err)
+        assert payload["error"] == "config" and payload["message"].startswith(message)
+
+    def test_help_still_prints_usage(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["setup", "--map", "exp(0.3)", "--depth", "80"])
-        assert exc.value.code == EXIT_CONFIG
-        assert "unrecognized arguments: --depth 80" in capsys.readouterr().err
+            main(["verify", "--help"])
+        assert exc.value.code == 0
+        assert "--bbox" in capsys.readouterr().out
 
     def test_broken_rays_counted_apart(self, capsys):
         # the band-0 fixed ray of 0.5 e^z + 0.2 runs into the asymptotic value

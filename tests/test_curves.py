@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import raysep.curves
 from raysep.curves import (
     IndexValue,
     ParamCurve,
@@ -285,6 +286,20 @@ class TestMultiplicity:
     def test_not_fixed_rejected(self):
         with pytest.raises(ValueError):
             multiplicity_at(lambda z: 2 * z, 1.0, 0.1)
+
+    @pytest.mark.parametrize("mapobj, z0, radius, count", [
+        (lambda z: 2 * z, 0, 0.1, 1), (lambda z: z + z ** 3, 0, 0.1, 3),
+        (parse_map("exp(1/e)"), 1.0, 0.2, 2), (parse_map("exp(1/e)"), 1.0, 1e-2, 2)])
+    def test_own_circles_are_not_checked(self, mapobj, z0, radius, count, monkeypatch):
+        # its circles are simple and counterclockwise by construction; the
+        # count is the checked count's
+        assert argument_principle_count(mapobj, ParamCurve.circle(z0, radius, n=512)) == count
+
+        def unchecked(*args):
+            raise AssertionError("multiplicity_at checked its own circle")
+        monkeypatch.setattr(raysep.curves, "is_simple", unchecked)
+        monkeypatch.setattr(raysep.curves, "signed_area", unchecked)
+        assert multiplicity_at(mapobj, z0, radius) == count
 
 
 class TestCurveValidation:

@@ -256,10 +256,21 @@ def test_walk_bits(case, block, monkeypatch):
                 "curved_cut": "exp(0.5,-0.5)", "slow": "exp(0.375,-i/256)"}[case]
         setup = structural_setup(parse_map(text), Rect(-4, 9, -12, 12), 0.1)
         addresses = [Address.constant(j) for j in (-1, 0, 1)]
-    levels = schedule[-1] * addresses[0].period_length
+    p = addresses[0].period_length
+    levels = schedule[-1] * p
     states, bad_at = PullbackWalk(setup, addresses).states(levels, np.arange(levels + 1))
+    stops = []
     for row, bad, address in zip(states, bad_at, addresses):
         ref, ref_bad = frozen_walk(setup, address, levels)
         assert bad == ref_bad
-        assert row.tobytes() == ref.tobytes()
+        # a lane stopped in a repelling petal is the reference above its stop,
+        # and below it repeats its parabolic cycle
+        differ = np.flatnonzero((row != ref) & ~(np.isnan(row) & np.isnan(ref)))
+        stop = int(differ.max()) + 1 if len(differ) else 0
+        assert row[stop:].tobytes() == ref[stop:].tobytes()
+        assert row[:max(stop - p, 0)].tobytes() == row[p:stop].tobytes()
+        stops.append(stop)
     assert (bad_at >= 0).any() == (case == "broken")
+    assert [stop > 0 for stop in stops] == [case == "parabolic" and a == Address.constant(0)
+                                            for a in addresses]
+    assert max(stops) <= levels - raysep.rays.DEFAULT_SAMPLES * p

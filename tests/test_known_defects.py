@@ -117,7 +117,6 @@ def test_period_doubling_parabolic_cycle():
     check(got, today, fixed)
 
 
-@known_defect(17)
 def test_parabolic_ray_lands_on_its_point():
     spec = parse_map("exp(1/e)")
     setup = structural_setup(spec, Rect(-4, 8, -12, 12), 0.1)

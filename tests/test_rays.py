@@ -14,9 +14,10 @@ from scipy.optimize import brentq
 import raysep.rays
 from raysep.errors import (ExpansionNotValidated, MixedPeriods, OnCut, Overflow,
                            RaysepError, UnlandedRay)
-from raysep.fixedpoints import _newton_sweep
+from raysep.fixedpoints import _newton_sweep, _petal_jet, find_periodic_points
 from raysep.maps import OVERFLOW_MAG, BranchContext, BranchLabel, MapSpec, exp_map, parse_map
 from raysep.rays import (
+    DEFAULT_SAMPLES,
     DEFAULT_SCHEDULE,
     DEFAULT_T_TOP,
     LANDING_TOL,
@@ -164,14 +165,18 @@ class TestLanding:
         return landed, len(calls), len(calls) - traced
 
     def test_parabolic_landing_walks_once(self, monkeypatch):
-        # never settles, so the one walk runs the whole schedule depth
+        # never settles, but stops in the repelling petal within two blocks
+        # past the samples, and lands on the parabolic record
         spec = parse_map("exp(1/e)")
         setup = structural_setup(spec, Rect(-4, 8, -12, 12), 0.1)
         landed, calls, landing_calls = self._landing_pullbacks(
             monkeypatch, setup, Address.constant(0))
         assert landed.status.kind == "lands_at"
-        assert calls == DEFAULT_SCHEDULE[-1] * 1
+        assert DEFAULT_SAMPLES - 1 < calls <= DEFAULT_SAMPLES - 1 + 2 * WALK_BLOCK
         assert landing_calls == 0
+        (record,) = [r for r in find_periodic_points(spec, setup.bbox, 1)
+                     if r.classification == "parabolic"]
+        assert abs(landed.landing - record.location) < LANDING_TOL
 
     def test_repelling_landing_stops_when_settled(self, setup03, monkeypatch):
         landed, calls, landing_calls = self._landing_pullbacks(
@@ -284,6 +289,153 @@ def _scalar_walk(setup, address, levels):
     return states, -1
 
 
+def _petal_stop(setup, address, row, ref):
+    """The level at which the walk stopped `row` in a repelling petal; None when it did not.
+
+    Above the stop `row` holds the reference walk `ref`, bit for bit.  Below
+    it, it holds the parabolic cycle that `PullbackWalk._petal_orbits`
+    certifies from the reference's states at the stop and p levels above.
+    The full reference walk, which never stops in a petal, stays inside the
+    bounds that the certificate claims: n cycles below level stop + p, its
+    state z has Re V >= Re V+ + n/2 and |V| <= |V+| + 3n/2 for
+    V = 1/(A (z - z0)), down to level 0, and lies within r_max = 1/(|A| Re V+)
+    of z0.
+    """
+    same = (row == ref) | (np.isnan(row) & np.isnan(ref))
+    if same.all():
+        return None
+    stop, p = int(np.flatnonzero(~same).max()) + 1, address.period_length
+    assert row[stop:].tobytes() == ref[stop:].tobytes()
+    walk = PullbackWalk(setup, [address])
+    orbits = walk._petal_orbits(ref[[stop + p]], ref[[stop]], stop, walk.bands)[:, 0]
+    assert not np.isnan(orbits).any()
+    assert row[:stop].tobytes() == orbits[(np.arange(stop) - stop) % p].tobytes()
+    z0 = orbits[0]
+    jet = _petal_jet(setup.spec, z0, p)
+    v = 1.0 / (jet.A * (ref[stop + p::-p] - z0))
+    n = np.arange(len(v))
+    assert (v.real >= v[0].real + n / 2).all() and (np.abs(v) <= abs(v[0]) + 1.5 * n).all()
+    # within r_max, up to rounding: a real V+ puts the state at level stop + p on its circle
+    assert (np.abs(ref[stop + p::-p] - z0) <= (1.0 + 1e-12) / (abs(jet.A) * v[0].real)).all()
+    return stop
+
+
+class TestPetalStop:
+    """A parabolic lane leaves the walk where a petal certificate proves its landing."""
+
+    @staticmethod
+    def _fixed_rays_pullbacks(monkeypatch, setup):
+        calls, pull_back = [], BranchContext.pull_back
+
+        def counted(ctx, w, band):
+            calls.append(None)
+            return pull_back(ctx, w, band)
+        monkeypatch.setattr(BranchContext, "pull_back", counted)
+        rays = fixed_rays(setup, setup.domains)
+        monkeypatch.undo()
+        return rays, len(calls)
+
+    @pytest.mark.parametrize("b", [0.3 + 0.2j, -0.4 + 0.5j, 0.1 - 0.7j, 1j, -0.5, 0.25])
+    def test_simple_parabolic_family(self, b, monkeypatch):
+        # a = e^-(1 + b): f(1 + b) = 1 + b with f' = 1 and f'' = 1, one petal
+        spec = exp_map(cmath.exp(-(1.0 + b)), b)
+        setup = structural_setup(spec, Rect(-4, 8, -12, 12), 0.1)
+        rays, calls = self._fixed_rays_pullbacks(monkeypatch, setup)
+        (record,) = [r for r in find_periodic_points(spec, setup.bbox, 1)
+                     if r.classification == "parabolic"]
+        assert abs(record.location - (1.0 + b)) < 1e-12
+        (ray,) = [r for r in rays if r.status.kind == "lands_at"
+                  and same_landing(r.landing, record.location)]
+        assert abs(ray.landing - record.location) < LANDING_TOL
+        # the lane stops within two blocks past its samples
+        assert calls <= DEFAULT_SAMPLES - 1 + 2 * WALK_BLOCK
+        levels = DEFAULT_SCHEDULE[-1]
+        row = PullbackWalk(setup, [ray.address]).states(levels, np.arange(levels + 1))[0][0]
+        ref, ref_bad = _scalar_walk(setup, ray.address, levels)
+        assert ref_bad == -1
+        assert _petal_stop(setup, ray.address, row, ref) > levels - DEFAULT_SAMPLES - 2 * WALK_BLOCK
+
+    def test_parabolic_two_cycle(self):
+        # a e^z + b has the 2-cycle 1/t + b, t + b with (f^2)' = 1 where
+        # t^2 = e^(1/t - t) and a = t e^(-1/t - b); t has the branch 2 log t + 4 pi i
+        t = complex(-4.55, -8.33)
+        for _ in range(20):
+            t -= (2 * cmath.log(t) + 4j * math.pi - 1 / t + t) / (2 / t + 1 / t ** 2 + 1)
+        b = 2.3
+        spec = exp_map(t * cmath.exp(-1 / t - b), b)
+        setup = structural_setup(spec, Rect(-8, 8, -14, 14), 0.1)
+        cycle = np.array([1 / t + b, t + b])
+        assert abs(spec.derivative_array(cycle[:1], 2)[1][0] - 1) < 1e-14
+        landed = {str(r.address): r.landing for r in fixed_rays(setup, setup.domains, 2)
+                  if r.status.kind == "lands_at" and same_landing(cycle, r.landing).any()}
+        assert sorted(landed) == ["|-1,1", "|1,-1"]
+        assert np.abs(np.array([landed["|1,-1"], landed["|-1,1"]]) - cycle).max() < LANDING_TOL
+        levels = 2 * DEFAULT_SCHEDULE[-1]
+        addresses = [Address.cycle([1, -1]), Address.cycle([-1, 1])]
+        states, _ = PullbackWalk(setup, addresses).states(levels, np.arange(levels + 1))
+        for address, row in zip(addresses, states):
+            stop = _petal_stop(setup, address, row, _scalar_walk(setup, address, levels)[0])
+            assert levels - 2 * (DEFAULT_SAMPLES + WALK_BLOCK) <= stop
+
+    @pytest.mark.parametrize("text, box", [("exp(1/e)", (-4, 8, -12, 12)),
+                                           ("exp(0.5,-0.5)", (-4, 9, -12, 12)),
+                                           ("exp(0.6,0.5+0.3i)", (-4, 9, -12, 12))])
+    def test_cut_distance_is_where_the_branches_jump(self, text, box):
+        setup = structural_setup(parse_map(text), Rect(*box), 0.1)
+        walk, ctx = PullbackWalk(setup, [Address.constant(0)]), setup.branch_context
+        b, end = ctx.spec.b, ctx.cut.r * cmath.exp(1j * ctx.cut.theta)
+        # the locus: the segment from b to the cut's inner end, then the cut
+        s = np.linspace(0.0, 1.0, 20001)
+        locus = np.concatenate([b + s * (end - b), end * (1.0 + 40.0 * s)])
+        z = np.random.default_rng(3).uniform(-8, 8, 300) + 1j * np.random.default_rng(4).uniform(
+            -8, 8, 300)
+        brute = np.abs(z[:, None] - locus[None, :]).min(axis=1)
+        assert np.allclose(walk._cut_distance(z), brute, atol=2e-3)
+        # each band's logarithm jumps by 2 pi across the locus, and nowhere else
+        normal = 1j * (end - b) / abs(end - b)
+        on = np.concatenate([b + s[1:-1:500] * (end - b), end * (1.0 + 40.0 * s[1:-1:500])])
+        far = z[walk._cut_distance(z) > 1e-3]
+        for band in (-1, 0, 2):
+            left, right = (ctx.pull_back(on + side * 1e-9 * normal, band) for side in (1, -1))
+            assert np.allclose(np.abs(left.imag - right.imag), 2.0 * math.pi, atol=1e-3)
+            for step in (1e-7, 1e-7j, -1e-7, -1e-7j):
+                assert (np.abs(ctx.pull_back(far + step, band) - ctx.pull_back(far, band))
+                        < 1e-3).all()
+
+    @pytest.mark.parametrize("text, box, cycles", [
+        ("exp(0.375,-i/256)", (-4, 10, -12, 12), [(0,), (1,)]),
+        # f^2 has a triple root at -1, two petals and A = 0
+        ("exp(-e)", (-6, 6, -10, 10), [(0, 1), (1, 0)])])
+    def test_no_certificate_no_stop(self, text, box, cycles, monkeypatch):
+        spec = parse_map(text)
+        setup = structural_setup(spec, Rect(*box), 0.1)
+        petal_orbits, landed = PullbackWalk._petal_orbits, []
+
+        def spy(walk, above, z, level, rows):
+            orbits = petal_orbits(walk, above, z, level, rows)
+            landed.append(not np.isnan(orbits).all())
+            return orbits
+        monkeypatch.setattr(PullbackWalk, "_petal_orbits", spy)
+        addresses = [Address.cycle(c) for c in cycles]
+        levels = DEFAULT_SCHEDULE[-1] * len(cycles[0])
+        states, bad_at = PullbackWalk(setup, addresses).states(levels, np.arange(levels + 1))
+        assert landed and not any(landed)
+        assert (bad_at < 0).all()
+        for row, address in zip(states, addresses):
+            assert row.tobytes() == _scalar_walk(setup, address, levels)[0].tobytes()
+        if text == "exp(-e)":
+            assert _petal_jet(spec, -1.0, 2) is None
+
+    def test_parabolic_box_pullback_count(self, monkeypatch):
+        # the exp(1/e) benchmark box: |0 stops at level 608 and every other
+        # lane settles above it, so the walk makes 32 pullback calls, not 640
+        setup = structural_setup(parse_map("exp(1/e)"), Rect(-4, 8, -12, 12), 0.1)
+        for _ in range(2):
+            rays, calls = self._fixed_rays_pullbacks(monkeypatch, setup)
+            assert calls == 32
+            assert all(r.status.kind == "lands_at" for r in rays)
+
+
 class TestBatchedWalk:
     """A batch of addresses gives exactly the rays of one call per address."""
 
@@ -305,11 +457,18 @@ class TestBatchedWalk:
         levels = schedule[-1] * addresses[0].period_length
         walk = PullbackWalk(setup, addresses)
         states, bad_at = walk.states(levels, np.arange(levels + 1))
+        stops = []
         for row, bad, address in zip(states, bad_at, addresses):
             ref, ref_bad = _scalar_walk(setup, address, levels)
             assert bad == ref_bad
-            assert np.array_equal(row, ref, equal_nan=True)
+            # the reference takes the same petal stop, and is the walk above it
+            stops.append(_petal_stop(setup, address, row, ref))
         assert (bad_at >= 0).any() == (case == "broken")
+        # only the parabolic |0 stops, once its samples are walked
+        assert [s is not None for s in stops] == [case == "parabolic" and a == Address.constant(0)
+                                                  for a in addresses]
+        if case == "parabolic":
+            assert stops[1] <= levels - DEFAULT_SAMPLES
 
     @settings(max_examples=25, deadline=None)
     @given(data=st.data(), abs_a=st.floats(0.1, 2.0), arg_a=angles, abs_b=st.floats(0.0, 1.0),
@@ -342,10 +501,10 @@ class TestBatchedWalk:
     def test_state_on_b_is_broken_not_on_cut(self, n, monkeypatch):
         # a state exactly on b (the anchor for n = 0, else the n-th pullback's)
         # breaks its lane at that level; a block pulls it back before its bad
-        # test, and that pullback must not raise OnCut.  The lane is the
-        # parabolic |0, which would walk all levels
-        spec = parse_map("exp(1/e)")
-        setup = structural_setup(spec, Rect(-4, 8, -12, 12), 0.1)
+        # test, and that pullback must not raise OnCut.  The lane is the weakly
+        # repelling |0 of exp(0.375,-i/256), which would walk all levels
+        spec = exp_map(0.375, -1j / 256)
+        setup = structural_setup(spec, Rect(-4, 10, -12, 12), 0.1)
         addresses = [Address.constant(j) for j in (-1, 0, 1)]
         levels = DEFAULT_SCHEDULE[-1]
         pull_back, calls = BranchContext.pull_back, []
@@ -383,16 +542,18 @@ class TestBatchedWalk:
         assert len(calls) == 20
 
     def test_one_bad_test_per_block(self, monkeypatch):
-        # the parabolic ray |0 never settles and walks all 640 levels
-        setup = structural_setup(parse_map("exp(1/e)"), Rect(-4, 8, -12, 12), 0.1)
+        # the weakly repelling ray |0 of exp(0.375,-i/256) never settles and
+        # walks all 640 levels
+        setup = structural_setup(exp_map(0.375, -1j / 256), Rect(-4, 10, -12, 12), 0.1)
         bad_input, calls = PullbackWalk._bad_input, []
 
         def counted(walk, z):
             calls.append(None)
             return bad_input(walk, z)
         monkeypatch.setattr(PullbackWalk, "_bad_input", counted)
-        rays = fixed_rays(setup, setup.domains)
-        assert all(r.status.kind == "lands_at" for r in rays)
+        walk = PullbackWalk(setup, [Address.constant(d.label.j) for d in setup.domains])
+        states, bad_at = walk.states(DEFAULT_SCHEDULE[-1], [0])
+        assert (bad_at < 0).all() and not np.isnan(states).any()
         assert len(calls) <= math.ceil(DEFAULT_SCHEDULE[-1] / WALK_BLOCK) + 8
 
     @staticmethod
@@ -455,9 +616,16 @@ class TestBatchedWalk:
         landed = self._check_batch(spec, setup, addresses)
         assert all(r.status.kind == "lands_at" for r in landed)
         assert abs(landed[1].landing - 1.0) < 1e-6
-        # the parabolic lane never settles: its limit is Richardson's
+        # the parabolic lane never settles; it stops in the petal, below which
+        # its endpoints hold the certified z0, and that is its limit
+        walk = PullbackWalk(setup, addresses)
+        levels = DEFAULT_SCHEDULE[-1]
+        row = walk.states(levels, np.arange(levels + 1))[0][1]
+        stop = _petal_stop(setup, addresses[1], row, _scalar_walk(setup, addresses[1], levels)[0])
+        z0 = row[stop - 1]
         e = landed[1].endpoints
-        assert not np.any(np.abs(np.diff(e)) < LANDING_TOL * (1.0 + np.abs(e[1:])))
+        assert _bits(landed[1].limit) == _bits(z0) == _bits(e[-1])
+        assert not np.any(np.abs(np.diff(e[:2])) < LANDING_TOL * (1.0 + np.abs(e[1])))
 
     def test_mixed_periods_rejected(self, setup_neg5):
         with pytest.raises(MixedPeriods):
