@@ -21,22 +21,19 @@ stand for all lower levels.  Below the samples a lane also leaves where a
 petal certificate proves that the rest of its walk stays in the repelling
 petal of a parabolic cycle and approaches it (`PullbackWalk._petal_orbits`,
 after the Leau-Fatou flower theorem); that cycle then stands for all lower
-levels.  One walk, DEFAULT_SCHEDULE[-1] cycles deep,
-serves both tracing and landing: its top cycles are the ray's samples, and
-its states at the depths of the doubling schedule are the endpoints the
-landing is resolved from.  Lanes that resolve no limit are walked again,
-SLOW_SCHEDULE[-1] cycles deep, for a landing point whose multiplier is
-close to 1 in modulus.
+levels.  One walk, SCHEDULE[-1] cycles deep, serves both tracing and
+landing: its top cycles are the ray's samples, and its states at the
+depths of the doubling schedule are the endpoints the landing is resolved
+from.  Only a lane that neither settles, breaks nor stops walks it all.
 
 Potentials are a declared parametrization: the sample at level k carries
 potential DEFAULT_T_TOP * 2^(k_top - k), halving toward the landing point;
-applying f doubles the potential.  Each walk resolves the limits of all its
-lanes in one array pass over the endpoint matrix: a settled endpoint (a
-repelling landing, or a parabolic one that the walk certified), or
-Richardson extrapolation for the algebraic approach to a parabolic point
-with no petal certificate (A = 0, two or more petals), polished by one
-Newton sweep on f^p(z) - z and kept when f^p closes on it.  A
-preperiodic ray's samples and limit then take the preperiod pullbacks.
+applying f doubles the potential.  The walk resolves the limits of all its
+lanes in one array pass over the endpoint matrix: the first settled
+endpoint (a repelling landing, or a parabolic one that the walk
+certified), polished by one Newton sweep on f^p(z) - z and kept when f^p
+closes on it.  A preperiodic ray's samples and limit then take the
+preperiod pullbacks.
 `landing_point` interprets one ray's limit, on plain scalars: broken walks
 and the approach direction.
 
@@ -66,8 +63,7 @@ PAIR_TOL = 1e-6
 BROKEN_TOL = 1e-8
 DEFAULT_SAMPLES = 26
 DEFAULT_T_TOP = 8.0
-DEFAULT_SCHEDULE = (10, 20, 40, 80, 160, 320, 640)
-SLOW_SCHEDULE = tuple(16 * d for d in DEFAULT_SCHEDULE)
+SCHEDULE = tuple(10 * 2 ** i for i in range(11))     # endpoint depths: 10, 20, ..., 10240 cycles
 WALK_BLOCK = 16
 PETAL_SCREEN = 0.5      # a lane is tested for a petal where |(f^p)' - 1| is below this
 
@@ -146,7 +142,7 @@ class Ray:
     t: np.ndarray                  # decreasing potentials
     z: np.ndarray
     status: RayStatus
-    endpoints: np.ndarray          # cycle walk states at the DEFAULT_SCHEDULE depths
+    endpoints: np.ndarray          # cycle walk states at the SCHEDULE depths
     limit: complex                 # the walk's limit, after any preperiod; nan: none
 
     @property
@@ -407,14 +403,12 @@ class PullbackWalk:
 
 
 def _limits(spec: MapSpec, endpoints: np.ndarray, period: int) -> np.ndarray:
-    """Each row's limit from its DEFAULT_SCHEDULE endpoints; nan where none.
+    """Each row's limit from its SCHEDULE endpoints; nan where none.
 
-    A row's endpoints either settle to the Cauchy tolerance (geometric
+    A row's endpoints settle to the Cauchy tolerance (geometric
     contraction, repelling landing; or a walk stopped in a petal, whose
     endpoints below the stop hold the certified parabolic point), and the
-    first settled one is its candidate, or decay algebraically (a parabolic
-    landing with no petal certificate, as where A = 0), which two-level
-    doubling-depth Richardson extrapolation detects and accelerates.  One
+    first settled one is its candidate; a row with none has no limit.  One
     Newton sweep on f^p(z) - z polishes every candidate, and the polished
     point replaces it when it moved less than 1e-2 (1 + |candidate|).  A
     point is the limit when f^p closes on it without overflowing
@@ -424,15 +418,9 @@ def _limits(spec: MapSpec, endpoints: np.ndarray, period: int) -> np.ndarray:
     rows = np.flatnonzero(~np.isnan(endpoints).any(axis=1))
     e = endpoints[rows]
     settled = np.abs(np.diff(e, axis=1)) < LANDING_TOL * (1.0 + np.abs(e[:, 1:]))
-    r1 = 2.0 * e[:, 1:] - e[:, :-1]
-    r2 = (4.0 * r1[:, 1:] - r1[:, :-1]) / 3.0
-    algebraic = np.abs(r2[:, -1] - r2[:, -2]) < 1e-4 * (1.0 + np.abs(r2[:, -1]))
-    has_settled = settled.any(axis=1)
-    found = has_settled | algebraic
+    found = settled.any(axis=1)
     rows, e, settled = rows[found], e[found], settled[found]
-    candidate = np.where(has_settled[found],
-                         e[np.arange(len(e)), np.argmax(settled, axis=1) + 1],
-                         r2[found, -1])
+    candidate = e[np.arange(len(e)), np.argmax(settled, axis=1) + 1]
     polished = _newton_sweep(lambda z: spec.derivative_array(z, period), candidate)
     point = np.where(np.abs(polished - candidate) < 1e-2 * (1.0 + np.abs(candidate)),
                      polished, candidate)
@@ -457,22 +445,18 @@ def trace_ray(setup: StructuralSetup, address):
     `address` is one Address, which gives one Ray, or a sequence of
     addresses of one cycle length, which gives the list of their Rays (a
     mixed batch raises MixedPeriods).  All lanes walk together,
-    DEFAULT_SCHEDULE[-1] cycles deep, unless they settle, or stop in the
-    repelling petal of a parabolic cycle that a certificate proves they
-    land on.  The samples are the states at the
-    top DEFAULT_SAMPLES cycle boundaries, with potentials halving per level
-    from DEFAULT_T_TOP.  The states at the depths of the doubling schedule
-    become the ray's `endpoints`, and one array pass over all lanes'
-    endpoints resolves each ray's `limit` (nan when there is none; by
-    Richardson extrapolation only for a parabolic landing with no petal
-    certificate, as where A = 0), which
-    `landing_point` interprets; lanes with clean endpoints but no limit
-    take it from a second walk, to the SLOW_SCHEDULE depths.  A
-    walk that runs into the cut or a singular value among the samples is
-    truncated and the ray is marked broken; one that does so below the
-    samples leaves nan endpoints.  A preperiodic ray's samples and limit
-    then take the preperiod pullbacks, and one of those that starts at the
-    cut or a singular value marks the ray broken.
+    SCHEDULE[-1] cycles deep, unless they settle, or stop in the repelling
+    petal of a parabolic cycle that a certificate proves they land on.  The
+    samples are the states at the top DEFAULT_SAMPLES cycle boundaries, with
+    potentials halving per level from DEFAULT_T_TOP.  The states at the
+    SCHEDULE depths become the ray's `endpoints`, and one array pass over
+    all lanes' endpoints resolves each ray's `limit` (nan when there is
+    none), which `landing_point` interprets.  A walk that runs into the cut
+    or a singular value among the samples is truncated and the ray is
+    marked broken; one that does so below the samples leaves nan
+    endpoints.  A preperiodic ray's samples and limit then take the
+    preperiod pullbacks, and one of those that starts at the cut or a
+    singular value marks the ray broken.
     """
     addresses = [address] if isinstance(address, Address) else list(address)
     periods = sorted({a.period_length for a in addresses})
@@ -484,17 +468,12 @@ def trace_ray(setup: StructuralSetup, address):
     walk = PullbackWalk(setup, addresses)
     p = periods[0]
     n_cycles = DEFAULT_SAMPLES - 1
-    top = DEFAULT_SCHEDULE[-1] * p
+    top = SCHEDULE[-1] * p
     sample_levels = top - np.arange(n_cycles + 1) * p
-    endpoint_levels = top - np.array(DEFAULT_SCHEDULE) * p
+    endpoint_levels = top - np.array(SCHEDULE) * p
     states, bad_at = walk.states(top, np.concatenate([sample_levels, endpoint_levels]))
     potentials = DEFAULT_T_TOP * np.power(2.0, -np.arange(n_cycles + 1, dtype=float) * p)
     limits = _limits(setup.spec, states[:, n_cycles + 1:], p)
-    slow = np.flatnonzero(np.isnan(limits) & ~np.isnan(states[:, n_cycles + 1:]).any(axis=1))
-    if len(slow):
-        deep = PullbackWalk(setup, [addresses[i] for i in slow])
-        levels = (SLOW_SCHEDULE[-1] - np.array(SLOW_SCHEDULE)) * p
-        limits[slow] = _limits(setup.spec, deep.states(SLOW_SCHEDULE[-1] * p, levels)[0], p)
 
     # each ray's t, z and endpoints are views of `potentials` and of its row
     # of `states`: per-ray copies raised peak memory at period 4
@@ -523,15 +502,16 @@ def trace_ray(setup: StructuralSetup, address):
 def landing_point(ray: Ray) -> Ray:
     """The ray with its landing status, read off the limit its walk resolved.
 
-    `trace_ray` keeps the states of the ray's own walk at the depths of the
-    doubling schedule and resolves their limit, after any preperiod, in one
-    pass over the whole walk, so a ray is neither walked nor polished again
-    here; the read itself is on plain scalars.  Nan endpoints mean that
-    walk hit the cut or a singular value below the samples, and the ray is
-    broken at its least potential; a limit that is not finite leaves it
-    unresolved.  A landed periodic ray gets the approach direction of its
-    deepest endpoint farther than 1e3 LANDING_TOL from the point; with no
-    such endpoint, or for a preperiodic ray, the direction is None.
+    `trace_ray` keeps the states of the ray's own walk at the SCHEDULE
+    depths and resolves their limit, after any preperiod, in one pass over
+    the whole walk, so a ray is neither walked nor polished again here; the
+    read itself is on plain scalars.  Nan endpoints mean that walk hit the
+    cut or a singular value below the samples, at any depth down to
+    SCHEDULE[-1] cycles, and the ray is broken at its least potential; a
+    limit that is not finite leaves it unresolved.  A landed periodic ray
+    gets the approach direction of its deepest endpoint farther than 1e3
+    LANDING_TOL from the point; with no such endpoint, or for a preperiodic
+    ray, the direction is None.
     """
     if ray.status.kind == "broken":
         return ray
@@ -544,8 +524,9 @@ def landing_point(ray: Ray) -> Ray:
     else:
         direction = None
         if not ray.address.preperiod:
+            far = 1e3 * LANDING_TOL
             for e in reversed(endpoints):
-                if abs(e - point) > 1e3 * LANDING_TOL:
+                if abs(e - point) > far:
                     # numpy complex128 division: Python's differs in the last ulp
                     gap = np.complex128(e) - point
                     direction = gap / abs(gap)

@@ -22,7 +22,7 @@ from raysep.errors import OnCut
 from raysep.fixedpoints import _newton_sweep
 from raysep.maps import (LOG_FLOOR, OVERFLOW_MAG, OVERFLOW_RE, BranchContext, CutGeometry,
                          branch_log, exp_map, parse_map)
-from raysep.rays import BROKEN_TOL, DEFAULT_SCHEDULE, SLOW_SCHEDULE, Address, PullbackWalk
+from raysep.rays import BROKEN_TOL, SCHEDULE, Address, PullbackWalk
 from raysep.structure import Rect, structural_setup
 
 # -- the frozen copies ---------------------------------------------------------------
@@ -247,7 +247,6 @@ def test_newton_sweep_bits(spec, period):
 def test_walk_bits(case, block, monkeypatch):
     if block is not None:
         monkeypatch.setattr(raysep.rays, "WALK_BLOCK", block)
-    schedule = SLOW_SCHEDULE if case == "slow" else DEFAULT_SCHEDULE
     if case == "period_two":
         setup = structural_setup(exp_map(-5), Rect(-9, 7.5, -13, 13), 0.12)
         addresses = [Address.cycle(b) for b in itertools.product((-1, 0, 2), repeat=2)]
@@ -257,7 +256,7 @@ def test_walk_bits(case, block, monkeypatch):
         setup = structural_setup(parse_map(text), Rect(-4, 9, -12, 12), 0.1)
         addresses = [Address.constant(j) for j in (-1, 0, 1)]
     p = addresses[0].period_length
-    levels = schedule[-1] * p
+    levels = (SCHEDULE[-1] if case == "slow" else 640) * p
     states, bad_at = PullbackWalk(setup, addresses).states(levels, np.arange(levels + 1))
     stops = []
     for row, bad, address in zip(states, bad_at, addresses):

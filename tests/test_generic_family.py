@@ -130,7 +130,7 @@ class TestFamilyInvariants:
     @settings(max_examples=12, deadline=None)
     @given(a=_complex_in(0.05, 0.6, -0.2, 0.2), b=_complex_in(-0.5, 0.5, -0.3, 0.3))
     # rays landing at weakly repelling points (|multiplier| 1.07, 1.07 and
-    # 1.02), whose endpoints do not settle within DEFAULT_SCHEDULE's depth
+    # 1.02), whose walks settle only more than 640 cycles deep
     @example(a=0.40625 + 0j, b=0.015625j)
     @example(a=0.25 + 0.00390625j, b=0.4375 + 0j)
     @example(a=0.375 + 0.078125j, b=-0.203125j)

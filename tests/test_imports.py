@@ -1,20 +1,26 @@
 """Every name that a module of the package imports is used in that module,
-and every private function or class it defines is used in the package.
+and every private function or class and every module constant it defines
+is used in the package.
 
 Stdlib-only stand-ins for a linter's unused-import and dead-code rules: each
 module is parsed with `ast`.  An imported name counts as used when the
 module reads it as a name or lists it in `__all__` (the package's
 re-exports).  A private definition (a name with one leading underscore)
 counts as used when some module reads it as a name or an attribute, or
-imports it.
+imports it, and so does a module constant (an UPPER_CASE name assigned at
+module level); assigning a name does not use it.
 """
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
 
 import raysep
+
+PATHS = sorted(Path(raysep.__file__).parent.glob("*.py"))
+SOURCES = {path.name: path.read_text(encoding="utf-8") for path in PATHS}
 
 
 def unused_imports(source: str) -> list[str]:
@@ -33,35 +39,39 @@ def unused_imports(source: str) -> list[str]:
     return [f"{name} (line {line})" for name, line in imported.items() if name not in used]
 
 
-@pytest.mark.parametrize("path", sorted(Path(raysep.__file__).parent.glob("*.py")),
-                         ids=lambda path: path.name)
+@pytest.mark.parametrize("path", PATHS, ids=lambda path: path.name)
 def test_no_unused_import(path):
-    unused = unused_imports(path.read_text(encoding="utf-8"))
+    unused = unused_imports(SOURCES[path.name])
     assert not unused, f"{path.name} imports but never uses: {', '.join(unused)}"
+
+
+def names_read(tree: ast.AST) -> set[str]:
+    """The names `tree` reads as a name or an attribute, or imports from a module."""
+    read = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            read.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            read.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            read.update(alias.name for alias in node.names)
+    return read
 
 
 def unused_private_definitions(sources: dict[str, str]) -> list[str]:
     """The private functions and classes of `sources` that none of them uses,
     each with its module and line."""
-    defined, used = [], set()
-    for name, source in sources.items():
-        for node in ast.walk(ast.parse(source)):
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
-                if node.name.startswith("_") and not node.name.endswith("__"):
-                    defined.append((node.name, name, node.lineno))
-            elif isinstance(node, ast.Name):
-                used.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                used.add(node.attr)
-            elif isinstance(node, ast.ImportFrom):
-                used.update(alias.name for alias in node.names)
-    return [f"{fn} ({module} line {line})" for fn, module, line in defined if fn not in used]
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    used = set().union(*map(names_read, trees.values()))
+    return [f"{node.name} ({name} line {node.lineno})"
+            for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            and node.name.startswith("_") and not node.name.endswith("__")
+            and node.name not in used]
 
 
 def test_no_unused_private_definition():
-    sources = {path.name: path.read_text(encoding="utf-8")
-               for path in sorted(Path(raysep.__file__).parent.glob("*.py"))}
-    unused = unused_private_definitions(sources)
+    unused = unused_private_definitions(SOURCES)
     assert not unused, f"private definitions nothing uses: {', '.join(unused)}"
 
 
@@ -75,3 +85,32 @@ def test_an_unused_private_definition_is_found():
 def test_an_unused_import_is_found():
     source = "import math, os.path\nfrom sys import argv, path\n__all__ = ['argv']\nos.sep\n"
     assert unused_imports(source) == ["math (line 1)", "path (line 2)"]
+
+
+def unread_constants(sources: dict[str, str]) -> list[str]:
+    """The UPPER_CASE module constants of `sources` that none of them reads,
+    each with its module and line."""
+    trees = {name: ast.parse(source) for name, source in sources.items()}
+    read = set().union(*map(names_read, trees.values()))
+    unread = []
+    for name, tree in trees.items():
+        for node in tree.body:
+            targets = (node.targets if isinstance(node, ast.Assign)
+                       else [node.target] if isinstance(node, ast.AnnAssign) else [])
+            unread += [f"{t.id} ({name} line {node.lineno})" for t in targets
+                       if isinstance(t, ast.Name) and re.fullmatch(r"[A-Z][A-Z0-9_]*", t.id)
+                       and t.id not in read]
+    return unread
+
+
+def test_no_unread_constant():
+    unread = unread_constants(SOURCES)
+    assert not unread, f"module constants nothing reads: {', '.join(unread)}"
+
+
+def test_an_unread_constant_is_found():
+    sources = {"a.py": "USED = 1\nDEAD = 2\nLOCAL: int = 3\nATTR = 4\n_lower = 5\n"
+                       "def f():\n    return LOCAL\n",
+               "b.py": "from a import USED\nimport a\nx = a.ATTR\nSTORED = 6\nSTORED = 7\n"}
+    assert unread_constants(sources) == ["DEAD (a.py line 2)", "STORED (b.py line 4)",
+                                         "STORED (b.py line 5)"]

@@ -18,11 +18,10 @@ from raysep.fixedpoints import _newton_sweep, _petal_jet, find_periodic_points
 from raysep.maps import OVERFLOW_MAG, BranchContext, BranchLabel, MapSpec, exp_map, parse_map
 from raysep.rays import (
     DEFAULT_SAMPLES,
-    DEFAULT_SCHEDULE,
     DEFAULT_T_TOP,
     LANDING_TOL,
     PAIR_TOL,
-    SLOW_SCHEDULE,
+    SCHEDULE,
     WALK_BLOCK,
     Address,
     PullbackWalk,
@@ -39,6 +38,11 @@ from raysep.rays import (
 )
 from raysep.structure import Rect, structural_setup, validate_expansion_radius
 
+# the depth, in cycles, of the walk tests: every settle or petal stop they look for comes above
+# it, and SHORT_ENDPOINTS endpoints of the SCHEDULE lie down to it
+SHORT_WALK = 640
+SHORT_ENDPOINTS = SCHEDULE.index(SHORT_WALK) + 1
+
 
 @pytest.fixture(scope="module")
 def setup03():
@@ -48,6 +52,12 @@ def setup03():
 @pytest.fixture(scope="module")
 def setup_neg5():
     return structural_setup(exp_map(-5), Rect(-9, 7.5, -13, 13), 0.12)
+
+
+@pytest.fixture(scope="module")
+def setup_weak():
+    """Its ray |0 lands at a weakly repelling fixed point, |multiplier| = 1.0265."""
+    return structural_setup(exp_map(0.375, -1j / 256), Rect(-4, 10, -12, 12), 0.1)
 
 
 class TestAddress:
@@ -182,23 +192,36 @@ class TestLanding:
         landed, calls, landing_calls = self._landing_pullbacks(
             monkeypatch, setup03, Address.constant(1))
         assert landed.status.kind == "lands_at"
-        assert calls < DEFAULT_SCHEDULE[-1]
+        assert calls < SHORT_WALK
         assert landing_calls == 0
 
-    def test_weakly_repelling_landing_walks_deeper(self, monkeypatch):
-        # the landing point's multiplier has modulus 1.0265: the endpoints of
-        # the default walk resolve no limit, a walk SLOW_SCHEDULE deep does
-        spec = exp_map(0.375, -1j / 256)
-        setup = structural_setup(spec, Rect(-4, 10, -12, 12), 0.1)
+    def test_weakly_repelling_landing_walks_deeper(self, setup_weak, monkeypatch):
+        # the landing point's multiplier has modulus 1.0265: the endpoints
+        # down to SHORT_WALK cycles resolve no limit, the deeper ones do
+        spec = setup_weak.spec
         landed, calls, landing_calls = self._landing_pullbacks(
-            monkeypatch, setup, Address.constant(0))
-        assert np.isnan(_limits(spec, landed.endpoints[None, :], 1)[0])
-        assert DEFAULT_SCHEDULE[-1] < calls <= DEFAULT_SCHEDULE[-1] + SLOW_SCHEDULE[-1]
+            monkeypatch, setup_weak, Address.constant(0))
+        assert np.isnan(_limits(spec, landed.endpoints[None, :SHORT_ENDPOINTS], 1)[0])
+        assert SHORT_WALK < calls <= SCHEDULE[-1]
         assert landed.status.kind == "lands_at" and landing_calls == 0
+        assert _bits(landed.landing) == _bits(1.0069979695729254 + 0.19530804575017333j)
         w, dw = spec.evaluate(landed.landing, 1)
         assert abs(w - landed.landing) < 1e-8 * (1 + abs(landed.landing))
         assert 1.02 < abs(dw) < 1.03
         assert abs(landed.landing - landed.endpoints[-1]) < 1e-6
+
+    def test_break_below_the_short_walk_is_broken(self, setup_weak, monkeypatch):
+        # a bad disk of radius 1e-8 about the weakly repelling landing point,
+        # which the walk enters about 673 cycles deep: the deeper endpoints
+        # are nan, and the ray is broken at its least potential
+        landing = 1.0069979695729254 + 0.19530804575017333j
+        bad_input = PullbackWalk._bad_input
+        monkeypatch.setattr(PullbackWalk, "_bad_input",
+                            lambda walk, z: bad_input(walk, z) | (np.abs(z - landing) < 1e-8))
+        ray = trace_ray(setup_weak, Address.constant(0))
+        assert not np.isnan(ray.endpoints[:SHORT_ENDPOINTS]).any()
+        assert np.isnan(ray.endpoints[SHORT_ENDPOINTS:]).all()
+        assert landing_point(ray).status == RayStatus("broken", first_bad_t=float(np.min(ray.t)))
 
     def test_periodic_landing_closes(self, setup_neg5):
         spec = setup_neg5.spec
@@ -226,21 +249,16 @@ def _bits(z):
 def _scalar_limit(spec, endpoints, period):
     """Reference: one ray's limit as the per-ray landing resolved it.
 
-    Settled endpoint or two-level Richardson, a one-lane Newton polish, and
-    closure through `MapSpec.evaluate`; None when there is no limit.
+    The first settled endpoint, a one-lane Newton polish, and closure
+    through `MapSpec.evaluate`; None when there is no limit.
     """
     if np.any(np.isnan(endpoints)):
         return None
     diffs = np.abs(np.diff(endpoints))
     settled = np.nonzero(diffs < LANDING_TOL * (1.0 + np.abs(endpoints[1:])))[0]
-    if len(settled):
-        candidate = complex(endpoints[settled[0] + 1])
-    else:
-        r1 = 2.0 * endpoints[1:] - endpoints[:-1]
-        r2 = (4.0 * r1[1:] - r1[:-1]) / 3.0
-        if not abs(r2[-1] - r2[-2]) < 1e-4 * (1.0 + abs(r2[-1])):
-            return None
-        candidate = complex(r2[-1])
+    if not len(settled):
+        return None
+    candidate = complex(endpoints[settled[0] + 1])
     point = candidate
     polished = complex(_newton_sweep(lambda z: spec.derivative_array(z, period),
                                      np.array([candidate]))[0])
@@ -349,7 +367,7 @@ class TestPetalStop:
         assert abs(ray.landing - record.location) < LANDING_TOL
         # the lane stops within two blocks past its samples
         assert calls <= DEFAULT_SAMPLES - 1 + 2 * WALK_BLOCK
-        levels = DEFAULT_SCHEDULE[-1]
+        levels = SHORT_WALK
         row = PullbackWalk(setup, [ray.address]).states(levels, np.arange(levels + 1))[0][0]
         ref, ref_bad = _scalar_walk(setup, ray.address, levels)
         assert ref_bad == -1
@@ -370,7 +388,7 @@ class TestPetalStop:
                   if r.status.kind == "lands_at" and same_landing(cycle, r.landing).any()}
         assert sorted(landed) == ["|-1,1", "|1,-1"]
         assert np.abs(np.array([landed["|1,-1"], landed["|-1,1"]]) - cycle).max() < LANDING_TOL
-        levels = 2 * DEFAULT_SCHEDULE[-1]
+        levels = 2 * SHORT_WALK
         addresses = [Address.cycle([1, -1]), Address.cycle([-1, 1])]
         states, _ = PullbackWalk(setup, addresses).states(levels, np.arange(levels + 1))
         for address, row in zip(addresses, states):
@@ -417,7 +435,7 @@ class TestPetalStop:
             return orbits
         monkeypatch.setattr(PullbackWalk, "_petal_orbits", spy)
         addresses = [Address.cycle(c) for c in cycles]
-        levels = DEFAULT_SCHEDULE[-1] * len(cycles[0])
+        levels = SHORT_WALK * len(cycles[0])
         states, bad_at = PullbackWalk(setup, addresses).states(levels, np.arange(levels + 1))
         assert landed and not any(landed)
         assert (bad_at < 0).all()
@@ -445,7 +463,6 @@ class TestBatchedWalk:
     def test_array_walk_matches_scalar_walk(self, case, block, setup_neg5, monkeypatch):
         if block is not None:
             monkeypatch.setattr(raysep.rays, "WALK_BLOCK", block)
-        schedule = SLOW_SCHEDULE if case == "slow" else DEFAULT_SCHEDULE
         if case == "period_two":
             setup = setup_neg5
             addresses = [Address.cycle(b) for b in ([0, 1], [1, 0], [-1, 2], [2, 2])]
@@ -454,7 +471,7 @@ class TestBatchedWalk:
                     "slow": exp_map(0.375, -1j / 256)}[case]
             setup = structural_setup(spec, Rect(-4, 9, -12, 12), 0.1)
             addresses = [Address.constant(j) for j in (-1, 0, 1)]
-        levels = schedule[-1] * addresses[0].period_length
+        levels = (SCHEDULE[-1] if case == "slow" else SHORT_WALK) * addresses[0].period_length
         walk = PullbackWalk(setup, addresses)
         states, bad_at = walk.states(levels, np.arange(levels + 1))
         stops = []
@@ -484,7 +501,7 @@ class TestBatchedWalk:
         cycles = data.draw(st.lists(st.tuples(*[st.sampled_from(bands)] * period),
                                     min_size=1, max_size=4, unique=True))
         addresses = [Address.cycle(c) for c in cycles]
-        levels = DEFAULT_SCHEDULE[-1] * period
+        levels = SHORT_WALK * period
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(raysep.rays, "WALK_BLOCK", block)
             try:
@@ -506,7 +523,7 @@ class TestBatchedWalk:
         spec = exp_map(0.375, -1j / 256)
         setup = structural_setup(spec, Rect(-4, 10, -12, 12), 0.1)
         addresses = [Address.constant(j) for j in (-1, 0, 1)]
-        levels = DEFAULT_SCHEDULE[-1]
+        levels = SHORT_WALK
         pull_back, calls = BranchContext.pull_back, []
 
         def onto_b(ctx, w, band):
@@ -552,9 +569,9 @@ class TestBatchedWalk:
             return bad_input(walk, z)
         monkeypatch.setattr(PullbackWalk, "_bad_input", counted)
         walk = PullbackWalk(setup, [Address.constant(d.label.j) for d in setup.domains])
-        states, bad_at = walk.states(DEFAULT_SCHEDULE[-1], [0])
+        states, bad_at = walk.states(SHORT_WALK, [0])
         assert (bad_at < 0).all() and not np.isnan(states).any()
-        assert len(calls) <= math.ceil(DEFAULT_SCHEDULE[-1] / WALK_BLOCK) + 8
+        assert len(calls) <= math.ceil(SHORT_WALK / WALK_BLOCK) + 8
 
     @staticmethod
     def _check_batch(spec, setup, addresses):
@@ -619,7 +636,7 @@ class TestBatchedWalk:
         # the parabolic lane never settles; it stops in the petal, below which
         # its endpoints hold the certified z0, and that is its limit
         walk = PullbackWalk(setup, addresses)
-        levels = DEFAULT_SCHEDULE[-1]
+        levels = SHORT_WALK
         row = walk.states(levels, np.arange(levels + 1))[0][1]
         stop = _petal_stop(setup, addresses[1], row, _scalar_walk(setup, addresses[1], levels)[0])
         z0 = row[stop - 1]
@@ -630,6 +647,58 @@ class TestBatchedWalk:
     def test_mixed_periods_rejected(self, setup_neg5):
         with pytest.raises(MixedPeriods):
             trace_ray(setup_neg5, [Address.constant(0), Address.cycle([0, 1])])
+
+
+def _two_walk_rays(setup, addresses):
+    """Reference: the landed rays of a SHORT_WALK-cycle walk and a second walk.
+
+    The first walk gives the samples and the endpoints at the SCHEDULE
+    depths down to SHORT_WALK cycles.  The rows whose endpoints are clean
+    but give no limit take their limits from a second walk of their lanes,
+    SCHEDULE[-1] cycles deep, at 16 times those depths.  The rays keep the
+    first walk's endpoints, and `landing_point` reads them.  Returns the
+    rays and the indices of the lanes walked again.
+    """
+    p, depths = addresses[0].period_length, np.array(SCHEDULE[:SHORT_ENDPOINTS])
+    top = SHORT_WALK * p
+    states, _ = PullbackWalk(setup, addresses).states(
+        top, np.concatenate([top - np.arange(DEFAULT_SAMPLES) * p, top - depths * p]))
+    endpoints = states[:, DEFAULT_SAMPLES:]
+    limits = _limits(setup.spec, endpoints, p)
+    slow = np.flatnonzero(np.isnan(limits) & ~np.isnan(endpoints).any(axis=1))
+    if len(slow):
+        top = SCHEDULE[-1] * p
+        deep, _ = PullbackWalk(setup, [addresses[i] for i in slow]).states(
+            top, top - 16 * depths * p)
+        limits[slow] = _limits(setup.spec, deep, p)
+    t = DEFAULT_T_TOP * 0.5 ** (np.arange(DEFAULT_SAMPLES) * p)
+    rays = []
+    for address, row, limit in zip(addresses, states, limits):
+        clean = np.count_nonzero(~np.isnan(row[:DEFAULT_SAMPLES]))
+        status = (RayStatus("unresolved") if clean == DEFAULT_SAMPLES
+                  else RayStatus("broken", first_bad_t=float(t[clean])))
+        n = max(clean, 2)
+        rays.append(landing_point(Ray(address, t[:n], row[:n], status, row[DEFAULT_SAMPLES:],
+                                      limit)))
+    return rays, slow
+
+
+class TestOneWalk:
+    """One walk SCHEDULE[-1] cycles deep lands every ray as a SHORT_WALK-cycle
+    walk and a second walk of its unresolved lanes did, bit for bit."""
+
+    @pytest.mark.parametrize("text, box, period", [("exp(0.375,-i/256)", (-4, 10, -12, 12), 1),
+                                                   ("exp(-e)", (-6, 6, -10, 10), 2)])
+    def test_one_walk_is_the_two_walks(self, text, box, period):
+        setup = structural_setup(parse_map(text), Rect(*box), 0.1)
+        addresses = [Address(period=c)
+                     for c in itertools.product(setup.domain_labels(), repeat=period)]
+        refs, slow = _two_walk_rays(setup, addresses)
+        assert len(slow)
+        for ray, ref in zip(trace_ray(setup, addresses), refs):
+            ray = landing_point(ray)
+            assert len(ray.endpoints) == len(SCHEDULE)
+            _same_rays(replace(ray, endpoints=ray.endpoints[:SHORT_ENDPOINTS]), ref)
 
 
 class _ConstantDerivative:
@@ -666,7 +735,7 @@ class TestLimitClosure:
     ])
     def test_matches_evaluate(self, dw, shift, at):
         fake = _ConstantDerivative(dw, shift)
-        endpoints = np.full((1, len(DEFAULT_SCHEDULE)), at, dtype=complex)
+        endpoints = np.full((1, len(SCHEDULE)), at, dtype=complex)
         limit = complex(_limits(fake, endpoints, 1)[0])
         try:
             w, _ = MapSpec.evaluate(fake, at, 1)
@@ -683,8 +752,14 @@ class TestLimitClosure:
     @pytest.mark.parametrize("at, limit", [(1e-4, 0.0), (1.0, complex("nan"))])
     def test_far_newton_jump_is_not_kept(self, at, limit):
         # the jump to 0 is kept only when shorter than 1e-2 (1 + |candidate|)
-        endpoints = np.full((1, len(DEFAULT_SCHEDULE)), at, dtype=complex)
+        endpoints = np.full((1, len(SCHEDULE)), at, dtype=complex)
         assert _bits(_limits(_Doubling(), endpoints, 1)[0]) == _bits(limit)
+
+    def test_algebraic_decay_has_no_limit(self):
+        # every point is fixed, but a row that decays like 1 + 1/d at the
+        # SCHEDULE depths d settles nowhere
+        row = 1.0 + 1.0 / np.array(SCHEDULE, dtype=complex)
+        assert np.isnan(_limits(_ConstantDerivative(2.0), row[None, :], 1)[0])
 
     def test_rows_without_a_candidate(self):
         # every point is fixed, so only the endpoints decide
