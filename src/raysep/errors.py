@@ -91,15 +91,6 @@ class ExpansionNotValidated(RaysepError):
     """Expansion radius check failed for the requested symbol set."""
 
 
-class BrokenRay(RaysepError):
-    """Pullback ran into a singular value or the delta cut."""
-
-    def __init__(self, t: float, depth: int):
-        self.t = t
-        self.depth = depth
-        super().__init__(f"ray broken at t={t!r}, pullback depth {depth}")
-
-
 class MixedPeriods(RaysepError):
     """`trace_ray` and `landing_groups` take rays of one period only."""
 

@@ -163,7 +163,7 @@ def _auto_multiplicity(mapobj, z: complex, period: int, spacing: float) -> int:
         return 2  # parabolic with multiplier 1 has multiplicity at least 2
 
 
-def find_periodic_points(mapobj, region: Rect | tuple, period: int = 1, *,
+def find_periodic_points(mapobj, region: Rect, period: int = 1, *,
                          extra_seeds=()) -> list[FixedPointRecord]:
     """All solutions of f^p(z) = z in the region, classified.
 
@@ -173,8 +173,6 @@ def find_periodic_points(mapobj, region: Rect | tuple, period: int = 1, *,
     wide boxes) the first grid is taken as it is.  `separation.period_points`
     passes the landings of the period-p rays as `extra_seeds`.
     """
-    if not isinstance(region, Rect):
-        region = Rect(*region)
     if period < 1 or period > 4:
         raise ValueError("period must be between 1 and 4")
     evaluator = map_arrays(mapobj, period)

@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import group_points
-from .errors import BrokenRay, MixedPeriods, OnCut, UnlandedRay
+from .errors import MixedPeriods, OnCut, UnlandedRay
 from .fixedpoints import (ROOT_OF_UNITY_TOL, _captured, _newton_sweep, _petal_jet,
                           _unit_multiplier_jet)
 from .maps import BranchLabel, MapSpec, in_range
@@ -393,11 +393,12 @@ class PullbackWalk:
         t = np.clip(((z - b) * np.conj(end - b)).real / abs(end - b) ** 2, 0.0, 1.0)
         return np.minimum(np.abs(z - s * direction), np.abs(z - b - t * (end - b)))
 
-    def prefix(self, z: np.ndarray, preperiod) -> np.ndarray:
-        """Apply the preperiod pullbacks to points of the cycle ray."""
+    def prefix(self, z: np.ndarray, preperiod) -> np.ndarray | None:
+        """Apply the preperiod pullbacks to points of the cycle ray; None where
+        one of them would start at the cut or a singular value."""
         for label in reversed(preperiod):
             if np.count_nonzero(self._bad_input(z)):
-                raise BrokenRay(0.0, len(preperiod))
+                return None
             z = self.ctx.pull_back(z, label.j)
         return z
 
@@ -486,15 +487,16 @@ def trace_ray(setup: StructuralSetup, address):
         if n_clean <= n_cycles:
             status = RayStatus("broken", first_bad_t=float(potentials[n_clean]))
         elif a.preperiod:
-            scale = 0.5 ** len(a.preperiod)
-            deepest_t = float(t_vals[-1] * scale)
-            try:
-                z_vals = walk.prefix(z_vals, a.preperiod)
-                t_vals = t_vals * scale
+            # a break in the limit's pullbacks keeps the pulled-back samples
+            t_pre = t_vals * 0.5 ** len(a.preperiod)
+            z_pre = walk.prefix(z_vals, a.preperiod)
+            if z_pre is not None:
+                t_vals, z_vals = t_pre, z_pre
                 if not cmath.isnan(limit):
-                    limit = complex(walk.prefix(np.array([limit]), a.preperiod)[0])
-            except BrokenRay:
-                status = RayStatus("broken", first_bad_t=deepest_t)
+                    z_pre = walk.prefix(np.array([limit]), a.preperiod)
+                    limit = limit if z_pre is None else complex(z_pre[0])
+            if z_pre is None:
+                status = RayStatus("broken", first_bad_t=float(t_pre[-1]))
         rays.append(Ray(a, t_vals, z_vals, status, states[i, n_cycles + 1:], limit))
     return rays[0] if isinstance(address, Address) else rays
 
@@ -584,14 +586,12 @@ def landing_groups(rays: list[Ray]) -> tuple[np.ndarray, np.ndarray]:
     """`curves.group_points`, within PAIR_TOL, of the landings of landed rays.
 
     Returns the distinct landing points, first-seen, and per ray the index
-    of its point among them.
+    of its point among them.  A ray that has not landed raises UnlandedRay
+    (`Ray.landing`).
     """
     periods = {r.period for r in rays}
     if len(periods) > 1:
         raise MixedPeriods(f"rays of different periods: {sorted(periods)}")
-    for r in rays:
-        if r.status.kind != "lands_at":
-            raise UnlandedRay(r.address)
     return group_points([r.landing for r in rays], PAIR_TOL)
 
 

@@ -8,7 +8,10 @@ pairs (two rays with a common landing point) actually separate; membership
 is decided by crossing parity of a test segment against each pair's curve,
 so truncation of the rays at a finite box does not split regions.  Regions
 are found from samples beside the pair curves; by Euler's formula there are
-1 + sum(k_i - 1) of them when landing point i carries k_i rays.
+1 + sum(k_i - 1) of them when landing point i carries k_i rays.  A region's
+boundary rays are the rays whose crossing, which flips the bits of every
+pair that holds the ray (k_i - 1 of them), leads to another found region;
+the report's boundary landings are read from them.
 `RegionGeometry.signature` and `min_distance` are array kernels over points
 x the segments of all pair curves.  The graph's landing points, its pairs
 and each ray's landing index come from one grouping of the landings
@@ -92,8 +95,7 @@ def pair_polyline(pair: RayPair, reach: float) -> np.ndarray:
     z0 = pair.common_landing
 
     def one_side(ray: Ray) -> np.ndarray:
-        order = np.argsort(-ray.t)  # far to near
-        z = ray.z[order]
+        z = ray.z      # far to near, as `trace_ray` emits the samples
         ext = complex(max(reach, z[0].real + 1.0), z[0].imag)
         return np.concatenate([[ext], z])
 
@@ -191,7 +193,7 @@ class BasicRegion:
     sample_interior_point: complex
 
 
-def basic_regions(graph: RayGraph, bbox: Rect | tuple,
+def basic_regions(graph: RayGraph, bbox: Rect,
                   resolution: float = 0.5) -> tuple[list[BasicRegion], RegionGeometry]:
     """Basic regions meeting the box, found by the signatures of pair-curve samples.
 
@@ -201,10 +203,14 @@ def basic_regions(graph: RayGraph, bbox: Rect | tuple,
     pair separates them.  By Euler's formula on the sphere, a ray graph whose
     landing point i carries k_i rays cuts the plane into 1 + sum(k_i - 1)
     regions; finding any other number raises ResolutionTooCoarse.
+
+    Crossing a ray flips the parity of every pair that holds it: k - 1 pairs
+    when k rays land with it.  So a paired ray bounds a region when the
+    region's signature, with the bits of the ray's pairs flipped, is a found
+    signature.  A region's `boundary_rays` are these rays, in the order in
+    which they first appear in `graph.pairs`.
     """
     _require_resolution(resolution)
-    if not isinstance(bbox, Rect):
-        bbox = Rect(*bbox)
     geometry = RegionGeometry(graph.pairs, bbox)
     centre = complex(0.5 * (bbox.x0 + bbox.x1), 0.5 * (bbox.y0 + bbox.y1))
     samples = _probe_points(geometry, resolution) if graph.pairs else np.array([centre])
@@ -223,13 +229,16 @@ def basic_regions(graph: RayGraph, bbox: Rect | tuple,
         raise ResolutionTooCoarse(
             f"{len(best)} region signatures found at resolution {resolution}; "
             f"the ray graph cuts the plane into 1 + sum(k_i - 1) = {expected}")
+    # signatures and each paired ray's pairs as Python-int bitsets, bit k for pair k
+    codes = [sum(b << k for k, b in enumerate(sig)) for sig in best]
+    masks: dict[int, list] = {}         # id(ray): [ray, its pairs' bits]
+    for k, pair in enumerate(geometry.pairs):
+        for ray in pair.rays:
+            masks.setdefault(id(ray), [ray, 0])[1] |= 1 << k
+    found = set(codes)
     regions = []
-    for i, (sig, sample) in enumerate(best.items()):
-        boundary = []
-        for k, pair in enumerate(geometry.pairs):
-            neighbor = tuple(b ^ 1 if idx == k else b for idx, b in enumerate(sig))
-            if neighbor in best:
-                boundary.extend(pair.rays)
+    for i, ((sig, sample), code) in enumerate(zip(best.items(), codes)):
+        boundary = [ray for ray, mask in masks.values() if (code ^ mask) in found]
         regions.append(BasicRegion(i, sig, boundary, sample))
     return regions, geometry
 
@@ -657,22 +666,16 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
         v = verdict_by_sig[sig]
         (v.virtual if virtual else v.interior).append(z)
 
-    # boundary landings: a landing of one ray lies in the region of its own
-    # signature; one of k >= 2 rays bounds the regions of the straddle
-    # samples of the pair-curve segments that meet at it
+    # boundary landings: a landing of k >= 2 rays bounds the regions that its
+    # rays bound; a landing of one ray lies in the region of its own signature
+    landing_of = {id(r): i for r, i in zip(graph.rays, graph.landing_index.tolist())}
+    hits = {(landing_of[id(r)], reg.id) for reg in regions for r in reg.boundary_rays}
     lone = np.flatnonzero(np.bincount(graph.landing_index) == 1)
-    points, owners = [np.array(graph.landing_points, dtype=complex)[lone]], [lone]
-    landing_of = {id(r): i for r, i in zip(graph.rays, graph.landing_index)}
-    for pair, poly in zip(graph.pairs, geometry.polylines):
-        a, b = poly.segments()
-        meet = (a == pair.common_landing) | (b == pair.common_landing)
-        points.append(_straddle(a[meet], b[meet], resolution))
-        owners.append(np.full(len(points[-1]), landing_of[id(pair.rays[0])]))
-    points, owners = np.concatenate(points), np.concatenate(owners)
+    points = np.array(graph.landing_points, dtype=complex)[lone]
     clear = geometry.min_distance(points) > 0
     sigs = map(tuple, geometry.signature(points[clear]).tolist())
-    hits = {(int(i), verdict_by_sig[sig].region_id)
-            for i, sig in zip(owners[clear], sigs) if sig in verdict_by_sig}
+    hits |= {(i, verdict_by_sig[sig].region_id)
+             for i, sig in zip(lone[clear].tolist(), sigs) if sig in verdict_by_sig}
     for i, k in sorted(hits):
         verdicts[k].boundary_landings.append(graph.landing_points[i])
 

@@ -254,18 +254,16 @@ def auto_disk(spec: MapSpec, radius: float | None = None) -> DomainDisk:
     """Disk about 0 holding the singular values, 0 and f(0) in its interior.
 
     Without a radius it is DISK_SCALE times the largest of their moduli; an
-    explicit radius must exceed that largest modulus.
+    explicit radius must exceed that largest modulus.  A map whose f(0) = a + b
+    overflows (`MapSpec.evaluate`) raises ValueError, naming a and b.
     """
-    pts = list(spec.singular_values()) + [0.0 + 0.0j]
     try:
-        pts.append(spec.evaluate(0.0, 1)[0])
+        f0 = spec.evaluate(0.0, 1)[0]
     except Overflow:
-        pass
-    required = max(abs(p) for p in pts)
+        raise ValueError(f"f(0) = a + b overflows for a = {spec.a}, b = {spec.b}") from None
+    required = max(abs(p) for p in spec.singular_values() + [0.0, f0])
     if radius is None:
         radius = DISK_SCALE * required
-        if radius == 0.0:
-            radius = 0.01
     elif not radius > required:
         raise ValueError(
             f"disk_radius {radius} must exceed {required:.6g}, the largest "
@@ -279,21 +277,19 @@ def _require_resolution(resolution: float) -> None:
         raise ValueError(f"resolution must be finite and > 0, got {resolution}")
 
 
-def structural_setup(spec: MapSpec, bbox: Rect | tuple, resolution: float,
+def structural_setup(spec: MapSpec, bbox: Rect, resolution: float,
                      disk_radius: float | None = None,
                      expansion_radius: float | str = "auto") -> StructuralSetup:
     """Build disk, delta, tracts and fundamental domains inside the box.
 
     Fundamental-domain cutting relies on the closed-form inverse branch of
     a e^z + b.  The resolution must be finite, > 0 and at most 5% of the
-    box diagonal, an explicit disk_radius r must exceed the moduli of the
-    singular value b, of 0 and of f(0), and the box must contain the square
-    [-r, r] x [-r, r]; otherwise ValueError, naming the value, is raised
-    before any tract work.  An explicit expansion_radius that fails the
+    box diagonal, f(0) = a + b must not overflow, an explicit disk_radius r
+    must exceed the moduli of the singular value b, of 0 and of f(0), and
+    the box must contain the square [-r, r] x [-r, r]; otherwise ValueError,
+    naming the value, is raised before any tract work.  An explicit expansion_radius that fails the
     expansion check raises ExpansionNotValidated, naming it and its margin.
     """
-    if not isinstance(bbox, Rect):
-        bbox = Rect(*bbox)
     _require_resolution(resolution)
     if resolution > 0.05 * bbox.diagonal:
         raise ValueError("resolution must be at most 5% of the box diagonal")

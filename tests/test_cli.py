@@ -142,6 +142,14 @@ class TestExitCodes:
         assert payload["error"] == "config"
         assert "disk_radius" in payload["message"]
 
+    def test_overflowing_f0_is_config_error(self, capsys):
+        code, _, err = run_cli(["verify", "--map", "exp(1e301)", "--bbox=-4,10,-12,12"], capsys)
+        assert code == EXIT_CONFIG
+        assert len(err.splitlines()) == 1
+        payload = json.loads(err)
+        assert payload["error"] == "config"
+        assert "a = (1e+301+0j), b = 0" in payload["message"]
+
     def test_unwritable_out_dir(self, capsys, tmp_path):
         bogus = tmp_path / "missing" / "dir"
         code, _, err = run_cli(

@@ -8,7 +8,9 @@ module reads it as a name or lists it in `__all__` (the package's
 re-exports).  A private definition (a name with one leading underscore)
 counts as used when some module reads it as a name or an attribute, or
 imports it, and so does a module constant (an UPPER_CASE name assigned at
-module level); assigning a name does not use it.
+module level); assigning a name does not use it.  Every error class of
+`errors.py` but the base class is raised by some module: a `raise` statement
+names it, called or bare.
 """
 
 import ast
@@ -114,3 +116,31 @@ def test_an_unread_constant_is_found():
                "b.py": "from a import USED\nimport a\nx = a.ATTR\nSTORED = 6\nSTORED = 7\n"}
     assert unread_constants(sources) == ["DEAD (a.py line 2)", "STORED (b.py line 4)",
                                          "STORED (b.py line 5)"]
+
+
+def unraised_errors(sources: dict[str, str]) -> list[str]:
+    """The classes of `errors.py` in `sources`, but RaysepError, that no `raise`
+    statement of `sources` names, each with its line."""
+    raised = set()
+    for source in sources.values():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Raise) and node.exc is not None:
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                if isinstance(exc, ast.Name):
+                    raised.add(exc.id)
+    return [f"{node.name} (line {node.lineno})" for node in ast.parse(sources["errors.py"]).body
+            if isinstance(node, ast.ClassDef) and node.name != "RaysepError"
+            and node.name not in raised]
+
+
+def test_every_error_is_raised():
+    unraised = unraised_errors(SOURCES)
+    assert not unraised, f"error classes nothing raises: {', '.join(unraised)}"
+
+
+def test_an_unraised_error_is_found():
+    sources = {"errors.py": "class RaysepError(Exception): pass\n"
+                            "class Called(RaysepError): pass\nclass Bare(RaysepError): pass\n"
+                            "class Dead(RaysepError): pass\nclass Built(RaysepError): pass\n",
+               "a.py": "raise Called('x')\nraise Bare\nerr = Built()\n"}
+    assert unraised_errors(sources) == ["Dead (line 4)", "Built (line 5)"]

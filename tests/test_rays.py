@@ -241,6 +241,31 @@ class TestLanding:
         assert abs(w - target) < 1e-8
         assert abs(ray.landing - target) > 1e-3
 
+    @pytest.mark.parametrize("flagged", ["sample", "limit"])
+    def test_break_in_the_preperiod_is_broken(self, flagged, monkeypatch):
+        # `0,1|0` pulls its cycle ray |0 back through band 1, then band 0; the
+        # second pullback of one sample, or of the limit, is flagged as starting
+        # at the cut.  The ray is broken at its least potential after the
+        # preperiod, and a break in the limit's pullbacks keeps the pulled-back
+        # samples but leaves the limit where the cycle ray has it
+        setup = structural_setup(exp_map(0.3), Rect(-4, 10, -12, 12), 0.1)
+        cycle = trace_ray(setup, Address.parse("|0"))
+        pull_back = setup.branch_context.pull_back
+        point = complex(pull_back(np.array([cycle.z[5] if flagged == "sample"
+                                            else cycle.limit]), 1)[0])
+        bad_input = PullbackWalk._bad_input
+        monkeypatch.setattr(PullbackWalk, "_bad_input",
+                            lambda walk, z: bad_input(walk, z) | (np.abs(z - point) < 1e-9))
+        ray = trace_ray(setup, Address.parse("0,1|0"))
+        assert ray.status == RayStatus("broken", first_bad_t=DEFAULT_T_TOP * 2.0 ** -27)
+        if flagged == "sample":
+            assert ray.t[0] == DEFAULT_T_TOP
+            assert np.array_equal(ray.z, cycle.z)
+        else:
+            assert ray.t[0] == DEFAULT_T_TOP / 4
+            assert np.array_equal(ray.z, pull_back(pull_back(cycle.z, 1), 0))
+            assert ray.limit == cycle.limit
+
 
 def _bits(z):
     return None if z is None else np.array([z], dtype=complex).tobytes()

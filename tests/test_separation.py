@@ -132,6 +132,36 @@ class TestBasicRegions:
         with pytest.raises(ResolutionTooCoarse, match="1 region signatures found"):
             basic_regions(pair_neg5, Rect(-9, -1.4, -13, 13), 0.4)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_rays_landing_together_bound_their_regions(self, k):
+        # k rays leave 0 to the right at distinct heights, and a separate pair
+        # lands at 2 + 7i; crossing one of the k rays flips k - 1 pair bits
+        heights = np.linspace(-4.0, 4.0, k)
+        fan = [hand_built_ray(j, 0j, h) for j, h in enumerate(heights)]
+        pair = [hand_built_ray(k + j, 2 + 7j, h) for j, h in enumerate((6.0, 8.0))]
+        regions, geometry = basic_regions(build_ray_graph(fan + pair),
+                                          Rect(-10, 10, -10, 10), 0.5)
+        assert len(regions) == 1 + (k - 1) + 1
+        by_signature = {reg.signature: reg for reg in regions}
+        # a point between each two neighbouring rays of the fan, one left of
+        # it and one between the rays of the pair, with the rays bounding each
+        expected = [(complex(5.0, 0.5 * (lo + hi)), fan[i:i + 2], [])
+                    for i, (lo, hi) in enumerate(zip(heights[:-1], heights[1:]))]
+        expected += [(-5.0 + 0j, [fan[0], fan[-1]], pair), (5.0 + 7j, [], pair)]
+        for z, fan_rays, pair_rays in expected:
+            bounds = by_signature[geometry.signature(z)].boundary_rays
+            assert [id(r) for r in bounds] == [id(r) for r in fan_rays + pair_rays]
+
+
+def hand_built_ray(band: int, landing: complex, height: float) -> Ray:
+    """A landed fixed ray of `band` that runs left at `height` from x = 8 to
+    one unit right of `landing`, then straight to it; samples far to near."""
+    corner = complex(landing.real + 1.0, height)
+    z = np.concatenate([np.linspace(8.0, corner.real, 8) + 1j * height,
+                        landing + (corner - landing) * np.array([0.75, 0.5, 0.25])])
+    return Ray(Address.constant(band), 8.0 * 0.5 ** np.arange(len(z)), z,
+               RayStatus.landed(landing, None), np.empty(0, dtype=complex), landing)
+
 
 # -- per-point references for the region kernels --------------------------------
 

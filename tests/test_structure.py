@@ -72,6 +72,14 @@ class TestDiskAndDelta:
         with pytest.raises(ValueError, match="resolution"):
             structural_setup(exp_map(0.3), Rect(-4, 10, -12, 12), resolution)
 
+    def test_overflowing_f0_raises_before_tracts(self, monkeypatch):
+        def no_tracts(*_args, **_kwargs):
+            raise AssertionError("tracts extracted before f(0) was checked")
+        monkeypatch.setattr(raysep.structure, "extract_tracts", no_tracts)
+        with pytest.raises(ValueError, match=r"^f\(0\) = a \+ b overflows for a = \(1e\+301\+0j\), "
+                                             r"b = 0j$"):
+            structural_setup(exp_map(1e301), Rect(-4, 10, -12, 12), 0.1)
+
     def test_delta_starts_on_disk_and_leaves_box(self, setup03):
         delta = setup03.delta
         assert abs(delta.z[0]) == pytest.approx(setup03.disk.radius)
