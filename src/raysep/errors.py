@@ -75,10 +75,6 @@ class Overflow(RaysepError):
         super().__init__("magnitude overflow")
 
 
-class OnCut(RaysepError):
-    """An inverse branch's logarithm met an input of modulus below LOG_FLOOR."""
-
-
 # --- structural setup ----------------------------------------------------------
 
 class DeltaBlocked(RaysepError):

@@ -15,11 +15,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import OnCut, Overflow
+from .errors import Overflow
 
 OVERFLOW_RE = 690.0          # exp argument guard
 OVERFLOW_MAG = 1e300         # magnitude guard
-LOG_FLOOR = 1e-300           # branch_log raises OnCut below this modulus
+LOG_FLOOR = 1e-300           # branch_log gives nan below this modulus: a pullback of b
 
 
 @dataclass(frozen=True)
@@ -164,13 +164,13 @@ def branch_log(v, j, cut: CutGeometry):
     """log(v) with the imaginary part selected into band j of the cut geometry.
 
     Returns an array, 0-d for a scalar `v`; `j` is an int or an integer
-    array that broadcasts against `v` (one band per lane).  Raises OnCut
-    when some |v| is below LOG_FLOOR.
+    array that broadcasts against `v` (one band per lane).  It is nan where
+    |v| < LOG_FLOOR, so within `rays.BROKEN_TOL` of b for |a| <= 1e292.
     """
     v = np.asarray(v, dtype=complex)
     rho = np.abs(v)
     if np.count_nonzero(rho < LOG_FLOOR):
-        raise OnCut("logarithm input too close to 0")
+        rho = np.where(rho < LOG_FLOOR, np.nan, rho)     # before the log: no divide warning
     y0 = np.arctan2(v.imag, v.real)
     # a straight cut (Im c = 0) has phi = phi_inf - arcsin(+-0) at every modulus
     hi = (cut.phi_inf if cut.c.imag == 0 else cut.phi(rho)) + 2.0 * np.pi * j

@@ -16,15 +16,16 @@ go in blocks, up to WALK_BLOCK deep and at most WALK_BLOCK^2 states, with
 no test in between: a narrow walk pays numpy's per-call floor for its
 tests once per block, not once per level.  After each block a lane leaves
 the walk at its first event, the level at which it reached the cut or a
-singular value, or settled on its limit cycle, whose last p states then
-stand for all lower levels.  Below the samples a lane also leaves where a
-petal certificate proves that the rest of its walk stays in the repelling
-petal of a parabolic cycle and approaches it (`PullbackWalk._petal_orbits`,
-after the Leau-Fatou flower theorem); that cycle then stands for all lower
-levels.  One walk, SCHEDULE[-1] cycles deep, serves both tracing and
-landing: its top cycles are the ray's samples, and its states at the
-depths of the doubling schedule are the endpoints the landing is resolved
-from.  Only a lane that neither settles, breaks nor stops walks it all.
+singular value (a pullback of b is nan), or settled on its limit cycle,
+whose last p states then stand for all lower levels.  Below the samples it
+also settles at a doubling depth where its state is within LANDING_TOL of
+the one a doubling above, and leaves where a petal certificate proves that
+the rest of its walk stays in the repelling petal of a parabolic cycle and
+approaches it (`PullbackWalk._petal_orbits`, after the Leau-Fatou flower
+theorem); that cycle then stands for all lower levels.  One walk,
+SCHEDULE[-1] cycles deep, serves both tracing and landing: its top cycles
+are the ray's samples, and its states at the depths of the doubling
+schedule are the endpoints the landing is resolved from.
 
 Potentials are a declared parametrization: the sample at level k carries
 potential DEFAULT_T_TOP * 2^(k_top - k), halving toward the landing point;
@@ -32,10 +33,9 @@ applying f doubles the potential.  The walk resolves the limits of all its
 lanes in one array pass over the endpoint matrix: the first settled
 endpoint (a repelling landing, or a parabolic one that the walk
 certified), polished by one Newton sweep on f^p(z) - z and kept when f^p
-closes on it.  A preperiodic ray's samples and limit then take the
-preperiod pullbacks.
-`landing_point` interprets one ray's limit, on plain scalars: broken walks
-and the approach direction.
+closes on it, and a second pass picks the approach directions.  A
+preperiodic ray's samples and limit then take the preperiod pullbacks.
+`landing_point` only turns a finite limit into a landing.
 
 Rays land together when their landings fall in one group of
 `landing_groups` (greedy in ray order, within PAIR_TOL); the ray graph's
@@ -52,7 +52,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .curves import group_points
-from .errors import MixedPeriods, OnCut, UnlandedRay
+from .errors import MixedPeriods, UnlandedRay
 from .fixedpoints import (ROOT_OF_UNITY_TOL, _captured, _newton_sweep, _petal_jet,
                           _unit_multiplier_jet)
 from .maps import BranchLabel, MapSpec, in_range
@@ -144,6 +144,7 @@ class Ray:
     status: RayStatus
     endpoints: np.ndarray          # cycle walk states at the SCHEDULE depths
     limit: complex                 # the walk's limit, after any preperiod; nan: none
+    direction: complex | None = None   # `_directions`; None for a preperiodic ray
 
     @property
     def period(self) -> int:
@@ -177,7 +178,8 @@ class PullbackWalk:
     levels at a time.  A lane leaves the walk at the level where its state
     reaches the cut or a singular value (broken), or where it has settled
     on its limit cycle, as if every level had been tested; below the top
-    DEFAULT_SAMPLES cycles, also at the end of a block where a petal
+    DEFAULT_SAMPLES cycles, also at a SCHEDULE depth where its states
+    settle to LANDING_TOL, and at the end of a block where a petal
     certificate proves that it lands on a parabolic cycle (tested at
     doubling depths).
     """
@@ -235,10 +237,13 @@ class PullbackWalk:
         with no test in between; one bad test over the block's inputs and
         one settle test over its states then take each lane out at its
         first event, the level at which a walk that tested every level
-        would stop it.  A state on b ends its block where its pullback
-        raises OnCut, and the block's bad test takes it out.  At the end of
-        the first block below the top DEFAULT_SAMPLES cycles, and then of
-        the first block each time the walk's depth has doubled,
+        would stop it.  The bad test is the one source of breaks: a state on
+        b breaks its lane, and its pullback is nan (`maps.branch_log`).
+        Below the top DEFAULT_SAMPLES cycles a lane also settles at a
+        SCHEDULE depth where its states there and at the depth above settle
+        by `_limits`' test, which reads the limit from the first such pair.
+        At the end of the first block below the top DEFAULT_SAMPLES cycles,
+        and then of the first block each time the walk's depth has doubled,
         `_petal_orbits` tests the lanes still walking, and a lane it lands
         stops there: its states below that level hold the parabolic cycle.
         So a lane that never lands there is tested once per doubling of
@@ -257,17 +262,16 @@ class PullbackWalk:
         buf[:p] = np.nan
         buf[p] = self.anchors(levels)
         out[:, keep == levels] = buf[p, :, None]
+        # the SCHEDULE levels, and each lane's states at the last two it walked
+        depths = [levels - p * d for d in SCHEDULE if p * d < levels]
+        ends = np.full((2, n), np.nan, dtype=complex)
         k, petal_at = levels, levels - DEFAULT_SAMPLES * p
         while k > 0 and len(active):
             lanes = len(active)
             m = min(k, WALK_BLOCK, max(1, WALK_BLOCK * WALK_BLOCK // lanes))
-            cut = None
-            try:
-                for i in range(m):
-                    buf[p + 1 + i, :lanes] = self.ctx.pull_back(buf[p + i, :lanes],
-                                                                rows[:, (k - 1 - i) % p])
-            except OnCut as exc:
-                cut, m = exc, i
+            for i in range(m):
+                buf[p + 1 + i, :lanes] = self.ctx.pull_back(buf[p + i, :lanes],
+                                                            rows[:, (k - 1 - i) % p])
             # each lane's events in walk order: row 2i, its input at level k - i is
             # bad; row 2i + 1, its state at level k - 1 - i settled.  The level-0
             # state is no input, and below the anchor the top input was the last
@@ -279,6 +283,13 @@ class PullbackWalk:
             if inputs > tested:
                 bad = self._bad_input(buf[p + tested:p + inputs, :lanes])
                 event[2 * tested:2 * inputs:2] = bad
+            while depths and depths[0] >= k - m:
+                d = depths.pop(0)
+                ends[0] = ends[1]
+                ends[1, active] = buf[p + k - d, :lanes]
+                if d <= levels - DEFAULT_SAMPLES * p:     # below the samples
+                    e = ends[:, active]
+                    event[2 * (k - d) - 1] |= np.abs(e[1] - e[0]) < LANDING_TOL * (1 + np.abs(e[1]))
             cols = np.flatnonzero((keep < k) & (keep >= k - m))
             if len(cols):
                 out[active[:, None], cols] = buf[p + k - keep[cols], :lanes].T
@@ -294,8 +305,6 @@ class PullbackWalk:
                 out[active[gone]] = np.where(keep < stop[:, None], fill, out[active[gone]])
                 active, rows = np.delete(active, gone), np.delete(rows, gone, axis=0)
                 buf[:p + 1, :len(active)] = np.delete(buf[m:m + p + 1, :lanes], gone, axis=1)
-            elif cut is not None:
-                raise cut
             else:
                 buf[:p + 1, :lanes] = buf[m:m + p + 1, :lanes]
             k -= m
@@ -440,6 +449,20 @@ def _closing(spec: MapSpec, z: np.ndarray, period: int) -> tuple[np.ndarray, np.
 # -- public operations --------------------------------------------------------------
 
 
+def _directions(endpoints: np.ndarray, limits: np.ndarray) -> list:
+    """Per row, the unit vector from its limit toward its deepest endpoint
+    farther than 1e3 LANDING_TOL from it, or None.  One array pass picks the
+    endpoints; each vector is numpy scalar arithmetic, as the array abs and
+    division differ from it in the last ulp."""
+    far = np.abs(endpoints - limits[:, None]) > 1e3 * LANDING_TOL
+    deepest = far.shape[1] - 1 - np.argmax(far[:, ::-1], axis=1)
+    directions = [None] * len(limits)
+    for i in np.flatnonzero(far.any(axis=1)).tolist():
+        gap = endpoints[i, deepest[i]] - limits[i]
+        directions[i] = gap / abs(gap)
+    return directions
+
+
 def trace_ray(setup: StructuralSetup, address):
     """Trace rays by one array pullback walk.
 
@@ -452,12 +475,12 @@ def trace_ray(setup: StructuralSetup, address):
     potentials halving per level from DEFAULT_T_TOP.  The states at the
     SCHEDULE depths become the ray's `endpoints`, and one array pass over
     all lanes' endpoints resolves each ray's `limit` (nan when there is
-    none), which `landing_point` interprets.  A walk that runs into the cut
-    or a singular value among the samples is truncated and the ray is
-    marked broken; one that does so below the samples leaves nan
-    endpoints.  A preperiodic ray's samples and limit then take the
-    preperiod pullbacks, and one of those that starts at the cut or a
-    singular value marks the ray broken.
+    none), which `landing_point` reads, and a periodic ray's `direction`.
+    Here alone a ray is marked broken: when its walk met the cut or a
+    singular value (among the samples it is truncated there, and broken at
+    the first potential it lost), or one of its preperiod pullbacks would
+    start there; else it is broken at its least potential.  A preperiodic
+    ray's samples and limit take the preperiod pullbacks.
     """
     addresses = [address] if isinstance(address, Address) else list(address)
     periods = sorted({a.period_length for a in addresses})
@@ -474,67 +497,47 @@ def trace_ray(setup: StructuralSetup, address):
     endpoint_levels = top - np.array(SCHEDULE) * p
     states, bad_at = walk.states(top, np.concatenate([sample_levels, endpoint_levels]))
     potentials = DEFAULT_T_TOP * np.power(2.0, -np.arange(n_cycles + 1, dtype=float) * p)
-    limits = _limits(setup.spec, states[:, n_cycles + 1:], p)
+    endpoints = states[:, n_cycles + 1:]
+    limits = _limits(setup.spec, endpoints, p)
 
     # each ray's t, z and endpoints are views of `potentials` and of its row
     # of `states`: per-ray copies raised peak memory at period 4
     clean = np.count_nonzero(sample_levels >= bad_at[:, None], axis=1)
     rays = []
-    for i, (a, n_clean, limit) in enumerate(zip(addresses, clean.tolist(), limits.tolist())):
+    for i, (a, n_clean, broken, limit, direction) in enumerate(zip(
+            addresses, clean.tolist(), (bad_at >= 0).tolist(), limits.tolist(),
+            _directions(endpoints, limits))):
         # samples above the level the walk stopped at (at least two are kept)
         t_vals, z_vals = potentials[:max(n_clean, 2)], states[i, :max(n_clean, 2)]
-        status = UNRESOLVED
-        if n_clean <= n_cycles:
-            status = RayStatus("broken", first_bad_t=float(potentials[n_clean]))
-        elif a.preperiod:
+        if a.preperiod and n_clean > n_cycles:
             # a break in the limit's pullbacks keeps the pulled-back samples
-            t_pre = t_vals * 0.5 ** len(a.preperiod)
-            z_pre = walk.prefix(z_vals, a.preperiod)
+            direction, z_pre = None, walk.prefix(z_vals, a.preperiod)
             if z_pre is not None:
-                t_vals, z_vals = t_pre, z_pre
+                t_vals, z_vals = t_vals * 0.5 ** len(a.preperiod), z_pre
                 if not cmath.isnan(limit):
                     z_pre = walk.prefix(np.array([limit]), a.preperiod)
                     limit = limit if z_pre is None else complex(z_pre[0])
-            if z_pre is None:
-                status = RayStatus("broken", first_bad_t=float(t_pre[-1]))
-        rays.append(Ray(a, t_vals, z_vals, status, states[i, n_cycles + 1:], limit))
+            broken = broken or z_pre is None
+        status = UNRESOLVED
+        if broken:
+            status = RayStatus("broken", first_bad_t=(
+                float(potentials[n_clean]) if n_clean <= n_cycles
+                else float(potentials[-1]) * 0.5 ** len(a.preperiod)))
+        rays.append(Ray(a, t_vals, z_vals, status, endpoints[i], limit, direction))
     return rays[0] if isinstance(address, Address) else rays
 
 
 def landing_point(ray: Ray) -> Ray:
     """The ray with its landing status, read off the limit its walk resolved.
 
-    `trace_ray` keeps the states of the ray's own walk at the SCHEDULE
-    depths and resolves their limit, after any preperiod, in one pass over
-    the whole walk, so a ray is neither walked nor polished again here; the
-    read itself is on plain scalars.  Nan endpoints mean that walk hit the
-    cut or a singular value below the samples, at any depth down to
-    SCHEDULE[-1] cycles, and the ray is broken at its least potential; a
-    limit that is not finite leaves it unresolved.  A landed periodic ray
-    gets the approach direction of its deepest endpoint farther than 1e3
-    LANDING_TOL from the point; with no such endpoint, or for a preperiodic
-    ray, the direction is None.
+    `trace_ray` decided the limit, the direction and any break, so a broken
+    ray, or one whose limit is not finite (unresolved), comes back as it is;
+    any other lands at its limit, approached from its `direction`.
     """
-    if ray.status.kind == "broken":
+    if ray.status.kind == "broken" or not cmath.isfinite(ray.limit):
         return ray
-    endpoints = ray.endpoints.tolist()
-    point = ray.limit
-    if any(map(cmath.isnan, endpoints)):
-        status = RayStatus("broken", first_bad_t=float(np.min(ray.t)))
-    elif not cmath.isfinite(point):
-        status = UNRESOLVED
-    else:
-        direction = None
-        if not ray.address.preperiod:
-            far = 1e3 * LANDING_TOL
-            for e in reversed(endpoints):
-                if abs(e - point) > far:
-                    # numpy complex128 division: Python's differs in the last ulp
-                    gap = np.complex128(e) - point
-                    direction = gap / abs(gap)
-                    break
-        status = RayStatus.landed(point, direction)
-    return Ray(ray.address, ray.t, ray.z, status, ray.endpoints, point)
+    return Ray(ray.address, ray.t, ray.z, RayStatus.landed(ray.limit, ray.direction),
+               ray.endpoints, ray.limit, ray.direction)
 
 
 def fixed_rays(setup: StructuralSetup, domains, period: int = 1) -> list[Ray]:

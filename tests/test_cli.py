@@ -2,8 +2,10 @@
 
 import json
 import os
+import re
 import subprocess
 import sys
+from collections import Counter
 from dataclasses import fields
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from hypothesis import strategies as st
 import raysep
 from raysep.cli import (EXIT_CONFIG, EXIT_INCOMPLETE, EXIT_OK, KEYS, ScenarioConfig,
                         build_parser, config_from_args, main)
+from raysep.serialize import _PIECE_COLORS, _REGION_COLORS
 
 
 def run_cli(args, capsys):
@@ -406,6 +409,29 @@ class TestArtifacts:
         assert text.startswith("<svg")
         assert 'viewBox="0 0 1200 1200"' in text
         assert "<polyline" in text
+
+    @staticmethod
+    def _strokes(path):
+        return Counter(re.findall(r'<polyline [^>]*stroke="(#[0-9a-f]{6})"', path.read_text()))
+
+    def test_svg_count_draws_the_contour_pieces(self, capsys, tmp_path):
+        svg_path = tmp_path / "count.svg"
+        code, _, _ = run_cli(["count", "--map", "exp(0.3)", "--bbox=-4,10,-12,12",
+                              "--svg", str(svg_path)], capsys)
+        assert code == EXIT_OK
+        assert set(_PIECE_COLORS.values()) <= set(self._strokes(svg_path))
+
+    def test_svg_verify_colours_the_regions(self, capsys, tmp_path):
+        # the pair of rays landing at -1.3267 bounds a region and takes its colour;
+        # the rays that bound none take the last colour
+        svg_path = tmp_path / "verify.svg"
+        code, _, _ = run_cli(["verify", "--map", "exp(-5)", "--period", "2",
+                              "--bbox=-9,7.5,-13,13", "--res", "0.12", "--svg", str(svg_path)],
+                             capsys)
+        assert code == EXIT_OK
+        regions = {c: n for c, n in self._strokes(svg_path).items() if c in _REGION_COLORS}
+        assert len(regions) >= 2 and regions.pop(_REGION_COLORS[-1]) > 2
+        assert sorted(regions.values()) == [2]
 
     def test_deterministic_reports(self, capsys):
         args = ["verify", "--map", "exp(0.3)", "--bbox=-4,10,-12,12"]

@@ -14,8 +14,9 @@ import raysep.fixedpoints
 from raysep.cli import main
 from raysep.curves import map_arrays
 from raysep.errors import (DegenerateExpansion, DomainMeetsDisk, InconsistentRadius, NotParabolic,
-                           OnCut, RaysepError)
+                           RaysepError)
 from raysep.fixedpoints import (
+    CountMismatchWarning,
     PetalFan,
     _auto_multiplicity,
     _newton_sweep,
@@ -394,15 +395,12 @@ def reference_domain_seeds(setup, region):
     seeds = []
     for dom in setup.domains:
         z = dom.anchor
-        try:
-            for _ in range(200):
-                nz = complex(setup.branch_context.pull_back(z, dom.label.j))
-                if abs(nz - z) < 1e-12:
-                    break
-                z = nz
-            seeds.append(z)
-        except OnCut:
-            continue
+        for _ in range(200):
+            nz = complex(setup.branch_context.pull_back(z, dom.label.j))
+            if abs(nz - z) < 1e-12:
+                break
+            z = nz
+        seeds.append(z)
     return np.array([s for s in seeds if region.contains(s)], dtype=complex)
 
 
@@ -608,6 +606,20 @@ class TestFirstRung:
         find_periodic_points(spec, box, 1, extra_seeds=seeds)
         assert len(newton_seeds[0]) == len(seeds)
         assert all(np.isfinite(z).all() for z in newton_seeds)
+
+    def test_every_rung_short_warns(self, monkeypatch, newton_seeds):
+        # with empty grids only the first rung, b's orbit, seeds Newton: it finds
+        # the attracting point alone, and each grid rung then finds nothing; the
+        # count is 4, and the last rung's records are returned
+        monkeypatch.setattr(raysep.fixedpoints, "_seed_grid",
+                            lambda region, n: np.empty(0, dtype=complex))
+        with pytest.warns(CountMismatchWarning) as warned:
+            records = find_periodic_points(exp_map(0.3), Rect(-4, 10, -12, 12), 1)
+        (warning,) = warned
+        assert str(warning.message) == ("found 0 points (with multiplicity) but the argument "
+                                        "principle counts 4 in the region")
+        assert len(newton_seeds[0]) == 1 and not any(len(z) for z in newton_seeds[1:])
+        assert records == []
 
 
 def orbit_count(spec, records, period):

@@ -18,7 +18,6 @@ import numpy as np
 import pytest
 
 import raysep.rays
-from raysep.errors import OnCut
 from raysep.fixedpoints import _newton_sweep
 from raysep.maps import (LOG_FLOOR, OVERFLOW_MAG, OVERFLOW_RE, BranchContext, CutGeometry,
                          branch_log, exp_map, parse_map)
@@ -33,11 +32,15 @@ def frozen_phi(cut, rho):
     return cut.phi_inf - np.arcsin(cut.c.imag / cut.abs_a / np.maximum(rho, inner))
 
 
+class FrozenOnCut(Exception):
+    """The error that the frozen `branch_log` raises below LOG_FLOOR."""
+
+
 def frozen_branch_log(v, j, cut):
     v = np.asarray(v, dtype=complex)
     rho = np.abs(v)
     if (rho < LOG_FLOOR).any():
-        raise OnCut("logarithm input too close to 0")
+        raise FrozenOnCut("logarithm input too close to 0")
     y0 = np.arctan2(v.imag, v.real)
     hi = frozen_phi(cut, rho) + 2.0 * np.pi * j
     lo = hi - 2.0 * np.pi
@@ -170,13 +173,18 @@ def test_branch_log_bits(name):
             assert _bits(got) == _bits(frozen_branch_log(x, j, cut))
 
 
-def test_branch_log_on_cut_raises_as_before():
-    cut = CUTS["curved"]
-    for v in (0j, np.array([1.0, 1e-301j])):
-        with pytest.raises(OnCut):
+def test_branch_log_is_nan_where_it_raised():
+    # the frozen copy raised below LOG_FLOOR; the kernel gives nan exactly there,
+    # and the frozen bits everywhere else
+    for cut in (CUTS["curved"], CUTS["straight b=0"]):
+        v = np.array([1.0, 1e-301j, 0j, -0.0 - 0.5j, LOG_FLOOR, 0.9 * LOG_FLOOR])
+        small = np.abs(v) < LOG_FLOOR
+        with pytest.raises(FrozenOnCut):
             frozen_branch_log(v, 0, cut)
-        with pytest.raises(OnCut):
-            branch_log(v, 0, cut)
+        got = branch_log(v, 0, cut)
+        assert np.isnan(got[small]).all()
+        assert _bits(got[~small]) == _bits(frozen_branch_log(v[~small], 0, cut))
+        assert np.isnan(branch_log(0j, 0, cut))
 
 
 def test_pull_back_bits():

@@ -5,7 +5,7 @@ import cmath
 import numpy as np
 import pytest
 
-from raysep.errors import OnCut, Overflow
+from raysep.errors import Overflow
 from raysep.maps import (
     BranchContext,
     CutGeometry,
@@ -189,9 +189,10 @@ class TestBranchLog:
         assert np.allclose(np.exp(z), v)
 
     def test_zero_is_on_cut(self):
-        # the logarithm's one singularity: |v| below LOG_FLOOR
-        with pytest.raises(OnCut):
-            branch_log(0j, 0, PRINCIPAL)
+        # the logarithm's one singularity: |v| below LOG_FLOOR gives nan
+        assert np.isnan(branch_log(0j, 0, PRINCIPAL))
+        z = branch_log(np.array([1e-301, 1.0]), 0, PRINCIPAL)
+        assert np.isnan(z[0]) and z[1] == 0
 
 
 class TestCutGeometry:

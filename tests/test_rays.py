@@ -12,8 +12,7 @@ from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 import raysep.rays
-from raysep.errors import (ExpansionNotValidated, MixedPeriods, OnCut, Overflow,
-                           RaysepError, UnlandedRay)
+from raysep.errors import ExpansionNotValidated, MixedPeriods, Overflow, RaysepError, UnlandedRay
 from raysep.fixedpoints import _newton_sweep, _petal_jet, find_periodic_points
 from raysep.maps import OVERFLOW_MAG, BranchContext, BranchLabel, MapSpec, exp_map, parse_map
 from raysep.rays import (
@@ -27,6 +26,7 @@ from raysep.rays import (
     PullbackWalk,
     Ray,
     RayStatus,
+    _directions,
     _limits,
     fixed_rays,
     landing_groups,
@@ -310,22 +310,30 @@ def _same_rays(a, b):
 angles = st.floats(-math.pi, math.pi)
 
 
-def _scalar_walk(setup, address, levels):
+def _scalar_walk(setup, address, levels, endpoint_stop=True):
     """Reference: one address walked one pullback at a time.
 
     Returns its states by level and the level at which it stopped at the
-    cut or a singular value (-1 when clean); a settled walk repeats its last
-    p states below.
+    cut or a singular value (-1 when clean).  The walk settles where a state
+    repeats the one p levels up, or, with `endpoint_stop` and below the top
+    DEFAULT_SAMPLES cycles, at a SCHEDULE depth whose state is within
+    LANDING_TOL of the state at the depth above; a settled walk repeats its
+    last p states below.
     """
     walk = PullbackWalk(setup, [address])
     p = address.period_length
+    depths = [levels - p * d for d in SCHEDULE] if endpoint_stop else []
     states = np.full(levels + 1, np.nan, dtype=complex)
     z = states[levels] = complex(walk.anchors(levels)[0])
     for k in range(levels - 1, -1, -1):
         if walk._bad_input(np.array([z]))[0]:
             return states, k + 1
         z = states[k] = complex(setup.branch_context.pull_back(z, address.period[k % p].j))
-        if k + p <= levels and abs(z - states[k + p]) < 1e-15 * (1.0 + abs(z)):
+        settled = k + p <= levels and abs(z - states[k + p]) < 1e-15 * (1.0 + abs(z))
+        if k in depths[1:] and k <= levels - DEFAULT_SAMPLES * p:
+            above = states[depths[depths.index(k) - 1]]
+            settled = settled or abs(z - above) < LANDING_TOL * (1.0 + abs(z))
+        if settled:
             for kk in range(k - 1, -1, -1):
                 states[kk] = states[kk + p]
             break
@@ -484,13 +492,17 @@ class TestBatchedWalk:
 
     @pytest.mark.parametrize("case, block", [
         pytest.param(case, block, id=case if block is None else f"{case}-block{block}")
-        for case in ("period_two", "broken", "parabolic", "slow") for block in (None, 1, 3, 64)])
+        for case in ("period_two", "broken", "parabolic", "slow", "cut_lanes")
+        for block in (None, 1, 3, 64)])
     def test_array_walk_matches_scalar_walk(self, case, block, setup_neg5, monkeypatch):
         if block is not None:
             monkeypatch.setattr(raysep.rays, "WALK_BLOCK", block)
         if case == "period_two":
             setup = setup_neg5
             addresses = [Address.cycle(b) for b in ([0, 1], [1, 0], [-1, 2], [2, 2])]
+        elif case == "cut_lanes":
+            # they settle at their endpoints 40 cycles deep, whatever the block
+            setup, addresses = setup_neg5, [Address.parse(a) for a in CUT_LANES]
         else:
             spec = {"broken": exp_map(0.5, 0.2), "parabolic": parse_map("exp(1/e)"),
                     "slow": exp_map(0.375, -1j / 256)}[case]
@@ -543,8 +555,8 @@ class TestBatchedWalk:
     def test_state_on_b_is_broken_not_on_cut(self, n, monkeypatch):
         # a state exactly on b (the anchor for n = 0, else the n-th pullback's)
         # breaks its lane at that level; a block pulls it back before its bad
-        # test, and that pullback must not raise OnCut.  The lane is the weakly
-        # repelling |0 of exp(0.375,-i/256), which would walk all levels
+        # test, and that pullback is nan.  The lane is the weakly repelling |0
+        # of exp(0.375,-i/256), which would walk all levels
         spec = exp_map(0.375, -1j / 256)
         setup = structural_setup(spec, Rect(-4, 10, -12, 12), 0.1)
         addresses = [Address.constant(j) for j in (-1, 0, 1)]
@@ -568,20 +580,21 @@ class TestBatchedWalk:
             assert row.tobytes() == ref.tobytes()
         assert bad_at[1] == levels - n
 
-    def test_on_cut_off_b_still_raises(self, monkeypatch):
-        spec = parse_map("exp(1/e)")
-        setup = structural_setup(spec, Rect(-4, 8, -12, 12), 0.1)
+    def test_nan_pullback_off_b_is_unresolved(self, monkeypatch):
+        # a pullback that is nan away from b, where no bad test breaks the lane:
+        # the nan runs down the walk, and the ray has no limit (fail closed)
+        setup = structural_setup(parse_map("exp(1/e)"), Rect(-4, 8, -12, 12), 0.1)
         pull_back, calls = BranchContext.pull_back, []
 
-        def on_cut(ctx, w, label):
+        def to_nan(ctx, w, label):
             calls.append(None)
-            if len(calls) == 20:
-                raise OnCut("logarithm input too close to 0")
-            return pull_back(ctx, w, label)
-        monkeypatch.setattr(BranchContext, "pull_back", on_cut)
-        with pytest.raises(OnCut):
-            PullbackWalk(setup, [Address.constant(0)]).states(640, [0])
-        assert len(calls) == 20
+            z = pull_back(ctx, w, label)
+            return np.full_like(z, np.nan) if len(calls) == 20 else z
+        monkeypatch.setattr(BranchContext, "pull_back", to_nan)
+        ray = landing_point(trace_ray(setup, Address.constant(0)))
+        assert ray.status == RayStatus("unresolved")
+        assert np.isnan(ray.z[20:]).all() and np.isnan(ray.endpoints[1:]).all()
+        assert len(calls) == SCHEDULE[-1]
 
     def test_one_bad_test_per_block(self, monkeypatch):
         # the weakly repelling ray |0 of exp(0.375,-i/256) never settles and
@@ -644,12 +657,6 @@ class TestBatchedWalk:
         landed = self._check_batch(spec, setup, addresses)
         kinds = [r.status.kind for r in landed]
         assert kinds == ["lands_at", "lands_at", "broken", "lands_at", "lands_at"]
-        # a walk that hits the cut below the samples leaves nan endpoints
-        ray = trace_ray(setup, addresses[1])
-        endpoints = ray.endpoints.copy()
-        endpoints[-1] = np.nan
-        cut_below = landing_point(replace(ray, endpoints=endpoints))
-        assert cut_below.status == RayStatus("broken", first_bad_t=float(np.min(ray.t)))
 
     def test_parabolic_lane_beside_settling_lanes(self):
         spec = parse_map("exp(1/e)")
@@ -681,8 +688,10 @@ def _two_walk_rays(setup, addresses):
     depths down to SHORT_WALK cycles.  The rows whose endpoints are clean
     but give no limit take their limits from a second walk of their lanes,
     SCHEDULE[-1] cycles deep, at 16 times those depths.  The rays keep the
-    first walk's endpoints, and `landing_point` reads them.  Returns the
-    rays and the indices of the lanes walked again.
+    first walk's endpoints, their status as the per-ray landing read gave it
+    (a nan state breaks the ray, at its least potential below the samples)
+    and the approach direction of `_scalar_direction`.  Returns the rays
+    read by `landing_point`, and the indices of the lanes walked again.
     """
     p, depths = addresses[0].period_length, np.array(SCHEDULE[:SHORT_ENDPOINTS])
     top = SHORT_WALK * p
@@ -698,14 +707,29 @@ def _two_walk_rays(setup, addresses):
         limits[slow] = _limits(setup.spec, deep, p)
     t = DEFAULT_T_TOP * 0.5 ** (np.arange(DEFAULT_SAMPLES) * p)
     rays = []
-    for address, row, limit in zip(addresses, states, limits):
+    for address, row, limit in zip(addresses, states, limits.tolist()):
         clean = np.count_nonzero(~np.isnan(row[:DEFAULT_SAMPLES]))
-        status = (RayStatus("unresolved") if clean == DEFAULT_SAMPLES
-                  else RayStatus("broken", first_bad_t=float(t[clean])))
+        status = RayStatus("unresolved")
+        if np.isnan(row).any():
+            status = RayStatus("broken", first_bad_t=float(t[min(clean, DEFAULT_SAMPLES - 1)]))
         n = max(clean, 2)
         rays.append(landing_point(Ray(address, t[:n], row[:n], status, row[DEFAULT_SAMPLES:],
-                                      limit)))
+                                      limit, _scalar_direction(row[DEFAULT_SAMPLES:], limit))))
     return rays, slow
+
+
+def _scalar_direction(endpoints, point):
+    """Reference: the approach direction as the per-ray landing read took it.
+
+    The deepest endpoint farther than 1e3 LANDING_TOL from the point, by a
+    scalar loop, and the unit vector toward it in numpy scalar arithmetic;
+    None when no endpoint is that far.
+    """
+    for e in reversed(endpoints.tolist()):
+        if abs(e - point) > 1e3 * LANDING_TOL:
+            gap = np.complex128(e) - point
+            return gap / abs(gap)
+    return None
 
 
 class TestOneWalk:
@@ -724,6 +748,66 @@ class TestOneWalk:
             ray = landing_point(ray)
             assert len(ray.endpoints) == len(SCHEDULE)
             _same_rays(replace(ray, endpoints=ray.endpoints[:SHORT_ENDPOINTS]), ref)
+
+
+# the two period-6 rays of exp(-5) that land at -1.3267 on the inner cut, and their landings
+CUT_LANES = {"|0,1,0,1,0,1": -1.3267246652422002 + 4.985600920996795e-28j,
+             "|1,0,1,0,1,0": -1.3267246652422005 + 8.772133266057651e-28j}
+
+
+class TestEndpointStop:
+    """Below the samples a lane settles at a SCHEDULE depth where its state
+    is within LANDING_TOL of its state at the depth above."""
+
+    @pytest.mark.parametrize("address", sorted(CUT_LANES))
+    def test_cut_lane_stops_where_its_endpoints_settle(self, setup_neg5, address, monkeypatch):
+        # the lane's endpoints settle, but its states never repeat bit for bit:
+        # without the stop it walks all SCHEDULE[-1] cycles, 61,440 pullback calls
+        landed, calls, _ = TestLanding._landing_pullbacks(monkeypatch, setup_neg5,
+                                                          Address.parse(address))
+        assert calls <= 512
+        assert landed.status.kind == "lands_at"
+        assert _bits(landed.landing) == _bits(CUT_LANES[address])
+        # read off the 10-cycle endpoint: the deeper ones lie within 1e3 LANDING_TOL
+        direction = landed.status.approach_direction
+        assert abs(direction - (-0.01305 + 0.99991j * np.sign(direction.imag))) < 1e-4
+        assert np.abs(landed.endpoints[1:] - landed.landing).max() < 1e3 * LANDING_TOL
+
+    def test_rotation_number_lanes_stay_unresolved(self, monkeypatch):
+        # a = mu e^-mu has the repelling fixed point mu; these three rays' endpoints
+        # settle on a 6-cycle that f^3 does not close on
+        mu = 1.2 * cmath.exp(2j * math.pi / 3)
+        setup = structural_setup(exp_map(mu * cmath.exp(-mu)), Rect(-4, 8, -10, 10), 0.1)
+        calls, pull_back = [], BranchContext.pull_back
+
+        def counted(ctx, w, band):
+            calls.append(None)
+            return pull_back(ctx, w, band)
+        monkeypatch.setattr(BranchContext, "pull_back", counted)
+        rays = trace_ray(setup, [Address.parse(a) for a in ("|0,0,1", "|0,1,0", "|1,0,0")])
+        assert [landing_point(r).status.kind for r in rays] == ["unresolved"] * 3
+        assert len(calls) <= SCHEDULE[2] * 3 + WALK_BLOCK
+
+    def test_break_below_the_stop_is_not_reached(self, setup_neg5, monkeypatch):
+        # every input is bad once the walk has made 60 cycles of pullbacks: a walk
+        # without the stop breaks there, but the lane settles 40 cycles deep, at
+        # its endpoints, and lands
+        address = Address.parse("|0,1,0,1,0,1")
+        calls, pull_back, bad_input = [], BranchContext.pull_back, PullbackWalk._bad_input
+
+        def counted(ctx, w, band):
+            calls.append(None)
+            return pull_back(ctx, w, band)
+        monkeypatch.setattr(BranchContext, "pull_back", counted)
+        monkeypatch.setattr(PullbackWalk, "_bad_input",
+                            lambda walk, z: bad_input(walk, z) | (len(calls) > 60 * 6))
+        levels = SHORT_WALK * 6
+        assert _scalar_walk(setup_neg5, address, levels, endpoint_stop=False)[1] == levels - 361
+        calls.clear()
+        ray = landing_point(trace_ray(setup_neg5, address))
+        assert len(calls) == SCHEDULE[2] * 6
+        assert ray.status.kind == "lands_at"
+        assert _bits(ray.landing) == _bits(CUT_LANES[str(address)])
 
 
 class _ConstantDerivative:
@@ -833,14 +917,24 @@ def _hand_ray(endpoints, limit, address=None):
 
 
 class TestLandingRead:
-    """`landing_point` on hand-built rays."""
+    """The landing read: `landing_point` on hand-built rays, and the
+    approach direction and breaks that `trace_ray` decides."""
 
-    def test_nan_endpoint_is_broken_at_the_least_potential(self):
-        ray = _hand_ray([3.0, np.nan, 1.0 + 1j], 1.0 + 1j)
-        landed = landing_point(ray)
-        assert landed.status.kind == "broken"
-        assert landed.status.first_bad_t == float(np.min(ray.t))
-        assert landed.status.point is None
+    def test_preperiodic_break_below_the_samples_is_broken(self, setup_weak, monkeypatch):
+        # the cycle walk of `1|0` breaks below its samples, at a bad disk about its
+        # landing point (test_break_below_the_short_walk_is_broken); the ray keeps
+        # its pulled-back samples and is broken at the least of their potentials
+        landing = 1.0069979695729254 + 0.19530804575017333j
+        bad_input = PullbackWalk._bad_input
+        monkeypatch.setattr(PullbackWalk, "_bad_input",
+                            lambda walk, z: bad_input(walk, z) | (np.abs(z - landing) < 1e-8))
+        ray = trace_ray(setup_weak, Address.parse("1|0"))
+        cycle = trace_ray(setup_weak, Address.constant(0))
+        assert ray.t[0] == DEFAULT_T_TOP / 2 and len(ray.t) == DEFAULT_SAMPLES
+        assert np.array_equal(ray.z, setup_weak.branch_context.pull_back(cycle.z, 1))
+        broken = RayStatus("broken", first_bad_t=DEFAULT_T_TOP * 2.0 ** -(DEFAULT_SAMPLES - 1) / 2)
+        assert ray.status == broken and float(np.min(ray.t)) == broken.first_bad_t
+        assert landing_point(ray) is ray and np.isnan(ray.limit) and ray.direction is None
 
     @pytest.mark.parametrize("limit", [complex("nan"), complex(np.inf, 0), complex(0, -np.inf)])
     def test_non_finite_limit_is_unresolved(self, limit):
@@ -848,35 +942,43 @@ class TestLandingRead:
         assert landed.status.kind == "unresolved"
         assert landed.status.point is None and landed.status.approach_direction is None
 
+    def test_landing_reads_the_limit_and_direction(self):
+        point, direction = 1.5 - 0.5j, np.complex128(0.6 - 0.8j)
+        ray = replace(_hand_ray([9.0, 4.0, 3.0], point), direction=direction)
+        landed = landing_point(ray)
+        assert landed.status == RayStatus.landed(point, direction)
+        assert landed.limit == point and landed.direction is direction
+        broken = replace(ray, status=RayStatus("broken", first_bad_t=1.0))
+        assert landing_point(broken) is broken
+
     def test_endpoints_at_the_point_give_no_direction(self):
         point = 1.5 - 0.5j
         near = point + 0.9e3 * LANDING_TOL * np.exp(1j * np.arange(7.0))
-        landed = landing_point(_hand_ray(near, point))
-        assert landed.status.kind == "lands_at" and landed.landing == point
-        assert landed.status.approach_direction is None
+        assert _directions(near[None, :], np.array([point])) == [None]
 
-    def test_preperiodic_ray_gives_no_direction(self):
-        point = 1.5 - 0.5j
-        landed = landing_point(_hand_ray([9.0, 4.0, point], point, Address.parse("1|0")))
-        assert landed.status.kind == "lands_at" and landed.landing == point
-        assert landed.status.approach_direction is None
+    def test_preperiodic_ray_gives_no_direction(self, setup03):
+        cycle, ray = (landing_point(trace_ray(setup03, Address.parse(a))) for a in ("|0", "1|0"))
+        assert cycle.status.approach_direction is not None
+        assert ray.status.kind == "lands_at" and ray.status.approach_direction is None
+        assert ray.direction is None
 
     def test_direction_is_the_array_formula_bitwise(self):
         # reference: the direction from the deepest endpoint farther than
-        # 1e3 LANDING_TOL from the point, in numpy array arithmetic
+        # 1e3 LANDING_TOL from the point, picked in numpy array arithmetic,
+        # and the unit vector in numpy scalar arithmetic; one row per case
         rng = np.random.default_rng(7)
-        for _ in range(300):
-            point = complex(*rng.normal(0.0, 3.0, 2))
-            scale = 10.0 ** rng.uniform(-9, 1, 7)
-            endpoints = point + scale * np.exp(1j * rng.uniform(-np.pi, np.pi, 7))
-            landed = landing_point(_hand_ray(endpoints, point))
-            away = np.nonzero(np.abs(endpoints - point) > 1e3 * LANDING_TOL)[0]
+        points = rng.normal(0.0, 3.0, 300) + 1j * rng.normal(0.0, 3.0, 300)
+        scale = 10.0 ** rng.uniform(-9, 1, (300, 7))
+        endpoints = points[:, None] + scale * np.exp(1j * rng.uniform(-np.pi, np.pi, (300, 7)))
+        directions = _directions(endpoints, points)
+        assert len(directions) == 300
+        for point, row, direction in zip(points, endpoints, directions):
+            away = np.nonzero(np.abs(row - point) > 1e3 * LANDING_TOL)[0]
             ref = None
             if len(away):
-                e = endpoints[away[-1]]
-                ref = (e - point) / abs(e - point)
-            assert landed.status.kind == "lands_at" and landed.landing == point
-            assert _bits(landed.status.approach_direction) == _bits(ref)
+                e = row[away[-1]]
+                ref = (e - complex(point)) / abs(e - complex(point))
+            assert _bits(direction) == _bits(ref)
 
 
 class TestAnchorRadius:
