@@ -231,9 +231,14 @@ def dedup_points(points, tol: float) -> list[complex]:
     return [complex(z) for z in group_points(points, tol)[0]]
 
 
+def turn_angles(w0: np.ndarray, w1: np.ndarray) -> np.ndarray:
+    """Argument change along each straight segment from w0 to w1 past 0, in radians."""
+    return np.angle(w1 / w0)
+
+
 def _turn_sum(w: np.ndarray) -> float:
     """Continuous argument change along the polyline of values w, in radians."""
-    return float(np.sum(np.angle(w[1:] / w[:-1])))
+    return float(np.sum(turn_angles(w[:-1], w[1:])))
 
 
 def winding_number(curve: ParamCurve, p: complex) -> IndexValue:

@@ -204,12 +204,14 @@ def _seed_ladder(mapobj, region: Rect, period: int, extra: np.ndarray, counted: 
     With a count, the first rung is `extra` and the singular orbits: every
     repelling point is a ray's landing and every attracting or parabolic
     cycle attracts a singular value.  Then come grids of 64, 128 and 256
-    steps per diagonal, each joined by `extra`.
+    steps per diagonal, each joined by the first rung's seeds (`extra` alone
+    without a count).
     """
+    first = np.concatenate([extra, _singular_orbits(mapobj, period)]) if counted else extra
     if counted:
-        yield np.concatenate([extra, _singular_orbits(mapobj, period)])
+        yield first
     for n in (64, 128, 256):
-        yield np.concatenate([_seed_grid(region, n), extra])
+        yield np.concatenate([_seed_grid(region, n), first])
 
 
 def _singular_orbits(mapobj, period: int) -> np.ndarray:

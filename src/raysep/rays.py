@@ -51,7 +51,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .curves import group_points
+from .curves import _point_segment_distance, group_points
 from .errors import MixedPeriods, UnlandedRay
 from .fixedpoints import (ROOT_OF_UNITY_TOL, _captured, _newton_sweep, _petal_jet,
                           _unit_multiplier_jet)
@@ -217,13 +217,18 @@ class PullbackWalk:
                   - math.pi)
         return z
 
-    def _bad_input(self, z: np.ndarray) -> np.ndarray:
-        """Mask of the states too close to the cut or to the singular value b."""
+    def _bad_input(self, z: np.ndarray, above: np.ndarray | None = None) -> np.ndarray:
+        """Mask of the states too close to the cut or to the singular value b,
+        and, given `above` (each state's ray sample p levels up), of those
+        whose segment from it passes within BROKEN_TOL of b."""
         # distance to the radial continuation of delta beyond the disk
-        direction = self._cut_direction
+        direction, b = self._cut_direction, self.ctx.spec.b
         s = np.maximum((z * direction.conjugate()).real, self.ctx.cut.r)
-        # bad when either distance is within BROKEN_TOL; fmin passes over a nan one
-        return np.fmin(np.abs(z - s * direction), np.abs(z - self.ctx.spec.b)) <= BROKEN_TOL
+        near = np.fmin(np.abs(z - s * direction), np.abs(z - b))
+        if above is not None:
+            near = np.fmin(near, _point_segment_distance(b, above, z))
+        # bad when any distance is within BROKEN_TOL; fmin passes over a nan one
+        return near <= BROKEN_TOL
 
     def states(self, levels: int, keep) -> tuple[np.ndarray, np.ndarray]:
         """Walk every lane down `levels` pullbacks from its anchor.
@@ -238,7 +243,8 @@ class PullbackWalk:
         one settle test over its states then take each lane out at its
         first event, the level at which a walk that tested every level
         would stop it.  The bad test is the one source of breaks: a state on
-        b breaks its lane, and its pullback is nan (`maps.branch_log`).
+        b, or whose segment from the state p levels up passes b, breaks its
+        lane, and a pullback of b is nan (`maps.branch_log`).
         Below the top DEFAULT_SAMPLES cycles a lane also settles at a
         SCHEDULE depth where its states there and at the depth above settle
         by `_limits`' test, which reads the limit from the first such pair.
@@ -280,9 +286,9 @@ class PullbackWalk:
             event = np.zeros((2 * m + 1, lanes), dtype=bool)
             event[1::2] = np.abs(new - buf[1:m + 1, :lanes]) < 1e-15 * (1.0 + np.abs(new))
             tested, inputs = int(k < levels), m + 1 if k > m else m
-            if inputs > tested:
-                bad = self._bad_input(buf[p + tested:p + inputs, :lanes])
-                event[2 * tested:2 * inputs:2] = bad
+            if inputs > tested:     # above the anchor the buffer is nan, which is never bad
+                event[2 * tested:2 * inputs:2] = self._bad_input(
+                    buf[p + tested:p + inputs, :lanes], buf[tested:inputs, :lanes])
             while depths and depths[0] >= k - m:
                 d = depths.pop(0)
                 ends[0] = ends[1]

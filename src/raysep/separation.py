@@ -5,13 +5,14 @@ traces the period-p rays and seeds Newton with their landings, for
 `separation_report` and `raysep fixedpoints` alike.  The graph of landed
 rays and their landing points cuts the plane into basic regions.  Only ray
 pairs (two rays with a common landing point) actually separate; membership
-is decided by crossing parity of a test segment against each pair's curve,
-so truncation of the rays at a finite box does not split regions.  Regions
-are found from samples beside the pair curves; by Euler's formula there are
-1 + sum(k_i - 1) of them when landing point i carries k_i rays.  A region's
-boundary rays are the rays whose crossing, which flips the bits of every
-pair that holds the ray (k_i - 1 of them), leads to another found region;
-the report's boundary landings are read from them.
+is decided by the winding parity about the point of each pair's curve,
+closed right of the box, so truncation of the rays at a finite box does not
+split regions.  Regions are found from samples beside the pair curves; by
+Euler's formula there are 1 + sum(k_i - 1) of them when landing point i
+carries k_i rays.  A region's boundary rays are the rays whose crossing,
+which flips the bits of every pair that holds the ray (k_i - 1 of them),
+leads to another found region; the report's boundary landings are read
+from them.
 `RegionGeometry.signature` and `min_distance` are array kernels over points
 x the segments of all pair curves.  The graph's landing points, its pairs
 and each ray's landing index come from one grouping of the landings
@@ -35,6 +36,7 @@ from .curves import (
     map_arrays,
     min_segment_distance,
     signed_area,
+    turn_angles,
     winding_number,
 )
 from .errors import (
@@ -60,6 +62,7 @@ from .structure import (Rect, StructuralSetup, _expansion_radii, _require_resolu
 
 PROBE_CLEARANCE = 1e-6
 ARC_SAMPLES = 256           # samples of a modified boundary arc at a fixed point
+ON_CURVE_ANGLE = 1e-9       # a segment turning within this of +-pi about a point passes through it
 
 
 # -- ray graph -----------------------------------------------------------------------
@@ -81,7 +84,7 @@ def build_ray_graph(rays: list[Ray]) -> RayGraph:
                     pairs_from_groups(rays, group), np.argsort(order)[group])
 
 
-# -- region geometry by crossing parity ------------------------------------------------
+# -- region geometry by winding parity -------------------------------------------------
 
 
 def pair_polyline(pair: RayPair, reach: float) -> np.ndarray:
@@ -107,9 +110,11 @@ def pair_polyline(pair: RayPair, reach: float) -> np.ndarray:
 class RegionGeometry:
     """Which side of each ray pair a point is on, and how far from all pairs.
 
-    The segments of all pair polylines are concatenated once.  `signature`
-    and `min_distance` are array kernels over points x segments: a scalar is
-    a batch of size 1, and points go through in chunks of at most
+    The open segments of all pair polylines come first in one array, then
+    the segment closing each, from its last point back to its first, right
+    of the box at real part `reach` or beyond.  `signature` and
+    `min_distance` are array kernels over points x segments: a scalar is a
+    batch of size 1, and points go through in chunks of at most
     `CHUNK_ELEMENTS` point-segment elements, so the temporaries stay small.
     """
 
@@ -119,66 +124,45 @@ class RegionGeometry:
         self.polylines = [ParamCurve.from_points(pair_polyline(p, reach))
                           for p in pairs]
         self.pairs = pairs
-        segments = [poly.segments() for poly in self.polylines]
+        segments = ([poly.segments() for poly in self.polylines]
+                    + [(poly.z[-1:], poly.z[:1]) for poly in self.polylines])
         self._a = np.concatenate([a for a, _ in segments] or [np.empty(0, complex)])
         self._b = np.concatenate([b for _, b in segments] or [np.empty(0, complex)])
-        # index of each polyline's first segment, for the per-polyline sums
-        self._starts = np.cumsum([0] + [len(a) for a, _ in segments[:-1]])
+        self._open = len(self._a) - len(pairs)
+        # index of each polyline's first open segment, for the per-polyline sums
+        self._starts = np.cumsum([0] + [len(poly.z) - 1 for poly in self.polylines[:-1]])
         self._chunk = max(1, CHUNK_ELEMENTS // max(len(self._a), 1))  # points
-        d = bbox.diagonal
-        self._far = complex(bbox.x0 - 3.71 * d, bbox.y0 - 2.39 * d)
 
     def signature(self, z: complex | np.ndarray) -> tuple[int, ...] | np.ndarray:
-        """Crossing parity of the segment [z, far] with each pair polyline.
+        """Parity of the winding number of each closed pair polyline about z.
 
-        A point whose test segment grazes a polyline (a vertex or a
-        near-parallel overlap) is retried with a jittered far point; after
-        12 attempts the first unresolved point raises ResolutionTooCoarse.
+        Left of `reach`, so in the box, this is the parity of the crossings
+        of any path from z to a point outside every closed polyline.  A point
+        on a polyline (a segment's start, or an angle within ON_CURVE_ANGLE
+        of +-pi) has none: the first such point raises ResolutionTooCoarse.
         A scalar gives a tuple, an array an (n, len(pairs)) int array.
         """
         pts = np.ravel(np.asarray(z, dtype=complex))
-        bits = np.zeros((len(pts), len(self.polylines)), dtype=int)
-        pending = np.arange(len(pts)) if self.polylines else np.arange(0)
-        for attempt in range(12):
-            if not len(pending):
-                break
-            far = self._far * (1.0 + 0.0173 * attempt) - 1j * attempt * 0.31
-            grazed = []
-            for lo in range(0, len(pending), self._chunk):
-                chunk = pending[lo:lo + self._chunk]
-                counts, grazing = self._crossings(pts[chunk], far)
-                bits[chunk[~grazing]] = counts[~grazing] & 1
-                grazed.append(chunk[grazing])
-            pending = np.concatenate(grazed)
-        if len(pending):
-            raise ResolutionTooCoarse(
-                f"cannot resolve the region of {complex(pts[pending[0]])}")
+        turns = np.zeros((len(pts), len(self.pairs)))
+        for lo in range(0, len(pts) if self.pairs else 0, self._chunk):
+            p = pts[lo:lo + self._chunk, None]
+            w = self._a - p
+            with np.errstate(divide="ignore", invalid="ignore"):
+                angles = turn_angles(w, self._b - p)
+            on = ((w == 0) | ~(np.abs(angles) < np.pi - ON_CURVE_ANGLE)).any(axis=1)
+            if on.any():
+                raise ResolutionTooCoarse(
+                    f"cannot resolve the region of {complex(p[on.argmax(), 0])}")
+            turns[lo:lo + self._chunk] = (np.add.reduceat(angles[:, :self._open], self._starts,
+                                                          axis=1) + angles[:, self._open:])
+        bits = np.rint(turns / (2.0 * np.pi)).astype(int) & 1
         if np.ndim(z) == 0:
             return tuple(int(b) for b in bits[0])
         return bits
 
-    def _crossings(self, p: np.ndarray, far: complex) -> tuple[np.ndarray, np.ndarray]:
-        """Proper crossings of each [p_i, far] per polyline, and which p_i graze."""
-        a, d2 = self._a, self._b - self._a
-        d1 = (far - p)[:, None]
-        denom = (d1 * d2.conjugate()).imag
-        q = a - p[:, None]
-        with np.errstate(divide="ignore", invalid="ignore"):
-            s = (q * d2.conjugate()).imag / denom
-            u = (q * d1.conjugate()).imag / denom
-        scale = np.abs(d1) * np.abs(d2)
-        parallel = np.abs(denom) < 1e-14 * np.maximum(scale, 1e-300)
-        eps = 1e-9
-        inside = (~parallel) & (s > eps) & (s < 1 - eps) & (u > eps) & (u < 1 - eps)
-        grazing = (~parallel) & (
-            ((np.abs(s) <= eps) | (np.abs(s - 1) <= eps)) & (u > -eps) & (u < 1 + eps)
-            | ((np.abs(u) <= eps) | (np.abs(u - 1) <= eps)) & (s > -eps) & (s < 1 + eps)
-        )
-        return np.add.reduceat(inside, self._starts, axis=1), grazing.any(axis=1)
-
     def min_distance(self, z: complex | np.ndarray) -> float | np.ndarray:
         """Distance from each point to the nearest pair polyline (inf if none)."""
-        out = min_segment_distance(z, self._a, self._b)
+        out = min_segment_distance(z, self._a[:self._open], self._b[:self._open])
         return float(out[0]) if np.ndim(z) == 0 else out
 
 

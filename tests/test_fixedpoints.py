@@ -608,18 +608,20 @@ class TestFirstRung:
         assert all(np.isfinite(z).all() for z in newton_seeds)
 
     def test_every_rung_short_warns(self, monkeypatch, newton_seeds):
-        # with empty grids only the first rung, b's orbit, seeds Newton: it finds
-        # the attracting point alone, and each grid rung then finds nothing; the
-        # count is 4, and the last rung's records are returned
+        # with empty grids every rung is the first rung's seeds, b's orbit: each
+        # finds the attracting point alone; the count is 4, and the last rung's
+        # records are returned
         monkeypatch.setattr(raysep.fixedpoints, "_seed_grid",
                             lambda region, n: np.empty(0, dtype=complex))
         with pytest.warns(CountMismatchWarning) as warned:
             records = find_periodic_points(exp_map(0.3), Rect(-4, 10, -12, 12), 1)
         (warning,) = warned
-        assert str(warning.message) == ("found 0 points (with multiplicity) but the argument "
+        assert str(warning.message) == ("found 1 points (with multiplicity) but the argument "
                                         "principle counts 4 in the region")
-        assert len(newton_seeds[0]) == 1 and not any(len(z) for z in newton_seeds[1:])
-        assert records == []
+        # one seed per rung; the other sweeps have none
+        assert [len(z) for z in newton_seeds if len(z)] == [1] * 4
+        (record,) = records
+        assert record.classification == "attracting"
 
 
 def orbit_count(spec, records, period):

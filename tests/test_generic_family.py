@@ -1,12 +1,17 @@
 """Offset maps (b != 0): curved cut geometry, honest hypothesis failures and
 the theorem's invariants over the (a, b) family."""
 
+import contextlib
+import io
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from scipy.optimize import brentq
 
+from raysep.cli import EXIT_OK, main
 from raysep.errors import NotFullComplete
 from raysep.maps import exp_map
 from raysep.rays import Address, fixed_rays, landing_point, trace_ray
@@ -113,6 +118,25 @@ class TestBrokenRayMap:
         report = separation_report(setup_broken.spec, setup_broken, 1)
         assert report.is_incomplete
         assert any("|0" in note for note in report.incomplete)
+
+    @settings(max_examples=6, deadline=None)
+    @given(a=st.integers(1, 128).map(lambda k: k / 64),
+           b=st.integers(-48, 48).map(lambda k: k / 32))
+    def test_escaping_singular_value_is_never_complete(self, a, b):
+        # 1 + ln a + b > 0: no real fixed point, so b escapes along the real
+        # axis, on a fixed ray, which is broken.  A cut that leaves the disk
+        # off the negative real axis lifts that ray's anchor off the real
+        # axis, and its walk misses b: test_known_defects' open item-1 row
+        assume(1 + math.log(a) + b > 0)
+        try:
+            setup = structural_setup(exp_map(a, b), FAMILY_BOX, 0.1)
+        except ValueError:
+            assume(False)
+        assume(setup.branch_context.cut.theta == math.pi)
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["verify", "--map", f"exp({a!r},{b!r})", "--period", "1",
+                         "--bbox=-4,10,-12,12"])
+        assert code != EXIT_OK
 
 
 def _complex_in(re_lo, re_hi, im_lo, im_hi):

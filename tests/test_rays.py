@@ -216,8 +216,8 @@ class TestLanding:
         # are nan, and the ray is broken at its least potential
         landing = 1.0069979695729254 + 0.19530804575017333j
         bad_input = PullbackWalk._bad_input
-        monkeypatch.setattr(PullbackWalk, "_bad_input",
-                            lambda walk, z: bad_input(walk, z) | (np.abs(z - landing) < 1e-8))
+        monkeypatch.setattr(PullbackWalk, "_bad_input", lambda walk, z, above=None:
+                            bad_input(walk, z, above) | (np.abs(z - landing) < 1e-8))
         ray = trace_ray(setup_weak, Address.constant(0))
         assert not np.isnan(ray.endpoints[:SHORT_ENDPOINTS]).any()
         assert np.isnan(ray.endpoints[SHORT_ENDPOINTS:]).all()
@@ -254,8 +254,8 @@ class TestLanding:
         point = complex(pull_back(np.array([cycle.z[5] if flagged == "sample"
                                             else cycle.limit]), 1)[0])
         bad_input = PullbackWalk._bad_input
-        monkeypatch.setattr(PullbackWalk, "_bad_input",
-                            lambda walk, z: bad_input(walk, z) | (np.abs(z - point) < 1e-9))
+        monkeypatch.setattr(PullbackWalk, "_bad_input", lambda walk, z, above=None:
+                            bad_input(walk, z, above) | (np.abs(z - point) < 1e-9))
         ray = trace_ray(setup, Address.parse("0,1|0"))
         assert ray.status == RayStatus("broken", first_bad_t=DEFAULT_T_TOP * 2.0 ** -27)
         if flagged == "sample":
@@ -314,7 +314,8 @@ def _scalar_walk(setup, address, levels, endpoint_stop=True):
     """Reference: one address walked one pullback at a time.
 
     Returns its states by level and the level at which it stopped at the
-    cut or a singular value (-1 when clean).  The walk settles where a state
+    cut or a singular value, or where its segment from the state p levels up
+    passes b (-1 when clean).  The walk settles where a state
     repeats the one p levels up, or, with `endpoint_stop` and below the top
     DEFAULT_SAMPLES cycles, at a SCHEDULE depth whose state is within
     LANDING_TOL of the state at the depth above; a settled walk repeats its
@@ -326,7 +327,8 @@ def _scalar_walk(setup, address, levels, endpoint_stop=True):
     states = np.full(levels + 1, np.nan, dtype=complex)
     z = states[levels] = complex(walk.anchors(levels)[0])
     for k in range(levels - 1, -1, -1):
-        if walk._bad_input(np.array([z]))[0]:
+        above = states[k + 1 + p] if k + 1 + p <= levels else np.nan
+        if walk._bad_input(np.array([z]), np.array([above]))[0]:
             return states, k + 1
         z = states[k] = complex(setup.branch_context.pull_back(z, address.period[k % p].j))
         settled = k + p <= levels and abs(z - states[k + p]) < 1e-15 * (1.0 + abs(z))
@@ -602,9 +604,9 @@ class TestBatchedWalk:
         setup = structural_setup(exp_map(0.375, -1j / 256), Rect(-4, 10, -12, 12), 0.1)
         bad_input, calls = PullbackWalk._bad_input, []
 
-        def counted(walk, z):
+        def counted(walk, z, above=None):
             calls.append(None)
-            return bad_input(walk, z)
+            return bad_input(walk, z, above)
         monkeypatch.setattr(PullbackWalk, "_bad_input", counted)
         walk = PullbackWalk(setup, [Address.constant(d.label.j) for d in setup.domains])
         states, bad_at = walk.states(SHORT_WALK, [0])
@@ -799,8 +801,8 @@ class TestEndpointStop:
             calls.append(None)
             return pull_back(ctx, w, band)
         monkeypatch.setattr(BranchContext, "pull_back", counted)
-        monkeypatch.setattr(PullbackWalk, "_bad_input",
-                            lambda walk, z: bad_input(walk, z) | (len(calls) > 60 * 6))
+        monkeypatch.setattr(PullbackWalk, "_bad_input", lambda walk, z, above=None:
+                            bad_input(walk, z, above) | (len(calls) > 60 * 6))
         levels = SHORT_WALK * 6
         assert _scalar_walk(setup_neg5, address, levels, endpoint_stop=False)[1] == levels - 361
         calls.clear()
@@ -926,8 +928,8 @@ class TestLandingRead:
         # its pulled-back samples and is broken at the least of their potentials
         landing = 1.0069979695729254 + 0.19530804575017333j
         bad_input = PullbackWalk._bad_input
-        monkeypatch.setattr(PullbackWalk, "_bad_input",
-                            lambda walk, z: bad_input(walk, z) | (np.abs(z - landing) < 1e-8))
+        monkeypatch.setattr(PullbackWalk, "_bad_input", lambda walk, z, above=None:
+                            bad_input(walk, z, above) | (np.abs(z - landing) < 1e-8))
         ray = trace_ray(setup_weak, Address.parse("1|0"))
         cycle = trace_ray(setup_weak, Address.constant(0))
         assert ray.t[0] == DEFAULT_T_TOP / 2 and len(ray.t) == DEFAULT_SAMPLES

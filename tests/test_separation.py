@@ -1,5 +1,6 @@
 """Ray graph, basic regions, counting contour, boundary modification, report."""
 
+import cmath
 import dataclasses
 import inspect
 import math
@@ -8,6 +9,8 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.optimize import brentq
 
 from raysep.curves import ParamCurve
@@ -317,6 +320,62 @@ class TestRegionKernels:
         with pytest.raises(ResolutionTooCoarse, match=re.escape(str(on))):
             geometry.signature(np.array([-1.0 + 2.0j, on, 0.5 - 3.0j]))
         assert geometry.min_distance(on) < 1e-12
+
+    def test_point_beside_a_segment_is_resolved(self, three_pairs):
+        # 1e-8 off either side of a 1.34-long segment inside the box: the bit of
+        # its pair flips and the others stay, as the crossing reference has it
+        # 1e-6 off, where it resolves (it raises closer than about 1e-7)
+        geometry, bbox = three_pairs, three_pairs.bbox
+        a, b = geometry.polylines[1].segments()
+        mid = 0.5 * (a + b)
+        inside = ((bbox.x0 < mid.real) & (mid.real < bbox.x1)
+                  & (bbox.y0 < mid.imag) & (mid.imag < bbox.y1))
+        k = np.argmax(np.where(inside, np.abs(b - a), 0.0))
+        assert 1.3 < abs(b[k] - a[k]) < 1.4
+        normal = 1j * (b[k] - a[k]) / abs(b[k] - a[k])
+        near = geometry.signature(mid[k] + np.array([1e-8, -1e-8]) * normal)
+        far = [signature_reference(geometry, mid[k] + s * normal) for s in (1e-6, -1e-6)]
+        assert [tuple(sig) for sig in near] == far
+        assert far[0][1] != far[1][1] and far[0][::2] == far[1][::2]
+
+    def test_vertex_raises(self, three_pairs):
+        # at a vertex p, numpy's (b - p) / 0 may be inf + inf j, at a finite angle,
+        # so a vertex is told by a - p == 0
+        geometry = three_pairs
+        for v in np.concatenate([poly.z for poly in geometry.polylines]):
+            with pytest.raises(ResolutionTooCoarse, match=re.escape(str(complex(v)))):
+                geometry.signature(complex(v))
+        v = complex(geometry.polylines[0].z[20])
+        with pytest.raises(ResolutionTooCoarse, match=re.escape(str(v))):
+            geometry.signature(np.array([-1.0 + 2.0j, v, complex(geometry.polylines[2].z[5])]))
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_signature_is_the_crossing_parity(self, data):
+        # hand-built pairs, which may cross each other, and points of the box,
+        # anywhere or near a vertex: the winding parity is the crossing parity
+        # wherever the crossing reference resolves
+        pairs = []
+        for i in range(data.draw(st.integers(1, 3))):
+            landing = complex(data.draw(st.floats(-8, 6)), data.draw(st.floats(-8, 8)))
+            heights = data.draw(st.lists(st.floats(-9, 9), min_size=2, max_size=2, unique=True))
+            pairs.append(RayPair(tuple(hand_built_ray(2 * i + j, landing, h)
+                                       for j, h in enumerate(heights)), landing))
+        box = Rect(-10, 10, -10, 10)
+        geometry = RegionGeometry(pairs, box)
+        vertices = [complex(v) for poly in geometry.polylines for v in poly.z
+                    if box.contains(v)]
+        anywhere = st.builds(complex, st.floats(-10, 10), st.floats(-10, 10))
+        near = st.builds(lambda v, r, t: v + r * cmath.exp(1j * t), st.sampled_from(vertices),
+                         st.floats(1e-7, 1.0), st.floats(-math.pi, math.pi))
+        for z in data.draw(st.lists(anywhere | near, min_size=1, max_size=20)):
+            if not box.contains(z):
+                continue
+            try:
+                expected = signature_reference(geometry, z)
+            except ResolutionTooCoarse:
+                continue
+            assert geometry.signature(z) == expected
 
     def test_empty_graph(self, setup03):
         geometry = RegionGeometry([], setup03.bbox)
