@@ -54,6 +54,13 @@ def _parse_domains(text: str) -> list[int]:
     return [int(end) for end in text.split("..", 1)]
 
 
+def _is_address(text: str) -> bool:
+    try:
+        return bool(Address.parse(text))
+    except ValueError:
+        return False
+
+
 class Key(NamedTuple):
     """One ScenarioConfig key.  `read` turns its flag's text into its JSON value,
     of type `kind`, per item for a list of `length` items (0: any number, one
@@ -83,7 +90,8 @@ KEYS = {
     "domains": Key("--domains", "band range a..b", read=_parse_domains, kind=int, length=2,
                    convert=tuple, ok=lambda ends: ends[0] <= ends[1],
                    rule="is an empty domain range"),
-    "addresses": Key("--address", 'symbolic address "pre|per", may repeat', length=0),
+    "addresses": Key("--address", 'symbolic address "pre|per", may repeat', length=0,
+                     ok=lambda texts: all(map(_is_address, texts)), rule="must each read pre|per"),
     "region_resolution": Key("--region-res", read=float, kind=NUMBER,
                              ok=lambda r: math.isfinite(r) and r > 0,
                              rule="must be finite and > 0"),
@@ -240,7 +248,7 @@ def run(command: str, config: ScenarioConfig) -> int:
             if ray.status.kind in failed:
                 failed[ray.status.kind] += 1
             if config.out:
-                safe = str(address).replace("|", "_").replace(",", "_").replace("-", "m")
+                safe = str(address).replace("|", "p").replace(",", "_").replace("-", "m")
                 _write(config, f"ray_{safe}.csv", serialize.ray_to_csv(ray))
         _emit(config, "rays.json", {"rays": payload})
         if any(failed.values()):

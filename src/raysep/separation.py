@@ -13,8 +13,9 @@ carries k_i rays.  A region's boundary rays are the rays whose crossing,
 which flips the bits of every pair that holds the ray (k_i - 1 of them),
 leads to another found region; the report's boundary landings are read
 from them.
-`RegionGeometry.signature` and `min_distance` are array kernels over points
-x the segments of all pair curves.  The graph's landing points, its pairs
+`RegionGeometry.signature`, an array kernel over points x the segments of
+all pair curves, is the one point-in-region test; a point on a curve gets a
+row of -1, which matches no region.  The graph's landing points, its pairs
 and each ray's landing index come from one grouping of the landings
 (`rays.landing_groups`).  The global counting contour encloses a full and
 complete collection of fundamental domains and carries the expected
@@ -34,7 +35,6 @@ from .curves import (
     argument_principle_count,
     concat,
     map_arrays,
-    min_segment_distance,
     signed_area,
     turn_angles,
     winding_number,
@@ -48,6 +48,7 @@ from .errors import (
     SideCheckFailed,
 )
 from .fixedpoints import (
+    PROBE_STEP,
     ROOT_OF_UNITY_TOL,
     FixedPointRecord,
     find_periodic_points,
@@ -60,7 +61,6 @@ from .rays import (Address, Ray, RayPair, fixed_rays, landing_groups, landing_po
 from .structure import (Rect, StructuralSetup, _expansion_radii, _require_resolution,
                         as_labels, validate_expansion_radius)
 
-PROBE_CLEARANCE = 1e-6
 ARC_SAMPLES = 256           # samples of a modified boundary arc at a fixed point
 ON_CURVE_ANGLE = 1e-9       # a segment turning within this of +-pi about a point passes through it
 
@@ -108,14 +108,14 @@ def pair_polyline(pair: RayPair, reach: float) -> np.ndarray:
 
 
 class RegionGeometry:
-    """Which side of each ray pair a point is on, and how far from all pairs.
+    """Which side of each ray pair a point is on.
 
     The open segments of all pair polylines come first in one array, then
     the segment closing each, from its last point back to its first, right
-    of the box at real part `reach` or beyond.  `signature` and
-    `min_distance` are array kernels over points x segments: a scalar is a
-    batch of size 1, and points go through in chunks of at most
-    `CHUNK_ELEMENTS` point-segment elements, so the temporaries stay small.
+    of the box at real part `reach` or beyond.  `signature` is an array
+    kernel over points x segments: a scalar is a batch of size 1, and points
+    go through in chunks of at most `CHUNK_ELEMENTS` point-segment elements,
+    so the temporaries stay small.
     """
 
     def __init__(self, pairs: list[RayPair], bbox: Rect):
@@ -139,31 +139,24 @@ class RegionGeometry:
         Left of `reach`, so in the box, this is the parity of the crossings
         of any path from z to a point outside every closed polyline.  A point
         on a polyline (a segment's start, or an angle within ON_CURVE_ANGLE
-        of +-pi) has none: the first such point raises ResolutionTooCoarse.
-        A scalar gives a tuple, an array an (n, len(pairs)) int array.
+        of +-pi) has none and gets a row of -1, no region's signature.  A
+        scalar gives a tuple, an array an (n, len(pairs)) int array.
         """
         pts = np.ravel(np.asarray(z, dtype=complex))
-        turns = np.zeros((len(pts), len(self.pairs)))
+        bits = np.empty((len(pts), len(self.pairs)), dtype=int)
         for lo in range(0, len(pts) if self.pairs else 0, self._chunk):
             p = pts[lo:lo + self._chunk, None]
             w = self._a - p
-            with np.errstate(divide="ignore", invalid="ignore"):
+            with np.errstate(divide="ignore", invalid="ignore"):     # nan at a vertex
                 angles = turn_angles(w, self._b - p)
-            on = ((w == 0) | ~(np.abs(angles) < np.pi - ON_CURVE_ANGLE)).any(axis=1)
-            if on.any():
-                raise ResolutionTooCoarse(
-                    f"cannot resolve the region of {complex(p[on.argmax(), 0])}")
-            turns[lo:lo + self._chunk] = (np.add.reduceat(angles[:, :self._open], self._starts,
-                                                          axis=1) + angles[:, self._open:])
-        bits = np.rint(turns / (2.0 * np.pi)).astype(int) & 1
+                turns = (np.add.reduceat(angles[:, :self._open], self._starts, axis=1)
+                         + angles[:, self._open:])
+                parity = np.rint(turns / (2.0 * np.pi)).astype(int) & 1
+            on = ((w == 0) | ~(np.abs(angles) < np.pi - ON_CURVE_ANGLE)).any(axis=1, keepdims=True)
+            bits[lo:lo + self._chunk] = np.where(on, -1, parity)
         if np.ndim(z) == 0:
             return tuple(int(b) for b in bits[0])
         return bits
-
-    def min_distance(self, z: complex | np.ndarray) -> float | np.ndarray:
-        """Distance from each point to the nearest pair polyline (inf if none)."""
-        out = min_segment_distance(z, self._a[:self._open], self._b[:self._open])
-        return float(out[0]) if np.ndim(z) == 0 else out
 
 
 # -- basic regions ----------------------------------------------------------------------
@@ -184,9 +177,11 @@ def basic_regions(graph: RayGraph, bbox: Rect,
     The samples sit 0.35 and 0.05 x `resolution` off both sides of the middle
     of every pair-curve segment, inside the box; with no pairs the one sample
     is the centre of the box.  Two points belong to the same region iff no
-    pair separates them.  By Euler's formula on the sphere, a ray graph whose
-    landing point i carries k_i rays cuts the plane into 1 + sum(k_i - 1)
-    regions; finding any other number raises ResolutionTooCoarse.
+    pair separates them; a sample on a pair curve is in none.  A region's
+    `sample_interior_point` is its first sample.  By Euler's formula on the
+    sphere, a ray graph whose landing point i carries k_i rays cuts the plane
+    into 1 + sum(k_i - 1) regions; finding any other number raises
+    ResolutionTooCoarse.
 
     Crossing a ray flips the parity of every pair that holds it: k - 1 pairs
     when k rays land with it.  So a paired ray bounds a region when the
@@ -198,16 +193,11 @@ def basic_regions(graph: RayGraph, bbox: Rect,
     geometry = RegionGeometry(graph.pairs, bbox)
     centre = complex(0.5 * (bbox.x0 + bbox.x1), 0.5 * (bbox.y0 + bbox.y1))
     samples = _probe_points(geometry, resolution) if graph.pairs else np.array([centre])
-    clearance = geometry.min_distance(samples)
-    # a sample on a curve must not reach `signature`, which raises there
-    clear = ~(clearance < max(PROBE_CLEARANCE, resolution * 1e-3))
-    samples, clearance = samples[clear], clearance[clear]
-    sigs, group = np.unique(geometry.signature(samples), axis=0, return_inverse=True)
-    group = group.reshape(-1)
-    # per signature, the first sample of largest clearance (lexsort is stable)
-    order = np.lexsort((-clearance, group))
-    first = order[np.unique(group[order], return_index=True)[1]]
-    best = {tuple(int(b) for b in sig): complex(samples[i]) for sig, i in zip(sigs, first)}
+    sigs = geometry.signature(samples)
+    resolved = (sigs >= 0).all(axis=1)
+    sigs, first = np.unique(sigs[resolved], axis=0, return_index=True)
+    best = {tuple(int(b) for b in sig): complex(z)
+            for sig, z in zip(sigs, samples[resolved][first])}
     expected = 1 + int(np.sum(np.bincount(graph.landing_index) - 1))
     if len(best) != expected:
         raise ResolutionTooCoarse(
@@ -632,34 +622,33 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
             # to the region its probe orbit sits in
             fan = petal_directions(spec, z, period)
             for direction in probe_virtual_points(spec, fan, period):
-                probe = _virtual_probe(geometry, z, direction)
-                if probe is None:
-                    incomplete.append(f"virtual point of parabolic {z}: every probe "
-                                      f"lies within {PROBE_CLEARANCE} of a pair curve")
-                    unplaced = True
-                    continue
-                members.append((probe, z, True))
+                members.append((z + PROBE_STEP * direction, z, True))
         elif not len(incident):
             members.append((z, z, False))
 
     sigs = geometry.signature(np.array([m[0] for m in members], dtype=complex))
     for (probe, z, virtual), sig in zip(members, sigs):
         sig = tuple(int(b) for b in sig)
+        if -1 in sig and virtual:
+            incomplete.append(f"virtual point of parabolic {z}: its probe {probe} "
+                              f"lies on a pair curve")
+            unplaced = True
+            continue
         if sig not in verdict_by_sig:
-            raise ResolutionTooCoarse(f"{probe} lies in no region the samples found")
+            where = "on a pair curve" if -1 in sig else "in no region the samples found"
+            raise ResolutionTooCoarse(f"{probe} lies {where}")
         v = verdict_by_sig[sig]
         (v.virtual if virtual else v.interior).append(z)
 
     # boundary landings: a landing of k >= 2 rays bounds the regions that its
-    # rays bound; a landing of one ray lies in the region of its own signature
+    # rays bound; a landing of one ray lies in its signature's region, if any
     landing_of = {id(r): i for r, i in zip(graph.rays, graph.landing_index.tolist())}
     hits = {(landing_of[id(r)], reg.id) for reg in regions for r in reg.boundary_rays}
     lone = np.flatnonzero(np.bincount(graph.landing_index) == 1)
     points = np.array(graph.landing_points, dtype=complex)[lone]
-    clear = geometry.min_distance(points) > 0
-    sigs = map(tuple, geometry.signature(points[clear]).tolist())
+    sigs = map(tuple, geometry.signature(points).tolist())
     hits |= {(i, verdict_by_sig[sig].region_id)
-             for i, sig in zip(lone[clear].tolist(), sigs) if sig in verdict_by_sig}
+             for i, sig in zip(lone.tolist(), sigs) if sig in verdict_by_sig}
     for i, k in sorted(hits):
         verdicts[k].boundary_landings.append(graph.landing_points[i])
 
@@ -684,19 +673,6 @@ def separation_report(spec: MapSpec, setup: StructuralSetup, period: int = 1,
             incomplete.append(f"global count: {type(exc).__name__}: {exc}")
     return SeparationReport(period, regions, verdicts, global_counts,
                             incomplete, records, graph)
-
-
-def _virtual_probe(geometry: RegionGeometry, z: complex, direction: complex) -> complex | None:
-    """The first probe off z along `direction` that clears every pair curve.
-
-    Probes start 0.1 from z and shrink by 0.7 twenty times; None when all 21
-    lie within PROBE_CLEARANCE of a pair curve.
-    """
-    probes = [z + 0.1 * direction]
-    for _ in range(20):
-        probes.append(z + abs(probes[-1] - z) * 0.7 * direction)
-    clear = ~(geometry.min_distance(np.array(probes, dtype=complex)) < PROBE_CLEARANCE)
-    return probes[int(np.argmax(clear))] if clear.any() else None
 
 
 def _augment_with_inferred_rays(setup: StructuralSetup, period: int, records, landed,

@@ -200,7 +200,11 @@ class TestExitCodes:
 
     @pytest.mark.parametrize("args, config, named", [
         (["verify", "--map", "exp(0.3)", "--period", "5"], None, "--period"),
-    ], ids=["period-5"])
+        (["rays", "--map", "exp(0.3)", "--address", "0|", "--address", "x|1"], None,
+         "--address (config key 'addresses') must each read pre|per, got ['0|', 'x|1']"),
+        (["rays"], {"map": "exp(0.3)", "addresses": ["0|", "x|1"]},
+         "--address (config key 'addresses') must each read pre|per, got ['0|', 'x|1']"),
+    ], ids=["period-5", "address-flag", "address-config"])
     def test_out_of_range_value_is_config_error_before_setup(
             self, capsys, no_setup, tmp_path, args, config, named):
         if config is not None:
@@ -375,6 +379,15 @@ class TestArtifacts:
         assert len(csv_files) == 1
         header = csv_files[0].read_text().splitlines()[0]
         assert header == "t,re,im"
+
+    def test_rays_csv_per_address(self, capsys, tmp_path):
+        # "0,1|0" and "0|1,0" are two rays, so two files
+        code, _, _ = run_cli(
+            ["rays", "--map", "exp(0.3)", "--bbox=-4,10,-12,12", "--address", "0,1|0",
+             "--address", "0|1,0", "--out", str(tmp_path)], capsys)
+        assert code == EXIT_OK
+        assert sorted(p.name for p in tmp_path.glob("ray_*.csv")) == \
+            ["ray_0_1p0.csv", "ray_0p1_0.csv"]
 
     def test_rays_keep_input_order_across_periods(self, capsys):
         addresses = ["|0,1", "0|", "|1,0", "|1"]

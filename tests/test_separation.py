@@ -24,7 +24,7 @@ from raysep.rays import (PAIR_TOL, Address, PullbackWalk, Ray, RayPair, RayStatu
                          trace_ray)
 from raysep.separation import (
     CHUNK_ELEMENTS,
-    PROBE_CLEARANCE,
+    RayGraph,
     RegionGeometry,
     _augment_with_inferred_rays,
     _probe_points,
@@ -155,6 +155,22 @@ class TestBasicRegions:
             bounds = by_signature[geometry.signature(z)].boundary_rays
             assert [id(r) for r in bounds] == [id(r) for r in fan_rays + pair_rays]
 
+    def test_thin_band_between_nested_pairs(self):
+        # each sample of the band between the pairs lies res * 5e-4 from the other curve
+        res = 0.25
+        gap = 0.05 * res + res * 5e-4
+        regions, geometry = basic_regions(nested_pairs(gap), Rect(-10, 10, -10, 10), res)
+        assert [reg.signature for reg in regions] == [(0, 0), (1, 0), (1, 1)]
+        band = regions[1].sample_interior_point
+        assert geometry.signature(band) == (1, 0)
+        assert 0 < band.real and 0.5 * gap < 1.0 - abs(band.imag) < 1.5 * gap
+
+    def test_samples_on_a_curve_are_in_no_region(self):
+        # every sample of the band between the pairs lies on the other curve
+        res = 0.25
+        with pytest.raises(ResolutionTooCoarse, match="2 region signatures found"):
+            basic_regions(nested_pairs(0.05 * res), Rect(-10, 10, -10, 10), res)
+
 
 def hand_built_ray(band: int, landing: complex, height: float) -> Ray:
     """A landed fixed ray of `band` that runs left at `height` from x = 8 to
@@ -164,6 +180,23 @@ def hand_built_ray(band: int, landing: complex, height: float) -> Ray:
                         landing + (corner - landing) * np.array([0.75, 0.5, 0.25])])
     return Ray(Address.constant(band), 8.0 * 0.5 ** np.arange(len(z)), z,
                RayStatus.landed(landing, None), np.empty(0, dtype=complex), landing)
+
+
+def bent_ray(band: int, landing: complex, height: float) -> Ray:
+    """A landed fixed ray of `band` that runs left at `height` from x = 8 to
+    the real part of `landing`, then straight down or up to it."""
+    z = np.concatenate([np.linspace(8.0, landing.real, 9) + 1j * height,
+                        landing + 1j * height * np.array([0.75, 0.5, 0.25])])
+    return Ray(Address.constant(band), 8.0 * 0.5 ** np.arange(len(z)), z,
+               RayStatus.landed(landing, None), np.empty(0, dtype=complex), landing)
+
+
+def nested_pairs(gap: float) -> RayGraph:
+    """A pair of bent rays landing at 0 at heights +-1, and one `gap` inside it
+    all along, landing at `gap`."""
+    outer = [bent_ray(j, 0j, h) for j, h in enumerate((1.0, -1.0))]
+    inner = [bent_ray(2 + j, complex(gap), h) for j, h in enumerate((1.0 - gap, gap - 1.0))]
+    return build_ray_graph(outer + inner)
 
 
 # -- per-point references for the region kernels --------------------------------
@@ -212,11 +245,6 @@ def signature_reference(geometry, z):
     raise ResolutionTooCoarse(f"cannot resolve the region of {z}")
 
 
-def min_distance_reference(geometry, z):
-    return min((poly.distance_to_point(z) for poly in geometry.polylines),
-               default=math.inf)
-
-
 def probe_points_reference(bbox, resolution, geometry):
     pts = []
     for poly in geometry.polylines:
@@ -236,16 +264,14 @@ def probe_points_reference(bbox, resolution, geometry):
 
 
 def regions_reference(bbox, resolution, geometry):
-    """(signature, sample, boundary rays) per region, one probe at a time."""
+    """(signature, sample, boundary rays) per region, one probe at a time;
+    a region's sample is its first resolved probe."""
     best = {}
     for z in probe_points_reference(bbox, resolution, geometry):
-        clearance = min_distance_reference(geometry, z)
-        if clearance < max(PROBE_CLEARANCE, resolution * 1e-3):
+        try:
+            best.setdefault(signature_reference(geometry, z), z)
+        except ResolutionTooCoarse:
             continue
-        sig = signature_reference(geometry, z)
-        cur = best.get(sig)
-        if cur is None or clearance > cur[0]:
-            best[sig] = (clearance, z)
     out = []
     for sig in sorted(best):
         boundary = []
@@ -253,7 +279,7 @@ def regions_reference(bbox, resolution, geometry):
             neighbor = tuple(b ^ 1 if idx == k else b for idx, b in enumerate(sig))
             if neighbor in best:
                 boundary.extend(pair.rays)
-        out.append((sig, best[sig][1], boundary))
+        out.append((sig, best[sig], boundary))
     return out
 
 
@@ -289,11 +315,8 @@ class TestRegionKernels:
         assert sigs.shape == (n, 3)
         assert [tuple(s) for s in sigs] == [signature_reference(geometry, w) for w in z]
         assert len({tuple(s) for s in sigs}) > 1
-        dist = geometry.min_distance(z)
-        assert np.array_equal(dist, [min_distance_reference(geometry, w) for w in z])
         # a scalar is a batch of size 1
         assert geometry.signature(z[3]) == signature_reference(geometry, z[3])
-        assert geometry.min_distance(z[3]) == dist[3]
 
     def test_grazing_point_retries(self, three_pairs):
         geometry = three_pairs
@@ -309,17 +332,17 @@ class TestRegionKernels:
         assert tuple(batch[1]) == expected
         assert tuple(batch[0]) == signature_reference(geometry, -1.0 + 2.0j)
 
-    def test_point_on_curve_raises(self, three_pairs):
+    def test_point_on_curve_is_minus_one(self, three_pairs):
         geometry = three_pairs
         poly = geometry.polylines[2]
         on = complex(0.5 * (poly.z[30] + poly.z[31]))
         with pytest.raises(ResolutionTooCoarse):
             signature_reference(geometry, on)
-        with pytest.raises(ResolutionTooCoarse, match=re.escape(str(on))):
-            geometry.signature(on)
-        with pytest.raises(ResolutionTooCoarse, match=re.escape(str(on))):
-            geometry.signature(np.array([-1.0 + 2.0j, on, 0.5 - 3.0j]))
-        assert geometry.min_distance(on) < 1e-12
+        assert geometry.signature(on) == (-1, -1, -1)
+        batch = geometry.signature(np.array([-1.0 + 2.0j, on, 0.5 - 3.0j]))
+        assert batch[1].tolist() == [-1, -1, -1]
+        assert tuple(batch[0]) == signature_reference(geometry, -1.0 + 2.0j)
+        assert tuple(batch[2]) == signature_reference(geometry, 0.5 - 3.0j)
 
     def test_point_beside_a_segment_is_resolved(self, three_pairs):
         # 1e-8 off either side of a 1.34-long segment inside the box: the bit of
@@ -338,16 +361,18 @@ class TestRegionKernels:
         assert [tuple(sig) for sig in near] == far
         assert far[0][1] != far[1][1] and far[0][::2] == far[1][::2]
 
-    def test_vertex_raises(self, three_pairs):
+    def test_vertex_is_minus_one(self, three_pairs):
         # at a vertex p, numpy's (b - p) / 0 may be inf + inf j, at a finite angle,
         # so a vertex is told by a - p == 0
         geometry = three_pairs
-        for v in np.concatenate([poly.z for poly in geometry.polylines]):
-            with pytest.raises(ResolutionTooCoarse, match=re.escape(str(complex(v)))):
-                geometry.signature(complex(v))
-        v = complex(geometry.polylines[0].z[20])
-        with pytest.raises(ResolutionTooCoarse, match=re.escape(str(v))):
-            geometry.signature(np.array([-1.0 + 2.0j, v, complex(geometry.polylines[2].z[5])]))
+        vertices = np.concatenate([poly.z for poly in geometry.polylines])
+        for v in vertices:
+            assert geometry.signature(complex(v)) == (-1, -1, -1)
+        assert np.all(geometry.signature(vertices) == -1)
+        batch = geometry.signature(np.array([-1.0 + 2.0j, geometry.polylines[0].z[20],
+                                             geometry.polylines[2].z[5]]))
+        assert tuple(batch[0]) == signature_reference(geometry, -1.0 + 2.0j)
+        assert batch[1:].tolist() == [[-1, -1, -1]] * 2
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
@@ -380,10 +405,8 @@ class TestRegionKernels:
     def test_empty_graph(self, setup03):
         geometry = RegionGeometry([], setup03.bbox)
         assert geometry.signature(1.0 + 1.0j) == ()
-        assert geometry.min_distance(1.0 + 1.0j) == math.inf
         z = np.array([0.0, 1.0 + 1.0j, -2.0j])
         assert geometry.signature(z).shape == (3, 0)
-        assert np.all(geometry.min_distance(z) == math.inf)
 
 
 class TestProbeSet:
@@ -545,6 +568,19 @@ class TestBoundaryModification:
                 other_fixed_points=[5.0 + 0j])
 
 
+def curve_covering(monkeypatch, centre, radius):
+    """Give every region geometry one more pair column, whose curve covers the
+    disk of `radius` about `centre`: a point there lies on a pair curve."""
+    original = RegionGeometry.signature
+
+    def signature(self, z):
+        bits = np.column_stack([original(self, z), np.zeros(len(z), dtype=int)])
+        bits[np.abs(z - centre) < radius] = -1
+        return bits
+
+    monkeypatch.setattr(RegionGeometry, "signature", signature)
+
+
 class TestSeparationReport:
     def test_attracting_case(self):
         spec = exp_map(0.3)
@@ -608,14 +644,8 @@ class TestSeparationReport:
 
 
     def test_virtual_probe_on_curve_is_incomplete(self, monkeypatch):
-        # every probe around the parabolic point reads as lying on a pair curve
-        original = RegionGeometry.min_distance
-
-        def blocked_near_one(self, z):
-            d = original(self, z)
-            return np.where(np.abs(np.asarray(z) - 1.0) < 0.2, 0.0, d)
-
-        monkeypatch.setattr(RegionGeometry, "min_distance", blocked_near_one)
+        # its probe, 0.1 from the parabolic point 1, lies on a pair curve
+        curve_covering(monkeypatch, 1.0, 0.2)
         spec = parse_map("exp(1/e)")
         setup = structural_setup(spec, Rect(-4, 8, -12, 12), 0.1)
         report = separation_report(spec, setup, 1)
@@ -627,6 +657,14 @@ class TestSeparationReport:
         assert not any(v.virtual for v in report.verdicts)
         assert [v.verdict for v in report.verdicts] == ["INCOMPLETE(interior=0, virtual=0)"]
         assert not report.has_violation
+
+    def test_interior_point_on_curve_is_too_coarse(self, monkeypatch):
+        att = brentq(lambda x: 0.3 * np.exp(x) - x, 0, 1, xtol=1e-14)
+        curve_covering(monkeypatch, att, 1e-3)
+        spec = exp_map(0.3)
+        setup = structural_setup(spec, Rect(-4, 10, -12, 12), 0.1)
+        with pytest.raises(ResolutionTooCoarse, match=r"^\(0\.4894\d*[+-].* lies on a pair curve$"):
+            separation_report(spec, setup, 1)
 
     def test_two_points_in_a_region_with_all_rays_landed_is_violation(self, monkeypatch):
         original = raysep.separation.find_periodic_points
